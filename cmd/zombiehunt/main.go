@@ -19,8 +19,8 @@
 // prefixes — so expect more memory than the beacon-only run.
 //
 // -trace writes the run's span tree as Chrome trace-event JSON (open in
-// chrome://tracing or Perfetto) — decode, shard build, merge and interval
-// evaluation show up as nested slices. -progress logs a structured
+// chrome://tracing or Perfetto) — decode, merge (the history seal) and
+// interval evaluation show up as nested slices. -progress logs a structured
 // pipeline heartbeat to stderr at the given interval, for watching a
 // long archive run without polluting the report on stdout. -cpuprofile
 // and -memprofile write pprof profiles covering the whole run (the heap
@@ -85,7 +85,6 @@ func run(args []string, w io.Writer) (err error) {
 		stormMin   = fs.Int("storm-events", zombie.DefaultStormMinEvents, "community changes within -storm-window that constitute a noise storm")
 		stormWin   = fs.Duration("storm-window", zombie.DefaultStormWindow, "rate window for community-storm detection")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "pipeline workers for decode/detection (0 = sequential; the report is identical either way)")
-		useMmap    = fs.Bool("mmap", true, "mmap the archive files and decode zero-copy instead of loading them into memory (the report is identical either way)")
 		traceOut   = fs.String("trace", "", "write the run's spans as Chrome trace-event JSON to this file")
 		progress   = fs.Duration("progress", 0, "log a pipeline progress heartbeat to stderr at this interval (0 disables)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -165,56 +164,30 @@ func run(args []string, w io.Writer) (err error) {
 	}
 
 	det := &zombie.Detector{Threshold: *threshold, Parallelism: *parallel}
-	var (
-		rep        *zombie.Report
-		dumps      map[string][]byte
-		collectors int
-		// The archive bytes stay reachable for the optional -detect pass,
-		// in whichever form the ingest path produced them.
-		mappedUpdates map[string][][]byte
-		loadedUpdates map[string][]byte
-	)
-	if *useMmap {
-		// Zero-copy path: each rotated file stays its own mmap segment and
-		// the pipeline decodes record-aligned chunks straight out of the
-		// mappings — no concatenated in-memory copy of the archive. The
-		// mappings stay pinned until the run is done (borrowed decode
-		// scratch aliases them only during the fold, but dump bytes are
-		// read during -lifespans).
-		ms, merr := archive.OpenMapped(*archiveDir)
-		if merr != nil {
-			return merr
-		}
-		defer ms.Close()
-		collectors = len(ms.Updates)
-		dumps = ms.Dumps
-		mappedUpdates = ms.Updates
-		if !*jsonOut {
-			fmt.Fprintf(w, "archive: %d collectors, %d beacon intervals\n", collectors, len(intervals))
-		}
-		if rep, err = det.DetectStreams(ms.Updates, intervals); err != nil {
-			return err
-		}
-	} else {
-		set, lerr := archive.Load(*archiveDir)
-		if lerr != nil {
-			return lerr
-		}
-		collectors = len(set.Updates)
-		dumps = set.Dumps
-		loadedUpdates = set.Updates
-		if !*jsonOut {
-			fmt.Fprintf(w, "archive: %d collectors, %d beacon intervals\n", collectors, len(intervals))
-		}
-		if rep, err = det.Detect(set.Updates, intervals); err != nil {
-			return err
-		}
+	// Each rotated file stays its own mapped segment (a heap read where
+	// mmap is unavailable) and the pipeline decodes record-aligned chunks
+	// straight out of the mappings — no concatenated in-memory copy of the
+	// archive. The mappings stay pinned until the run is done: borrowed
+	// decode scratch aliases them only during the fold, but the -detect
+	// pass re-reads the updates and -lifespans reads the dump bytes.
+	ms, err := archive.OpenMapped(*archiveDir)
+	if err != nil {
+		return err
+	}
+	defer ms.Close()
+	collectors := len(ms.Updates)
+	if !*jsonOut {
+		fmt.Fprintf(w, "archive: %d collectors, %d beacon intervals\n", collectors, len(intervals))
+	}
+	rep, err := det.DetectStreams(ms.Updates, intervals)
+	if err != nil {
+		return err
 	}
 
 	summary := zombie.Summarize(rep, zombie.NoisyConfig{}, 5)
 	var lr *zombie.LifespanReport
 	if *lifespans {
-		if lr, err = zombie.TrackLifespans(dumps, intervals, zombie.LifespanConfig{Parallelism: *parallel}); err != nil {
+		if lr, err = zombie.TrackLifespans(ms.Dumps, intervals, zombie.LifespanConfig{Parallelism: *parallel}); err != nil {
 			return err
 		}
 	}
@@ -239,14 +212,9 @@ func run(args []string, w io.Writer) (err error) {
 		}
 		// Track-all history: the anomaly detectors see every prefix in the
 		// archive, not just beacon prefixes.
-		var h *zombie.History
-		if mappedUpdates != nil {
-			h, err = zombie.BuildHistoryStreams(mappedUpdates, nil, *parallel)
-		} else {
-			h, err = zombie.BuildHistoryParallel(loadedUpdates, nil, *parallel)
-		}
-		if err != nil {
-			return err
+		h, herr := zombie.BuildHistoryStreams(ms.Updates, nil, *parallel)
+		if herr != nil {
+			return herr
 		}
 		anomalies = zombie.RunAnomalyDetectors(h, zombie.Window{From: from, To: to}, dets, *parallel)
 	}
@@ -381,6 +349,9 @@ func writeTrace(tr *obs.Tracer, path string) error {
 // startProgress launches the heartbeat goroutine and returns its stop
 // function. Each tick logs the shared pipeline counters, so a long run
 // shows decode/detection advancing even before any report is printed.
+// lifespan_events_sharded moves only under -lifespans: the history build
+// has no shard-routing stage, so RIB-dump tracking is the counter's one
+// feeder.
 func startProgress(l *slog.Logger, every time.Duration) func() {
 	done := make(chan struct{})
 	go func() {
@@ -395,7 +366,7 @@ func startProgress(l *slog.Logger, every time.Duration) func() {
 				l.Info("pipeline progress",
 					"records_decoded", s["records_decoded"],
 					"bytes_decoded", s["bytes_decoded"],
-					"events_sharded", s["events_sharded"],
+					"lifespan_events_sharded", s["events_sharded"],
 					"intervals_evaluated", s["intervals_evaluated"],
 					"decode_us", s["decode_us"],
 					"detect_us", s["detect_us"])

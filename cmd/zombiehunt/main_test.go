@@ -168,25 +168,6 @@ func TestGoldenJSON(t *testing.T) {
 	}
 }
 
-// TestMmapMatchesLoad runs the golden scenario through the mmapped
-// zero-copy ingest path and the load-into-memory path and requires
-// byte-identical reports — the smoke test for the -mmap wiring.
-func TestMmapMatchesLoad(t *testing.T) {
-	for _, par := range []string{"0", "4"} {
-		var mapped, loaded bytes.Buffer
-		if err := run(append(goldenArgs(par), "-mmap=true"), &mapped); err != nil {
-			t.Fatalf("-mmap=true -parallel %s: %v", par, err)
-		}
-		if err := run(append(goldenArgs(par), "-mmap=false"), &loaded); err != nil {
-			t.Fatalf("-mmap=false -parallel %s: %v", par, err)
-		}
-		if !bytes.Equal(mapped.Bytes(), loaded.Bytes()) {
-			t.Errorf("-parallel %s: mmap and load reports differ\n--- mmap ---\n%s\n--- load ---\n%s",
-				par, mapped.Bytes(), loaded.Bytes())
-		}
-	}
-}
-
 // TestTraceOutput runs the golden scenario with -trace and checks the
 // emitted Chrome trace-event JSON carries the detection stack's spans.
 func TestTraceOutput(t *testing.T) {

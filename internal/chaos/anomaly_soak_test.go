@@ -4,9 +4,9 @@
 // proxy -> reconnecting client — with the anomaly history accumulated on
 // both ends. Invariants, per seed:
 //
-//   - the server-side anomaly report (pipeline's AnomalyStream) is
+//   - the server-side anomaly report (pipeline's HistoryBuilder) is
 //     bit-identical to the batch report built from the archive;
-//   - a client-side AnomalyStream fed from the chaos-battered wire
+//   - a client-side HistoryBuilder fed from the chaos-battered wire
 //     reconstructs the same bit-identical report;
 //   - every finding the server published on the anomaly channel arrived
 //     at the client, and nothing else did.
@@ -170,7 +170,7 @@ func runAnomalySoakSeed(t *testing.T, sc *anomalySoakScenario, seed uint64) {
 	// server publishes on the anomaly channel.
 	var mu sync.Mutex
 	var seqs []uint64
-	clientStream := zombie.NewAnomalyStream()
+	clientStream := zombie.NewHistoryBuilder(nil)
 	clientAlerts := make(map[string]int)
 	var onEventErr error
 	client := &livefeed.Client{

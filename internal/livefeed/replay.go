@@ -63,11 +63,11 @@ type Pipeline struct {
 	watermark time.Time
 
 	// Anomaly mode (EnableAnomalies): every streamable record also
-	// accumulates into an AnomalyStream, and DetectAnomalies seals it and
-	// runs the framework, publishing findings on the anomaly channel.
-	anomalyStream *zombie.AnomalyStream
-	anomalyDets   []zombie.AnomalyDetector
-	anomalyPar    int
+	// accumulates into a track-all HistoryBuilder, and DetectAnomalies seals
+	// it and runs the framework, publishing findings on the anomaly channel.
+	anomalyHist *zombie.HistoryBuilder
+	anomalyDets []zombie.AnomalyDetector
+	anomalyPar  int
 
 	// recovering mutes alert publication while Recover re-observes
 	// journaled records: those detections already fired (and were
@@ -135,7 +135,7 @@ func (p *Pipeline) EnableAnomalies(names []string, cfg zombie.AnomalyConfig) err
 	if err != nil {
 		return err
 	}
-	p.anomalyStream = zombie.NewAnomalyStream()
+	p.anomalyHist = zombie.NewHistoryBuilder(nil)
 	p.anomalyDets = dets
 	p.anomalyPar = cfg.Parallelism
 	return nil
@@ -146,12 +146,12 @@ func (p *Pipeline) EnableAnomalies(names []string, cfg zombie.AnomalyConfig) err
 // channel. The accumulator keeps observing: later calls evaluate the
 // longer stream. It returns nil when EnableAnomalies was not called.
 func (p *Pipeline) DetectAnomalies(win zombie.Window) *zombie.AnomalyReport {
-	if p.anomalyStream == nil {
+	if p.anomalyHist == nil {
 		return nil
 	}
 	m := p.Broker.Metrics()
 	started := obs.Nanos()
-	h := p.anomalyStream.Seal()
+	h := p.anomalyHist.Seal()
 	rep := zombie.RunAnomalyDetectors(h, win, p.anomalyDets, p.anomalyPar)
 	m.anomalyEval.Observe(obs.SinceNanos(started))
 	for _, a := range rep.Findings {
@@ -216,11 +216,11 @@ func (p *Pipeline) Ingest(sr SourcedRecord) {
 	p.sd.SetIngestStamp(ing)
 	p.sd.Advance(p.watermark)
 	p.sd.Observe(sr.Collector, sr.Rec)
-	if p.anomalyStream != nil {
+	if p.anomalyHist != nil {
 		// A record the decoder rejects contributes no history events; the
 		// live path keeps going, exactly as the batch builder would fail
 		// the whole archive the stream never sees.
-		_ = p.anomalyStream.Observe(sr.Collector, sr.Rec)
+		_ = p.anomalyHist.Observe(sr.Collector, sr.Rec)
 	}
 	m.stageDetect.Observe(obs.SinceNanos(ing))
 	p.syncChecks()
@@ -280,8 +280,8 @@ func (p *Pipeline) Recover(st *eventstore.Store) (int, error) {
 		p.watermark = rec.RecordTime()
 		p.sd.Advance(p.watermark)
 		p.sd.Observe(se.Collector, rec)
-		if p.anomalyStream != nil {
-			_ = p.anomalyStream.Observe(se.Collector, rec)
+		if p.anomalyHist != nil {
+			_ = p.anomalyHist.Observe(se.Collector, rec)
 		}
 		n++
 		return nil

@@ -93,11 +93,11 @@ func (m *Metrics) init() {
 		m.recordsDecoded = m.reg.Counter("pipeline_records_decoded_total", "MRT records decoded.")
 		m.bytesDecoded = m.reg.Counter("pipeline_bytes_decoded_total", "Archive bytes consumed.")
 		m.decodeErrors = m.reg.Counter("pipeline_decode_errors_total", "Malformed records encountered.")
-		m.eventsSharded = m.reg.Counter("pipeline_events_sharded_total", "Items routed to shards.")
-		m.shardsMerged = m.reg.Counter("pipeline_shards_merged_total", "Shard fragments merged.")
+		m.eventsSharded = m.reg.Counter("pipeline_events_sharded_total", "RIB entries routed to lifespan-tracking shards (the history build does not shard).")
+		m.shardsMerged = m.reg.Counter("pipeline_shards_merged_total", "History chunk builders sealed plus lifespan shards merged.")
 		m.intervalsEvaluated = m.reg.Counter("pipeline_intervals_evaluated_total", "Beacon intervals evaluated.")
 		stages := m.reg.HistogramVec("pipeline_stage_seconds",
-			"Wall time of pipeline stages.", obs.DefBuckets, "stage")
+			"Wall time of pipeline stages; the build stage is observed by lifespan tracking only.", obs.DefBuckets, "stage")
 		m.decodeSeconds = stages.With("decode")
 		m.buildSeconds = stages.With("build")
 		m.mergeSeconds = stages.With("merge")
@@ -158,7 +158,8 @@ func (m *Metrics) AddDecodeError() {
 	m.decodeErrors.Inc()
 }
 
-// AddSharded accounts items routed to shards.
+// AddSharded accounts items routed to shards. Only lifespan tracking
+// shards; the history build seals its chunk builders directly.
 func (m *Metrics) AddSharded(n int) {
 	if m == nil {
 		return
@@ -167,7 +168,8 @@ func (m *Metrics) AddSharded(n int) {
 	m.eventsSharded.Add(int64(n))
 }
 
-// AddMerged accounts merged shard fragments.
+// AddMerged accounts merged fragments: history chunk builders sealed,
+// lifespan shards merged.
 func (m *Metrics) AddMerged(n int) {
 	if m == nil {
 		return
@@ -193,7 +195,8 @@ func (m *Metrics) ObserveDecode(d time.Duration) {
 	}
 }
 
-// ObserveBuild records shard-build stage wall time.
+// ObserveBuild records shard-build stage wall time (lifespan tracking
+// only).
 func (m *Metrics) ObserveBuild(d time.Duration) {
 	if m != nil {
 		m.init()

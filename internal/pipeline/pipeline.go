@@ -1,14 +1,14 @@
 // Package pipeline is the parallel ingestion engine behind the detection
 // paths: it decodes MRT archives concurrently in record-aligned chunks,
-// fans per-record work out over a bounded worker pool, and gives callers
-// the primitives to shard state-building by hash and merge shards back
+// fans per-record work out over a bounded worker pool, and hands the
+// per-chunk accumulators back in stream order so callers can merge them
 // deterministically.
 //
 // The engine is deliberately generic: it knows MRT framing but nothing
-// about zombie detection. The zombie package builds its sharded history
-// reconstruction on top of FoldRecords and Engine.For, which is what keeps
-// the parallel path provably equivalent to the sequential one — both paths
-// share the per-record semantics and differ only in scheduling, and the
+// about zombie detection. The zombie package builds its history on top of
+// FoldStreams (one HistoryBuilder per chunk, sealed in chunk order) and
+// its lifespan tracking on FoldRecords and Engine.For; every worker count
+// shares the per-record semantics and differs only in scheduling, and the
 // differential harness in this package checks the outputs bit for bit.
 package pipeline
 

@@ -8,7 +8,6 @@ import (
 
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
-	"zombiescope/internal/mrt"
 	"zombiescope/internal/obs"
 	"zombiescope/internal/pipeline"
 )
@@ -224,34 +223,4 @@ func sortAnomalies(as []Anomaly) {
 		}
 		return a.Kind < b.Kind
 	})
-}
-
-// AnomalyStream accumulates live collector records into a history for
-// anomaly evaluation — the streaming twin of BuildHistory, used by the
-// livefeed pipeline and the chaos parity soak. Records must arrive in a
-// per-collector-order-preserving sequence (the broker guarantees this);
-// cross-collector interleaving may differ from the batch build, which is
-// why every detector sweep groups state changes by record timestamp
-// before evaluating.
-type AnomalyStream struct {
-	b     *histBuilder
-	order int
-}
-
-// NewAnomalyStream returns an empty accumulator tracking every prefix.
-func NewAnomalyStream() *AnomalyStream {
-	return &AnomalyStream{b: newHistBuilder()}
-}
-
-// Observe ingests one collector record.
-func (s *AnomalyStream) Observe(collector string, rec mrt.Record) error {
-	s.order++
-	return recordEvents(collector, s.order, rec, nil, nil, s.b.add, s.b.addSession)
-}
-
-// Seal builds the canonical history from everything observed so far. The
-// accumulator keeps its events: Observe may continue and Seal may be
-// called again over the longer stream.
-func (s *AnomalyStream) Seal() *History {
-	return sealHistory([]*histBuilder{s.b})
 }

@@ -3,6 +3,9 @@ package zombie
 import (
 	"net/netip"
 	"sort"
+
+	"zombiescope/internal/bgp"
+	"zombiescope/internal/mrt"
 )
 
 // This file is the columnar history store. Builders accumulate events in
@@ -10,10 +13,10 @@ import (
 // indices; sealHistory renumbers them canonically (sorted), lays every
 // (peer, prefix) event stream out contiguously in one shared arena, and
 // imposes the (time, order) sort once. The layout is a pure function of
-// the event multiset plus per-pair stream order, so one builder (the
-// sequential path) and N peer-sharded builders (the parallel path) seal to
-// bit-identical Histories — the property the differential harness checks
-// with reflect.DeepEqual.
+// the event multiset plus per-pair stream order, so however a stream is
+// cut across builders — one builder for a whole feed, or one per decoded
+// chunk of an archive — it seals to a bit-identical History, the property
+// the differential harness checks with reflect.DeepEqual.
 
 // span locates one event stream inside a shared arena.
 type span struct {
@@ -37,10 +40,23 @@ type builderSess struct {
 	ev   histEvent
 }
 
-// histBuilder accumulates events in stream order with builder-local dense
-// peer/prefix numbering. It is single-goroutine; the parallel builder uses
-// one histBuilder per peer shard.
-type histBuilder struct {
+// HistoryBuilder is the one way to build a History: Observe collector
+// records in stream order, then Seal. Every source is an adapter over it —
+// archives (BuildHistoryStreams, one builder per decoded chunk), the event
+// store (BuildHistoryFromStore) and live feeds (livefeed.Pipeline). Records
+// of one collector must arrive in that collector's stream order; how
+// collectors interleave does not matter, because a (peer, prefix) pair
+// never spans collectors.
+//
+// Updates are decoded into a reused scratch workspace with interned AS
+// paths, so nothing a record allocates outlives Observe except the events
+// themselves, and a borrowed record may be recycled as soon as Observe
+// returns. A builder is single-goroutine.
+type HistoryBuilder struct {
+	track   TrackSet
+	scratch bgp.Scratch
+	order   int // position of the last observed record; Observe numbers the next order+1
+
 	peers     []PeerID
 	peerIdx   map[PeerID]uint32
 	prefixes  []netip.Prefix
@@ -49,15 +65,32 @@ type histBuilder struct {
 	sess      []builderSess
 }
 
-func newHistBuilder() *histBuilder {
-	return &histBuilder{
+// NewHistoryBuilder returns an empty builder reconstructing the tracked
+// prefixes (nil tracks every prefix).
+func NewHistoryBuilder(track TrackSet) *HistoryBuilder {
+	return &HistoryBuilder{
+		track:     track,
 		peerIdx:   make(map[PeerID]uint32),
 		prefixIdx: make(map[netip.Prefix]uint32),
 	}
 }
 
+// Observe ingests one record of the named collector's stream. The error is
+// the record's BGP decode error, unwrapped: adapters add their own position.
+func (b *HistoryBuilder) Observe(collector string, rec mrt.Record) error {
+	b.order++
+	return recordEvents(collector, b.order, rec, b.track, &b.scratch, b.add, b.addSession)
+}
+
+// Seal builds the canonical History from everything observed so far. The
+// builder keeps its events: Observe may continue and Seal may be called
+// again over the longer stream.
+func (b *HistoryBuilder) Seal() *History {
+	return sealHistory([]*HistoryBuilder{b})
+}
+
 // peerID interns a peer into the builder's dense numbering.
-func (b *histBuilder) peerID(peer PeerID) uint32 {
+func (b *HistoryBuilder) peerID(peer PeerID) uint32 {
 	if i, ok := b.peerIdx[peer]; ok {
 		return i
 	}
@@ -68,7 +101,7 @@ func (b *histBuilder) peerID(peer PeerID) uint32 {
 }
 
 // prefixID interns a prefix into the builder's dense numbering.
-func (b *histBuilder) prefixID(p netip.Prefix) uint32 {
+func (b *HistoryBuilder) prefixID(p netip.Prefix) uint32 {
 	if i, ok := b.prefixIdx[p]; ok {
 		return i
 	}
@@ -78,11 +111,11 @@ func (b *histBuilder) prefixID(p netip.Prefix) uint32 {
 	return i
 }
 
-func (b *histBuilder) add(peer PeerID, p netip.Prefix, ev histEvent) {
+func (b *HistoryBuilder) add(peer PeerID, p netip.Prefix, ev histEvent) {
 	b.events = append(b.events, builderEvent{pair: pairKey(b.peerID(peer), b.prefixID(p)), ev: ev})
 }
 
-func (b *histBuilder) addSession(peer PeerID, ev histEvent) {
+func (b *HistoryBuilder) addSession(peer PeerID, ev histEvent) {
 	b.sess = append(b.sess, builderSess{peer: b.peerID(peer), ev: ev})
 }
 
@@ -114,12 +147,15 @@ func eventLess(a, b histEvent) bool {
 
 // sealHistory merges builders into the canonical columnar History.
 //
-// Correctness relies on each (peer, prefix) pair — and each peer's session
-// stream — living entirely inside ONE builder (peers are hash-sharded), so
-// scattering builders in index order preserves per-pair stream order, and
-// the stable per-pair sort then sees the same insertion order the old
-// sequential store saw.
-func sealHistory(builders []*histBuilder) *History {
+// Seal-order invariant: for every collector, the builders holding its
+// records appear in that collector's stream order (BuildHistoryStreams
+// passes chunk builders in (file, chunk) order). The scatter below walks
+// builders in index order and each builder's events in insertion order, so
+// a (peer, prefix) pair — or a peer's session stream — whose events span
+// builders still lands in its span in stream order, and the stable
+// (time, order) sort then sees the same insertion order a single builder
+// fed the whole stream would have produced.
+func sealHistory(builders []*HistoryBuilder) *History {
 	h := &History{
 		peerIdx:   make(map[PeerID]uint32),
 		prefixIdx: make(map[netip.Prefix]uint32),

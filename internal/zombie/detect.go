@@ -55,19 +55,7 @@ func (d *Detector) tolerance() time.Duration {
 // Detect parses the update archives and evaluates every interval,
 // returning all zombie routes with duplicates flagged (not removed).
 func (d *Detector) Detect(updates map[string][]byte, intervals []beacon.Interval) (*Report, error) {
-	prefixes := make([]netip.Prefix, 0, len(intervals))
-	seen := make(map[netip.Prefix]bool)
-	for _, iv := range intervals {
-		if !seen[iv.Prefix] {
-			seen[iv.Prefix] = true
-			prefixes = append(prefixes, iv.Prefix)
-		}
-	}
-	h, err := BuildHistoryParallel(updates, NewTrackSet(prefixes), d.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return d.DetectFromHistory(h, intervals), nil
+	return d.DetectStreams(oneSegmentStreams(updates), intervals)
 }
 
 // DetectStreams is Detect over segmented update streams (each collector's
@@ -75,15 +63,11 @@ func (d *Detector) Detect(updates map[string][]byte, intervals []beacon.Interval
 // report is identical to Detect over the concatenated streams; the
 // segments are consumed zero-copy.
 func (d *Detector) DetectStreams(streams map[string][][]byte, intervals []beacon.Interval) (*Report, error) {
-	prefixes := make([]netip.Prefix, 0, len(intervals))
-	seen := make(map[netip.Prefix]bool)
+	track := make(TrackSet)
 	for _, iv := range intervals {
-		if !seen[iv.Prefix] {
-			seen[iv.Prefix] = true
-			prefixes = append(prefixes, iv.Prefix)
-		}
+		track[iv.Prefix] = true
 	}
-	h, err := BuildHistoryStreams(streams, NewTrackSet(prefixes), d.Parallelism)
+	h, err := BuildHistoryStreams(streams, track, d.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -259,29 +243,15 @@ type SweepPoint struct {
 // Sweep evaluates thresholds over a shared history. Announce denominator
 // is the number of intervals.
 func Sweep(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions) []SweepPoint {
-	sp := obs.StartSpan("zombie.sweep")
-	sp.SetArg("thresholds", len(thresholds))
-	defer sp.End()
-	out := make([]SweepPoint, 0, len(thresholds))
-	for _, th := range thresholds {
-		d := &Detector{Threshold: th}
-		rep := d.DetectFromHistory(h, intervals)
-		obs := rep.Filter(opts)
-		frac := 0.0
-		if len(intervals) > 0 {
-			frac = float64(len(obs)) / float64(len(intervals))
-		}
-		out = append(out, SweepPoint{Threshold: th, Outbreaks: len(obs), Fraction: frac})
-	}
-	return out
+	return SweepParallel(h, intervals, thresholds, opts, 1)
 }
 
-// SweepParallel is Sweep with the thresholds evaluated concurrently
-// (parallelism <= 1 falls back to Sweep). Points come back indexed by
-// threshold position, so the result is identical to the sequential sweep.
+// SweepParallel is Sweep with the thresholds evaluated concurrently on
+// that many workers (<= 1 evaluates inline). Points come back indexed by
+// threshold position, so the result is identical for any worker count.
 func SweepParallel(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions, parallelism int) []SweepPoint {
-	if parallelism <= 1 {
-		return Sweep(h, intervals, thresholds, opts)
+	if parallelism < 1 {
+		parallelism = 1
 	}
 	sp := obs.StartSpan("zombie.sweep")
 	sp.SetArg("thresholds", len(thresholds))
@@ -291,7 +261,7 @@ func SweepParallel(h *History, intervals []beacon.Interval, thresholds []time.Du
 	e := &pipeline.Engine{Workers: parallelism, Trace: sp}
 	e.For(len(thresholds), func(i int) {
 		th := thresholds[i]
-		d := &Detector{Threshold: th, Parallelism: 1}
+		d := &Detector{Threshold: th}
 		rep := d.DetectFromHistory(h, intervals)
 		obs := rep.Filter(opts)
 		frac := 0.0

@@ -1,15 +1,15 @@
 package zombie
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"net/netip"
-	"sort"
 	"time"
 
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/obs"
+	"zombiescope/internal/pipeline"
 )
 
 // eventKind classifies a history event.
@@ -78,48 +78,87 @@ func NewTrackSet(prefixes []netip.Prefix) TrackSet {
 // BuildHistory parses MRT update archives (one per collector, keyed by
 // collector name) and reconstructs per-(peer, prefix) event histories for
 // the tracked prefixes. Records of other prefixes are ignored.
-//
-// The reader runs in borrowed-buffer mode and updates are decoded through
-// a reused scratch workspace with interned AS paths: nothing a record
-// allocates outlives the record except the events themselves.
 func BuildHistory(updates map[string][]byte, track TrackSet) (*History, error) {
-	b := newHistBuilder()
-	var scratch bgp.Scratch
-	names := make([]string, 0, len(updates))
-	for name := range updates {
-		names = append(names, name)
+	return BuildHistoryParallel(updates, track, 0)
+}
+
+// BuildHistoryParallel is BuildHistory with the given pipeline worker
+// count: each archive is a one-segment stream of BuildHistoryStreams.
+func BuildHistoryParallel(updates map[string][]byte, track TrackSet, parallelism int) (*History, error) {
+	return BuildHistoryStreams(oneSegmentStreams(updates), track, parallelism)
+}
+
+// oneSegmentStreams presents whole in-memory archives as segmented streams.
+func oneSegmentStreams(updates map[string][]byte) map[string][][]byte {
+	streams := make(map[string][][]byte, len(updates))
+	for name, data := range updates {
+		streams[name] = [][]byte{data}
 	}
-	sort.Strings(names)
-	order := 0
-	for _, name := range names {
-		rd := mrt.NewReader(bytes.NewReader(updates[name]))
-		rd.SetBorrow(true)
-		for {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rd.Release()
-				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
-			}
-			order++
-			if err := recordEvents(name, order, rec, track, &scratch, b.add, b.addSession); err != nil {
-				rd.Release()
-				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
-			}
-		}
-		rd.Release()
+	return streams
+}
+
+// BuildHistoryStreams builds the History of segmented streams: each
+// collector's value is an ordered list of MRT segments (e.g. the mmapped
+// rotated files of archive.OpenMapped) forming one logical stream, never
+// copied together. The pipeline engine decodes the streams concurrently in
+// record-aligned chunks, borrowing the archive bytes; every chunk observes
+// its records into its own HistoryBuilder, and the chunk builders are
+// sealed in (file, chunk) order — sealHistory's seal-order invariant — so
+// the History is identical for any segmentation and any parallelism
+// (<= 0 decodes inline on one worker).
+func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelism int) (*History, error) {
+	if parallelism <= 0 {
+		parallelism = 1
 	}
-	return sealHistory([]*histBuilder{b}), nil
+	sp := obs.StartSpan("zombie.build_history")
+	sp.SetArg("collectors", len(streams))
+	sp.SetArg("workers", parallelism)
+	defer sp.End()
+	e := &pipeline.Engine{Workers: parallelism, Trace: sp, Borrow: true}
+	_, chunks, err := pipeline.FoldStreams(e, streams,
+		func(pipeline.FileChunk) *HistoryBuilder { return NewHistoryBuilder(track) },
+		func(b *HistoryBuilder, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
+			// The record's position across the whole archive set, so the
+			// same-second tie-break does not depend on where chunks fall
+			// (idx also counts the record types the decoder skips).
+			b.order = fc.FileBase + idx
+			return b.Observe(fc.Name, rec)
+		})
+	if err != nil {
+		return nil, wrapFileError(err)
+	}
+	var builders []*HistoryBuilder
+	for _, file := range chunks {
+		builders = append(builders, file...)
+	}
+	sp.SetArg("builders", len(builders))
+
+	m := pipeline.Default
+	mergeStart := time.Now()
+	mergeSp := sp.Start("zombie.merge")
+	h := sealHistory(builders)
+	mergeSp.End()
+	m.AddMerged(len(builders))
+	m.ObserveMerge(time.Since(mergeStart))
+	m.SyncHotPath()
+	return h, nil
+}
+
+// wrapFileError rewraps a pipeline position error into BuildHistory's
+// error shape.
+func wrapFileError(err error) error {
+	var fe *pipeline.FileError
+	if errors.As(err, &fe) {
+		return fmt.Errorf("zombie: collector %s: %w", fe.Name, fe.Err)
+	}
+	return err
 }
 
 // recordEvents converts one update-file record into its history events.
-// It is shared by the sequential builder, the pipeline builder, and the
-// reference builder so the paths cannot drift: only the scheduling (and
-// the decode mode) differs, never the per-record semantics. Within one
-// record, withdrawals are emitted before announcements — the tie the
-// stable event sort preserves.
+// It is shared by HistoryBuilder.Observe and the reference builder so the
+// two cannot drift: only the store (and the decode mode) differs, never
+// the per-record semantics. Within one record, withdrawals are emitted
+// before announcements — the tie the stable event sort preserves.
 //
 // With scratch non-nil the BGP message is decoded zero-copy into the
 // scratch workspace with interned AS paths and aggregators; the update is

@@ -8,170 +8,27 @@ import (
 	"time"
 
 	"zombiescope/internal/beacon"
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
 	"zombiescope/internal/obs"
 	"zombiescope/internal/pipeline"
 )
 
-// This file is the parallel counterpart of history.go and lifespan.go:
-// archives are decoded concurrently in record-aligned chunks by the
-// pipeline engine, extracted events are routed to PeerID-hashed (or
-// prefix-hashed) shards, each shard builds its slice of the state lock-free
-// in stream order, and the shards merge into the same canonical structures
-// the sequential builders produce. The differential harness in
-// internal/pipeline asserts the equivalence on randomized scenarios.
+// This file is the parallel counterpart of lifespan.go: RIB dumps are
+// decoded concurrently in record-aligned chunks by the pipeline engine,
+// tracked RIB records are routed to prefix-hashed shards, each shard builds
+// its slice of the observation series lock-free in stream order, and the
+// shards merge into the same report the sequential tracker produces. The
+// differential harness in internal/pipeline asserts the equivalence on
+// randomized scenarios.
 
-// shardOfPeer routes a peer to its shard. FNV-1a keeps the assignment
-// stable across processes (no per-run hash seed), which the differential
-// harness and golden tests rely on.
-func shardOfPeer(peer PeerID, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(peer.Collector))
-	var b [20]byte
-	b[0] = byte(peer.AS >> 24)
-	b[1] = byte(peer.AS >> 16)
-	b[2] = byte(peer.AS >> 8)
-	b[3] = byte(peer.AS)
-	a16 := peer.Addr.As16()
-	copy(b[4:], a16[:])
-	h.Write(b[:])
-	return int(h.Sum64() % uint64(n))
-}
-
-// shardOfPrefix routes a prefix to its shard.
+// shardOfPrefix routes a prefix to its shard. FNV-1a keeps the assignment
+// stable across processes (no per-run hash seed).
 func shardOfPrefix(p netip.Prefix, n int) int {
 	h := fnv.New64a()
 	a16 := p.Addr().As16()
 	h.Write(a16[:])
 	h.Write([]byte{byte(p.Bits())})
 	return int(h.Sum64() % uint64(n))
-}
-
-// wrapFileError rewraps a pipeline position error into the sequential
-// builder's error shape.
-func wrapFileError(err error) error {
-	var fe *pipeline.FileError
-	if errors.As(err, &fe) {
-		return fmt.Errorf("zombie: collector %s: %w", fe.Name, fe.Err)
-	}
-	return err
-}
-
-// peerEvent is one extracted history event tagged with its destination.
-type peerEvent struct {
-	peer    PeerID
-	prefix  netip.Prefix
-	session bool
-	ev      histEvent
-}
-
-// eventBuckets is a per-chunk accumulator: extracted events pre-routed to
-// their peer shard, in stream order within the chunk, plus the decode
-// scratch workspace reused across the chunk's records.
-type eventBuckets struct {
-	scratch bgp.Scratch
-	shards  [][]peerEvent
-}
-
-// BuildHistoryParallel is BuildHistory over the pipeline engine with the
-// given worker count (<= 0 falls back to the sequential builder). The
-// result is canonical: identical to the sequential History for any
-// parallelism, because every (peer, prefix) sees its events in stream
-// order and the final ordering pass is shared.
-func BuildHistoryParallel(updates map[string][]byte, track TrackSet, parallelism int) (*History, error) {
-	if parallelism <= 0 {
-		return BuildHistory(updates, track)
-	}
-	streams := make(map[string][][]byte, len(updates))
-	for name, data := range updates {
-		streams[name] = [][]byte{data}
-	}
-	return BuildHistoryStreams(streams, track, parallelism)
-}
-
-// BuildHistoryStreams is BuildHistoryParallel over segmented streams:
-// each collector's value is an ordered list of MRT segments (e.g. the
-// mmapped rotated files of archive.OpenMapped) forming one logical
-// stream. Record numbering and the resulting History are identical to
-// building from the concatenated streams — the segments are never
-// copied together. parallelism <= 0 runs inline on one worker, which
-// produces the same canonical History.
-func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelism int) (*History, error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	sp := obs.StartSpan("zombie.build_history")
-	sp.SetArg("collectors", len(streams))
-	sp.SetArg("shards", parallelism)
-	defer sp.End()
-	e := &pipeline.Engine{Workers: parallelism, Trace: sp, Borrow: true}
-	nshards := parallelism
-	names, accs, err := pipeline.FoldStreams(e, streams,
-		func(pipeline.FileChunk) *eventBuckets {
-			return &eventBuckets{shards: make([][]peerEvent, nshards)}
-		},
-		func(acc *eventBuckets, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
-			// order only has to be monotone in stream position per file
-			// (events of one PeerID never span files); FileBase+idx also
-			// matches the global sequential numbering up to skipped
-			// record types.
-			return recordEvents(fc.Name, fc.FileBase+idx+1, rec, track, &acc.scratch,
-				func(peer PeerID, p netip.Prefix, ev histEvent) {
-					s := shardOfPeer(peer, nshards)
-					acc.shards[s] = append(acc.shards[s], peerEvent{peer: peer, prefix: p, ev: ev})
-				},
-				func(peer PeerID, ev histEvent) {
-					s := shardOfPeer(peer, nshards)
-					acc.shards[s] = append(acc.shards[s], peerEvent{peer: peer, session: true, ev: ev})
-				})
-		})
-	if err != nil {
-		return nil, wrapFileError(err)
-	}
-
-	// Shard build: each shard replays its events walking files and chunks
-	// in stream order, so every (peer, prefix) stream lands in its builder
-	// in the same order the sequential builder saw. Lock-free: a PeerID
-	// maps to exactly one shard, so a pair never spans builders.
-	m := e.Metrics
-	if m == nil {
-		m = pipeline.Default
-	}
-	buildStart := time.Now()
-	buildSp := sp.Start("zombie.shard_build")
-	builders := make([]*histBuilder, nshards)
-	e.For(nshards, func(s int) {
-		b := newHistBuilder()
-		n := 0
-		for i := range names {
-			for _, acc := range accs[i] {
-				for _, pe := range acc.shards[s] {
-					if pe.session {
-						b.addSession(pe.peer, pe.ev)
-					} else {
-						b.add(pe.peer, pe.prefix, pe.ev)
-					}
-					n++
-				}
-			}
-		}
-		builders[s] = b
-		m.AddSharded(n)
-	})
-	buildSp.End()
-	m.ObserveBuild(time.Since(buildStart))
-
-	// Merge: sealHistory renumbers canonically and lays out the arenas,
-	// identically to the single-builder sequential path.
-	mergeStart := time.Now()
-	mergeSp := sp.Start("zombie.merge")
-	h := sealHistory(builders)
-	mergeSp.End()
-	m.AddMerged(nshards)
-	m.ObserveMerge(time.Since(mergeStart))
-	m.SyncHotPath()
-	return h, nil
 }
 
 // ribChunk is a per-chunk accumulator for RIB dump streams: the peer index

@@ -3,7 +3,6 @@ package zombie
 import (
 	"fmt"
 
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/eventstore"
 	"zombiescope/internal/mrt"
 )
@@ -12,8 +11,8 @@ import (
 // for the tracked prefixes straight from a durable event store, the
 // month-scale analogue of BuildHistory over in-memory archives: segments
 // stream through the zero-copy Scan path, each KindMRT payload is decoded
-// borrowed into a reused scratch workspace, and only the interned history
-// events survive the walk.
+// borrowed and observed into one HistoryBuilder, and only the interned
+// history events survive the walk.
 //
 // The store orders events by publish sequence — the time-merged order of
 // the original collector streams. Every (peer, prefix) pair and every
@@ -22,10 +21,8 @@ import (
 // event streams (and therefore every StateAt reconstruction) are
 // identical to what BuildHistory derives from the raw archives.
 func BuildHistoryFromStore(st *eventstore.Store, track TrackSet) (*History, error) {
-	b := newHistBuilder()
-	var scratch bgp.Scratch
+	b := NewHistoryBuilder(track)
 	dec := mrt.Decoder{Borrow: true}
-	order := 0
 	err := st.Scan(eventstore.Query{Kind: eventstore.KindMRT}, func(se eventstore.Event) error {
 		rec, err := decodeStoredRecord(&dec, se.Payload)
 		if err != nil {
@@ -34,8 +31,7 @@ func BuildHistoryFromStore(st *eventstore.Store, track TrackSet) (*History, erro
 		if rec == nil {
 			return nil // record type this package does not model
 		}
-		order++
-		if err := recordEvents(se.Collector, order, rec, track, &scratch, b.add, b.addSession); err != nil {
+		if err := b.Observe(se.Collector, rec); err != nil {
 			return fmt.Errorf("zombie: stored event %d: %w", se.Seq, err)
 		}
 		return nil
@@ -43,7 +39,7 @@ func BuildHistoryFromStore(st *eventstore.Store, track TrackSet) (*History, erro
 	if err != nil {
 		return nil, err
 	}
-	return sealHistory([]*histBuilder{b}), nil
+	return b.Seal(), nil
 }
 
 // decodeStoredRecord decodes the single framed MRT record a KindMRT

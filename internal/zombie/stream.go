@@ -186,12 +186,21 @@ func (sd *StreamDetector) Advance(now time.Time) {
 	}
 }
 
+// fire emits the check's stuck routes in comparePeers order — the order
+// batch Outbreak.Routes has — so the alert sequence (and every wire and
+// journal sequence number downstream) is the same on every run; ranging
+// over the state map alone would shuffle it.
 func (sd *StreamDetector) fire(check pendingCheck) {
 	iv := check.interval
+	var stuck []streamKey
 	for k, st := range sd.state {
-		if k.prefix != iv.Prefix || !st.present {
-			continue
+		if k.prefix == iv.Prefix && st.present {
+			stuck = append(stuck, k)
 		}
+	}
+	sort.Slice(stuck, func(i, j int) bool { return comparePeers(stuck[i].peer, stuck[j].peer) < 0 })
+	for _, k := range stuck {
+		st := sd.state[k]
 		announcedAt := st.announcedAt
 		if st.agg != nil {
 			if t, ok := beacon.DecodeAggregatorClock(st.agg.Addr, st.announcedAt); ok {

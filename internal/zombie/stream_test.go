@@ -3,12 +3,14 @@ package zombie
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/collector"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/netsim"
 )
 
 // feedStream replays an archive into a StreamDetector, advancing the
@@ -93,6 +95,51 @@ func TestStreamDetectorEmitsInOrder(t *testing.T) {
 	for _, ev := range events {
 		if got := ev.DetectedAt.Sub(ev.Interval.WithdrawAt); got != DefaultThreshold {
 			t.Errorf("detected %v after withdrawal, want %v", got, DefaultThreshold)
+		}
+	}
+}
+
+// TestStreamDetectorEmissionOrder: the alerts of one fired check must
+// reach the callback in the batch report's route order on every run —
+// the sequence feeds wire and journal sequence numbers, so a map-order
+// shuffle would make two identical replays disagree.
+func TestStreamDetectorEmissionOrder(t *testing.T) {
+	f := collector.NewFleet()
+	// Five stuck peers across two collectors, announced in an order that
+	// is neither the canonical peer order nor its reverse.
+	for i, s := range []netsim.Session{
+		sess("rrc25", 400, "2001:db8:feed::4"),
+		sess("rrc01", 300, "2001:db8:feed::9"),
+		sess("rrc25", 200, "2001:db8:feed::7"),
+		sess("rrc01", 300, "2001:db8:feed::2"),
+		sess("rrc25", 200, "2001:db8:feed::1"),
+	} {
+		f.PeerAnnounce(t0.Add(time.Duration(i+1)*time.Second), s, pfx, attrsAt(t0, s.PeerAS, 8298, 210312))
+	}
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	updates := f.UpdatesData()
+	ivs := []beacon.Interval{{Prefix: pfx, AnnounceAt: t0, WithdrawAt: t0.Add(15 * time.Minute), End: t0.Add(24 * time.Hour)}}
+
+	batch, err := (&Detector{}).Detect(updates, ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Outbreaks) != 1 || len(batch.Outbreaks[0].Routes) != 5 {
+		t.Fatalf("batch report = %+v, want one outbreak of 5 routes", batch.Outbreaks)
+	}
+	var want []PeerID
+	for _, r := range batch.Outbreaks[0].Routes {
+		want = append(want, r.Peer)
+	}
+	for run := 0; run < 20; run++ {
+		var got []PeerID
+		for _, ev := range feedStream(t, updates, ivs, DefaultThreshold) {
+			got = append(got, ev.Peer)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: emission order %v, want batch route order %v", run, got, want)
 		}
 	}
 }

@@ -108,10 +108,10 @@ var (
 	// SweepParallel is Sweep with concurrent threshold evaluation; the
 	// result is identical.
 	SweepParallel = zombie.SweepParallel
-	// BuildHistoryParallel is BuildHistory over the internal/pipeline
-	// worker engine; the History is identical for any parallelism (set
-	// Detector.Parallelism or LifespanConfig.Parallelism to route whole
-	// detections through the pipeline).
+	// BuildHistoryParallel is BuildHistory with an internal/pipeline
+	// worker count; the History is identical for any parallelism (set
+	// Detector.Parallelism or LifespanConfig.Parallelism to give whole
+	// detections that many workers).
 	BuildHistoryParallel = zombie.BuildHistoryParallel
 )
 
