@@ -951,11 +951,20 @@ func (s *Subscriber) nextFrameTimeout(d time.Duration) (*sharedFrame, error) {
 		return s.nextLive(time.Time{})
 	}
 	// A sleeping cond.Wait cannot be timed out directly; an AfterFunc
-	// broadcast wakes every waiter, and the deadline check below turns
-	// the spurious wakeup into errIdle for this caller only.
-	timer := time.AfterFunc(d, func() { s.cond.Broadcast() })
+	// broadcast wakes every waiter, and the deadline check in nextLive
+	// turns the spurious wakeup into errIdle for this caller only. The
+	// deadline is taken before the timer is armed, so the timer never
+	// fires ahead of it, and the broadcast holds the lock, so it cannot
+	// land between nextLive's deadline check and its Wait — either would
+	// leave the caller asleep until the next publish.
+	deadline := time.Now().Add(d)
+	timer := time.AfterFunc(d, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
 	defer timer.Stop()
-	return s.nextLive(time.Now().Add(d))
+	return s.nextLive(deadline)
 }
 
 func (s *Subscriber) nextFrame(deadline time.Time) (*sharedFrame, error) {

@@ -219,14 +219,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			refDet := &zombie.Detector{RecordPaths: true}
-			if rep := refDet.DetectFromHistory(refHist, sc.intervals); !reflect.DeepEqual(rep, seqRep) {
+			if rep := refHist.Detect(refDet, sc.intervals); !reflect.DeepEqual(rep, seqRep) {
 				t.Errorf("columnar store: Report diverges from reference store")
 			}
-			if sw := zombie.Sweep(refHist, sc.intervals, thresholds, zombie.FilterOptions{}); !reflect.DeepEqual(sw, seqSweep) {
+			if sw := refHist.Sweep(sc.intervals, thresholds, zombie.FilterOptions{}); !reflect.DeepEqual(sw, seqSweep) {
 				t.Errorf("columnar store: Sweep diverges from reference store")
 			}
 			legacy := &zombie.LegacyDetector{Seed: seed}
-			if got, want := legacy.Detect(seqHist, sc.intervals), legacy.Detect(refHist, sc.intervals); !reflect.DeepEqual(got, want) {
+			if got, want := legacy.Detect(seqHist, sc.intervals), refHist.DetectLegacy(legacy, sc.intervals); !reflect.DeepEqual(got, want) {
 				t.Errorf("columnar store: legacy Report diverges from reference store")
 			}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
 )
@@ -81,5 +82,44 @@ func TestBuildHistoryAllocs(t *testing.T) {
 	perRecord := avg / records
 	if perRecord > 0.5 {
 		t.Errorf("BuildHistory allocates %.0f allocs (%.2f/record), want < 0.5/record", avg, perRecord)
+	}
+}
+
+// TestStreamObserveAllocs is the allocation fence for the real-time path:
+// once every (peer, prefix) state exists, Advance+Observe decodes into the
+// detector's scratch workspace and folds in place, so a record costs no
+// allocation. A detector decoding through the allocating Update() path
+// pays several per record.
+func TestStreamObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const records = 500
+	updates, track := allocHistoryArchive(t, records)
+	recs, err := mrt.ReadAll(bytes.NewReader(updates["rrc00"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One check per prefix, due long after the replay: steady state, no
+	// alert is built.
+	var ivs []beacon.Interval
+	for p := range track {
+		start := recs[len(recs)-1].RecordTime().Add(24 * time.Hour)
+		ivs = append(ivs, beacon.Interval{Prefix: p, AnnounceAt: start, WithdrawAt: start.Add(2 * time.Hour), End: start.Add(4 * time.Hour)})
+	}
+	sd := NewStreamDetector(ivs, 0, nil)
+	feed := func() {
+		for _, rec := range recs {
+			sd.Advance(rec.RecordTime())
+			sd.Observe("rrc00", rec)
+		}
+	}
+	feed() // warm the pair states and the intern tables
+	avg := testing.AllocsPerRun(20, feed)
+	if perRecord := avg / records; perRecord > 0.1 {
+		t.Errorf("stream detector allocates %.0f allocs (%.2f/record), want < 0.1/record", avg, perRecord)
+	}
+	if len(sd.state) != 2 || sd.PendingChecks() != len(ivs) {
+		t.Fatalf("states = %d, pending = %d; want the archive's 2 pairs folded and no check fired", len(sd.state), sd.PendingChecks())
 	}
 }

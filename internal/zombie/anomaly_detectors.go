@@ -352,24 +352,6 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 // ---------------------------------------------------------------------------
 // Shared sweep machinery.
 
-// pairSpan returns the event span of (peer pi, prefix xi), empty if none.
-func (h *History) pairSpan(pi, xi uint32) []histEvent {
-	sp, ok := h.pairs[pairKey(pi, xi)]
-	if !ok {
-		return nil
-	}
-	return h.events[sp.off : sp.off+sp.n]
-}
-
-// sessSpan returns the session event span of peer pi.
-func (h *History) sessSpan(pi uint32) []histEvent {
-	if int(pi) >= len(h.sessSpans) {
-		return nil
-	}
-	sp := h.sessSpans[pi]
-	return h.sess[sp.off : sp.off+sp.n]
-}
-
 // sweepPrefixes runs a per-prefix evaluation over the columnar prefix
 // index, optionally on pipeline workers, and concatenates the findings in
 // canonical prefix order.
@@ -399,45 +381,30 @@ type originDelta struct {
 	delta  int
 }
 
-// appendOriginDeltas walks one peer's merged pair+session stream and
-// emits origin count deltas: an announcement moves the peer's vote to the
-// path's origin; withdrawals and session downs clear it.
+// appendOriginDeltas folds one peer's merged pair+session stream and emits
+// origin count deltas: the peer's vote follows the origin of its present
+// route, so an announcement moves it and withdrawals and session downs
+// clear it.
 func appendOriginDeltas(deltas []originDelta, evs, sess []histEvent) []originDelta {
+	if len(evs) == 0 {
+		return deltas // session events alone never create a route
+	}
+	c := stateCursor{evs: evs, sess: sess}
 	var cur bgp.ASN
 	has := false
-	walkMerged(evs, sess, func(ev *histEvent, isSess bool) {
-		if isSess {
-			if ev.kind == evSessionDown && has {
-				deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-				has = false
-			}
-			return
+	for ev := c.step(); ev != nil; ev = c.step() {
+		o, ok := cur, has && c.st.Present
+		if ev.kind == evAnnounce {
+			o, ok = ev.path.Origin()
 		}
-		switch ev.kind {
-		case evAnnounce:
-			o, ok := ev.path.Origin()
-			if !ok {
-				if has {
-					deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-					has = false
-				}
-				return
-			}
-			if has && o == cur {
-				return
-			}
-			if has {
-				deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-			}
+		if has && !(ok && o == cur) {
+			deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
+		}
+		if ok && !(has && o == cur) {
 			deltas = append(deltas, originDelta{at: ev.at, origin: o, delta: 1})
-			cur, has = o, true
-		case evWithdraw:
-			if has {
-				deltas = append(deltas, originDelta{at: ev.at, origin: cur, delta: -1})
-				has = false
-			}
 		}
-	})
+		cur, has = o, ok
+	}
 	return deltas
 }
 
@@ -447,59 +414,30 @@ type presenceDelta struct {
 	delta int
 }
 
-// appendPresenceDeltas walks one peer's merged pair+session stream and
+// appendPresenceDeltas folds one peer's merged pair+session stream and
 // emits visibility deltas, collecting announced origins into origins.
 func appendPresenceDeltas(deltas []presenceDelta, evs, sess []histEvent, origins map[bgp.ASN]bool) []presenceDelta {
+	if len(evs) == 0 {
+		return deltas // session events alone never create a route
+	}
+	c := stateCursor{evs: evs, sess: sess}
 	present := false
-	walkMerged(evs, sess, func(ev *histEvent, isSess bool) {
-		if isSess {
-			if ev.kind == evSessionDown && present {
-				deltas = append(deltas, presenceDelta{at: ev.at, delta: -1})
-				present = false
-			}
-			return
-		}
-		switch ev.kind {
-		case evAnnounce:
+	for ev := c.step(); ev != nil; ev = c.step() {
+		if ev.kind == evAnnounce {
 			if o, ok := ev.path.Origin(); ok {
 				origins[o] = true
 			}
-			if !present {
-				deltas = append(deltas, presenceDelta{at: ev.at, delta: 1})
-				present = true
-			}
-		case evWithdraw:
+		}
+		if c.st.Present != present {
+			present = c.st.Present
+			delta := -1
 			if present {
-				deltas = append(deltas, presenceDelta{at: ev.at, delta: -1})
-				present = false
+				delta = 1
 			}
-		}
-	})
-	return deltas
-}
-
-// walkMerged visits a pair stream and a session stream merged in the
-// canonical (time, order) event order — the same merge StateAt performs,
-// shared so the sweep detectors cannot drift from the zombie state model.
-func walkMerged(evs, sess []histEvent, visit func(ev *histEvent, isSess bool)) {
-	i, j := 0, 0
-	for i < len(evs) || j < len(sess) {
-		takeSess := false
-		switch {
-		case i >= len(evs):
-			takeSess = true
-		case j >= len(sess):
-		default:
-			takeSess = eventLess(sess[j], evs[i])
-		}
-		if takeSess {
-			visit(&sess[j], true)
-			j++
-		} else {
-			visit(&evs[i], false)
-			i++
+			deltas = append(deltas, presenceDelta{at: ev.at, delta: delta})
 		}
 	}
+	return deltas
 }
 
 // clipWindow intersects [start, end] with the evaluation window and

@@ -80,7 +80,7 @@ func TestSealSpansChunkBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := &Detector{RecordPaths: true}
-	wantRep := det.DetectFromHistory(ref, ivs)
+	wantRep := ref.Detect(det, ivs)
 	if len(wantRep.Outbreaks) != 1 || len(wantRep.Outbreaks[0].Routes) != 1 ||
 		wantRep.Outbreaks[0].Routes[0].Path.String() != "300 1299 8298 210312" {
 		t.Fatalf("reference report = %+v, want the last re-announcement stuck at one peer", wantRep.Outbreaks)

@@ -74,8 +74,8 @@ func TestAggregatorClockMonthBoundaryDuplicate(t *testing.T) {
 	}
 
 	// The streaming detector decodes with the same receive-time ref and
-	// must agree with the batch on both intervals.
-	events := feedStream(t, updates, ivs, DefaultThreshold)
+	// must agree with the batch on both intervals, field by field.
+	events := assertStreamMatchesBatch(t, updates, ivs)
 	if len(events) != 2 {
 		t.Fatalf("stream emitted %d events, want 2", len(events))
 	}

@@ -83,9 +83,9 @@ type intervalResult struct {
 
 // peerDecision applies the per-(interval, peer) detection decision given
 // the state at the check instant (st) and — read only when RecordPaths —
-// the state at the withdrawal instant (pre). It is THE decision: both the
-// row-sweep evaluator and the columnar kernel call it, so the semantics
-// cannot drift between them.
+// the state at the withdrawal instant (pre). It is THE decision: the
+// columnar kernel, the StreamDetector and the oracle's row sweep all call
+// it, so the semantics cannot drift between them.
 func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 	routes *[]Route, pathObs *[]PathObservation) {
 	var normalLen int
@@ -131,41 +131,12 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 	}
 }
 
-// evalInterval evaluates one interval against the history by querying
-// every peer's state at the check instant — the row-sweep evaluator, kept
-// as the reference the columnar kernel is differentially tested against.
-func (d *Detector) evalInterval(h *History, iv beacon.Interval) intervalResult {
-	var res intervalResult
-	if h.SeenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt) {
-		res.visible = true
-	}
-	checkAt := iv.WithdrawAt.Add(d.threshold())
-	stateAt := h.StateAt
-	if d.IgnoreSessionState {
-		stateAt = h.stateAtIgnoringSessions
-	}
-	for _, peer := range h.Peers() {
-		st := stateAt(peer, iv.Prefix, checkAt)
-		var pre State
-		if d.RecordPaths {
-			pre = stateAt(peer, iv.Prefix, iv.WithdrawAt)
-		}
-		d.peerDecision(peer, iv, st, pre, &res.routes, &res.pathObs)
-	}
-	return res
-}
-
-// DetectFromHistory runs detection over an already-built history. The
-// columnar store goes through the batched kernel (detectColumnar), which
-// sweeps the event arena once in span order; the reference store falls
-// back to the row-sweep evaluator. With Parallelism > 1 the work is
-// spread over pipeline workers and merged deterministically, so the
-// report is identical for any store, kernel, and worker count — the
-// differential harness in internal/pipeline proves it.
+// DetectFromHistory runs detection over an already-built history with the
+// batched kernel (detectColumnar), which sweeps the event arena once in
+// span order. With Parallelism > 1 the work is spread over pipeline workers
+// and merged deterministically, so the report is identical for any worker
+// count — the differential harness in internal/pipeline proves it.
 func (d *Detector) DetectFromHistory(h *History, intervals []beacon.Interval) *Report {
-	if h.ref != nil {
-		return d.DetectFromHistoryRows(h, intervals)
-	}
 	sp := obs.StartSpan("zombie.detect")
 	sp.SetArg("intervals", len(intervals))
 	sp.SetArg("threshold", d.threshold().String())
@@ -175,43 +146,17 @@ func (d *Detector) DetectFromHistory(h *History, intervals []beacon.Interval) *R
 	results := d.detectColumnar(h, intervals, sp)
 	pipeline.Default.AddIntervals(len(intervals))
 	pipeline.Default.ObserveDetect(time.Since(start))
-	return d.assemble(h, intervals, results)
-}
-
-// DetectFromHistoryRows runs detection with the row-sweep evaluator
-// (per-interval, per-peer StateAt walks) regardless of the history store.
-// It is the reference implementation the columnar kernel is proven
-// bit-identical to; production callers use DetectFromHistory.
-func (d *Detector) DetectFromHistoryRows(h *History, intervals []beacon.Interval) *Report {
-	sp := obs.StartSpan("zombie.detect")
-	sp.SetArg("intervals", len(intervals))
-	sp.SetArg("threshold", d.threshold().String())
-	sp.SetArg("kernel", "rows")
-	defer sp.End()
-	start := time.Now()
-	results := make([]intervalResult, len(intervals))
-	if d.Parallelism > 1 {
-		e := &pipeline.Engine{Workers: d.Parallelism, Trace: sp}
-		e.For(len(intervals), func(i int) {
-			results[i] = d.evalInterval(h, intervals[i])
-		})
-	} else {
-		for i, iv := range intervals {
-			results[i] = d.evalInterval(h, iv)
-		}
-	}
-	pipeline.Default.AddIntervals(len(intervals))
-	pipeline.Default.ObserveDetect(time.Since(start))
-	return d.assemble(h, intervals, results)
+	return d.assemble(h.Peers(), intervals, results)
 }
 
 // assemble folds per-interval results into the Report, in interval order.
-// Shared by both kernels: the report shape depends only on the results.
-func (d *Detector) assemble(h *History, intervals []beacon.Interval, results []intervalResult) *Report {
+// Shared by the kernel and the oracle's row sweep: the report shape depends
+// only on the results.
+func (d *Detector) assemble(peers []PeerID, intervals []beacon.Interval, results []intervalResult) *Report {
 	rep := &Report{
 		Threshold: d.threshold(),
 		Intervals: intervals,
-		Peers:     h.Peers(),
+		Peers:     peers,
 	}
 	for i, res := range results {
 		if res.visible {
@@ -260,17 +205,20 @@ func SweepParallel(h *History, intervals []beacon.Interval, thresholds []time.Du
 	out := make([]SweepPoint, len(thresholds))
 	e := &pipeline.Engine{Workers: parallelism, Trace: sp}
 	e.For(len(thresholds), func(i int) {
-		th := thresholds[i]
-		d := &Detector{Threshold: th}
-		rep := d.DetectFromHistory(h, intervals)
-		obs := rep.Filter(opts)
-		frac := 0.0
-		if len(intervals) > 0 {
-			frac = float64(len(obs)) / float64(len(intervals))
-		}
-		out[i] = SweepPoint{Threshold: th, Outbreaks: len(obs), Fraction: frac}
+		d := &Detector{Threshold: thresholds[i]}
+		out[i] = sweepPoint(thresholds[i], d.DetectFromHistory(h, intervals), opts)
 	})
 	return out
+}
+
+// sweepPoint condenses the report of one threshold into its sweep point.
+func sweepPoint(th time.Duration, rep *Report, opts FilterOptions) SweepPoint {
+	obs := rep.Filter(opts)
+	frac := 0.0
+	if len(rep.Intervals) > 0 {
+		frac = float64(len(obs)) / float64(len(rep.Intervals))
+	}
+	return SweepPoint{Threshold: th, Outbreaks: len(obs), Fraction: frac}
 }
 
 // ConcurrentCounts returns, for each interval start time with at least one

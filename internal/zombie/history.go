@@ -40,8 +40,7 @@ type histEvent struct {
 // of one shared arena (laid out in ascending pairKey order), and session
 // events live in a parallel arena spanned per peer. The layout is built by
 // sealHistory in columnar.go and is identical no matter how many builders
-// produced the events. The ref field, when set, swaps in the original
-// map-of-maps store (refstore.go) as a differential oracle.
+// produced the events.
 type History struct {
 	peers     []PeerID
 	prefixes  []netip.Prefix
@@ -52,7 +51,6 @@ type History struct {
 	pairKeys  []uint64        // sorted pair keys: the arena's span order
 	sess      []histEvent     // session-event arena
 	sessSpans []span          // indexed by peer index; zero span = none
-	ref       *refHistory     // non-nil only for BuildHistoryReference
 }
 
 // TrackSet selects the prefixes worth reconstructing (beacon prefixes).
@@ -155,10 +153,11 @@ func wrapFileError(err error) error {
 }
 
 // recordEvents converts one update-file record into its history events.
-// It is shared by HistoryBuilder.Observe and the reference builder so the
-// two cannot drift: only the store (and the decode mode) differs, never
-// the per-record semantics. Within one record, withdrawals are emitted
-// before announcements — the tie the stable event sort preserves.
+// It is shared by HistoryBuilder.Observe, StreamDetector.Observe and the
+// reference builder so they cannot drift: only the store (and the decode
+// mode) differs, never the per-record semantics. Within one record,
+// withdrawals are emitted before announcements — the tie the stable event
+// sort preserves.
 //
 // With scratch non-nil the BGP message is decoded zero-copy into the
 // scratch workspace with interned AS paths and aggregators; the update is
@@ -185,36 +184,34 @@ func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratc
 		// Withdrawals before announcements; within each, top-level routes
 		// before MP attributes — the same order WithdrawnAll/Announced
 		// return, without materializing the combined slices.
-		for _, p := range u.Withdrawn {
-			if track.tracks(p) {
-				prefixEv(peer, p, histEvent{at: r.Timestamp, order: order, kind: evWithdraw})
-			}
-		}
+		var mpWithdrawn, mpNLRI []netip.Prefix
 		if u.Attrs.MPUnreach != nil {
-			for _, p := range u.Attrs.MPUnreach.Withdrawn {
+			mpWithdrawn = u.Attrs.MPUnreach.Withdrawn
+		}
+		if u.Attrs.MPReach != nil {
+			mpNLRI = u.Attrs.MPReach.NLRI
+		}
+		for _, ps := range [2][]netip.Prefix{u.Withdrawn, mpWithdrawn} {
+			for _, p := range ps {
 				if track.tracks(p) {
 					prefixEv(peer, p, histEvent{at: r.Timestamp, order: order, kind: evWithdraw})
 				}
 			}
 		}
-		annEv := histEvent{
-			at:    r.Timestamp,
-			order: order,
-			kind:  evAnnounce,
-			path:  u.Attrs.ASPath,
-			agg:   u.Attrs.Aggregator,
-			comms: cloneCommunities(u.Attrs.Communities),
-		}
-		for _, p := range u.NLRI {
-			if track.tracks(p) {
-				prefixEv(peer, p, annEv)
-			}
-		}
-		if u.Attrs.MPReach != nil {
-			for _, p := range u.Attrs.MPReach.NLRI {
-				if track.tracks(p) {
-					prefixEv(peer, p, annEv)
+		annEv := histEvent{at: r.Timestamp, order: order, kind: evAnnounce, path: u.Attrs.ASPath, agg: u.Attrs.Aggregator}
+		cloned := false
+		for _, ps := range [2][]netip.Prefix{u.NLRI, mpNLRI} {
+			for _, p := range ps {
+				if !track.tracks(p) {
+					continue
 				}
+				// Cloned once, and only when an NLRI is tracked: most
+				// community-carrying records of a storm-shaped feed
+				// announce prefixes nobody reconstructs.
+				if !cloned {
+					annEv.comms, cloned = cloneCommunities(u.Attrs.Communities), true
+				}
+				prefixEv(peer, p, annEv)
 			}
 		}
 	case *mrt.BGP4MPStateChange:
@@ -244,46 +241,39 @@ func cloneCommunities(cs []bgp.Community) []bgp.Community {
 	return out
 }
 
-// pairEvents returns the time-ordered event stream of (peer, p).
-func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
-	if h.ref != nil {
-		return h.ref.events[peer][p]
-	}
-	pi, ok := h.peerIdx[peer]
-	if !ok {
-		return nil
-	}
-	xi, ok := h.prefixIdx[p]
-	if !ok {
-		return nil
-	}
-	sp, ok := h.pairs[pairKey(pi, xi)]
-	if !ok {
-		return nil
-	}
+// pairSpan returns the time-ordered event stream of (peer pi, prefix xi),
+// empty if none.
+func (h *History) pairSpan(pi, xi uint32) []histEvent {
+	sp := h.pairs[pairKey(pi, xi)]
 	return h.events[sp.off : sp.off+sp.n]
 }
 
-// sessionEvents returns the time-ordered session stream of peer.
-func (h *History) sessionEvents(peer PeerID) []histEvent {
-	if h.ref != nil {
-		return h.ref.session[peer]
-	}
-	pi, ok := h.peerIdx[peer]
-	if !ok {
-		return nil
-	}
+// sessSpan returns the time-ordered session stream of peer pi.
+func (h *History) sessSpan(pi uint32) []histEvent {
 	sp := h.sessSpans[pi]
 	return h.sess[sp.off : sp.off+sp.n]
 }
 
-// Peers returns every peer seen in the archives, sorted.
-func (h *History) Peers() []PeerID {
-	if h.ref != nil {
-		return h.ref.peers
+// pairEvents is pairSpan by identity rather than dense index.
+func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
+	pi, okPeer := h.peerIdx[peer]
+	xi, okPrefix := h.prefixIdx[p]
+	if !okPeer || !okPrefix {
+		return nil
 	}
-	return h.peers
+	return h.pairSpan(pi, xi)
 }
+
+// sessionEvents is sessSpan by identity.
+func (h *History) sessionEvents(peer PeerID) []histEvent {
+	if pi, ok := h.peerIdx[peer]; ok {
+		return h.sessSpan(pi)
+	}
+	return nil
+}
+
+// Peers returns every peer seen in the archives, sorted.
+func (h *History) Peers() []PeerID { return h.peers }
 
 // State is the reconstructed status of a (peer, prefix) at an instant.
 type State struct {
@@ -297,101 +287,47 @@ type State struct {
 	LastEvent time.Time
 }
 
+// fold applies one history event to the state. It is THE state step: the
+// batch cursor, StateAt, the anomaly sweeps and the StreamDetector all
+// reconstruct a (peer, prefix) by folding its events through it, so they
+// cannot disagree on what an event does. A session down clears the route (a
+// dead session cannot host a zombie); a session up changes nothing. At
+// survives a withdrawal: it is the last announcement's time, read only
+// while Present.
+func (st *State) fold(ev *histEvent) {
+	switch ev.kind {
+	case evAnnounce:
+		st.Present = true
+		st.Path = ev.path
+		st.Agg = ev.agg
+		st.At = ev.at
+		st.LastEvent = ev.at
+	case evWithdraw:
+		st.Present = false
+		st.Path = bgp.ASPath{}
+		st.Agg = nil
+		st.LastEvent = ev.at
+	case evSessionDown:
+		*st = State{LastEvent: ev.at}
+	}
+}
+
 // StateAt reconstructs the state of (peer, prefix) at time t, honoring
-// session downs (a down clears the route: a dead session cannot host a
-// zombie) and ignoring events at or after t.
+// session downs and ignoring events at or after t.
 func (h *History) StateAt(peer PeerID, p netip.Prefix, t time.Time) State {
-	return stateAtMerged(h.pairEvents(peer, p), h.sessionEvents(peer), t)
-}
-
-// stateAtMerged walks a pair stream and a session stream merged in event
-// order, stopping at t.
-func stateAtMerged(evs, sess []histEvent, t time.Time) State {
-	var st State
-	i, j := 0, 0
-	for i < len(evs) || j < len(sess) {
-		var ev histEvent
-		takeSess := false
-		switch {
-		case i >= len(evs):
-			ev, takeSess = sess[j], true
-		case j >= len(sess):
-			ev = evs[i]
-		default:
-			a, b := evs[i], sess[j]
-			if b.at.Before(a.at) || (b.at.Equal(a.at) && b.order < a.order) {
-				ev, takeSess = b, true
-			} else {
-				ev = a
-			}
-		}
-		if !ev.at.Before(t) {
-			break
-		}
-		if takeSess {
-			j++
-			if ev.kind == evSessionDown {
-				st = State{LastEvent: ev.at}
-			}
-			continue
-		}
-		i++
-		st.LastEvent = ev.at
-		switch ev.kind {
-		case evAnnounce:
-			st.Present = true
-			st.Path = ev.path
-			st.Agg = ev.agg
-			st.At = ev.at
-		case evWithdraw:
-			st.Present = false
-			st.Path = bgp.ASPath{}
-			st.Agg = nil
-		}
-	}
-	return st
-}
-
-// stateAtIgnoringSessions reconstructs state without honoring session
-// downs, as the legacy pipeline did.
-func (h *History) stateAtIgnoringSessions(peer PeerID, p netip.Prefix, t time.Time) State {
-	var st State
-	for _, ev := range h.pairEvents(peer, p) {
-		if !ev.at.Before(t) {
-			break
-		}
-		st.LastEvent = ev.at
-		switch ev.kind {
-		case evAnnounce:
-			st.Present = true
-			st.Path = ev.path
-			st.Agg = ev.agg
-			st.At = ev.at
-		case evWithdraw:
-			st.Present = false
-		}
-	}
-	return st
+	c := stateCursor{evs: h.pairEvents(peer, p), sess: h.sessionEvents(peer)}
+	return c.advance(t)
 }
 
 // SeenAnnounced reports whether any peer announced p within [from, to).
 func (h *History) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
-	if h.ref != nil {
-		return h.ref.seenAnnounced(p, from, to)
-	}
 	xi, ok := h.prefixIdx[p]
 	if !ok {
 		return false
 	}
 	for pi := range h.peers {
-		sp, ok := h.pairs[pairKey(uint32(pi), xi)]
-		if !ok {
-			continue
-		}
-		for _, ev := range h.events[sp.off : sp.off+sp.n] {
-			if ev.kind == evAnnounce && !ev.at.Before(from) && ev.at.Before(to) {
-				return true
-			}
+		if seenInSpan(h.pairSpan(uint32(pi), xi), from, to) {
+			return true
 		}
 	}
 	return false

@@ -5,22 +5,19 @@ import (
 	"time"
 
 	"zombiescope/internal/beacon"
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/obs"
 	"zombiescope/internal/pipeline"
 )
 
-// This file is the batched columnar detection kernel. The row-sweep
-// evaluator (evalInterval) asks "state of (peer, prefix) at t?" once per
-// (interval, peer) and re-walks the pair's event span from the start every
-// time — O(intervals × peers × events). The columnar kernel inverts the
-// loop: it sweeps the event arena once in span-index (pair-key) order and,
-// per span, folds the pair's state forward through ALL of the prefix's
-// query instants in one pass with a resumable merge cursor. Scratch
-// (per-interval state slots) is reused across spans; the per-(interval,
-// peer) decision is the shared peerDecision, so the only thing that
-// changes is the sweep order — which is exactly what the differential
-// harness checks.
+// This file is the batched columnar detection kernel. The oracle's
+// row-sweep evaluator (evalInterval, refstore.go) asks "state of (peer,
+// prefix) at t?" once per (interval, peer) and re-walks the pair's event
+// span from the start every time — O(intervals × peers × events). The
+// columnar kernel inverts the loop: it sweeps the event arena once in
+// span-index (pair-key) order and, per span, folds the pair's state forward
+// through ALL of the prefix's query instants in one pass with a resumable
+// merge cursor. Scratch (per-interval state slots) is reused across spans;
+// the per-(interval, peer) decision is the shared peerDecision.
 //
 // Determinism of the assembly: pair keys ascend peer-major, so for any
 // fixed interval (one prefix) the spans of that prefix are visited in
@@ -43,78 +40,46 @@ type prefixPlan struct {
 	queries []pairQuery // sorted ascending by at, so one cursor pass answers all
 }
 
-// stateCursor folds a pair's merged (pair, session) event stream forward
-// to successive non-decreasing query instants, replicating stateAtMerged
-// (or stateAtIgnoringSessions) exactly, one event at a time, resumably.
+// stateCursor is THE (time, order) merge of a pair's event stream with its
+// peer's session stream, folded resumably into the running State: advance
+// serves successive query instants, step the sweeps that look at every
+// event. An empty session stream is the IgnoreSessionState / legacy
+// looking-glass reconstruction.
 type stateCursor struct {
 	evs, sess []histEvent
 	i, j      int
 	st        State
-	ignore    bool // stateAtIgnoringSessions semantics
+}
+
+// peek returns the merge's next event (nil when both streams are
+// exhausted) and the stream position to bump to consume it.
+func (c *stateCursor) peek() (*histEvent, *int) {
+	switch {
+	case c.j < len(c.sess) && (c.i >= len(c.evs) || eventLess(c.sess[c.j], c.evs[c.i])):
+		return &c.sess[c.j], &c.j
+	case c.i < len(c.evs):
+		return &c.evs[c.i], &c.i
+	}
+	return nil, nil
+}
+
+// step folds the merge's next event into the state and returns it, or nil
+// at the end.
+func (c *stateCursor) step() *histEvent {
+	ev, pos := c.peek()
+	if ev != nil {
+		*pos++
+		c.st.fold(ev)
+	}
+	return ev
 }
 
 // advance folds events strictly before t into the running state and
 // returns it. t must not decrease across calls on one cursor.
 func (c *stateCursor) advance(t time.Time) State {
-	if c.ignore {
-		for c.i < len(c.evs) {
-			ev := c.evs[c.i]
-			if !ev.at.Before(t) {
-				break
-			}
-			c.i++
-			c.st.LastEvent = ev.at
-			switch ev.kind {
-			case evAnnounce:
-				c.st.Present = true
-				c.st.Path = ev.path
-				c.st.Agg = ev.agg
-				c.st.At = ev.at
-			case evWithdraw:
-				c.st.Present = false
-			}
-		}
-		return c.st
-	}
-	for c.i < len(c.evs) || c.j < len(c.sess) {
-		var ev histEvent
-		takeSess := false
-		switch {
-		case c.i >= len(c.evs):
-			ev, takeSess = c.sess[c.j], true
-		case c.j >= len(c.sess):
-			ev = c.evs[c.i]
-		default:
-			a, b := c.evs[c.i], c.sess[c.j]
-			if b.at.Before(a.at) || (b.at.Equal(a.at) && b.order < a.order) {
-				ev, takeSess = b, true
-			} else {
-				ev = a
-			}
-		}
-		if !ev.at.Before(t) {
-			break
-		}
-		if takeSess {
-			c.j++
-			if ev.kind == evSessionDown {
-				c.st = State{LastEvent: ev.at}
-			}
-			continue
-		}
-		c.i++
-		c.st.LastEvent = ev.at
-		switch ev.kind {
-		case evAnnounce:
-			c.st.Present = true
-			c.st.Path = ev.path
-			c.st.Agg = ev.agg
-			c.st.At = ev.at
-		case evWithdraw:
-			c.st.Present = false
-			c.st.Path = bgp.ASPath{}
-			c.st.Agg = nil
-		}
+	for ev, pos := c.peek(); ev != nil && ev.at.Before(t); ev, pos = c.peek() {
+		*pos++
+		c.st.fold(ev)
 	}
 	return c.st
 }
@@ -175,14 +140,12 @@ func (d *Detector) sweepRange(h *History, intervals []beacon.Interval, plans []*
 		if pl == nil {
 			continue
 		}
-		sp := h.pairs[k]
-		evs := h.events[sp.off : sp.off+sp.n]
+		evs := h.pairSpan(pi, xi)
 		var sess []histEvent
 		if !d.IgnoreSessionState {
-			ssp := h.sessSpans[pi]
-			sess = h.sess[ssp.off : ssp.off+ssp.n]
+			sess = h.sessSpan(pi)
 		}
-		cur := stateCursor{evs: evs, sess: sess, ignore: d.IgnoreSessionState}
+		cur := stateCursor{evs: evs, sess: sess}
 		for _, q := range pl.queries {
 			if q.pre {
 				preScratch[q.slot] = cur.advance(q.at)

@@ -2,6 +2,7 @@ package zombie
 
 import (
 	"hash/fnv"
+	"net/netip"
 	"time"
 
 	"zombiescope/internal/beacon"
@@ -51,24 +52,37 @@ func (d *LegacyDetector) availability() float64 {
 // Detect runs the legacy methodology over a history. Returned routes are
 // never marked Duplicate (the legacy method cannot tell).
 func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report {
+	return d.detect(h.Peers(), h.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
+		// No session stream: the looking glass never saw STATE messages.
+		c := stateCursor{evs: h.pairEvents(peer, p)}
+		return c.advance(t)
+	}, intervals)
+}
+
+// detect is the legacy decision over any state source: the shipped cursor
+// above, or the oracle's from-scratch walk (ReferenceHistory.DetectLegacy).
+func (d *LegacyDetector) detect(peers []PeerID,
+	seenAnnounced func(p netip.Prefix, from, to time.Time) bool,
+	stateAt func(peer PeerID, p netip.Prefix, t time.Time) State,
+	intervals []beacon.Interval) *Report {
 	rep := &Report{
 		Threshold: d.threshold(),
 		Intervals: intervals,
-		Peers:     h.Peers(),
+		Peers:     peers,
 	}
 	for _, iv := range intervals {
-		if h.SeenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt) {
+		if seenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt) {
 			rep.VisiblePrefixes++
 		}
 		// The looking glass answers with state as of checkAt-StateDelay.
 		checkAt := iv.WithdrawAt.Add(d.threshold())
 		effective := checkAt.Add(-d.stateDelay())
 		var routes []Route
-		for _, peer := range h.Peers() {
+		for _, peer := range peers {
 			if !d.checkSucceeds(peer, iv) {
 				continue // looking glass unreachable for this check
 			}
-			st := h.stateAtIgnoringSessions(peer, iv.Prefix, effective)
+			st := stateAt(peer, iv.Prefix, effective)
 			if !st.Present {
 				continue
 			}

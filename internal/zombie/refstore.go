@@ -8,15 +8,24 @@ import (
 	"sort"
 	"time"
 
+	"zombiescope/internal/beacon"
+	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/obs"
+	"zombiescope/internal/pipeline"
 )
 
-// refHistory is the original map-of-maps history store, kept verbatim as
-// the differential oracle for the columnar store: BuildHistoryReference
-// feeds the same recordEvents stream through it with the original
-// fully-allocating decode path, and the harness asserts the detectors see
-// no difference. It is reachable only through History.ref.
-type refHistory struct {
+// This file is the differential oracle: the original map-of-maps history
+// store, the original from-scratch state walk and the row-sweep evaluator,
+// kept so the harnesses (internal/pipeline's 50-seed matrix, the kernel
+// differential, the seal tests) compare the shipped columnar store, cursor
+// and kernel against an implementation that shares nothing with them beyond
+// recordEvents and the decisions (peerDecision, LegacyDetector.detect). It
+// stays in the shipped package, exported, only because those harnesses live
+// in other packages; no production caller uses it.
+
+// ReferenceHistory is the oracle's history store.
+type ReferenceHistory struct {
 	// events per peer per prefix, time-ordered.
 	events map[PeerID]map[netip.Prefix][]histEvent
 	// session events per peer (downs clear all prefixes), time-ordered.
@@ -25,11 +34,9 @@ type refHistory struct {
 }
 
 // BuildHistoryReference is BuildHistory over the original store and the
-// original allocating decode path. Slow but simple; it exists so the
-// differential harness has an implementation with nothing shared with the
-// columnar layout beyond recordEvents.
-func BuildHistoryReference(updates map[string][]byte, track TrackSet) (*History, error) {
-	r := &refHistory{
+// original allocating decode path. Slow but simple.
+func BuildHistoryReference(updates map[string][]byte, track TrackSet) (*ReferenceHistory, error) {
+	r := &ReferenceHistory{
 		events:  make(map[PeerID]map[netip.Prefix][]histEvent),
 		session: make(map[PeerID][]histEvent),
 	}
@@ -59,10 +66,10 @@ func BuildHistoryReference(updates map[string][]byte, track TrackSet) (*History,
 		rd.Release()
 	}
 	r.finish()
-	return &History{ref: r}, nil
+	return r, nil
 }
 
-func (r *refHistory) add(peer PeerID, p netip.Prefix, ev histEvent) {
+func (r *ReferenceHistory) add(peer PeerID, p netip.Prefix, ev histEvent) {
 	m := r.events[peer]
 	if m == nil {
 		m = make(map[netip.Prefix][]histEvent)
@@ -72,19 +79,19 @@ func (r *refHistory) add(peer PeerID, p netip.Prefix, ev histEvent) {
 	m[p] = append(m[p], ev)
 }
 
-func (r *refHistory) addSession(peer PeerID, ev histEvent) {
+func (r *ReferenceHistory) addSession(peer PeerID, ev histEvent) {
 	r.session[peer] = append(r.session[peer], ev)
 	r.touch(peer)
 }
 
-func (r *refHistory) touch(peer PeerID) {
+func (r *ReferenceHistory) touch(peer PeerID) {
 	if _, ok := r.events[peer]; !ok {
 		r.events[peer] = make(map[netip.Prefix][]histEvent)
 		r.peers = append(r.peers, peer)
 	}
 }
 
-func (r *refHistory) finish() {
+func (r *ReferenceHistory) finish() {
 	for _, m := range r.events {
 		for _, evs := range m {
 			sort.SliceStable(evs, func(i, j int) bool { return eventLess(evs[i], evs[j]) })
@@ -96,7 +103,17 @@ func (r *refHistory) finish() {
 	sort.Slice(r.peers, func(i, j int) bool { return comparePeers(r.peers[i], r.peers[j]) < 0 })
 }
 
-func (r *refHistory) seenAnnounced(p netip.Prefix, from, to time.Time) bool {
+// Peers returns every peer seen in the archives, sorted.
+func (r *ReferenceHistory) Peers() []PeerID { return r.peers }
+
+func (r *ReferenceHistory) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
+	return r.events[peer][p]
+}
+
+func (r *ReferenceHistory) sessionEvents(peer PeerID) []histEvent { return r.session[peer] }
+
+// SeenAnnounced reports whether any peer announced p within [from, to).
+func (r *ReferenceHistory) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
 	for _, m := range r.events {
 		for _, ev := range m[p] {
 			if ev.kind == evAnnounce && !ev.at.Before(from) && ev.at.Before(to) {
@@ -105,4 +122,126 @@ func (r *refHistory) seenAnnounced(p netip.Prefix, from, to time.Time) bool {
 		}
 	}
 	return false
+}
+
+// refStateAt is the oracle's state reconstruction: one walk from the start
+// of a pair stream and a session stream merged in event order, stopping at
+// t. It is deliberately not State.fold / stateCursor.
+func refStateAt(evs, sess []histEvent, t time.Time) State {
+	var st State
+	i, j := 0, 0
+	for i < len(evs) || j < len(sess) {
+		var ev histEvent
+		takeSess := false
+		switch {
+		case i >= len(evs):
+			ev, takeSess = sess[j], true
+		case j >= len(sess):
+			ev = evs[i]
+		default:
+			a, b := evs[i], sess[j]
+			if b.at.Before(a.at) || (b.at.Equal(a.at) && b.order < a.order) {
+				ev, takeSess = b, true
+			} else {
+				ev = a
+			}
+		}
+		if !ev.at.Before(t) {
+			break
+		}
+		if takeSess {
+			j++
+			if ev.kind == evSessionDown {
+				st = State{LastEvent: ev.at}
+			}
+			continue
+		}
+		i++
+		st.LastEvent = ev.at
+		switch ev.kind {
+		case evAnnounce:
+			st.Present = true
+			st.Path = ev.path
+			st.Agg = ev.agg
+			st.At = ev.at
+		case evWithdraw:
+			st.Present = false
+			st.Path = bgp.ASPath{}
+			st.Agg = nil
+		}
+	}
+	return st
+}
+
+// rowStore is what the row sweep reads; both stores provide it.
+type rowStore interface {
+	Peers() []PeerID
+	SeenAnnounced(p netip.Prefix, from, to time.Time) bool
+	pairEvents(peer PeerID, p netip.Prefix) []histEvent
+	sessionEvents(peer PeerID) []histEvent
+}
+
+// evalInterval evaluates one interval by querying every peer's state at
+// the check instant, re-walking the pair's events from the start each time.
+func (d *Detector) evalInterval(s rowStore, iv beacon.Interval) intervalResult {
+	res := intervalResult{visible: s.SeenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt)}
+	checkAt := iv.WithdrawAt.Add(d.threshold())
+	for _, peer := range s.Peers() {
+		evs, sess := s.pairEvents(peer, iv.Prefix), s.sessionEvents(peer)
+		if d.IgnoreSessionState {
+			sess = nil
+		}
+		var pre State
+		if d.RecordPaths {
+			pre = refStateAt(evs, sess, iv.WithdrawAt)
+		}
+		d.peerDecision(peer, iv, refStateAt(evs, sess, checkAt), pre, &res.routes, &res.pathObs)
+	}
+	return res
+}
+
+// detectRows is DetectFromHistory by the row sweep.
+func (d *Detector) detectRows(s rowStore, intervals []beacon.Interval) *Report {
+	sp := obs.StartSpan("zombie.detect")
+	sp.SetArg("intervals", len(intervals))
+	sp.SetArg("threshold", d.threshold().String())
+	sp.SetArg("kernel", "rows")
+	defer sp.End()
+	start := time.Now()
+	results := make([]intervalResult, len(intervals))
+	e := &pipeline.Engine{Workers: max(d.Parallelism, 1), Trace: sp}
+	e.For(len(intervals), func(i int) {
+		results[i] = d.evalInterval(s, intervals[i])
+	})
+	pipeline.Default.AddIntervals(len(intervals))
+	pipeline.Default.ObserveDetect(time.Since(start))
+	return d.assemble(s.Peers(), intervals, results)
+}
+
+// DetectFromHistoryRows evaluates the columnar store with the oracle's row
+// sweep and state walk: the reference the kernel and the cursor are proven
+// bit-identical to. Production callers use DetectFromHistory.
+func (d *Detector) DetectFromHistoryRows(h *History, intervals []beacon.Interval) *Report {
+	return d.detectRows(h, intervals)
+}
+
+// Detect is Detector.DetectFromHistory over the oracle.
+func (r *ReferenceHistory) Detect(d *Detector, intervals []beacon.Interval) *Report {
+	return d.detectRows(r, intervals)
+}
+
+// Sweep is the package-level Sweep over the oracle.
+func (r *ReferenceHistory) Sweep(intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions) []SweepPoint {
+	out := make([]SweepPoint, len(thresholds))
+	for i, th := range thresholds {
+		out[i] = sweepPoint(th, r.Detect(&Detector{Threshold: th}, intervals), opts)
+	}
+	return out
+}
+
+// DetectLegacy is LegacyDetector.Detect over the oracle.
+func (r *ReferenceHistory) DetectLegacy(d *LegacyDetector, intervals []beacon.Interval) *Report {
+	return d.detect(r.peers, r.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
+		return refStateAt(r.pairEvents(peer, p), nil, t)
+	}, intervals)
 }

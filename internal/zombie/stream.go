@@ -22,18 +22,15 @@ import (
 // events arrive on the callback in detection-time order. The zero value is
 // not usable; construct with NewStreamDetector.
 type StreamDetector struct {
-	threshold time.Duration
-	tolerance time.Duration
-	onZombie  func(ZombieEvent)
+	det      Detector // threshold and tolerance of the shared peerDecision
+	onZombie func(ZombieEvent)
 
-	intervals map[netip.Prefix][]beacon.Interval
-	track     TrackSet
-
-	// state per (peer, prefix).
+	track   TrackSet
+	scratch bgp.Scratch
+	// state is the current fold of every (peer, prefix) seen.
 	state map[streamKey]*streamState
-	// pending detection checks, time-ordered.
-	checks checkQueue
-	now    time.Time
+	// pending detection checks, time-ordered (ties in interval order).
+	checks []pendingCheck
 
 	// ingestNanos is the stamp of the record currently being processed,
 	// set by SetIngestStamp before Advance/Observe and copied onto every
@@ -67,110 +64,72 @@ type streamKey struct {
 	prefix netip.Prefix
 }
 
+// streamState is a pair's State folded over the records observed so far —
+// the batch State as of "now" — plus the one thing resurrection marking
+// needs that the fold does not keep.
 type streamState struct {
-	present     bool
-	path        bgp.ASPath
-	agg         *bgp.Aggregator
-	announcedAt time.Time
-	withdrawnAt time.Time // collector-observed withdrawal, for resurrection marking
+	State
+	withdrawnAt time.Time // when the route last went from present to absent
 }
 
 type pendingCheck struct {
 	at       time.Time
 	interval beacon.Interval
-	seq      int
 }
-
-type checkQueue []pendingCheck
 
 // NewStreamDetector builds a streaming detector for the given beacon
 // intervals. onZombie is called synchronously from Advance.
 func NewStreamDetector(intervals []beacon.Interval, threshold time.Duration, onZombie func(ZombieEvent)) *StreamDetector {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
 	sd := &StreamDetector{
-		threshold: threshold,
-		tolerance: time.Minute,
-		onZombie:  onZombie,
-		intervals: make(map[netip.Prefix][]beacon.Interval),
-		track:     make(TrackSet),
-		state:     make(map[streamKey]*streamState),
+		det:      Detector{Threshold: threshold},
+		onZombie: onZombie,
+		track:    make(TrackSet),
+		state:    make(map[streamKey]*streamState),
 	}
-	seq := 0
 	for _, iv := range intervals {
-		sd.intervals[iv.Prefix] = append(sd.intervals[iv.Prefix], iv)
 		sd.track[iv.Prefix] = true
-		sd.checks = append(sd.checks, pendingCheck{
-			at:       iv.WithdrawAt.Add(threshold),
-			interval: iv,
-			seq:      seq,
-		})
-		seq++
+		sd.checks = append(sd.checks, pendingCheck{at: iv.WithdrawAt.Add(sd.det.threshold()), interval: iv})
 	}
-	sort.Slice(sd.checks, func(i, j int) bool {
-		if !sd.checks[i].at.Equal(sd.checks[j].at) {
-			return sd.checks[i].at.Before(sd.checks[j].at)
-		}
-		return sd.checks[i].seq < sd.checks[j].seq
-	})
+	sort.SliceStable(sd.checks, func(i, j int) bool { return sd.checks[i].at.Before(sd.checks[j].at) })
 	return sd
 }
 
-// Observe ingests one collector record. Records timestamped after the
-// current Advance watermark are fine (they usually are); records for
-// untracked prefixes are ignored.
+// Observe ingests one collector record: the events recordEvents derives
+// from it — the same events a HistoryBuilder would store — are folded
+// straight into the per-pair states. Records timestamped after the current
+// Advance watermark are fine (they usually are); records for untracked
+// prefixes are ignored, and so are records that fail to decode.
 func (sd *StreamDetector) Observe(collectorName string, rec mrt.Record) {
-	switch r := rec.(type) {
-	case *mrt.BGP4MPMessage:
-		u, err := r.Update()
-		if err != nil {
-			return // corrupted records are skipped, as in the batch path
-		}
-		peer := PeerID{Collector: collectorName, AS: r.PeerAS, Addr: r.PeerIP}
-		for _, p := range u.WithdrawnAll() {
-			if sd.track[p] {
-				sd.withdraw(peer, p, r.Timestamp)
-			}
-		}
-		for _, p := range u.Announced() {
-			if sd.track[p] {
-				sd.announce(peer, p, r.Timestamp, u.Attrs.ASPath, u.Attrs.Aggregator)
-			}
-		}
-	case *mrt.BGP4MPStateChange:
-		if !r.Down() {
-			return
-		}
-		peer := PeerID{Collector: collectorName, AS: r.PeerAS, Addr: r.PeerIP}
-		// Session down clears every route of the peer.
-		for k, st := range sd.state {
-			if k.peer == peer && st.present {
-				st.present = false
-				st.withdrawnAt = r.Timestamp
-			}
-		}
-	}
+	_ = recordEvents(collectorName, 0, rec, sd.track, &sd.scratch, sd.foldPair, sd.foldSession)
 }
 
-func (sd *StreamDetector) announce(peer PeerID, p netip.Prefix, at time.Time, path bgp.ASPath, agg *bgp.Aggregator) {
+func (sd *StreamDetector) foldPair(peer PeerID, p netip.Prefix, ev histEvent) {
 	k := streamKey{peer: peer, prefix: p}
 	st := sd.state[k]
 	if st == nil {
+		if ev.kind != evAnnounce {
+			return // a withdrawal of a route never seen: still the zero State
+		}
 		st = &streamState{}
 		sd.state[k] = st
 	}
-	st.present = true
-	st.path = path
-	st.agg = agg
-	st.announcedAt = at
+	st.fold(&ev)
 }
 
-func (sd *StreamDetector) withdraw(peer PeerID, p netip.Prefix, at time.Time) {
-	k := streamKey{peer: peer, prefix: p}
-	if st := sd.state[k]; st != nil && st.present {
-		st.present = false
-		st.withdrawnAt = at
+// foldSession applies a session event to every route of the peer.
+func (sd *StreamDetector) foldSession(peer PeerID, ev histEvent) {
+	for k, st := range sd.state {
+		if k.peer == peer {
+			st.fold(&ev)
+		}
+	}
+}
+
+func (st *streamState) fold(ev *histEvent) {
+	was := st.Present
+	st.State.fold(ev)
+	if was && !st.Present {
+		st.withdrawnAt = ev.at
 	}
 }
 
@@ -178,7 +137,6 @@ func (sd *StreamDetector) withdraw(peer PeerID, p netip.Prefix, at time.Time) {
 // instant has passed, in order. Call it with the record timestamps as the
 // stream progresses (and once with a late timestamp to flush).
 func (sd *StreamDetector) Advance(now time.Time) {
-	sd.now = now
 	for len(sd.checks) > 0 && !sd.checks[0].at.After(now) {
 		check := sd.checks[0]
 		sd.checks = sd.checks[1:]
@@ -189,39 +147,38 @@ func (sd *StreamDetector) Advance(now time.Time) {
 // fire emits the check's stuck routes in comparePeers order — the order
 // batch Outbreak.Routes has — so the alert sequence (and every wire and
 // journal sequence number downstream) is the same on every run; ranging
-// over the state map alone would shuffle it.
+// over the state map alone would shuffle it. Each alert is the Route the
+// shared peerDecision makes of the pair's state.
 func (sd *StreamDetector) fire(check pendingCheck) {
 	iv := check.interval
 	var stuck []streamKey
 	for k, st := range sd.state {
-		if k.prefix == iv.Prefix && st.present {
+		if k.prefix == iv.Prefix && st.Present {
 			stuck = append(stuck, k)
 		}
 	}
 	sort.Slice(stuck, func(i, j int) bool { return comparePeers(stuck[i].peer, stuck[j].peer) < 0 })
+	var routes []Route
 	for _, k := range stuck {
 		st := sd.state[k]
-		announcedAt := st.announcedAt
-		if st.agg != nil {
-			if t, ok := beacon.DecodeAggregatorClock(st.agg.Addr, st.announcedAt); ok {
-				announcedAt = t
-			}
-		}
+		routes = routes[:0]
+		sd.det.peerDecision(k.peer, iv, st.State, State{}, &routes, nil)
+		r := routes[0] // a present state always yields its route
 		ev := ZombieEvent{
 			IngestNanos: sd.ingestNanos,
-			Peer:        k.peer,
-			Prefix:      iv.Prefix,
-			Interval:    iv,
-			Path:        st.path,
-			AnnouncedAt: announcedAt,
+			Peer:        r.Peer,
+			Prefix:      r.Prefix,
+			Interval:    r.Interval,
+			Path:        r.Path,
+			AnnouncedAt: r.AnnouncedAt,
 			DetectedAt:  check.at,
-			Duplicate:   announcedAt.Before(iv.AnnounceAt.Add(-sd.tolerance)),
+			Duplicate:   r.Duplicate,
 			// The route had been withdrawn at this peer and came back
 			// after the interval's withdrawal without a new beacon
 			// announcement: a live resurrection.
 			Resurrected: !st.withdrawnAt.IsZero() &&
-				st.announcedAt.After(iv.WithdrawAt) &&
-				announcedAt.Before(st.announcedAt.Add(-sd.tolerance)),
+				st.At.After(iv.WithdrawAt) &&
+				r.AnnouncedAt.Before(st.At.Add(-sd.det.tolerance())),
 		}
 		if sd.onZombie != nil {
 			sd.onZombie(ev)

@@ -3,6 +3,7 @@ package zombie
 import (
 	"bytes"
 	"io"
+	"net/netip"
 	"reflect"
 	"testing"
 	"time"
@@ -43,39 +44,51 @@ func feedStream(t *testing.T, updates map[string][]byte, intervals []beacon.Inte
 	return events
 }
 
-func TestStreamDetectorMatchesBatch(t *testing.T) {
-	updates, _, b, _ := buildScenario(t)
-	ivs := twoIntervals()
-
+// assertStreamMatchesBatch replays updates (one collector, time-ordered)
+// through a StreamDetector and requires its alerts to be the batch
+// report's routes: the same (peer, prefix, interval) set, and each alert's
+// Path, AnnouncedAt and Duplicate equal to the Route's.
+func assertStreamMatchesBatch(t *testing.T, updates map[string][]byte, ivs []beacon.Interval) []ZombieEvent {
+	t.Helper()
 	batch, err := (&Detector{}).Detect(updates, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := feedStream(t, updates, ivs, DefaultThreshold)
-
-	// Same zombies, same duplicate flags.
 	type key struct {
-		peer PeerID
-		at   int64
+		peer     PeerID
+		prefix   netip.Prefix
+		announce int64
 	}
-	batchSet := make(map[key]bool)
+	routes := make(map[key]Route)
 	for _, ob := range batch.Outbreaks {
 		for _, r := range ob.Routes {
-			batchSet[key{r.Peer, r.Interval.AnnounceAt.Unix()}] = r.Duplicate
+			routes[key{r.Peer, r.Prefix, r.Interval.AnnounceAt.Unix()}] = r
 		}
 	}
-	if len(events) != len(batchSet) {
-		t.Fatalf("stream emitted %d events, batch found %d routes", len(events), len(batchSet))
+	if len(events) != len(routes) {
+		t.Fatalf("stream emitted %d events, batch found %d routes", len(events), len(routes))
 	}
 	for _, ev := range events {
-		dup, ok := batchSet[key{ev.Peer, ev.Interval.AnnounceAt.Unix()}]
+		r, ok := routes[key{ev.Peer, ev.Prefix, ev.Interval.AnnounceAt.Unix()}]
 		if !ok {
 			t.Errorf("stream-only event: %+v", ev)
 			continue
 		}
-		if dup != ev.Duplicate {
-			t.Errorf("duplicate flag mismatch for %v: stream %v, batch %v", ev.Peer, ev.Duplicate, dup)
+		if ev.Interval != r.Interval || !ev.Path.Equal(r.Path) || !ev.AnnouncedAt.Equal(r.AnnouncedAt) || ev.Duplicate != r.Duplicate {
+			t.Errorf("stream alert diverges from batch route:\n stream %+v\n batch  %+v", ev, r)
 		}
+	}
+	return events
+}
+
+func TestStreamDetectorMatchesBatch(t *testing.T) {
+	updates, _, b, _ := buildScenario(t)
+	events := assertStreamMatchesBatch(t, updates, twoIntervals())
+	if len(events) != 2 {
+		t.Fatalf("events = %d, want B stuck in both intervals", len(events))
+	}
+	for _, ev := range events {
 		if ev.Peer != peerOf(b) {
 			t.Errorf("unexpected zombie peer %+v", ev.Peer)
 		}
