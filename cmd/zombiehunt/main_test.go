@@ -188,6 +188,7 @@ func TestTraceOutput(t *testing.T) {
 		t.Fatal("trace has no events")
 	}
 	names := make(map[string]bool)
+	var sealArgs map[string]any
 	for _, ev := range events {
 		if ev["ph"] != "X" {
 			t.Errorf("event phase %v, want X", ev["ph"])
@@ -195,8 +196,18 @@ func TestTraceOutput(t *testing.T) {
 		if name, ok := ev["name"].(string); ok {
 			names[name] = true
 		}
+		// The history seal says what it merged and whether the input was
+		// in order (the lifespan merge shares the span name, not the args).
+		if args, _ := ev["args"].(map[string]any); ev["name"] == "zombie.merge" && args["events"] != nil {
+			sealArgs = args
+		}
 	}
-	for _, want := range []string{"pipeline.fold", "pipeline.decode", "zombie.build_history", "zombie.detect"} {
+	for _, key := range []string{"events", "pairs", "builders", "spans_sorted"} {
+		if n, ok := sealArgs[key].(float64); !ok || (n == 0 && key != "spans_sorted") {
+			t.Errorf("zombie.merge args %v: %q missing or zero", sealArgs, key)
+		}
+	}
+	for _, want := range []string{"pipeline.fold", "pipeline.decode", "zombie.build_history", "zombie.merge", "zombie.detect"} {
 		if !names[want] {
 			t.Errorf("trace missing span %q (got %v)", want, names)
 		}

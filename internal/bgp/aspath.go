@@ -85,11 +85,12 @@ func (p ASPath) ASNs() []ASN {
 // Origin returns the last (originating) ASN of the path, or false if the
 // path is empty.
 func (p ASPath) Origin() (ASN, bool) {
-	asns := p.ASNs()
-	if len(asns) == 0 {
-		return 0, false
+	for i := len(p.Segments) - 1; i >= 0; i-- {
+		if asns := p.Segments[i].ASNs; len(asns) > 0 {
+			return asns[len(asns)-1], true
+		}
 	}
-	return asns[len(asns)-1], true
+	return 0, false
 }
 
 // Contains reports whether the path traverses asn.

@@ -238,7 +238,7 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, flags, typ uint8
 		var p ASPath
 		var err error
 		if df&DecodeIntern != 0 {
-			p, err = internedASPath(val)
+			p, err = s.fronts().paths.get(pathTable, val, decodeASPathKey)
 		} else {
 			p, err = DecodeASPath(val)
 		}
@@ -273,7 +273,7 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, flags, typ uint8
 			return fmt.Errorf("%w: AGGREGATOR length %d (want 8, four-octet AS)", ErrBadAttribute, len(val))
 		}
 		if df&DecodeIntern != 0 {
-			pa.Aggregator = internedAggregator(val)
+			pa.Aggregator, _ = s.fronts().aggs.get(aggTable, val, decodeAggregatorKey) // cannot fail
 		} else {
 			pa.Aggregator = &Aggregator{
 				ASN:  ASN(binary.BigEndian.Uint32(val)),

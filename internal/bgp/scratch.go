@@ -3,7 +3,9 @@ package bgp
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"net/netip"
+	"sync/atomic"
 
 	"zombiescope/internal/intern"
 )
@@ -38,6 +40,7 @@ type Scratch struct {
 	u         Update
 	mpReach   MPReachNLRI
 	mpUnreach MPUnreachNLRI
+	front     *scratchFront // see fronts
 }
 
 // DecodeUpdate parses a full UPDATE message (header included) into the
@@ -79,25 +82,94 @@ var (
 	aggTable  = intern.NewTable[*Aggregator]()
 )
 
-func internedASPath(wire []byte) (ASPath, error) {
-	return pathTable.GetErr(wire, decodeASPathKey)
+// frontCache is a fixed-size, direct-mapped cache of interned values by
+// wire bytes, private to one Scratch, in front of a process-wide table. A
+// feed repeats its sessions' few AS paths record after record, and a table
+// lookup pays a byte-wise shard hash, the map's own hash, a reader lock and
+// a hit counter on cache lines every decoding core shares; a front hit is
+// one hash and one compare on memory only this Scratch touches. It is
+// fixed-size because a Scratch can live as long as the process
+// (StreamDetector's does): a colliding key replaces the slot's entry.
+type frontCache[V any] struct {
+	slots [frontSlots]struct {
+		n   uint8 // key length; 0 marks an empty slot
+		key [frontKeyMax]byte
+		v   V
+	}
+	hits *atomic.Uint64
+}
+
+const (
+	frontSlots = 256 // a power of two: the slot pick is a mask
+	// frontKeyMax is the longest key cached (an AS_PATH of one 15-AS
+	// sequence); longer and empty ones go straight to the table.
+	frontKeyMax = 62
+)
+
+var frontSeed = maphash.MakeSeed()
+
+// get is t.GetErr(key, mk) served from the cache when the key repeats.
+func (c *frontCache[V]) get(t *intern.Table[V], key []byte, mk func([]byte) (V, error)) (V, error) {
+	if len(key) == 0 || len(key) > frontKeyMax {
+		return t.GetErr(key, mk)
+	}
+	e := &c.slots[maphash.Bytes(frontSeed, key)&(frontSlots-1)]
+	if int(e.n) == len(key) && string(e.key[:e.n]) == string(key) {
+		c.hits.Add(1)
+		return e.v, nil
+	}
+	v, err := t.GetErr(key, mk)
+	if err == nil {
+		e.n, e.v = uint8(copy(e.key[:], key)), v
+	}
+	return v, err
+}
+
+// scratchFront is the pair of front caches of one Scratch.
+type scratchFront struct {
+	paths frontCache[ASPath]
+	aggs  frontCache[*Aggregator]
+}
+
+// frontHits counts the lookups front caches served, which the tables' own
+// counters never see; InternStats adds them back so the hit rate stays
+// exact. A Scratch counts on the stripe it drew when its caches were
+// allocated, so decoders running side by side write different cache lines.
+var (
+	frontHits [16]struct {
+		path, agg atomic.Uint64
+		_         [48]byte // one stripe per cache line
+	}
+	frontNext atomic.Uint32
+)
+
+// fronts returns the Scratch's front caches, allocated by the first
+// DecodeIntern lookup so that plain decoding never pays for them.
+func (s *Scratch) fronts() *scratchFront {
+	if s.front == nil {
+		stripe := &frontHits[frontNext.Add(1)%uint32(len(frontHits))]
+		s.front = &scratchFront{}
+		s.front.paths.hits, s.front.aggs.hits = &stripe.path, &stripe.agg
+	}
+	return s.front
 }
 
 func decodeASPathKey(key []byte) (ASPath, error) { return DecodeASPath(key) }
 
-func internedAggregator(val []byte) *Aggregator {
-	return aggTable.Get(val, decodeAggregatorKey)
-}
-
-func decodeAggregatorKey(key []byte) *Aggregator {
+func decodeAggregatorKey(key []byte) (*Aggregator, error) {
 	return &Aggregator{
 		ASN:  ASN(binary.BigEndian.Uint32(key)),
 		Addr: netip.AddrFrom4([4]byte(key[4:8])),
-	}
+	}, nil
 }
 
 // InternStats reports the process-wide attribute intern tables' counters,
 // for the pipeline's observability surfaces.
 func InternStats() (path, agg intern.Stats) {
-	return pathTable.Stats(), aggTable.Stats()
+	path, agg = pathTable.Stats(), aggTable.Stats()
+	for i := range frontHits {
+		path.Hits += frontHits[i].path.Load()
+		agg.Hits += frontHits[i].agg.Load()
+	}
+	return path, agg
 }

@@ -11,6 +11,7 @@
 package intern
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -58,51 +59,24 @@ func NewTable[V any]() *Table[V] {
 	return t
 }
 
-// fnv1a is the 64-bit FNV-1a hash, inlined so the shard pick allocates
-// nothing and needs no hash.Hash state.
-func fnv1a(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
+// shardSeed keys the shard pick: the runtime's hardware hash, a few
+// nanoseconds for an AS path's wire bytes.
+var shardSeed = maphash.MakeSeed()
 
-// Get returns the canonical value for key, building it with mk(key) on
-// first sight. mk runs under the shard's write lock, at most once per key.
-// mk receives the key so callers can pass a plain function instead of a
-// capturing closure — the lookup itself then allocates nothing on a hit.
+// Get is GetErr for constructors that cannot fail.
 func (t *Table[V]) Get(key []byte, mk func(key []byte) V) V {
-	s := &t.shards[fnv1a(key)&(shardCount-1)]
-	s.mu.RLock()
-	v, ok := s.m[string(key)] // no-alloc lookup: compiler-optimized conversion
-	s.mu.RUnlock()
-	if ok {
-		s.hits.Add(1)
-		return v
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.m[string(key)]; ok {
-		s.hits.Add(1)
-		return v
-	}
-	v = mk(key)
-	s.m[string(key)] = v
-	s.misses.Add(1)
+	v, _ := t.GetErr(key, func(key []byte) (V, error) { return mk(key), nil })
 	return v
 }
 
-// GetErr is Get for constructors that can fail. A failed construction is
-// not cached: the error is returned and the key stays absent, so a later
-// lookup retries.
+// GetErr returns the canonical value for key, building it with mk(key) on
+// first sight. mk runs under the shard's write lock, at most once per key
+// it succeeds on: a failed construction is not cached, the error is
+// returned and the key stays absent, so a later lookup retries. mk receives
+// the key so callers can pass a plain function instead of a capturing
+// closure — the lookup itself then allocates nothing on a hit.
 func (t *Table[V]) GetErr(key []byte, mk func(key []byte) (V, error)) (V, error) {
-	s := &t.shards[fnv1a(key)&(shardCount-1)]
+	s := &t.shards[maphash.Bytes(shardSeed, key)&(shardCount-1)]
 	s.mu.RLock()
 	v, ok := s.m[string(key)] // no-alloc lookup: compiler-optimized conversion
 	s.mu.RUnlock()

@@ -136,7 +136,7 @@ func TestStatsHitRate(t *testing.T) {
 func TestConcurrentGet(t *testing.T) {
 	tab := NewTable[*uint64]()
 	mk := func(key []byte) *uint64 {
-		v := fnv1a(key)
+		v := binary.BigEndian.Uint64(key)
 		return &v
 	}
 	const (

@@ -3,6 +3,7 @@ package zombie
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -99,13 +100,15 @@ func (d *MOASDetector) minDuration() time.Duration {
 func (d *MOASDetector) DetectAnomalies(h *History, win Window) []Anomaly {
 	return sweepPrefixes(h, d.Parallelism, func(xi uint32, p netip.Prefix) []Anomaly {
 		var deltas []originDelta
-		for pi := range h.peers {
-			deltas = appendOriginDeltas(deltas, h.pairSpan(uint32(pi), xi), h.sessSpan(uint32(pi)))
+		for _, ki := range h.prefixPairs(xi) {
+			deltas = appendOriginDeltas(deltas, h, int(ki))
 		}
-		if len(deltas) == 0 {
+		// A conflict needs two concurrent origins: a prefix whose deltas
+		// name one origin (nearly every prefix) is done before the sort.
+		if !slices.ContainsFunc(deltas, func(dl originDelta) bool { return dl.origin != deltas[0].origin }) {
 			return nil
 		}
-		sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].at.Before(deltas[j].at) })
+		slices.SortStableFunc(deltas, func(a, b originDelta) int { return a.at.Compare(b.at) })
 
 		live := make(map[bgp.ASN]int)
 		distinct := 0
@@ -196,13 +199,13 @@ func (d *HyperSpecificDetector) DetectAnomalies(h *History, win Window) []Anomal
 		}
 		var deltas []presenceDelta
 		origins := make(map[bgp.ASN]bool)
-		for pi := range h.peers {
-			deltas = appendPresenceDeltas(deltas, h.pairSpan(uint32(pi), xi), h.sessSpan(uint32(pi)), origins)
+		for _, ki := range h.prefixPairs(xi) {
+			deltas = appendPresenceDeltas(deltas, h, int(ki), origins)
 		}
 		if len(deltas) == 0 {
 			return nil
 		}
-		sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].at.Before(deltas[j].at) })
+		slices.SortStableFunc(deltas, func(a, b presenceDelta) int { return a.at.Compare(b.at) })
 
 		count, peak := 0, 0
 		visible := false
@@ -281,7 +284,7 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 	eval := func(ki int) {
 		key := h.pairKeys[ki]
 		pi, xi := uint32(key>>32), uint32(key)
-		evs := h.pairSpan(pi, xi)
+		evs := h.spanRows(ki)
 
 		// Churn instants: announcements whose community set differs from
 		// the previous one. Withdrawals do not reset the comparison — a
@@ -294,10 +297,11 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 			if evs[i].kind != evAnnounce {
 				continue
 			}
-			if prevValid && !communitiesEqual(prev, evs[i].comms) {
-				churn = append(churn, evs[i].at)
+			comms := h.rowComms(&evs[i])
+			if prevValid && !slices.Equal(prev, comms) {
+				churn = append(churn, evs[i].time())
 			}
-			prev, prevValid = evs[i].comms, true
+			prev, prevValid = comms, true
 		}
 
 		me, rw := d.minEvents(), d.rateWindow()
@@ -381,15 +385,12 @@ type originDelta struct {
 	delta  int
 }
 
-// appendOriginDeltas folds one peer's merged pair+session stream and emits
+// appendOriginDeltas folds pair ki's merged pair+session stream and emits
 // origin count deltas: the peer's vote follows the origin of its present
 // route, so an announcement moves it and withdrawals and session downs
 // clear it.
-func appendOriginDeltas(deltas []originDelta, evs, sess []histEvent) []originDelta {
-	if len(evs) == 0 {
-		return deltas // session events alone never create a route
-	}
-	c := stateCursor{evs: evs, sess: sess}
+func appendOriginDeltas(deltas []originDelta, h *History, ki int) []originDelta {
+	c := stateCursor{h: h, evs: h.spanRows(ki), sess: h.sessRows(uint32(h.pairKeys[ki] >> 32))}
 	var cur bgp.ASN
 	has := false
 	for ev := c.step(); ev != nil; ev = c.step() {
@@ -414,13 +415,10 @@ type presenceDelta struct {
 	delta int
 }
 
-// appendPresenceDeltas folds one peer's merged pair+session stream and
+// appendPresenceDeltas folds pair ki's merged pair+session stream and
 // emits visibility deltas, collecting announced origins into origins.
-func appendPresenceDeltas(deltas []presenceDelta, evs, sess []histEvent, origins map[bgp.ASN]bool) []presenceDelta {
-	if len(evs) == 0 {
-		return deltas // session events alone never create a route
-	}
-	c := stateCursor{evs: evs, sess: sess}
+func appendPresenceDeltas(deltas []presenceDelta, h *History, ki int, origins map[bgp.ASN]bool) []presenceDelta {
+	c := stateCursor{h: h, evs: h.spanRows(ki), sess: h.sessRows(uint32(h.pairKeys[ki] >> 32))}
 	present := false
 	for ev := c.step(); ev != nil; ev = c.step() {
 		if ev.kind == evAnnounce {
@@ -462,20 +460,6 @@ func collectLive(set map[bgp.ASN]bool, live map[bgp.ASN]int) {
 			set[o] = true
 		}
 	}
-}
-
-// communitiesEqual compares two community lists elementwise (order
-// matters: the wire order is part of the attribute).
-func communitiesEqual(a, b []bgp.Community) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // sortedOrigins flattens an origin set into a sorted slice.

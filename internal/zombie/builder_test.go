@@ -3,6 +3,7 @@ package zombie
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/collector"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/pipeline"
 )
 
 // recordBounds returns the end offset of every record of an MRT stream.
@@ -177,5 +179,237 @@ func TestBuildHistoryErrorShape(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// assertMatchesReference checks a columnar History against the oracle's
+// store event by event: same peers, and for every peer the same session
+// stream and the same stream per prefix, in the same order.
+func assertMatchesReference(t *testing.T, h *History, ref *ReferenceHistory) {
+	t.Helper()
+	if !reflect.DeepEqual(h.Peers(), ref.Peers()) {
+		t.Fatalf("peers = %v, reference %v", h.Peers(), ref.Peers())
+	}
+	events := 0
+	for _, peer := range ref.Peers() {
+		if got, want := h.sessionEvents(peer), ref.sessionEvents(peer); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: session stream diverges from the reference:\n got %+v\nwant %+v", peer, got, want)
+		}
+		events += len(ref.sessionEvents(peer))
+		for p, want := range ref.events[peer] {
+			if got := h.pairEvents(peer, p); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %v: event stream diverges from the reference (%d events, want %d)", peer, p, len(got), len(want))
+			}
+			events += len(want)
+		}
+	}
+	if h.Events() != events {
+		t.Errorf("Events() = %d, reference holds %d", h.Events(), events)
+	}
+}
+
+// sealScenario writes one collector's stream built to defeat the seal's
+// shortcuts: a pair with more events than one builder block, in time order
+// with same-second withdraw/announce ties throughout (so every cut lands
+// between two of them); a pair whose timestamps step backwards (the only
+// spans the seal sorts); announcements with and without communities; and a
+// peer that only ever flaps its session.
+func sealScenario(t *testing.T) map[string][]byte {
+	t.Helper()
+	f := collector.NewFleet()
+	busy := sess("rrc25", 300, "2001:db8:feed::2")
+	late := sess("rrc25", 400, "2001:db8:feed::3")
+	idle := sess("rrc25", 500, "2001:db8:feed::4")
+	f.PeerState(t0.Add(-time.Hour), busy, mrt.StateActive, mrt.StateEstablished)
+	f.PeerState(t0.Add(-time.Hour), idle, mrt.StateActive, mrt.StateEstablished)
+	for i := 0; i < blockRows/2+200; i++ {
+		at := t0.Add(time.Duration(i) * time.Second)
+		attrs := attrsAt(t0, 300, bgp.ASN(1000+i%7), 8298, 210312)
+		if i%3 != 0 {
+			attrs.Communities = []bgp.Community{bgp.Community(300<<16 | i%5), bgp.Community(i % 11)}[:1+i%2]
+		}
+		f.PeerWithdraw(at, busy, pfx)
+		f.PeerAnnounce(at, busy, pfx, attrs)
+		if i%50 == 0 {
+			// The collector's clock steps back for one peer's records.
+			f.PeerAnnounce(at.Add(-time.Duration(i%7)*time.Minute), late, pfx, attrsAt(t0, 400, 8298, 210312))
+			f.PeerWithdraw(at.Add(-time.Duration(i)*time.Minute), late, pfx4)
+			f.PeerState(at, idle, mrt.StateEstablished, mrt.StateIdle)
+			f.PeerState(at, idle, mrt.StateActive, mrt.StateEstablished)
+		}
+	}
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return f.UpdatesData()
+}
+
+// TestSealDeterministic: the parallel seal — per-builder cursors, blocks,
+// the sort-only-if-needed path, the community arena — yields the History a
+// single builder fed the whole stream yields, event for event what the
+// oracle's store holds, for every segmentation and worker count; and
+// sealing a builder does not disturb it.
+func TestSealDeterministic(t *testing.T) {
+	updates := sealScenario(t)
+	data := updates["rrc25"]
+	recs, err := mrt.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := BuildHistoryReference(updates, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One builder, sealed halfway and again at the end, as livefeed does.
+	one := NewHistoryBuilder(nil)
+	half := len(recs) / 2
+	for i, rec := range recs {
+		if i == half {
+			fresh, err := BuildHistory(map[string][]byte{"rrc25": data[:recordBounds(data)[half-1]]}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(one.Seal(), fresh) {
+				t.Error("Seal of the first half differs from a fresh build of it")
+			}
+		}
+		if err := one.Observe("rrc25", rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := one.Seal()
+	if !reflect.DeepEqual(one.Seal(), want) {
+		t.Error("a second Seal of the same builder differs from the first")
+	}
+	assertMatchesReference(t, want, ref)
+	if len(one.blocks) < 2 {
+		t.Fatalf("one builder holds %d blocks: the scenario does not cross a block", len(one.blocks))
+	}
+	if _, sorted, _ := sealHistory(&pipeline.Engine{Workers: 1}, []*HistoryBuilder{one}); sorted != 2 || len(want.pairKeys) != 3 {
+		t.Fatalf("seal sorted %d of %d spans, want the 2 out-of-order ones of 3", sorted, len(want.pairKeys))
+	}
+	if evs := want.sessionEvents(PeerID{Collector: "rrc25", AS: 500, Addr: netip.MustParseAddr("2001:db8:feed::4")}); len(evs) < 3 {
+		t.Fatalf("the session-only peer has %d session events", len(evs))
+	}
+
+	for _, nseg := range []int{1, 2, 0} {
+		segs := splitRecords(data, nseg)
+		for _, workers := range []int{1, 2, 8} {
+			h, err := BuildHistoryStreams(map[string][][]byte{"rrc25": segs}, nil, workers)
+			if err != nil {
+				t.Fatalf("%d segments, %d workers: %v", len(segs), workers, err)
+			}
+			if !reflect.DeepEqual(h, want) {
+				t.Errorf("%d segments, %d workers: History diverges from the one-builder build", len(segs), workers)
+			}
+		}
+	}
+}
+
+// TestRowLayout fences the stored row: at most 32 bytes and no pointer, so
+// an arena of rows costs the collector nothing to scan or to write.
+func TestRowLayout(t *testing.T) {
+	typ := reflect.TypeOf(row{})
+	if typ.Size() > 32 {
+		t.Errorf("row is %d bytes, want <= 32", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int64, reflect.Uint32, reflect.Uint16, reflect.Uint8:
+		default:
+			t.Errorf("row.%s is a %v: only fixed-size integers are pointer-free by construction", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestSealAllocs: the seal allocates per pair and per builder, never per
+// event — doubling every pair's events must not add an allocation.
+func TestSealAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	build := func(perPair int) []*HistoryBuilder {
+		builders := []*HistoryBuilder{NewHistoryBuilder(nil), NewHistoryBuilder(nil), NewHistoryBuilder(nil)}
+		path := bgp.NewASPath(300, 8298, 210312)
+		for i := 0; i < perPair; i++ {
+			for _, as := range []bgp.ASN{200, 300, 400} {
+				ev := histEvent{at: t0.Add(time.Duration(i) * time.Second), order: i + 1, kind: evAnnounce, path: path, comms: []bgp.Community{1, 2}}
+				builders[i%3].add(PeerID{Collector: "rrc25", AS: as}, pfx, ev)
+				builders[i%3].add(PeerID{Collector: "rrc25", AS: as}, pfx4, ev)
+			}
+		}
+		return builders
+	}
+	e := &pipeline.Engine{Workers: 1}
+	allocs := func(builders []*HistoryBuilder) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if h, _, err := sealHistory(e, builders); err != nil || len(h.pairKeys) != 6 {
+				t.Fatalf("seal: %v", err)
+			}
+		})
+	}
+	small, large := allocs(build(600)), allocs(build(1200))
+	if large > small {
+		t.Errorf("seal allocates %.0f times for 1200 events per pair, %.0f for 600: it must not grow with events", large, small)
+	}
+}
+
+// TestHistoryTooLarge: past the span index's bound every entry point
+// returns ErrHistoryTooLarge rather than a History with wrapped offsets —
+// one builder refusing the event that would cross it, and the seal refusing
+// builders that are each within it but together are not.
+func TestHistoryTooLarge(t *testing.T) {
+	defer func(old uint64) { maxHistory = old }(maxHistory)
+	maxHistory = 6
+
+	var buf bytes.Buffer
+	wr := mrt.NewWriter(&buf)
+	for i := 0; i < 4; i++ { // 4 records of 3 announcements: 12 events
+		u := &bgp.Update{
+			NLRI: []netip.Prefix{pfx4, netip.MustParsePrefix("93.175.147.0/24"), netip.MustParsePrefix("93.175.148.0/24")},
+			Attrs: bgp.PathAttributes{
+				HasOrigin: true,
+				ASPath:    bgp.NewASPath(64500, 64501),
+				NextHop:   netip.MustParseAddr("192.0.2.1"),
+			},
+		}
+		wire, err := u.AppendWireFormat(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wr.Write(&mrt.BGP4MPMessage{
+			Timestamp: t0.Add(time.Duration(i) * time.Second),
+			PeerAS:    64500, LocalAS: 64499, AFI: bgp.AFIIPv4,
+			PeerIP: netip.MustParseAddr("192.0.2.2"), LocalIP: netip.MustParseAddr("192.0.2.100"),
+			Data: wire,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := buf.Bytes()
+	recs, err := mrt.ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := NewHistoryBuilder(nil)
+	for i, rec := range recs {
+		err := b.Observe("rrc00", rec)
+		if want := i >= 2; (err != nil) != want || (want && !errors.Is(err, ErrHistoryTooLarge)) {
+			t.Fatalf("Observe of record %d: %v", i, err)
+		}
+	}
+	if h := b.Seal(); h.Events() != 6 {
+		t.Errorf("a full builder sealed %d events, want the 6 it accepted", h.Events())
+	}
+	for _, nseg := range []int{1, 0} { // one builder over the bound; four within it
+		if _, err := BuildHistoryStreams(map[string][][]byte{"rrc00": splitRecords(data, nseg)}, nil, 2); !errors.Is(err, ErrHistoryTooLarge) {
+			t.Errorf("BuildHistoryStreams over %d segments: %v, want ErrHistoryTooLarge", nseg, err)
+		}
+	}
+	maxHistory = 3 // the fourth record's position alone is past the bound
+	if _, err := BuildHistoryStreams(map[string][][]byte{"rrc00": splitRecords(data, 0)}, nil, 2); !errors.Is(err, ErrHistoryTooLarge) {
+		t.Errorf("BuildHistoryStreams past the position bound: %v, want ErrHistoryTooLarge", err)
 	}
 }

@@ -64,7 +64,10 @@ func TestStateFold(t *testing.T) {
 	} {
 		evs := []histEvent{{at: at(5), order: tc.annOrder, kind: evAnnounce, path: newPath, agg: newAgg}}
 		sess := []histEvent{{at: at(5), order: tc.downOrder, kind: evSessionDown}}
-		c := stateCursor{evs: evs, sess: sess}
+		b, peer := NewHistoryBuilder(nil), PeerID{Collector: "rrc25", AS: 300}
+		b.add(peer, pfx, evs[0])
+		b.addSession(peer, sess[0])
+		c := b.Seal().cursor(peer, pfx, true)
 		if st := c.advance(at(5)); st.Present || !st.LastEvent.IsZero() {
 			t.Errorf("%s: events at the query instant folded: %+v", tc.name, st)
 		}
@@ -180,7 +183,7 @@ func TestStateFoldMatchesOracle(t *testing.T) {
 				if got, want := h.StateAt(peer, p, at), refStateAt(ref.pairEvents(peer, p), ref.sessionEvents(peer), at); !reflect.DeepEqual(got, want) {
 					t.Fatalf("StateAt(%v, %v, %v) = %+v, oracle walk %+v", peer, p, at, got, want)
 				}
-				c := stateCursor{evs: h.pairEvents(peer, p)}
+				c := h.cursor(peer, p, false)
 				got := c.advance(at)
 				if want := refStateAt(ref.pairEvents(peer, p), nil, at); !reflect.DeepEqual(got, want) {
 					t.Fatalf("session-less cursor(%v, %v, %v) = %+v, oracle walk %+v", peer, p, at, got, want)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"zombiescope/internal/bgp"
@@ -22,7 +23,9 @@ const (
 	evSessionUp
 )
 
-// histEvent is one state-relevant event for a (peer, prefix).
+// histEvent is one state-relevant event for a (peer, prefix), decoded: what
+// recordEvents emits and State.fold consumes. The columnar store keeps the
+// packed row instead (columnar.go).
 type histEvent struct {
 	at    time.Time
 	order int // archive position, breaks same-second ties
@@ -35,22 +38,27 @@ type histEvent struct {
 // History is the reconstructed message-level state of every tracked
 // (peer, prefix) pair, the substrate of the revised methodology.
 //
-// The store is columnar: peers and prefixes are canonicalized to dense
-// sorted indices, every (peer, prefix) event stream is a contiguous span
-// of one shared arena (laid out in ascending pairKey order), and session
-// events live in a parallel arena spanned per peer. The layout is built by
-// sealHistory in columnar.go and is identical no matter how many builders
-// produced the events.
+// The store is columnar: peers, prefixes, AS paths and aggregators are
+// canonicalized to dense sorted indices, every (peer, prefix) event stream
+// is a contiguous span of one shared arena of packed rows (laid out in
+// ascending pairKey order), and session events live in a parallel arena
+// spanned per peer. The layout is built by sealHistory in columnar.go and
+// is identical no matter how many builders produced the events.
 type History struct {
 	peers     []PeerID
 	prefixes  []netip.Prefix
 	peerIdx   map[PeerID]uint32
 	prefixIdx map[netip.Prefix]uint32
-	events    []histEvent     // pair-event arena
-	pairs     map[uint64]span // pairKey -> slice of events
-	pairKeys  []uint64        // sorted pair keys: the arena's span order
-	sess      []histEvent     // session-event arena
-	sessSpans []span          // indexed by peer index; zero span = none
+	paths     []bgp.ASPath      // what row.path indexes; [0] is the empty path
+	aggs      []*bgp.Aggregator // what row.agg indexes; [0] is nil
+	comms     []bgp.Community   // community arena: per pair, in stream order
+	events    []row             // pair-event arena
+	pairKeys  []uint64          // sorted pair keys: the arena's span order
+	spans     []span            // parallel to pairKeys
+	byPrefix  []uint32          // pair numbers grouped by prefix, ascending peer within
+	prefixOff []uint32          // prefix xi's pairs are byPrefix[prefixOff[xi]:prefixOff[xi+1]]
+	sess      []row             // session-event arena
+	sessSpans []span            // indexed by peer index; zero span = none
 }
 
 // TrackSet selects the prefixes worth reconstructing (beacon prefixes).
@@ -134,7 +142,15 @@ func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelis
 	m := pipeline.Default
 	mergeStart := time.Now()
 	mergeSp := sp.Start("zombie.merge")
-	h := sealHistory(builders)
+	h, sorted, err := sealHistory(e, builders)
+	if err != nil {
+		mergeSp.End()
+		return nil, err
+	}
+	mergeSp.SetArg("events", h.Events())
+	mergeSp.SetArg("pairs", len(h.pairKeys))
+	mergeSp.SetArg("builders", len(builders))
+	mergeSp.SetArg("spans_sorted", sorted)
 	mergeSp.End()
 	m.AddMerged(len(builders))
 	m.ObserveMerge(time.Since(mergeStart))
@@ -161,9 +177,10 @@ func wrapFileError(err error) error {
 //
 // With scratch non-nil the BGP message is decoded zero-copy into the
 // scratch workspace with interned AS paths and aggregators; the update is
-// only valid until the next call, but everything stored into histEvents
-// (interned path/agg, prefix values) is retention-safe. With scratch nil
-// the original fully-allocating decode runs.
+// only valid until the next call, so an emitted event's comms alias the
+// workspace and must be copied by a callback that keeps them (its interned
+// path/agg and prefix values are retention-safe). With scratch nil the
+// original fully-allocating decode runs and an event owns everything.
 func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratch *bgp.Scratch,
 	prefixEv func(peer PeerID, p netip.Prefix, ev histEvent),
 	sessionEv func(peer PeerID, ev histEvent),
@@ -199,19 +216,14 @@ func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratc
 			}
 		}
 		annEv := histEvent{at: r.Timestamp, order: order, kind: evAnnounce, path: u.Attrs.ASPath, agg: u.Attrs.Aggregator}
-		cloned := false
+		if len(u.Attrs.Communities) > 0 { // nil when the announcement carried none
+			annEv.comms = u.Attrs.Communities
+		}
 		for _, ps := range [2][]netip.Prefix{u.NLRI, mpNLRI} {
 			for _, p := range ps {
-				if !track.tracks(p) {
-					continue
+				if track.tracks(p) {
+					prefixEv(peer, p, annEv)
 				}
-				// Cloned once, and only when an NLRI is tracked: most
-				// community-carrying records of a storm-shaped feed
-				// announce prefixes nobody reconstructs.
-				if !cloned {
-					annEv.comms, cloned = cloneCommunities(u.Attrs.Communities), true
-				}
-				prefixEv(peer, p, annEv)
 			}
 		}
 	case *mrt.BGP4MPStateChange:
@@ -227,50 +239,84 @@ func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratc
 	return nil
 }
 
-// cloneCommunities copies a decoded community list for retention. The
-// scratch decoder reuses its Communities backing array across records, so
-// anything stored into the arena must be copied out. Empty lists map to
-// nil: records without communities stay allocation-free (the alloc fence
-// counts on it) and both decode modes produce the same stored value.
-func cloneCommunities(cs []bgp.Community) []bgp.Community {
-	if len(cs) == 0 {
-		return nil
-	}
-	out := make([]bgp.Community, len(cs))
-	copy(out, cs)
-	return out
+// event decodes a stored row back into the form recordEvents emitted.
+func (h *History) event(r *row, ev *histEvent) {
+	*ev = histEvent{at: r.time(), order: int(r.order), kind: r.kind, path: h.paths[r.path], agg: h.aggs[r.agg], comms: h.rowComms(r)}
 }
 
-// pairSpan returns the time-ordered event stream of (peer pi, prefix xi),
-// empty if none.
-func (h *History) pairSpan(pi, xi uint32) []histEvent {
-	sp := h.pairs[pairKey(pi, xi)]
+// rowComms returns a row's communities, nil when it carried none.
+func (h *History) rowComms(r *row) []bgp.Community {
+	if r.commN == 0 {
+		return nil
+	}
+	return h.comms[r.commOff:][:r.commN]
+}
+
+// spanRows returns the time-ordered event stream of pair number ki, the
+// pair of pairKeys[ki].
+func (h *History) spanRows(ki int) []row {
+	sp := h.spans[ki]
 	return h.events[sp.off : sp.off+sp.n]
 }
 
-// sessSpan returns the time-ordered session stream of peer pi.
-func (h *History) sessSpan(pi uint32) []histEvent {
+// sessRows returns the time-ordered session stream of peer pi.
+func (h *History) sessRows(pi uint32) []row {
 	sp := h.sessSpans[pi]
 	return h.sess[sp.off : sp.off+sp.n]
 }
 
-// pairEvents is pairSpan by identity rather than dense index.
-func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
-	pi, okPeer := h.peerIdx[peer]
-	xi, okPrefix := h.prefixIdx[p]
-	if !okPeer || !okPrefix {
-		return nil
-	}
-	return h.pairSpan(pi, xi)
+// prefixPairs returns the pair numbers of prefix xi, in ascending peer order.
+func (h *History) prefixPairs(xi uint32) []uint32 {
+	return h.byPrefix[h.prefixOff[xi]:h.prefixOff[xi+1]]
 }
 
-// sessionEvents is sessSpan by identity.
-func (h *History) sessionEvents(peer PeerID) []histEvent {
-	if pi, ok := h.peerIdx[peer]; ok {
-		return h.sessSpan(pi)
+// cursor returns a state cursor over (peer, prefix) by identity; without
+// sessions it is the looking-glass reconstruction that never saw STATE
+// messages. An unknown peer or prefix folds nothing.
+func (h *History) cursor(peer PeerID, p netip.Prefix, sessions bool) stateCursor {
+	c := stateCursor{h: h}
+	pi, okPeer := h.peerIdx[peer]
+	if !okPeer {
+		return c
 	}
-	return nil
+	if xi, ok := h.prefixIdx[p]; ok {
+		if ki, ok := slices.BinarySearch(h.pairKeys, pairKey(pi, xi)); ok {
+			c.evs = h.spanRows(ki)
+		}
+	}
+	if sessions {
+		c.sess = h.sessRows(pi)
+	}
+	return c
 }
+
+// decoded materializes rows as decoded events: the view the oracle's row
+// sweep (DetectFromHistoryRows) walks. Shipped sweeps never build it — the
+// cursor decodes one row at a time.
+func (h *History) decoded(rows []row) []histEvent {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]histEvent, len(rows))
+	for i := range rows {
+		h.event(&rows[i], &out[i])
+	}
+	return out
+}
+
+func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
+	c := h.cursor(peer, p, false)
+	return h.decoded(c.evs)
+}
+
+func (h *History) sessionEvents(peer PeerID) []histEvent {
+	c := h.cursor(peer, netip.Prefix{}, true)
+	return h.decoded(c.sess)
+}
+
+// Events returns how many events the history stores, pair and session
+// events together.
+func (h *History) Events() int { return len(h.events) + len(h.sess) }
 
 // Peers returns every peer seen in the archives, sorted.
 func (h *History) Peers() []PeerID { return h.peers }
@@ -315,7 +361,7 @@ func (st *State) fold(ev *histEvent) {
 // StateAt reconstructs the state of (peer, prefix) at time t, honoring
 // session downs and ignoring events at or after t.
 func (h *History) StateAt(peer PeerID, p netip.Prefix, t time.Time) State {
-	c := stateCursor{evs: h.pairEvents(peer, p), sess: h.sessionEvents(peer)}
+	c := h.cursor(peer, p, true)
 	return c.advance(t)
 }
 
@@ -325,8 +371,8 @@ func (h *History) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
 	if !ok {
 		return false
 	}
-	for pi := range h.peers {
-		if seenInSpan(h.pairSpan(uint32(pi), xi), from, to) {
+	for _, ki := range h.prefixPairs(xi) {
+		if seenInSpan(h.spanRows(int(ki)), from, to) {
 			return true
 		}
 	}

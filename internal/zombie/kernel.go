@@ -44,18 +44,21 @@ type prefixPlan struct {
 // peer's session stream, folded resumably into the running State: advance
 // serves successive query instants, step the sweeps that look at every
 // event. An empty session stream is the IgnoreSessionState / legacy
-// looking-glass reconstruction.
+// looking-glass reconstruction. The streams are packed rows of h; a row is
+// decoded only at the moment it is folded.
 type stateCursor struct {
-	evs, sess []histEvent
+	h         *History
+	evs, sess []row
 	i, j      int
+	ev        histEvent // the event folded last
 	st        State
 }
 
-// peek returns the merge's next event (nil when both streams are
-// exhausted) and the stream position to bump to consume it.
-func (c *stateCursor) peek() (*histEvent, *int) {
+// peek returns the merge's next row (nil when both streams are exhausted)
+// and the stream position to bump to consume it.
+func (c *stateCursor) peek() (*row, *int) {
 	switch {
-	case c.j < len(c.sess) && (c.i >= len(c.evs) || eventLess(c.sess[c.j], c.evs[c.i])):
+	case c.j < len(c.sess) && (c.i >= len(c.evs) || compareRows(c.sess[c.j], c.evs[c.i]) < 0):
 		return &c.sess[c.j], &c.j
 	case c.i < len(c.evs):
 		return &c.evs[c.i], &c.i
@@ -63,36 +66,41 @@ func (c *stateCursor) peek() (*histEvent, *int) {
 	return nil, nil
 }
 
+// take consumes the row peek returned: decodes it and folds it into the
+// state. The decoded event is valid until the next take.
+func (c *stateCursor) take(r *row, pos *int) *histEvent {
+	*pos++
+	c.h.event(r, &c.ev)
+	c.st.fold(&c.ev)
+	return &c.ev
+}
+
 // step folds the merge's next event into the state and returns it, or nil
 // at the end.
 func (c *stateCursor) step() *histEvent {
-	ev, pos := c.peek()
-	if ev != nil {
-		*pos++
-		c.st.fold(ev)
+	if r, pos := c.peek(); r != nil {
+		return c.take(r, pos)
 	}
-	return ev
+	return nil
 }
 
 // advance folds events strictly before t into the running state and
 // returns it. t must not decrease across calls on one cursor.
 func (c *stateCursor) advance(t time.Time) State {
-	for ev, pos := c.peek(); ev != nil && ev.at.Before(t); ev, pos = c.peek() {
-		*pos++
-		c.st.fold(ev)
+	tn := t.UnixNano()
+	for r, pos := c.peek(); r != nil && r.at < tn; r, pos = c.peek() {
+		c.take(r, pos)
 	}
 	return c.st
 }
 
 // seenInSpan reports whether evs holds an announce in [from, to), using
 // the span's (at, order) sort for a binary-searched start.
-func seenInSpan(evs []histEvent, from, to time.Time) bool {
-	lo := sort.Search(len(evs), func(i int) bool { return !evs[i].at.Before(from) })
-	for _, ev := range evs[lo:] {
-		if !ev.at.Before(to) {
-			break
-		}
-		if ev.kind == evAnnounce {
+func seenInSpan(evs []row, from, to time.Time) bool {
+	fn, tn := from.UnixNano(), to.UnixNano()
+	lo := sort.Search(len(evs), func(i int) bool { return evs[i].at >= fn })
+	for i := lo; i < len(evs) && evs[i].at < tn; i++ {
+		if evs[i].kind == evAnnounce {
 			return true
 		}
 	}
@@ -134,18 +142,17 @@ func (d *Detector) planQueries(h *History, intervals []beacon.Interval) []*prefi
 // st/pre are caller-owned scratch slots reused across spans.
 func (d *Detector) sweepRange(h *History, intervals []beacon.Interval, plans []*prefixPlan,
 	lo, hi int, results []intervalResult, stScratch, preScratch []State) {
-	for _, k := range h.pairKeys[lo:hi] {
-		pi, xi := uint32(k>>32), uint32(k)
+	for ki := lo; ki < hi; ki++ {
+		pi, xi := uint32(h.pairKeys[ki]>>32), uint32(h.pairKeys[ki])
 		pl := plans[xi]
 		if pl == nil {
 			continue
 		}
-		evs := h.pairSpan(pi, xi)
-		var sess []histEvent
+		evs := h.spanRows(ki)
+		cur := stateCursor{h: h, evs: evs}
 		if !d.IgnoreSessionState {
-			sess = h.sessSpan(pi)
+			cur.sess = h.sessRows(pi)
 		}
-		cur := stateCursor{evs: evs, sess: sess}
 		for _, q := range pl.queries {
 			if q.pre {
 				preScratch[q.slot] = cur.advance(q.at)

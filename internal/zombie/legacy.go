@@ -54,7 +54,7 @@ func (d *LegacyDetector) availability() float64 {
 func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report {
 	return d.detect(h.Peers(), h.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
 		// No session stream: the looking glass never saw STATE messages.
-		c := stateCursor{evs: h.pairEvents(peer, p)}
+		c := h.cursor(peer, p, false)
 		return c.advance(t)
 	}, intervals)
 }

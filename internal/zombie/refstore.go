@@ -91,6 +91,14 @@ func (r *ReferenceHistory) touch(peer PeerID) {
 	}
 }
 
+// eventLess is the canonical event order: time, then archive position.
+func eventLess(a, b histEvent) bool {
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
+	}
+	return a.order < b.order
+}
+
 func (r *ReferenceHistory) finish() {
 	for _, m := range r.events {
 		for _, evs := range m {
