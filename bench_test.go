@@ -307,14 +307,15 @@ func pipelineWorkerCounts() []int {
 // end — open an on-disk archive directory, decode every MRT record in
 // borrow mode, release — comparing the mmap zero-copy path
 // (archive.OpenMapped: each rotated file stays its own mapped segment,
-// record bodies alias the mapping) against the ReadFull heap path
-// (archive.Load: every collector's files are read and concatenated into
-// one heap buffer). Both modes decode through the same chunked fold with
-// a fixed worker count, so chunking — and therefore allocs/op — is
-// machine-independent and the committed BENCH_ingest.json alloc fence
-// holds everywhere. B/op is the structural proof of "no per-record body
-// copies": readfull pays at least the archive size in heap per
-// iteration, mmap allocates only per-chunk scaffolding.
+// record bodies alias the mapping) against the heap path (archive.Load:
+// the same mapped set, materialized — every collector's files copied into
+// one heap buffer; the mode keeps its recorded name, readfull). Both modes
+// decode through the same chunked fold with a fixed worker count, so
+// chunking — and therefore allocs/op — is machine-independent and the
+// committed BENCH_ingest.json alloc fence holds everywhere. B/op is the
+// structural proof of "no per-record body copies": readfull pays at least
+// the archive size in heap per iteration, mmap allocates only per-chunk
+// scaffolding.
 func BenchmarkArchiveIngest(b *testing.B) {
 	d, err := experiments.RunAuthorScenario(benchAuthorConfig())
 	if err != nil {

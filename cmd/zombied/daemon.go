@@ -230,7 +230,7 @@ func (d *daemon) run(ctx context.Context) error {
 		httpSrv = &http.Server{Handler: d.httpMux()}
 		go httpSrv.Serve(d.httpL)
 		d.logger.Info("http listening", "addr", d.httpAddr().String(),
-			"endpoints", "/metrics /metrics/livefeed /metrics/pipeline /statusz /healthz /readyz /debug/pprof/")
+			"endpoints", "/metrics /statusz /healthz /readyz /debug/pprof/")
 	}
 
 	replayed := make(chan error, 1)
@@ -322,13 +322,11 @@ func (d *daemon) writeTrace() {
 }
 
 // httpMux assembles the daemon's observability surface: a unified
-// Prometheus scrape, the legacy JSON snapshots, split liveness/readiness
-// probes, and the Go profiler.
+// Prometheus scrape, the statusz page, split liveness/readiness probes,
+// and the Go profiler.
 func (d *daemon) httpMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.MultiHandler(d.broker.Metrics().Registry(), pipeline.Default.Registry(), collector.Registry()))
-	mux.Handle("/metrics/livefeed", d.broker.Metrics().Handler())
-	mux.Handle("/metrics/pipeline", pipeline.Default.Handler())
 	mux.Handle("/statusz", statusz.Handler(d.status))
 	// /healthz is pure liveness: the process is up and serving HTTP.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -42,8 +42,6 @@
 //	/metrics           Prometheus text exposition of every subsystem
 //	                   (livefeed broker + detector, pipeline stages,
 //	                   collector fleet, Go runtime) as one scrape target
-//	/metrics/livefeed  legacy expvar-style JSON broker counters
-//	/metrics/pipeline  legacy expvar-style JSON pipeline counters
 //	/statusz           one-page introspection snapshot: stage latency
 //	                   summaries, per-subscriber sessions, store
 //	                   watermarks (JSON; ?format=html for a browser view;

@@ -84,7 +84,7 @@ func run(args []string, w io.Writer) (err error) {
 		hyperMin   = fs.Duration("hyper-min", zombie.DefaultHyperMinDuration, "minimum visibility for a hyper-specific prefix finding")
 		stormMin   = fs.Int("storm-events", zombie.DefaultStormMinEvents, "community changes within -storm-window that constitute a noise storm")
 		stormWin   = fs.Duration("storm-window", zombie.DefaultStormWindow, "rate window for community-storm detection")
-		parallel   = fs.Int("parallel", runtime.NumCPU(), "pipeline workers for decode/detection (0 = sequential; the report is identical either way)")
+		parallel   = fs.Int("parallel", runtime.NumCPU(), "pipeline workers for decode/detection (0 or 1: one inline worker; the report is identical for any value)")
 		traceOut   = fs.String("trace", "", "write the run's spans as Chrome trace-event JSON to this file")
 		progress   = fs.Duration("progress", 0, "log a pipeline progress heartbeat to stderr at this interval (0 disables)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")

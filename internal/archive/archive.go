@@ -12,7 +12,6 @@ package archive
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,72 +27,22 @@ type Set struct {
 	Dumps   map[string][]byte
 }
 
-// Load reads an archive directory into memory. Collectors are
-// subdirectories; all their updates*.mrt files are concatenated in
-// lexical (= chronological) order into one exactly-sized buffer per
-// collector (sizes are summed up front, so concatenation never
-// reallocates or holds two copies). Missing bview.mrt files are fine.
+// Load reads an archive directory into memory: OpenMapped's directory
+// walk, materialized — each collector's updates*.mrt files concatenated in
+// lexical (= chronological) order into one exactly-sized heap buffer that
+// outlives the mappings. Missing bview.mrt files are fine.
 //
-// Load materializes every stream, so it is bounded by available memory —
-// roughly the archive's on-disk size. Month-scale archives should be
-// streamed instead: OpenUpdates reads a collector's rotated files
-// sequentially without loading them, and the zombied daemon's durable
-// event store (-store-dir) replaces bulk reloads entirely.
+// Load copies every stream, so it is bounded by available memory — roughly
+// the archive's on-disk size. Month-scale archives should stay mapped
+// (OpenMapped feeds pipeline.FoldStreams without copying), and the zombied
+// daemon's durable event store (-store-dir) replaces bulk reloads entirely.
 func Load(dir string) (*Set, error) {
-	names, err := Collectors(dir)
+	m, err := OpenMapped(dir)
 	if err != nil {
 		return nil, err
 	}
-	set := &Set{
-		Updates: make(map[string][]byte),
-		Dumps:   make(map[string][]byte),
-	}
-	for _, name := range names {
-		sub := filepath.Join(dir, name)
-		files, err := updateFiles(sub)
-		if err != nil {
-			return nil, err
-		}
-		if dump := filepath.Join(sub, "bview.mrt"); fileExists(dump) {
-			b, err := os.ReadFile(dump)
-			if err != nil {
-				return nil, fmt.Errorf("archive: %w", err)
-			}
-			set.Dumps[name] = b
-		}
-		total := int64(0)
-		sizes := make([]int64, len(files))
-		for i, uf := range files {
-			fi, err := os.Stat(uf)
-			if err != nil {
-				return nil, fmt.Errorf("archive: %w", err)
-			}
-			sizes[i] = fi.Size()
-			total += fi.Size()
-		}
-		if total == 0 {
-			continue
-		}
-		stream := make([]byte, total)
-		off := int64(0)
-		for i, uf := range files {
-			f, err := os.Open(uf)
-			if err != nil {
-				return nil, fmt.Errorf("archive: %w", err)
-			}
-			_, err = io.ReadFull(f, stream[off:off+sizes[i]])
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("archive: reading %s: %w", uf, err)
-			}
-			off += sizes[i]
-		}
-		set.Updates[name] = stream
-	}
-	if len(set.Updates) == 0 {
-		return nil, fmt.Errorf("archive: no <collector>/updates*.mrt files under %s", dir)
-	}
-	return set, nil
+	defer m.Close()
+	return m.Materialize(), nil
 }
 
 // Collectors lists the collector subdirectories of an archive, sorted.
@@ -135,65 +84,6 @@ func updateFiles(sub string) ([]string, error) {
 func fileExists(path string) bool {
 	fi, err := os.Stat(path)
 	return err == nil && !fi.IsDir()
-}
-
-// OpenUpdates streams one collector's rotated update files concatenated
-// in lexical order, opening each file only when the previous one is
-// exhausted — constant memory no matter how large the archive. Because
-// MRT records are self-delimiting, the returned reader is one valid MRT
-// stream (feed it straight to mrt.NewReader). Close releases the file
-// currently open.
-func OpenUpdates(dir, name string) (io.ReadCloser, error) {
-	files, err := updateFiles(filepath.Join(dir, name))
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("archive: no update files for collector %s under %s", name, dir)
-	}
-	return &fileChain{paths: files}, nil
-}
-
-// fileChain is a lazy io.ReadCloser over a sequence of files.
-type fileChain struct {
-	paths []string
-	next  int
-	cur   *os.File
-}
-
-func (c *fileChain) Read(p []byte) (int, error) {
-	for {
-		if c.cur == nil {
-			if c.next >= len(c.paths) {
-				return 0, io.EOF
-			}
-			f, err := os.Open(c.paths[c.next])
-			if err != nil {
-				return 0, fmt.Errorf("archive: %w", err)
-			}
-			c.cur = f
-			c.next++
-		}
-		n, err := c.cur.Read(p)
-		if err == io.EOF {
-			c.cur.Close()
-			c.cur = nil
-			if n > 0 {
-				return n, nil
-			}
-			continue // next file
-		}
-		return n, err
-	}
-}
-
-func (c *fileChain) Close() error {
-	if c.cur == nil {
-		return nil
-	}
-	err := c.cur.Close()
-	c.cur = nil
-	return err
 }
 
 // Write stores an in-memory archive in the single-file layout.

@@ -2,7 +2,6 @@ package archive
 
 import (
 	"bytes"
-	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -152,87 +151,5 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load("/nonexistent/archive"); err == nil {
 		t.Error("missing dir accepted")
-	}
-}
-
-func TestOpenUpdatesStreamsRotatedFiles(t *testing.T) {
-	dir := t.TempDir()
-	f := collector.NewFleet()
-	f.Collector("rrc25").SetRotatePeriod(time.Hour)
-	feed(t, f, 4)
-	if err := WriteFleet(dir, f); err != nil {
-		t.Fatal(err)
-	}
-	set, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	names, err := Collectors(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "rrc25" {
-		t.Fatalf("Collectors = %v, want [rrc25]", names)
-	}
-
-	rc, err := OpenUpdates(dir, "rrc25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read through a tiny buffer so every file-boundary transition inside
-	// fileChain.Read is exercised.
-	var got bytes.Buffer
-	buf := make([]byte, 7)
-	for {
-		n, err := rc.Read(buf)
-		got.Write(buf[:n])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), set.Updates["rrc25"]) {
-		t.Fatalf("streamed %d bytes differ from Load's %d-byte stream",
-			got.Len(), len(set.Updates["rrc25"]))
-	}
-	// The concatenated stream decodes as valid MRT.
-	recs, err := mrt.ReadAll(bytes.NewReader(got.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 8 {
-		t.Errorf("streamed %d records, want 8", len(recs))
-	}
-}
-
-func TestOpenUpdatesCloseMidStream(t *testing.T) {
-	dir := t.TempDir()
-	f := collector.NewFleet()
-	f.Collector("rrc25").SetRotatePeriod(time.Hour)
-	feed(t, f, 4)
-	if err := WriteFleet(dir, f); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := OpenUpdates(dir, "rrc25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Read(make([]byte, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := OpenUpdates(dir, "rrc99"); err == nil {
-		t.Error("missing collector accepted")
 	}
 }

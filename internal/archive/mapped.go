@@ -99,9 +99,8 @@ func (s *MappedSet) Close() {
 }
 
 // Materialize concatenates the mapped segments into the in-memory Set
-// form, copying the bytes so they survive Close. It exists for
-// compatibility bridges and tests; hot paths should consume Updates
-// directly.
+// form, copying the bytes so they survive Close. It is the body of Load;
+// hot paths should consume Updates directly.
 func (s *MappedSet) Materialize() *Set {
 	out := &Set{
 		Updates: make(map[string][]byte, len(s.Updates)),

@@ -18,9 +18,17 @@ func TestOpenMappedMatchesLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if names, err := Collectors(dir); err != nil || len(names) != 1 || names[0] != "rrc25" {
+		t.Fatalf("Collectors = %v, %v; want [rrc25]", names, err)
+	}
+	// Load is OpenMapped + Materialize + Close, so the ground truth is the
+	// fleet's own in-memory streams, not a second directory reader.
 	set, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := f.Collector("rrc25"); !bytes.Equal(set.Updates["rrc25"], c.UpdatesData()) || !bytes.Equal(set.Dumps["rrc25"], c.DumpData()) {
+		t.Fatal("Load differs from the streams the fleet wrote")
 	}
 	ms, err := OpenMapped(dir)
 	if err != nil {

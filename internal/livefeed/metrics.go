@@ -1,8 +1,6 @@
 package livefeed
 
 import (
-	"encoding/json"
-	"net/http"
 	"sync"
 	"time"
 
@@ -24,10 +22,10 @@ var stageBuckets = []float64{
 	1e-3, 2.5e-3, 1e-2, 0.1, 1, 10,
 }
 
-// Metrics holds the broker's instruments on an obs registry. The JSON
-// Snapshot (and its expvar-style handler) keeps the original flat-map
-// shape as a thin view; the registry serves the same state as Prometheus
-// exposition, including the latency distributions the flat map can only
+// Metrics holds the broker's instruments on an obs registry. Snapshot
+// keeps the original flat-map shape as a thin in-process view; the
+// registry serves the same state as Prometheus exposition (the only HTTP
+// form), including the latency distributions the flat map can only
 // summarize. The zero value is usable (it lazily builds a private
 // registry); pass a shared registry through Config.Metrics /
 // NewMetrics to scrape several subsystems as one target.
@@ -206,8 +204,8 @@ func (m *Metrics) LatencySummaries() map[string]obs.HistogramSummary {
 	}
 }
 
-// Snapshot returns the counters as a flat map, expvar style — the legacy
-// JSON shape, now a view over the registry. A nil receiver returns the
+// Snapshot returns the counters as a flat map, expvar style — a view over
+// the registry. A nil receiver returns the
 // all-zero snapshot.
 func (m *Metrics) Snapshot() map[string]int64 {
 	out := map[string]int64{
@@ -233,15 +231,4 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		out["detect_latency_count"] = int64(n)
 	}
 	return out
-}
-
-// Handler serves the snapshot as JSON (an expvar-style /metrics page).
-// Safe on a nil receiver: it serves the all-zero snapshot.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.Snapshot())
-	})
 }

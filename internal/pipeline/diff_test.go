@@ -1,237 +1,63 @@
-// Differential test harness: the parallel pipeline must be observationally
-// identical to the sequential path. Randomized netsim scenarios — session
-// resets, withdrawals, zombie faults — are detected both ways and the
-// reports compared with deep equality at several parallelism levels.
+// Worker-count independence through the exported API: the engine-level
+// half of the differential harness. The oracle half — the same test names
+// against the row/map reference store, the row sweep and the reader-loop
+// lifespan tracker, on its own randomized beacon scenarios — lives in
+// internal/zombie (diff_test.go), next to the oracles, which are test-only
+// code there. What stays here needs nothing unexported: on the seeded
+// all-pathology scenarios of internal/experiments, every worker count must
+// produce the History and Report of one inline worker.
 package pipeline_test
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand/v2"
-	"net/netip"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
-	"zombiescope/internal/beacon"
-	"zombiescope/internal/bgp"
-	"zombiescope/internal/collector"
+	"zombiescope/internal/experiments"
 	"zombiescope/internal/mrt"
-	"zombiescope/internal/netsim"
-	"zombiescope/internal/topology"
 	"zombiescope/internal/zombie"
 )
 
-// diffParallelism is the set of worker counts the harness checks against
-// the sequential output.
+// diffParallelism is the set of worker counts checked against the
+// one-inline-worker output (Parallelism 0).
 var diffParallelism = []int{1, 2, 8}
 
-// diffGraph is the harness topology:
-//
-//	   1 ===== 2        (Tier-1 peering)
-//	  / \     / \
-//	10   11--+   12     (11 is multihomed to both Tier-1s)
-//	 |    |       |
-//	100  200     300    (100 = beacon origin; 200, 300 = collector peers)
-func diffGraph(t *testing.T) *topology.Graph {
+// diffScenario generates the seed's all-pathology scenario and the track
+// set of its beacon prefixes.
+func diffScenario(t *testing.T, seed uint64) (*experiments.AnomalyScenario, zombie.TrackSet) {
 	t.Helper()
-	g := topology.New()
-	for _, a := range []struct {
-		asn  bgp.ASN
-		tier int
-	}{{1, 1}, {2, 1}, {10, 2}, {11, 2}, {12, 2}, {100, 3}, {200, 3}, {300, 3}} {
-		g.AddAS(a.asn, "", a.tier)
-	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(g.AddP2P(1, 2))
-	must(g.AddC2P(10, 1))
-	must(g.AddC2P(11, 1))
-	must(g.AddC2P(11, 2))
-	must(g.AddC2P(12, 2))
-	must(g.AddC2P(100, 10))
-	must(g.AddC2P(200, 11))
-	must(g.AddC2P(300, 12))
-	return g
-}
-
-const diffOrigin bgp.ASN = 100
-
-var diffPrefixPool = []netip.Prefix{
-	netip.MustParsePrefix("2a0d:3dc1:1200::/48"),
-	netip.MustParsePrefix("2a0d:3dc1:1300::/48"),
-	netip.MustParsePrefix("93.175.146.0/24"),
-	netip.MustParsePrefix("93.175.147.0/24"),
-}
-
-type diffScenario struct {
-	updates   map[string][]byte
-	dumps     map[string][]byte
-	intervals []beacon.Interval
-}
-
-// genScenario simulates one randomized beacon campaign and returns its
-// collector archives. Everything is driven by the seed, so a failure
-// reproduces from the seed alone.
-func genScenario(t *testing.T, seed uint64) diffScenario {
-	t.Helper()
-	rng := rand.New(rand.NewPCG(seed, 0xd1ff))
-	sim := netsim.New(diffGraph(t), netsim.Config{Seed: seed + 1})
-	fleet := collector.NewFleet()
-	sim.SetSink(fleet)
-
-	sessions := []netsim.Session{
-		{Collector: "rrc00", PeerAS: 200, PeerIP: netip.MustParseAddr("2001:db8:feed::200"), AFI: bgp.AFIIPv6},
-		{Collector: "rrc00", PeerAS: 200, PeerIP: netip.MustParseAddr("192.0.2.200"), AFI: bgp.AFIIPv4},
-		{Collector: "rrc01", PeerAS: 300, PeerIP: netip.MustParseAddr("2001:db8:feed::300"), AFI: bgp.AFIIPv6},
-		{Collector: "rrc01", PeerAS: 300, PeerIP: netip.MustParseAddr("192.0.2.130"), AFI: bgp.AFIIPv4},
-	}
-	for _, s := range sessions {
-		if err := sim.AddCollectorSession(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	start := time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
-	prefixes := diffPrefixPool[:2+rng.IntN(len(diffPrefixPool)-1)]
-	rounds := 6 + rng.IntN(6)
-	period := 4 * time.Hour
-	end := start.Add(time.Duration(rounds) * period)
-
-	// Faults, each with its own dice roll. Wedges and withdrawal drops are
-	// the paper's zombie mechanisms; StickRIB models the stuck-FIB case.
-	faults := sim.Faults()
-	if rng.Float64() < 0.5 {
-		ws := start.Add(time.Duration(rng.IntN(rounds)) * period)
-		faults.WedgeLink(1, 11, 0, ws, ws.Add(time.Duration(1+rng.IntN(3*rounds))*time.Hour), nil)
-	}
-	if rng.Float64() < 0.4 {
-		faults.DropWithdrawals(2, 11, 0.3+0.7*rng.Float64(), nil)
-	}
-	if rng.Float64() < 0.3 {
-		faults.DropCollectorWithdrawals(200, 0.5+0.5*rng.Float64(), nil)
-	}
-	if rng.Float64() < 0.3 {
-		faults.StickRIB(10, nil)
-	}
-	if rng.Float64() < 0.2 {
-		faults.GlobalWithdrawalDrop(0.2*rng.Float64(), nil)
-	}
-
-	var intervals []beacon.Interval
-	for _, p := range prefixes {
-		for r := 0; r < rounds; r++ {
-			at := start.Add(time.Duration(r) * period)
-			agg := &bgp.Aggregator{ASN: diffOrigin, Addr: beacon.AggregatorClock(at)}
-			if err := sim.ScheduleAnnounce(at, diffOrigin, p, agg); err != nil {
-				t.Fatal(err)
-			}
-			wd := at.Add(2 * time.Hour)
-			if err := sim.ScheduleWithdraw(wd, diffOrigin, p); err != nil {
-				t.Fatal(err)
-			}
-			intervals = append(intervals, beacon.Interval{
-				Prefix: p, AnnounceAt: at, WithdrawAt: wd, End: at.Add(period),
-			})
-		}
-	}
-
-	// Session churn: AS-level resets resurrect stuck routes; collector
-	// session resets exercise the STATE-record handling.
-	for i, n := 0, rng.IntN(4); i < n; i++ {
-		pairs := [][2]bgp.ASN{{10, 1}, {11, 1}, {11, 2}, {12, 2}}
-		pr := pairs[rng.IntN(len(pairs))]
-		at := start.Add(time.Duration(rng.IntN(rounds*4)) * time.Hour)
-		if err := sim.ScheduleSessionReset(at, pr[0], pr[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, n := 0, rng.IntN(3); i < n; i++ {
-		sess := sessions[rng.IntN(len(sessions))]
-		at := start.Add(time.Duration(rng.IntN(rounds*4)) * time.Hour)
-		if err := sim.ScheduleCollectorSessionReset(at, sess); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sim.EstablishCollectorSessions(start.Add(-time.Hour))
-	for at := start.Add(8 * time.Hour); at.Before(end.Add(24 * time.Hour)); at = at.Add(8 * time.Hour) {
-		sim.Run(at)
-		fleet.SnapshotRIBs(at)
-	}
-	sim.RunAll()
-	if err := fleet.Err(); err != nil {
+	sc, err := experiments.RunAnomalyScenario("all", seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return diffScenario{
-		updates:   fleet.UpdatesData(),
-		dumps:     fleet.DumpData(),
-		intervals: intervals,
+	track := make(zombie.TrackSet)
+	for _, iv := range sc.Intervals {
+		track[iv.Prefix] = true
 	}
+	return sc, track
 }
 
-func diffPrefixes(intervals []beacon.Interval) []netip.Prefix {
-	seen := make(map[netip.Prefix]bool)
-	var out []netip.Prefix
-	for _, iv := range intervals {
-		if !seen[iv.Prefix] {
-			seen[iv.Prefix] = true
-			out = append(out, iv.Prefix)
-		}
-	}
-	return out
-}
-
-// TestParallelMatchesSequential is the differential harness: randomized
-// scenarios, every parallelism level, deep equality on every report.
+// TestParallelMatchesSequential: randomized scenarios, every parallelism
+// level, deep equality on the History and the Report.
 func TestParallelMatchesSequential(t *testing.T) {
 	const scenarios = 50
-	thresholds := []time.Duration{30 * time.Minute, 90 * time.Minute, 3 * time.Hour}
 	for seed := uint64(1); seed <= scenarios; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sc := genScenario(t, seed)
-			track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
-
-			seqHist, err := zombie.BuildHistory(sc.updates, track)
+			sc, track := diffScenario(t, seed)
+			seqHist, err := zombie.BuildHistory(sc.Updates, track)
 			if err != nil {
 				t.Fatal(err)
 			}
 			seqDet := &zombie.Detector{RecordPaths: true}
-			seqRep := seqDet.DetectFromHistory(seqHist, sc.intervals)
-			seqSweep := zombie.Sweep(seqHist, sc.intervals, thresholds, zombie.FilterOptions{})
-			seqLife, err := zombie.TrackLifespans(sc.dumps, sc.intervals, zombie.LifespanConfig{})
-			if err != nil {
-				t.Fatal(err)
+			seqRep := seqDet.DetectFromHistory(seqHist, sc.Intervals)
+			if len(seqRep.Outbreaks) == 0 {
+				t.Fatal("no outbreak — the scenario no longer exercises the detector")
 			}
-
-			// Columnar store vs the original map store: the reference
-			// build shares only recordEvents with the production path
-			// (allocating decode, map-of-maps layout), so agreement here
-			// pins the columnar layout, the interned decode, and the
-			// borrowed-buffer reader all at once.
-			refHist, err := zombie.BuildHistoryReference(sc.updates, track)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refDet := &zombie.Detector{RecordPaths: true}
-			if rep := refHist.Detect(refDet, sc.intervals); !reflect.DeepEqual(rep, seqRep) {
-				t.Errorf("columnar store: Report diverges from reference store")
-			}
-			if sw := refHist.Sweep(sc.intervals, thresholds, zombie.FilterOptions{}); !reflect.DeepEqual(sw, seqSweep) {
-				t.Errorf("columnar store: Sweep diverges from reference store")
-			}
-			legacy := &zombie.LegacyDetector{Seed: seed}
-			if got, want := legacy.Detect(seqHist, sc.intervals), refHist.DetectLegacy(legacy, sc.intervals); !reflect.DeepEqual(got, want) {
-				t.Errorf("columnar store: legacy Report diverges from reference store")
-			}
-
 			for _, par := range diffParallelism {
-				h, err := zombie.BuildHistoryParallel(sc.updates, track, par)
+				h, err := zombie.BuildHistoryParallel(sc.Updates, track, par)
 				if err != nil {
 					t.Fatalf("parallelism %d: BuildHistoryParallel: %v", par, err)
 				}
@@ -239,21 +65,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Errorf("parallelism %d: History diverges from sequential", par)
 				}
 				det := &zombie.Detector{RecordPaths: true, Parallelism: par}
-				if rep := det.DetectFromHistory(h, sc.intervals); !reflect.DeepEqual(rep, seqRep) {
+				if rep := det.DetectFromHistory(h, sc.Intervals); !reflect.DeepEqual(rep, seqRep) {
 					t.Errorf("parallelism %d: Report diverges from sequential", par)
-				}
-				if sw := zombie.SweepParallel(h, sc.intervals, thresholds, zombie.FilterOptions{}, par); !reflect.DeepEqual(sw, seqSweep) {
-					t.Errorf("parallelism %d: Sweep diverges from sequential", par)
-				}
-				lr, err := zombie.TrackLifespans(sc.dumps, sc.intervals, zombie.LifespanConfig{Parallelism: par})
-				if err != nil {
-					t.Fatalf("parallelism %d: TrackLifespans: %v", par, err)
-				}
-				if !reflect.DeepEqual(lr, seqLife) {
-					t.Errorf("parallelism %d: LifespanReport diverges from sequential", par)
-				}
-				if t.Failed() {
-					break
 				}
 			}
 		})
@@ -287,17 +100,17 @@ func splitStream(t *testing.T, data []byte, nseg int) [][]byte {
 	return segs
 }
 
-// TestColumnarKernelMatchesRowSweep is the kernel differential: the same
-// history, evaluated by the row-sweep reference and by the batched
-// columnar kernel, across detector modes and worker counts, must produce
-// deep-equal reports. Randomized scenarios, 50 seeds.
+// TestColumnarKernelMatchesRowSweep: the row sweep is test-only code of
+// internal/zombie now, and the test of this name there compares the kernel
+// with it. This half checks the kernel's range cut from outside: across
+// detector modes, every worker count must reproduce the single-range
+// (one inline worker) report, which the other half ties to the row sweep.
 func TestColumnarKernelMatchesRowSweep(t *testing.T) {
 	const scenarios = 50
 	for seed := uint64(1); seed <= scenarios; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sc := genScenario(t, seed)
-			track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
-			h, err := zombie.BuildHistory(sc.updates, track)
+			sc, track := diffScenario(t, seed)
+			h, err := zombie.BuildHistory(sc.Updates, track)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,17 +123,14 @@ func TestColumnarKernelMatchesRowSweep(t *testing.T) {
 				{"nosessions", zombie.Detector{IgnoreSessionState: true, RecordPaths: true}},
 				{"threshold30m", zombie.Detector{Threshold: 30 * time.Minute, RecordPaths: true}},
 			} {
-				rows := mode.det
-				want := rows.DetectFromHistoryRows(h, sc.intervals)
-				for _, par := range []int{0, 1, 2, 8} {
+				inline := mode.det
+				want := inline.DetectFromHistory(h, sc.Intervals)
+				for _, par := range diffParallelism {
 					col := mode.det
 					col.Parallelism = par
-					if got := col.DetectFromHistory(h, sc.intervals); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s, parallelism %d: columnar kernel diverges from row sweep", mode.name, par)
+					if got := col.DetectFromHistory(h, sc.Intervals); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s, parallelism %d: ranged kernel diverges from the single range", mode.name, par)
 					}
-				}
-				if t.Failed() {
-					break
 				}
 			}
 		})
@@ -333,15 +143,19 @@ func TestColumnarKernelMatchesRowSweep(t *testing.T) {
 func TestStreamsBuildMatchesConcatenated(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sc := genScenario(t, seed)
-			track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
-			want, err := zombie.BuildHistory(sc.updates, track)
+			sc, track := diffScenario(t, seed)
+			want, err := zombie.BuildHistory(sc.Updates, track)
 			if err != nil {
 				t.Fatal(err)
 			}
-			streams := make(map[string][][]byte, len(sc.updates))
-			for name, data := range sc.updates {
+			streams := make(map[string][][]byte, len(sc.Updates))
+			for name, data := range sc.Updates {
 				streams[name] = splitStream(t, data, 3)
+			}
+			seq := &zombie.Detector{RecordPaths: true}
+			wantRep, err := seq.Detect(sc.Updates, sc.Intervals)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, par := range diffParallelism {
 				h, err := zombie.BuildHistoryStreams(streams, track, par)
@@ -351,15 +165,8 @@ func TestStreamsBuildMatchesConcatenated(t *testing.T) {
 				if !reflect.DeepEqual(h, want) {
 					t.Errorf("parallelism %d: streams History diverges from concatenated build", par)
 				}
-			}
-			seq := &zombie.Detector{RecordPaths: true}
-			wantRep, err := seq.Detect(sc.updates, sc.intervals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, par := range diffParallelism {
 				d := &zombie.Detector{RecordPaths: true, Parallelism: par}
-				got, err := d.DetectStreams(streams, sc.intervals)
+				got, err := d.DetectStreams(streams, sc.Intervals)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -373,32 +180,32 @@ func TestStreamsBuildMatchesConcatenated(t *testing.T) {
 
 // TestScalingBitIdentical pins worker-count independence while the
 // runtime itself is constrained: for each GOMAXPROCS in {1, 2, 8}, the
-// parallel history build and threshold sweep at workers 1/2/8 must be
-// bit-identical to the sequential results computed before any
+// history build and the detection kernel at workers 1/2/8 must be
+// bit-identical to the one-inline-worker results computed before any
 // GOMAXPROCS change.
 func TestScalingBitIdentical(t *testing.T) {
-	sc := genScenario(t, 99)
-	track := zombie.NewTrackSet(diffPrefixes(sc.intervals))
-	thresholds := []time.Duration{30 * time.Minute, 90 * time.Minute, 3 * time.Hour}
-	wantHist, err := zombie.BuildHistory(sc.updates, track)
+	sc, track := diffScenario(t, 99)
+	wantHist, err := zombie.BuildHistory(sc.Updates, track)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSweep := zombie.Sweep(wantHist, sc.intervals, thresholds, zombie.FilterOptions{})
+	seq := &zombie.Detector{RecordPaths: true}
+	wantRep := seq.DetectFromHistory(wantHist, sc.Intervals)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, par := range diffParallelism {
-			h, err := zombie.BuildHistoryParallel(sc.updates, track, par)
+			h, err := zombie.BuildHistoryParallel(sc.Updates, track, par)
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d workers=%d: %v", procs, par, err)
 			}
 			if !reflect.DeepEqual(h, wantHist) {
 				t.Errorf("GOMAXPROCS=%d workers=%d: History diverges", procs, par)
 			}
-			if sw := zombie.SweepParallel(h, sc.intervals, thresholds, zombie.FilterOptions{}, par); !reflect.DeepEqual(sw, wantSweep) {
-				t.Errorf("GOMAXPROCS=%d workers=%d: Sweep diverges", procs, par)
+			det := &zombie.Detector{RecordPaths: true, Parallelism: par}
+			if rep := det.DetectFromHistory(h, sc.Intervals); !reflect.DeepEqual(rep, wantRep) {
+				t.Errorf("GOMAXPROCS=%d workers=%d: Report diverges", procs, par)
 			}
 		}
 	}
@@ -407,15 +214,15 @@ func TestScalingBitIdentical(t *testing.T) {
 // TestDetectEndToEndParallel covers the Detector.Detect wiring (archive →
 // history → report in one call) at every parallelism level.
 func TestDetectEndToEndParallel(t *testing.T) {
-	sc := genScenario(t, 1234)
+	sc, _ := diffScenario(t, 1234)
 	seq := &zombie.Detector{}
-	want, err := seq.Detect(sc.updates, sc.intervals)
+	want, err := seq.Detect(sc.Updates, sc.Intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range diffParallelism {
 		d := &zombie.Detector{Parallelism: par}
-		got, err := d.Detect(sc.updates, sc.intervals)
+		got, err := d.Detect(sc.Updates, sc.Intervals)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"encoding/json"
-	"net/http"
 	"sync"
 	"time"
 
@@ -14,10 +12,10 @@ import (
 
 // Metrics holds the pipeline's per-stage instruments on an obs registry:
 // counters for throughput, a stage-labeled latency histogram for the
-// distributions. The JSON Snapshot (and its expvar-style HTTP handler)
-// keeps the original flat-map shape as a thin view over the registry, so
-// scripts scraping the legacy endpoints see no change; the registry side
-// serves the same state as Prometheus text exposition.
+// distributions. Snapshot keeps the original flat-map shape as a thin view
+// over the registry for in-process readers (statusz Counters, zombiehunt
+// -progress, the soaks); the registry side serves the same state as
+// Prometheus text exposition, the only HTTP form.
 //
 // The zero value is usable (it lazily builds a private registry), all
 // methods are safe for concurrent use, and the nil *Metrics is a valid
@@ -318,15 +316,4 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	out["merge_us"] = int64(m.mergeSeconds.Sum() * 1e6)
 	out["detect_us"] = int64(m.detectSeconds.Sum() * 1e6)
 	return out
-}
-
-// Handler serves the snapshot as JSON (an expvar-style metrics page).
-// Safe on a nil receiver: it serves the all-zero snapshot.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.Snapshot())
-	})
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bufio"
 	"bytes"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -106,9 +105,9 @@ func TestSnapshotPrometheusParity(t *testing.T) {
 	}
 }
 
-// TestNilMetricsSnapshotAndHandler pins the nil-receiver contract: Add*
-// and Observe* were always nil-safe; Snapshot and Handler now are too.
-func TestNilMetricsSnapshotAndHandler(t *testing.T) {
+// TestNilMetricsSnapshot pins the nil-receiver contract: Add* and
+// Observe* were always nil-safe; Snapshot and Registry are too.
+func TestNilMetricsSnapshot(t *testing.T) {
 	var m *Metrics
 	m.AddFiles(1)
 	m.ObserveDecode(time.Second)
@@ -120,14 +119,6 @@ func TestNilMetricsSnapshotAndHandler(t *testing.T) {
 		if v != 0 {
 			t.Errorf("nil snapshot %s = %d, want 0", k, v)
 		}
-	}
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/pipeline", nil))
-	if rec.Code != 200 {
-		t.Errorf("nil handler status %d", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), `"files_decoded": 0`) {
-		t.Errorf("nil handler body:\n%s", rec.Body.String())
 	}
 	if m.Registry() != nil {
 		t.Error("nil Registry() != nil")

@@ -9,7 +9,8 @@
 // FoldStreams (one HistoryBuilder per chunk, sealed in chunk order) and
 // its lifespan tracking on FoldRecords and Engine.For; every worker count
 // shares the per-record semantics and differs only in scheduling, and the
-// differential harness in this package checks the outputs bit for bit.
+// differential harness (internal/zombie/diff_test.go, next to its oracles;
+// this package keeps the exported-API half) checks the outputs bit for bit.
 package pipeline
 
 import (

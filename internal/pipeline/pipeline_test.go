@@ -3,11 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net/http/httptest"
 	"net/netip"
 	"reflect"
 	"sync/atomic"
@@ -296,7 +294,7 @@ func TestFoldRecordsCallbackErrorPosition(t *testing.T) {
 	}
 }
 
-func TestMetricsHandler(t *testing.T) {
+func TestMetricsSnapshot(t *testing.T) {
 	m := &Metrics{}
 	m.AddFiles(2)
 	m.AddDecoded(10, 1024)
@@ -306,15 +304,7 @@ func TestMetricsHandler(t *testing.T) {
 	m.AddDecodeError()
 	m.ObserveDecode(2 * time.Millisecond)
 
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/pipeline", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var snap map[string]int64
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := m.Snapshot()
 	want := map[string]int64{
 		"files_decoded": 2, "records_decoded": 10, "bytes_decoded": 1024,
 		"events_sharded": 7, "shards_merged": 4, "intervals_evaluated": 3,

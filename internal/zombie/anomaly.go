@@ -9,7 +9,6 @@ import (
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/obs"
-	"zombiescope/internal/pipeline"
 )
 
 // The anomaly framework generalizes the zombie detector: long-lived
@@ -170,30 +169,22 @@ func (r *AnomalyReport) Filter(detector string) []Anomaly {
 }
 
 // RunAnomalyDetectors evaluates every detector against the shared
-// history. With parallelism > 1 detectors run concurrently on pipeline
-// workers; findings land in per-detector slots and are assembled in
-// detector order, so the report is bit-identical for any worker count.
+// history on that many pipeline workers (0 or 1: one inline worker);
+// findings land in per-detector slots and are assembled in detector
+// order, so the report is bit-identical for any worker count.
 func RunAnomalyDetectors(h *History, win Window, dets []AnomalyDetector, parallelism int) *AnomalyReport {
 	sp := obs.StartSpan("zombie.anomalies")
 	sp.SetArg("detectors", len(dets))
 	defer sp.End()
 	slots := make([][]Anomaly, len(dets))
-	eval := func(i int) {
+	engine(parallelism, sp).For(len(dets), func(i int) {
 		findings := dets[i].DetectAnomalies(h, win)
 		for j := range findings {
 			findings[j].Detector = dets[i].Name()
 		}
 		sortAnomalies(findings)
 		slots[i] = findings
-	}
-	if parallelism > 1 {
-		e := &pipeline.Engine{Workers: parallelism, Trace: sp}
-		e.For(len(dets), eval)
-	} else {
-		for i := range dets {
-			eval(i)
-		}
-	}
+	})
 	rep := &AnomalyReport{Window: win, ByDetector: make(map[string]int, len(dets))}
 	for i, findings := range slots {
 		rep.ByDetector[dets[i].Name()] = len(findings)

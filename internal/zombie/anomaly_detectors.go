@@ -9,7 +9,6 @@ import (
 
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
-	"zombiescope/internal/pipeline"
 )
 
 // Default thresholds for the non-zombie detectors.
@@ -338,14 +337,7 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 		flush()
 		slots[ki] = out
 	}
-	if d.Parallelism > 1 {
-		e := &pipeline.Engine{Workers: d.Parallelism}
-		e.For(len(h.pairKeys), eval)
-	} else {
-		for ki := range h.pairKeys {
-			eval(ki)
-		}
-	}
+	engine(d.Parallelism, nil).For(len(h.pairKeys), eval)
 	var out []Anomaly
 	for _, as := range slots {
 		out = append(out, as...)
@@ -357,19 +349,13 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 // Shared sweep machinery.
 
 // sweepPrefixes runs a per-prefix evaluation over the columnar prefix
-// index, optionally on pipeline workers, and concatenates the findings in
-// canonical prefix order.
+// index on the package's worker convention (engine) and concatenates the
+// findings in canonical prefix order.
 func sweepPrefixes(h *History, parallelism int, eval func(xi uint32, p netip.Prefix) []Anomaly) []Anomaly {
 	slots := make([][]Anomaly, len(h.prefixes))
-	run := func(i int) { slots[i] = eval(uint32(i), h.prefixes[i]) }
-	if parallelism > 1 {
-		e := &pipeline.Engine{Workers: parallelism}
-		e.For(len(h.prefixes), run)
-	} else {
-		for i := range h.prefixes {
-			run(i)
-		}
-	}
+	engine(parallelism, nil).For(len(h.prefixes), func(i int) {
+		slots[i] = eval(uint32(i), h.prefixes[i])
+	})
 	var out []Anomaly
 	for _, as := range slots {
 		out = append(out, as...)

@@ -77,12 +77,12 @@ func TestSealSpansChunkBoundaries(t *testing.T) {
 	ivs := []beacon.Interval{{Prefix: pfx, AnnounceAt: t0, WithdrawAt: t0.Add(15 * time.Minute), End: t0.Add(24 * time.Hour)}}
 	track := NewTrackSet([]netip.Prefix{pfx})
 
-	ref, err := BuildHistoryReference(updates, track)
+	ref, err := buildHistoryReference(updates, track)
 	if err != nil {
 		t.Fatal(err)
 	}
 	det := &Detector{RecordPaths: true}
-	wantRep := ref.Detect(det, ivs)
+	wantRep := ref.detect(det, ivs)
 	if len(wantRep.Outbreaks) != 1 || len(wantRep.Outbreaks[0].Routes) != 1 ||
 		wantRep.Outbreaks[0].Routes[0].Path.String() != "300 1299 8298 210312" {
 		t.Fatalf("reference report = %+v, want the last re-announcement stuck at one peer", wantRep.Outbreaks)
@@ -185,7 +185,7 @@ func TestBuildHistoryErrorShape(t *testing.T) {
 // assertMatchesReference checks a columnar History against the oracle's
 // store event by event: same peers, and for every peer the same session
 // stream and the same stream per prefix, in the same order.
-func assertMatchesReference(t *testing.T, h *History, ref *ReferenceHistory) {
+func assertMatchesReference(t *testing.T, h *History, ref *referenceHistory) {
 	t.Helper()
 	if !reflect.DeepEqual(h.Peers(), ref.Peers()) {
 		t.Fatalf("peers = %v, reference %v", h.Peers(), ref.Peers())
@@ -256,7 +256,7 @@ func TestSealDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := BuildHistoryReference(updates, nil)
+	ref, err := buildHistoryReference(updates, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ type Detector struct {
 	// value of one of the revised methodology's ingredients (the legacy
 	// looking-glass pipeline behaved this way).
 	IgnoreSessionState bool
-	// Parallelism routes archive decoding, history building and interval
-	// evaluation through internal/pipeline with that many workers
-	// (0 = sequential). The report is identical for any value — the
-	// differential harness in internal/pipeline proves it.
+	// Parallelism is the pipeline worker count for archive decoding,
+	// history building and interval evaluation. 0 or 1: one inline
+	// worker — the same code path, so the report is identical for any
+	// value; the differential harness (diff_test.go) proves it.
 	Parallelism int
 }
 
@@ -133,9 +133,9 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 
 // DetectFromHistory runs detection over an already-built history with the
 // batched kernel (detectColumnar), which sweeps the event arena once in
-// span order. With Parallelism > 1 the work is spread over pipeline workers
-// and merged deterministically, so the report is identical for any worker
-// count — the differential harness in internal/pipeline proves it.
+// span order. The work is spread over Parallelism pipeline workers and
+// merged deterministically, so the report is identical for any worker
+// count — the differential harness (diff_test.go) proves it.
 func (d *Detector) DetectFromHistory(h *History, intervals []beacon.Interval) *Report {
 	sp := obs.StartSpan("zombie.detect")
 	sp.SetArg("intervals", len(intervals))
@@ -188,26 +188,14 @@ type SweepPoint struct {
 // Sweep evaluates thresholds over a shared history. Announce denominator
 // is the number of intervals.
 func Sweep(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions) []SweepPoint {
-	return SweepParallel(h, intervals, thresholds, opts, 1)
-}
-
-// SweepParallel is Sweep with the thresholds evaluated concurrently on
-// that many workers (<= 1 evaluates inline). Points come back indexed by
-// threshold position, so the result is identical for any worker count.
-func SweepParallel(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions, parallelism int) []SweepPoint {
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	sp := obs.StartSpan("zombie.sweep")
 	sp.SetArg("thresholds", len(thresholds))
-	sp.SetArg("workers", parallelism)
 	defer sp.End()
 	out := make([]SweepPoint, len(thresholds))
-	e := &pipeline.Engine{Workers: parallelism, Trace: sp}
-	e.For(len(thresholds), func(i int) {
-		d := &Detector{Threshold: thresholds[i]}
-		out[i] = sweepPoint(thresholds[i], d.DetectFromHistory(h, intervals), opts)
-	})
+	for i, th := range thresholds {
+		d := &Detector{Threshold: th}
+		out[i] = sweepPoint(th, d.DetectFromHistory(h, intervals), opts)
+	}
 	return out
 }
 

@@ -171,7 +171,7 @@ func TestStateFoldMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := BuildHistoryReference(updates, track)
+			ref, err := buildHistoryReference(updates, track)
 			if err != nil {
 				t.Fatal(err)
 			}

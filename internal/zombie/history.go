@@ -111,16 +111,14 @@ func oneSegmentStreams(updates map[string][]byte) map[string][][]byte {
 // its records into its own HistoryBuilder, and the chunk builders are
 // sealed in (file, chunk) order — sealHistory's seal-order invariant — so
 // the History is identical for any segmentation and any parallelism
-// (<= 0 decodes inline on one worker).
+// (0 or 1: one inline worker).
 func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelism int) (*History, error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
 	sp := obs.StartSpan("zombie.build_history")
-	sp.SetArg("collectors", len(streams))
-	sp.SetArg("workers", parallelism)
 	defer sp.End()
-	e := &pipeline.Engine{Workers: parallelism, Trace: sp, Borrow: true}
+	e := engine(parallelism, sp)
+	e.Borrow = true
+	sp.SetArg("collectors", len(streams))
+	sp.SetArg("workers", e.Workers)
 	_, chunks, err := pipeline.FoldStreams(e, streams,
 		func(pipeline.FileChunk) *HistoryBuilder { return NewHistoryBuilder(track) },
 		func(b *HistoryBuilder, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
@@ -288,30 +286,6 @@ func (h *History) cursor(peer PeerID, p netip.Prefix, sessions bool) stateCursor
 		c.sess = h.sessRows(pi)
 	}
 	return c
-}
-
-// decoded materializes rows as decoded events: the view the oracle's row
-// sweep (DetectFromHistoryRows) walks. Shipped sweeps never build it — the
-// cursor decodes one row at a time.
-func (h *History) decoded(rows []row) []histEvent {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]histEvent, len(rows))
-	for i := range rows {
-		h.event(&rows[i], &out[i])
-	}
-	return out
-}
-
-func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
-	c := h.cursor(peer, p, false)
-	return h.decoded(c.evs)
-}
-
-func (h *History) sessionEvents(peer PeerID) []histEvent {
-	c := h.cursor(peer, netip.Prefix{}, true)
-	return h.decoded(c.sess)
 }
 
 // Events returns how many events the history stores, pair and session

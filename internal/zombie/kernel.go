@@ -6,11 +6,10 @@ import (
 
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/obs"
-	"zombiescope/internal/pipeline"
 )
 
 // This file is the batched columnar detection kernel. The oracle's
-// row-sweep evaluator (evalInterval, refstore.go) asks "state of (peer,
+// row-sweep evaluator (evalInterval, refstore_test.go) asks "state of (peer,
 // prefix) at t?" once per (interval, peer) and re-walks the pair's event
 // span from the start every time — O(intervals × peers × events). The
 // columnar kernel inverts the loop: it sweeps the event arena once in
@@ -176,10 +175,10 @@ func (d *Detector) sweepRange(h *History, intervals []beacon.Interval, plans []*
 	}
 }
 
-// detectColumnar evaluates every interval with the batched kernel. With
-// Parallelism > 1 the span sequence is cut into contiguous ranges, one
+// detectColumnar evaluates every interval with the batched kernel. The
+// span sequence is cut into contiguous ranges, one per worker and one
 // result set per range, merged in range order — ranges ascend the pair-key
-// order, so concatenation reproduces the sequential append order exactly.
+// order, so concatenation reproduces the single-range append order exactly.
 func (d *Detector) detectColumnar(h *History, intervals []beacon.Interval, sp *obs.Span) []intervalResult {
 	plans := d.planQueries(h, intervals)
 	maxIvs := 0
@@ -188,22 +187,11 @@ func (d *Detector) detectColumnar(h *History, intervals []beacon.Interval, sp *o
 			maxIvs = len(pl.ivs)
 		}
 	}
-	nranges := d.Parallelism
-	if nranges < 1 {
-		nranges = 1
-	}
-	if nranges > len(h.pairKeys) {
-		nranges = len(h.pairKeys)
-	}
-	if nranges <= 1 {
-		results := make([]intervalResult, len(intervals))
-		st := make([]State, maxIvs)
-		pre := make([]State, maxIvs)
-		d.sweepRange(h, intervals, plans, 0, len(h.pairKeys), results, st, pre)
-		return results
-	}
+	e := engine(d.Parallelism, sp)
+	// At least one range, so an empty history still yields a result per
+	// interval.
+	nranges := max(min(e.Workers, len(h.pairKeys)), 1)
 	ranged := make([][]intervalResult, nranges)
-	e := &pipeline.Engine{Workers: d.Parallelism, Trace: sp}
 	e.For(nranges, func(r int) {
 		lo := r * len(h.pairKeys) / nranges
 		hi := (r + 1) * len(h.pairKeys) / nranges
@@ -214,7 +202,7 @@ func (d *Detector) detectColumnar(h *History, intervals []beacon.Interval, sp *o
 		ranged[r] = results
 	})
 	// Merge: per interval, concatenate the ranges' appends in range order
-	// and OR the visibility — identical to the sequential sweep.
+	// and OR the visibility.
 	results := ranged[0]
 	for _, rr := range ranged[1:] {
 		for i := range results {

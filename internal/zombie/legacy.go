@@ -60,7 +60,7 @@ func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report
 }
 
 // detect is the legacy decision over any state source: the shipped cursor
-// above, or the oracle's from-scratch walk (ReferenceHistory.DetectLegacy).
+// above, or the oracle's from-scratch walk (refstore_test.go).
 func (d *LegacyDetector) detect(peers []PeerID,
 	seenAnnounced func(p netip.Prefix, from, to time.Time) bool,
 	stateAt func(peer PeerID, p netip.Prefix, t time.Time) State,

@@ -1,16 +1,12 @@
 package zombie
 
 import (
-	"bytes"
-	"fmt"
-	"io"
 	"net/netip"
 	"sort"
 	"time"
 
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
-	"zombiescope/internal/mrt"
 )
 
 // Episode is a contiguous run of RIB-dump observations of a zombie prefix
@@ -90,9 +86,10 @@ type LifespanConfig struct {
 	// is a resurrection, like the paper's outbreaks that became visible
 	// a month after the last beacon withdrawal. Default 24h.
 	ResurrectionGrace time.Duration
-	// Parallelism routes dump parsing and series building through
-	// internal/pipeline with that many workers (0 = sequential). The
-	// output is identical either way.
+	// Parallelism is the pipeline worker (and prefix-shard) count for
+	// dump parsing and series building. 0 or 1: one inline worker — the
+	// same code path, so the report and any error are identical for
+	// every value.
 	Parallelism int
 }
 
@@ -147,76 +144,9 @@ func comparePeers(a, b PeerID) int {
 	return 0
 }
 
-// TrackLifespans parses RIB dump archives (keyed by collector name) and
-// builds per-prefix lifespans for the tracked beacon prefixes. intervals
-// provide the withdrawal anchors and rule out reappearances explained by
-// real announcements. With cfg.Parallelism > 0 the dump parsing and series
-// building run on the pipeline engine; the report is identical either way.
-func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
-	if cfg.Parallelism > 0 {
-		return trackLifespansParallel(dumps, intervals, cfg)
-	}
-	track := make(TrackSet)
-	for _, iv := range intervals {
-		track[iv.Prefix] = true
-	}
-	series := make(map[peerPrefix][]ribObs)
-	names := make([]string, 0, len(dumps))
-	for n := range dumps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rd := mrt.NewReader(bytes.NewReader(dumps[name]))
-		// Borrow is safe: only TABLE_DUMP_V2 records are retained, and the
-		// decoder always allocates those fresh.
-		rd.SetBorrow(true)
-		var table *mrt.PeerIndexTable
-		for {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rd.Release()
-				return nil, fmt.Errorf("zombie: dumps %s: %w", name, err)
-			}
-			switch r := rec.(type) {
-			case *mrt.PeerIndexTable:
-				table = r
-			case *mrt.RIB:
-				if !track[r.Prefix] {
-					continue
-				}
-				if table == nil {
-					rd.Release()
-					return nil, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
-				}
-				for _, e := range r.Entries {
-					if int(e.PeerIndex) >= len(table.Peers) {
-						rd.Release()
-						return nil, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
-					}
-					pe := table.Peers[e.PeerIndex]
-					peer := PeerID{Collector: name, AS: pe.AS, Addr: pe.Addr}
-					k := peerPrefix{peer: peer, prefix: r.Prefix}
-					series[k] = append(series[k], ribObs{at: r.Timestamp, path: e.Attrs.ASPath})
-				}
-			}
-		}
-		rd.Release()
-	}
-	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
-	for k, obs := range series {
-		cfg.foldSeries(rep, k, obs, intervals)
-	}
-	finishLifespans(rep, intervals)
-	return rep, nil
-}
-
 // foldSeries turns one (peer, prefix) observation series into episodes and
-// resurrections on rep. Shared by the sequential and pipeline trackers so
-// the two paths cannot drift.
+// resurrections on rep. The test-only reader-loop oracle shares it: the two
+// differ in how they read the dumps, never in what a series means.
 func (cfg LifespanConfig) foldSeries(rep *LifespanReport, k peerPrefix, obs []ribObs, intervals []beacon.Interval) {
 	gap := cfg.gap()
 	sort.SliceStable(obs, func(i, j int) bool { return obs[i].at.Before(obs[j].at) })
@@ -274,9 +204,8 @@ func (cfg LifespanConfig) foldSeries(rep *LifespanReport, k peerPrefix, obs []ri
 // finishLifespans imposes the canonical ordering and anchors withdrawals:
 // the latest interval withdrawal at or before the prefix's first
 // observation. The sort keys are total orders (peer identity breaks every
-// tie), so the result is independent of series map iteration — the
-// property that lets the sharded tracker merge and finish exactly like the
-// sequential one.
+// tie), so the result is independent of series map iteration and of how
+// many shards the series were built on.
 func finishLifespans(rep *LifespanReport, intervals []beacon.Interval) {
 	for p, pl := range rep.Prefixes {
 		sort.Slice(pl.Episodes, func(i, j int) bool {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/netip"
+	"slices"
+	"sort"
 	"time"
 
 	"zombiescope/internal/beacon"
@@ -13,13 +15,21 @@ import (
 	"zombiescope/internal/pipeline"
 )
 
-// This file is the parallel counterpart of lifespan.go: RIB dumps are
-// decoded concurrently in record-aligned chunks by the pipeline engine,
-// tracked RIB records are routed to prefix-hashed shards, each shard builds
-// its slice of the observation series lock-free in stream order, and the
-// shards merge into the same report the sequential tracker produces. The
-// differential harness in internal/pipeline asserts the equivalence on
-// randomized scenarios.
+// This file holds the package's worker convention (engine) and the lifespan
+// tracker built on it: RIB dumps are decoded in record-aligned chunks by the
+// pipeline engine, tracked RIB records are routed to prefix-hashed shards,
+// each shard builds its slice of the observation series lock-free in stream
+// order, and the shards merge into one report. The differential harness
+// (diff_test.go) compares every worker count against the plain mrt.Reader
+// loop kept as a test-only oracle.
+
+// engine is THE worker convention: a user-set parallelism of 0 or 1 is one
+// inline worker — pipeline.Engine.For with one worker is a plain loop in
+// index order — and N > 1 is N workers. Every stage runs one body on the
+// engine it returns, so there is no sequential twin that could drift.
+func engine(parallelism int, trace *obs.Span) *pipeline.Engine {
+	return &pipeline.Engine{Workers: max(parallelism, 1), Trace: trace}
+}
 
 // shardOfPrefix routes a prefix to its shard. FNV-1a keeps the assignment
 // stable across processes (no per-run hash seed).
@@ -32,9 +42,9 @@ func shardOfPrefix(p netip.Prefix, n int) int {
 }
 
 // ribChunk is a per-chunk accumulator for RIB dump streams: the peer index
-// tables of the chunk plus the tracked RIB records, each remembering how
-// many tables preceded it inside the chunk (0 = the table is in an earlier
-// chunk).
+// tables of the chunk plus the tracked RIB records, each remembering its
+// record index within the file and how many tables preceded it inside the
+// chunk (0 = the table is in an earlier chunk).
 type ribChunk struct {
 	tables []*mrt.PeerIndexTable
 	items  []ribItem
@@ -42,82 +52,88 @@ type ribChunk struct {
 
 type ribItem struct {
 	tablesBefore int
+	record       int
 	rib          *mrt.RIB
 }
 
-// trackLifespansParallel is the pipeline counterpart of TrackLifespans.
+// TrackLifespans parses RIB dump archives (keyed by collector name) and
+// builds per-prefix lifespans for the tracked beacon prefixes. intervals
+// provide the withdrawal anchors and rule out reappearances explained by
+// real announcements.
+//
 // Chunked decode breaks the "RIB entries follow their PeerIndexTable in the
 // same file" invariant, so every shard walks the chunk list of each file in
 // order, carrying the effective table across chunk boundaries, and applies
-// only its own prefixes — cheap, lock-free, and order-identical.
-func trackLifespansParallel(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
+// only its own prefixes — cheap, lock-free, and order-identical. The error
+// returned is the first in (file, record) order, whether the framing, the
+// record decode or the peer-index lookup failed there.
+func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
 	track := make(TrackSet)
 	for _, iv := range intervals {
 		track[iv.Prefix] = true
 	}
 	sp := obs.StartSpan("zombie.lifespans")
-	sp.SetArg("dumps", len(dumps))
-	sp.SetArg("shards", cfg.Parallelism)
 	defer sp.End()
 	// Borrow is safe here: the fold retains only TABLE_DUMP_V2 records,
 	// which the decoder always allocates fresh.
-	e := &pipeline.Engine{Workers: cfg.Parallelism, Trace: sp, Borrow: true}
-	nshards := cfg.Parallelism
-	names, accs, err := pipeline.FoldRecords(e, dumps,
+	e := engine(cfg.Parallelism, sp)
+	e.Borrow = true
+	nshards := e.Workers
+	sp.SetArg("dumps", len(dumps))
+	sp.SetArg("shards", nshards)
+	// On a framing or decode error the fold still hands back what it
+	// decoded before (and, in later chunks, after) the bad record, so a
+	// peer-index error at an earlier record can outrank it below.
+	names, accs, foldErr := pipeline.FoldRecords(e, dumps,
 		func(pipeline.FileChunk) *ribChunk { return &ribChunk{} },
-		func(acc *ribChunk, _ pipeline.FileChunk, _ int, rec mrt.Record) error {
+		func(acc *ribChunk, _ pipeline.FileChunk, idx int, rec mrt.Record) error {
 			switch r := rec.(type) {
 			case *mrt.PeerIndexTable:
 				acc.tables = append(acc.tables, r)
 			case *mrt.RIB:
 				if track[r.Prefix] {
-					acc.items = append(acc.items, ribItem{tablesBefore: len(acc.tables), rib: r})
+					acc.items = append(acc.items, ribItem{tablesBefore: len(acc.tables), record: idx, rib: r})
 				}
 			}
 			return nil
 		})
-	if err != nil {
-		return nil, wrapDumpError(err)
-	}
 
-	m := e.Metrics
-	if m == nil {
-		m = pipeline.Default
-	}
+	m := pipeline.Default
 	buildStart := time.Now()
 	buildSp := sp.Start("zombie.shard_build")
 	type shardResult struct {
 		rep    *LifespanReport
 		err    error
-		errPos [3]int // (file, chunk, item) of the first error, for ranking
+		errPos [2]int // (file, record) of the shard's first error, for ranking
 	}
 	results := make([]shardResult, nshards)
 	e.For(nshards, func(s int) {
 		series := make(map[peerPrefix][]ribObs)
 		n := 0
-		fail := func(pos [3]int, err error) {
+		fail := func(pos [2]int, err error) {
 			if results[s].err == nil {
 				results[s].err, results[s].errPos = err, pos
 			}
 		}
 		for i := range names {
 			var carry *mrt.PeerIndexTable
-			for ci, acc := range accs[i] {
-				for ii, it := range acc.items {
+			for _, acc := range accs[i] {
+				for _, it := range acc.items {
 					table := carry
 					if it.tablesBefore > 0 {
 						table = acc.tables[it.tablesBefore-1]
 					}
-					if shardOfPrefix(it.rib.Prefix, nshards) != s {
+					// One shard owns every prefix: skip the hash.
+					if nshards > 1 && shardOfPrefix(it.rib.Prefix, nshards) != s {
 						continue
 					}
 					if table == nil {
-						fail([3]int{i, ci, ii}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrNoPeerIndex))
+						fail([2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrNoPeerIndex))
 						continue
 					}
 					for _, entry := range it.rib.Entries {
 						if int(entry.PeerIndex) >= len(table.Peers) {
-							fail([3]int{i, ci, ii}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrBadPeerIndex))
+							fail([2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrBadPeerIndex))
 							continue
 						}
 						pe := table.Peers[entry.PeerIndex]
@@ -134,7 +150,7 @@ func trackLifespansParallel(dumps map[string][]byte, intervals []beacon.Interval
 				}
 			}
 		}
-		if results[s].err != nil {
+		if results[s].err != nil || foldErr != nil {
 			return
 		}
 		rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
@@ -147,14 +163,21 @@ func trackLifespansParallel(dumps map[string][]byte, intervals []beacon.Interval
 	buildSp.End()
 	m.ObserveBuild(time.Since(buildStart))
 
-	// The first error in stream order wins, as in the sequential scan.
+	// The first error in (file, record) order wins, as a reader of the files
+	// in name order would have met it: the fold's framing/decode error
+	// ranked against every shard's first peer-index error.
 	var firstErr error
-	var firstPos [3]int
+	var firstPos [2]int
+	if foldErr != nil {
+		var fe *pipeline.FileError
+		if !errors.As(foldErr, &fe) {
+			return nil, foldErr
+		}
+		firstErr = fmt.Errorf("zombie: dumps %s: %w", fe.Name, fe.Err)
+		firstPos = [2]int{sort.SearchStrings(names, fe.Name), fe.Record}
+	}
 	for _, r := range results {
-		if r.err != nil && (firstErr == nil ||
-			r.errPos[0] < firstPos[0] ||
-			(r.errPos[0] == firstPos[0] && r.errPos[1] < firstPos[1]) ||
-			(r.errPos[0] == firstPos[0] && r.errPos[1] == firstPos[1] && r.errPos[2] < firstPos[2])) {
+		if r.err != nil && (firstErr == nil || slices.Compare(r.errPos[:], firstPos[:]) < 0) {
 			firstErr, firstPos = r.err, r.errPos
 		}
 	}
@@ -176,14 +199,4 @@ func trackLifespansParallel(dumps map[string][]byte, intervals []beacon.Interval
 	m.AddMerged(nshards)
 	m.ObserveMerge(time.Since(mergeStart))
 	return rep, nil
-}
-
-// wrapDumpError rewraps a pipeline position error into TrackLifespans'
-// error shape.
-func wrapDumpError(err error) error {
-	var fe *pipeline.FileError
-	if errors.As(err, &fe) {
-		return fmt.Errorf("zombie: dumps %s: %w", fe.Name, fe.Err)
-	}
-	return err
 }

@@ -17,15 +17,15 @@ import (
 
 // This file is the differential oracle: the original map-of-maps history
 // store, the original from-scratch state walk and the row-sweep evaluator,
-// kept so the harnesses (internal/pipeline's 50-seed matrix, the kernel
-// differential, the seal tests) compare the shipped columnar store, cursor
-// and kernel against an implementation that shares nothing with them beyond
-// recordEvents and the decisions (peerDecision, LegacyDetector.detect). It
-// stays in the shipped package, exported, only because those harnesses live
-// in other packages; no production caller uses it.
+// kept so the harnesses (the 50-seed matrix and the kernel differential in
+// diff_test.go, the seal and fold tests) compare the shipped columnar
+// store, cursor and kernel against an implementation that shares nothing
+// with them beyond recordEvents and the decisions (peerDecision,
+// LegacyDetector.detect). It is test-only: nothing here is compiled into
+// the shipped package.
 
-// ReferenceHistory is the oracle's history store.
-type ReferenceHistory struct {
+// referenceHistory is the oracle's history store.
+type referenceHistory struct {
 	// events per peer per prefix, time-ordered.
 	events map[PeerID]map[netip.Prefix][]histEvent
 	// session events per peer (downs clear all prefixes), time-ordered.
@@ -33,10 +33,10 @@ type ReferenceHistory struct {
 	peers   []PeerID
 }
 
-// BuildHistoryReference is BuildHistory over the original store and the
+// buildHistoryReference is BuildHistory over the original store and the
 // original allocating decode path. Slow but simple.
-func BuildHistoryReference(updates map[string][]byte, track TrackSet) (*ReferenceHistory, error) {
-	r := &ReferenceHistory{
+func buildHistoryReference(updates map[string][]byte, track TrackSet) (*referenceHistory, error) {
+	r := &referenceHistory{
 		events:  make(map[PeerID]map[netip.Prefix][]histEvent),
 		session: make(map[PeerID][]histEvent),
 	}
@@ -69,7 +69,7 @@ func BuildHistoryReference(updates map[string][]byte, track TrackSet) (*Referenc
 	return r, nil
 }
 
-func (r *ReferenceHistory) add(peer PeerID, p netip.Prefix, ev histEvent) {
+func (r *referenceHistory) add(peer PeerID, p netip.Prefix, ev histEvent) {
 	m := r.events[peer]
 	if m == nil {
 		m = make(map[netip.Prefix][]histEvent)
@@ -79,12 +79,12 @@ func (r *ReferenceHistory) add(peer PeerID, p netip.Prefix, ev histEvent) {
 	m[p] = append(m[p], ev)
 }
 
-func (r *ReferenceHistory) addSession(peer PeerID, ev histEvent) {
+func (r *referenceHistory) addSession(peer PeerID, ev histEvent) {
 	r.session[peer] = append(r.session[peer], ev)
 	r.touch(peer)
 }
 
-func (r *ReferenceHistory) touch(peer PeerID) {
+func (r *referenceHistory) touch(peer PeerID) {
 	if _, ok := r.events[peer]; !ok {
 		r.events[peer] = make(map[netip.Prefix][]histEvent)
 		r.peers = append(r.peers, peer)
@@ -99,7 +99,7 @@ func eventLess(a, b histEvent) bool {
 	return a.order < b.order
 }
 
-func (r *ReferenceHistory) finish() {
+func (r *referenceHistory) finish() {
 	for _, m := range r.events {
 		for _, evs := range m {
 			sort.SliceStable(evs, func(i, j int) bool { return eventLess(evs[i], evs[j]) })
@@ -112,16 +112,16 @@ func (r *ReferenceHistory) finish() {
 }
 
 // Peers returns every peer seen in the archives, sorted.
-func (r *ReferenceHistory) Peers() []PeerID { return r.peers }
+func (r *referenceHistory) Peers() []PeerID { return r.peers }
 
-func (r *ReferenceHistory) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
+func (r *referenceHistory) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
 	return r.events[peer][p]
 }
 
-func (r *ReferenceHistory) sessionEvents(peer PeerID) []histEvent { return r.session[peer] }
+func (r *referenceHistory) sessionEvents(peer PeerID) []histEvent { return r.session[peer] }
 
 // SeenAnnounced reports whether any peer announced p within [from, to).
-func (r *ReferenceHistory) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
+func (r *referenceHistory) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
 	for _, m := range r.events {
 		for _, ev := range m[p] {
 			if ev.kind == evAnnounce && !ev.at.Before(from) && ev.at.Before(to) {
@@ -189,6 +189,30 @@ type rowStore interface {
 	sessionEvents(peer PeerID) []histEvent
 }
 
+// decoded materializes rows as decoded events: the view the oracle's row
+// sweep (detectFromHistoryRows) walks. Shipped sweeps never build it — the
+// cursor decodes one row at a time.
+func (h *History) decoded(rows []row) []histEvent {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]histEvent, len(rows))
+	for i := range rows {
+		h.event(&rows[i], &out[i])
+	}
+	return out
+}
+
+func (h *History) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
+	c := h.cursor(peer, p, false)
+	return h.decoded(c.evs)
+}
+
+func (h *History) sessionEvents(peer PeerID) []histEvent {
+	c := h.cursor(peer, netip.Prefix{}, true)
+	return h.decoded(c.sess)
+}
+
 // evalInterval evaluates one interval by querying every peer's state at
 // the check instant, re-walking the pair's events from the start each time.
 func (d *Detector) evalInterval(s rowStore, iv beacon.Interval) intervalResult {
@@ -226,29 +250,29 @@ func (d *Detector) detectRows(s rowStore, intervals []beacon.Interval) *Report {
 	return d.assemble(s.Peers(), intervals, results)
 }
 
-// DetectFromHistoryRows evaluates the columnar store with the oracle's row
+// detectFromHistoryRows evaluates the columnar store with the oracle's row
 // sweep and state walk: the reference the kernel and the cursor are proven
 // bit-identical to. Production callers use DetectFromHistory.
-func (d *Detector) DetectFromHistoryRows(h *History, intervals []beacon.Interval) *Report {
+func (d *Detector) detectFromHistoryRows(h *History, intervals []beacon.Interval) *Report {
 	return d.detectRows(h, intervals)
 }
 
-// Detect is Detector.DetectFromHistory over the oracle.
-func (r *ReferenceHistory) Detect(d *Detector, intervals []beacon.Interval) *Report {
+// detect is Detector.DetectFromHistory over the oracle.
+func (r *referenceHistory) detect(d *Detector, intervals []beacon.Interval) *Report {
 	return d.detectRows(r, intervals)
 }
 
-// Sweep is the package-level Sweep over the oracle.
-func (r *ReferenceHistory) Sweep(intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions) []SweepPoint {
+// sweep is the package-level Sweep over the oracle.
+func (r *referenceHistory) sweep(intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions) []SweepPoint {
 	out := make([]SweepPoint, len(thresholds))
 	for i, th := range thresholds {
-		out[i] = sweepPoint(th, r.Detect(&Detector{Threshold: th}, intervals), opts)
+		out[i] = sweepPoint(th, r.detect(&Detector{Threshold: th}, intervals), opts)
 	}
 	return out
 }
 
-// DetectLegacy is LegacyDetector.Detect over the oracle.
-func (r *ReferenceHistory) DetectLegacy(d *LegacyDetector, intervals []beacon.Interval) *Report {
+// detectLegacy is LegacyDetector.Detect over the oracle.
+func (r *referenceHistory) detectLegacy(d *LegacyDetector, intervals []beacon.Interval) *Report {
 	return d.detect(r.peers, r.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
 		return refStateAt(r.pairEvents(peer, p), nil, t)
 	}, intervals)

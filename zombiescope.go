@@ -105,9 +105,6 @@ var (
 	FlagNoisyPeers = zombie.FlagNoisyPeers
 	// Sweep evaluates several detection thresholds over one history.
 	Sweep = zombie.Sweep
-	// SweepParallel is Sweep with concurrent threshold evaluation; the
-	// result is identical.
-	SweepParallel = zombie.SweepParallel
 	// BuildHistoryParallel is BuildHistory with an internal/pipeline
 	// worker count; the History is identical for any parallelism (set
 	// Detector.Parallelism or LifespanConfig.Parallelism to give whole
