@@ -111,6 +111,9 @@ func (c *Conn) Next() (Event, error) {
 		}
 		switch t {
 		case FrameEvent:
+			if ev, ok := decodeEventFast(payload); ok {
+				return ev, nil
+			}
 			var ev Event
 			if err := json.Unmarshal(payload, &ev); err != nil {
 				return Event{}, fmt.Errorf("%w: event payload: %v", ErrBadFrame, err)

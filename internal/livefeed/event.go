@@ -3,7 +3,6 @@ package livefeed
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/netip"
 	"time"
 
@@ -219,16 +218,12 @@ func AlertEvent(ze zombie.ZombieEvent) Event {
 }
 
 // Record decodes the event's embedded MRT record. It fails on events
-// published without raw data.
+// published without raw data. The record owns its memory.
 func (ev *Event) Record() (mrt.Record, error) {
 	if len(ev.Raw) == 0 {
 		return nil, fmt.Errorf("livefeed: event %d has no raw record", ev.Seq)
 	}
-	rec, err := mrt.NewReader(bytes.NewReader(ev.Raw)).Next()
-	if err == io.EOF {
-		return nil, fmt.Errorf("livefeed: event %d raw record empty", ev.Seq)
-	}
-	return rec, err
+	return decodeRecord(&mrt.Decoder{}, ev.Seq, ev.Raw)
 }
 
 // Prefixes returns every prefix the event concerns: announced plus

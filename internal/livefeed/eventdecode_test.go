@@ -1,0 +1,233 @@
+package livefeed
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/netip"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"zombiescope/internal/bgp"
+	"zombiescope/internal/experiments"
+)
+
+// FuzzEventDecode holds Conn.Next's fast path to its contract: whenever
+// decodeEventFast accepts a payload, json.Unmarshal accepts it too and
+// the two Events are deeply equal. Run with
+// `go test ./internal/livefeed -run NONE -fuzz FuzzEventDecode`.
+func FuzzEventDecode(f *testing.F) {
+	for _, seed := range eventDecodeSeeds(f) {
+		f.Add(seed.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkEventDecode(t, data)
+	})
+}
+
+// checkEventDecode is the fuzz body: it reports whether the fast path
+// took data, failing if it took it and disagrees with json.Unmarshal.
+func checkEventDecode(t testing.TB, data []byte) bool {
+	t.Helper()
+	got, fast := decodeEventFast(data)
+	if !fast {
+		return false
+	}
+	var want Event
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("fast path accepted %q, json.Unmarshal rejects it: %v", data, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fast path diverges from json.Unmarshal on %q:\n fast: %#v\n json: %#v", data, got, want)
+	}
+	return true
+}
+
+const eventDecodeCorpusDir = "testdata/fuzz/FuzzEventDecode"
+
+// eventSeed is one committed FuzzEventDecode input and whether the fast
+// path must take it.
+type eventSeed struct {
+	data []byte
+	fast bool
+}
+
+// eventDecodeSeeds are the committed FuzzEventDecode starting points: the
+// canonical update and state shapes, and one near miss per rule of the
+// fast path's grammar, each of which json.Unmarshal may accept or reject.
+func eventDecodeSeeds(t testing.TB) map[string]eventSeed {
+	t.Helper()
+	marshal := func(ev Event) string {
+		b, err := json.Marshal(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	ts := time.Date(2024, 6, 10, 12, 0, 0, 123456789, time.UTC)
+	update := marshal(Event{
+		Seq: 42, Channel: ChannelUpdates, Type: TypeUpdate, Collector: "rrc00", Timestamp: ts,
+		PeerAS: 25091, Peer: netip.MustParseAddr("2001:db8::1"),
+		Path: []bgp.ASN{25091, 8298, 210312},
+		Announcements: []Announcement{{
+			NextHop:  netip.MustParseAddr("2001:db8::1"),
+			Prefixes: []netip.Prefix{netip.MustParsePrefix("2a0d:3dc1:1200::/48"), netip.MustParsePrefix("2a0d:3dc1:1201::/48")},
+		}},
+		Withdrawals: []netip.Prefix{netip.MustParsePrefix("84.205.64.0/24")},
+		Raw:         []byte{0xde, 0xad, 0xbe, 0xef, 0xff},
+	})
+	state := marshal(Event{
+		Seq: 43, Channel: ChannelUpdates, Type: TypeState, Collector: "rrc06", Timestamp: ts,
+		PeerAS: 64500, Peer: netip.MustParseAddr("192.0.2.1"),
+		OldState: 6, NewState: 1, Raw: []byte{1, 2, 3},
+	})
+	alert := marshal(Event{
+		Seq: 44, Channel: ChannelZombie, Type: TypeZombie, Collector: "rrc00", Timestamp: ts,
+		PeerAS: 25091, Peer: netip.MustParseAddr("2001:db8::1"),
+		Alert: &Alert{Prefix: netip.MustParsePrefix("2a0d:3dc1:1200::/48"), Path: []bgp.ASN{25091, 8298}, AnnouncedAt: ts, DetectedAt: ts},
+	})
+	anomaly := marshal(Event{
+		Seq: 44, Channel: ChannelAnomaly, Type: "moas", Timestamp: ts,
+		Anomaly: &AnomalyAlert{Detector: "moas", Kind: "moas", Prefix: netip.MustParsePrefix("84.205.64.0/24"), Start: ts, End: ts, Count: 2},
+	})
+	// edit replaces the first occurrence of old in the canonical update,
+	// failing loudly if a seed stops editing anything.
+	edit := func(src, old, new string) string {
+		if !strings.Contains(src, old) {
+			t.Fatalf("seed edit %q does not apply to %q", old, src)
+		}
+		return strings.Replace(src, old, new, 1)
+	}
+	seeds := map[string]string{
+		"update":          update,
+		"state":           state,
+		"minimal":         marshal(Event{}),
+		"ipv6-zone":       marshal(Event{Seq: 1, Peer: netip.MustParseAddr("fe80::1%eth0"), Timestamp: ts}),
+		"max-seq":         edit(update, `"seq":42`, `"seq":18446744073709551615`),
+		"raw-lt":          edit(update, `"rrc00"`, `"rrc<00"`),
+		"escaped-lt":      marshal(Event{Collector: "rrc<00"}),
+		"escape-quote":    edit(update, `"rrc00"`, `"rrc\"00"`),
+		"escape-unicode":  edit(update, `"rrc00"`, `"rrc\u0030\u0030"`),
+		"non-ascii":       edit(update, `"rrc00"`, `"rrcé"`),
+		"invalid-utf8":    edit(update, `"rrc00"`, "\"rrc\xff\""),
+		"whitespace":      edit(update, `"seq":42`, `"seq": 42`),
+		"trailing-space":  edit(update, "}\n", "} \n"),
+		"upper-key":       edit(update, `"seq"`, `"Seq"`),
+		"duplicate-key":   edit(update, `"channel"`, `"seq":7,"channel"`),
+		"unknown-key":     edit(update, "}\n", `,"extra":1}`+"\n"),
+		"null-path":       edit(update, `[25091,8298,210312]`, `null`),
+		"empty-path":      edit(update, `[25091,8298,210312]`, `[]`),
+		"empty-raw":       edit(state, `"raw":"AQID"`, `"raw":""`),
+		"empty-collector": edit(update, `"rrc00"`, `""`),
+		"zero-peer-as":    edit(update, `"peer_as":25091`, `"peer_as":0`),
+		"leading-zero":    edit(update, `"seq":42`, `"seq":042`),
+		"negative":        edit(update, `"seq":42`, `"seq":-42`),
+		"fraction":        edit(update, `"seq":42`, `"seq":42.0`),
+		"exponent":        edit(update, `"seq":42`, `"seq":4.2e1`),
+		"overflow-seq":    edit(update, `"seq":42`, `"seq":18446744073709551616`),
+		"overflow-asn":    edit(update, `"peer_as":25091`, `"peer_as":4294967296`),
+		"overflow-state":  edit(state, `"old_state":6`, `"old_state":65536`),
+		"prefix-zone":     edit(update, `"84.205.64.0/24"`, `"fe80::/64%eth0"`),
+		"bad-time":        edit(update, `2024-06-10`, `2024-13-10`),
+		"bad-base64":      edit(state, `"AQID"`, `"A#ID"`),
+		"no-newline":      strings.TrimSuffix(update, "\n"),
+		"trailing-bytes":  update + "{}\n",
+		"alert":           alert,
+		"anomaly":         anomaly,
+	}
+	fast := map[string]bool{"update": true, "state": true, "minimal": true, "ipv6-zone": true, "max-seq": true, "raw-lt": true}
+	out := make(map[string]eventSeed, len(seeds))
+	for name, s := range seeds {
+		out["seed-"+name] = eventSeed{data: []byte(s), fast: fast[name]}
+	}
+	return out
+}
+
+// TestEventDecodeSeedCorpus keeps the committed FuzzEventDecode corpus in
+// sync with eventDecodeSeeds (regenerate with -update-corpus, same flag as
+// FuzzFrame), runs the fuzz body over every seed, and pins which seeds the
+// fast path takes.
+func TestEventDecodeSeedCorpus(t *testing.T) {
+	seeds := eventDecodeSeeds(t)
+	if *updateCorpus {
+		if err := os.MkdirAll(eventDecodeCorpusDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range seeds {
+			if err := os.WriteFile(filepath.Join(eventDecodeCorpusDir, name), corpusEntry(s.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, s := range seeds {
+		t.Run(name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join(eventDecodeCorpusDir, name))
+			if err != nil {
+				t.Fatalf("%v (run with -update-corpus to regenerate)", err)
+			}
+			if got := parseCorpusEntry(t, raw); !bytes.Equal(got, s.data) {
+				t.Fatal("committed corpus entry diverges from eventDecodeSeeds (run with -update-corpus)")
+			}
+			if got := checkEventDecode(t, s.data); got != s.fast {
+				t.Fatalf("fast path took %q: %v, want %v", s.data, got, s.fast)
+			}
+		})
+	}
+}
+
+// TestEventDecodeFastPathCoverage keeps the fast path from decaying into
+// the fallback unnoticed: every update and state frame the broker
+// publishes for the author scenario takes it, and every alert falls back
+// to json.Unmarshal and still decodes.
+func TestEventDecodeFastPathCoverage(t *testing.T) {
+	data, err := experiments.RunAuthorScenario(experiments.DefaultAuthorConfig(42, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := MergeUpdates(data.Updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(Config{RingSize: 1 << 16})
+	defer b.Close()
+	sub, _, err := b.Subscribe(Filter{}, PolicyBlock, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := NewPipeline(b, data.Intervals, 0)
+	for _, sr := range stream {
+		pipe.Ingest(sr)
+	}
+	pipe.Flush(data.Config.TrackUntil)
+	fast, alerts := 0, 0
+	for seq := uint64(1); seq <= b.Seq(); seq++ {
+		fr, err := sub.NextFrameTimeout(2 * time.Second)
+		if err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+		payload := fr.Wire()[frameHeaderLen:]
+		took := checkEventDecode(t, payload)
+		switch ch := fr.Event().Channel; {
+		case ch == ChannelUpdates && !took:
+			t.Fatalf("update frame %d fell back to json.Unmarshal: %s", seq, payload)
+		case ch == ChannelUpdates:
+			fast++
+		case took:
+			t.Fatalf("%s frame %d took the fast path", ch, seq)
+		default:
+			var ev Event
+			if err := json.Unmarshal(payload, &ev); err != nil || ev.Alert == nil {
+				t.Fatalf("%s frame %d does not decode: %v", ch, seq, err)
+			}
+			alerts++
+		}
+		fr.Release()
+	}
+	if fast == 0 || alerts == 0 {
+		t.Fatalf("scenario too small: %d fast-path frames, %d alerts", fast, alerts)
+	}
+	t.Logf("%d update/state frames on the fast path, %d alerts on the fallback", fast, alerts)
+}

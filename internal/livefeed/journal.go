@@ -1,10 +1,8 @@
 package livefeed
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"zombiescope/internal/eventstore"
 	"zombiescope/internal/mrt"
@@ -109,18 +107,16 @@ func storeEvent(ev Event) eventstore.Event {
 
 // feedEvent converts a stored event back to the feed event that produced
 // it. Stored events handed to Replay callbacks are fully owned, so the
-// reconstruction can alias the payload.
-func feedEvent(se eventstore.Event) (Event, error) {
+// reconstruction can alias the payload, and dec may borrow it:
+// EventFromRecord copies what it keeps of the record.
+func feedEvent(dec *mrt.Decoder, se eventstore.Event) (Event, error) {
 	switch se.Kind {
 	case eventstore.KindMRT:
-		rec, err := decodeMRTPayload(se.Seq, se.Payload)
+		rec, err := decodeRecord(dec, se.Seq, se.Payload)
 		if err != nil {
 			return Event{}, err
 		}
-		ev, ok := EventFromRecord(se.Collector, rec, false)
-		if !ok {
-			return Event{}, fmt.Errorf("livefeed: journaled record %d is not streamable", se.Seq)
-		}
+		ev, _ := EventFromRecord(se.Collector, rec, false)
 		ev.Seq = se.Seq
 		ev.Raw = se.Payload
 		return ev, nil
@@ -136,22 +132,25 @@ func feedEvent(se eventstore.Event) (Event, error) {
 	}
 }
 
-// decodeMRTPayload decodes the single MRT record a KindMRT payload holds.
-func decodeMRTPayload(seq uint64, payload []byte) (mrt.Record, error) {
-	rec, err := mrt.NewReader(bytes.NewReader(payload)).Next()
-	if err == io.EOF {
-		return nil, fmt.Errorf("livefeed: journaled event %d payload empty", seq)
-	}
+// decodeRecord decodes the raw MRT record of event seq — a KindMRT
+// payload or Event.Raw. Both are written only for streamable records, so
+// anything but exactly one BGP4MP message or state change is an error.
+func decodeRecord(dec *mrt.Decoder, seq uint64, raw []byte) (mrt.Record, error) {
+	rec, err := dec.DecodeFramed(raw)
 	if err != nil {
-		return nil, fmt.Errorf("livefeed: journaled event %d: %w", seq, err)
+		return nil, fmt.Errorf("livefeed: event %d raw record: %w", seq, err)
+	}
+	if !Streamable(rec) {
+		return nil, fmt.Errorf("livefeed: event %d raw record is not a BGP4MP message or state change", seq)
 	}
 	return rec, nil
 }
 
 // Replay implements Journal.
 func (j *StoreJournal) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
+	dec := mrt.Decoder{Borrow: true}
 	return j.Store.Replay(fromSeq, toSeq, func(se eventstore.Event) error {
-		ev, err := feedEvent(se)
+		ev, err := feedEvent(&dec, se)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,13 @@
 package livefeed
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/eventstore"
 	"zombiescope/internal/experiments"
+	"zombiescope/internal/mrt"
 	"zombiescope/internal/zombie"
 )
 
@@ -393,4 +397,178 @@ func alertKeys(evs []Event) map[routeKey]bool {
 		}] = true
 	}
 	return out
+}
+
+// sessionDown is a streamable record small enough to build inline.
+func sessionDown(ts time.Time) *mrt.BGP4MPStateChange {
+	return &mrt.BGP4MPStateChange{
+		Timestamp: ts, PeerAS: 64500, LocalAS: 64501, AFI: bgp.AFIIPv4,
+		PeerIP: netip.MustParseAddr("192.0.2.1"), LocalIP: netip.MustParseAddr("192.0.2.2"),
+		OldState: mrt.StateEstablished, NewState: mrt.StateIdle,
+	}
+}
+
+// TestStoredRecordRule: the three readers of a KindMRT payload — Recover,
+// StoreJournal.Replay and zombie.BuildHistoryFromStore — apply one rule.
+// The journal only ever writes streamable BGP4MP records, so a payload
+// that is not exactly one BGP4MP message or state change fails every
+// reader with an error naming the event's sequence number.
+func TestStoredRecordRule(t *testing.T) {
+	ts := time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
+	encode := func(rec mrt.Record) []byte {
+		var buf bytes.Buffer
+		if err := mrt.NewWriter(&buf).Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good := encode(sessionDown(ts))
+	edited := func(edit func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		edit(b)
+		return b
+	}
+	rows := []struct {
+		name    string
+		payload []byte
+	}{
+		{"short header", good[:mrt.HeaderLen-1]},
+		{"oversize length", edited(func(b []byte) { binary.BigEndian.PutUint32(b[8:], mrt.MaxRecordLen+1) })},
+		{"truncated body", good[:len(good)-1]},
+		{"unmodelled type", edited(func(b []byte) { binary.BigEndian.PutUint16(b[4:], 99) })},
+		{"peer index", encode(&mrt.PeerIndexTable{
+			Timestamp: ts, CollectorID: netip.MustParseAddr("192.0.2.254"),
+			Peers: []mrt.PeerEntry{{BGPID: netip.MustParseAddr("192.0.2.1"), Addr: netip.MustParseAddr("192.0.2.1"), AS: 64500}},
+		})},
+		{"trailing bytes", append(append([]byte(nil), good...), 0)},
+		{"valid", nil}, // control: only the good record is journaled
+	}
+	readers := []struct {
+		name string
+		read func(*eventstore.Store) error
+	}{
+		{"Recover", func(st *eventstore.Store) error {
+			b := NewBroker(Config{})
+			defer b.Close()
+			_, err := NewPipeline(b, nil, 0).Recover(st)
+			return err
+		}},
+		{"StoreJournal.Replay", func(st *eventstore.Store) error {
+			return (&StoreJournal{Store: st}).Replay(0, st.LastSeq(), func(Event) error { return nil })
+		}},
+		{"BuildHistoryFromStore", func(st *eventstore.Store) error {
+			_, err := zombie.BuildHistoryFromStore(st, zombie.NewTrackSet(nil))
+			return err
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			st, err := eventstore.Open(eventstore.Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			payloads := [][]byte{good}
+			if row.payload != nil {
+				payloads = append(payloads, row.payload)
+			}
+			for i, p := range payloads {
+				if err := st.Append(eventstore.Event{Seq: uint64(i + 1), Time: ts, Collector: "rrc00", Kind: eventstore.KindMRT, Payload: p}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, r := range readers {
+				err := r.read(st)
+				switch {
+				case row.payload == nil && err != nil:
+					t.Errorf("%s over a valid journal: %v", r.name, err)
+				case row.payload != nil && (err == nil || !strings.Contains(err.Error(), "event 2")):
+					t.Errorf("%s: err = %v, want an error naming event 2", r.name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoverAllocs fences the restart path's allocation per recovered
+// record: the journal is decoded borrowed straight off the segment
+// mapping, so Recover must not pay a record-body buffer per record (the
+// per-record Reader it replaced drew a fresh 16 KiB buffer each time).
+func TestRecoverAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	data, err := experiments.RunAuthorScenario(experiments.DefaultAuthorConfig(42, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := MergeUpdates(data.Updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := eventstore.Open(eventstore.Options{Dir: dir, SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(Config{Journal: &StoreJournal{Store: st}})
+	pipe := NewPipeline(b, data.Intervals, 0)
+	for _, sr := range stream {
+		pipe.Ingest(sr)
+	}
+	pipe.Flush(data.Config.TrackUntil)
+	b.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = eventstore.Open(eventstore.Options{Dir: dir, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	b = NewBroker(Config{})
+	defer b.Close()
+	pipe = NewPipeline(b, data.Intervals, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := pipe.Recover(st)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("recovered no records")
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("Recover: %d records, %.0f B allocated per record", n, perRecord)
+	if perRecord > 1024 {
+		t.Errorf("Recover allocates %.0f B per recovered record, want under 1 KiB", perRecord)
+	}
+}
+
+// TestEventRecordAllocs fences Event.Record: the caller keeps the record,
+// so it owns its memory, but decoding it must not cost a pooled body
+// buffer per call.
+func TestEventRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	ev, ok := EventFromRecord("rrc00", sessionDown(time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)), true)
+	if !ok || len(ev.Raw) == 0 {
+		t.Fatal("state change did not produce a raw-carrying event")
+	}
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := ev.Record(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	if perCall > 1024 {
+		t.Errorf("Event.Record allocates %.0f B per call, want under 1 KiB", perCall)
+	}
 }

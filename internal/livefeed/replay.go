@@ -259,6 +259,10 @@ func (p *Pipeline) Recover(st *eventstore.Store) (int, error) {
 	p.recovering = true
 	defer func() { p.recovering = false }()
 	n := 0
+	// Scan payloads alias the segment mapping only until the callback
+	// returns; the detector and the anomaly history keep nothing of the
+	// record, so each one is decoded borrowed.
+	dec := mrt.Decoder{Borrow: true}
 	err := st.Scan(eventstore.Query{}, func(se eventstore.Event) error {
 		if se.Kind != eventstore.KindMRT {
 			// Non-record events (alerts, raw-less updates) carry clock
@@ -273,7 +277,7 @@ func (p *Pipeline) Recover(st *eventstore.Store) (int, error) {
 			}
 			return nil
 		}
-		rec, err := decodeMRTPayload(se.Seq, se.Payload)
+		rec, err := decodeRecord(&dec, se.Seq, se.Payload)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package mrt
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,30 @@ func (d *Decoder) Decode(ts time.Time, typ, subtype uint16, body []byte) (Record
 		}
 	}
 	return nil, nil // unsupported; caller loop skips
+}
+
+// DecodeFramed decodes the one MRT record b holds, common header
+// included, under the framing checks Reader applies: a short header or a
+// body shorter than the header says is ErrTruncated, a length past
+// MaxRecordLen ErrRecordTooBig. Bytes after the body are ErrBadRecord —
+// b is one record, not a stream. With Borrow set the record aliases b.
+// Record types this package does not model decode to (nil, nil).
+func (d *Decoder) DecodeFramed(b []byte) (Record, error) {
+	if len(b) < HeaderLen {
+		return nil, fmt.Errorf("%w: mid-header", ErrTruncated)
+	}
+	ts, typ, subtype, length := ParseHeader([HeaderLen]byte(b))
+	if length > MaxRecordLen {
+		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, length)
+	}
+	switch body := b[HeaderLen:]; {
+	case len(body) < int(length):
+		return nil, fmt.Errorf("%w: record body: %d of %d bytes", ErrTruncated, len(body), length)
+	case len(body) > int(length):
+		return nil, fmt.Errorf("%w: %d bytes after the record", ErrBadRecord, len(body)-int(length))
+	default:
+		return d.Decode(ts, typ, subtype, body)
+	}
 }
 
 // PoolStats is a snapshot of the package-wide pooled-buffer counters,

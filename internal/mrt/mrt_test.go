@@ -372,6 +372,49 @@ func TestReaderRejectsHugeRecord(t *testing.T) {
 	}
 }
 
+// TestDecodeFramed: the one-record decode applies Reader's framing
+// checks plus the trailing-bytes one, and borrows only when asked.
+func TestDecodeFramed(t *testing.T) {
+	var buf bytes.Buffer
+	msg := &BGP4MPMessage{Timestamp: testTime, PeerAS: 1, LocalAS: 2, AFI: bgp.AFIIPv6,
+		PeerIP: netip.MustParseAddr("2001:db8::1"), LocalIP: netip.MustParseAddr("2001:db8::2"),
+		Data: testUpdateBytes(t)}
+	if err := NewWriter(&buf).Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	huge := append([]byte(nil), full...)
+	huge[8] = 0xff
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"short header", full[:HeaderLen-1], ErrTruncated},
+		{"oversize length", huge, ErrRecordTooBig},
+		{"truncated body", full[:len(full)-1], ErrTruncated},
+		{"trailing bytes", append(append([]byte(nil), full...), 0), ErrBadRecord},
+	} {
+		if _, err := (&Decoder{}).DecodeFramed(tc.b); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	for _, borrow := range []bool{false, true} {
+		rec, err := (&Decoder{Borrow: borrow}).DecodeFramed(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rec.(*BGP4MPMessage)
+		if !bytes.Equal(got.Data, msg.Data) || got.PeerIP != msg.PeerIP || !got.Timestamp.Equal(testTime) {
+			t.Fatalf("borrow=%v: decoded %+v, want %+v", borrow, got, msg)
+		}
+		// The BGP message is the tail of the record body.
+		if aliases := &got.Data[0] == &full[len(full)-len(msg.Data)]; aliases != borrow {
+			t.Errorf("borrow=%v: Data aliases the input = %v", borrow, aliases)
+		}
+	}
+}
+
 func TestReaderEmptyInput(t *testing.T) {
 	recs, err := ReadAll(bytes.NewReader(nil))
 	if err != nil || len(recs) != 0 {
