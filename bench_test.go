@@ -291,12 +291,11 @@ func benchAuthorConfig() experiments.AuthorConfig {
 	return cfg
 }
 
-// pipelineWorkerCounts are the parallelism levels the pipeline benchmarks
-// sweep: sequential baseline, single worker (pipeline overhead), the
-// fixed scaling-curve points 2 and 4 (what the committed baselines
-// record), and every core.
+// pipelineWorkerCounts are the parallelism levels BenchmarkPipelineDetect
+// sweeps: one worker (the engine Parallelism 0 also runs), the fixed points
+// 2 and 4 that BENCH_detect.json fences, and every core.
 func pipelineWorkerCounts() []int {
-	counts := []int{0, 1, 2, 4}
+	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
 		counts = append(counts, n)
 	}
@@ -311,11 +310,10 @@ func pipelineWorkerCounts() []int {
 // the same mapped set, materialized — every collector's files copied into
 // one heap buffer; the mode keeps its recorded name, readfull). Both modes
 // decode through the same chunked fold with a fixed worker count, so
-// chunking — and therefore allocs/op — is machine-independent and the
-// committed BENCH_ingest.json alloc fence holds everywhere. B/op is the
-// structural proof of "no per-record body copies": readfull pays at least
-// the archive size in heap per iteration, mmap allocates only per-chunk
-// scaffolding.
+// chunking — and therefore allocs/op and B/op — is machine-independent and
+// BENCH_ingest.json fences both on every machine. B/op is the structural
+// proof of "no per-record body copies": readfull pays at least the archive
+// size in heap per iteration, mmap allocates only per-chunk scaffolding.
 func BenchmarkArchiveIngest(b *testing.B) {
 	d, err := experiments.RunAuthorScenario(benchAuthorConfig())
 	if err != nil {
@@ -381,52 +379,8 @@ func BenchmarkArchiveIngest(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineDecode measures concurrent chunked MRT decoding of the
-// author-scenario update archives against the sequential reader (workers=0).
-func BenchmarkPipelineDecode(b *testing.B) {
-	d, err := experiments.RunAuthorScenario(benchAuthorConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var total int
-	for _, data := range d.Updates {
-		total += len(data)
-	}
-	for _, workers := range pipelineWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(total))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if workers == 0 {
-					n := 0
-					for _, data := range d.Updates {
-						recs, err := mrt.ReadAll(bytes.NewReader(data))
-						if err != nil {
-							b.Fatal(err)
-						}
-						n += len(recs)
-					}
-					if n == 0 {
-						b.Fatal("no records")
-					}
-					continue
-				}
-				e := &pipeline.Engine{Workers: workers, Metrics: &pipeline.Metrics{}}
-				files, err := e.DecodeArchives(d.Updates)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(files) == 0 {
-					b.Fatal("no files")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPipelineDetect measures the full detection path — archive decode,
-// sharded history build, merge, interval evaluation — per worker count
-// (workers=0 is the sequential fallback).
+// per-chunk history build, seal, interval evaluation — per worker count.
 func BenchmarkPipelineDetect(b *testing.B) {
 	d, err := experiments.RunAuthorScenario(benchAuthorConfig())
 	if err != nil {
@@ -572,12 +526,11 @@ func BenchmarkLivefeedFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkLivefeedFanoutOracle is the pre-rework delivery cost kept as
-// the comparison baseline: every dequeued event is re-encoded per
-// subscriber (json.Marshal inside WriteFrame), exactly what the old
-// server write loop did. The headline claim of the broadcast rework is
-// the ratio between this benchmark and BenchmarkLivefeedFanout at high
-// subscriber counts.
+// BenchmarkLivefeedFanoutOracle is the pre-rework delivery cost kept for
+// comparison: every dequeued event is re-encoded per subscriber
+// (json.Marshal inside WriteFrame), exactly what the old server write loop
+// did. BENCH_fanout.json fences both: this benchmark's allocs/op grow with
+// the subscriber count, BenchmarkLivefeedFanout's stay flat.
 func BenchmarkLivefeedFanoutOracle(b *testing.B) {
 	for _, subs := range benchFanoutSubs {
 		if subs > 10000 {

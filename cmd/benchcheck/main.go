@@ -1,19 +1,6 @@
-// Command benchcheck gates benchmark regressions in CI.
-//
-// It reads `go test -bench ... -benchmem` output (stdin or -in), takes the
-// per-sub-benchmark median across repeated -count runs, and compares the
-// result against a committed baseline JSON (see BENCH_detect.json at the
-// repo root). A sub-benchmark fails the gate when it regresses more than
-// the baseline's tolerance_pct.
-//
-// allocs/op is a deterministic property of the code and is checked
-// everywhere; B/op is checked when the baseline opts in (check_bytes).
-// ns/op depends on the machine, so it is only checked when the run's
-// `cpu:` line matches the baseline's recorded cpu string (override with
-// -force-time to check it regardless). Baselines may also carry
-// parallel-speedup ratio gates (speedups), which apply only on a machine
-// whose runtime.NumCPU matches the gate's recorded core count and are
-// reported and skipped otherwise.
+// Command benchcheck is CI's allocation fence: it reads `go test -bench
+// -benchmem` output (stdin or -in) and fails when a field a BENCH_*.json row
+// lists (allocs/op, B/op) has a median beyond tolerance_pct, or is missing.
 //
 // Usage:
 //
@@ -25,8 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
-	"runtime"
 
 	"zombiescope/internal/benchstat"
 )
@@ -34,48 +21,29 @@ import (
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_detect.json", "baseline JSON file to compare against")
 	inPath := flag.String("in", "", "benchmark output file (default: stdin)")
-	forceTime := flag.Bool("force-time", false, "check ns/op even if the cpu does not match the baseline's")
 	flag.Parse()
-
+	log.SetFlags(0)
+	log.SetPrefix("benchcheck: ")
 	base, err := benchstat.LoadBaseline(*baselinePath)
 	if err != nil {
-		fatalf("benchcheck: %v", err)
+		log.Fatal(err)
 	}
-	// Core-count drift shifts parallel benchmarks even on a matching cpu
-	// string (CI runners carve containers out of the same silicon with
-	// different quotas), so it is reported for the record but never fails
-	// the median gates — the cpu-string match still decides whether ns/op
-	// counts, and speedup ratio gates self-skip on the mismatch.
-	if base.NumCPU > 0 && base.NumCPU != runtime.NumCPU() {
-		fmt.Printf("benchcheck: note: running on %d CPUs, baseline recorded on %d\n",
-			runtime.NumCPU(), base.NumCPU)
-	}
-
 	var in io.Reader = os.Stdin
 	if *inPath != "" {
 		f, err := os.Open(*inPath)
 		if err != nil {
-			fatalf("benchcheck: %v", err)
+			log.Fatal(err)
 		}
 		defer f.Close()
 		in = f
 	}
-	run, err := benchstat.ParseRun(in)
+	samples, err := benchstat.ParseRun(in)
 	if err != nil {
-		fatalf("benchcheck: %v", err)
+		log.Fatal(err)
 	}
-
-	report, ok := benchstat.Compare(base, run, benchstat.Options{
-		ForceTime: *forceTime,
-		NumCPU:    runtime.NumCPU(),
-	})
+	report, ok := benchstat.Compare(base, samples)
 	fmt.Print(report)
 	if !ok {
 		os.Exit(1)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

@@ -2,6 +2,7 @@ package benchstat
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -20,35 +21,44 @@ PASS
 ok  	zombiescope	2.345s
 `
 
+func ptr(v float64) *float64 { return &v }
+
 func testBaseline() *Baseline {
 	return &Baseline{
 		Benchmark:    "BenchmarkPipelineDetect",
-		CPU:          "Intel(R) Xeon(R) Processor @ 2.10GHz",
 		TolerancePct: 20,
 		Baseline: map[string]Metric{
-			"workers=0": {NsPerOp: 14621272, BytesPerOp: 10882328, AllocsPerOp: 11465},
-			"workers=4": {NsPerOp: 15099000, BytesPerOp: 17354832, AllocsPerOp: 12213},
+			"workers=0": {BytesPerOp: ptr(10882328), AllocsPerOp: ptr(11465)},
+			"workers=4": {BytesPerOp: ptr(17354832), AllocsPerOp: ptr(12213)},
 		},
 	}
 }
 
-func TestParseRun(t *testing.T) {
-	run, err := ParseRun(strings.NewReader(sampleOutput))
+func parse(t *testing.T, out string) map[string][]Metric {
+	t.Helper()
+	samples, err := ParseRun(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "Intel(R) Xeon(R) Processor @ 2.10GHz"; run.CPU != want {
-		t.Errorf("cpu = %q, want %q", run.CPU, want)
-	}
-	w0 := run.Samples["BenchmarkPipelineDetect/workers=0"]
+	return samples
+}
+
+func TestParseRun(t *testing.T) {
+	samples := parse(t, sampleOutput)
+	w0 := samples["BenchmarkPipelineDetect/workers=0"]
 	if len(w0) != 3 {
 		t.Fatalf("workers=0 samples = %d, want 3", len(w0))
 	}
-	if w0[1].NsPerOp != 14621272 || w0[1].BytesPerOp != 10882280 || w0[1].AllocsPerOp != 11463 {
-		t.Errorf("workers=0 sample 1 = %+v", w0[1])
+	if *w0[1].BytesPerOp != 10882280 || *w0[1].AllocsPerOp != 11463 {
+		t.Errorf("workers=0 sample 1 = %v B/op, %v allocs/op", *w0[1].BytesPerOp, *w0[1].AllocsPerOp)
 	}
-	if len(run.Samples["BenchmarkPipelineDetect/workers=4"]) != 3 {
+	if len(samples["BenchmarkPipelineDetect/workers=4"]) != 3 {
 		t.Error("workers=4 samples missing")
+	}
+	// A run without -benchmem still yields its samples, with no fields.
+	bare := parse(t, "BenchmarkObsCounter-8 \t 1000000 \t 15.3 ns/op\n")["BenchmarkObsCounter"]
+	if len(bare) != 1 || bare[0].AllocsPerOp != nil || bare[0].BytesPerOp != nil {
+		t.Errorf("ns/op-only line parsed as %+v", bare)
 	}
 }
 
@@ -60,44 +70,39 @@ func TestParseRunRejectsEmpty(t *testing.T) {
 
 func TestMedianIsPerField(t *testing.T) {
 	med := Median([]Metric{
-		{NsPerOp: 30, AllocsPerOp: 1},
-		{NsPerOp: 10, AllocsPerOp: 3},
-		{NsPerOp: 20, AllocsPerOp: 2},
+		{BytesPerOp: ptr(30), AllocsPerOp: ptr(1)},
+		{BytesPerOp: ptr(10), AllocsPerOp: ptr(3)},
+		{BytesPerOp: ptr(20), AllocsPerOp: ptr(2)},
 	})
-	if med.NsPerOp != 20 || med.AllocsPerOp != 2 {
-		t.Errorf("median = %+v, want ns=20 allocs=2", med)
+	if *med.BytesPerOp != 20 || *med.AllocsPerOp != 2 {
+		t.Errorf("median = %v B/op, %v allocs/op, want 20 and 2", *med.BytesPerOp, *med.AllocsPerOp)
 	}
-	// Even sample count averages the middle pair.
-	med = Median([]Metric{{NsPerOp: 10}, {NsPerOp: 20}})
-	if med.NsPerOp != 15 {
-		t.Errorf("even median = %v, want 15", med.NsPerOp)
+	// Even sample count averages the middle pair; a field one sample
+	// lacks has no median.
+	med = Median([]Metric{{BytesPerOp: ptr(10), AllocsPerOp: ptr(1)}, {BytesPerOp: ptr(20)}})
+	if *med.BytesPerOp != 15 || med.AllocsPerOp != nil {
+		t.Errorf("even median = %+v, want 15 B/op and no allocs/op", med)
 	}
 }
 
 func TestCompareWithinTolerancePasses(t *testing.T) {
-	run, err := ParseRun(strings.NewReader(sampleOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, ok := Compare(testBaseline(), run, Options{})
+	report, ok := Compare(testBaseline(), parse(t, sampleOutput))
 	if !ok {
 		t.Errorf("want pass, got:\n%s", report)
 	}
-	if !strings.Contains(report, "ns/op") {
-		t.Errorf("matching cpu should check ns/op, got:\n%s", report)
+	for _, want := range []string{"ok   BenchmarkPipelineDetect/workers=0: allocs/op", "ok   BenchmarkPipelineDetect/workers=4: B/op"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
 	}
 }
 
 func TestCompareFailsOnAllocRegression(t *testing.T) {
-	run, err := ParseRun(strings.NewReader(sampleOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := testBaseline()
 	m := base.Baseline["workers=0"]
-	m.AllocsPerOp = 9000 // run's median 11465 is a +27% regression
+	m.AllocsPerOp = ptr(9000) // run's median 11465 is a +27% regression
 	base.Baseline["workers=0"] = m
-	report, ok := Compare(base, run, Options{})
+	report, ok := Compare(base, parse(t, sampleOutput))
 	if ok {
 		t.Errorf("want failure, got:\n%s", report)
 	}
@@ -106,36 +111,52 @@ func TestCompareFailsOnAllocRegression(t *testing.T) {
 	}
 }
 
-func TestCompareSkipsTimeOnForeignCPU(t *testing.T) {
-	run, err := ParseRun(strings.NewReader(sampleOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestCompareFailsOnMissingSub(t *testing.T) {
 	base := testBaseline()
-	base.CPU = "some other machine"
-	m := base.Baseline["workers=0"]
-	m.NsPerOp = 1 // wild time regression, must be ignored off-machine
-	base.Baseline["workers=0"] = m
-	report, ok := Compare(base, run, Options{})
-	if !ok {
-		t.Errorf("time must not be checked on a different cpu:\n%s", report)
-	}
-	// ...unless forced.
-	if _, ok := Compare(base, run, Options{ForceTime: true}); ok {
-		t.Error("force-time should fail on the time regression")
+	base.Baseline["workers=9"] = Metric{AllocsPerOp: ptr(1)}
+	report, ok := Compare(base, parse(t, sampleOutput))
+	if ok || !strings.Contains(report, "no samples") {
+		t.Errorf("missing sub-benchmark must fail:\n%s", report)
 	}
 }
 
-func TestCompareFailsOnMissingSub(t *testing.T) {
-	run, err := ParseRun(strings.NewReader(sampleOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := testBaseline()
-	base.Baseline["workers=9"] = Metric{NsPerOp: 1, AllocsPerOp: 1}
-	report, ok := Compare(base, run, Options{})
-	if ok || !strings.Contains(report, "no samples") {
-		t.Errorf("missing sub-benchmark must fail:\n%s", report)
+// TestCompareFailsOnMissingMetric: output run without -benchmem has no
+// B/op or allocs/op columns. A field the row fences must then fail and
+// say why, not pass as a zero median under any positive baseline.
+func TestCompareFailsOnMissingMetric(t *testing.T) {
+	for _, tc := range []struct {
+		name, out, fail string
+		base            *Baseline
+	}{{
+		name: "allocs missing",
+		base: testBaseline(),
+		out: "BenchmarkPipelineDetect/workers=0-2 \t 1 \t 29000000 ns/op \t 85.00 MB/s\n" +
+			"BenchmarkPipelineDetect/workers=4-2 \t 1 \t 16000000 ns/op \t 150.00 MB/s\n",
+		fail: "FAIL BenchmarkPipelineDetect/workers=0: allocs/op missing",
+	}, {
+		name: "bytes missing on a row that lists bytes",
+		base: &Baseline{Benchmark: "BenchmarkArchiveIngest", TolerancePct: 25, Baseline: map[string]Metric{
+			"mode=mmap": {BytesPerOp: ptr(29941), AllocsPerOp: ptr(379)},
+		}},
+		out:  "BenchmarkArchiveIngest/mode=mmap-2 \t 3 \t 1444073 ns/op \t 379 allocs/op\n",
+		fail: "FAIL BenchmarkArchiveIngest/mode=mmap: B/op missing",
+	}, {
+		name: "zero-alloc fence with allocs missing",
+		base: &Baseline{Benchmark: "BenchmarkObs", TolerancePct: 20, Baseline: map[string]Metric{
+			"BenchmarkObsCounter": {AllocsPerOp: ptr(0)},
+		}},
+		out:  "BenchmarkObsCounter-2 \t 1000000 \t 15.30 ns/op\n",
+		fail: "FAIL BenchmarkObsCounter: allocs/op missing",
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			report, ok := Compare(tc.base, parse(t, tc.out))
+			if ok {
+				t.Errorf("output without the fenced field passed:\n%s", report)
+			}
+			if !strings.Contains(report, tc.fail) || !strings.Contains(report, "-benchmem") {
+				t.Errorf("report does not name the missing field and -benchmem:\n%s", report)
+			}
+		})
 	}
 }
 
@@ -154,222 +175,130 @@ func TestTrimProcSuffix(t *testing.T) {
 func TestCompareFullNameKeys(t *testing.T) {
 	// A baseline key that is itself a full "Benchmark..." name fences a
 	// top-level (sub-less) benchmark; one file can cover a flat family.
-	out := `cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkStoreAppend-8 	  200000	      1616 ns/op	      92 B/op	       1 allocs/op
+	out := `BenchmarkStoreAppend-8 	  200000	      1616 ns/op	      92 B/op	       1 allocs/op
 BenchmarkStoreScan-8 	      30	  24766478 ns/op	     120 B/op	       3 allocs/op
 `
 	base := &Baseline{
 		Benchmark:    "BenchmarkStore",
-		CPU:          "Intel(R) Xeon(R) Processor @ 2.10GHz",
 		TolerancePct: 20,
 		Baseline: map[string]Metric{
-			"BenchmarkStoreAppend": {NsPerOp: 1616, BytesPerOp: 92, AllocsPerOp: 1},
-			"BenchmarkStoreScan":   {NsPerOp: 24766478, BytesPerOp: 120, AllocsPerOp: 3},
+			"BenchmarkStoreAppend": {AllocsPerOp: ptr(1)},
+			"BenchmarkStoreScan":   {AllocsPerOp: ptr(3)},
 		},
 	}
-	run, err := ParseRun(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, ok := Compare(base, run, Options{})
+	samples := parse(t, out)
+	report, ok := Compare(base, samples)
 	if !ok {
 		t.Fatalf("clean run failed the gate:\n%s", report)
 	}
-	if !strings.Contains(report, "ok   BenchmarkStoreAppend: ns/op") {
+	if !strings.Contains(report, "ok   BenchmarkStoreAppend: allocs/op") {
 		t.Fatalf("full-name key not matched:\n%s", report)
 	}
 
-	base.Baseline["BenchmarkStoreScan"] = Metric{NsPerOp: 24766478, BytesPerOp: 120, AllocsPerOp: 1}
-	if report, ok := Compare(base, run, Options{}); ok {
+	base.Baseline["BenchmarkStoreScan"] = Metric{AllocsPerOp: ptr(1)}
+	if report, ok := Compare(base, samples); ok {
 		t.Fatalf("allocs regression passed the gate:\n%s", report)
 	}
 }
 
 // TestCompareZeroAllocFence: an allocs/op baseline of exactly 0 is a
 // fence ("this path is allocation-free"), not a skip — any allocation
-// fails. A negative want is the explicit opt-out.
+// fails.
 func TestCompareZeroAllocFence(t *testing.T) {
 	base := &Baseline{
 		Benchmark:    "BenchmarkObs",
 		TolerancePct: 20,
 		Baseline: map[string]Metric{
-			"BenchmarkObsCounter": {NsPerOp: 10, AllocsPerOp: 0},
+			"BenchmarkObsCounter": {AllocsPerOp: ptr(0)},
 		},
 	}
-	clean := &Run{Samples: map[string][]Metric{
-		"BenchmarkObsCounter": {{NsPerOp: 10, AllocsPerOp: 0}},
-	}}
-	if report, ok := Compare(base, clean, Options{}); !ok {
+	clean := map[string][]Metric{"BenchmarkObsCounter": {{AllocsPerOp: ptr(0)}}}
+	if report, ok := Compare(base, clean); !ok {
 		t.Errorf("allocation-free run failed the zero fence:\n%s", report)
 	}
-	dirty := &Run{Samples: map[string][]Metric{
-		"BenchmarkObsCounter": {{NsPerOp: 10, AllocsPerOp: 1}},
-	}}
-	report, ok := Compare(base, dirty, Options{})
+	dirty := map[string][]Metric{"BenchmarkObsCounter": {{AllocsPerOp: ptr(1)}}}
+	report, ok := Compare(base, dirty)
 	if ok {
 		t.Errorf("1 alloc/op passed a zero-alloc fence:\n%s", report)
 	}
-	if !strings.Contains(report, "allocation-free fence") {
+	if !strings.Contains(report, "FAIL BenchmarkObsCounter: allocs/op 1 vs baseline 0") {
 		t.Errorf("report does not name the fence:\n%s", report)
-	}
-
-	base.Baseline["BenchmarkObsCounter"] = Metric{NsPerOp: 10, AllocsPerOp: -1}
-	if report, ok := Compare(base, dirty, Options{}); !ok {
-		t.Errorf("negative want must skip the alloc check:\n%s", report)
 	}
 }
 
-// TestCompareBytesGateOptIn: bytes_per_op is gated only when the
-// baseline sets check_bytes — the fence of choice for zero-copy paths,
-// where a reintroduced bulk copy moves B/op by orders of magnitude.
+// TestCompareBytesGateOptIn: a row gates bytes_per_op exactly when it
+// lists it — the fence of choice for zero-copy paths, where a
+// reintroduced bulk copy moves B/op by orders of magnitude.
 func TestCompareBytesGateOptIn(t *testing.T) {
 	base := &Baseline{
 		Benchmark:    "BenchmarkArchiveIngest",
 		TolerancePct: 20,
 		Baseline: map[string]Metric{
-			"mode=mmap": {NsPerOp: 1, BytesPerOp: 30000, AllocsPerOp: 380},
+			"mode=mmap": {AllocsPerOp: ptr(380)},
 		},
 	}
 	// A 100x B/op blow-up (the copy came back) with allocs in tolerance.
-	run := &Run{Samples: map[string][]Metric{
-		"BenchmarkArchiveIngest/mode=mmap": {{NsPerOp: 1, BytesPerOp: 3e6, AllocsPerOp: 385}},
-	}}
-	if report, ok := Compare(base, run, Options{}); !ok {
-		t.Errorf("check_bytes off must not gate B/op:\n%s", report)
+	run := map[string][]Metric{
+		"BenchmarkArchiveIngest/mode=mmap": {{BytesPerOp: ptr(3e6), AllocsPerOp: ptr(385)}},
 	}
-	base.CheckBytes = true
-	report, ok := Compare(base, run, Options{})
+	if report, ok := Compare(base, run); !ok {
+		t.Errorf("a row without bytes_per_op must not gate B/op:\n%s", report)
+	}
+	base.Baseline["mode=mmap"] = Metric{BytesPerOp: ptr(30000), AllocsPerOp: ptr(380)}
+	report, ok := Compare(base, run)
 	if ok {
-		t.Errorf("B/op blow-up passed an opted-in bytes gate:\n%s", report)
+		t.Errorf("B/op blow-up passed a row that lists bytes_per_op:\n%s", report)
 	}
 	if !strings.Contains(report, "FAIL BenchmarkArchiveIngest/mode=mmap: B/op") {
 		t.Errorf("report missing B/op failure:\n%s", report)
 	}
 }
 
-// speedupRun builds a run where workers=4 is `ratio` times faster than
-// workers=1.
-func speedupRun(ratio float64) *Run {
-	return &Run{Samples: map[string][]Metric{
-		"BenchmarkPipelineDetect/workers=1": {{NsPerOp: 40e6, AllocsPerOp: 1}},
-		"BenchmarkPipelineDetect/workers=4": {{NsPerOp: 40e6 / ratio, AllocsPerOp: 1}},
-	}}
-}
-
-func speedupBaseline(gateCPU int) *Baseline {
-	return &Baseline{
-		Benchmark:    "BenchmarkPipelineDetect",
-		NumCPU:       1,
-		TolerancePct: 20,
-		Baseline: map[string]Metric{
-			"workers=1": {AllocsPerOp: 1},
-			"workers=4": {AllocsPerOp: 1},
-		},
-		Speedups: []SpeedupGate{
-			{Fast: "workers=4", Base: "workers=1", MinRatio: 2, NumCPU: gateCPU},
-		},
+// TestLoadBaselineRejectsUnknownFields: a timing row, cpu string or
+// speedup gate left in a baseline is a load error, not a fence that
+// silently never runs.
+func TestLoadBaselineRejectsUnknownFields(t *testing.T) {
+	for name, doc := range map[string]string{
+		"ns_per_op row": `{"benchmark":"BenchmarkX","tolerance_pct":20,"baseline":{"BenchmarkX":{"ns_per_op":1,"allocs_per_op":1}}}`,
+		"cpu":           `{"benchmark":"BenchmarkX","tolerance_pct":20,"cpu":"test","baseline":{"BenchmarkX":{"allocs_per_op":1}}}`,
+		"speedups":      `{"benchmark":"BenchmarkX","tolerance_pct":20,"speedups":[],"baseline":{"BenchmarkX":{"allocs_per_op":1}}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "b.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadBaseline(path); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
-// TestCompareSpeedupGate: the ratio gate fails when the parallel
-// configuration is not MinRatio times faster — but only on a machine
-// with the gate's core count.
-func TestCompareSpeedupGate(t *testing.T) {
-	base := speedupBaseline(4)
-
-	report, ok := Compare(base, speedupRun(2.5), Options{NumCPU: 4})
-	if !ok {
-		t.Errorf("2.5x run failed a 2x gate:\n%s", report)
+// TestCommittedBaselines: every BENCH_*.json at the repository root loads
+// under the strict decoder, fences a field in every row, and is gated by a
+// CI step, so neither an orphan baseline nor a stale row comes back unseen.
+func TestCommittedBaselines(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no BENCH_*.json at the repository root (%v)", err)
 	}
-	if !strings.Contains(report, "ok   speedup BenchmarkPipelineDetect/workers=4 vs BenchmarkPipelineDetect/workers=1: 2.50x") {
-		t.Errorf("report missing speedup line:\n%s", report)
-	}
-
-	report, ok = Compare(base, speedupRun(1.3), Options{NumCPU: 4})
-	if ok {
-		t.Errorf("1.3x run passed a 2x gate:\n%s", report)
-	}
-	if !strings.Contains(report, "FAIL speedup") || !strings.Contains(report, "1.30x, want >= 2.00x") {
-		t.Errorf("report missing speedup failure:\n%s", report)
-	}
-}
-
-// TestCompareSpeedupGateSkipsOnCPUMismatch: a gate calibrated for a core
-// count the running machine does not have is reported and skipped — no
-// machine can be asked to show a parallel speedup it cannot physically
-// produce.
-func TestCompareSpeedupGateSkipsOnCPUMismatch(t *testing.T) {
-	base := speedupBaseline(4)
-	// 1.0x "speedup" (no parallel win) on a single-core machine: gate
-	// must skip, not fail.
-	report, ok := Compare(base, speedupRun(1.0), Options{NumCPU: 1})
-	if !ok {
-		t.Errorf("foreign-core-count gate failed instead of skipping:\n%s", report)
-	}
-	if !strings.Contains(report, "skip speedup") || !strings.Contains(report, "calibrated for 4 CPUs, running on 1") {
-		t.Errorf("report missing skip note:\n%s", report)
-	}
-	// Unknown core count (0) also skips.
-	if report, ok := Compare(base, speedupRun(1.0), Options{}); !ok {
-		t.Errorf("unknown core count must skip the gate:\n%s", report)
-	}
-
-	// A gate with no explicit num_cpu inherits the baseline's (1 here):
-	// it applies on a 1-CPU machine.
-	base = speedupBaseline(0)
-	base.Speedups[0].MinRatio = 0.9 // parallel-overhead fence
-	if report, ok := Compare(base, speedupRun(1.0), Options{NumCPU: 1}); !ok {
-		t.Errorf("inherited-count gate did not apply:\n%s", report)
-	} else if !strings.Contains(report, "ok   speedup") {
-		t.Errorf("report missing inherited-count gate line:\n%s", report)
-	}
-	if _, ok := Compare(base, speedupRun(0.5), Options{NumCPU: 1}); ok {
-		t.Error("0.5x run passed a 0.9x overhead fence")
-	}
-}
-
-// TestCompareSpeedupGateMissingSamples: a gate over benchmarks absent
-// from the run fails loudly rather than vacuously passing.
-func TestCompareSpeedupGateMissingSamples(t *testing.T) {
-	base := speedupBaseline(4)
-	run := &Run{Samples: map[string][]Metric{
-		"BenchmarkPipelineDetect/workers=1": {{NsPerOp: 40e6, AllocsPerOp: 1}},
-	}}
-	report, ok := Compare(base, run, Options{NumCPU: 4})
-	if ok || !strings.Contains(report, "FAIL speedup") {
-		t.Errorf("missing fast samples must fail the gate:\n%s", report)
-	}
-}
-
-// TestLoadBaselineRejectsBadSpeedup: malformed gates are a config error.
-func TestLoadBaselineRejectsBadSpeedup(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/b.json"
-	doc := `{"benchmark":"BenchmarkX","baseline":{"BenchmarkX":{"ns_per_op":1}},
-		"speedups":[{"fast":"workers=4","base":"","min_ratio":2}]}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(path); err == nil {
-		t.Error("gate with empty base accepted")
-	}
-}
-
-// TestBaselineNumCPURoundTrip pins that num_cpu survives the JSON
-// baseline format (benchcheck reports — not fails — on a mismatch).
-func TestBaselineNumCPURoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/b.json"
-	doc := `{"benchmark":"BenchmarkX","cpu":"test","num_cpu":4,
-		"baseline":{"BenchmarkX":{"ns_per_op":1,"allocs_per_op":1}}}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumCPU != 4 {
-		t.Errorf("NumCPU = %d, want 4", b.NumCPU)
+	for _, path := range paths {
+		name := filepath.Base(path)
+		b, err := LoadBaseline(path)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		for key, row := range b.Baseline {
+			if row.AllocsPerOp == nil && row.BytesPerOp == nil {
+				t.Errorf("%s: row %q fences neither allocs_per_op nor bytes_per_op", name, key)
+			}
+		}
+		if !strings.Contains(string(ci), "-baseline "+name) {
+			t.Errorf("%s: no step in ci.yml runs benchcheck -baseline %s", name, name)
+		}
 	}
 }
