@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"net/netip"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -422,7 +421,7 @@ func loadFeed(cfg config) (*feedSource, error) {
 			flushAt:   data.Config.TrackUntil,
 		}, nil
 	}
-	intervals, err := scheduleIntervals(cfg)
+	intervals, _, _, err := beacon.ParseSchedule(cfg.schedule, cfg.base, cfg.approach, cfg.origin, cfg.stride, cfg.from, cfg.to)
 	if err != nil {
 		return nil, err
 	}
@@ -435,42 +434,6 @@ func loadFeed(cfg config) (*feedSource, error) {
 		intervals: intervals,
 		flushAt:   flushInstant(intervals),
 	}, nil
-}
-
-// scheduleIntervals rebuilds the beacon detection intervals from the
-// schedule config (mirroring zombiehunt).
-func scheduleIntervals(cfg config) ([]beacon.Interval, error) {
-	from, err := time.Parse(time.RFC3339, cfg.from)
-	if err != nil {
-		return nil, fmt.Errorf("-from: %w", err)
-	}
-	to, err := time.Parse(time.RFC3339, cfg.to)
-	if err != nil {
-		return nil, fmt.Errorf("-to: %w", err)
-	}
-	var sched beacon.Schedule
-	switch cfg.schedule {
-	case "author":
-		base, err := netip.ParsePrefix(cfg.base)
-		if err != nil {
-			return nil, err
-		}
-		ap := beacon.Recycle15d
-		if cfg.approach == "24h" {
-			ap = beacon.Recycle24h
-		}
-		sched = &beacon.AuthorSchedule{Base: base, OriginAS: cfg.origin, Approach: ap, SlotStride: cfg.stride}
-	case "ris":
-		v4, v6 := beacon.DefaultRISPrefixes(cfg.origin)
-		sched = &beacon.RISSchedule{Prefixes4: v4, Prefixes6: v6, OriginAS: cfg.origin}
-	default:
-		return nil, fmt.Errorf("unknown -schedule %q", cfg.schedule)
-	}
-	intervals := sched.Intervals(from, to)
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("no beacon intervals in [%s, %s]", from, to)
-	}
-	return intervals, nil
 }
 
 // flushInstant is when every interval check of the schedule has certainly

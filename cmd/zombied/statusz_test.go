@@ -294,6 +294,30 @@ func TestDaemonMetricsScrape(t *testing.T) {
 	}
 }
 
+// TestDaemonInternCounters checks that the pipeline's intern counters are
+// live on the daemon's scrape: the stream detector interns every record's
+// AS path, so after the replay the hit counter cannot read zero, and the
+// retired pool and per-run hit-ratio families are gone.
+func TestDaemonInternCounters(t *testing.T) {
+	_, base, stop := startDaemon(t, testConfig())
+	defer stop()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	samples := obstest.ParsePrometheus(t, string(body))
+	if samples["pipeline_intern_hits_total"] == 0 {
+		t.Error("pipeline_intern_hits_total reads 0 after the replay")
+	}
+	for name := range samples {
+		if strings.HasPrefix(name, "pipeline_pool_") || strings.HasPrefix(name, "pipeline_intern_hit_ratio") {
+			t.Errorf("retired series %s on the scrape", name)
+		}
+	}
+}
+
 // TestDaemonTrace runs a oneshot daemon with -trace -trace-sample 1 and
 // checks the exported Chrome trace holds the per-event span trees.
 func TestDaemonTrace(t *testing.T) {

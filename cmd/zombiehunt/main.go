@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/netip"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -127,40 +126,9 @@ func run(args []string, w io.Writer) (err error) {
 		defer startProgress(obs.Component(logger, "zombiehunt"), *progress)()
 	}
 
-	from, err := time.Parse(time.RFC3339, *fromStr)
+	intervals, from, to, err := beacon.ParseSchedule(*schedKind, *baseStr, *approach, bgp.ASN(*origin), *stride, *fromStr, *toStr)
 	if err != nil {
-		return fmt.Errorf("-from: %w", err)
-	}
-	to, err := time.Parse(time.RFC3339, *toStr)
-	if err != nil {
-		return fmt.Errorf("-to: %w", err)
-	}
-	var sched beacon.Schedule
-	switch *schedKind {
-	case "author":
-		base, err := netip.ParsePrefix(*baseStr)
-		if err != nil {
-			return err
-		}
-		ap := beacon.Recycle15d
-		if *approach == "24h" {
-			ap = beacon.Recycle24h
-		}
-		sched = &beacon.AuthorSchedule{
-			Base:       base,
-			OriginAS:   bgp.ASN(*origin),
-			Approach:   ap,
-			SlotStride: *stride,
-		}
-	case "ris":
-		v4, v6 := beacon.DefaultRISPrefixes(bgp.ASN(*origin))
-		sched = &beacon.RISSchedule{Prefixes4: v4, Prefixes6: v6, OriginAS: bgp.ASN(*origin)}
-	default:
-		return fmt.Errorf("unknown -schedule %q", *schedKind)
-	}
-	intervals := sched.Intervals(from, to)
-	if len(intervals) == 0 {
-		return fmt.Errorf("no beacon intervals in [%s, %s]", from, to)
+		return err
 	}
 
 	det := &zombie.Detector{Threshold: *threshold, Parallelism: *parallel}

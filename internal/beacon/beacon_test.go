@@ -424,3 +424,33 @@ func TestScheduleAggregatorASN(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSchedule pins the flag-level schedule parser both commands
+// share: the intervals it builds and its error strings.
+func TestParseSchedule(t *testing.T) {
+	const from, to = "2024-06-10T00:00:00Z", "2024-06-11T00:00:00Z"
+	ivs, start, end, err := ParseSchedule("author", base.String(), "24h", 210312, 8, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (&AuthorSchedule{Base: base, OriginAS: 210312, Approach: Recycle24h, SlotStride: 8}).Intervals(start, end)
+	if len(ivs) == 0 || len(ivs) != len(want) || ivs[0] != want[0] {
+		t.Errorf("author: %d intervals, want the schedule's %d", len(ivs), len(want))
+	}
+	if ivs, _, _, err := ParseSchedule("ris", "", "", 12654, 0, from, to); err != nil || len(ivs) != 6*27 {
+		t.Errorf("ris: %d intervals, %v; want 6 cycles of 27 beacons", len(ivs), err)
+	}
+	for _, tc := range []struct {
+		kind, base, from, to, want string
+	}{
+		{"author", base.String(), "yesterday", to, `-from: parsing time "yesterday" as "2006-01-02T15:04:05Z07:00": cannot parse "yesterday" as "2006"`},
+		{"author", base.String(), from, "", `-to: parsing time "" as "2006-01-02T15:04:05Z07:00": cannot parse "" as "2006"`},
+		{"author", "2a0d::/129", from, to, `netip.ParsePrefix("2a0d::/129"): prefix length out of range`},
+		{"rrc", base.String(), from, to, `unknown -schedule "rrc"`},
+		{"ris", "", from, from, "no beacon intervals in [2024-06-10 00:00:00 +0000 UTC, 2024-06-10 00:00:00 +0000 UTC]"},
+	} {
+		if _, _, _, err := ParseSchedule(tc.kind, tc.base, "15d", 210312, 1, tc.from, tc.to); err == nil || err.Error() != tc.want {
+			t.Errorf("ParseSchedule(%q, %q, %q, %q) error %v, want %s", tc.kind, tc.base, tc.from, tc.to, err, tc.want)
+		}
+	}
+}

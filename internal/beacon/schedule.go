@@ -260,6 +260,42 @@ func sortIntervals(ivs []Interval) {
 	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].AnnounceAt.Before(ivs[j].AnnounceAt) })
 }
 
+// ParseSchedule builds the beacon schedule the command-line flags describe
+// and returns its detection intervals between fromStr and toStr (RFC 3339),
+// along with the parsed bounds. kind is "author" (base prefix, approach
+// "24h" or else 15d, slot stride) or "ris" (the default RIS prefixes);
+// origin is the beacon origin AS. Errors name the offending flag.
+func ParseSchedule(kind, base, approach string, origin bgp.ASN, stride int, fromStr, toStr string) (intervals []Interval, from, to time.Time, err error) {
+	if from, err = time.Parse(time.RFC3339, fromStr); err != nil {
+		return nil, from, to, fmt.Errorf("-from: %w", err)
+	}
+	if to, err = time.Parse(time.RFC3339, toStr); err != nil {
+		return nil, from, to, fmt.Errorf("-to: %w", err)
+	}
+	var sched Schedule
+	switch kind {
+	case "author":
+		basePrefix, err := netip.ParsePrefix(base)
+		if err != nil {
+			return nil, from, to, err
+		}
+		ap := Recycle15d
+		if approach == "24h" {
+			ap = Recycle24h
+		}
+		sched = &AuthorSchedule{Base: basePrefix, OriginAS: origin, Approach: ap, SlotStride: stride}
+	case "ris":
+		v4, v6 := DefaultRISPrefixes(origin)
+		sched = &RISSchedule{Prefixes4: v4, Prefixes6: v6, OriginAS: origin}
+	default:
+		return nil, from, to, fmt.Errorf("unknown -schedule %q", kind)
+	}
+	if intervals = sched.Intervals(from, to); len(intervals) == 0 {
+		return nil, from, to, fmt.Errorf("no beacon intervals in [%s, %s]", from, to)
+	}
+	return intervals, from, to, nil
+}
+
 // DefaultRISPrefixes returns stand-ins for the RIPE RIS beacon prefixes of
 // the replication era: 13 IPv4 and 14 IPv6 beacons (the counts the paper
 // gives for the 2017–2018 periods), drawn from documentation space.

@@ -40,6 +40,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"zombiescope/internal/mmapio"
 )
 
 const (
@@ -541,19 +543,22 @@ type segment struct {
 	size int64
 	idx  *segIndex
 	data []byte
-	seg  *mapping
+	// seg is the refcounted mapping behind data. The store holds one
+	// reference and every scan snapshot another, so compaction and
+	// retention can drop a segment while scans over it finish.
+	seg  *mmapio.Mapping
 	torn int64 // unrecovered tail bytes (read-only opens)
 }
 
 func (s *segment) release() {
 	if s.seg != nil {
-		s.seg.release()
+		s.seg.Release()
 	}
 }
 
 func (s *segment) acquire() {
 	if s.seg != nil {
-		s.seg.acquire()
+		s.seg.Acquire()
 	}
 }
 
@@ -607,12 +612,12 @@ func mapSegment(path string, size int64, idx *segIndex, torn int64) (*segment, e
 	if err != nil {
 		return nil, fmt.Errorf("eventstore: %w", err)
 	}
-	mp, err := mapFile(f, size)
+	mp, err := mmapio.MapFile(f, size)
 	f.Close()
 	if err != nil {
 		return nil, fmt.Errorf("eventstore: map %s: %w", filepath.Base(path), err)
 	}
-	return &segment{path: path, size: size, idx: idx, data: mp.data(), seg: mp, torn: torn}, nil
+	return &segment{path: path, size: size, idx: idx, data: mp.Data, seg: mp, torn: torn}, nil
 }
 
 // openSegment validates and (unless readOnly) repairs one segment file:

@@ -27,18 +27,34 @@ type SourcedRecord struct {
 // would see it. Decoding runs through the pipeline engine (so a zombied
 // replay accounts into the pipeline stage metrics like any batch run);
 // collector names sort ties deterministically because the stable merge
-// visits files in sorted-name order.
+// visits files in sorted-name order, each file's records in stream order.
 func MergeUpdates(updates map[string][]byte) ([]SourcedRecord, error) {
 	sp := obs.StartSpan("livefeed.merge_updates")
 	defer sp.End()
-	files, err := (&pipeline.Engine{Trace: sp}).DecodeArchives(updates)
+	streams := make(map[string][][]byte, len(updates))
+	for name, data := range updates {
+		streams[name] = [][]byte{data}
+	}
+	// The stream keeps every record, so the fold decodes owning records.
+	_, chunks, err := pipeline.FoldStreams(&pipeline.Engine{Trace: sp}, streams,
+		func(pipeline.FileChunk) *[]SourcedRecord { return new([]SourcedRecord) },
+		func(acc *[]SourcedRecord, fc pipeline.FileChunk, _ int, rec mrt.Record) error {
+			*acc = append(*acc, SourcedRecord{Collector: fc.Name, Rec: rec})
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	var stream []SourcedRecord
-	for _, f := range files {
-		for _, rec := range f.Records {
-			stream = append(stream, SourcedRecord{Collector: f.Name, Rec: rec})
+	n := 0
+	for _, file := range chunks {
+		for _, c := range file {
+			n += len(*c)
+		}
+	}
+	stream := make([]SourcedRecord, 0, n)
+	for _, file := range chunks {
+		for _, c := range file {
+			stream = append(stream, *c...)
 		}
 	}
 	sortSp := sp.Start("livefeed.sort_stream")

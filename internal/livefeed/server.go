@@ -131,16 +131,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves. Addr returns the bound
-// address once listening.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Addr returns the listener address, or nil before Serve.
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()

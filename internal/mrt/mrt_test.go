@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"net/netip"
+	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"zombiescope/internal/bgp"
@@ -427,6 +429,64 @@ func TestReaderMidHeaderEOF(t *testing.T) {
 	_, err := rd.Next()
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
+	}
+}
+
+func makeStream(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	wr := NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		u := &bgp.Update{NLRI: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")}}
+		u.Attrs.ASPath = bgp.NewASPath(64500, 3333, 12654)
+		data, err := u.AppendWireFormat(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wr.Write(&BGP4MPMessage{
+			Timestamp: testTime.Add(time.Duration(i) * time.Second),
+			PeerAS:    64500,
+			LocalAS:   12654,
+			AFI:       bgp.AFIIPv4,
+			PeerIP:    netip.AddrFrom4([4]byte{192, 0, 2, 1}),
+			LocalIP:   netip.AddrFrom4([4]byte{192, 0, 2, 2}),
+			Data:      data,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestCountRecordsStopsAtBadFraming: ReadAll hands back every record
+// before a cut one, then the framing error.
+func TestCountRecordsStopsAtBadFraming(t *testing.T) {
+	trunc := makeStream(t, 10)
+	trunc = trunc[:len(trunc)-3]
+	recs, err := ReadAll(bytes.NewReader(trunc))
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if len(recs) != 9 {
+		t.Errorf("decoded %d records before the error, want 9", len(recs))
+	}
+}
+
+// TestReadAllUnsizedReaderStillWorks: a reader that returns one byte per
+// Read (a slow network stream) decodes the same records.
+func TestReadAllUnsizedReaderStillWorks(t *testing.T) {
+	const n = 100
+	data := makeStream(t, n)
+	recs, err := ReadAll(iotest.OneByteReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n || !reflect.DeepEqual(recs, want) {
+		t.Fatalf("decoded %d records, want the %d a whole-buffer read gives", len(recs), n)
 	}
 }
 

@@ -12,65 +12,19 @@ import (
 // io.EOF after the last record. Records of types this package does not
 // model are skipped transparently.
 //
-// Record bodies are read into a pooled buffer whose capacity is reused
-// across records; call Release when done with the Reader to hand the
-// buffer back to the pool. Buffer reuse is invisible in the default mode
-// (every decoded record owns its memory); SetBorrow trades that guarantee
-// for zero-copy decoding.
+// Record bodies are read into one private buffer that grows as records
+// need. Every decoded record owns its memory, so the reuse is invisible to
+// callers.
 type Reader struct {
 	r      io.Reader
 	header [HeaderLen]byte
-	body   []byte // pooled record-body buffer, cap-reused across records
+	body   []byte // record-body buffer, cap-reused across records
 	dec    Decoder
-	stats  PoolStats // local counters, flushed to the package by Release
 }
 
 // NewReader returns a Reader decoding from r.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r}
-}
-
-// SetBorrow switches the Reader into borrowed-slice decode mode: BGP4MP
-// message and state-change records are scratch structs reused by the next
-// Next call, and BGP4MPMessage.Data aliases the Reader's pooled body
-// buffer. Callers that consume each record before the next Next (and
-// before Release) save the per-record body copy; all other callers should
-// leave the default mode on. TABLE_DUMP_V2 records stay safe to retain.
-func (rd *Reader) SetBorrow(on bool) { rd.dec.Borrow = on }
-
-// Release returns the Reader's pooled body buffer and flushes its pool
-// counters to the package-wide PoolStats. The Reader remains usable (it
-// will draw a fresh buffer), but records decoded in borrow mode must not
-// be touched after Release.
-func (rd *Reader) Release() {
-	if rd.body != nil {
-		b := rd.body
-		rd.body = nil
-		bodyPool.Put(&b)
-	}
-	flushPoolStats(&rd.stats)
-}
-
-// bodyBuf returns the pooled body buffer resized to n bytes, growing it
-// when a record exceeds the current capacity.
-func (rd *Reader) bodyBuf(n int) []byte {
-	if rd.body == nil {
-		rd.body = *bodyPool.Get().(*[]byte)
-		rd.stats.Gets++
-	}
-	if cap(rd.body) < n {
-		// Grow past the record so nearby records of similar size reuse.
-		c := 2 * cap(rd.body)
-		if c < n {
-			c = n
-		}
-		rd.body = make([]byte, c)
-		rd.stats.Grows++
-	} else {
-		rd.stats.Reuses++
-	}
-	rd.stats.Bytes += uint64(n)
-	return rd.body[:cap(rd.body)][:n]
 }
 
 // Next returns the next decoded record, or io.EOF at end of input.
@@ -101,7 +55,11 @@ func (rd *Reader) next() (Record, error) {
 	if length > MaxRecordLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, length)
 	}
-	body := rd.bodyBuf(int(length))
+	if cap(rd.body) < int(length) {
+		// Grow past the record so nearby records of similar size reuse.
+		rd.body = make([]byte, max(int(length), 2*cap(rd.body)))
+	}
+	body := rd.body[:length]
 	if _, err := io.ReadFull(rd.r, body); err != nil {
 		return nil, fmt.Errorf("%w: record body: %v", ErrTruncated, err)
 	}
@@ -117,64 +75,10 @@ func ParseHeader(h [HeaderLen]byte) (ts time.Time, typ, subtype uint16, length u
 	return ts, typ, subtype, length
 }
 
-// DecodeRecord decodes a single MRT record body given its header fields.
-// Record types this package does not model decode to (nil, nil). Every
-// decoded record owns its memory; use a Decoder with Borrow for the
-// zero-copy mode.
-func DecodeRecord(ts time.Time, typ, subtype uint16, body []byte) (Record, error) {
-	var d Decoder
-	return d.Decode(ts, typ, subtype, body)
-}
-
-// sizedReaderAt is what ReadAll needs to count records up front without
-// disturbing the read cursor (bytes.Reader, io.SectionReader, ...).
-type sizedReaderAt interface {
-	io.ReaderAt
-	Size() int64
-}
-
-// countRecords walks the MRT common headers of r via ReadAt and returns
-// how many well-framed records the stream holds. The walk stops at the
-// first framing irregularity — the count is only a capacity hint, the
-// decode loop re-validates everything.
-func countRecords(r sizedReaderAt, size int64) int {
-	var h [HeaderLen]byte
-	n := 0
-	off := int64(0)
-	for off+HeaderLen <= size {
-		if _, err := r.ReadAt(h[:], off); err != nil {
-			break
-		}
-		length := binary.BigEndian.Uint32(h[8:])
-		if length > MaxRecordLen || off+HeaderLen+int64(length) > size {
-			break
-		}
-		off += HeaderLen + int64(length)
-		n++
-	}
-	return n
-}
-
-// ReadAll decodes every record from r. When r can report its size the
-// result slice is pre-sized — exactly, via a header-walk first pass, when
-// r also supports ReadAt — so the append loop never reallocates; the
-// Reader's header and body scratch are reused across records either way.
+// ReadAll decodes every record from r.
 func ReadAll(r io.Reader) ([]Record, error) {
 	rd := NewReader(r)
-	defer rd.Release()
 	var out []Record
-	if sr, ok := r.(sizedReaderAt); ok {
-		if n := countRecords(sr, sr.Size()); n > 0 {
-			out = make([]Record, 0, n)
-		}
-	} else if lr, ok := r.(interface{ Len() int }); ok {
-		// Sized hint only: a record is at least HeaderLen bytes, typical
-		// update records run tens of bytes, so size/64 seeds the geometric
-		// growth close to the final count without overcommitting.
-		if c := lr.Len() / 64; c > 0 {
-			out = make([]Record, 0, c)
-		}
-	}
 	for {
 		rec, err := rd.Next()
 		if err == io.EOF {

@@ -31,7 +31,7 @@ type FileChunk struct {
 }
 
 // FileError locates a malformed record inside an archive set. It is the
-// error FoldRecords returns, chosen deterministically: the smallest
+// error FoldStreams returns, chosen deterministically: the smallest
 // (file, record) position, exactly the record the sequential reader would
 // have tripped on first.
 type FileError struct {
@@ -108,9 +108,14 @@ func scanChunks(data []byte, parts int) ([]chunk, *posError) {
 	return chunks, scanErr
 }
 
-// FoldRecords decodes every archive concurrently in record-aligned chunks
-// and folds each chunk's records into an accumulator from newAcc. fn runs
-// once per decoded record with the record's exact index within its file;
+// FoldStreams decodes every archive concurrently in record-aligned chunks
+// and folds each chunk's records into an accumulator from newAcc. Each
+// archive is an ordered list of byte segments (e.g. a collector's rotated
+// update files, mmapped individually by archive.OpenMapped) that together
+// form one logical MRT stream; records are self-delimiting and never span
+// segments, so record indexes, chunk order and error selection are those of
+// the concatenated stream, which is never materialized. fn runs once per
+// decoded record with the record's exact index within its stream;
 // unsupported record types are counted but not passed to fn, mirroring the
 // sequential Reader's skip behavior. Accumulators come back grouped per
 // file (sorted-name order) with chunks in stream order, so callers can
@@ -119,25 +124,6 @@ func scanChunks(data []byte, parts int) ([]chunk, *posError) {
 //
 // fn and newAcc must be safe for concurrent use across chunks; each
 // accumulator itself is only touched by one goroutine at a time.
-func FoldRecords[A any](e *Engine, archives map[string][]byte,
-	newAcc func(fc FileChunk) A,
-	fn func(acc A, fc FileChunk, idx int, rec mrt.Record) error,
-) (names []string, accs [][]A, err error) {
-	streams := make(map[string][][]byte, len(archives))
-	for name, data := range archives {
-		streams[name] = [][]byte{data}
-	}
-	return FoldStreams(e, streams, newAcc, fn)
-}
-
-// FoldStreams is FoldRecords over segmented streams: each archive is an
-// ordered list of byte segments (e.g. a collector's rotated update files,
-// mmapped individually by archive.OpenMapped) that together form one
-// logical MRT stream. Because records are self-delimiting and never span
-// segments, record indexes, chunk order, and error selection are identical
-// to folding the concatenated stream — without ever materializing the
-// concatenation. Chunk indexes run across segment boundaries, so
-// accumulators merge exactly as in FoldRecords.
 func FoldStreams[A any](e *Engine, streams map[string][][]byte,
 	newAcc func(fc FileChunk) A,
 	fn func(acc A, fc FileChunk, idx int, rec mrt.Record) error,
@@ -274,41 +260,4 @@ func FoldStreams[A any](e *Engine, streams map[string][][]byte,
 		}
 	}
 	return names, accs, nil
-}
-
-// DecodedFile is one archive decoded into records, in stream order.
-type DecodedFile struct {
-	Name    string
-	Records []mrt.Record
-}
-
-// DecodeArchives decodes every archive concurrently and returns the files
-// in sorted-name order with records in stream order — the same sequence a
-// sequential Reader pass over each file would produce.
-func (e *Engine) DecodeArchives(archives map[string][]byte) ([]DecodedFile, error) {
-	if e != nil && e.Borrow {
-		// The records are retained, so borrowed decoding would hand the
-		// caller scratch structs; force the owning mode.
-		own := *e
-		own.Borrow = false
-		e = &own
-	}
-	names, accs, err := FoldRecords(e, archives,
-		func(FileChunk) *[]mrt.Record { return new([]mrt.Record) },
-		func(acc *[]mrt.Record, _ FileChunk, _ int, rec mrt.Record) error {
-			*acc = append(*acc, rec)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]DecodedFile, len(names))
-	for i, name := range names {
-		df := DecodedFile{Name: name}
-		for _, chunkRecs := range accs[i] {
-			df.Records = append(df.Records, *chunkRecs...)
-		}
-		out[i] = df
-	}
-	return out, nil
 }

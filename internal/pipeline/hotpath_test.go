@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"io"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,10 +13,10 @@ import (
 	"zombiescope/internal/obs"
 )
 
-// TestSyncHotPathMovesCounters proves SyncHotPath bridges the package-level
-// pool/intern stats into registry instruments: after a borrow-mode read
-// pass with interned decoding, the counters advance by the window's delta,
-// and a second sync with no intervening work adds nothing.
+// TestSyncHotPathMovesCounters proves the scrape hook bridges the bgp
+// package's intern stats into registry instruments: after a read pass with
+// interned decoding, a scrape advances the counters by the window's delta,
+// and a second scrape with no intervening work adds nothing.
 func TestSyncHotPathMovesCounters(t *testing.T) {
 	u := &bgp.Update{
 		NLRI: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")},
@@ -44,11 +46,17 @@ func TestSyncHotPathMovesCounters(t *testing.T) {
 	}
 
 	m := NewMetrics(obs.NewRegistry())
-	m.SyncHotPath() // swallow whatever other tests left in the package stats
+	scrape := func() {
+		t.Helper()
+		if err := m.Registry().WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape() // the counters start at whatever other tests left in the package stats
+	before := m.internHits.Value()
 
 	var scratch bgp.Scratch
 	rd := mrt.NewReader(bytes.NewReader(buf.Bytes()))
-	rd.SetBorrow(true)
 	for {
 		rec, err := rd.Next()
 		if err != nil {
@@ -62,30 +70,34 @@ func TestSyncHotPathMovesCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rd.Release() // flushes this reader's pool stats to the package totals
 
-	m.SyncHotPath()
-	gets := m.poolGets.Value()
-	reuses := m.poolReuses.Value()
-	hits := m.internHits.Value()
-	if gets < 1 {
-		t.Errorf("pool gets = %d, want >= 1", gets)
+	// Concurrent scrapes split the window between them but never count
+	// a lookup twice: the counter ends at exactly the package total.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := m.Registry().WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if reuses < records-1 {
-		t.Errorf("pool reuses = %d, want >= %d (one get, rest reuses)", reuses, records-1)
+	wg.Wait()
+	hits := m.internHits.Value()
+	path, agg := bgp.InternStats()
+	if want := int64(path.Hits + agg.Hits); hits != want {
+		t.Errorf("intern hits = %d, package total %d", hits, want)
 	}
 	// Every record after the first decodes the same AS path, so the intern
 	// table must have served at least records-1 hits in this window.
-	if hits < records-1 {
-		t.Errorf("intern hits = %d, want >= %d", hits, records-1)
+	if hits-before < records-1 {
+		t.Errorf("intern hits moved by %d, want >= %d", hits-before, records-1)
 	}
 
-	// No work since the last sync: counters must not move.
-	m.SyncHotPath()
-	if got := m.poolGets.Value(); got != gets {
-		t.Errorf("idle sync moved pool gets %d -> %d", gets, got)
-	}
+	// No work since the last scrape: counters must not move.
+	scrape()
 	if got := m.internHits.Value(); got != hits {
-		t.Errorf("idle sync moved intern hits %d -> %d", hits, got)
+		t.Errorf("idle scrape moved intern hits %d -> %d", hits, got)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"zombiescope/internal/bgp"
-	"zombiescope/internal/intern"
-	"zombiescope/internal/mrt"
 	"zombiescope/internal/obs"
 )
 
@@ -42,28 +40,16 @@ type Metrics struct {
 	mergeSeconds  *obs.Histogram
 	detectSeconds *obs.Histogram
 
-	// Allocation hot path: pooled-buffer and intern-table counters,
-	// mirrored from the bgp/mrt package totals by SyncHotPath.
-	poolGets     *obs.Counter
-	poolReuses   *obs.Counter
-	poolGrows    *obs.Counter
-	poolBytes    *obs.Counter
+	// Intern-table counters, mirrored from the bgp package totals by
+	// syncIntern at every scrape.
 	internHits   *obs.Counter
 	internMisses *obs.Counter
-	// poolBatchBytes is the pooled bytes decoded between SyncHotPath
-	// calls (one observation per pipeline run).
-	poolBatchBytes *obs.Histogram
-	// internHitRatio is the intern hit rate over the same window, one
-	// child per intern table.
-	internPathRatio *obs.Histogram
-	internAggRatio  *obs.Histogram
 
-	// hotMu guards the last-seen package totals so deltas are exact even
-	// with concurrent pipeline runs syncing.
-	hotMu       sync.Mutex
-	lastPool    mrt.PoolStats
-	lastPathInt intern.Stats
-	lastAggInt  intern.Stats
+	// internMu guards the last-seen package totals so deltas are exact
+	// even with concurrent scrapes.
+	internMu   sync.Mutex
+	lastHits   uint64
+	lastMisses uint64
 }
 
 // Default is the process-wide metrics sink, used by engines that do not
@@ -100,20 +86,9 @@ func (m *Metrics) init() {
 		m.buildSeconds = stages.With("build")
 		m.mergeSeconds = stages.With("merge")
 		m.detectSeconds = stages.With("detect")
-		m.poolGets = m.reg.Counter("pipeline_pool_gets_total", "Record-body buffers taken from the pool.")
-		m.poolReuses = m.reg.Counter("pipeline_pool_reuses_total", "Record bodies served by an already-sized pooled buffer.")
-		m.poolGrows = m.reg.Counter("pipeline_pool_grows_total", "Record bodies that forced a pooled buffer growth.")
-		m.poolBytes = m.reg.Counter("pipeline_pool_bytes_total", "Record-body bytes decoded through pooled buffers.")
 		m.internHits = m.reg.Counter("pipeline_intern_hits_total", "Intern table lookups served from the table.")
 		m.internMisses = m.reg.Counter("pipeline_intern_misses_total", "Intern table lookups that built a new entry.")
-		m.poolBatchBytes = m.reg.Histogram("pipeline_pool_batch_bytes",
-			"Pooled record-body bytes decoded per pipeline run.",
-			[]float64{1 << 10, 16 << 10, 256 << 10, 1 << 20, 16 << 20, 256 << 20, 1 << 30})
-		ratios := m.reg.HistogramVec("pipeline_intern_hit_ratio",
-			"Intern table hit rate per pipeline run.",
-			[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}, "table")
-		m.internPathRatio = ratios.With("aspath")
-		m.internAggRatio = ratios.With("aggregator")
+		m.reg.OnScrape(m.syncIntern)
 	})
 }
 
@@ -218,52 +193,20 @@ func (m *Metrics) ObserveDetect(d time.Duration) {
 	}
 }
 
-// SyncHotPath folds the allocation hot path's package-level counters (the
-// mrt body-buffer pool, the bgp intern tables) into the metrics registry:
-// counters advance by the delta since the last sync, and the per-run
-// histograms get one observation each covering that window. The hot path
-// itself only touches cheap package atomics; this is the bridge that makes
-// the numbers scrapeable. Call it once per pipeline run.
-func (m *Metrics) SyncHotPath() {
-	if m == nil {
-		return
-	}
-	m.init()
-	pool := mrt.ReadPoolStats()
-	pathInt, aggInt := bgp.InternStats()
-	m.hotMu.Lock()
-	dPool := mrt.PoolStats{
-		Gets:   pool.Gets - m.lastPool.Gets,
-		Reuses: pool.Reuses - m.lastPool.Reuses,
-		Grows:  pool.Grows - m.lastPool.Grows,
-		Bytes:  pool.Bytes - m.lastPool.Bytes,
-	}
-	dPath := internDelta(pathInt, m.lastPathInt)
-	dAgg := internDelta(aggInt, m.lastAggInt)
-	m.lastPool, m.lastPathInt, m.lastAggInt = pool, pathInt, aggInt
-	m.hotMu.Unlock()
-
-	m.poolGets.Add(int64(dPool.Gets))
-	m.poolReuses.Add(int64(dPool.Reuses))
-	m.poolGrows.Add(int64(dPool.Grows))
-	m.poolBytes.Add(int64(dPool.Bytes))
-	m.internHits.Add(int64(dPath.Hits + dAgg.Hits))
-	m.internMisses.Add(int64(dPath.Misses + dAgg.Misses))
-	m.poolBatchBytes.Observe(float64(dPool.Bytes))
-	if dPath.Hits+dPath.Misses > 0 {
-		m.internPathRatio.Observe(dPath.HitRate())
-	}
-	if dAgg.Hits+dAgg.Misses > 0 {
-		m.internAggRatio.Observe(dAgg.HitRate())
-	}
-}
-
-func internDelta(now, last intern.Stats) intern.Stats {
-	return intern.Stats{
-		Hits:    now.Hits - last.Hits,
-		Misses:  now.Misses - last.Misses,
-		Entries: now.Entries,
-	}
+// syncIntern advances the intern counters by the bgp intern tables' growth
+// since the last sync. The decode path only touches cheap package atomics;
+// running as the registry's scrape hook makes the counters current
+// wherever they are read, whichever path (batch fold, stream detector)
+// did the interning.
+func (m *Metrics) syncIntern() {
+	path, agg := bgp.InternStats()
+	hits, misses := path.Hits+agg.Hits, path.Misses+agg.Misses
+	m.internMu.Lock()
+	dHits, dMisses := hits-m.lastHits, misses-m.lastMisses
+	m.lastHits, m.lastMisses = hits, misses
+	m.internMu.Unlock()
+	m.internHits.Add(int64(dHits))
+	m.internMisses.Add(int64(dMisses))
 }
 
 func clampSeconds(d time.Duration) float64 {

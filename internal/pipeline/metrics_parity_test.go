@@ -1,38 +1,12 @@
 package pipeline
 
 import (
-	"bufio"
 	"bytes"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
-)
 
-// parseExposition reads "name{labels} value" samples into a map; shared
-// shape with the obs package's reference parser, local so the parity test
-// exercises the real text bytes, not a Go API.
-func parseExposition(t *testing.T, text string) map[string]float64 {
-	t.Helper()
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			t.Fatalf("malformed value in %q: %v", line, err)
-		}
-		out[line[:sp]] = v
-	}
-	return out
-}
+	"zombiescope/internal/obs/obstest"
+)
 
 // TestSnapshotPrometheusParity asserts the legacy JSON snapshot and the
 // Prometheus exposition are two views of the same state.
@@ -55,7 +29,7 @@ func TestSnapshotPrometheusParity(t *testing.T) {
 	if err := m.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	prom := parseExposition(t, buf.String())
+	prom := obstest.ParsePrometheus(t, buf.String())
 
 	counterFor := map[string]string{
 		"files_decoded":       "pipeline_files_decoded_total",

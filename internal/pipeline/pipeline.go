@@ -5,12 +5,14 @@
 // deterministically.
 //
 // The engine is deliberately generic: it knows MRT framing but nothing
-// about zombie detection. The zombie package builds its history on top of
-// FoldStreams (one HistoryBuilder per chunk, sealed in chunk order) and
-// its lifespan tracking on FoldRecords and Engine.For; every worker count
-// shares the per-record semantics and differs only in scheduling, and the
-// differential harness (internal/zombie/diff_test.go, next to its oracles;
-// this package keeps the exported-API half) checks the outputs bit for bit.
+// about zombie detection. FoldStreams is the one batch decode path: the
+// zombie package builds its history on it (one HistoryBuilder per chunk,
+// sealed in chunk order) and its lifespan tracking on it and Engine.For,
+// and livefeed.MergeUpdates collects the records of a replay with it.
+// Every worker count shares the per-record semantics and differs only in
+// scheduling, and the differential harness (internal/zombie/diff_test.go,
+// next to its oracles; this package keeps the exported-API half) checks
+// the outputs bit for bit.
 package pipeline
 
 import (
@@ -32,11 +34,12 @@ type Engine struct {
 	// stage spans are roots on the installed obs tracer (and free no-ops
 	// when tracing is disabled).
 	Trace *obs.Span
-	// Borrow switches FoldRecords to zero-copy record decoding: BGP4MP
+	// Borrow switches FoldStreams to zero-copy record decoding: BGP4MP
 	// records are scratch structs reused across a chunk's records and
 	// their Data aliases the archive bytes. Folds must consume each record
 	// before returning from fn (or retain only TABLE_DUMP_V2 records,
-	// which are always freshly allocated).
+	// which are always freshly allocated): the history build and lifespan
+	// tracking borrow, a fold that keeps its records (MergeUpdates) owns.
 	Borrow bool
 }
 

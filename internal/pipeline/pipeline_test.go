@@ -128,6 +128,24 @@ func TestScanChunksCoversStreamExactly(t *testing.T) {
 	}
 }
 
+// oneSegment presents whole in-memory archives as one-segment streams.
+func oneSegment(archives map[string][]byte) map[string][][]byte {
+	streams := make(map[string][][]byte, len(archives))
+	for name, data := range archives {
+		streams[name] = [][]byte{data}
+	}
+	return streams
+}
+
+// newCollector and collect make an owning fold that keeps every record of
+// its chunk, in stream order.
+func newCollector(FileChunk) *[]mrt.Record { return new([]mrt.Record) }
+
+func collect(acc *[]mrt.Record, _ FileChunk, _ int, rec mrt.Record) error {
+	*acc = append(*acc, rec)
+	return nil
+}
+
 func TestDecodeArchivesMatchesSequentialReader(t *testing.T) {
 	archives := map[string][]byte{
 		"rrc01": makeUpdateArchive(t, 3000, 1),
@@ -144,21 +162,25 @@ func TestDecodeArchivesMatchesSequentialReader(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		e := &Engine{Workers: workers, Metrics: &Metrics{}}
-		files, err := e.DecodeArchives(archives)
+		names, accs, err := FoldStreams(e, oneSegment(archives), newCollector, collect)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(files) != len(archives) {
-			t.Fatalf("workers=%d: %d files", workers, len(files))
+		if len(names) != len(archives) {
+			t.Fatalf("workers=%d: %d files", workers, len(names))
 		}
 		prev := ""
-		for _, f := range files {
-			if f.Name <= prev {
-				t.Fatalf("workers=%d: files not in sorted order: %q after %q", workers, f.Name, prev)
+		for i, name := range names {
+			if name <= prev {
+				t.Fatalf("workers=%d: files not in sorted order: %q after %q", workers, name, prev)
 			}
-			prev = f.Name
-			if !reflect.DeepEqual(f.Records, want[f.Name]) {
-				t.Fatalf("workers=%d: %s records diverge from sequential reader", workers, f.Name)
+			prev = name
+			var recs []mrt.Record
+			for _, chunk := range accs[i] {
+				recs = append(recs, *chunk...)
+			}
+			if !reflect.DeepEqual(recs, want[name]) {
+				t.Fatalf("workers=%d: %s records diverge from sequential reader", workers, name)
 			}
 		}
 		snap := e.Metrics.Snapshot()
@@ -232,9 +254,7 @@ func TestFoldRecordsErrorMatchesSequential(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				e := &Engine{Workers: workers, Metrics: &Metrics{}}
-				_, _, err := FoldRecords(e, tc.archives,
-					func(FileChunk) *int { return new(int) },
-					func(acc *int, _ FileChunk, _ int, _ mrt.Record) error { *acc++; return nil })
+				_, _, err := FoldStreams(e, oneSegment(tc.archives), newCollector, collect)
 				if err == nil {
 					t.Fatalf("workers=%d: no error on corrupt input", workers)
 				}
@@ -269,9 +289,8 @@ func TestFoldRecordsCallbackErrorPosition(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		e := &Engine{Workers: workers, Metrics: &Metrics{}}
-		_, _, err := FoldRecords(e, archives,
-			func(FileChunk) *int { return new(int) },
-			func(_ *int, fc FileChunk, idx int, _ mrt.Record) error {
+		_, _, err := FoldStreams(e, oneSegment(archives), newCollector,
+			func(_ *[]mrt.Record, fc FileChunk, idx int, _ mrt.Record) error {
 				if fc.Name == "rrc01" && idx >= 100 {
 					return fmt.Errorf("%w at %d", sentinel, idx)
 				}

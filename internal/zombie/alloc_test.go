@@ -57,7 +57,7 @@ func allocHistoryArchive(t *testing.T, records int) (map[string][]byte, TrackSet
 }
 
 // TestBuildHistoryAllocs is the allocation regression fence for the full
-// history build: pooled reading, scratch decode, interning, and the
+// history build: the borrowed chunk fold, scratch decode, interning, and the
 // columnar builder together must stay well under one allocation per
 // record (slice growth and the final seal amortize across the archive).
 func TestBuildHistoryAllocs(t *testing.T) {

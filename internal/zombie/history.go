@@ -152,7 +152,6 @@ func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelis
 	mergeSp.End()
 	m.AddMerged(len(builders))
 	m.ObserveMerge(time.Since(mergeStart))
-	m.SyncHotPath()
 	return h, nil
 }
 

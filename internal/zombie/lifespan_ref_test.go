@@ -34,9 +34,6 @@ func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interva
 	sort.Strings(names)
 	for _, name := range names {
 		rd := mrt.NewReader(bytes.NewReader(dumps[name]))
-		// Borrow is safe: only TABLE_DUMP_V2 records are retained, and the
-		// decoder always allocates those fresh.
-		rd.SetBorrow(true)
 		var table *mrt.PeerIndexTable
 		for {
 			rec, err := rd.Next()
@@ -44,7 +41,6 @@ func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interva
 				break
 			}
 			if err != nil {
-				rd.Release()
 				return nil, fmt.Errorf("zombie: dumps %s: %w", name, err)
 			}
 			switch r := rec.(type) {
@@ -55,12 +51,10 @@ func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interva
 					continue
 				}
 				if table == nil {
-					rd.Release()
 					return nil, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
 				}
 				for _, e := range r.Entries {
 					if int(e.PeerIndex) >= len(table.Peers) {
-						rd.Release()
 						return nil, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
 					}
 					pe := table.Peers[e.PeerIndex]
@@ -70,7 +64,6 @@ func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interva
 				}
 			}
 		}
-		rd.Release()
 	}
 	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
 	for k, obs := range series {

@@ -181,33 +181,3 @@ func ExcludeSets(peers []PeerID) (byAS map[bgp.ASN]bool, byAddr map[netip.Addr]b
 	}
 	return byAS, byAddr
 }
-
-// MeanMedianProb summarizes one peer's per-interval zombie likelihood as
-// mean and median across its <beacon, peer> pairs — the paper's Table 4.
-// rates must come from EmergenceRates filtered to the peer's AS.
-func MeanMedianProb(rates []EmergenceRate, peerAS bgp.ASN, family bgp.AFI) (mean, median float64) {
-	var vals []float64
-	for _, r := range rates {
-		if r.PeerAS != peerAS {
-			continue
-		}
-		if family != 0 && bgp.PrefixAFI(r.Prefix) != family {
-			continue
-		}
-		vals = append(vals, r.Rate)
-	}
-	if len(vals) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(vals)
-	for _, v := range vals {
-		mean += v
-	}
-	mean /= float64(len(vals))
-	if n := len(vals); n%2 == 1 {
-		median = vals[n/2]
-	} else {
-		median = (vals[n/2-1] + vals[n/2]) / 2
-	}
-	return mean, median
-}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"zombiescope/internal/beacon"
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/collector"
 )
 
@@ -82,29 +81,6 @@ func TestScorePeersAndFlagNoisy(t *testing.T) {
 	}
 	if len(without) != 0 {
 		t.Errorf("outbreaks without the only noisy peer = %d, want 0", len(without))
-	}
-}
-
-func TestMeanMedianProb(t *testing.T) {
-	updates, ivs := noisyScenario(t)
-	rep, err := (&Detector{}).Detect(updates, ivs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := EmergenceRates(rep, FilterOptions{})
-	mean, median := MeanMedianProb(rates, 16347, bgp.AFIIPv6)
-	if mean < 0.7 || mean > 0.9 {
-		t.Errorf("mean = %v", mean)
-	}
-	if median < 0.7 || median > 0.9 {
-		t.Errorf("median = %v", median)
-	}
-	mean, median = MeanMedianProb(rates, 200, bgp.AFIIPv6)
-	if mean != 0 || median != 0 {
-		t.Errorf("clean peer mean/median = %v/%v", mean, median)
-	}
-	if m, md := MeanMedianProb(nil, 999, 0); m != 0 || md != 0 {
-		t.Errorf("empty rates: %v/%v", m, md)
 	}
 }
 

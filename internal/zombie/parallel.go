@@ -84,7 +84,7 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 	// On a framing or decode error the fold still hands back what it
 	// decoded before (and, in later chunks, after) the bad record, so a
 	// peer-index error at an earlier record can outrank it below.
-	names, accs, foldErr := pipeline.FoldRecords(e, dumps,
+	names, accs, foldErr := pipeline.FoldStreams(e, oneSegmentStreams(dumps),
 		func(pipeline.FileChunk) *ribChunk { return &ribChunk{} },
 		func(acc *ribChunk, _ pipeline.FileChunk, idx int, rec mrt.Record) error {
 			switch r := rec.(type) {

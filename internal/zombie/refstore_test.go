@@ -54,16 +54,13 @@ func buildHistoryReference(updates map[string][]byte, track TrackSet) (*referenc
 				break
 			}
 			if err != nil {
-				rd.Release()
 				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
 			}
 			order++
 			if err := recordEvents(name, order, rec, track, nil, r.add, r.addSession); err != nil {
-				rd.Release()
 				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
 			}
 		}
-		rd.Release()
 	}
 	r.finish()
 	return r, nil
