@@ -41,16 +41,21 @@ func (q Query) timeMatches(ns int64) bool {
 }
 
 // snapshot pins the store's segment set for a lock-free read: sealed
-// segments by refcount, the active segment by (path, size) — sizes only
-// ever cover whole frames, so a bounded sequential scan of the live file
-// is safe against concurrent appends.
+// segments by refcount, and the active segment's events with sequence
+// numbers in [lo, hi] as the byte range [activeFrom, activeTo) of the live
+// file. The writer's offset table locates both ends, so a read touches
+// only the frames it wants; the range covers whole frames, so reading it
+// is safe against concurrent appends. The active dictionaries are pinned
+// as they stand: they are append-only, so the prefix seen here never
+// changes, and the read need not walk the file from its header.
 type snapshot struct {
-	segs       []*segment
-	activePath string
-	activeSize int64
+	segs                 []*segment
+	activePath           string
+	activeFrom, activeTo int64
+	dicts                segDicts
 }
 
-func (s *Store) snapshot() (snapshot, error) {
+func (s *Store) snapshot(lo, hi uint64) (snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -62,9 +67,17 @@ func (s *Store) snapshot() (snapshot, error) {
 	for _, seg := range sn.segs {
 		seg.acquire()
 	}
-	if s.w != nil && s.w.count() > 0 {
-		sn.activePath = s.w.path
-		sn.activeSize = s.w.size
+	if w := s.w; w != nil && w.count() > 0 && lo <= hi && lo <= w.bld.lastSeq && hi >= w.firstSeq() {
+		offs := w.bld.offsets
+		sn.activePath = w.path
+		sn.activeFrom, sn.activeTo = int64(offs[0]), w.size
+		if lo > w.firstSeq() {
+			sn.activeFrom = int64(offs[lo-w.firstSeq()])
+		}
+		if hi < w.bld.lastSeq {
+			sn.activeTo = int64(offs[hi-w.firstSeq()+1])
+		}
+		sn.dicts = segDicts{colls: w.dicts.colls, peers: w.dicts.peers, prefs: w.dicts.prefs}
 	}
 	return sn, nil
 }
@@ -117,7 +130,7 @@ func makeEvent(e rawEvent, colls []string, peers []peerKey, prefs []netip.Prefix
 // zero-copy path that feeds MRT payloads straight into bgp.Scratch.
 // Returning an error from fn stops the scan and returns that error.
 func (s *Store) Scan(q Query, fn func(Event) error) error {
-	sn, err := s.snapshot()
+	sn, err := s.snapshot(0, ^uint64(0))
 	if err != nil {
 		return err
 	}
@@ -130,7 +143,7 @@ func (s *Store) Scan(q Query, fn func(Event) error) error {
 		}
 	}
 	if sn.activePath != "" {
-		return s.scanActive(sn, q, &scratch, fn, 0, ^uint64(0), false)
+		return s.scanActive(sn, q, &scratch, fn, false)
 	}
 	return nil
 }
@@ -285,37 +298,29 @@ func candidateOrdinals(idx *segIndex, q Query) (ords []uint32, all, ok bool) {
 	return out, false, true
 }
 
-// scanActive sequentially scans the live segment file up to the size
-// pinned in the snapshot, restricted to sequence numbers in [loSeq, hiSeq]
-// and the query filters.
-func (s *Store) scanActive(sn snapshot, q Query, scratch *[]netip.Prefix, fn func(Event) error, loSeq, hiSeq uint64, copyOut bool) error {
+// scanActive sequentially scans the byte range of the live segment file
+// pinned in the snapshot, restricted to the query filters.
+func (s *Store) scanActive(sn snapshot, q Query, scratch *[]netip.Prefix, fn func(Event) error, copyOut bool) error {
 	f, err := os.Open(sn.activePath)
 	if err != nil {
 		return fmt.Errorf("eventstore: %w", err)
 	}
-	data := make([]byte, sn.activeSize)
-	_, err = f.ReadAt(data, 0)
+	data := make([]byte, sn.activeTo-sn.activeFrom)
+	_, err = f.ReadAt(data, sn.activeFrom)
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("eventstore: read active segment: %w", err)
 	}
-	dicts := newSegDicts()
+	dicts := &sn.dicts
 	var ferr error
 	bytes := int64(0)
-	stopped := false // deliberate early exit, not a torn frame
-	good := scanFrames(data, func(kind byte, body []byte, off int64) bool {
+	good := scanFrames(data, 0, func(kind byte, body []byte, off int64) bool {
 		if kind != fkEvent {
-			return dicts.addDictFrame(kind, body)
+			// The pinned dictionaries already hold every entry in range.
+			return kind == fkCollector || kind == fkPeer || kind == fkPrefix
 		}
 		e, ok := decodeEventBody(body)
 		if !ok || !dicts.validEvent(e) {
-			return false
-		}
-		if e.seq < loSeq {
-			return true
-		}
-		if e.seq > hiSeq {
-			stopped = true
 			return false
 		}
 		bytes += frameHeaderLen + int64(len(body))
@@ -329,8 +334,8 @@ func (s *Store) scanActive(sn snapshot, q Query, scratch *[]netip.Prefix, fn fun
 	if ferr != nil {
 		return ferr
 	}
-	if !stopped && good < sn.activeSize {
-		return fmt.Errorf("%w: active segment at offset %d", ErrCorrupt, good)
+	if good < int64(len(data)) {
+		return fmt.Errorf("%w: active segment at offset %d", ErrCorrupt, sn.activeFrom+good)
 	}
 	return nil
 }
@@ -371,13 +376,13 @@ func matchScanned(q Query, e rawEvent, d *segDicts) bool {
 // Unlike Scan, delivered Events own their memory (payload and prefixes
 // are copied) so they can be queued past the callback.
 func (s *Store) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
-	sn, err := s.snapshot()
+	lo := fromSeq + 1
+	sn, err := s.snapshot(lo, toSeq)
 	if err != nil {
 		return err
 	}
 	defer s.releaseSnapshot(sn)
 	s.metrics.scans.Inc()
-	lo := fromSeq + 1
 	var scratch []netip.Prefix
 	for _, seg := range sn.segs {
 		idx := seg.idx
@@ -409,7 +414,7 @@ func (s *Store) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
 		s.metrics.scanBytes.Add(bytes)
 	}
 	if sn.activePath != "" {
-		return s.scanActive(sn, Query{}, &scratch, fn, lo, toSeq, true)
+		return s.scanActive(sn, Query{}, &scratch, fn, true)
 	}
 	return nil
 }

@@ -277,12 +277,12 @@ func (b *idxBuilder) addEvent(e rawEvent, off int64) {
 	b.collCounts[e.coll]++
 }
 
-// scanFrames walks whole frames in data starting at segHeaderLen, calling
+// scanFrames walks whole frames in data starting at offset start, calling
 // fn for each. It returns the offset of the first incomplete or corrupt
 // frame — len(data) when the file is clean. fn may reject a frame
 // (semantic corruption); the walk stops there too.
-func scanFrames(data []byte, fn func(kind byte, body []byte, frameOff int64) bool) int64 {
-	off := int64(segHeaderLen)
+func scanFrames(data []byte, start int64, fn func(kind byte, body []byte, frameOff int64) bool) int64 {
+	off := start
 	n := int64(len(data))
 	for off+frameHeaderLen <= n {
 		bodyLen := int64(le.Uint32(data[off:]))
@@ -664,7 +664,7 @@ func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error)
 	}
 	dicts := newSegDicts()
 	bld := newIdxBuilder()
-	good := scanFrames(data, func(kind byte, body []byte, off int64) bool {
+	good := scanFrames(data, segHeaderLen, func(kind byte, body []byte, off int64) bool {
 		if kind == fkEvent {
 			e, ok := decodeEventBody(body)
 			if !ok || !dicts.validEvent(e) {

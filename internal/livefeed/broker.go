@@ -69,10 +69,6 @@ type Config struct {
 	// resume-from-sequence. Default 4096; 0 uses the default, negative
 	// disables replay.
 	ReplaySize int
-	// OmitRaw drops the MRT encoding from events built by PublishRecord.
-	// By default the raw record rides along so subscribers can run
-	// byte-faithful pipelines (e.g. zombie.StreamDetector).
-	OmitRaw bool
 	// Metrics is the instrument sink the broker accounts into. Nil means
 	// a private Metrics on its own registry; pass NewMetrics(sharedReg)
 	// to scrape the broker alongside other subsystems.
@@ -350,7 +346,7 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 	// subscriber rings, and ultimately the server's writev batches —
 	// shares this frame's bytes.
 	encSpan := span.Start("encode")
-	f, encErr := newEventFrame(ev)
+	f, encErr := newEventFrame(&ev)
 	encSpan.End()
 	if f != nil {
 		f.ingest = ingestNanos
@@ -448,8 +444,10 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 	return seq
 }
 
-// PublishRecord converts a tapped collector record to an event and
-// publishes it. RIB-dump records are not streamed (ok is false).
+// PublishRecord converts a tapped collector record to an event carrying
+// the raw MRT record, so subscribers can run byte-faithful pipelines
+// (e.g. zombie.StreamDetector), and publishes it. RIB-dump records are
+// not streamed (ok is false).
 func (b *Broker) PublishRecord(collector string, rec mrt.Record) (seq uint64, ok bool) {
 	return b.PublishRecordAt(collector, rec, obs.Nanos())
 }
@@ -457,7 +455,7 @@ func (b *Broker) PublishRecord(collector string, rec mrt.Record) (seq uint64, ok
 // PublishRecordAt is PublishRecord with an explicit ingest stamp (see
 // PublishAt).
 func (b *Broker) PublishRecordAt(collector string, rec mrt.Record, ingestNanos int64) (seq uint64, ok bool) {
-	ev, ok := EventFromRecord(collector, rec, !b.cfg.OmitRaw)
+	ev, ok := EventFromRecord(collector, rec, true)
 	if !ok {
 		return 0, false
 	}
@@ -761,13 +759,13 @@ func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool, err error) {
 	}
 	for {
 		if bl.batchPos < len(bl.batch) {
-			ev := bl.batch[bl.batchPos]
-			bl.batch[bl.batchPos] = Event{} // release references
+			ev := &bl.batch[bl.batchPos]
 			bl.batchPos++
 			// Journal catch-up events are encoded on dequeue into private
 			// frames (refs=1, owned by the caller): the resume path is the
 			// one place re-encoding still happens, and it is metered.
 			f, ferr := newEventFrame(ev)
+			*ev = Event{} // release references
 			if ferr != nil {
 				b := s.b
 				b.metrics.encodeErrors.Add(1)

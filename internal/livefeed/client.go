@@ -14,6 +14,10 @@ type Conn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	idle time.Duration
+	// hdr and buf hold the frame Next is reading. Both decode paths copy
+	// what they keep, so one buffer serves the whole connection.
+	hdr [frameHeaderLen]byte
+	buf []byte
 	// Hello is the server's greeting; Ack the subscription confirmation.
 	Hello Hello
 	Ack   Ack
@@ -102,13 +106,14 @@ func (c *Conn) Next() (Event, error) {
 		if c.idle > 0 {
 			c.conn.SetReadDeadline(time.Now().Add(c.idle))
 		}
-		t, payload, err := ReadFrame(c.br)
+		t, payload, err := readFrame(c.br, &c.hdr, c.buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				return Event{}, fmt.Errorf("%w after %v", ErrIdleTimeout, c.idle)
 			}
 			return Event{}, err
 		}
+		c.buf = payload
 		switch t {
 		case FrameEvent:
 			if ev, ok := decodeEventFast(payload); ok {

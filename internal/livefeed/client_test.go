@@ -2,14 +2,20 @@ package livefeed
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"zombiescope/internal/bgp"
 )
 
 // startServer serves broker on a fresh loopback listener and returns its
@@ -404,5 +410,114 @@ func TestClientReconnectResume(t *testing.T) {
 		if seq != uint64(i+1) {
 			t.Fatalf("delivery %d has seq %d, want %d (gap or duplicate across the restart)", i, seq, i+1)
 		}
+	}
+}
+
+// ownedEvents is an update that takes Conn.Next's fast path and an alert
+// that takes its json.Unmarshal fallback, each with every field class a
+// decode could alias: strings, prefixes, paths and raw bytes.
+func ownedEvents(i int) (update, alert Event) {
+	ts := time.Date(2024, 6, 10, 12, 0, i, 0, time.UTC)
+	peer := netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})
+	pfx := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16+i%8)
+	update = Event{
+		Seq: uint64(2*i + 1), Channel: ChannelUpdates, Type: TypeUpdate, Collector: fmt.Sprintf("rrc%02d", i),
+		Timestamp: ts, PeerAS: bgp.ASN(64500 + i), Peer: peer, Path: []bgp.ASN{bgp.ASN(64500 + i), 3356, 12654},
+		Announcements: []Announcement{{NextHop: peer, Prefixes: []netip.Prefix{pfx}}},
+		Withdrawals:   []netip.Prefix{pfx},
+		Raw:           bytes.Repeat([]byte{byte(i)}, 32+i),
+	}
+	alert = Event{
+		Seq: uint64(2*i + 2), Channel: ChannelZombie, Type: TypeZombie, Collector: fmt.Sprintf("rrc%02d", i),
+		Timestamp: ts, PeerAS: bgp.ASN(64500 + i), Peer: peer,
+		Alert: &Alert{Prefix: pfx, Path: []bgp.ASN{bgp.ASN(64500 + i), 3356}, AnnouncedAt: ts, DetectedAt: ts},
+	}
+	return update, alert
+}
+
+// frameStream renders events as the event frames a server writes.
+func frameStream(t *testing.T, evs ...Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for i := range evs {
+		if err := WriteFrame(&buf, FrameEvent, &evs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestConnNextOwnsEvents: Conn.Next reads every frame into one buffer per
+// connection, so an Event it returned must own its memory. Each event,
+// from the fast path and from the json.Unmarshal fallback, must be
+// unchanged after ten more Next calls have overwritten the buffer. A
+// larger frame goes first, so no later frame needs a new buffer.
+func TestConnNextOwnsEvents(t *testing.T) {
+	big, _ := ownedEvents(0)
+	big.Raw = make([]byte, 1024)
+	update, alert := ownedEvents(0)
+	for _, first := range []Event{update, alert} {
+		evs := []Event{big, first}
+		for i := 1; i <= 5; i++ {
+			u, a := ownedEvents(i)
+			evs = append(evs, u, a)
+		}
+		c := &Conn{br: bufio.NewReader(bytes.NewReader(frameStream(t, evs...)))}
+		if _, err := c.Next(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Event
+		if err := json.Unmarshal(frameStream(t, first)[frameHeaderLen:], &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s event decodes as %+v, want %+v", first.Channel, got, want)
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := c.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s event changed under later reads: %+v, want %+v", first.Channel, got, want)
+		}
+	}
+}
+
+// repeatReader yields frame over and over.
+type repeatReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.frame[r.off:])
+	r.off = (r.off + n) % len(r.frame)
+	return n, nil
+}
+
+// TestConnNextAllocFence is the allocation contract of the client read
+// path: an update frame costs only the allocations of the Event's own
+// fields (11 for this one; the payload buffer, the header and the channel
+// and type names made it 15). The frame is read into the connection's
+// buffer and the channel and type names are shared constants.
+func TestConnNextAllocFence(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	update, _ := ownedEvents(3)
+	c := &Conn{br: bufio.NewReader(&repeatReader{frame: frameStream(t, update)})}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per update frame: %.1f", allocs)
+	if allocs > 11 {
+		t.Errorf("Conn.Next costs %.1f allocs per update frame, want <= 11", allocs)
 	}
 }

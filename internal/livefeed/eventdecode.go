@@ -23,9 +23,9 @@ func decodeEventFast(p []byte) (Event, bool) {
 	d.expect(`{"seq":`)
 	ev.Seq = d.uint(64)
 	d.expect(`,"channel":`)
-	ev.Channel = string(d.str())
+	ev.Channel = eventName(d.str())
 	d.expect(`,"type":`)
-	ev.Type = string(d.str())
+	ev.Type = eventName(d.str())
 	if d.lit(`,"collector":`) {
 		ev.Collector = string(d.nonEmptyStr())
 	}
@@ -75,6 +75,20 @@ func decodeEventFast(p []byte) (Event, bool) {
 		return Event{}, false
 	}
 	return ev, true
+}
+
+// eventName returns s as a string, sharing the constants for the channel
+// and type names update and state events carry instead of allocating them.
+func eventName(s []byte) string {
+	switch string(s) {
+	case ChannelUpdates:
+		return ChannelUpdates
+	case TypeUpdate:
+		return TypeUpdate
+	case TypeState:
+		return TypeState
+	}
+	return string(s)
 }
 
 // fastDecoder is decodeEventFast's cursor. The first mismatch clears ok,

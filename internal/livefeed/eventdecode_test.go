@@ -178,10 +178,11 @@ func TestEventDecodeSeedCorpus(t *testing.T) {
 	}
 }
 
-// TestEventDecodeFastPathCoverage keeps the fast path from decaying into
-// the fallback unnoticed: every update and state frame the broker
-// publishes for the author scenario takes it, and every alert falls back
-// to json.Unmarshal and still decodes.
+// TestEventDecodeFastPathCoverage keeps both fast paths from decaying
+// into their fallbacks unnoticed: every update and state frame the broker
+// publishes for the author scenario is encoded by appendEvent and decoded
+// by decodeEventFast, and every alert is encoded by json.Encoder and
+// decoded by json.Unmarshal.
 func TestEventDecodeFastPathCoverage(t *testing.T) {
 	data, err := experiments.RunAuthorScenario(experiments.DefaultAuthorConfig(42, 16))
 	if err != nil {
@@ -210,13 +211,16 @@ func TestEventDecodeFastPathCoverage(t *testing.T) {
 		}
 		payload := fr.Wire()[frameHeaderLen:]
 		took := checkEventDecode(t, payload)
+		encoded := checkEventEncode(t, fr.Event())
 		switch ch := fr.Event().Channel; {
+		case ch == ChannelUpdates && !encoded:
+			t.Fatalf("update frame %d fell back to json.Encoder: %s", seq, payload)
 		case ch == ChannelUpdates && !took:
 			t.Fatalf("update frame %d fell back to json.Unmarshal: %s", seq, payload)
 		case ch == ChannelUpdates:
 			fast++
-		case took:
-			t.Fatalf("%s frame %d took the fast path", ch, seq)
+		case took || encoded:
+			t.Fatalf("%s frame %d took a fast path (encode %v, decode %v)", ch, seq, encoded, took)
 		default:
 			var ev Event
 			if err := json.Unmarshal(payload, &ev); err != nil || ev.Alert == nil {
@@ -229,5 +233,5 @@ func TestEventDecodeFastPathCoverage(t *testing.T) {
 	if fast == 0 || alerts == 0 {
 		t.Fatalf("scenario too small: %d fast-path frames, %d alerts", fast, alerts)
 	}
-	t.Logf("%d update/state frames on the fast path, %d alerts on the fallback", fast, alerts)
+	t.Logf("%d update/state frames on the fast paths, %d alerts on the fallbacks", fast, alerts)
 }

@@ -59,8 +59,8 @@ type sharedFrame struct {
 var framePool = sync.Pool{New: func() any { return &sharedFrame{} }}
 
 // sliceBuffer is a minimal append-only io.Writer the pooled JSON encoder
-// marshals into, so the payload lands in a reusable buffer instead of a
-// fresh allocation per event.
+// marshals into, so the payload lands in the frame's reusable buffer
+// instead of a fresh allocation per event.
 type sliceBuffer struct{ b []byte }
 
 func (s *sliceBuffer) Write(p []byte) (int, error) {
@@ -68,7 +68,7 @@ func (s *sliceBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// frameEncoder pairs a reusable buffer with a json.Encoder bound to it.
+// frameEncoder pairs a buffer with a json.Encoder bound to it.
 // Encoder.Encode emits exactly json.Marshal's bytes plus a trailing
 // newline — the NDJSON payload shape WriteFrame produces — which is what
 // keeps the broadcast path byte-identical to the per-client-encode
@@ -84,22 +84,31 @@ var encPool = sync.Pool{New: func() any {
 	return fe
 }}
 
-// newEventFrame encodes ev once into a pooled frame. The returned frame
+// newEventFrame encodes ev once into a pooled frame: appendEvent writes
+// update and state events straight after the reserved header, and
+// json.Encoder writes everything appendEvent declines. The returned frame
 // holds one reference owned by the caller. Callers account the encode
 // into livefeed_encode_total themselves (broker hot path and backfill
 // both come through here).
-func newEventFrame(ev Event) (*sharedFrame, error) {
-	fe := encPool.Get().(*frameEncoder)
-	fe.buf.b = fe.buf.b[:0]
-	if err := fe.enc.Encode(&ev); err != nil {
-		fe.buf.b = fe.buf.b[:0]
-		encPool.Put(fe)
-		return nil, fmt.Errorf("livefeed: encode event %d: %w", ev.Seq, err)
-	}
+func newEventFrame(ev *Event) (*sharedFrame, error) {
 	f := framePool.Get().(*sharedFrame)
-	f.ev = ev
-	f.wire = appendFrame(f.wire[:0], FrameEvent, fe.buf.b)
-	encPool.Put(fe)
+	w, ok := appendEvent(append(f.wire[:0], make([]byte, frameHeaderLen)...), ev)
+	if !ok {
+		evc := *ev // keeps ev off the heap: only this branch reflects
+		fe := encPool.Get().(*frameEncoder)
+		fe.buf.b = w
+		err := fe.enc.Encode(&evc)
+		w, fe.buf.b = fe.buf.b, nil
+		encPool.Put(fe)
+		if err != nil {
+			f.wire = w[:0]
+			framePool.Put(f)
+			return nil, fmt.Errorf("livefeed: encode event %d: %w", ev.Seq, err)
+		}
+	}
+	sealFrame(w, FrameEvent)
+	f.wire = w
+	f.ev = *ev
 	f.refs.Store(1)
 	return f, nil
 }

@@ -48,8 +48,8 @@ type EncodedJournal interface {
 // Update-channel events that carry their raw MRT record are stored as
 // KindMRT with the record bytes as the payload — the densest encoding,
 // and the one recovery replays through the detector byte-faithfully.
-// Everything else (alerts, raw-omitted updates) is stored as KindJSON
-// with the JSON-encoded event as payload.
+// Everything else (alerts, raw-less events published through Publish) is
+// stored as KindJSON with the JSON-encoded event as payload.
 type StoreJournal struct {
 	Store *eventstore.Store
 }

@@ -94,7 +94,7 @@ func checkSharedFrame(t testing.TB, data []byte) {
 	}
 	ev := fuzzEvent(data)
 
-	fr, err := newEventFrame(ev)
+	fr, err := newEventFrame(&ev)
 	if err != nil {
 		t.Fatalf("event built from fuzz bytes failed to encode: %v", err)
 	}
@@ -146,7 +146,7 @@ func checkSharedFrame(t testing.TB, data []byte) {
 		for c := 0; c < churn; c++ {
 			evc := fuzzEvent(data)
 			evc.Seq = ev.Seq + uint64(i*churn+c) + 1
-			other, err := newEventFrame(evc)
+			other, err := newEventFrame(&evc)
 			if err != nil {
 				t.Fatalf("churn encode: %v", err)
 			}
@@ -175,7 +175,7 @@ func checkSharedFrame(t testing.TB, data []byte) {
 		// The panicked release left refs at -1 on a pooled frame;
 		// newEventFrame resets the count on reuse, so the pool stays
 		// coherent — prove it by encoding once more.
-		again, err := newEventFrame(ev)
+		again, err := newEventFrame(&ev)
 		if err != nil {
 			t.Fatalf("encode after recovered double release: %v", err)
 		}
@@ -232,20 +232,28 @@ func TestSharedFrameSeedCorpus(t *testing.T) {
 }
 
 // TestPublishEncodeOnceAllocFence is the allocation contract of the
-// broadcast path: publishing into a steady-state broker costs at most 2
-// allocations per event, and the cost does not grow with the subscriber
-// count — the proof that fan-out shares one encoding instead of
-// performing one per subscriber.
+// broadcast path: publishing an update into a steady-state broker
+// allocates nothing (appendEvent writes into the pooled frame), an alert
+// that falls back to json.Encoder costs at most 6 allocations (the event
+// handed to reflection, and one per timestamp in Time.MarshalJSON), and
+// neither cost grows with the subscriber count — the proof that fan-out
+// shares one encoding instead of performing one per subscriber.
 func TestPublishEncodeOnceAllocFence(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	ev := Event{
+	ts := time.Unix(1700000000, 0).UTC()
+	update := Event{
 		Channel: ChannelUpdates, Type: TypeUpdate, Collector: "rrc00",
-		Timestamp: time.Unix(1700000000, 0).UTC(), PeerAS: 64500,
+		Timestamp: ts, PeerAS: 64500,
 		Path: []bgp.ASN{64500, 3356, 12654},
 	}
-	measure := func(subs int) (allocs float64, encodesPerPublish float64) {
+	alert := Event{
+		Channel: ChannelZombie, Type: TypeZombie, Collector: "rrc00",
+		Timestamp: ts, PeerAS: 64500,
+		Alert: &Alert{Path: []bgp.ASN{64500, 3356}, AnnouncedAt: ts, DetectedAt: ts},
+	}
+	measure := func(ev Event, subs int) (allocs float64, encodesPerPublish float64) {
 		b := NewBroker(Config{RingSize: 4, ReplaySize: -1})
 		defer b.Close()
 		for i := 0; i < subs; i++ {
@@ -263,16 +271,25 @@ func TestPublishEncodeOnceAllocFence(t *testing.T) {
 		encodesPerPublish = float64(b.metrics.encodes.Value()-before) / float64(published)
 		return allocs, encodesPerPublish
 	}
-	one, encOne := measure(1)
-	many, encMany := measure(256)
-	t.Logf("allocs/publish: 1 sub = %.1f, 256 subs = %.1f", one, many)
-	if one > 2 {
-		t.Errorf("publish with 1 subscriber costs %.1f allocs, want <= 2", one)
-	}
-	if many > one+1 {
-		t.Errorf("publish allocs grew with subscribers: %.1f at 1 sub, %.1f at 256", one, many)
-	}
-	if encOne != 1 || encMany != 1 {
-		t.Errorf("encodes per publish = %.2f (1 sub) / %.2f (256 subs), want exactly 1 regardless of fan-out", encOne, encMany)
+	for _, row := range []struct {
+		name  string
+		ev    Event
+		limit float64
+	}{
+		{"update", update, 0},
+		{"alert", alert, 6},
+	} {
+		one, encOne := measure(row.ev, 1)
+		many, encMany := measure(row.ev, 256)
+		t.Logf("%s allocs/publish: 1 sub = %.1f, 256 subs = %.1f", row.name, one, many)
+		if one > row.limit {
+			t.Errorf("%s publish with 1 subscriber costs %.1f allocs, want <= %.0f", row.name, one, row.limit)
+		}
+		if many > one+1 {
+			t.Errorf("%s publish allocs grew with subscribers: %.1f at 1 sub, %.1f at 256", row.name, one, many)
+		}
+		if encOne != 1 || encMany != 1 {
+			t.Errorf("%s encodes per publish = %.2f (1 sub) / %.2f (256 subs), want exactly 1 regardless of fan-out", row.name, encOne, encMany)
+		}
 	}
 }

@@ -179,13 +179,19 @@ func appendFrame(dst []byte, t FrameType, payload []byte) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, frameHeaderLen)...)
 	dst = append(dst, payload...)
-	hdr := dst[off : off+frameHeaderLen]
+	sealFrame(dst[off:], t)
+	return dst
+}
+
+// sealFrame fills in the reserved header of frame, whose payload already
+// follows it.
+func sealFrame(frame []byte, t FrameType) {
+	hdr := frame[:frameHeaderLen]
 	binary.BigEndian.PutUint16(hdr[0:], frameMagic)
 	hdr[2] = ProtocolVersion
 	hdr[3] = uint8(t)
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[8:], frameCRC(hdr[:8], dst[off+frameHeaderLen:]))
-	return dst
+	binary.BigEndian.PutUint32(hdr[4:], uint32(len(frame)-frameHeaderLen))
+	binary.BigEndian.PutUint32(hdr[8:], frameCRC(hdr[:8], frame[frameHeaderLen:]))
 }
 
 // ReadFrame reads one frame and returns its type and raw NDJSON payload
@@ -193,8 +199,16 @@ func appendFrame(dst []byte, t FrameType, payload []byte) []byte {
 // before the payload is read, and the payload checksum afterwards, so a
 // corrupted stream surfaces as ErrBadFrame/ErrBadVersion/ErrFrameTooBig
 // rather than as a hang, an over-allocation, or silently altered data.
+// The payload is freshly allocated and owned by the caller.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	var hdr [frameHeaderLen]byte
+	return readFrame(r, &hdr, nil)
+}
+
+// readFrame is ReadFrame reading into caller storage: the header into
+// hdr, the payload into buf when it fits. A caller done with each payload
+// before the next read (Conn.Next) reuses both for a whole connection.
+func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) (FrameType, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -215,7 +229,10 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	if length == 0 {
 		return 0, nil, fmt.Errorf("%w: empty payload", ErrBadFrame)
 	}
-	payload := make([]byte, length)
+	if uint32(cap(buf)) < length {
+		buf = make([]byte, length)
+	}
+	payload := buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
