@@ -1,7 +1,7 @@
 // Command mrtinspect decodes an MRT file (BGP4MP updates or TABLE_DUMP_V2
 // RIB dumps) and prints one line per record, similar in spirit to bgpdump.
 // With -store it instead inspects a zombied event-store directory:
-// per-segment headers, span-index statistics and per-collector counts.
+// per-segment headers, dictionary sizes and per-collector counts.
 //
 // Usage:
 //

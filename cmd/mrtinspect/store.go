@@ -10,8 +10,9 @@ import (
 )
 
 // inspectStore opens an event-store directory read-only and prints its
-// segment layout: header fields, span-index statistics and per-collector
-// event counts, then a store-wide rollup.
+// segment layout: header fields, dictionary sizes and per-collector event
+// counts, then a store-wide rollup. The counts come from one Scan, each
+// event credited to the segment whose sequence range holds it.
 func inspectStore(w io.Writer, dir string) error {
 	st, err := eventstore.Open(eventstore.Options{Dir: dir, ReadOnly: true})
 	if err != nil {
@@ -24,10 +25,24 @@ func inspectStore(w io.Writer, dir string) error {
 		fmt.Fprintln(w, "empty store")
 		return nil
 	}
+	byColl := make([]map[string]uint64, len(infos))
+	for i := range byColl {
+		byColl[i] = map[string]uint64{}
+	}
+	i := 0
+	if err := st.Scan(eventstore.Query{}, func(ev eventstore.Event) error {
+		for i < len(infos)-1 && ev.Seq > infos[i].LastSeq {
+			i++
+		}
+		byColl[i][ev.Collector]++
+		return nil
+	}); err != nil {
+		return err
+	}
 	const tsFmt = "2006-01-02 15:04:05"
 	totalEvents, totalBytes := 0, int64(0)
 	totalByColl := map[string]uint64{}
-	for _, info := range infos {
+	for i, info := range infos {
 		state := "sealed"
 		if !info.Sealed {
 			state = "active"
@@ -40,34 +55,32 @@ func inspectStore(w io.Writer, dir string) error {
 			fmt.Fprintf(w, "  torn-tail %d bytes", info.TornBytes)
 		}
 		fmt.Fprintln(w)
-		fmt.Fprintf(w, "  index: %d collectors, %d peers, %d prefixes, %d span pairs, %d postings\n",
-			info.Collectors, info.Peers, info.Prefixes, info.Pairs, info.Postings)
-		names := make([]string, 0, len(info.CollectorCounts))
-		for name := range info.CollectorCounts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		fmt.Fprintf(w, "  index: %d collectors, %d peers, %d prefixes\n",
+			info.Collectors, info.Peers, info.Prefixes)
 		fmt.Fprintf(w, "  per-collector:")
-		for _, name := range names {
-			n := info.CollectorCounts[name]
-			fmt.Fprintf(w, " %s=%d", name, n)
+		printCounts(w, byColl[i])
+		for name, n := range byColl[i] {
 			totalByColl[name] += n
 		}
-		fmt.Fprintln(w)
 		totalEvents += info.Events
 		totalBytes += info.Bytes
 	}
 	fmt.Fprintf(w, "total: %d segments, %d events, %d bytes, seqs %d-%d\n",
 		len(infos), totalEvents, totalBytes, st.FirstSeq(), st.LastSeq())
-	names := make([]string, 0, len(totalByColl))
-	for name := range totalByColl {
+	fmt.Fprintf(w, "per-collector:")
+	printCounts(w, totalByColl)
+	return nil
+}
+
+// printCounts writes " name=n" per collector in name order, then a newline.
+func printCounts(w io.Writer, counts map[string]uint64) {
+	names := make([]string, 0, len(counts))
+	for name := range counts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Fprintf(w, "per-collector:")
 	for _, name := range names {
-		fmt.Fprintf(w, " %s=%d", name, totalByColl[name])
+		fmt.Fprintf(w, " %s=%d", name, counts[name])
 	}
 	fmt.Fprintln(w)
-	return nil
 }

@@ -135,12 +135,12 @@ func newDaemon(cfg config, logger *slog.Logger) (*daemon, error) {
 	var store *eventstore.Store
 	if cfg.storeDir != "" {
 		store, err = eventstore.Open(eventstore.Options{
-			Dir:          cfg.storeDir,
-			SegmentBytes: cfg.storeSegSize,
-			SyncEvery:    cfg.storeSync,
-			RetainBytes:  cfg.storeRetain,
-			Compact:      eventstore.CompactPolicy{Interval: cfg.storeCompact},
-			Metrics:      eventstore.NewMetrics(reg),
+			Dir:             cfg.storeDir,
+			SegmentBytes:    cfg.storeSegSize,
+			SyncEvery:       cfg.storeSync,
+			RetainBytes:     cfg.storeRetain,
+			CompactInterval: cfg.storeCompact,
+			Metrics:         eventstore.NewMetrics(reg),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("opening event store: %w", err)

@@ -82,7 +82,7 @@ func BenchmarkStoreScan(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreScanFiltered(b *testing.B) {
+func BenchmarkStoreScanKind(b *testing.B) {
 	dir := b.TempDir()
 	st, err := Open(Options{Dir: dir, SegmentBytes: 16 << 20})
 	if err != nil {
@@ -102,7 +102,7 @@ func BenchmarkStoreScanFiltered(b *testing.B) {
 	if err := st.Seal(); err != nil {
 		b.Fatal(err)
 	}
-	q := Query{Collector: "rrc00", Kind: KindMRT}
+	q := Query{Kind: KindMRT}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,8 +17,14 @@ import (
 	"time"
 )
 
-// Compact merges eligible runs of sealed segments under the configured
-// policy and returns how many input segments were consumed by merges.
+// compactMinSegments is how many adjacent small sealed segments must
+// accumulate before a merge happens. A merged segment stays within the
+// store's segment size.
+const compactMinSegments = 4
+
+// Compact merges runs of at least compactMinSegments adjacent sealed
+// segments, each smaller than the segment size, into segments within it,
+// and returns how many input segments were consumed by merges.
 // Concurrent appends and scans proceed during the merge; only the final
 // in-memory swap takes the store lock.
 func (s *Store) Compact() (int, error) {
@@ -31,7 +37,7 @@ func (s *Store) Compact() (int, error) {
 		s.mu.Unlock()
 		return 0, ErrReadOnly
 	}
-	if s.opts.Compact.MinSegments < 0 || s.compacting {
+	if s.compacting {
 		s.mu.Unlock()
 		return 0, nil
 	}
@@ -65,25 +71,21 @@ func (s *Store) Compact() (int, error) {
 }
 
 // compactGroupsLocked selects maximal runs of adjacent sealed segments
-// that are each below the target size and old enough, greedily packed so
-// a merged output stays under the target.
+// that are each below the segment size, greedily packed so a merged output
+// stays within it.
 func (s *Store) compactGroupsLocked() [][]*segment {
-	target := s.opts.compactTargetBytes()
-	minSegs := s.opts.compactMinSegments()
-	minAge := s.opts.Compact.MinAge
-	now := time.Now()
+	target := s.opts.segmentBytes()
 	var groups [][]*segment
 	var run []*segment
 	runBytes := int64(0)
 	flush := func() {
-		if len(run) >= minSegs {
+		if len(run) >= compactMinSegments {
 			groups = append(groups, run)
 		}
 		run, runBytes = nil, 0
 	}
 	for _, seg := range s.segs {
-		eligible := seg.size < target &&
-			(minAge <= 0 || now.Sub(time.Unix(0, seg.idx.maxNS)) >= minAge)
+		eligible := seg.size < target
 		if !eligible || runBytes+seg.size > target {
 			flush()
 		}
@@ -118,14 +120,11 @@ func (s *Store) mergeGroup(g []*segment) (int, error) {
 	}
 	var scratch []netip.Prefix
 	for _, seg := range g {
-		for ord := range seg.idx.offsets {
-			e, err := seg.event(ord)
-			if err != nil {
-				return fail(err)
-			}
-			if _, err := w.append(makeEvent(e, seg.idx.colls, seg.idx.peers, seg.idx.prefs, &scratch, false)); err != nil {
-				return fail(err)
-			}
+		if _, err := seg.walk(0, seg.idx.lastSeq, 0, false, &scratch, func(ev Event) error {
+			_, err := w.append(ev)
+			return err
+		}); err != nil {
+			return fail(err)
 		}
 	}
 	if err := w.f.Sync(); err != nil {
@@ -135,7 +134,7 @@ func (s *Store) mergeGroup(g []*segment) (int, error) {
 		os.Remove(tmpSeg)
 		return 0, fmt.Errorf("eventstore: close %s: %w", tmpSeg, err)
 	}
-	idx := buildIndex(w.bld, w.dicts, w.size)
+	idx := buildIndex(&w.bld, w.dicts, w.size)
 	if err := writeIndexFile(tmpIdx, w.baseSeq, idx); err != nil {
 		os.Remove(tmpSeg)
 		return 0, err
@@ -188,7 +187,7 @@ func (s *Store) mergeGroup(g []*segment) (int, error) {
 	return len(g), nil
 }
 
-// compactLoop drives background compaction on the configured interval.
+// compactLoop runs Compact every interval.
 func (s *Store) compactLoop(interval time.Duration) {
 	defer close(s.compactDone)
 	t := time.NewTicker(interval)

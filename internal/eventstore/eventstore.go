@@ -9,13 +9,16 @@
 // dictionaries (dictionary entries interleave with events, so a segment
 // is self-describing under a pure sequential scan). When a segment
 // reaches its size budget — or the store closes — it is sealed: a sidecar
-// index file records the event offset table, the dictionaries, a
-// (time, peer, prefix) span index and per-collector counts, all under
-// their own CRC-checked header, so sealed segments open in O(1) and
-// filtered reads touch only matching events. Sealed segments are mmap'd
-// (with a plain-read fallback on platforms without mmap) and Scan hands
-// out payload slices that alias the mapping, so MRT payloads feed
-// bgp.Scratch / the intern table zero-copy.
+// index file records the sequence range, time bounds, event offset table
+// and dictionaries under their own CRC-checked header, so sealed segments
+// open in O(1). Sealed segments are mmap'd (with a plain-read fallback on
+// platforms without mmap).
+//
+// The store serves two reads, both through one loop over a sequence
+// range: Scan delivers every event (optionally of one payload kind) with
+// payload slices that alias the mapping, so MRT payloads feed bgp.Scratch
+// and the intern table zero-copy; Replay delivers the events of a
+// (from, to] sequence range with copied payloads.
 //
 // Crash safety is by construction: every frame carries a CRC over its
 // kind and body, so a torn tail write (the process died mid-append) is
@@ -26,14 +29,16 @@
 // data would fabricate a gap.
 //
 // Background compaction merges runs of small adjacent sealed segments
-// under a size/age policy, and an optional retention bound drops the
-// oldest sealed segments once the store exceeds a byte budget (consumers
-// see the loss through FirstSeq, exactly like a broker replay window).
+// into segments of at most the segment size, and an optional retention
+// bound drops the oldest sealed segments once the store exceeds a byte
+// budget (consumers see the loss through FirstSeq, exactly like a broker
+// replay window).
 //
 // Sequence numbers are assigned by the producer (the livefeed broker) and
 // must be contiguous: Append enforces Seq == LastSeq()+1, which is what
 // makes resume-from-sequence reads O(1) — the ordinal of seq s inside a
-// segment is s minus the segment's first sequence.
+// segment is s minus the segment's first sequence, and every read checks
+// that the event it finds there carries s.
 package eventstore
 
 import (
@@ -86,27 +91,10 @@ type Event struct {
 	PeerAddr netip.Addr
 	// Kind tags the payload encoding (see KindMRT / KindJSON).
 	Kind uint8
-	// Prefixes are the prefixes the event concerns; they feed the
-	// per-segment (time, peer, prefix) span index.
+	// Prefixes are the prefixes the event concerns.
 	Prefixes []netip.Prefix
 	// Payload is the event body.
 	Payload []byte
-}
-
-// CompactPolicy controls merging of sealed segments.
-type CompactPolicy struct {
-	// MinSegments is how many adjacent small sealed segments must
-	// accumulate before a merge happens (default 4; negative disables
-	// compaction entirely).
-	MinSegments int
-	// TargetBytes bounds a merged segment's size (default SegmentBytes).
-	TargetBytes int64
-	// MinAge keeps segments sealed more recently than this out of
-	// compaction (default 0: age does not gate).
-	MinAge time.Duration
-	// Interval runs Compact in the background every Interval; 0 leaves
-	// compaction entirely to explicit Compact calls.
-	Interval time.Duration
 }
 
 // Options parameterize Open.
@@ -127,8 +115,9 @@ type Options struct {
 	// are reported in SegmentInfo instead of truncated/rewritten, and
 	// Append/Compact fail.
 	ReadOnly bool
-	// Compact is the segment-merge policy.
-	Compact CompactPolicy
+	// CompactInterval runs Compact in the background every interval; 0
+	// leaves compaction to explicit Compact calls.
+	CompactInterval time.Duration
 	// Metrics is the instrument sink (nil: a private registry).
 	Metrics *Metrics
 }
@@ -145,20 +134,6 @@ func (o Options) segmentBytes() int64 {
 		return max
 	}
 	return o.SegmentBytes
-}
-
-func (o Options) compactMinSegments() int {
-	if o.Compact.MinSegments == 0 {
-		return 4
-	}
-	return o.Compact.MinSegments
-}
-
-func (o Options) compactTargetBytes() int64 {
-	if o.Compact.TargetBytes <= 0 {
-		return o.segmentBytes()
-	}
-	return o.Compact.TargetBytes
 }
 
 // Store is a durable event log. All methods are safe for concurrent use.
@@ -202,7 +177,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.syncGauges()
-	if iv := opts.Compact.Interval; iv > 0 && !opts.ReadOnly && opts.Compact.MinSegments >= 0 {
+	if iv := opts.CompactInterval; iv > 0 && !opts.ReadOnly {
 		s.compactStop = make(chan struct{})
 		s.compactDone = make(chan struct{})
 		go s.compactLoop(iv)
@@ -567,15 +542,10 @@ type SegmentInfo struct {
 	Bytes    int64
 	MinTime  time.Time
 	MaxTime  time.Time
-	// Dictionary and span-index cardinalities.
+	// Dictionary cardinalities.
 	Collectors int
 	Peers      int
 	Prefixes   int
-	Pairs      int
-	// Postings is the total number of span-index entries across pairs.
-	Postings int
-	// CollectorCounts is the per-collector event count.
-	CollectorCounts map[string]uint64
 	// TornBytes reports unrecoverable tail bytes found at open time in
 	// read-only mode (a read-write open truncates them instead).
 	TornBytes int64

@@ -1,22 +1,24 @@
 package eventstore
 
 // The index sidecar ("%016x.idx", same base name as its segment) makes a
-// sealed segment open in O(1) and filtered scans touch only matching
-// events. It is pure derived state: any disagreement with the data file —
-// missing, torn, CRC-failed, or describing a different size (a compaction
-// crash between renames) — discards it and rebuilds from the segment scan.
+// sealed segment open in O(1): it holds what Open needs to serve reads by
+// sequence without scanning the data file. It is pure derived state: any
+// disagreement with the data file — missing, torn, CRC-failed, of another
+// sidecar version, or describing a different size (a compaction crash
+// between renames) — discards it and rebuilds from the segment scan.
 //
-//	header:  magic u32 | version u16 | reserved u16 | baseSeq u64 |
+//	header:  magic u32 | idxVersion u16 | reserved u16 | baseSeq u64 |
 //	         crc32c(header[0:16]) u32 | reserved u32
 //	frame:   one fkIndex frame (same framing as segments), body:
 //	         firstSeq u64 | lastSeq u64 | minUnixNano u64 | maxUnixNano u64 |
 //	         segSize u64 | eventCount u32 | eventOffsets [count]u32 |
 //	         nCollectors u32 | { nameLen u16 | name } ... |
 //	         nPeers u32 | { as u32 | addrLen u8 | addr } ... |
-//	         nPrefixes u32 | { bits u8 | addrLen u8 | addr } ... |
-//	         nPairs u32 | { peerID u32 | prefixID u32 | n u32 |
-//	                        ordinals [n]u32 } ...   (sorted by peer, prefix)
-//	         collectorCounts [nCollectors]u64
+//	         nPrefixes u32 | { bits u8 | addrLen u8 | addr } ...
+//
+// The sidecar is versioned apart from the segment format: version 1 also
+// carried a (peer, prefix) posting index and per-collector counts, and such
+// a sidecar fails the header check and is rebuilt.
 
 import (
 	"fmt"
@@ -24,106 +26,37 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
-const idxHeaderLen = 24
+const (
+	idxHeaderLen = 24
+	idxVersion   = 2
+)
 
-// pairPosting is the span-index entry of one (peer, prefix) pair: the
-// ordinals (ascending) of every event posting to it.
-type pairPosting struct {
-	peer, prefix uint32
-	ords         []uint32
-}
-
-// segIndex is the decoded sidecar of one sealed segment.
+// segIndex is the decoded sidecar of one sealed segment. Event ordinal i
+// holds sequence number firstSeq+i at offsets[i].
 type segIndex struct {
 	firstSeq, lastSeq uint64
 	minNS, maxNS      int64
 	segSize           uint64
 	offsets           []uint32
-	colls             []string
-	peers             []peerKey
-	prefs             []netip.Prefix
-	pairs             []pairPosting // sorted by (peer, prefix)
-	collCounts        []uint64
-}
-
-func (idx *segIndex) postings() int {
-	n := 0
-	for _, p := range idx.pairs {
-		n += len(p.ords)
-	}
-	return n
-}
-
-// collectorID returns the dictionary id of name, or false.
-func (idx *segIndex) collectorID(name string) (uint32, bool) {
-	for i, c := range idx.colls {
-		if c == name {
-			return uint32(i), true
-		}
-	}
-	return 0, false
-}
-
-// peerID returns the dictionary id of pk, or false.
-func (idx *segIndex) peerID(pk peerKey) (uint32, bool) {
-	for i, p := range idx.peers {
-		if p == pk {
-			return uint32(i), true
-		}
-	}
-	return 0, false
-}
-
-// prefixID returns the dictionary id of p, or false.
-func (idx *segIndex) prefixID(p netip.Prefix) (uint32, bool) {
-	for i, x := range idx.prefs {
-		if x == p {
-			return uint32(i), true
-		}
-	}
-	return 0, false
+	segDicts
 }
 
 // buildIndex seals accumulated builder state into a segIndex.
 func buildIndex(b *idxBuilder, d *segDicts, segSize int64) *segIndex {
-	counts := make([]uint64, len(d.colls))
-	copy(counts, b.collCounts)
-	idx := &segIndex{
-		firstSeq:   b.firstSeq,
-		lastSeq:    b.lastSeq,
-		minNS:      b.minNS,
-		maxNS:      b.maxNS,
-		segSize:    uint64(segSize),
-		offsets:    b.offsets,
-		colls:      d.colls,
-		peers:      d.peers,
-		prefs:      d.prefs,
-		collCounts: counts,
+	return &segIndex{
+		firstSeq: b.firstSeq,
+		lastSeq:  b.lastSeq,
+		minNS:    b.minNS,
+		maxNS:    b.maxNS,
+		segSize:  uint64(segSize),
+		offsets:  b.offsets,
+		segDicts: d.slices(),
 	}
-	idx.pairs = make([]pairPosting, 0, len(b.pairs))
-	for k, ords := range b.pairs {
-		idx.pairs = append(idx.pairs, pairPosting{peer: uint32(k >> 32), prefix: uint32(k), ords: ords})
-	}
-	sort.Slice(idx.pairs, func(i, j int) bool {
-		if idx.pairs[i].peer != idx.pairs[j].peer {
-			return idx.pairs[i].peer < idx.pairs[j].peer
-		}
-		return idx.pairs[i].prefix < idx.pairs[j].prefix
-	})
-	return idx
 }
 
 func encodeIndex(baseSeq uint64, idx *segIndex) []byte {
-	var h [idxHeaderLen]byte
-	le.PutUint32(h[0:], idxMagic)
-	le.PutUint16(h[4:], formatVersion)
-	le.PutUint64(h[8:], baseSeq)
-	le.PutUint32(h[16:], crc32.Checksum(h[:16], castagnoli))
-	buf := append([]byte(nil), h[:]...)
-
 	body := make([]byte, 0, 64+4*len(idx.offsets))
 	body = le.AppendUint64(body, idx.firstSeq)
 	body = le.AppendUint64(body, idx.lastSeq)
@@ -149,24 +82,21 @@ func encodeIndex(baseSeq uint64, idx *segIndex) []byte {
 		body = append(body, byte(p.Bits()))
 		body = appendAddr(body, p.Addr())
 	}
-	body = le.AppendUint32(body, uint32(len(idx.pairs)))
-	for _, pp := range idx.pairs {
-		body = le.AppendUint32(body, pp.peer)
-		body = le.AppendUint32(body, pp.prefix)
-		body = le.AppendUint32(body, uint32(len(pp.ords)))
-		for _, o := range pp.ords {
-			body = le.AppendUint32(body, o)
-		}
-	}
-	for _, c := range idx.collCounts {
-		body = le.AppendUint64(body, c)
-	}
+	return frameIndex(baseSeq, body)
+}
 
-	var fh [frameHeaderLen]byte
+// frameIndex wraps a sidecar body in the sidecar header and its fkIndex
+// frame.
+func frameIndex(baseSeq uint64, body []byte) []byte {
+	buf := make([]byte, idxHeaderLen+frameHeaderLen, idxHeaderLen+frameHeaderLen+len(body))
+	le.PutUint32(buf[0:], idxMagic)
+	le.PutUint16(buf[4:], idxVersion)
+	le.PutUint64(buf[8:], baseSeq)
+	le.PutUint32(buf[16:], crc32.Checksum(buf[:16], castagnoli))
+	fh := buf[idxHeaderLen:]
 	le.PutUint32(fh[0:], uint32(len(body)))
 	fh[4] = fkIndex
 	le.PutUint32(fh[5:], frameCRC(fkIndex, body))
-	buf = append(buf, fh[:]...)
 	return append(buf, body...)
 }
 
@@ -299,47 +229,18 @@ func decodeIndexBody(body []byte) (*segIndex, error) {
 		}
 		idx.prefs = append(idx.prefs, p)
 	}
-	nPairs := r.count(12)
-	idx.pairs = make([]pairPosting, 0, nPairs)
-	for i := 0; i < nPairs; i++ {
-		pp := pairPosting{peer: r.u32(), prefix: r.u32()}
-		n := r.count(4)
-		pp.ords = make([]uint32, n)
-		for j := range pp.ords {
-			pp.ords[j] = r.u32()
-		}
-		idx.pairs = append(idx.pairs, pp)
-	}
-	idx.collCounts = make([]uint64, nColls)
-	for i := range idx.collCounts {
-		idx.collCounts[i] = r.u64()
-	}
 	if r.bad || r.off != len(body) {
 		return nil, fmt.Errorf("%w: index body", ErrCorrupt)
 	}
-	// Structural sanity: offsets and postings must stay inside the
-	// segment and reference real dictionary entries.
-	if len(idx.offsets) > 0 {
-		if idx.lastSeq != idx.firstSeq+uint64(len(idx.offsets))-1 {
-			return nil, fmt.Errorf("%w: index sequence range", ErrCorrupt)
-		}
+	// Structural sanity: a sealed segment holds at least one event, its
+	// sequence range matches the offset table, and every offset stays
+	// inside the segment.
+	if len(idx.offsets) == 0 || idx.lastSeq != idx.firstSeq+uint64(len(idx.offsets))-1 {
+		return nil, fmt.Errorf("%w: index sequence range", ErrCorrupt)
 	}
 	for _, off := range idx.offsets {
 		if uint64(off)+frameHeaderLen > idx.segSize {
 			return nil, fmt.Errorf("%w: index offset beyond segment", ErrCorrupt)
-		}
-	}
-	for _, pp := range idx.pairs {
-		if pp.peer != noPeer && int(pp.peer) >= len(idx.peers) {
-			return nil, fmt.Errorf("%w: index pair peer id", ErrCorrupt)
-		}
-		if pp.prefix != noPrefix && int(pp.prefix) >= len(idx.prefs) {
-			return nil, fmt.Errorf("%w: index pair prefix id", ErrCorrupt)
-		}
-		for _, o := range pp.ords {
-			if int(o) >= len(idx.offsets) {
-				return nil, fmt.Errorf("%w: index posting ordinal", ErrCorrupt)
-			}
 		}
 	}
 	return idx, nil
@@ -363,7 +264,7 @@ func readIndexFile(path string, wantBaseSeq uint64) (*segIndex, error) {
 		return nil, fmt.Errorf("%w: short index", ErrCorrupt)
 	}
 	h := data[:idxHeaderLen]
-	if le.Uint32(h[0:]) != idxMagic || le.Uint16(h[4:]) != formatVersion ||
+	if le.Uint32(h[0:]) != idxMagic || le.Uint16(h[4:]) != idxVersion ||
 		le.Uint32(h[16:]) != crc32.Checksum(h[:16], castagnoli) {
 		return nil, fmt.Errorf("%w: index header", ErrCorrupt)
 	}
@@ -384,7 +285,7 @@ func readIndexFile(path string, wantBaseSeq uint64) (*segIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(idx.offsets) > 0 && idx.firstSeq != wantBaseSeq {
+	if idx.firstSeq != wantBaseSeq {
 		return nil, fmt.Errorf("%w: index first sequence", ErrCorrupt)
 	}
 	return idx, nil

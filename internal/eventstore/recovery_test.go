@@ -375,7 +375,7 @@ func TestCompactionCrashLeftoverRemoved(t *testing.T) {
 			stash = append(stash, saved{name: p, data: data})
 		}
 	}
-	st, err = Open(Options{Dir: dir, SegmentBytes: 2 << 10, Compact: CompactPolicy{MinSegments: 2, TargetBytes: 64 << 10}})
+	st, err = Open(Options{Dir: dir, SegmentBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestCompactionStaleIndexRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = Open(Options{Dir: dir, SegmentBytes: 2 << 10, Compact: CompactPolicy{MinSegments: 2, TargetBytes: 64 << 10}})
+	st, err = Open(Options{Dir: dir, SegmentBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

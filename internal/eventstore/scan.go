@@ -4,54 +4,31 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
-	"sort"
+	"path/filepath"
 	"time"
 )
 
-// Query filters a Scan. The zero Query matches everything.
+// Query selects the events a Scan delivers. The zero Query matches
+// everything.
 type Query struct {
-	// From/To bound event time as [From, To); a zero bound is open.
-	From, To time.Time
-	// Collector, when non-empty, matches events from that collector.
-	Collector string
-	// PeerAS/PeerAddr, when either is set, match events of that exact
-	// peer (both fields are compared).
-	PeerAS   uint32
-	PeerAddr netip.Addr
-	// Prefix, when valid, matches events carrying that exact prefix.
-	// Events with no prefixes (session/state events) never match a
-	// prefix filter.
-	Prefix netip.Prefix
 	// Kind, when non-zero, matches events of that payload kind.
 	Kind uint8
-}
-
-func (q Query) hasPeer() bool { return q.PeerAS != 0 || q.PeerAddr.IsValid() }
-
-func (q Query) peerKey() peerKey { return peerKey{as: q.PeerAS, addr: q.PeerAddr} }
-
-func (q Query) timeMatches(ns int64) bool {
-	if !q.From.IsZero() && ns < q.From.UnixNano() {
-		return false
-	}
-	if !q.To.IsZero() && ns >= q.To.UnixNano() {
-		return false
-	}
-	return true
 }
 
 // snapshot pins the store's segment set for a lock-free read: sealed
 // segments by refcount, and the active segment's events with sequence
 // numbers in [lo, hi] as the byte range [activeFrom, activeTo) of the live
-// file. The writer's offset table locates both ends, so a read touches
-// only the frames it wants; the range covers whole frames, so reading it
-// is safe against concurrent appends. The active dictionaries are pinned
-// as they stand: they are append-only, so the prefix seen here never
-// changes, and the read need not walk the file from its header.
+// file, whose first event is activeSeq. The writer's offset table locates
+// both ends, so a read touches only the frames it wants; the range covers
+// whole frames, so reading it is safe against concurrent appends. The
+// active dictionaries are pinned as they stand: they are append-only, so
+// the prefix seen here never changes, and the read need not walk the file
+// from its header.
 type snapshot struct {
 	segs                 []*segment
 	activePath           string
 	activeFrom, activeTo int64
+	activeSeq            uint64
 	dicts                segDicts
 }
 
@@ -71,13 +48,15 @@ func (s *Store) snapshot(lo, hi uint64) (snapshot, error) {
 		offs := w.bld.offsets
 		sn.activePath = w.path
 		sn.activeFrom, sn.activeTo = int64(offs[0]), w.size
+		sn.activeSeq = w.firstSeq()
 		if lo > w.firstSeq() {
 			sn.activeFrom = int64(offs[lo-w.firstSeq()])
+			sn.activeSeq = lo
 		}
 		if hi < w.bld.lastSeq {
 			sn.activeTo = int64(offs[hi-w.firstSeq()+1])
 		}
-		sn.dicts = segDicts{colls: w.dicts.colls, peers: w.dicts.peers, prefs: w.dicts.prefs}
+		sn.dicts = w.dicts.slices()
 	}
 	return sn, nil
 }
@@ -89,29 +68,36 @@ func (s *Store) releaseSnapshot(sn snapshot) {
 	s.scans.Done()
 }
 
-// makeEvent assembles an Event from a decoded frame. With copy false the
-// payload (and prefix scratch) alias backing storage valid only until the
-// next event; with copy true everything is retention-safe.
-func makeEvent(e rawEvent, colls []string, peers []peerKey, prefs []netip.Prefix, scratch *[]netip.Prefix, copyOut bool) Event {
+// makeEvent assembles an Event from a decoded frame, or reports false when
+// the frame references an id beyond the dictionaries. With copyOut false
+// the payload (and prefix scratch) alias backing storage valid only until
+// the next event; with copyOut true everything is retention-safe.
+func makeEvent(e rawEvent, d *segDicts, scratch *[]netip.Prefix, copyOut bool) (Event, bool) {
+	if int(e.coll) >= len(d.colls) {
+		return Event{}, false
+	}
 	ev := Event{
-		Seq:     e.seq,
-		Time:    time.Unix(0, e.ns),
-		Kind:    e.kind,
-		Payload: e.payload,
+		Seq:       e.seq,
+		Time:      time.Unix(0, e.ns),
+		Collector: d.colls[e.coll],
+		Kind:      e.kind,
+		Payload:   e.payload,
 	}
-	if int(e.coll) < len(colls) {
-		ev.Collector = colls[e.coll]
-	}
-	if e.peer != noPeer && int(e.peer) < len(peers) {
-		pk := peers[e.peer]
+	if e.peer != noPeer {
+		if int(e.peer) >= len(d.peers) {
+			return Event{}, false
+		}
+		pk := d.peers[e.peer]
 		ev.PeerAS, ev.PeerAddr = pk.as, pk.addr
 	}
 	if n := e.nPrefixes(); n > 0 {
 		*scratch = (*scratch)[:0]
 		for i := 0; i < n; i++ {
-			if id := e.prefixID(i); int(id) < len(prefs) {
-				*scratch = append(*scratch, prefs[id])
+			id := e.prefixID(i)
+			if int(id) >= len(d.prefs) {
+				return Event{}, false
 			}
+			*scratch = append(*scratch, d.prefs[id])
 		}
 		ev.Prefixes = *scratch
 	}
@@ -121,16 +107,32 @@ func makeEvent(e rawEvent, colls []string, peers []peerKey, prefs []netip.Prefix
 			ev.Prefixes = append([]netip.Prefix(nil), ev.Prefixes...)
 		}
 	}
-	return ev
+	return ev, true
 }
 
-// Scan streams matching events in sequence order. The callback's Event
-// payload (and Prefixes slice) alias store-owned memory — mmap'd segment
-// data — and are valid only for the duration of the callback; this is the
-// zero-copy path that feeds MRT payloads straight into bgp.Scratch.
-// Returning an error from fn stops the scan and returns that error.
+// Scan streams every event of q.Kind (every event, for the zero Query) in
+// sequence order. The callback's Event payload (and Prefixes slice) alias
+// store-owned memory — mmap'd segment data — and are valid only for the
+// duration of the callback; this is the zero-copy path that feeds MRT
+// payloads straight into bgp.Scratch. Returning an error from fn stops the
+// scan and returns that error.
 func (s *Store) Scan(q Query, fn func(Event) error) error {
-	sn, err := s.snapshot(0, ^uint64(0))
+	return s.read(0, ^uint64(0), q.Kind, false, fn)
+}
+
+// Replay streams the events with sequence numbers in (fromSeq, toSeq], in
+// order — the half-open range a resume-from-sequence subscriber wants.
+// Unlike Scan, delivered Events own their memory (payload and prefixes
+// are copied) so they can be queued past the callback.
+func (s *Store) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
+	return s.read(fromSeq+1, toSeq, 0, true, fn)
+}
+
+// read is the one read loop behind Scan and Replay: the events with
+// sequence numbers in [lo, hi] and payload kind kind (0: any), sealed
+// segments first, then the pinned range of the active segment.
+func (s *Store) read(lo, hi uint64, kind uint8, copyOut bool, fn func(Event) error) error {
+	sn, err := s.snapshot(lo, hi)
 	if err != nil {
 		return err
 	}
@@ -138,169 +140,76 @@ func (s *Store) Scan(q Query, fn func(Event) error) error {
 	s.metrics.scans.Inc()
 	var scratch []netip.Prefix
 	for _, seg := range sn.segs {
-		if err := s.scanSealed(seg, q, &scratch, fn); err != nil {
+		if seg.idx.firstSeq > hi {
+			return nil
+		}
+		bytes, err := seg.walk(lo, hi, kind, copyOut, &scratch, fn)
+		s.metrics.scanBytes.Add(bytes)
+		if err != nil {
 			return err
 		}
 	}
 	if sn.activePath != "" {
-		return s.scanActive(sn, q, &scratch, fn, false)
+		return s.readActive(sn, kind, copyOut, &scratch, fn)
 	}
 	return nil
 }
 
-// scanSealed scans one sealed segment through its span index.
-func (s *Store) scanSealed(seg *segment, q Query, scratch *[]netip.Prefix, fn func(Event) error) error {
+// walk streams the events of a sealed segment with sequence numbers in
+// [lo, hi] and payload kind kind (0: any): a straight walk of the offset
+// table against the mapping, sized for the multi-GB/s sweeps a restart and
+// a lifespan analysis make over months of segments. Event ordinal i must
+// hold sequence number firstSeq+i; anything else is ErrCorrupt. It returns
+// the event frame bytes visited.
+func (seg *segment) walk(lo, hi uint64, kind uint8, copyOut bool, scratch *[]netip.Prefix, fn func(Event) error) (int64, error) {
 	idx := seg.idx
-	if !q.From.IsZero() && idx.maxNS < q.From.UnixNano() {
-		return nil
+	if hi < idx.firstSeq || lo > idx.lastSeq {
+		return 0, nil
 	}
-	if !q.To.IsZero() && idx.minNS >= q.To.UnixNano() {
-		return nil
+	first, last := uint64(0), uint64(len(idx.offsets)-1)
+	if lo > idx.firstSeq {
+		first = lo - idx.firstSeq
 	}
-	collID := noPeer
-	if q.Collector != "" {
-		id, ok := idx.collectorID(q.Collector)
-		if !ok {
-			return nil
-		}
-		collID = id
+	if hi < idx.lastSeq {
+		last = hi - idx.firstSeq
 	}
-	ords, all, ok := candidateOrdinals(idx, q)
-	if !ok {
-		return nil
-	}
-	if all && collID == noPeer && q.Kind == 0 && q.From.IsZero() && q.To.IsZero() {
-		return s.scanSealedAll(seg, scratch, fn)
-	}
-	bytes := int64(0)
-	emit := func(ord int) error {
-		e, err := seg.event(ord)
-		if err != nil {
-			return err
-		}
-		bytes += frameHeaderLen + eventFixedLen + int64(len(e.ids)) + int64(len(e.payload))
-		if !q.timeMatches(e.ns) {
-			return nil
-		}
-		if q.Kind != 0 && e.kind != q.Kind {
-			return nil
-		}
-		if collID != noPeer && e.coll != collID {
-			return nil
-		}
-		return fn(makeEvent(e, idx.colls, idx.peers, idx.prefs, scratch, false))
-	}
-	if all {
-		for ord := range idx.offsets {
-			if err := emit(ord); err != nil {
-				return err
-			}
-		}
-	} else {
-		for _, ord := range ords {
-			if err := emit(int(ord)); err != nil {
-				return err
-			}
-		}
-	}
-	s.metrics.scanBytes.Add(bytes)
-	return nil
-}
-
-// scanSealedAll is the unfiltered hot path over one sealed segment: a
-// straight walk of the offset table against the mapping, sized for the
-// multi-GB/s sweeps lifespan analyses make over months of segments.
-func (s *Store) scanSealedAll(seg *segment, scratch *[]netip.Prefix, fn func(Event) error) error {
-	idx := seg.idx
 	data := seg.data
 	n := int64(len(data))
-	for _, off32 := range idx.offsets {
-		off := int64(off32)
+	bytes := int64(0)
+	corrupt := func(ord uint64, what string) (int64, error) {
+		return bytes, fmt.Errorf("%w: %s: seq %d: %s", ErrCorrupt, filepath.Base(seg.path), idx.firstSeq+ord, what)
+	}
+	for ord := first; ord <= last; ord++ {
+		off := int64(idx.offsets[ord])
 		if off+frameHeaderLen > n {
-			return fmt.Errorf("%w: %s: event offset beyond file", ErrCorrupt, seg.path)
+			return corrupt(ord, "event offset beyond file")
 		}
 		end := off + frameHeaderLen + int64(le.Uint32(data[off:]))
 		if data[off+4] != fkEvent || end > n {
-			return fmt.Errorf("%w: %s: event frame invalid", ErrCorrupt, seg.path)
+			return corrupt(ord, "event frame invalid")
 		}
 		e, ok := decodeEventBody(data[off+frameHeaderLen : end])
+		if !ok || e.seq != idx.firstSeq+ord {
+			return corrupt(ord, "event body invalid or out of sequence")
+		}
+		bytes += end - off
+		if kind != 0 && e.kind != kind {
+			continue
+		}
+		ev, ok := makeEvent(e, &idx.segDicts, scratch, copyOut)
 		if !ok {
-			return fmt.Errorf("%w: %s: event body invalid", ErrCorrupt, seg.path)
+			return corrupt(ord, "event references a missing dictionary entry")
 		}
-		if err := fn(makeEvent(e, idx.colls, idx.peers, idx.prefs, scratch, false)); err != nil {
-			return err
+		if err := fn(ev); err != nil {
+			return bytes, err
 		}
 	}
-	s.metrics.scanBytes.Add(seg.size - segHeaderLen)
-	return nil
+	return bytes, nil
 }
 
-// candidateOrdinals resolves the peer/prefix filters against the span
-// index. all=true means every ordinal; ok=false means the segment cannot
-// match.
-func candidateOrdinals(idx *segIndex, q Query) (ords []uint32, all, ok bool) {
-	hasPeer, hasPrefix := q.hasPeer(), q.Prefix.IsValid()
-	if !hasPeer && !hasPrefix {
-		return nil, true, true
-	}
-	peerID, prefixID := noPeer, noPrefix
-	if hasPeer {
-		id, found := idx.peerID(q.peerKey())
-		if !found {
-			return nil, false, false
-		}
-		peerID = id
-	}
-	if hasPrefix {
-		id, found := idx.prefixID(q.Prefix)
-		if !found {
-			return nil, false, false
-		}
-		prefixID = id
-	}
-	var lists [][]uint32
-	for _, pp := range idx.pairs {
-		if hasPeer && pp.peer != peerID {
-			continue
-		}
-		if hasPrefix {
-			if pp.prefix != prefixID {
-				continue
-			}
-		} else if pp.prefix == noPrefix && pp.peer == noPeer {
-			// peer filter set but this is the no-peer posting slot
-			continue
-		}
-		lists = append(lists, pp.ords)
-	}
-	if len(lists) == 0 {
-		return nil, false, false
-	}
-	if len(lists) == 1 {
-		return lists[0], false, true
-	}
-	// Merge, dedupe (an event with several prefixes posts once per pair).
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	merged := make([]uint32, 0, total)
-	for _, l := range lists {
-		merged = append(merged, l...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	out := merged[:0]
-	for i, o := range merged {
-		if i == 0 || o != merged[i-1] {
-			out = append(out, o)
-		}
-	}
-	return out, false, true
-}
-
-// scanActive sequentially scans the byte range of the live segment file
-// pinned in the snapshot, restricted to the query filters.
-func (s *Store) scanActive(sn snapshot, q Query, scratch *[]netip.Prefix, fn func(Event) error, copyOut bool) error {
+// readActive reads the byte range of the live segment file pinned in the
+// snapshot and streams its events of payload kind kind (0: any).
+func (s *Store) readActive(sn snapshot, kind uint8, copyOut bool, scratch *[]netip.Prefix, fn func(Event) error) error {
 	f, err := os.Open(sn.activePath)
 	if err != nil {
 		return fmt.Errorf("eventstore: %w", err)
@@ -311,23 +220,28 @@ func (s *Store) scanActive(sn snapshot, q Query, scratch *[]netip.Prefix, fn fun
 	if err != nil {
 		return fmt.Errorf("eventstore: read active segment: %w", err)
 	}
-	dicts := &sn.dicts
+	next := sn.activeSeq
 	var ferr error
 	bytes := int64(0)
-	good := scanFrames(data, 0, func(kind byte, body []byte, off int64) bool {
-		if kind != fkEvent {
+	good := scanFrames(data, 0, func(fk byte, body []byte, off int64) bool {
+		if fk != fkEvent {
 			// The pinned dictionaries already hold every entry in range.
-			return kind == fkCollector || kind == fkPeer || kind == fkPrefix
+			return fk == fkCollector || fk == fkPeer || fk == fkPrefix
 		}
 		e, ok := decodeEventBody(body)
-		if !ok || !dicts.validEvent(e) {
+		if !ok || e.seq != next {
 			return false
 		}
+		next++
 		bytes += frameHeaderLen + int64(len(body))
-		if !matchScanned(q, e, dicts) {
+		if kind != 0 && e.kind != kind {
 			return true
 		}
-		ferr = fn(makeEvent(e, dicts.colls, dicts.peers, dicts.prefs, scratch, copyOut))
+		ev, ok := makeEvent(e, &sn.dicts, scratch, copyOut)
+		if !ok {
+			return false
+		}
+		ferr = fn(ev)
 		return ferr == nil
 	})
 	s.metrics.scanBytes.Add(bytes)
@@ -336,85 +250,6 @@ func (s *Store) scanActive(sn snapshot, q Query, scratch *[]netip.Prefix, fn fun
 	}
 	if good < int64(len(data)) {
 		return fmt.Errorf("%w: active segment at offset %d", ErrCorrupt, sn.activeFrom+good)
-	}
-	return nil
-}
-
-// matchScanned applies the query filters to a sequentially-scanned event.
-func matchScanned(q Query, e rawEvent, d *segDicts) bool {
-	if !q.timeMatches(e.ns) {
-		return false
-	}
-	if q.Kind != 0 && e.kind != q.Kind {
-		return false
-	}
-	if q.Collector != "" && d.colls[e.coll] != q.Collector {
-		return false
-	}
-	if q.hasPeer() {
-		if e.peer == noPeer || d.peers[e.peer] != q.peerKey() {
-			return false
-		}
-	}
-	if q.Prefix.IsValid() {
-		found := false
-		for i := 0; i < e.nPrefixes(); i++ {
-			if d.prefs[e.prefixID(i)] == q.Prefix {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// Replay streams the events with sequence numbers in (fromSeq, toSeq], in
-// order — the half-open range a resume-from-sequence subscriber wants.
-// Unlike Scan, delivered Events own their memory (payload and prefixes
-// are copied) so they can be queued past the callback.
-func (s *Store) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
-	lo := fromSeq + 1
-	sn, err := s.snapshot(lo, toSeq)
-	if err != nil {
-		return err
-	}
-	defer s.releaseSnapshot(sn)
-	s.metrics.scans.Inc()
-	var scratch []netip.Prefix
-	for _, seg := range sn.segs {
-		idx := seg.idx
-		if idx.lastSeq < lo {
-			continue
-		}
-		if idx.firstSeq > toSeq {
-			return nil
-		}
-		startOrd := 0
-		if lo > idx.firstSeq {
-			startOrd = int(lo - idx.firstSeq)
-		}
-		endOrd := len(idx.offsets) - 1
-		if toSeq < idx.lastSeq {
-			endOrd = int(toSeq - idx.firstSeq)
-		}
-		bytes := int64(0)
-		for ord := startOrd; ord <= endOrd; ord++ {
-			e, err := seg.event(ord)
-			if err != nil {
-				return err
-			}
-			bytes += frameHeaderLen + eventFixedLen + int64(len(e.ids)) + int64(len(e.payload))
-			if err := fn(makeEvent(e, idx.colls, idx.peers, idx.prefs, &scratch, true)); err != nil {
-				return err
-			}
-		}
-		s.metrics.scanBytes.Add(bytes)
-	}
-	if sn.activePath != "" {
-		return s.scanActive(sn, Query{}, &scratch, fn, true)
 	}
 	return nil
 }

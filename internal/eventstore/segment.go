@@ -63,11 +63,8 @@ const (
 	fkPrefix    = 4
 	fkIndex     = 5
 
-	// noPeer marks an event with no BGP peer; noPrefix is the span-index
-	// posting slot for events carrying no prefixes (session/state events),
-	// so a peer-filtered scan still finds them.
-	noPeer   = ^uint32(0)
-	noPrefix = ^uint32(0)
+	// noPeer marks an event with no BGP peer.
+	noPeer = ^uint32(0)
 
 	// maxFrameBody bounds a single frame body; anything larger is treated
 	// as corruption (the store itself never writes frames near this).
@@ -77,6 +74,15 @@ const (
 var (
 	le         = binary.LittleEndian
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+	// kindCRC[k] is the CRC-32C of the one-byte slice {k}: the seed every
+	// frame checksum continues from, so frameCRC allocates nothing.
+	kindCRC = func() (t [256]uint32) {
+		for k := range t {
+			t[k] = crc32.Update(0, castagnoli, []byte{byte(k)})
+		}
+		return t
+	}()
 
 	errBadHeader = errors.New("eventstore: bad segment header")
 )
@@ -88,8 +94,7 @@ func idxPathFor(segPath string) string {
 }
 
 func frameCRC(kind byte, body []byte) uint32 {
-	crc := crc32.Update(0, castagnoli, []byte{kind})
-	return crc32.Update(crc, castagnoli, body)
+	return crc32.Update(kindCRC[kind], castagnoli, body)
 }
 
 // peerKey is the dictionary identity of a BGP peer.
@@ -133,7 +138,8 @@ func decodeEventBody(body []byte) (rawEvent, bool) {
 }
 
 // segDicts are the per-segment dense dictionaries, populated either by the
-// writer (interning) or by a sequential scan (dict frames in order).
+// writer (interning) or by a sequential scan (dict frames in order). A
+// sealed segment's index and a read snapshot hold the slices only.
 type segDicts struct {
 	colls   []string
 	collIdx map[string]uint32
@@ -149,6 +155,12 @@ func newSegDicts() *segDicts {
 		peerIdx: make(map[peerKey]uint32),
 		prefIdx: make(map[netip.Prefix]uint32),
 	}
+}
+
+// slices returns the dictionaries without the writer's lookup maps. The
+// slices are append-only, so the prefix returned never changes.
+func (d *segDicts) slices() segDicts {
+	return segDicts{colls: d.colls, peers: d.peers, prefs: d.prefs}
 }
 
 // addDictFrame applies one dictionary frame seen during a sequential scan.
@@ -212,69 +224,22 @@ func decodeAddr(addrLen byte, b []byte) (netip.Addr, bool) {
 	return addr, ok
 }
 
-// validEvent checks an event's dictionary references and sequence against
-// scan state.
-func (d *segDicts) validEvent(e rawEvent) bool {
-	if e.coll >= uint32(len(d.colls)) {
-		return false
-	}
-	if e.peer != noPeer && e.peer >= uint32(len(d.peers)) {
-		return false
-	}
-	for i := 0; i < e.nPrefixes(); i++ {
-		if e.prefixID(i) >= uint32(len(d.prefs)) {
-			return false
-		}
-	}
-	return true
-}
-
-// idxBuilder accumulates the span index while events are appended or
-// scanned.
+// idxBuilder accumulates what the index sidecar records while events are
+// appended or scanned.
 type idxBuilder struct {
 	firstSeq, lastSeq uint64
 	minNS, maxNS      int64
-	count             int
 	offsets           []uint32
-	pairs             map[uint64][]uint32 // peerID<<32|prefixID -> ordinals
-	collCounts        []uint64
 }
 
-func newIdxBuilder() *idxBuilder {
-	return &idxBuilder{pairs: make(map[uint64][]uint32)}
-}
-
-func pairID(peer, prefix uint32) uint64 { return uint64(peer)<<32 | uint64(prefix) }
-
-func (b *idxBuilder) addEvent(e rawEvent, off int64) {
-	ord := uint32(b.count)
-	if b.count == 0 {
-		b.firstSeq = e.seq
-		b.minNS, b.maxNS = e.ns, e.ns
-	} else {
-		if e.ns < b.minNS {
-			b.minNS = e.ns
-		}
-		if e.ns > b.maxNS {
-			b.maxNS = e.ns
-		}
+func (b *idxBuilder) addEvent(seq uint64, ns, off int64) {
+	if len(b.offsets) == 0 {
+		b.firstSeq = seq
+		b.minNS, b.maxNS = ns, ns
 	}
-	b.lastSeq = e.seq
-	b.count++
+	b.minNS, b.maxNS = min(b.minNS, ns), max(b.maxNS, ns)
+	b.lastSeq = seq
 	b.offsets = append(b.offsets, uint32(off))
-	if n := e.nPrefixes(); n > 0 {
-		for i := 0; i < n; i++ {
-			k := pairID(e.peer, e.prefixID(i))
-			b.pairs[k] = append(b.pairs[k], ord)
-		}
-	} else {
-		k := pairID(e.peer, noPrefix)
-		b.pairs[k] = append(b.pairs[k], ord)
-	}
-	for int(e.coll) >= len(b.collCounts) {
-		b.collCounts = append(b.collCounts, 0)
-	}
-	b.collCounts[e.coll]++
 }
 
 // scanFrames walks whole frames in data starting at offset start, calling
@@ -315,13 +280,14 @@ type segWriter struct {
 	pendingSync int
 
 	dicts *segDicts
-	bld   *idxBuilder
+	bld   idxBuilder
 
-	buf []byte // per-append frame assembly buffer
+	buf []byte   // per-append frame assembly buffer
+	ids []uint32 // per-append prefix ids
 }
 
 // Convenience accessors mirroring the sealed-segment index.
-func (w *segWriter) count() int       { return w.bld.count }
+func (w *segWriter) count() int       { return len(w.bld.offsets) }
 func (w *segWriter) firstSeq() uint64 { return w.bld.firstSeq }
 
 // newSegWriter creates the segment file for baseSeq in dir and writes its
@@ -358,7 +324,6 @@ func newSegWriterAt(path, idxPath string, baseSeq uint64) (*segWriter, error) {
 		size:    segHeaderLen,
 		created: created,
 		dicts:   newSegDicts(),
-		bld:     newIdxBuilder(),
 	}, nil
 }
 
@@ -412,12 +377,9 @@ func (w *segWriter) internPeer(pk peerKey) uint32 {
 	return id
 }
 
-func (w *segWriter) internPrefix(p netip.Prefix) (uint32, error) {
+func (w *segWriter) internPrefix(p netip.Prefix) uint32 {
 	if id, ok := w.dicts.prefIdx[p]; ok {
-		return id, nil
-	}
-	if !p.IsValid() {
-		return 0, fmt.Errorf("eventstore: invalid prefix %v", p)
+		return id
 	}
 	id := uint32(len(w.dicts.prefs))
 	w.dicts.prefs = append(w.dicts.prefs, p)
@@ -427,7 +389,7 @@ func (w *segWriter) internPrefix(p netip.Prefix) (uint32, error) {
 		b = append(b, byte(p.Bits()))
 		return appendAddr(b, p.Addr())
 	})
-	return id, nil
+	return id
 }
 
 // append encodes ev (dictionary frames for any new entries, then the event
@@ -437,6 +399,13 @@ func (w *segWriter) append(ev Event) (int, error) {
 	if len(ev.Prefixes) > 0xffff {
 		return 0, fmt.Errorf("eventstore: %d prefixes in one event", len(ev.Prefixes))
 	}
+	// Reject before interning anything: a dictionary entry interned for a
+	// refused event would never reach the file.
+	for _, p := range ev.Prefixes {
+		if !p.IsValid() {
+			return 0, fmt.Errorf("eventstore: invalid prefix %v", p)
+		}
+	}
 	w.buf = w.buf[:0]
 	collID := w.internCollector(ev.Collector)
 	peerID := noPeer
@@ -445,24 +414,20 @@ func (w *segWriter) append(ev Event) (int, error) {
 	}
 	// Intern prefixes before assembling the event frame so dictionary
 	// frames land ahead of the event that references them.
-	ids := make([]uint32, len(ev.Prefixes))
-	for i, p := range ev.Prefixes {
-		id, err := w.internPrefix(p)
-		if err != nil {
-			return 0, err
-		}
-		ids[i] = id
+	w.ids = w.ids[:0]
+	for _, p := range ev.Prefixes {
+		w.ids = append(w.ids, w.internPrefix(p))
 	}
-	frameStart := len(w.buf)
-	eventOff := w.size + int64(frameStart)
+	ns := ev.Time.UnixNano()
+	eventOff := w.size + int64(len(w.buf))
 	w.frame(fkEvent, func(b []byte) []byte {
 		b = le.AppendUint64(b, ev.Seq)
-		b = le.AppendUint64(b, uint64(ev.Time.UnixNano()))
+		b = le.AppendUint64(b, uint64(ns))
 		b = le.AppendUint32(b, collID)
 		b = le.AppendUint32(b, peerID)
 		b = append(b, ev.Kind, 0)
-		b = le.AppendUint16(b, uint16(len(ids)))
-		for _, id := range ids {
+		b = le.AppendUint16(b, uint16(len(w.ids)))
+		for _, id := range w.ids {
 			b = le.AppendUint32(b, id)
 		}
 		return append(b, ev.Payload...)
@@ -470,13 +435,7 @@ func (w *segWriter) append(ev Event) (int, error) {
 	if _, err := w.f.Write(w.buf); err != nil {
 		return 0, fmt.Errorf("eventstore: append %s: %w", filepath.Base(w.path), err)
 	}
-	// Re-decode the event frame body we just built to feed the index
-	// builder through the same path the recovery scanner uses.
-	e, ok := decodeEventBody(w.buf[frameStart+frameHeaderLen:])
-	if !ok {
-		return 0, fmt.Errorf("eventstore: internal error: self-encoded event does not decode")
-	}
-	w.bld.addEvent(e, eventOff)
+	w.bld.addEvent(ev.Seq, ns, eventOff)
 	w.size += int64(len(w.buf))
 	return len(w.buf), nil
 }
@@ -493,7 +452,7 @@ func (w *segWriter) seal(m *Metrics) (*segment, error) {
 	if err := w.f.Close(); err != nil {
 		return nil, fmt.Errorf("eventstore: close %s: %w", filepath.Base(w.path), err)
 	}
-	idx := buildIndex(w.bld, w.dicts, w.size)
+	idx := buildIndex(&w.bld, w.dicts, w.size)
 	if err := writeIndexFile(w.idxPath, w.baseSeq, idx); err != nil {
 		return nil, err
 	}
@@ -502,39 +461,18 @@ func (w *segWriter) seal(m *Metrics) (*segment, error) {
 
 func (w *segWriter) info() SegmentInfo {
 	return SegmentInfo{
-		Path:            w.path,
-		Sealed:          false,
-		FirstSeq:        w.bld.firstSeq,
-		LastSeq:         w.bld.lastSeq,
-		Events:          w.bld.count,
-		Bytes:           w.size,
-		MinTime:         time.Unix(0, w.bld.minNS),
-		MaxTime:         time.Unix(0, w.bld.maxNS),
-		Collectors:      len(w.dicts.colls),
-		Peers:           len(w.dicts.peers),
-		Prefixes:        len(w.dicts.prefs),
-		Pairs:           len(w.bld.pairs),
-		Postings:        countPostings(w.bld.pairs),
-		CollectorCounts: collectorCounts(w.dicts.colls, w.bld.collCounts),
+		Path:       w.path,
+		Sealed:     false,
+		FirstSeq:   w.bld.firstSeq,
+		LastSeq:    w.bld.lastSeq,
+		Events:     w.count(),
+		Bytes:      w.size,
+		MinTime:    time.Unix(0, w.bld.minNS),
+		MaxTime:    time.Unix(0, w.bld.maxNS),
+		Collectors: len(w.dicts.colls),
+		Peers:      len(w.dicts.peers),
+		Prefixes:   len(w.dicts.prefs),
 	}
-}
-
-func countPostings(pairs map[uint64][]uint32) int {
-	n := 0
-	for _, ords := range pairs {
-		n += len(ords)
-	}
-	return n
-}
-
-func collectorCounts(colls []string, counts []uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(colls))
-	for i, name := range colls {
-		if i < len(counts) {
-			out[name] = counts[i]
-		}
-	}
-	return out
 }
 
 // segment is one sealed, immutable, mapped segment.
@@ -569,40 +507,19 @@ func (s *segment) removeFiles() {
 
 func (s *segment) info() SegmentInfo {
 	return SegmentInfo{
-		Path:            s.path,
-		Sealed:          true,
-		FirstSeq:        s.idx.firstSeq,
-		LastSeq:         s.idx.lastSeq,
-		Events:          len(s.idx.offsets),
-		Bytes:           s.size,
-		MinTime:         time.Unix(0, s.idx.minNS),
-		MaxTime:         time.Unix(0, s.idx.maxNS),
-		Collectors:      len(s.idx.colls),
-		Peers:           len(s.idx.peers),
-		Prefixes:        len(s.idx.prefs),
-		Pairs:           len(s.idx.pairs),
-		Postings:        s.idx.postings(),
-		CollectorCounts: collectorCounts(s.idx.colls, s.idx.collCounts),
-		TornBytes:       s.torn,
+		Path:       s.path,
+		Sealed:     true,
+		FirstSeq:   s.idx.firstSeq,
+		LastSeq:    s.idx.lastSeq,
+		Events:     len(s.idx.offsets),
+		Bytes:      s.size,
+		MinTime:    time.Unix(0, s.idx.minNS),
+		MaxTime:    time.Unix(0, s.idx.maxNS),
+		Collectors: len(s.idx.colls),
+		Peers:      len(s.idx.peers),
+		Prefixes:   len(s.idx.prefs),
+		TornBytes:  s.torn,
 	}
-}
-
-// event decodes the event at ordinal ord. The returned rawEvent aliases
-// the mapping.
-func (s *segment) event(ord int) (rawEvent, error) {
-	off := int64(s.idx.offsets[ord])
-	if off+frameHeaderLen > int64(len(s.data)) {
-		return rawEvent{}, fmt.Errorf("%w: %s: event %d offset beyond file", ErrCorrupt, filepath.Base(s.path), ord)
-	}
-	bodyLen := int64(le.Uint32(s.data[off:]))
-	if s.data[off+4] != fkEvent || off+frameHeaderLen+bodyLen > int64(len(s.data)) {
-		return rawEvent{}, fmt.Errorf("%w: %s: event %d frame invalid", ErrCorrupt, filepath.Base(s.path), ord)
-	}
-	e, ok := decodeEventBody(s.data[off+frameHeaderLen : off+frameHeaderLen+bodyLen])
-	if !ok {
-		return rawEvent{}, fmt.Errorf("%w: %s: event %d body invalid", ErrCorrupt, filepath.Base(s.path), ord)
-	}
-	return e, nil
 }
 
 // mapSegment opens path and maps [0, size) for reading. torn carries
@@ -663,17 +580,18 @@ func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error)
 		return nil, fmt.Errorf("eventstore: read %s: %w", filepath.Base(path), err)
 	}
 	dicts := newSegDicts()
-	bld := newIdxBuilder()
+	var bld idxBuilder
+	var scratch []netip.Prefix
 	good := scanFrames(data, segHeaderLen, func(kind byte, body []byte, off int64) bool {
 		if kind == fkEvent {
 			e, ok := decodeEventBody(body)
-			if !ok || !dicts.validEvent(e) {
+			if !ok || e.seq != baseSeq+uint64(len(bld.offsets)) {
 				return false
 			}
-			if e.seq != baseSeq+uint64(bld.count) {
+			if _, ok := makeEvent(e, dicts, &scratch, false); !ok {
 				return false
 			}
-			bld.addEvent(e, off)
+			bld.addEvent(e.seq, e.ns, off)
 			return true
 		}
 		return dicts.addDictFrame(kind, body)
@@ -694,14 +612,14 @@ func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error)
 			torn = 0
 		}
 	}
-	if bld.count == 0 {
+	if len(bld.offsets) == 0 {
 		if !readOnly {
 			os.Remove(path)
 			os.Remove(idxPathFor(path))
 		}
 		return nil, nil
 	}
-	idx := buildIndex(bld, dicts, good)
+	idx := buildIndex(&bld, dicts, good)
 	if !readOnly {
 		if err := writeIndexFile(idxPathFor(path), baseSeq, idx); err != nil {
 			return nil, err
