@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -366,22 +367,24 @@ func (d *daemon) httpMux() *http.ServeMux {
 // concurrency-safe reads (atomics, mutex-guarded snapshots), so the
 // builder may run at any point of the daemon's life.
 func (d *daemon) status() statusz.Status {
-	m := d.broker.Metrics()
+	counters, stages := d.broker.Metrics().Registry().Values()
+	pc, ps := pipeline.Default.Registry().Values()
+	maps.Copy(counters, pc)
+	maps.Copy(stages, ps)
 	st := statusz.Status{
-		Server:         d.srv.Name,
-		GoVersion:      runtime.Version(),
-		NumCPU:         runtime.NumCPU(),
-		UptimeSeconds:  time.Since(d.started).Seconds(),
-		Ready:          d.ready.Load(),
-		HeadSeq:        d.broker.Seq(),
-		PendingChecks:  d.pipe.PendingChecks(),
-		Subscribers:    d.broker.SubscriberCount(),
-		Shards:         d.broker.ShardCount(),
-		Counters:       m.Snapshot(),
-		Stages:         m.LatencySummaries(),
-		PipelineStages: pipeline.Default.StageSummaries(),
-		Sessions:       d.broker.Sessions(),
-		Runtime:        obs.ReadRuntimeStats(),
+		Server:        d.srv.Name,
+		GoVersion:     runtime.Version(),
+		NumCPU:        runtime.NumCPU(),
+		UptimeSeconds: time.Since(d.started).Seconds(),
+		Ready:         d.ready.Load(),
+		HeadSeq:       d.broker.Seq(),
+		PendingChecks: d.pipe.PendingChecks(),
+		Subscribers:   d.broker.SubscriberCount(),
+		Shards:        d.broker.ShardCount(),
+		Counters:      counters,
+		Stages:        stages,
+		Sessions:      d.broker.Sessions(),
+		Runtime:       obs.ReadRuntimeStats(),
 	}
 	if d.store != nil {
 		ss := &statusz.StoreStatus{

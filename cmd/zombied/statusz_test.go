@@ -116,13 +116,9 @@ func TestDaemonStatusz(t *testing.T) {
 		t.Fatalf("decoding /statusz: %v\n%s", err, raw)
 	}
 
-	// Shape: sorted key paths against the golden. The two derived
-	// detect-latency counters only appear once a detection fired, so they
-	// are normalized out of the shape.
-	if c, ok := doc["counters"].(map[string]any); ok {
-		delete(c, "detect_latency_avg_us")
-		delete(c, "detect_latency_count")
-	}
+	// Shape: sorted key paths against the golden. Every series the
+	// daemon registers exists from startup, so the counter and stage keys
+	// are as fixed as the rest of the document.
 	paths := map[string]bool{}
 	jsonPaths(doc, "", paths)
 	sorted := make([]string, 0, len(paths))
@@ -181,13 +177,17 @@ func TestDaemonStatusz(t *testing.T) {
 	if st.Server != "zombied/1" || !st.Ready || st.NumCPU < 1 || st.GoVersion == "" {
 		t.Errorf("header fields wrong: %+v", st)
 	}
-	if st.HeadSeq == 0 || st.Counters["records_in"] == 0 {
-		t.Errorf("ready daemon reports head_seq=%d records_in=%d", st.HeadSeq, st.Counters["records_in"])
+	if st.HeadSeq == 0 || st.Counters["livefeed_records_in_total"] == 0 {
+		t.Errorf("ready daemon reports head_seq=%d livefeed_records_in_total=%d", st.HeadSeq, st.Counters["livefeed_records_in_total"])
+	}
+	if st.Counters["pipeline_files_decoded_total"] == 0 {
+		t.Errorf("pipeline counters missing from /statusz: %v", st.Counters)
 	}
 	if st.Subscribers != 1 || len(st.Sessions) != 1 || st.Sessions[0].Policy != "drop-oldest" {
 		t.Errorf("sessions wrong: subscribers=%d sessions=%+v", st.Subscribers, st.Sessions)
 	}
-	if st.Stages["publish"].Count == 0 || st.Stages["detect"].Count == 0 {
+	if st.Stages["livefeed_publish_seconds"].Count == 0 || st.Stages[`livefeed_stage_seconds{stage="detect"}`].Count == 0 ||
+		st.Stages[`pipeline_stage_seconds{stage="decode"}`].Count == 0 {
 		t.Errorf("stage summaries empty: %+v", st.Stages)
 	}
 	if st.Store == nil || st.Store.LastSeq != st.HeadSeq || st.Store.Segments == 0 || st.Store.Bytes == 0 {

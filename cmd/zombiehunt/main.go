@@ -315,11 +315,11 @@ func writeTrace(tr *obs.Tracer, path string) error {
 }
 
 // startProgress launches the heartbeat goroutine and returns its stop
-// function. Each tick logs the shared pipeline counters, so a long run
-// shows decode/detection advancing even before any report is printed.
-// lifespan_events_sharded moves only under -lifespans: the history build
-// has no shard-routing stage, so RIB-dump tracking is the counter's one
-// feeder.
+// function. Each tick logs the shared pipeline registry's series under
+// their /metrics names, so a long run shows decode/detection advancing
+// even before any report is printed. pipeline_events_sharded_total moves
+// only under -lifespans: the history build has no shard-routing stage,
+// so RIB-dump tracking is the counter's one feeder.
 func startProgress(l *slog.Logger, every time.Duration) func() {
 	done := make(chan struct{})
 	go func() {
@@ -330,14 +330,14 @@ func startProgress(l *slog.Logger, every time.Duration) func() {
 			case <-done:
 				return
 			case <-t.C:
-				s := pipeline.Default.Snapshot()
+				c, h := pipeline.Default.Registry().Values()
 				l.Info("pipeline progress",
-					"records_decoded", s["records_decoded"],
-					"bytes_decoded", s["bytes_decoded"],
-					"lifespan_events_sharded", s["events_sharded"],
-					"intervals_evaluated", s["intervals_evaluated"],
-					"decode_us", s["decode_us"],
-					"detect_us", s["detect_us"])
+					"pipeline_records_decoded_total", c["pipeline_records_decoded_total"],
+					"pipeline_bytes_decoded_total", c["pipeline_bytes_decoded_total"],
+					"pipeline_events_sharded_total", c["pipeline_events_sharded_total"],
+					"pipeline_intervals_evaluated_total", c["pipeline_intervals_evaluated_total"],
+					`pipeline_stage_seconds_sum{stage="decode"}`, h[`pipeline_stage_seconds{stage="decode"}`].Sum,
+					`pipeline_stage_seconds_sum{stage="detect"}`, h[`pipeline_stage_seconds{stage="detect"}`].Sum)
 			}
 		}
 	}()

@@ -53,9 +53,9 @@ func sample() statusz.Status {
 	return statusz.Status{
 		Server: "zombied/1", GoVersion: "go-test", NumCPU: 2,
 		Ready: true, HeadSeq: 420, Subscribers: 2, Shards: 1,
-		Counters: map[string]int64{"records_in": 100, "bytes_written": 9000},
+		Counters: map[string]int64{"livefeed_records_in_total": 100, "livefeed_bytes_written_total": 9000},
 		Stages: map[string]obs.HistogramSummary{
-			"e2e": {Count: 99, P50: 150e-6, P99: 900e-6, P999: 2e-3},
+			"livefeed_e2e_seconds": {Count: 99, P50: 150e-6, P99: 900e-6, P999: 2e-3},
 		},
 		Sessions: []livefeed.SessionInfo{
 			{ID: 1, Policy: "drop-oldest", Lag: 3, Queue: 2, Cap: 8},
@@ -73,7 +73,7 @@ func TestOneshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"zombied/1", "head 420", "e2e", "in -", "drop-oldest"} {
+	for _, want := range []string{"zombied/1", "head 420", "livefeed_e2e_seconds", "in -", "drop-oldest"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("oneshot frame missing %q:\n%s", want, out)
 		}
@@ -92,7 +92,7 @@ func TestOneshot(t *testing.T) {
 func TestLoopRates(t *testing.T) {
 	first := sample()
 	second := sample()
-	second.Counters["records_in"] = 300
+	second.Counters["livefeed_records_in_total"] = 300
 	second.UnixNanos = first.UnixNanos // stamped by the handler anyway
 	srv := serveStatus(t, first, second)
 

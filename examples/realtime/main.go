@@ -82,7 +82,8 @@ func main() {
 
 	// Drain: the alert count is known once the replay flushed; stop the
 	// client when it has received them all.
-	want := broker.Metrics().Snapshot()["alerts"]
+	m, _ := broker.Metrics().Registry().Values()
+	want := m["livefeed_alerts_total"]
 	for got := int64(0); got < want; {
 		select {
 		case <-received:
@@ -96,7 +97,7 @@ func main() {
 	srv.Close()
 	broker.Close()
 
-	m := broker.Metrics().Snapshot()
+	m, _ = broker.Metrics().Registry().Values()
 	fmt.Printf("\n%d real-time zombie alerts over the wire (%d records in, %d events delivered, %d checks still pending)\n",
-		alerts, m["records_in"], m["events_out"], pipe.PendingChecks())
+		alerts, m["livefeed_records_in_total"], m["livefeed_events_out_total"], pipe.PendingChecks())
 }

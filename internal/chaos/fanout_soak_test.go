@@ -409,11 +409,11 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 	default:
 	}
 
-	m := broker.Metrics().Snapshot()
-	if got := m["records_in"]; got != int64(events) {
-		fail("metrics records_in = %d, want %d", got, events)
+	m, _ := broker.Metrics().Registry().Values()
+	if got := m["livefeed_records_in_total"]; got != int64(events) {
+		fail("livefeed_records_in_total = %d, want %d", got, events)
 	}
-	if doomed > 0 && m["kicks"] == 0 {
+	if doomed > 0 && m["livefeed_kicks_total"] == 0 {
 		fail("no doomed reader was ever kicked (%d candidates): the soak did not stress kick-slowest", doomed)
 	}
 	if shards == 0 || shards > len(filters)+1 {
@@ -428,10 +428,10 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 		missing[i] = st.missing // clients have returned: no lock needed
 		missingSum += st.missing
 	}
-	if missingSum > uint64(m["drops_drop_oldest"]) {
+	if missingSum > uint64(m["livefeed_drops_drop_oldest_total"]) {
 		fail("wire clients missed %v events (%d in all) but the broker shed only %d: loss outside drop-oldest",
-			missing, missingSum, m["drops_drop_oldest"])
+			missing, missingSum, m["livefeed_drops_drop_oldest_total"])
 	}
 	t.Logf("seed %d: head=%d subs=%d kicks=%d drops=%d wire_missing=%v conns=%d shards=%d",
-		seed, head, subs, m["kicks"], m["drops_drop_oldest"], missing, inj.Conns(), shards)
+		seed, head, subs, m["livefeed_kicks_total"], m["livefeed_drops_drop_oldest_total"], missing, inj.Conns(), shards)
 }

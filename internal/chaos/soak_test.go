@@ -310,20 +310,20 @@ func runSoakSeed(t *testing.T, sc *soakScenario, seed uint64) {
 	// Invariant 3: the obs counters reconcile with what happened. The
 	// rings were sized to make every loss class zero; delivery implies
 	// at least head events were queued to subscribers.
-	m := broker.Metrics().Snapshot()
-	if got := uint64(m["records_in"]); got != head {
-		fail("metrics records_in = %d, broker head = %d", got, head)
+	m, _ := broker.Metrics().Registry().Values()
+	if got := uint64(m["livefeed_records_in_total"]); got != head {
+		fail("livefeed_records_in_total = %d, broker head = %d", got, head)
 	}
-	if m["events_out"] < int64(head) {
-		fail("metrics events_out = %d < %d delivered", m["events_out"], head)
+	if m["livefeed_events_out_total"] < int64(head) {
+		fail("livefeed_events_out_total = %d < %d delivered", m["livefeed_events_out_total"], head)
 	}
-	for _, k := range []string{"kicks", "drops_drop_oldest", "block_stalls"} {
+	for _, k := range []string{"livefeed_kicks_total", "livefeed_drops_drop_oldest_total", "livefeed_block_stalls_total"} {
 		if m[k] != 0 {
-			fail("metrics %s = %d, want 0 (policy contract violated under chaos)", k, m[k])
+			fail("%s = %d, want 0 (policy contract violated under chaos)", k, m[k])
 		}
 	}
-	if m["subscribers_total"] < 1 {
-		fail("metrics subscribers_total = %d, want >= 1", m["subscribers_total"])
+	if m["livefeed_subscribers_total"] < 1 {
+		fail("livefeed_subscribers_total = %d, want >= 1", m["livefeed_subscribers_total"])
 	}
 
 	recordFired(inj.Fired())
@@ -400,8 +400,8 @@ func TestChaosSoakBackpressure(t *testing.T) {
 				break
 			}
 		}
-		if kicks := broker.Metrics().Snapshot()["kicks"]; kicks != 1 {
-			t.Fatalf("metrics kicks = %d, want 1", kicks)
+		if m, _ := broker.Metrics().Registry().Values(); m["livefeed_kicks_total"] != 1 {
+			t.Fatalf("livefeed_kicks_total = %d, want 1", m["livefeed_kicks_total"])
 		}
 	})
 
@@ -494,7 +494,7 @@ func TestChaosSoakBackpressure(t *testing.T) {
 				t.Fatalf("block delivery %d has seq %d, want %d", i, s, i+1)
 			}
 		}
-		if stalls := broker.Metrics().Snapshot()["block_stalls"]; stalls == 0 {
+		if m, _ := broker.Metrics().Registry().Values(); m["livefeed_block_stalls_total"] == 0 {
 			t.Fatal("publisher never blocked: the test did not exercise the policy")
 		}
 	})

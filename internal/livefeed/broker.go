@@ -229,8 +229,6 @@ func NewBroker(cfg Config) *Broker {
 	m := cfg.Metrics
 	if m == nil {
 		m = NewMetrics(nil)
-	} else {
-		m.init()
 	}
 	b := &Broker{
 		cfg:       cfg,

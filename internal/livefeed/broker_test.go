@@ -2,7 +2,6 @@ package livefeed
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +60,7 @@ func TestDropOldestNeverStallsOrGrows(t *testing.T) {
 	if sub.Drops() != wantDrops {
 		t.Errorf("drops = %d, want %d", sub.Drops(), wantDrops)
 	}
-	if got := b.Metrics().Snapshot()["drops_drop_oldest"]; got != int64(wantDrops) {
+	if got := b.Metrics().dropsDropOldest.Value(); got != int64(wantDrops) {
 		t.Errorf("metrics drops = %d, want %d", got, wantDrops)
 	}
 	// The survivors are the freshest window, in order.
@@ -99,7 +98,7 @@ func TestKickSlowestNeverStalls(t *testing.T) {
 	if _, err := sub.Next(); !errors.Is(err, ErrKicked) {
 		t.Fatalf("Next after kick = %v, want ErrKicked", err)
 	}
-	if got := b.Metrics().Snapshot()["kicks"]; got != 1 {
+	if got := b.Metrics().kicks.Value(); got != 1 {
 		t.Errorf("metrics kicks = %d, want 1", got)
 	}
 	publishN(t, b, 100, 10*time.Second) // feed continues without subscribers
@@ -132,7 +131,7 @@ func TestBlockPolicyLossless(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if stalls := b.Metrics().Snapshot()["block_stalls"]; stalls == 0 {
+	if stalls := b.Metrics().blockStalls.Value(); stalls == 0 {
 		t.Error("expected at least one block stall with ring 2 and 500 events")
 	}
 	if sub.Drops() != 0 {
@@ -326,11 +325,11 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	pubs.Wait()
 	b.Close() // wakes every consumer still waiting in Next
 	consumers.Wait()
-	m := b.Metrics().Snapshot()
-	if m["records_in"] != 2000 {
-		t.Errorf("records_in = %d, want 2000", m["records_in"])
+	m := b.Metrics()
+	if got := m.recordsIn.Value(); got != 2000 {
+		t.Errorf("records_in = %d, want 2000", got)
 	}
-	if fmt.Sprint(m["subscribers"]) != "0" {
-		t.Errorf("subscribers = %d after close, want 0", m["subscribers"])
+	if got := m.subscribers.Value(); got != 0 {
+		t.Errorf("subscribers = %v after close, want 0", got)
 	}
 }

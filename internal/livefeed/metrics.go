@@ -1,11 +1,6 @@
 package livefeed
 
-import (
-	"sync"
-	"time"
-
-	"zombiescope/internal/obs"
-)
+import "zombiescope/internal/obs"
 
 // publishBuckets cover the broker's in-process fan-out, which is orders of
 // magnitude faster than the stage latencies DefBuckets are cut for.
@@ -22,16 +17,12 @@ var stageBuckets = []float64{
 	1e-3, 2.5e-3, 1e-2, 0.1, 1, 10,
 }
 
-// Metrics holds the broker's instruments on an obs registry. Snapshot
-// keeps the original flat-map shape as a thin in-process view; the
-// registry serves the same state as Prometheus exposition (the only HTTP
-// form), including the latency distributions the flat map can only
-// summarize. The zero value is usable (it lazily builds a private
-// registry); pass a shared registry through Config.Metrics /
-// NewMetrics to scrape several subsystems as one target.
+// Metrics holds the broker's instruments on an obs registry, which is
+// their only read: /metrics renders it and in-process readers take
+// Registry().Values(). Build one with NewMetrics; pass a shared registry
+// through Config.Metrics to scrape several subsystems as one target.
 type Metrics struct {
-	once sync.Once
-	reg  *obs.Registry
+	reg *obs.Registry
 
 	// Ingestion / fan-out.
 	recordsIn      *obs.Counter
@@ -93,142 +84,71 @@ type Metrics struct {
 	anomalyEval     *obs.Histogram
 }
 
-// NewMetrics builds a Metrics registered on reg (nil: a fresh private
-// registry).
+// NewMetrics registers the broker instrument families on reg (nil: a
+// fresh private registry).
 func NewMetrics(reg *obs.Registry) *Metrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	m := &Metrics{reg: reg}
-	m.init()
+	m.recordsIn = reg.Counter("livefeed_records_in_total", "Events published into the broker.")
+	m.eventsOut = reg.Counter("livefeed_events_out_total", "Events queued to subscribers (post-filter).")
+	m.publishSeconds = reg.Histogram("livefeed_publish_seconds",
+		"Broker fan-out latency per published event.", publishBuckets)
+	m.journalErrors = reg.Counter("livefeed_journal_errors_total",
+		"Journal appends or resume reads that failed.")
+	m.encodes = reg.Counter("livefeed_encode_total",
+		"Events JSON-encoded into wire frames (once per publish plus journal-served resume catch-up).")
+	m.encodeErrors = reg.Counter("livefeed_encode_errors_total",
+		"Events that failed to encode and were skipped.")
+	m.framesShared = reg.Counter("livefeed_frames_shared_total",
+		"Frame references handed to subscriber rings; deliveries reusing a shared encoding.")
+	m.filterShards = reg.Gauge("livefeed_filter_shards",
+		"Distinct filter shards currently registered (subscribers grouped by canonical filter signature).")
+	m.shardMatches = reg.Counter("livefeed_shard_matches_total",
+		"Shard filter evaluations that matched a published event.")
+	m.shardSkips = reg.Counter("livefeed_shard_skips_total",
+		"Shard filter evaluations that rejected a published event (one check skipped the whole shard).")
+	m.dropsDropOldest = reg.Counter("livefeed_drops_drop_oldest_total", "Events evicted under drop-oldest.")
+	m.blockStalls = reg.Counter("livefeed_block_stalls_total", "Publishes that had to wait under block.")
+	m.kicks = reg.Counter("livefeed_kicks_total", "Subscribers kicked under kick-slowest.")
+	m.subscribers = reg.Gauge("livefeed_subscribers", "Currently attached subscribers.")
+	m.subscribersTotal = reg.Counter("livefeed_subscribers_total", "Subscribers ever attached.")
+	m.stageSeconds = reg.HistogramVec("livefeed_stage_seconds",
+		"Per-stage latency of the event path (detect: detector work per ingested record; flush: one socket writev batch).",
+		stageBuckets, "stage")
+	m.stageDetect = m.stageSeconds.With("detect")
+	m.stageFlush = m.stageSeconds.With("flush")
+	m.e2eSeconds = reg.Histogram("livefeed_e2e_seconds",
+		"End-to-end event latency: ingest stamp to socket flush, per delivered frame.", stageBuckets)
+	m.bytesWritten = reg.Counter("livefeed_bytes_written_total",
+		"Wire bytes flushed to subscriber connections.")
+	m.subLag = reg.GaugeVec("livefeed_subscriber_lag",
+		"Sequence distance between the broker head and the subscriber's last consumed event.", "id")
+	m.subQueue = reg.GaugeVec("livefeed_subscriber_queue",
+		"Frames queued in the subscriber's ring.", "id")
+	m.journalHead = reg.Gauge("livefeed_journal_head_seq",
+		"Highest sequence number published (journal head when journaled).")
+	m.journalFirst = reg.Gauge("livefeed_journal_first_seq",
+		"Oldest sequence number the journal still holds (0 when empty or not journaled).")
+	m.watermark = reg.Gauge("livefeed_watermark_unix_seconds",
+		"Record-time watermark the detector clock has advanced to.")
+	m.alerts = reg.Counter("livefeed_alerts_total", "Zombie-channel events published.")
+	m.detectLatency = reg.Histogram("detector_latency_seconds",
+		"How far behind the record stream detections fire.", obs.DefBuckets)
+	m.checksFired = reg.Counter("detector_checks_fired_total", "Beacon interval checks fired.")
+	m.pendingChecks = reg.Gauge("detector_pending_checks", "Interval checks not fired yet.")
+	m.peerRate = reg.GaugeVec("detector_peer_zombie_rate",
+		"Per-peer zombie likelihood: deduped zombie routes over beacon announcements of the family (the paper's noisy-peer table, live).",
+		"collector", "peer_as", "afi")
+	m.anomalyFindings = reg.CounterVec("anomaly_findings_total",
+		"Anomaly-channel findings published, per detector.", "detector")
+	m.anomalyEval = reg.Histogram("anomaly_eval_seconds",
+		"Wall time of one full anomaly evaluation (seal the accumulated history, run every detector).",
+		obs.ExponentialBuckets(1e-5, 4, 12))
 	return m
 }
 
-func (m *Metrics) init() {
-	m.once.Do(func() {
-		if m.reg == nil {
-			m.reg = obs.NewRegistry()
-		}
-		m.recordsIn = m.reg.Counter("livefeed_records_in_total", "Events published into the broker.")
-		m.eventsOut = m.reg.Counter("livefeed_events_out_total", "Events queued to subscribers (post-filter).")
-		m.publishSeconds = m.reg.Histogram("livefeed_publish_seconds",
-			"Broker fan-out latency per published event.", publishBuckets)
-		m.journalErrors = m.reg.Counter("livefeed_journal_errors_total",
-			"Journal appends or resume reads that failed.")
-		m.encodes = m.reg.Counter("livefeed_encode_total",
-			"Events JSON-encoded into wire frames (once per publish plus journal-served resume catch-up).")
-		m.encodeErrors = m.reg.Counter("livefeed_encode_errors_total",
-			"Events that failed to encode and were skipped.")
-		m.framesShared = m.reg.Counter("livefeed_frames_shared_total",
-			"Frame references handed to subscriber rings; deliveries reusing a shared encoding.")
-		m.filterShards = m.reg.Gauge("livefeed_filter_shards",
-			"Distinct filter shards currently registered (subscribers grouped by canonical filter signature).")
-		m.shardMatches = m.reg.Counter("livefeed_shard_matches_total",
-			"Shard filter evaluations that matched a published event.")
-		m.shardSkips = m.reg.Counter("livefeed_shard_skips_total",
-			"Shard filter evaluations that rejected a published event (one check skipped the whole shard).")
-		m.dropsDropOldest = m.reg.Counter("livefeed_drops_drop_oldest_total", "Events evicted under drop-oldest.")
-		m.blockStalls = m.reg.Counter("livefeed_block_stalls_total", "Publishes that had to wait under block.")
-		m.kicks = m.reg.Counter("livefeed_kicks_total", "Subscribers kicked under kick-slowest.")
-		m.subscribers = m.reg.Gauge("livefeed_subscribers", "Currently attached subscribers.")
-		m.subscribersTotal = m.reg.Counter("livefeed_subscribers_total", "Subscribers ever attached.")
-		m.stageSeconds = m.reg.HistogramVec("livefeed_stage_seconds",
-			"Per-stage latency of the event path (detect: detector work per ingested record; flush: one socket writev batch).",
-			stageBuckets, "stage")
-		m.stageDetect = m.stageSeconds.With("detect")
-		m.stageFlush = m.stageSeconds.With("flush")
-		m.e2eSeconds = m.reg.Histogram("livefeed_e2e_seconds",
-			"End-to-end event latency: ingest stamp to socket flush, per delivered frame.", stageBuckets)
-		m.bytesWritten = m.reg.Counter("livefeed_bytes_written_total",
-			"Wire bytes flushed to subscriber connections.")
-		m.subLag = m.reg.GaugeVec("livefeed_subscriber_lag",
-			"Sequence distance between the broker head and the subscriber's last consumed event.", "id")
-		m.subQueue = m.reg.GaugeVec("livefeed_subscriber_queue",
-			"Frames queued in the subscriber's ring.", "id")
-		m.journalHead = m.reg.Gauge("livefeed_journal_head_seq",
-			"Highest sequence number published (journal head when journaled).")
-		m.journalFirst = m.reg.Gauge("livefeed_journal_first_seq",
-			"Oldest sequence number the journal still holds (0 when empty or not journaled).")
-		m.watermark = m.reg.Gauge("livefeed_watermark_unix_seconds",
-			"Record-time watermark the detector clock has advanced to.")
-		m.alerts = m.reg.Counter("livefeed_alerts_total", "Zombie-channel events published.")
-		m.detectLatency = m.reg.Histogram("detector_latency_seconds",
-			"How far behind the record stream detections fire.", obs.DefBuckets)
-		m.checksFired = m.reg.Counter("detector_checks_fired_total", "Beacon interval checks fired.")
-		m.pendingChecks = m.reg.Gauge("detector_pending_checks", "Interval checks not fired yet.")
-		m.peerRate = m.reg.GaugeVec("detector_peer_zombie_rate",
-			"Per-peer zombie likelihood: deduped zombie routes over beacon announcements of the family (the paper's noisy-peer table, live).",
-			"collector", "peer_as", "afi")
-		m.anomalyFindings = m.reg.CounterVec("anomaly_findings_total",
-			"Anomaly-channel findings published, per detector.", "detector")
-		m.anomalyEval = m.reg.Histogram("anomaly_eval_seconds",
-			"Wall time of one full anomaly evaluation (seal the accumulated history, run every detector).",
-			obs.ExponentialBuckets(1e-5, 4, 12))
-	})
-}
-
-// Registry returns the registry backing the metrics, for Prometheus
-// exposition alongside other subsystems.
-func (m *Metrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	m.init()
-	return m.reg
-}
-
-// ObserveDetectionLatency records how far behind the record stream a
-// detection fired (watermark at firing minus the scheduled check time).
-func (m *Metrics) ObserveDetectionLatency(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.init()
-	if d < 0 {
-		d = 0
-	}
-	m.detectLatency.Observe(d.Seconds())
-}
-
-// LatencySummaries returns count/sum/quantile summaries of the feed's
-// latency histograms, keyed by stage — the /statusz view of the same
-// distributions the Prometheus exposition serves as buckets.
-func (m *Metrics) LatencySummaries() map[string]obs.HistogramSummary {
-	if m == nil {
-		return nil
-	}
-	m.init()
-	return map[string]obs.HistogramSummary{
-		"publish":          m.publishSeconds.Summary(),
-		"detect":           m.stageDetect.Summary(),
-		"flush":            m.stageFlush.Summary(),
-		"e2e":              m.e2eSeconds.Summary(),
-		"detector_latency": m.detectLatency.Summary(),
-	}
-}
-
-// Snapshot returns the counters as a flat map, expvar style — a view over
-// the registry. A nil receiver returns the
-// all-zero snapshot.
-func (m *Metrics) Snapshot() map[string]int64 {
-	out := map[string]int64{
-		"records_in": 0, "events_out": 0, "drops_drop_oldest": 0,
-		"block_stalls": 0, "kicks": 0, "subscribers": 0,
-		"subscribers_total": 0, "alerts": 0, "bytes_written": 0,
-	}
-	if m == nil {
-		return out
-	}
-	m.init()
-	out["records_in"] = m.recordsIn.Value()
-	out["events_out"] = m.eventsOut.Value()
-	out["drops_drop_oldest"] = m.dropsDropOldest.Value()
-	out["block_stalls"] = m.blockStalls.Value()
-	out["kicks"] = m.kicks.Value()
-	out["subscribers"] = int64(m.subscribers.Value())
-	out["subscribers_total"] = m.subscribersTotal.Value()
-	out["alerts"] = m.alerts.Value()
-	out["bytes_written"] = m.bytesWritten.Value()
-	if n := m.detectLatency.Count(); n > 0 {
-		out["detect_latency_avg_us"] = int64(m.detectLatency.Sum()*1e6) / int64(n)
-		out["detect_latency_count"] = int64(n)
-	}
-	return out
-}
+// Registry returns the registry backing the metrics, for exposition
+// alongside other subsystems and for Values.
+func (m *Metrics) Registry() *obs.Registry { return m.reg }

@@ -1,100 +1,63 @@
 package livefeed
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"zombiescope/internal/experiments"
 	"zombiescope/internal/obs"
+	"zombiescope/internal/obs/obstest"
 )
 
-func parseExposition(t *testing.T, text string) map[string]float64 {
-	t.Helper()
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("malformed exposition line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			t.Fatalf("malformed value in %q: %v", line, err)
-		}
-		out[line[:sp]] = v
-	}
-	return out
-}
-
 // TestBrokerSnapshotPrometheusParity drives a broker through publishes,
-// drops, and a kick, then asserts the legacy JSON snapshot and the
-// Prometheus exposition agree on every shared series.
+// drops, and a detection, then checks the values in-process readers get
+// from the registry (Values, keyed by exposition series name) and the
+// buckets only the exposition carries.
 func TestBrokerSnapshotPrometheusParity(t *testing.T) {
 	b := NewBroker(Config{RingSize: 2, ReplaySize: -1})
-	sub, _, err := b.Subscribe(Filter{}, PolicyDropOldest, 0)
-	if err != nil {
+	if _, _, err := b.Subscribe(Filter{}, PolicyDropOldest, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		b.Publish(Event{Channel: ChannelUpdates})
 	}
 	b.Publish(Event{Channel: ChannelZombie})
-	b.Metrics().ObserveDetectionLatency(42 * time.Millisecond)
-	_ = sub
+	b.Metrics().detectLatency.Observe(0.042)
 
-	snap := b.Metrics().Snapshot()
+	counters, hists := b.Metrics().Registry().Values()
+	for key, want := range map[string]int64{
+		"livefeed_records_in_total":        6,
+		"livefeed_events_out_total":        6,
+		"livefeed_drops_drop_oldest_total": 4,
+		"livefeed_block_stalls_total":      0,
+		"livefeed_kicks_total":             0,
+		"livefeed_subscribers_total":       1,
+		"livefeed_alerts_total":            1,
+	} {
+		got, ok := counters[key]
+		if !ok {
+			t.Errorf("counter %s missing", key)
+		} else if got != want {
+			t.Errorf("%s = %d, want %d", key, got, want)
+		}
+	}
+	if got := b.Metrics().subscribers.Value(); got != 1 {
+		t.Errorf("subscribers gauge = %v, want 1", got)
+	}
+	if s := hists["detector_latency_seconds"]; s.Count != 1 || s.Sum != 0.042 {
+		t.Errorf("detector latency summary = %+v, want one 42ms observation", s)
+	}
+	if s := hists["livefeed_publish_seconds"]; s.Count != 6 {
+		t.Errorf("publish count = %d, want 6", s.Count)
+	}
+	// The exposition carries the full distribution.
 	var buf bytes.Buffer
 	if err := b.Metrics().Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	prom := parseExposition(t, buf.String())
-
-	for jsonKey, promKey := range map[string]string{
-		"records_in":        "livefeed_records_in_total",
-		"events_out":        "livefeed_events_out_total",
-		"drops_drop_oldest": "livefeed_drops_drop_oldest_total",
-		"block_stalls":      "livefeed_block_stalls_total",
-		"kicks":             "livefeed_kicks_total",
-		"subscribers":       "livefeed_subscribers",
-		"subscribers_total": "livefeed_subscribers_total",
-		"alerts":            "livefeed_alerts_total",
-	} {
-		pv, ok := prom[promKey]
-		if !ok {
-			t.Errorf("prometheus series %s missing", promKey)
-			continue
-		}
-		if int64(pv) != snap[jsonKey] {
-			t.Errorf("%s: prometheus %v != snapshot %d", jsonKey, pv, snap[jsonKey])
-		}
-	}
-	if snap["records_in"] != 6 || snap["alerts"] != 1 {
-		t.Errorf("unexpected snapshot: %v", snap)
-	}
-	// Latency histogram: snapshot carries avg+count, exposition the
-	// full distribution; count and sum-derived average must agree.
-	n := prom["detector_latency_seconds_count"]
-	if int64(n) != snap["detect_latency_count"] {
-		t.Errorf("latency count: prometheus %v != snapshot %d", n, snap["detect_latency_count"])
-	}
-	avgUS := int64(prom["detector_latency_seconds_sum"]*1e6) / int64(n)
-	if avgUS != snap["detect_latency_avg_us"] {
-		t.Errorf("latency avg: prometheus %d us != snapshot %d us", avgUS, snap["detect_latency_avg_us"])
-	}
-	// Publish fan-out histogram must expose buckets.
-	if prom["livefeed_publish_seconds_count"] != 6 {
-		t.Errorf("publish count = %v, want 6", prom["livefeed_publish_seconds_count"])
-	}
-	if _, ok := prom[`livefeed_publish_seconds_bucket{le="+Inf"}`]; !ok {
+	if _, ok := obstest.ParsePrometheus(t, buf.String())[`livefeed_publish_seconds_bucket{le="+Inf"}`]; !ok {
 		t.Error("publish histogram has no +Inf bucket")
 	}
 }
@@ -143,7 +106,7 @@ func TestDetectorInstrumentWiring(t *testing.T) {
 	if err := b.Metrics().Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	prom := parseExposition(t, buf.String())
+	prom := obstest.ParsePrometheus(t, buf.String())
 	if got := prom["detector_checks_fired_total"]; got != float64(len(data.Intervals)) {
 		t.Errorf("checks fired = %v, want %d", got, len(data.Intervals))
 	}
@@ -165,19 +128,5 @@ func TestDetectorInstrumentWiring(t *testing.T) {
 	}
 	if rates == 0 {
 		t.Error("no detector_peer_zombie_rate series; scenario produced zombies but the gauge never moved")
-	}
-}
-
-func TestNilLivefeedMetrics(t *testing.T) {
-	var m *Metrics
-	m.ObserveDetectionLatency(time.Second)
-	snap := m.Snapshot()
-	for k, v := range snap {
-		if v != 0 {
-			t.Errorf("nil snapshot %s = %d, want 0", k, v)
-		}
-	}
-	if m.Registry() != nil {
-		t.Error("nil Registry() != nil")
 	}
 }

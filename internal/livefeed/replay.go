@@ -126,7 +126,7 @@ func NewPipeline(b *Broker, intervals []beacon.Interval, threshold time.Duration
 		}
 		// Detection latency: how far the record watermark had advanced
 		// past the scheduled check instant when the check actually fired.
-		b.Metrics().ObserveDetectionLatency(p.watermark.Sub(ev.DetectedAt))
+		b.Metrics().detectLatency.Observe(max(p.watermark.Sub(ev.DetectedAt), 0).Seconds())
 		// The alert inherits the ingest stamp of the record that fired the
 		// check, so alert e2e latency spans detection, not just fan-out.
 		ing := ev.IngestNanos

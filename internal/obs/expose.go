@@ -11,15 +11,15 @@ import (
 )
 
 // ContentType is the Prometheus text exposition format version served by
-// Handler.
+// MultiHandler.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WritePrometheus renders every family of the registry in the Prometheus
-// text exposition format, families sorted by name and children sorted by
-// label values, so the output is deterministic for a given state.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// walk is the one read of a registry: it runs the scrape hooks, then calls
+// fn once per family in name order with the family's children in
+// label-value order, so every reader sees a deterministic sequence.
+// WritePrometheus and Values are both thin renderings of it.
+func (r *Registry) walk(fn func(f *family, children []*child)) {
 	r.runScrapeHooks()
-	bw := bufio.NewWriter(w)
 	r.mu.RLock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
@@ -32,14 +32,65 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.RUnlock()
 	for _, f := range fams {
-		f.write(bw)
+		fn(f, f.sortedChildren())
 	}
+}
+
+// sortedChildren returns the family's children sorted by joined label
+// values.
+func (f *family) sortedChildren() []*child {
+	f.mu.RLock()
+	keys := make([]string, 0, len(f.children))
+	for k := range f.children {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	children := make([]*child, len(keys))
+	for i, k := range keys {
+		children[i] = f.children[k]
+	}
+	f.mu.RUnlock()
+	return children
+}
+
+// WritePrometheus renders every family of the registry in the Prometheus
+// text exposition format, families sorted by name and children sorted by
+// label values, so the output is deterministic for a given state.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	r.walk(func(f *family, children []*child) { f.write(bw, children) })
 	return bw.Flush()
+}
+
+// Values is the in-process read of the registry: every counter series'
+// value and every histogram series' summary, keyed by the series name the
+// exposition prints (`livefeed_records_in_total`,
+// `pipeline_stage_seconds{stage="decode"}`; a histogram's key carries no
+// _sum/_count suffix). Gauges are left out: they are levels, not the
+// totals and distributions a status page or a test reconciles. Values
+// runs the scrape hooks, exactly as a scrape would.
+func (r *Registry) Values() (counters map[string]int64, histograms map[string]HistogramSummary) {
+	counters = make(map[string]int64)
+	histograms = make(map[string]HistogramSummary)
+	var sb strings.Builder
+	r.walk(func(f *family, children []*child) {
+		for _, c := range children {
+			sb.Reset()
+			writeSeries(&sb, f.name, f.labels, c.values, "", "")
+			switch m := c.metric.(type) {
+			case *Counter:
+				counters[sb.String()] = m.Value()
+			case *Histogram:
+				histograms[sb.String()] = m.Summary()
+			}
+		}
+	})
+	return counters, histograms
 }
 
 // write renders one family: HELP and TYPE header plus one line per child
 // sample (histograms expand to buckets, sum, and count).
-func (f *family) write(w *bufio.Writer) {
+func (f *family) write(w *bufio.Writer, children []*child) {
 	if f.help != "" {
 		w.WriteString("# HELP ")
 		w.WriteString(f.name)
@@ -53,24 +104,12 @@ func (f *family) write(w *bufio.Writer) {
 	w.WriteString(f.kind.String())
 	w.WriteByte('\n')
 
-	f.mu.RLock()
-	keys := make([]string, 0, len(f.children))
-	for k := range f.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	children := make([]*child, len(keys))
-	for i, k := range keys {
-		children[i] = f.children[k]
-	}
-	f.mu.RUnlock()
-
-	for i := range keys {
+	for _, ch := range children {
 		// Label values come from the child itself, never by splitting the
 		// joined key: a value containing the separator byte must not be
 		// able to shift its neighbours (see child).
-		values := children[i].values
-		switch c := children[i].metric.(type) {
+		values := ch.values
+		switch c := ch.metric.(type) {
 		case *Counter:
 			writeSample(w, f.name, f.labels, values, "", "", strconv.FormatInt(c.Value(), 10))
 		case *Gauge:
@@ -89,9 +128,26 @@ func (f *family) write(w *bufio.Writer) {
 	}
 }
 
-// writeSample renders one exposition line. extraName/extraValue append a
-// trailing label (the histogram `le` bound) after the family labels.
+// writeSample renders one exposition line: the series name, then the
+// rendered value.
 func writeSample(w *bufio.Writer, name string, labels, values []string, extraName, extraValue, rendered string) {
+	writeSeries(w, name, labels, values, extraName, extraValue)
+	w.WriteByte(' ')
+	w.WriteString(rendered)
+	w.WriteByte('\n')
+}
+
+// seriesWriter is what writeSeries renders into: the exposition's
+// bufio.Writer, or the strings.Builder behind a Values key.
+type seriesWriter interface {
+	io.StringWriter
+	io.ByteWriter
+}
+
+// writeSeries renders a series name with its label set. extraName and
+// extraValue append a trailing label (the histogram `le` bound) after
+// the family labels.
+func writeSeries(w seriesWriter, name string, labels, values []string, extraName, extraValue string) {
 	w.WriteString(name)
 	if len(labels) > 0 || extraName != "" {
 		w.WriteByte('{')
@@ -115,9 +171,6 @@ func writeSample(w *bufio.Writer, name string, labels, values []string, extraNam
 		}
 		w.WriteByte('}')
 	}
-	w.WriteByte(' ')
-	w.WriteString(rendered)
-	w.WriteByte('\n')
 }
 
 // formatFloat renders a float the way Prometheus clients do: shortest
@@ -143,11 +196,6 @@ func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// Handler serves the registry in the Prometheus text format.
-func (r *Registry) Handler() http.Handler {
-	return MultiHandler(r)
 }
 
 // MultiHandler serves the union of several registries on one endpoint —

@@ -59,7 +59,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 
 func TestHandlerContentType(t *testing.T) {
 	rec := httptest.NewRecorder()
-	goldenRegistry().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	MultiHandler(goldenRegistry()).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -68,6 +68,83 @@ func TestHandlerContentType(t *testing.T) {
 	}
 	if rec.Body.Len() == 0 {
 		t.Error("empty exposition")
+	}
+}
+
+// TestValuesMatchExposition pins Values to the exposition series for
+// series: every counter sample reads back under its exposition name,
+// every histogram's _sum and _count under the family name plus labels,
+// gauges and buckets stay out, and the scrape hook runs for both reads.
+func TestValuesMatchExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("app_requests_total", "Requests.").Add(1234)
+	cv := r.CounterVec("app_errors_total", "Errors by class.", "class")
+	cv.With("decode").Add(3)
+	cv.With(`quo"te`).Add(1)
+	r.Gauge("app_level", "A gauge Values leaves out.").Set(2.5)
+	h := r.Histogram("app_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
+	hv := r.HistogramVec("app_stage_seconds", "Per stage.", nil, "stage")
+	for _, v := range []float64{0.005, 0.02, 0.5, 2} {
+		h.Observe(v)
+		hv.With("decode").Observe(v / 3)
+	}
+	hv.With("merge")
+	// A sync hook in the shape of the pipeline's intern mirror: it
+	// advances a counter to an outside total, so the two reads agree.
+	synced := r.Counter("app_synced_total", "Synced at scrape time.")
+	var last int64
+	r.OnScrape(func() {
+		synced.Add(7 - last)
+		last = 7
+	})
+
+	counters, hists := r.Values()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wantCounters := map[string]int64{}
+	wantSums, wantCounts := map[string]float64{}, map[string]float64{}
+	for key, v := range ParsePrometheus(t, buf.String()) {
+		name, labels, _ := strings.Cut(key, "{")
+		if labels != "" {
+			labels = "{" + labels
+		}
+		switch {
+		case strings.HasSuffix(name, "_bucket"), name == "app_level":
+		case strings.HasSuffix(name, "_sum"):
+			wantSums[strings.TrimSuffix(name, "_sum")+labels] = v
+		case strings.HasSuffix(name, "_count"):
+			wantCounts[strings.TrimSuffix(name, "_count")+labels] = v
+		default:
+			wantCounters[key] = int64(v)
+		}
+	}
+	if len(counters) != len(wantCounters) {
+		t.Errorf("Values has %d counters, exposition %d: %v vs %v", len(counters), len(wantCounters), counters, wantCounters)
+	}
+	for key, want := range wantCounters {
+		if got, ok := counters[key]; !ok || got != want {
+			t.Errorf("counter %s = %d (present %v), exposition %d", key, got, ok, want)
+		}
+	}
+	if len(hists) != len(wantSums) || len(hists) != len(wantCounts) {
+		t.Errorf("Values has %d histograms, exposition %d sums and %d counts", len(hists), len(wantSums), len(wantCounts))
+	}
+	for key, sum := range wantSums {
+		s, ok := hists[key]
+		if !ok || s.Sum != sum || float64(s.Count) != wantCounts[key] {
+			t.Errorf("histogram %s = %+v (present %v), exposition sum %v count %v", key, s, ok, sum, wantCounts[key])
+		}
+	}
+	// The names are the exposition's own, escaping included.
+	for _, key := range []string{"app_synced_total", `app_errors_total{class="quo\"te"}`} {
+		if counters[key] == 0 {
+			t.Errorf("counter %s missing or zero in %v", key, counters)
+		}
+	}
+	if hists[`app_stage_seconds{stage="decode"}`].Count != 4 {
+		t.Errorf("labeled histogram summary wrong: %v", hists)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package obs is the repo's dependency-free telemetry layer: a labeled
-// metrics registry (counters, gauges, bucketed histograms) that serves
-// both the Prometheus text exposition format and the expvar-style JSON
-// snapshots the subsystems grew up with, component-scoped structured
-// logging on log/slog, and lightweight span tracing exportable as Chrome
-// trace-event JSON.
+// metrics registry (counters, gauges, bucketed histograms) read one way —
+// the Prometheus text exposition for scrapers, and Values, keyed by the
+// same series names, for in-process readers — plus component-scoped
+// structured logging on log/slog and lightweight span tracing exportable
+// as Chrome trace-event JSON.
 //
 // The design follows the Prometheus client model without the dependency:
 // a Registry holds metric families, a family holds one child per label
@@ -46,8 +46,7 @@ func (k metricKind) String() string {
 }
 
 // Registry holds metric families. The zero value is not usable; construct
-// with NewRegistry. Default is the process-wide registry for subsystems
-// that do not carry their own.
+// with NewRegistry.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -55,9 +54,6 @@ type Registry struct {
 	hookMu sync.Mutex
 	hooks  []func()
 }
-
-// Default is the process-wide registry.
-var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -164,8 +160,8 @@ func (f *family) delete(values []string) {
 	f.mu.Unlock()
 }
 
-// OnScrape registers fn to run at the start of every WritePrometheus
-// call, before any family is rendered. It is the seam for lazily-computed
+// OnScrape registers fn to run at the start of every WritePrometheus and
+// Values call, before any family is read. It is the seam for lazily-computed
 // gauges — runtime stats, journal watermarks — that are only worth
 // refreshing when someone is looking. Hooks run outside the registry
 // locks, so they may freely create or set metrics.

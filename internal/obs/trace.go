@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"sync"
@@ -39,9 +38,6 @@ var tracer atomic.Pointer[Tracer]
 
 // SetTracer installs (or, with nil, removes) the process-wide tracer.
 func SetTracer(t *Tracer) { tracer.Store(t) }
-
-// CurrentTracer returns the installed tracer, or nil when tracing is off.
-func CurrentTracer() *Tracer { return tracer.Load() }
 
 // Span is one in-flight operation. The nil *Span is valid and inert, so
 // callers never need to check whether tracing is enabled.
@@ -189,28 +185,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
-}
-
-// spanContextKey carries a span through a context.
-type spanContextKey struct{}
-
-// ContextWithSpan returns a context carrying the span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanContextKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanContextKey{}).(*Span)
-	return s
-}
-
-// ChildSpan starts a child of the context's span when one is present, or
-// a root span on the installed tracer otherwise — the helper call sites
-// use when they may or may not be under an instrumented caller.
-func ChildSpan(ctx context.Context, name string) *Span {
-	if s := SpanFromContext(ctx); s != nil {
-		return s.Start(name)
-	}
-	return StartSpan(name)
 }

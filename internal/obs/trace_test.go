@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -79,21 +78,6 @@ func TestInstalledTracerViaStartSpan(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Errorf("tracer holds %d spans, want 1", tr.Len())
 	}
-}
-
-func TestContextCarriage(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("root")
-	ctx := ContextWithSpan(context.Background(), root)
-	if got := SpanFromContext(ctx); got != root {
-		t.Error("span lost in context")
-	}
-	child := ChildSpan(ctx, "child")
-	if child == nil || child.parent != root.id {
-		t.Error("ChildSpan did not parent under the context span")
-	}
-	child.End()
-	root.End()
 }
 
 func TestConcurrentSpans(t *testing.T) {

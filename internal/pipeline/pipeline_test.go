@@ -161,7 +161,7 @@ func TestDecodeArchivesMatchesSequentialReader(t *testing.T) {
 		want[name] = recs
 	}
 	for _, workers := range []int{1, 2, 8} {
-		e := &Engine{Workers: workers, Metrics: &Metrics{}}
+		e := &Engine{Workers: workers, Metrics: NewMetrics(nil)}
 		names, accs, err := FoldStreams(e, oneSegment(archives), newCollector, collect)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -183,16 +183,16 @@ func TestDecodeArchivesMatchesSequentialReader(t *testing.T) {
 				t.Fatalf("workers=%d: %s records diverge from sequential reader", workers, name)
 			}
 		}
-		snap := e.Metrics.Snapshot()
-		if snap["files_decoded"] != int64(len(archives)) {
-			t.Errorf("workers=%d: files_decoded = %d", workers, snap["files_decoded"])
+		c, _ := e.Metrics.Registry().Values()
+		if c["pipeline_files_decoded_total"] != int64(len(archives)) {
+			t.Errorf("workers=%d: files decoded = %d", workers, c["pipeline_files_decoded_total"])
 		}
 		wantRecords := int64(0)
 		for _, recs := range want {
 			wantRecords += int64(len(recs))
 		}
-		if snap["records_decoded"] != wantRecords {
-			t.Errorf("workers=%d: records_decoded = %d, want %d", workers, snap["records_decoded"], wantRecords)
+		if c["pipeline_records_decoded_total"] != wantRecords {
+			t.Errorf("workers=%d: records decoded = %d, want %d", workers, c["pipeline_records_decoded_total"], wantRecords)
 		}
 	}
 }
@@ -314,7 +314,7 @@ func TestFoldRecordsCallbackErrorPosition(t *testing.T) {
 }
 
 func TestMetricsSnapshot(t *testing.T) {
-	m := &Metrics{}
+	m := NewMetrics(nil)
 	m.AddFiles(2)
 	m.AddDecoded(10, 1024)
 	m.AddSharded(7)
@@ -323,23 +323,32 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.AddDecodeError()
 	m.ObserveDecode(2 * time.Millisecond)
 
-	snap := m.Snapshot()
+	c, h := m.Registry().Values()
 	want := map[string]int64{
-		"files_decoded": 2, "records_decoded": 10, "bytes_decoded": 1024,
-		"events_sharded": 7, "shards_merged": 4, "intervals_evaluated": 3,
-		"decode_errors": 1,
+		"pipeline_files_decoded_total": 2, "pipeline_chunks_decoded_total": 1,
+		"pipeline_records_decoded_total": 10, "pipeline_bytes_decoded_total": 1024,
+		"pipeline_events_sharded_total": 7, "pipeline_shards_merged_total": 4,
+		"pipeline_intervals_evaluated_total": 3, "pipeline_decode_errors_total": 1,
 	}
 	for k, v := range want {
-		if snap[k] != v {
-			t.Errorf("%s = %d, want %d", k, snap[k], v)
+		if c[k] != v {
+			t.Errorf("%s = %d, want %d", k, c[k], v)
 		}
 	}
-	if snap["decode_us"] < 2000 {
-		t.Errorf("decode_us = %d, want >= 2000", snap["decode_us"])
+	if s := h[`pipeline_stage_seconds{stage="decode"}`]; s.Count != 1 || s.Sum < 0.002 {
+		t.Errorf("decode stage = %+v, want one observation of >= 2ms", s)
 	}
-	// Nil receiver must be safe: package users pass Metrics through
-	// optionally.
-	var nilM *Metrics
-	nilM.AddDecoded(1, 1)
-	nilM.ObserveBuild(time.Second)
+	for _, stage := range []string{"build", "merge", "detect"} {
+		if s, ok := h[`pipeline_stage_seconds{stage="`+stage+`"}`]; !ok || s.Count != 0 {
+			t.Errorf("%s stage = %+v (present %v), want an empty series", stage, s, ok)
+		}
+	}
+	// The zero value is an inert sink: Engine users pass &Metrics{} to
+	// opt out of accounting.
+	var zero Metrics
+	zero.AddDecoded(1, 1)
+	zero.ObserveBuild(time.Second)
+	if zero.Registry() != nil {
+		t.Error("zero-value Metrics has a registry")
+	}
 }

@@ -36,15 +36,12 @@ type Status struct {
 	Subscribers   int    `json:"subscribers"`
 	Shards        int    `json:"shards"`
 
-	// Counters is the broker's flat snapshot (records in/out, drops,
-	// kicks, alerts, bytes written).
-	Counters map[string]int64 `json:"counters"`
-
-	// Stages summarises the livefeed latency histograms (publish, detect,
-	// flush, e2e); PipelineStages the batch pipeline's (decode, build,
-	// merge, detect).
-	Stages         map[string]obs.HistogramSummary `json:"stages"`
-	PipelineStages map[string]obs.HistogramSummary `json:"pipeline_stages"`
+	// Counters and Stages are the daemon's registries as obs.Values reads
+	// them: every counter series, and a summary of every histogram
+	// series, keyed by the series name /metrics prints
+	// (livefeed_records_in_total, pipeline_stage_seconds{stage="decode"}).
+	Counters map[string]int64                `json:"counters"`
+	Stages   map[string]obs.HistogramSummary `json:"stages"`
 
 	Sessions []livefeed.SessionInfo `json:"sessions"`
 
@@ -88,7 +85,7 @@ func Handler(build func() Status) http.Handler {
 }
 
 var htmlTmpl = template.Must(template.New("statusz").Funcs(template.FuncMap{
-	"us": func(s float64) string { return fmt.Sprintf("%.1fµs", s*1e6) },
+	"secs": fmtSeconds,
 }).Parse(`<!doctype html>
 <html><head><title>{{.Server}} statusz</title><style>
 body{font-family:monospace;margin:2em}table{border-collapse:collapse;margin:1em 0}
@@ -100,8 +97,8 @@ td:first-child,th:first-child{text-align:left}
 ready={{.Ready}}, head={{.HeadSeq}}, pending_checks={{.PendingChecks}},
 subscribers={{.Subscribers}}, shards={{.Shards}}, goroutines={{.Runtime.Goroutines}}</p>
 <h2>Stages</h2>
-<table><tr><th>stage</th><th>count</th><th>p50</th><th>p99</th><th>p99.9</th></tr>
-{{range $name, $s := .Stages}}<tr><td>{{$name}}</td><td>{{$s.Count}}</td><td>{{us $s.P50}}</td><td>{{us $s.P99}}</td><td>{{us $s.P999}}</td></tr>
+<table><tr><th>series</th><th>count</th><th>p50</th><th>p99</th><th>p99.9</th></tr>
+{{range $name, $s := .Stages}}<tr><td>{{$name}}</td><td>{{$s.Count}}</td><td>{{secs $s.P50}}</td><td>{{secs $s.P99}}</td><td>{{secs $s.P999}}</td></tr>
 {{end}}</table>
 <h2>Sessions</h2>
 <table><tr><th>id</th><th>policy</th><th>lag</th><th>queue</th><th>delivered</th><th>bytes</th><th>drops</th></tr>
@@ -115,43 +112,50 @@ subscribers={{.Subscribers}}, shards={{.Shards}}, goroutines={{.Runtime.Goroutin
 // Render writes a terminal view of cur to w: one header block, a stage
 // table, and the top sessions by lag. prev, when non-nil, supplies the
 // baseline for rate columns (events/s, bytes/s) from counter deltas over
-// the snapshots' UnixNanos distance. top bounds the session rows
-// (0 = all). This is zombietop's frame renderer, kept here so the
-// dashboard binary stays a fetch-decode-clear-render loop.
+// the snapshots' UnixNanos distance; a counter that went backwards (the
+// daemon restarted between polls) has no rate and renders "-". top bounds
+// the session rows (0 = all). This is zombietop's frame renderer, kept
+// here so the dashboard binary stays a fetch-decode-clear-render loop.
 func Render(w io.Writer, prev, cur *Status, top int) {
 	dt := 0.0
 	if prev != nil && cur.UnixNanos > prev.UnixNanos {
 		dt = float64(cur.UnixNanos-prev.UnixNanos) / 1e9
 	}
 	rate := func(key string) string {
-		if dt <= 0 || prev == nil {
+		if dt <= 0 {
 			return "-"
 		}
 		d := cur.Counters[key] - prev.Counters[key]
+		if d < 0 {
+			return "-"
+		}
 		return fmt.Sprintf("%.0f/s", float64(d)/dt)
 	}
 	fmt.Fprintf(w, "%s  up %.0fs  head %d  subs %d  shards %d  pending %d  goroutines %d\n",
 		cur.Server, cur.UptimeSeconds, cur.HeadSeq, cur.Subscribers, cur.Shards,
 		cur.PendingChecks, cur.Runtime.Goroutines)
 	fmt.Fprintf(w, "in %s  out %s  bytes %s  drops %s  kicks %s  alerts %s  heap %dM\n",
-		rate("records_in"), rate("events_out"), rate("bytes_written"),
-		rate("drops_drop_oldest"), rate("kicks"), rate("alerts"),
+		rate("livefeed_records_in_total"), rate("livefeed_events_out_total"),
+		rate("livefeed_bytes_written_total"), rate("livefeed_drops_drop_oldest_total"),
+		rate("livefeed_kicks_total"), rate("livefeed_alerts_total"),
 		cur.Runtime.HeapLiveBytes>>20)
 	if cur.Store != nil {
 		fmt.Fprintf(w, "store %d..%d  %d segs  %dM\n",
 			cur.Store.FirstSeq, cur.Store.LastSeq, cur.Store.Segments, cur.Store.Bytes>>20)
 	}
 
-	fmt.Fprintf(w, "\n%-10s %10s %12s %12s %12s\n", "STAGE", "COUNT", "P50", "P99", "P99.9")
 	names := make([]string, 0, len(cur.Stages))
+	width := len("STAGE")
 	for name := range cur.Stages {
 		names = append(names, name)
+		width = max(width, len(name))
 	}
 	sort.Strings(names)
+	fmt.Fprintf(w, "\n%-*s %10s %12s %12s %12s\n", width, "STAGE", "COUNT", "P50", "P99", "P99.9")
 	for _, name := range names {
 		s := cur.Stages[name]
-		fmt.Fprintf(w, "%-10s %10d %12s %12s %12s\n",
-			name, s.Count, fmtSeconds(s.P50), fmtSeconds(s.P99), fmtSeconds(s.P999))
+		fmt.Fprintf(w, "%-*s %10d %12s %12s %12s\n",
+			width, name, s.Count, fmtSeconds(s.P50), fmtSeconds(s.P99), fmtSeconds(s.P999))
 	}
 
 	sessions := append([]livefeed.SessionInfo(nil), cur.Sessions...)

@@ -20,9 +20,12 @@ func sampleStatus() Status {
 		HeadSeq:       42,
 		Subscribers:   2,
 		Shards:        1,
-		Counters:      map[string]int64{"records_in": 100, "events_out": 90, "bytes_written": 4096},
+		Counters: map[string]int64{
+			"livefeed_records_in_total": 100, "livefeed_events_out_total": 90, "livefeed_bytes_written_total": 4096,
+		},
 		Stages: map[string]obs.HistogramSummary{
-			"publish": {Count: 100, Sum: 0.01, P50: 5e-5, P99: 2e-4, P999: 1e-3},
+			"livefeed_publish_seconds":               {Count: 100, Sum: 0.01, P50: 5e-5, P99: 2e-4, P999: 1e-3},
+			`pipeline_stage_seconds{stage="decode"}`: {Count: 3, Sum: 0.3, P50: 0.1, P99: 0.1, P999: 0.1},
 		},
 		Sessions: []livefeed.SessionInfo{
 			{ID: 1, Policy: "drop-oldest", Lag: 3, Queue: 3, Cap: 64, Delivered: 87},
@@ -61,7 +64,7 @@ func TestHandlerHTML(t *testing.T) {
 	if !strings.Contains(rec.Header().Get("Content-Type"), "text/html") {
 		t.Fatalf("Content-Type = %q", rec.Header().Get("Content-Type"))
 	}
-	for _, want := range []string{"zombied/1", "drop-oldest", "publish", "/tmp/store"} {
+	for _, want := range []string{"zombied/1", "drop-oldest", "livefeed_publish_seconds", "/tmp/store"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("HTML page missing %q", want)
 		}
@@ -79,7 +82,9 @@ func TestRender(t *testing.T) {
 	cur.UnixNanos = 2e9
 	prev := sampleStatus()
 	prev.UnixNanos = 1e9
-	prev.Counters = map[string]int64{"records_in": 50, "events_out": 40, "bytes_written": 0}
+	prev.Counters = map[string]int64{
+		"livefeed_records_in_total": 50, "livefeed_events_out_total": 40, "livefeed_bytes_written_total": 0,
+	}
 	var sb strings.Builder
 	Render(&sb, &prev, &cur, 0)
 	out := sb.String()
@@ -97,6 +102,25 @@ func TestRender(t *testing.T) {
 	}
 	if !strings.Contains(out, "store 1..42") {
 		t.Errorf("store line missing:\n%s", out)
+	}
+	// The stage column fits the longest series name, so every row of the
+	// table lines up under the header.
+	for _, name := range []string{"livefeed_publish_seconds  ", `pipeline_stage_seconds{stage="decode"} `} {
+		if !strings.Contains(out, name) {
+			t.Errorf("stage row %q missing or misaligned:\n%s", name, out)
+		}
+	}
+
+	// A counter that went backwards (the daemon restarted between polls)
+	// has no rate: it renders "-", never a negative number.
+	restarted := sampleStatus()
+	restarted.UnixNanos = 3e9
+	restarted.Counters["livefeed_records_in_total"] = 10
+	sb.Reset()
+	Render(&sb, &cur, &restarted, 0)
+	out = sb.String()
+	if !strings.Contains(out, "in -  out 0/s") || strings.Contains(out, "-90/s") {
+		t.Errorf("backwards counter should render '-':\n%s", out)
 	}
 
 	// Without a baseline, rates render as "-"; top bounds the rows.
