@@ -1,9 +1,9 @@
 package livefeed
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
+	"sync"
 	"time"
 
 	"zombiescope/internal/bgp"
@@ -143,52 +143,81 @@ func Streamable(rec mrt.Record) bool {
 // EventFromRecord converts a tapped collector record into a feed event.
 // RIB-dump record types are not streamed; ok is false for them. When
 // includeRaw is set, the MRT encoding of the record rides along so
-// subscribers can reconstruct it with Event.Record.
+// subscribers can reconstruct it with Event.Record; records the encoder
+// refuses (timestamps outside 32-bit unix seconds) ride without it.
+//
+// The UPDATE is decoded into a pooled scratch workspace and the event
+// copies out what it keeps: the path's ASNs and one exact-size array
+// holding the withdrawals, then the announced prefixes.
 func EventFromRecord(collector string, rec mrt.Record, includeRaw bool) (Event, bool) {
 	ev := Event{
 		Channel:   ChannelUpdates,
 		Collector: collector,
 		Timestamp: rec.RecordTime(),
 	}
+	rawLen := mrt.HeaderLen + 12 // common header, ASNs, ifindex, AFI
 	switch r := rec.(type) {
 	case *mrt.BGP4MPMessage:
 		ev.Type = TypeUpdate
 		ev.PeerAS = r.PeerAS
 		ev.Peer = r.PeerIP
-		u, err := r.Update()
-		if err == nil {
-			ev.Path = u.Attrs.ASPath.ASNs()
-			ev.Withdrawals = u.WithdrawnAll()
-			if nlri := u.Announced(); len(nlri) > 0 {
-				ev.Announcements = []Announcement{{
-					NextHop:  announceNextHop(u),
-					Prefixes: nlri,
-				}}
-			}
+		rawLen += sessionAddrsLen(r.AFI) + len(r.Data)
+		s := scratchPool.Get().(*bgp.Scratch)
+		if u, err := s.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern); err == nil {
+			fillUpdate(&ev, u)
 		}
+		scratchPool.Put(s)
 	case *mrt.BGP4MPStateChange:
 		ev.Type = TypeState
 		ev.PeerAS = r.PeerAS
 		ev.Peer = r.PeerIP
 		ev.OldState = uint16(r.OldState)
 		ev.NewState = uint16(r.NewState)
+		rawLen += sessionAddrsLen(r.AFI) + 4
 	default:
 		return Event{}, false
 	}
 	if includeRaw {
-		var buf bytes.Buffer
-		if err := mrt.NewWriter(&buf).Write(rec); err == nil {
-			ev.Raw = buf.Bytes()
+		if raw, err := mrt.AppendRecord(make([]byte, 0, rawLen), rec); err == nil {
+			ev.Raw = raw
 		}
 	}
 	return ev, true
 }
 
-func announceNextHop(u *bgp.Update) netip.Addr {
-	if u.Attrs.MPReach != nil {
-		return u.Attrs.MPReach.NextHop
+// scratchPool holds the UPDATE decode workspaces of EventFromRecord.
+var scratchPool = sync.Pool{New: func() any { return new(bgp.Scratch) }}
+
+// sessionAddrsLen is the size of a BGP4MP record's peer and local
+// addresses.
+func sessionAddrsLen(afi bgp.AFI) int {
+	if afi == bgp.AFIIPv6 {
+		return 32
 	}
-	return u.Attrs.NextHop
+	return 8
+}
+
+// fillUpdate copies the UPDATE fields of ev out of the scratch-decoded u:
+// Withdrawals is non-nil even when empty, and Announcements stays nil
+// when nothing is announced.
+func fillUpdate(ev *Event, u *bgp.Update) {
+	ev.Path = u.Attrs.ASPath.ASNs()
+	var mpWithdrawn, mpNLRI []netip.Prefix
+	if u.Attrs.MPUnreach != nil {
+		mpWithdrawn = u.Attrs.MPUnreach.Withdrawn
+	}
+	nextHop := u.Attrs.NextHop
+	if u.Attrs.MPReach != nil {
+		mpNLRI, nextHop = u.Attrs.MPReach.NLRI, u.Attrs.MPReach.NextHop
+	}
+	nw := len(u.Withdrawn) + len(mpWithdrawn)
+	prefixes := make([]netip.Prefix, 0, nw+len(u.NLRI)+len(mpNLRI))
+	prefixes = append(append(prefixes, u.Withdrawn...), mpWithdrawn...)
+	prefixes = append(append(prefixes, u.NLRI...), mpNLRI...)
+	ev.Withdrawals = prefixes[:nw:nw]
+	if len(prefixes) > nw {
+		ev.Announcements = []Announcement{{NextHop: nextHop, Prefixes: prefixes[nw:]}}
+	}
 }
 
 // AlertEvent converts a StreamDetector emission into a zombie-channel

@@ -93,6 +93,6 @@ var (
 	ErrBadViewName   = errors.New("mrt: malformed view name")
 	ErrNotSeekable   = errors.New("mrt: reader requires sequential input")
 	ErrWriterClosed  = errors.New("mrt: writer is closed")
-	ErrBadTimestamp  = errors.New("mrt: timestamp before unix epoch")
+	ErrBadTimestamp  = errors.New("mrt: timestamp outside the 32-bit unix seconds range")
 	ErrEmptyRIBEntry = errors.New("mrt: RIB record with no entries")
 )

@@ -3,6 +3,7 @@ package mrt
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 	"time"
 
@@ -233,16 +234,16 @@ func (r *RIB) appendBody(dst []byte) ([]byte, error) {
 		e := &r.Entries[i]
 		dst = binary.BigEndian.AppendUint16(dst, e.PeerIndex)
 		ot := e.OriginatedTime.Unix()
-		if ot < 0 {
+		if ot < 0 || ot > math.MaxUint32 {
 			return dst, ErrBadTimestamp
 		}
 		dst = binary.BigEndian.AppendUint32(dst, uint32(ot))
-		attrs, err := appendRIBAttrs(nil, &e.Attrs)
+		at := len(dst)
+		dst, err = appendRIBAttrs(append(dst, 0, 0), &e.Attrs)
 		if err != nil {
 			return dst, err
 		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(attrs)))
-		dst = append(dst, attrs...)
+		binary.BigEndian.PutUint16(dst[at:], uint16(len(dst)-at-2))
 	}
 	return dst, nil
 }

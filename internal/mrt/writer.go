@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Writer encodes MRT records to an io.Writer. It always emits the
@@ -18,56 +19,58 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
 
-func (wr *Writer) writeRecord(rec Record, typ, subtype uint16, body []byte) error {
-	ts := rec.RecordTime().Unix()
-	if ts < 0 {
-		return ErrBadTimestamp
-	}
-	wr.buf = wr.buf[:0]
-	wr.buf = binary.BigEndian.AppendUint32(wr.buf, uint32(ts))
-	wr.buf = binary.BigEndian.AppendUint16(wr.buf, typ)
-	wr.buf = binary.BigEndian.AppendUint16(wr.buf, subtype)
-	wr.buf = binary.BigEndian.AppendUint32(wr.buf, uint32(len(body)))
-	wr.buf = append(wr.buf, body...)
-	_, err := wr.w.Write(wr.buf)
-	return err
-}
-
-// Write encodes one record. The concrete type selects the MRT type and
-// subtype.
-func (wr *Writer) Write(rec Record) error {
+// AppendRecord appends the MRT encoding of rec, common header included,
+// to dst. The concrete type selects the MRT type and subtype. It refuses
+// what the Reader would misread or reject: a time outside the header's
+// 32-bit seconds (ErrBadTimestamp) and a body over MaxRecordLen
+// (ErrRecordTooBig). On error it returns dst unchanged.
+func AppendRecord(dst []byte, rec Record) ([]byte, error) {
+	var typ, subtype uint16
+	var appendBody func([]byte) ([]byte, error)
 	switch r := rec.(type) {
 	case *BGP4MPMessage:
-		body, err := r.appendBody(nil)
-		if err != nil {
-			return err
-		}
-		return wr.writeRecord(r, TypeBGP4MP, SubtypeMessageAS4, body)
+		typ, subtype, appendBody = TypeBGP4MP, SubtypeMessageAS4, r.appendBody
 	case *BGP4MPStateChange:
-		body, err := r.appendBody(nil)
-		if err != nil {
-			return err
-		}
-		return wr.writeRecord(r, TypeBGP4MP, SubtypeStateChangeAS4, body)
+		typ, subtype, appendBody = TypeBGP4MP, SubtypeStateChangeAS4, r.appendBody
 	case *PeerIndexTable:
-		body, err := r.appendBody(nil)
-		if err != nil {
-			return err
-		}
-		return wr.writeRecord(r, TypeTableDumpV2, SubtypePeerIndexTable, body)
+		typ, subtype, appendBody = TypeTableDumpV2, SubtypePeerIndexTable, r.appendBody
 	case *RIB:
-		body, err := r.appendBody(nil)
-		if err != nil {
-			return err
-		}
-		subtype := SubtypeRIBIPv4Unicast
+		typ, subtype, appendBody = TypeTableDumpV2, SubtypeRIBIPv4Unicast, r.appendBody
 		if !r.Prefix.Addr().Is4() {
 			subtype = SubtypeRIBIPv6Unicast
 		}
-		return wr.writeRecord(r, TypeTableDumpV2, subtype, body)
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupported, rec)
+		return dst, fmt.Errorf("%w: %T", ErrUnsupported, rec)
 	}
+	ts := rec.RecordTime().Unix()
+	if ts < 0 || ts > math.MaxUint32 {
+		return dst, ErrBadTimestamp
+	}
+	out := binary.BigEndian.AppendUint32(dst, uint32(ts))
+	out = binary.BigEndian.AppendUint16(out, typ)
+	out = binary.BigEndian.AppendUint16(out, subtype)
+	out = append(out, 0, 0, 0, 0) // body length, set once the body is in
+	out, err := appendBody(out)
+	if err != nil {
+		return dst, err
+	}
+	n := len(out) - len(dst) - HeaderLen
+	if n > MaxRecordLen {
+		return dst, fmt.Errorf("%w: %d bytes", ErrRecordTooBig, n)
+	}
+	binary.BigEndian.PutUint32(out[len(dst)+8:], uint32(n))
+	return out, nil
+}
+
+// Write encodes one record with AppendRecord.
+func (wr *Writer) Write(rec Record) error {
+	buf, err := AppendRecord(wr.buf[:0], rec)
+	if err != nil {
+		return err
+	}
+	wr.buf = buf
+	_, err = wr.w.Write(buf)
+	return err
 }
 
 // WriteAll encodes all records in order.

@@ -2,6 +2,7 @@ package zombie
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -27,8 +28,18 @@ type StreamDetector struct {
 
 	track   TrackSet
 	scratch bgp.Scratch
-	// state is the current fold of every (peer, prefix) seen.
-	state map[streamKey]*streamState
+	// peers numbers, densely, every peer that has announced a tracked
+	// prefix; peerIdx inverts it. A peer seen only through withdrawals or
+	// session events gets no id: it has no state to touch.
+	peers   []PeerID
+	peerIdx map[PeerID]uint32
+	// state is the current fold of every (peer, prefix) seen. Each state
+	// is also threaded onto two chains, so neither fire nor foldSession
+	// walks the whole map: byPrefix heads the chain of a prefix's pairs,
+	// byPeer (indexed by peer id) the chain of a peer's.
+	state    map[streamKey]*streamState
+	byPrefix map[netip.Prefix]*streamState
+	byPeer   []*streamState
 	// pending detection checks, time-ordered (ties in interval order).
 	checks []pendingCheck
 
@@ -60,16 +71,19 @@ type ZombieEvent struct {
 }
 
 type streamKey struct {
-	peer   PeerID
+	peer   uint32 // dense peer id
 	prefix netip.Prefix
 }
 
 // streamState is a pair's State folded over the records observed so far —
 // the batch State as of "now" — plus the one thing resurrection marking
-// needs that the fold does not keep.
+// needs that the fold does not keep, and its links on the two chains.
 type streamState struct {
 	State
 	withdrawnAt time.Time // when the route last went from present to absent
+	peer        uint32
+	// nextOfPrefix and nextOfPeer link the pair's prefix and peer chains.
+	nextOfPrefix, nextOfPeer *streamState
 }
 
 type pendingCheck struct {
@@ -84,7 +98,9 @@ func NewStreamDetector(intervals []beacon.Interval, threshold time.Duration, onZ
 		det:      Detector{Threshold: threshold},
 		onZombie: onZombie,
 		track:    make(TrackSet),
+		peerIdx:  make(map[PeerID]uint32),
 		state:    make(map[streamKey]*streamState),
+		byPrefix: make(map[netip.Prefix]*streamState),
 	}
 	for _, iv := range intervals {
 		sd.track[iv.Prefix] = true
@@ -104,22 +120,32 @@ func (sd *StreamDetector) Observe(collectorName string, rec mrt.Record) {
 }
 
 func (sd *StreamDetector) foldPair(peer PeerID, p netip.Prefix, ev histEvent) {
-	k := streamKey{peer: peer, prefix: p}
-	st := sd.state[k]
+	id, known := sd.peerIdx[peer]
+	var st *streamState
+	if known {
+		st = sd.state[streamKey{peer: id, prefix: p}]
+	}
 	if st == nil {
 		if ev.kind != evAnnounce {
 			return // a withdrawal of a route never seen: still the zero State
 		}
-		st = &streamState{}
-		sd.state[k] = st
+		if !known {
+			id = uint32(len(sd.peers))
+			sd.peers = append(sd.peers, peer)
+			sd.peerIdx[peer] = id
+			sd.byPeer = append(sd.byPeer, nil)
+		}
+		st = &streamState{peer: id, nextOfPrefix: sd.byPrefix[p], nextOfPeer: sd.byPeer[id]}
+		sd.state[streamKey{peer: id, prefix: p}] = st
+		sd.byPrefix[p], sd.byPeer[id] = st, st
 	}
 	st.fold(&ev)
 }
 
 // foldSession applies a session event to every route of the peer.
 func (sd *StreamDetector) foldSession(peer PeerID, ev histEvent) {
-	for k, st := range sd.state {
-		if k.peer == peer {
+	if id, ok := sd.peerIdx[peer]; ok {
+		for st := sd.byPeer[id]; st != nil; st = st.nextOfPeer {
 			st.fold(&ev)
 		}
 	}
@@ -151,18 +177,17 @@ func (sd *StreamDetector) Advance(now time.Time) {
 // shared peerDecision makes of the pair's state.
 func (sd *StreamDetector) fire(check pendingCheck) {
 	iv := check.interval
-	var stuck []streamKey
-	for k, st := range sd.state {
-		if k.prefix == iv.Prefix && st.Present {
-			stuck = append(stuck, k)
+	var stuck []*streamState
+	for st := sd.byPrefix[iv.Prefix]; st != nil; st = st.nextOfPrefix {
+		if st.Present {
+			stuck = append(stuck, st)
 		}
 	}
-	sort.Slice(stuck, func(i, j int) bool { return comparePeers(stuck[i].peer, stuck[j].peer) < 0 })
+	slices.SortFunc(stuck, func(a, b *streamState) int { return comparePeers(sd.peers[a.peer], sd.peers[b.peer]) })
 	var routes []Route
-	for _, k := range stuck {
-		st := sd.state[k]
+	for _, st := range stuck {
 		routes = routes[:0]
-		sd.det.peerDecision(k.peer, iv, st.State, State{}, &routes, nil)
+		sd.det.peerDecision(sd.peers[st.peer], iv, st.State, State{}, &routes, nil)
 		r := routes[0] // a present state always yields its route
 		ev := ZombieEvent{
 			IngestNanos: sd.ingestNanos,

@@ -3,8 +3,10 @@ package zombie
 import (
 	"bytes"
 	"io"
+	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -235,5 +237,122 @@ func TestDetectorIgnoreSessionStateAblation(t *testing.T) {
 	}
 	if !foundC {
 		t.Error("ablated detection did not surface the down-session peer")
+	}
+}
+
+// fleetRecords reads every collector archive of f into one slice of
+// (collector, record) pairs, collectors in name order.
+func fleetRecords(t *testing.T, f *collector.Fleet) (names []string, recs []mrt.Record) {
+	t.Helper()
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	updates := f.UpdatesData()
+	var collectors []string
+	for name := range updates {
+		collectors = append(collectors, name)
+	}
+	slices.Sort(collectors)
+	for _, name := range collectors {
+		rs, err := mrt.ReadAll(bytes.NewReader(updates[name]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			names, recs = append(names, name), append(recs, r)
+		}
+	}
+	return names, recs
+}
+
+// TestStreamDetectorSessionDownPerCollector: the same AS and address on
+// two collectors are two peers, so a session drop on one clears only its
+// own pairs.
+func TestStreamDetectorSessionDownPerCollector(t *testing.T) {
+	f := collector.NewFleet()
+	down, up := sess("rrc01", 300, "2001:db8:feed::2"), sess("rrc25", 300, "2001:db8:feed::2")
+	for _, s := range []netsim.Session{down, up} {
+		f.PeerAnnounce(t0.Add(time.Second), s, pfx, attrsAt(t0, 300, 8298, 210312))
+	}
+	f.PeerState(t0.Add(30*time.Minute), down, mrt.StateEstablished, mrt.StateIdle)
+	iv := beacon.Interval{Prefix: pfx, AnnounceAt: t0, WithdrawAt: t0.Add(15 * time.Minute), End: t0.Add(24 * time.Hour)}
+	events := feedStream(t, f.UpdatesData(), []beacon.Interval{iv}, DefaultThreshold)
+	if len(events) != 1 || events[0].Peer != peerOf(up) {
+		t.Fatalf("events = %+v, want one alert from %+v", events, peerOf(up))
+	}
+}
+
+// TestStreamDetectorPeerIDs: a peer gets a dense id only when it first
+// announces a tracked prefix; withdrawals and session events of an
+// unseen peer create nothing.
+func TestStreamDetectorPeerIDs(t *testing.T) {
+	f := collector.NewFleet()
+	announcer := sess("rrc01", 100, "2001:db8:feed::1")
+	withdrawer := sess("rrc01", 200, "2001:db8:feed::2")
+	flapper := sess("rrc25", 300, "2001:db8:feed::3")
+	f.PeerAnnounce(t0.Add(time.Second), announcer, pfx, attrsAt(t0, 100, 210312))
+	f.PeerAnnounce(t0.Add(time.Second), announcer, pfx4, attrsAt(t0, 100, 210312))
+	f.PeerWithdraw(t0.Add(2*time.Second), withdrawer, pfx)
+	f.PeerState(t0.Add(3*time.Second), flapper, mrt.StateEstablished, mrt.StateIdle)
+	f.PeerState(t0.Add(4*time.Second), flapper, mrt.StateIdle, mrt.StateEstablished)
+	names, recs := fleetRecords(t, f)
+	if len(recs) != 5 {
+		t.Fatalf("fleet wrote %d records, want 2 announcements, 1 withdrawal, 2 state changes", len(recs))
+	}
+	ivs := []beacon.Interval{
+		{Prefix: pfx, AnnounceAt: t0, WithdrawAt: t0.Add(15 * time.Minute), End: t0.Add(24 * time.Hour)},
+		{Prefix: pfx4, AnnounceAt: t0, WithdrawAt: t0.Add(15 * time.Minute), End: t0.Add(24 * time.Hour)},
+	}
+	sd := NewStreamDetector(ivs, DefaultThreshold, nil)
+	for i, rec := range recs {
+		sd.Observe(names[i], rec)
+	}
+	if want := []PeerID{peerOf(announcer)}; !reflect.DeepEqual(sd.peers, want) || len(sd.peerIdx) != 1 {
+		t.Fatalf("peers = %+v (index %v), want only %+v", sd.peers, sd.peerIdx, want)
+	}
+	if len(sd.state) != 2 || len(sd.byPeer) != 1 || len(sd.byPrefix) != 2 {
+		t.Fatalf("states = %d, peer chains = %d, prefix chains = %d; want 2, 1, 2",
+			len(sd.state), len(sd.byPeer), len(sd.byPrefix))
+	}
+	chained := 0
+	for st := sd.byPeer[0]; st != nil; st = st.nextOfPeer {
+		chained++
+	}
+	if chained != 2 {
+		t.Fatalf("peer chain holds %d states, want 2", chained)
+	}
+}
+
+// TestStreamDetectorShuffledArrival: however the stuck peers' records
+// interleave, one check's alerts come out in comparePeers order.
+func TestStreamDetectorShuffledArrival(t *testing.T) {
+	f := collector.NewFleet()
+	sessions := []netsim.Session{
+		sess("rrc25", 400, "2001:db8:feed::4"),
+		sess("rrc01", 300, "2001:db8:feed::9"),
+		sess("rrc25", 200, "2001:db8:feed::7"),
+		sess("rrc01", 300, "2001:db8:feed::2"),
+		sess("rrc00", 500, "2001:db8:feed::5"),
+		sess("rrc25", 200, "2001:db8:feed::1"),
+	}
+	var want []PeerID
+	for i, s := range sessions {
+		f.PeerAnnounce(t0.Add(time.Duration(i+1)*time.Second), s, pfx, attrsAt(t0, s.PeerAS, 8298, 210312))
+		want = append(want, peerOf(s))
+	}
+	slices.SortFunc(want, comparePeers)
+	names, recs := fleetRecords(t, f)
+	iv := beacon.Interval{Prefix: pfx, AnnounceAt: t0, WithdrawAt: t0.Add(15 * time.Minute), End: t0.Add(24 * time.Hour)}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for run := 0; run < 20; run++ {
+		var got []PeerID
+		sd := NewStreamDetector([]beacon.Interval{iv}, DefaultThreshold, func(ev ZombieEvent) { got = append(got, ev.Peer) })
+		for _, i := range rng.Perm(len(recs)) {
+			sd.Observe(names[i], recs[i])
+		}
+		sd.Advance(iv.End)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: emission order %v, want %v", run, got, want)
+		}
 	}
 }
