@@ -102,11 +102,11 @@ func (s *Simulator) ScheduleCommunityStorm(peer bgp.ASN, p netip.Prefix, start, 
 		tick++
 		val := uint16(tick)
 		s.schedule(at, func() {
-			b := r.best[p]
-			if b == nil {
+			entry := r.rib[p]
+			if entry == nil {
 				return
 			}
-			e := r.exportedRoute(b)
+			e := r.exportedRoute(entry.best)
 			comms := []bgp.Community{bgp.NewCommunity(uint16(peer), val)}
 			for _, sess := range s.collSessions[peer] {
 				sess := sess

@@ -110,20 +110,17 @@ type Simulator struct {
 	sink         Sink
 	collSessions map[bgp.ASN][]Session
 
-	// lastDelivery enforces per-directed-link FIFO ordering, as BGP's TCP
-	// transport does.
-	lastDelivery map[linkKey]time.Time
-
 	stats Stats
-}
-
-type linkKey struct {
-	from, to bgp.ASN
-	afi      bgp.AFI
 }
 
 // New creates a simulator over g.
 func New(g *topology.Graph, cfg Config) *Simulator {
+	return newSimulator(g, cfg, buildLinks(g, cfg))
+}
+
+// newSimulator creates a simulator whose routers read the given link
+// tables; the tables are not modified.
+func newSimulator(g *topology.Graph, cfg Config, links map[bgp.ASN][]link) *Simulator {
 	s := &Simulator{
 		graph:        g,
 		cfg:          cfg,
@@ -131,10 +128,22 @@ func New(g *topology.Graph, cfg Config) *Simulator {
 		routers:      make(map[bgp.ASN]*router, g.Len()),
 		rov:          make(map[bgp.ASN]rpki.ROVPolicy),
 		collSessions: make(map[bgp.ASN][]Session),
-		lastDelivery: make(map[linkKey]time.Time),
 	}
-	for _, asn := range g.ASNs() {
-		s.routers[asn] = newRouter(s, asn)
+	asns := g.ASNs()
+	rs := make([]router, len(asns))
+	npeers := 0
+	for i, asn := range asns {
+		rs[i] = router{sim: s, asn: asn, links: links[asn]}
+		s.routers[asn] = &rs[i]
+		npeers += len(rs[i].links)
+	}
+	peers := make([]*router, 0, npeers)
+	for i := range rs {
+		r := &rs[i]
+		for _, l := range r.links {
+			peers = append(peers, s.routers[l.to])
+		}
+		r.peers = peers[len(peers)-len(r.links):]
 	}
 	return s
 }
@@ -266,10 +275,10 @@ func prefixHash(p netip.Prefix) uint64 {
 
 // linkDelay returns the deterministic propagation delay for a directed AS
 // link.
-func (s *Simulator) linkDelay(from, to bgp.ASN) time.Duration {
-	min, max := s.cfg.minDelay(), s.cfg.maxDelay()
+func (c *Config) linkDelay(from, to bgp.ASN) time.Duration {
+	min, max := c.minDelay(), c.maxDelay()
 	span := uint64(max - min)
-	h := hash64(s.cfg.Seed, uint64(from), uint64(to), 0x11d)
+	h := hash64(c.Seed, uint64(from), uint64(to), 0x11d)
 	return min + time.Duration(h%span)
 }
 
@@ -289,14 +298,4 @@ func hashString(str string) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// deliverAfter schedules a FIFO-ordered delivery on a directed link.
-func (s *Simulator) deliverAfter(key linkKey, delay time.Duration, fn func()) {
-	at := s.now.Add(delay)
-	if last, ok := s.lastDelivery[key]; ok && !at.After(last) {
-		at = last.Add(time.Millisecond)
-	}
-	s.lastDelivery[key] = at
-	s.schedule(at, fn)
 }

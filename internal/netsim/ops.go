@@ -33,18 +33,24 @@ func (s *Simulator) ScheduleWithdraw(at time.Time, origin bgp.ASN, p netip.Prefi
 // ScheduleSessionReset flaps the inter-AS session a↔b at time at: both
 // sides flush what they learned from the other (propagating withdrawals),
 // then re-advertise their current best routes one second later. If one
-// side holds a stuck route, the re-advertisement resurrects it.
+// side holds a stuck route, the re-advertisement resurrects it. a and b
+// must be adjacent.
 func (s *Simulator) ScheduleSessionReset(at time.Time, a, b bgp.ASN) error {
 	ra, rb := s.routers[a], s.routers[b]
 	if ra == nil || rb == nil {
 		return fmt.Errorf("netsim: reset references unknown AS (%s, %s)", a, b)
 	}
+	i := linkIndex(ra.links, b)
+	if i < 0 {
+		return fmt.Errorf("netsim: reset of %s-%s: the ASes are not adjacent", a, b)
+	}
+	j := ra.links[i].rev
 	s.schedule(at, func() {
-		ra.flushFrom(b)
-		rb.flushFrom(a)
+		ra.flushFrom(i)
+		rb.flushFrom(j)
 		s.schedule(s.now.Add(time.Second), func() {
-			ra.readvertiseTo(b)
-			rb.readvertiseTo(a)
+			ra.readvertiseTo(i)
+			rb.readvertiseTo(j)
 		})
 	})
 	return nil
@@ -64,9 +70,10 @@ func (s *Simulator) ScheduleCollectorSessionReset(at time.Time, sess Session) er
 		s.schedule(s.now.Add(30*time.Second), func() {
 			s.sinkOrNop().PeerState(s.now, sess, mrt.StateActive, mrt.StateEstablished)
 			s.stats.CollectorRecords++
-			for _, p := range sortedPrefixes(r.best) {
-				e := r.exportedRoute(r.best[p])
-				r.collOut[p] = e
+			for _, p := range sortedPrefixes(r.rib) {
+				entry := r.rib[p]
+				e := r.exportedRoute(entry.best)
+				entry.coll = e
 				p := p
 				s.stats.MessagesSent++
 				s.schedule(s.now.Add(s.collectorSessionDelay(sess)), func() {
@@ -115,14 +122,10 @@ func (s *Simulator) ScheduleClearRoutes(at time.Time, asn bgp.ASN, match PrefixM
 // route), and whether a route exists.
 func (s *Simulator) BestRoute(asn bgp.ASN, p netip.Prefix) (bgp.ASPath, bool) {
 	r := s.routers[asn]
-	if r == nil {
+	if r == nil || r.rib[p] == nil {
 		return bgp.ASPath{}, false
 	}
-	b := r.best[p]
-	if b == nil {
-		return bgp.ASPath{}, false
-	}
-	return b.path, true
+	return r.rib[p].best.path, true
 }
 
 // HasRoute reports whether asn currently has any route for p.
@@ -136,7 +139,7 @@ func (s *Simulator) HasRoute(asn bgp.ASN, p netip.Prefix) bool {
 func (s *Simulator) RouteCount(p netip.Prefix) int {
 	n := 0
 	for _, r := range s.routers {
-		if r.best[p] != nil {
+		if r.rib[p] != nil {
 			n++
 		}
 	}

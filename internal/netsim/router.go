@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
+	"sort"
 	"time"
 
 	"zombiescope/internal/bgp"
@@ -21,11 +23,10 @@ const (
 // route is one path for one prefix as stored in an Adj-RIB-In (or the
 // local RIB for originated prefixes).
 type route struct {
-	path      bgp.ASPath // as received: the sender's ASN leads; empty for local
-	from      bgp.ASN    // 0 for locally originated
-	pref      int
-	agg       *bgp.Aggregator
-	learnedAt time.Time
+	path bgp.ASPath // as received: the sender's ASN leads; empty for local
+	from bgp.ASN    // 0 for locally originated
+	pref int
+	agg  *bgp.Aggregator
 }
 
 func aggEqual(a, b *bgp.Aggregator) bool {
@@ -36,8 +37,11 @@ func aggEqual(a, b *bgp.Aggregator) bool {
 }
 
 func routesEqual(a, b *route) bool {
+	if a == b {
+		return true
+	}
 	if a == nil || b == nil {
-		return a == b
+		return false
 	}
 	return a.from == b.from && a.path.Equal(b.path) && aggEqual(a.agg, b.agg)
 }
@@ -49,43 +53,84 @@ type exported struct {
 	agg  *bgp.Aggregator
 }
 
+// link is one session of a router as the static tables see it: the
+// neighbor, what the neighbor is to the router, the propagation delay
+// toward it, and the router's own index in the neighbor's links. It
+// depends only on the graph and the seed.
+type link struct {
+	to    bgp.ASN
+	rel   topology.Relationship
+	rev   int
+	delay time.Duration
+}
+
+// buildLinks computes every AS's links, in ascending neighbor order, once
+// per graph and seed; all shards of a Sharded share them read-only.
+func buildLinks(g *topology.Graph, cfg Config) map[bgp.ASN][]link {
+	out := make(map[bgp.ASN][]link, g.Len())
+	for _, asn := range g.ASNs() {
+		ns := g.AS(asn).Neighbors()
+		ls := make([]link, len(ns))
+		for i, n := range ns {
+			ls[i] = link{to: n, rel: g.Relationship(asn, n), delay: cfg.linkDelay(asn, n)}
+		}
+		out[asn] = ls
+	}
+	for asn, ls := range out {
+		for i := range ls {
+			ls[i].rev = linkIndex(out[ls[i].to], asn)
+		}
+	}
+	return out
+}
+
+// linkIndex returns the index of the link toward n, or -1 when there is
+// none.
+func linkIndex(ls []link, n bgp.ASN) int {
+	i := sort.Search(len(ls), func(i int) bool { return ls[i].to >= n })
+	if i == len(ls) || ls[i].to != n {
+		return -1
+	}
+	return i
+}
+
+// prefixRIB is everything one router holds for one prefix. in and out are
+// indexed like the router's links and allocated on first use. An entry
+// lives exactly while best is set: recompute drops it once no route is
+// selected, after export has withdrawn everything out and coll held.
+type prefixRIB struct {
+	local *route
+	best  *route
+	in    []*route   // Adj-RIB-In
+	nin   int        // non-nil entries of in
+	out   []exported // Adj-RIB-Out: what each neighbor was last sent
+	// coll is what the AS last advertised toward its collectors; the
+	// same decision is sent on every session of the AS.
+	coll exported
+}
+
+// sent reports whether e holds an advertisement: an exported path always
+// carries at least the exporting AS.
+func (e exported) sent() bool { return e.path.Segments != nil }
+
 type router struct {
-	sim *Simulator
-	asn bgp.ASN
+	sim   *Simulator
+	asn   bgp.ASN
+	links []link    // shared with every shard
+	peers []*router // this shard's router behind each link
+	// fifo holds, per address family (AFI-1) and link, the instant (Unix
+	// ns) of the last delivery scheduled on it; nil until the first send.
+	fifo [2][]int64
 
-	// neighbors caches the sorted adjacency list: the graph is static for
-	// the simulator's lifetime and Neighbors() sorts a fresh slice per
-	// call, which export() would otherwise pay on every recompute.
-	neighbors []bgp.ASN
-
-	adjIn  map[netip.Prefix]map[bgp.ASN]*route
-	local  map[netip.Prefix]*route
-	best   map[netip.Prefix]*route
-	adjOut map[bgp.ASN]map[netip.Prefix]exported
-	// collOut tracks what the AS last advertised toward its collectors;
-	// the same decision is sent on every session of the AS.
-	collOut map[netip.Prefix]exported
+	rib map[netip.Prefix]*prefixRIB // nil until the first entry
 
 	// Optional timing state (see timers.go); nil until first use.
 	mrai map[mraiKey]*mraiState
 	rfd  map[rfdKey]*rfdState
 }
 
-func newRouter(s *Simulator, asn bgp.ASN) *router {
-	return &router{
-		sim:       s,
-		asn:       asn,
-		neighbors: s.graph.AS(asn).Neighbors(),
-		adjIn:     make(map[netip.Prefix]map[bgp.ASN]*route),
-		local:     make(map[netip.Prefix]*route),
-		best:      make(map[netip.Prefix]*route),
-		adjOut:    make(map[bgp.ASN]map[netip.Prefix]exported),
-		collOut:   make(map[netip.Prefix]exported),
-	}
-}
-
-func (r *router) prefFor(from bgp.ASN) int {
-	switch r.sim.graph.Relationship(r.asn, from) {
+func (r *router) prefFor(i int) int {
+	switch r.links[i].rel {
 	case topology.RelCustomer:
 		return prefCustomer
 	case topology.RelPeer:
@@ -95,31 +140,48 @@ func (r *router) prefFor(from bgp.ASN) int {
 	}
 }
 
+// entry returns p's RIB entry, creating it.
+func (r *router) entry(p netip.Prefix) *prefixRIB {
+	e := r.rib[p]
+	if e == nil {
+		if r.rib == nil {
+			r.rib = make(map[netip.Prefix]*prefixRIB)
+		}
+		e = &prefixRIB{}
+		r.rib[p] = e
+	}
+	return e
+}
+
 // originate installs a locally originated route and propagates it.
 func (r *router) originate(p netip.Prefix, agg *bgp.Aggregator) {
-	r.local[p] = &route{from: 0, pref: prefLocal, agg: agg, learnedAt: r.sim.now}
-	r.recompute(p)
+	e := r.entry(p)
+	e.local = &route{from: 0, pref: prefLocal, agg: agg}
+	r.recompute(p, e)
 }
 
 // withdrawOrigin removes the locally originated route.
 func (r *router) withdrawOrigin(p netip.Prefix) {
-	if _, ok := r.local[p]; !ok {
+	e := r.rib[p]
+	if e == nil || e.local == nil {
 		return
 	}
-	delete(r.local, p)
-	r.recompute(p)
+	e.local = nil
+	r.recompute(p, e)
 }
 
-func (r *router) receiveAnnounce(from bgp.ASN, p netip.Prefix, path bgp.ASPath, agg *bgp.Aggregator) {
+// receiveAnnounce handles an announcement arriving over link i.
+func (r *router) receiveAnnounce(i int, p netip.Prefix, path bgp.ASPath, agg *bgp.Aggregator) {
+	from := r.links[i].to
 	// RFC 4271 loop detection: a path containing our ASN is treated as a
 	// withdrawal of any previous route from that neighbor.
 	if path.Contains(r.asn) {
-		r.removeAdjIn(from, p)
+		r.removeAdjIn(i, p)
 		return
 	}
 	// Route flap damping: suppressed routes are not installed.
 	if r.rfdSuppressed(from, p) {
-		r.removeAdjIn(from, p)
+		r.removeAdjIn(i, p)
 		return
 	}
 	// Origin validation at import.
@@ -128,76 +190,69 @@ func (r *router) receiveAnnounce(from bgp.ASN, p netip.Prefix, path bgp.ASPath, 
 		if origin, ok := path.Origin(); ok {
 			v := reg.Validate(r.sim.now, p, origin)
 			if !policy.AcceptAtImport(v) {
-				r.removeAdjIn(from, p)
+				r.removeAdjIn(i, p)
 				return
 			}
 		}
 	}
-	rt := &route{path: path, from: from, pref: r.prefFor(from), agg: agg, learnedAt: r.sim.now}
-	in := r.adjIn[p]
-	if in == nil {
-		in = make(map[bgp.ASN]*route)
-		r.adjIn[p] = in
+	e := r.entry(p)
+	if e.in == nil {
+		e.in = make([]*route, len(r.links))
 	}
-	if routesEqual(in[from], rt) {
+	old := e.in[i]
+	if old == nil {
+		e.nin++
+	} else if old.path.Equal(path) && aggEqual(old.agg, agg) {
 		return // duplicate announcement
 	}
-	in[from] = rt
-	r.recompute(p)
+	e.in[i] = &route{path: path, from: from, pref: r.prefFor(i), agg: agg}
+	r.recompute(p, e)
 }
 
-func (r *router) receiveWithdraw(from bgp.ASN, p netip.Prefix) {
-	r.rfdPenalize(from, p)
-	if r.sim.faults.ribStuck(r.asn, p) && r.hasRoute(p) {
-		r.ghostWithdraw(p)
+// receiveWithdraw handles a withdrawal arriving over link i.
+func (r *router) receiveWithdraw(i int, p netip.Prefix) {
+	r.rfdPenalize(r.links[i].to, p)
+	if e := r.rib[p]; e != nil && r.sim.faults.ribStuck(r.asn, p) {
+		r.ghostWithdraw(p, e)
 		return
 	}
-	r.removeAdjIn(from, p)
-}
-
-func (r *router) hasRoute(p netip.Prefix) bool {
-	return r.best[p] != nil
+	r.removeAdjIn(i, p)
 }
 
 // ghostWithdraw models the stuck-RIB fault: the router tells its neighbors
 // the route is gone but keeps it installed, priming a later resurrection.
-func (r *router) ghostWithdraw(p netip.Prefix) {
-	for _, n := range sortedASNs(r.adjOut) {
-		out := r.adjOut[n]
-		if _, ok := out[p]; ok {
-			delete(out, p)
-			r.sendWithdraw(n, p)
+func (r *router) ghostWithdraw(p netip.Prefix, e *prefixRIB) {
+	for i := range e.out {
+		if e.out[i].sent() {
+			e.out[i] = exported{}
+			r.sendWithdraw(i, p)
 		}
 	}
-	if _, ok := r.collOut[p]; ok {
-		delete(r.collOut, p)
+	if e.coll.sent() {
+		e.coll = exported{}
 		r.sendCollectorWithdraw(p)
 	}
 }
 
-func (r *router) removeAdjIn(from bgp.ASN, p netip.Prefix) {
-	in := r.adjIn[p]
-	if in == nil {
+func (r *router) removeAdjIn(i int, p netip.Prefix) {
+	e := r.rib[p]
+	if e == nil || e.in == nil || e.in[i] == nil {
 		return
 	}
-	if _, ok := in[from]; !ok {
-		return
-	}
-	delete(in, from)
-	if len(in) == 0 {
-		delete(r.adjIn, p)
-	}
-	r.recompute(p)
+	e.in[i] = nil
+	e.nin--
+	r.recompute(p, e)
 }
 
-// selectBest runs the decision process for p.
-func (r *router) selectBest(p netip.Prefix) *route {
-	var best *route
-	if lr, ok := r.local[p]; ok {
-		best = lr
+// selectBest runs the decision process over e. better is a total order
+// (from is unique per candidate), so the walk order does not matter.
+func selectBest(e *prefixRIB) *route {
+	best := e.local
+	if e.nin == 0 {
+		return best
 	}
-	for _, rt := range r.adjIn[p] {
-		if better(rt, best) {
+	for _, rt := range e.in {
+		if rt != nil && better(rt, best) {
 			best = rt
 		}
 	}
@@ -220,106 +275,121 @@ func better(a, b *route) bool {
 	return a.from < b.from
 }
 
-func (r *router) recompute(p netip.Prefix) {
-	nb := r.selectBest(p)
-	if routesEqual(r.best[p], nb) {
-		return
+func (r *router) recompute(p netip.Prefix, e *prefixRIB) {
+	nb := selectBest(e)
+	if !routesEqual(e.best, nb) {
+		e.best = nb
+		r.export(p, e)
 	}
 	if nb == nil {
-		delete(r.best, p)
-	} else {
-		r.best[p] = nb
+		delete(r.rib, p)
 	}
-	r.export(p, nb)
 }
 
-// exportAllowed applies the valley-free export rule: routes learned from
-// customers (or originated locally) go everywhere; routes learned from
-// peers or providers go only to customers.
-func (r *router) exportAllowed(b *route, to bgp.ASN) bool {
-	if b.from == to {
+// exportAllowed applies the valley-free export rule over link i: routes
+// learned from customers (or originated locally) go everywhere; routes
+// learned from peers or providers go only to customers.
+func (r *router) exportAllowed(b *route, i int) bool {
+	l := &r.links[i]
+	if b.from == l.to {
 		return false
 	}
 	if b.from == 0 || b.pref == prefCustomer {
 		return true
 	}
-	return r.sim.graph.Relationship(r.asn, to) == topology.RelCustomer
+	return l.rel == topology.RelCustomer
 }
 
 func (r *router) exportedRoute(b *route) exported {
 	return exported{path: b.path.Prepend(r.asn), agg: b.agg}
 }
 
-func (r *router) export(p netip.Prefix, b *route) {
-	for _, n := range r.neighbors {
-		out := r.adjOut[n]
-		cur, has := exported{}, false
-		if out != nil {
-			cur, has = out[p]
+// export sends e.best's consequences to every neighbor and the
+// collectors. The prepended path is built at most once and shared by every
+// session: paths are never mutated after Prepend.
+func (r *router) export(p netip.Prefix, e *prefixRIB) {
+	b := e.best
+	var x exported
+	for i := range r.links {
+		var cur exported
+		if e.out != nil {
+			cur = e.out[i]
 		}
-		if b != nil && r.exportAllowed(b, n) {
-			e := r.exportedRoute(b)
-			if has && cur.path.Equal(e.path) && aggEqual(cur.agg, e.agg) {
+		if b != nil && r.exportAllowed(b, i) {
+			if !x.sent() {
+				x = r.exportedRoute(b)
+			}
+			if cur.sent() && cur.path.Equal(x.path) && aggEqual(cur.agg, x.agg) {
 				continue
 			}
-			if out == nil {
-				out = make(map[netip.Prefix]exported)
-				r.adjOut[n] = out
+			if e.out == nil {
+				e.out = make([]exported, len(r.links))
 			}
-			out[p] = e
-			r.sendAnnounceMRAI(n, p, e)
-		} else if has {
-			delete(out, p)
-			r.cancelMRAI(n, p)
-			r.sendWithdraw(n, p)
+			e.out[i] = x
+			r.sendAnnounceMRAI(i, p, x)
+		} else if cur.sent() {
+			e.out[i] = exported{}
+			r.cancelMRAI(i, p)
+			r.sendWithdraw(i, p)
 		}
 	}
-	r.exportToCollectors(p, b)
-}
-
-func (r *router) exportToCollectors(p netip.Prefix, b *route) {
 	if len(r.sim.collSessions[r.asn]) == 0 {
 		return
 	}
-	cur, has := r.collOut[p]
 	if b != nil {
-		e := r.exportedRoute(b)
-		if has && cur.path.Equal(e.path) && aggEqual(cur.agg, e.agg) {
+		if !x.sent() {
+			x = r.exportedRoute(b)
+		}
+		if e.coll.sent() && e.coll.path.Equal(x.path) && aggEqual(e.coll.agg, x.agg) {
 			return
 		}
-		r.collOut[p] = e
-		r.sendCollectorAnnounce(p, e)
-	} else if has {
-		delete(r.collOut, p)
+		e.coll = x
+		r.sendCollectorAnnounce(p, x)
+	} else if e.coll.sent() {
+		e.coll = exported{}
 		r.sendCollectorWithdraw(p)
 	}
 }
 
-func (r *router) sendAnnounce(to bgp.ASN, p netip.Prefix, e exported) {
+// deliverAt returns when a message sent now over link i arrives: after the
+// link's delay, FIFO-ordered behind the previous delivery of p's address
+// family on that link, as BGP's TCP transport orders it.
+func (r *router) deliverAt(i int, p netip.Prefix) time.Time {
+	af := bgp.PrefixAFI(p) - 1
+	if r.fifo[af] == nil {
+		r.fifo[af] = make([]int64, len(r.links))
+	}
+	at := r.sim.now.Add(r.links[i].delay).UnixNano()
+	if last := r.fifo[af][i]; last != 0 && at <= last {
+		at = last + int64(time.Millisecond)
+	}
+	r.fifo[af][i] = at
+	return time.Unix(0, at)
+}
+
+func (r *router) sendAnnounce(i int, p netip.Prefix, e exported) {
 	s := r.sim
-	from := r.asn
-	key := linkKey{from: from, to: to, afi: bgp.PrefixAFI(p)}
 	s.stats.MessagesSent++
-	s.deliverAfter(key, s.linkDelay(from, to), func() {
-		if s.faults.dropLinkMessage(from, to, p, false, s.now) {
+	s.schedule(r.deliverAt(i, p), func() {
+		to := r.peers[i]
+		if s.faults.dropLinkMessage(r.asn, to.asn, p, false, s.now) {
 			s.stats.MessagesDropped++
 			return
 		}
-		s.routers[to].receiveAnnounce(from, p, e.path, e.agg)
+		to.receiveAnnounce(r.links[i].rev, p, e.path, e.agg)
 	})
 }
 
-func (r *router) sendWithdraw(to bgp.ASN, p netip.Prefix) {
+func (r *router) sendWithdraw(i int, p netip.Prefix) {
 	s := r.sim
-	from := r.asn
-	key := linkKey{from: from, to: to, afi: bgp.PrefixAFI(p)}
 	s.stats.MessagesSent++
-	s.deliverAfter(key, s.linkDelay(from, to), func() {
-		if s.faults.dropLinkMessage(from, to, p, true, s.now) {
+	s.schedule(r.deliverAt(i, p), func() {
+		to := r.peers[i]
+		if s.faults.dropLinkMessage(r.asn, to.asn, p, true, s.now) {
 			s.stats.MessagesDropped++
 			return
 		}
-		s.routers[to].receiveWithdraw(from, p)
+		to.receiveWithdraw(r.links[i].rev, p)
 	})
 }
 
@@ -359,42 +429,42 @@ func (r *router) sendCollectorWithdraw(p netip.Prefix) {
 	}
 }
 
-// flushFrom drops everything learned from a neighbor (session teardown).
-func (r *router) flushFrom(n bgp.ASN) {
-	delete(r.adjOut, n)
+// flushFrom drops everything learned over link i and forgets what was
+// sent on it (session teardown).
+func (r *router) flushFrom(i int) {
 	var affected []netip.Prefix
-	for _, p := range sortedPrefixes(r.adjIn) {
-		if _, ok := r.adjIn[p][n]; ok {
+	for p, e := range r.rib {
+		if e.out != nil {
+			e.out[i] = exported{}
+		}
+		if e.in != nil && e.in[i] != nil {
 			affected = append(affected, p)
 		}
 	}
+	slices.SortFunc(affected, comparePrefix)
 	for _, p := range affected {
-		in := r.adjIn[p]
-		delete(in, n)
-		if len(in) == 0 {
-			delete(r.adjIn, p)
-		}
-		r.recompute(p)
+		e := r.rib[p]
+		e.in[i] = nil
+		e.nin--
+		r.recompute(p, e)
 	}
 }
 
-// readvertiseTo replays the full Adj-RIB-Out toward a neighbor after a
-// session (re-)establishment. This is the resurrection vector: a stuck
-// best route is advertised as if new.
-func (r *router) readvertiseTo(n bgp.ASN) {
-	for _, p := range sortedPrefixes(r.best) {
-		b := r.best[p]
-		if b == nil || !r.exportAllowed(b, n) {
+// readvertiseTo replays the full Adj-RIB-Out over link i after a session
+// (re-)establishment. This is the resurrection vector: a stuck best route
+// is advertised as if new.
+func (r *router) readvertiseTo(i int) {
+	for _, p := range sortedPrefixes(r.rib) {
+		e := r.rib[p]
+		if !r.exportAllowed(e.best, i) {
 			continue
 		}
-		e := r.exportedRoute(b)
-		out := r.adjOut[n]
-		if out == nil {
-			out = make(map[netip.Prefix]exported)
-			r.adjOut[n] = out
+		x := r.exportedRoute(e.best)
+		if e.out == nil {
+			e.out = make([]exported, len(r.links))
 		}
-		out[p] = e
-		r.sendAnnounce(n, p, e)
+		e.out[i] = x
+		r.sendAnnounce(i, p, x)
 	}
 }
 
@@ -406,40 +476,40 @@ func (r *router) revalidate() {
 		return
 	}
 	var evict []struct {
-		p    netip.Prefix
-		from bgp.ASN
+		p netip.Prefix
+		i int
 	}
-	for _, p := range sortedPrefixes(r.adjIn) {
-		in := r.adjIn[p]
-		for _, from := range sortedASNs(in) {
-			origin, ok := in[from].path.Origin()
+	for _, p := range sortedPrefixes(r.rib) {
+		for i, rt := range r.rib[p].in {
+			if rt == nil {
+				continue
+			}
+			origin, ok := rt.path.Origin()
 			if !ok {
 				continue
 			}
 			if reg.Validate(r.sim.now, p, origin) == rpki.Invalid {
 				evict = append(evict, struct {
-					p    netip.Prefix
-					from bgp.ASN
-				}{p, from})
+					p netip.Prefix
+					i int
+				}{p, i})
 			}
 		}
 	}
 	for _, e := range evict {
-		r.removeAdjIn(e.from, e.p)
+		r.removeAdjIn(e.i, e.p)
 	}
 }
 
 // clearRoutes drops all learned routes for matching prefixes (operator
 // intervention on a stuck router) and propagates the consequences.
 func (r *router) clearRoutes(match PrefixMatcher) {
-	var affected []netip.Prefix
-	for _, p := range sortedPrefixes(r.adjIn) {
-		if matches(match, p) {
-			affected = append(affected, p)
+	for _, p := range sortedPrefixes(r.rib) {
+		e := r.rib[p]
+		if e.nin == 0 || !matches(match, p) {
+			continue
 		}
-	}
-	for _, p := range affected {
-		delete(r.adjIn, p)
-		r.recompute(p)
+		e.in, e.nin = nil, 0
+		r.recompute(p, e)
 	}
 }

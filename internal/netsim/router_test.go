@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -105,12 +106,12 @@ func TestPerLinkFIFOOrdering(t *testing.T) {
 
 func TestLinkDelayDeterministicPerLink(t *testing.T) {
 	s := newTestSim(t, Config{Seed: 3})
-	d1 := s.linkDelay(1, 11)
-	d2 := s.linkDelay(1, 11)
+	d1 := s.cfg.linkDelay(1, 11)
+	d2 := s.cfg.linkDelay(1, 11)
 	if d1 != d2 {
 		t.Error("link delay not stable")
 	}
-	if s.linkDelay(1, 11) == s.linkDelay(11, 1) && s.linkDelay(1, 11) == s.linkDelay(1, 12) {
+	if s.cfg.linkDelay(1, 11) == s.cfg.linkDelay(11, 1) && s.cfg.linkDelay(1, 11) == s.cfg.linkDelay(1, 12) {
 		t.Error("suspiciously identical delays across links")
 	}
 	min, max := s.cfg.minDelay(), s.cfg.maxDelay()
@@ -198,5 +199,189 @@ func TestClearRoutesPropagatesWithdrawals(t *testing.T) {
 	}
 	if s.HasRoute(11, beaconP) {
 		t.Error("11 still has the route after clear")
+	}
+}
+
+func TestSessionResetRejectsNonAdjacentASes(t *testing.T) {
+	// 100 and 200 share no link: a reset between them must be refused,
+	// not fabricate a session that hands 200 a direct route to 100.
+	s := newTestSim(t, Config{})
+	s.ScheduleAnnounce(simStart, originAS, beaconP, nil)
+	s.Run(simStart.Add(time.Hour))
+	if err := s.ScheduleSessionReset(simStart.Add(2*time.Hour), originAS, 200); err == nil {
+		t.Error("reset of non-adjacent ASes accepted")
+	}
+	sh := NewSharded(testGraph(t), Config{Seed: 1}, 2)
+	if err := sh.ScheduleSessionReset(simStart, originAS, 200); err == nil {
+		t.Error("sharded reset of non-adjacent ASes accepted")
+	}
+	s.RunAll()
+	if path, ok := s.BestRoute(200, beaconP); !ok || path.String() != "11 1 10 100" {
+		t.Errorf("200's best path = %s, %v; want 11 1 10 100", path, ok)
+	}
+}
+
+// linkOf returns asn's link index toward n, failing the test when there
+// is none.
+func linkOf(t *testing.T, s *Simulator, asn, n bgp.ASN) int {
+	t.Helper()
+	i := linkIndex(s.routers[asn].links, n)
+	if i < 0 {
+		t.Fatalf("%s has no link to %s", asn, n)
+	}
+	return i
+}
+
+func TestDeliveryFIFOIsPerAddressFamily(t *testing.T) {
+	s := newTestSim(t, Config{})
+	s.now = simStart
+	r := s.routers[1]
+	i := linkOf(t, s, 1, 2)
+	v4 := netip.MustParsePrefix("84.205.64.0/24")
+	due := simStart.Add(r.links[i].delay)
+	// A v6 and a v4 message sent back to back share the link but not a
+	// FIFO: both land after the plain link delay.
+	if got := r.deliverAt(i, beaconP); !got.Equal(due) {
+		t.Errorf("first v6 delivery at %v, want %v", got, due)
+	}
+	if got := r.deliverAt(i, v4); !got.Equal(due) {
+		t.Errorf("v4 delivery behind a v6 one at %v, want %v", got, due)
+	}
+	// A second message of each family collides with the first and is
+	// spaced 1ms behind it.
+	if got := r.deliverAt(i, beaconP); !got.Equal(due.Add(time.Millisecond)) {
+		t.Errorf("second v6 delivery at %v, want %v", got, due.Add(time.Millisecond))
+	}
+	if got := r.deliverAt(i, v4); !got.Equal(due.Add(time.Millisecond)) {
+		t.Errorf("second v4 delivery at %v, want %v", got, due.Add(time.Millisecond))
+	}
+	// The reverse direction is a link of its own.
+	if got := s.routers[2].deliverAt(linkOf(t, s, 2, 1), beaconP); !got.Equal(simStart.Add(s.cfg.linkDelay(2, 1))) {
+		t.Errorf("reverse-link delivery at %v, want the plain delay", got)
+	}
+}
+
+// customerPrefix is originated by AS200. AS1 learns it from customer 11
+// and from peer 2, prefers the customer route, and exports it to 2 and 10.
+var customerPrefix = netip.MustParsePrefix("2001:db8:200::/48")
+
+func TestFlushFromClearsOnlyThatNeighbor(t *testing.T) {
+	s := newTestSim(t, Config{})
+	s.ScheduleAnnounce(simStart, 200, customerPrefix, nil)
+	s.Run(simStart.Add(time.Hour))
+	r := s.routers[1]
+	at2, from11, to10 := linkOf(t, s, 1, 2), linkOf(t, s, 1, 11), linkOf(t, s, 1, 10)
+	e := r.rib[customerPrefix]
+	if e.in[at2] == nil || e.in[from11] == nil || !e.out[at2].sent() || !e.out[to10].sent() {
+		t.Fatalf("unexpected converged state at AS1: in %v, out %v", e.in, e.out)
+	}
+	best := e.best
+	r.flushFrom(at2)
+	if e.in[at2] != nil || e.out[at2].sent() {
+		t.Error("flushFrom left AS2's slots set")
+	}
+	if e.in[from11] == nil || !e.out[to10].sent() || e.nin != 1 {
+		t.Errorf("flushFrom touched other neighbors' slots: in %v, out %v, nin %d", e.in, e.out, e.nin)
+	}
+	if e.best != best {
+		t.Error("best route changed although it was not learned from AS2")
+	}
+}
+
+func TestReadvertiseAfterFlushSendsInPrefixOrder(t *testing.T) {
+	// After a reset of 2–12, AS12 relearns its whole table from 2 and
+	// passes it on to its collector: the announcements must come in
+	// canonical prefix order, whatever order they were originated in.
+	s := newTestSim(t, Config{})
+	sink := &testSink{}
+	s.SetSink(sink)
+	s.AddCollectorSession(Session{Collector: "rrc00", PeerAS: 12, PeerIP: netip.MustParseAddr("2001:db8::12"), AFI: bgp.AFIIPv6})
+	prefixes := []netip.Prefix{
+		netip.MustParsePrefix("2a0d:3dc1:1300::/48"),
+		netip.MustParsePrefix("93.175.149.0/24"),
+		beaconP,
+		netip.MustParsePrefix("84.205.64.0/24"),
+		netip.MustParsePrefix("2001:db8:77::/48"),
+	}
+	for _, p := range prefixes {
+		s.ScheduleAnnounce(simStart, originAS, p, nil)
+	}
+	s.Run(simStart.Add(time.Hour))
+	resetAt := simStart.Add(2 * time.Hour)
+	if err := s.ScheduleSessionReset(resetAt, 2, 12); err != nil {
+		t.Fatal(err)
+	}
+	s.RunAll()
+	// Each address family has its own FIFO, so the families interleave;
+	// within one, arrival order is send order.
+	var got, want [2][]netip.Prefix
+	for _, ev := range sink.events {
+		if ev.announce && ev.at.After(resetAt.Add(time.Second)) {
+			af := bgp.PrefixAFI(ev.prefix) - 1
+			got[af] = append(got[af], ev.prefix)
+		}
+	}
+	slices.SortFunc(prefixes, comparePrefix)
+	for _, p := range prefixes {
+		af := bgp.PrefixAFI(p) - 1
+		want[af] = append(want[af], p)
+	}
+	if !slices.Equal(got[0], want[0]) || !slices.Equal(got[1], want[1]) {
+		t.Errorf("re-advertised in order %v, want %v", got, want)
+	}
+}
+
+func TestMRAIFlushOfStaleDecisionSendsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		slot  func(e exported) exported // the out slot when the timer fires
+		sends uint64
+	}{
+		{"still current", func(e exported) exported { return e }, 1},
+		{"withdrawn", func(exported) exported { return exported{} }, 0},
+		{"changed", func(exported) exported { return exported{path: bgp.NewASPath(1, 11, 200)} }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestSim(t, Config{MRAI: MRAIConfig{Interval: 30 * time.Second}})
+			r := s.routers[1]
+			i := linkOf(t, s, 1, 2)
+			e := r.entry(beaconP)
+			e.out = make([]exported, len(r.links))
+			s.now = simStart
+			first := exported{path: bgp.NewASPath(1, 10, 100)}
+			e.out[i] = first
+			r.sendAnnounceMRAI(i, beaconP, first)
+			s.now = simStart.Add(time.Second)
+			pending := exported{path: bgp.NewASPath(1, 11, 100)}
+			e.out[i] = pending
+			r.sendAnnounceMRAI(i, beaconP, pending)
+			if s.stats.MessagesSent != 1 {
+				t.Fatalf("MessagesSent = %d before the flush, want 1", s.stats.MessagesSent)
+			}
+			e.out[i] = tc.slot(pending)
+			s.now = simStart.Add(30 * time.Second)
+			r.flushMRAI(mraiKey{to: i, p: beaconP})
+			if got := s.stats.MessagesSent - 1; got != tc.sends {
+				t.Errorf("flush sent %d messages, want %d", got, tc.sends)
+			}
+		})
+	}
+}
+
+func TestLoopDetectedAnnouncementRemovesSendersRoute(t *testing.T) {
+	s := newTestSim(t, Config{})
+	s.ScheduleAnnounce(simStart, 200, customerPrefix, nil)
+	s.Run(simStart.Add(time.Hour))
+	r := s.routers[1]
+	from2, from11 := linkOf(t, s, 1, 2), linkOf(t, s, 1, 11)
+	e := r.rib[customerPrefix]
+	best := e.best
+	s.now = simStart.Add(time.Hour)
+	r.receiveAnnounce(from2, customerPrefix, bgp.NewASPath(2, 1, 11, 200), nil)
+	if e.in[from2] != nil {
+		t.Error("loop-detected announcement kept AS2's route")
+	}
+	if e.in[from11] == nil || e.nin != 1 || e.best != best {
+		t.Error("loop-detected announcement from AS2 disturbed the other routes")
 	}
 }

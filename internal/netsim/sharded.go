@@ -61,8 +61,9 @@ func NewSharded(g *topology.Graph, cfg Config, nshards int) *Sharded {
 		shards: make([]*Simulator, nshards),
 		recs:   make([]*recordSink, nshards),
 	}
+	links := buildLinks(g, cfg)
 	for i := range s.shards {
-		sim := New(g, cfg)
+		sim := newSimulator(g, cfg, links)
 		if i > 0 {
 			sim.faults = s.shards[0].faults
 		}

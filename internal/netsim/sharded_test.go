@@ -17,6 +17,7 @@ import (
 type engine interface {
 	Faults() *FaultSet
 	SetSink(Sink)
+	SetROVPolicy(bgp.ASN, rpki.ROVPolicy)
 	AddCollectorSession(Session) error
 	ScheduleAnnounce(time.Time, bgp.ASN, netip.Prefix, *bgp.Aggregator) error
 	ScheduleWithdraw(time.Time, bgp.ASN, netip.Prefix) error

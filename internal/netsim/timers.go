@@ -87,12 +87,12 @@ type mraiState struct {
 }
 
 type mraiKey struct {
-	to bgp.ASN
+	to int // link index
 	p  netip.Prefix
 }
 
 // sendAnnounceMRAI wraps sendAnnounce with MRAI batching.
-func (r *router) sendAnnounceMRAI(to bgp.ASN, p netip.Prefix, e exported) {
+func (r *router) sendAnnounceMRAI(to int, p netip.Prefix, e exported) {
 	cfg := r.sim.cfg.MRAI
 	if cfg.Interval <= 0 {
 		r.sendAnnounce(to, p, e)
@@ -138,8 +138,8 @@ func (r *router) flushMRAI(k mraiKey) {
 	st.pending = nil
 	// The queued decision may be stale: only send if it still matches
 	// the current Adj-RIB-Out entry.
-	if out := r.adjOut[k.to]; out != nil {
-		if cur, ok := out[k.p]; ok && cur.path.Equal(e.path) && aggEqual(cur.agg, e.agg) {
+	if entry := r.rib[k.p]; entry != nil && entry.out != nil {
+		if cur := entry.out[k.to]; cur.sent() && cur.path.Equal(e.path) && aggEqual(cur.agg, e.agg) {
 			st.nextAllowed = r.sim.now.Add(r.sim.cfg.MRAI.Interval)
 			r.sendAnnounce(k.to, k.p, e)
 		}
@@ -148,7 +148,7 @@ func (r *router) flushMRAI(k mraiKey) {
 
 // cancelMRAI drops any pending announcement for (to, p) — a withdrawal
 // supersedes it.
-func (r *router) cancelMRAI(to bgp.ASN, p netip.Prefix) {
+func (r *router) cancelMRAI(to int, p netip.Prefix) {
 	if r.mrai == nil {
 		return
 	}
