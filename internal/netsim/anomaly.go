@@ -106,7 +106,7 @@ func (s *Simulator) ScheduleCommunityStorm(peer bgp.ASN, p netip.Prefix, start, 
 			if entry == nil {
 				return
 			}
-			e := r.exportedRoute(entry.best)
+			e := r.exportedRoute(r.at(entry.best))
 			comms := []bgp.Community{bgp.NewCommunity(uint16(peer), val)}
 			for _, sess := range s.collSessions[peer] {
 				sess := sess

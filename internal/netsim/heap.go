@@ -36,8 +36,6 @@ func (h *minHeap[E]) pop() E {
 	top := h.items[0]
 	n := len(h.items) - 1
 	h.items[0] = h.items[n]
-	var zero E
-	h.items[n] = zero // release closures/pointers held by the slot
 	h.items = h.items[:n]
 	i := 0
 	for {

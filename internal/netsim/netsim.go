@@ -91,6 +91,7 @@ type Stats struct {
 	MessagesSent     uint64
 	MessagesDropped  uint64
 	CollectorRecords uint64
+	QueuePeak        int // the most events pending at once
 }
 
 // Simulator drives BGP propagation over a topology.
@@ -103,6 +104,9 @@ type Simulator struct {
 	rov     map[bgp.ASN]rpki.ROVPolicy
 
 	queue   minHeap[event]
+	msgs    slab[message] // the BGP messages of queued events
+	fns     slab[func()]  // the scenario ops of queued events
+	routes  slab[route]   // every router's received and local routes
 	seq     uint64
 	now     time.Time
 	started bool
@@ -175,17 +179,14 @@ func (s *Simulator) AddCollectorSession(sess Session) error {
 	return nil
 }
 
-// event is one scheduled action. Events are stored by value in the heap,
-// with the instant kept as Unix nanoseconds: scheduling allocates the
-// closure only, never an event box, and the heap's hot compare-and-swap
-// loop moves 24-byte single-pointer elements with an integer comparison
-// instead of 40-byte time.Time pairs. UnixNano round-trips every instant
-// the simulator handles (wall-clock dates well inside the int64 range),
-// so the (at, seq) pop order is exactly the original one.
+// event is one scheduled delivery: the instant as Unix nanoseconds, the
+// scheduling sequence, and a BGP message's or scenario op's slab handle.
+// Holding no pointer, the heap is never scanned by the GC. UnixNano
+// round-trips every simulated instant: (at, seq) order is time.Time order.
 type event struct {
 	atNanos int64
 	seq     uint64
-	fn      func()
+	msg, fn uint32 // exactly one is set
 }
 
 // before is the event queue order: time, then scheduling sequence.
@@ -196,12 +197,76 @@ func (e event) before(o event) bool {
 	return e.seq < o.seq
 }
 
+// message is a BGP message in flight: x for p over r's link i, or on r's
+// collector session i; x is unset for a withdrawal, as in Adj-RIB-Out.
+// Scenario ops (resets, clears, storms, MRAI flushes...) are closures in
+// their own slab, so a storm's ticks, all queued at once, stay small.
+type message struct {
+	collector bool
+	i         int32
+	r         *router // the sender
+	p         netip.Prefix
+	x         exported
+}
+
+// schedule queues fn to run at at.
 func (s *Simulator) schedule(at time.Time, fn func()) {
+	s.push(at, event{fn: s.fns.put(fn)})
+}
+
+// send queues m for delivery at at.
+func (s *Simulator) send(at time.Time, m message) {
+	s.push(at, event{msg: s.msgs.put(m)})
+}
+
+// push queues ev at at, or at now if at has passed once the run started.
+func (s *Simulator) push(at time.Time, ev event) {
 	if s.started && at.Before(s.now) {
 		at = s.now
 	}
 	s.seq++
-	s.queue.push(event{atNanos: at.UnixNano(), seq: s.seq, fn: fn})
+	ev.atNanos, ev.seq = at.UnixNano(), s.seq
+	s.queue.push(ev)
+	s.stats.QueuePeak = max(s.stats.QueuePeak, s.queue.len())
+}
+
+// step pops the next event, advances the clock to it, frees its slab slot
+// and delivers it.
+func (s *Simulator) step() {
+	ev := s.queue.pop()
+	s.now = time.Unix(0, ev.atNanos).UTC()
+	s.stats.Events++
+	if ev.fn != 0 {
+		fn := *s.fns.at(ev.fn)
+		s.fns.release(ev.fn)
+		fn()
+		return
+	}
+	m := *s.msgs.at(ev.msg)
+	s.msgs.release(ev.msg)
+	withdraw := !m.x.sent()
+	if m.collector {
+		if s.faults.dropCollectorMessage(m.r.asn, m.p, withdraw, s.now) {
+			s.stats.MessagesDropped++
+			return
+		}
+		s.stats.CollectorRecords++
+		sess := s.collSessions[m.r.asn][m.i]
+		if withdraw {
+			s.sinkOrNop().PeerWithdraw(s.now, sess, m.p)
+		} else {
+			s.sinkOrNop().PeerAnnounce(s.now, sess, m.p, RouteAttrs{Path: m.x.path, Aggregator: m.x.agg})
+		}
+		return
+	}
+	to := m.r.peers[m.i]
+	if s.faults.dropLinkMessage(m.r.asn, to.asn, m.p, withdraw, s.now) {
+		s.stats.MessagesDropped++
+	} else if withdraw {
+		to.receiveWithdraw(m.r.links[m.i].rev, m.p)
+	} else {
+		to.receiveAnnounce(m.r.links[m.i].rev, m.p, m.x.path, m.x.agg)
+	}
 }
 
 // Run processes events until the queue is empty or the next event is after
@@ -210,15 +275,9 @@ func (s *Simulator) Run(until time.Time) int {
 	s.started = true
 	untilNanos := until.UnixNano()
 	n := 0
-	for s.queue.len() > 0 {
-		if s.queue.peek().atNanos > untilNanos {
-			break
-		}
-		ev := s.queue.pop()
-		s.now = time.Unix(0, ev.atNanos).UTC()
-		ev.fn()
+	for s.queue.len() > 0 && s.queue.peek().atNanos <= untilNanos {
+		s.step()
 		n++
-		s.stats.Events++
 	}
 	if s.now.Before(until) {
 		s.now = until
@@ -231,11 +290,8 @@ func (s *Simulator) RunAll() int {
 	s.started = true
 	n := 0
 	for s.queue.len() > 0 {
-		ev := s.queue.pop()
-		s.now = time.Unix(0, ev.atNanos).UTC()
-		ev.fn()
+		s.step()
 		n++
-		s.stats.Events++
 	}
 	return n
 }

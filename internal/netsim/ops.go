@@ -72,7 +72,7 @@ func (s *Simulator) ScheduleCollectorSessionReset(at time.Time, sess Session) er
 			s.stats.CollectorRecords++
 			for _, p := range sortedPrefixes(r.rib) {
 				entry := r.rib[p]
-				e := r.exportedRoute(entry.best)
+				e := r.exportedRoute(r.at(entry.best))
 				entry.coll = e
 				p := p
 				s.stats.MessagesSent++
@@ -125,7 +125,7 @@ func (s *Simulator) BestRoute(asn bgp.ASN, p netip.Prefix) (bgp.ASPath, bool) {
 	if r == nil || r.rib[p] == nil {
 		return bgp.ASPath{}, false
 	}
-	return r.rib[p].best.path, true
+	return r.at(r.rib[p].best).path, true
 }
 
 // HasRoute reports whether asn currently has any route for p.

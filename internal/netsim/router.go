@@ -21,7 +21,7 @@ const (
 )
 
 // route is one path for one prefix as stored in an Adj-RIB-In (or the
-// local RIB for originated prefixes).
+// local RIB for originated prefixes), held in the Simulator's route slab.
 type route struct {
 	path bgp.ASPath // as received: the sender's ASN leads; empty for local
 	from bgp.ASN    // 0 for locally originated
@@ -36,12 +36,11 @@ func aggEqual(a, b *bgp.Aggregator) bool {
 	return *a == *b
 }
 
+// routesEqual compares routes by content: a released handle is reused,
+// so equal handles mean the same route only while neither was released.
 func routesEqual(a, b *route) bool {
-	if a == b {
-		return true
-	}
 	if a == nil || b == nil {
-		return false
+		return a == b
 	}
 	return a.from == b.from && a.path.Equal(b.path) && aggEqual(a.agg, b.agg)
 }
@@ -94,15 +93,17 @@ func linkIndex(ls []link, n bgp.ASN) int {
 	return i
 }
 
-// prefixRIB is everything one router holds for one prefix. in and out are
-// indexed like the router's links and allocated on first use. An entry
-// lives exactly while best is set: recompute drops it once no route is
-// selected, after export has withdrawn everything out and coll held.
+// prefixRIB is everything one router holds for one prefix. Routes are
+// route slab handles, 0 for none, released only after recompute so that a
+// reused handle never passes for the best route it replaced. in and out
+// are indexed like the router's links and allocated on first use. An
+// entry lives exactly while best is set: recompute drops it once no route
+// is selected, after export has withdrawn everything out and coll held.
 type prefixRIB struct {
-	local *route
-	best  *route
-	in    []*route   // Adj-RIB-In
-	nin   int        // non-nil entries of in
+	local uint32
+	best  uint32
+	in    []uint32   // Adj-RIB-In
+	nin   int        // non-zero entries of in
 	out   []exported // Adj-RIB-Out: what each neighbor was last sent
 	// coll is what the AS last advertised toward its collectors; the
 	// same decision is sent on every session of the AS.
@@ -140,6 +141,14 @@ func (r *router) prefFor(i int) int {
 	}
 }
 
+// at returns the route behind handle h, nil for 0.
+func (r *router) at(h uint32) *route {
+	if h == 0 {
+		return nil
+	}
+	return r.sim.routes.at(h)
+}
+
 // entry returns p's RIB entry, creating it.
 func (r *router) entry(p netip.Prefix) *prefixRIB {
 	e := r.rib[p]
@@ -156,18 +165,22 @@ func (r *router) entry(p netip.Prefix) *prefixRIB {
 // originate installs a locally originated route and propagates it.
 func (r *router) originate(p netip.Prefix, agg *bgp.Aggregator) {
 	e := r.entry(p)
-	e.local = &route{from: 0, pref: prefLocal, agg: agg}
+	old := e.local
+	e.local = r.sim.routes.put(route{pref: prefLocal, agg: agg})
 	r.recompute(p, e)
+	r.sim.routes.release(old)
 }
 
 // withdrawOrigin removes the locally originated route.
 func (r *router) withdrawOrigin(p netip.Prefix) {
 	e := r.rib[p]
-	if e == nil || e.local == nil {
+	if e == nil || e.local == 0 {
 		return
 	}
-	e.local = nil
+	old := e.local
+	e.local = 0
 	r.recompute(p, e)
+	r.sim.routes.release(old)
 }
 
 // receiveAnnounce handles an announcement arriving over link i.
@@ -197,16 +210,17 @@ func (r *router) receiveAnnounce(i int, p netip.Prefix, path bgp.ASPath, agg *bg
 	}
 	e := r.entry(p)
 	if e.in == nil {
-		e.in = make([]*route, len(r.links))
+		e.in = make([]uint32, len(r.links))
 	}
 	old := e.in[i]
-	if old == nil {
+	if old == 0 {
 		e.nin++
-	} else if old.path.Equal(path) && aggEqual(old.agg, agg) {
+	} else if rt := r.at(old); rt.path.Equal(path) && aggEqual(rt.agg, agg) {
 		return // duplicate announcement
 	}
-	e.in[i] = &route{path: path, from: from, pref: r.prefFor(i), agg: agg}
+	e.in[i] = r.sim.routes.put(route{path: path, from: from, pref: r.prefFor(i), agg: agg})
 	r.recompute(p, e)
+	r.sim.routes.release(old)
 }
 
 // receiveWithdraw handles a withdrawal arriving over link i.
@@ -225,35 +239,37 @@ func (r *router) ghostWithdraw(p netip.Prefix, e *prefixRIB) {
 	for i := range e.out {
 		if e.out[i].sent() {
 			e.out[i] = exported{}
-			r.sendWithdraw(i, p)
+			r.sendLink(i, p, exported{})
 		}
 	}
 	if e.coll.sent() {
 		e.coll = exported{}
-		r.sendCollectorWithdraw(p)
+		r.sendCollector(p, exported{})
 	}
 }
 
 func (r *router) removeAdjIn(i int, p netip.Prefix) {
 	e := r.rib[p]
-	if e == nil || e.in == nil || e.in[i] == nil {
+	if e == nil || e.in == nil || e.in[i] == 0 {
 		return
 	}
-	e.in[i] = nil
+	old := e.in[i]
+	e.in[i] = 0
 	e.nin--
 	r.recompute(p, e)
+	r.sim.routes.release(old)
 }
 
 // selectBest runs the decision process over e. better is a total order
 // (from is unique per candidate), so the walk order does not matter.
-func selectBest(e *prefixRIB) *route {
+func (r *router) selectBest(e *prefixRIB) uint32 {
 	best := e.local
 	if e.nin == 0 {
 		return best
 	}
-	for _, rt := range e.in {
-		if rt != nil && better(rt, best) {
-			best = rt
+	for _, h := range e.in {
+		if h != 0 && better(r.at(h), r.at(best)) {
+			best = h
 		}
 	}
 	return best
@@ -275,13 +291,15 @@ func better(a, b *route) bool {
 	return a.from < b.from
 }
 
+// recompute reselects e's best route and exports it if it changed.
 func (r *router) recompute(p netip.Prefix, e *prefixRIB) {
-	nb := selectBest(e)
-	if !routesEqual(e.best, nb) {
-		e.best = nb
+	nb := r.selectBest(e)
+	old := e.best
+	e.best = nb
+	if old != nb && !routesEqual(r.at(old), r.at(nb)) {
 		r.export(p, e)
 	}
-	if nb == nil {
+	if nb == 0 {
 		delete(r.rib, p)
 	}
 }
@@ -308,7 +326,7 @@ func (r *router) exportedRoute(b *route) exported {
 // collectors. The prepended path is built at most once and shared by every
 // session: paths are never mutated after Prepend.
 func (r *router) export(p netip.Prefix, e *prefixRIB) {
-	b := e.best
+	b := r.at(e.best)
 	var x exported
 	for i := range r.links {
 		var cur exported
@@ -330,7 +348,7 @@ func (r *router) export(p netip.Prefix, e *prefixRIB) {
 		} else if cur.sent() {
 			e.out[i] = exported{}
 			r.cancelMRAI(i, p)
-			r.sendWithdraw(i, p)
+			r.sendLink(i, p, exported{})
 		}
 	}
 	if len(r.sim.collSessions[r.asn]) == 0 {
@@ -344,10 +362,10 @@ func (r *router) export(p netip.Prefix, e *prefixRIB) {
 			return
 		}
 		e.coll = x
-		r.sendCollectorAnnounce(p, x)
+		r.sendCollector(p, x)
 	} else if e.coll.sent() {
 		e.coll = exported{}
-		r.sendCollectorWithdraw(p)
+		r.sendCollector(p, exported{})
 	}
 }
 
@@ -367,65 +385,20 @@ func (r *router) deliverAt(i int, p netip.Prefix) time.Time {
 	return time.Unix(0, at)
 }
 
-func (r *router) sendAnnounce(i int, p netip.Prefix, e exported) {
-	s := r.sim
-	s.stats.MessagesSent++
-	s.schedule(r.deliverAt(i, p), func() {
-		to := r.peers[i]
-		if s.faults.dropLinkMessage(r.asn, to.asn, p, false, s.now) {
-			s.stats.MessagesDropped++
-			return
-		}
-		to.receiveAnnounce(r.links[i].rev, p, e.path, e.agg)
-	})
+// sendLink queues x for p over link i: an announcement, or a withdrawal
+// when x is unset.
+func (r *router) sendLink(i int, p netip.Prefix, x exported) {
+	r.sim.stats.MessagesSent++
+	r.sim.send(r.deliverAt(i, p), message{i: int32(i), r: r, p: p, x: x})
 }
 
-func (r *router) sendWithdraw(i int, p netip.Prefix) {
+// sendCollector queues x for p on every collector session of the AS: an
+// announcement, or a withdrawal when x is unset.
+func (r *router) sendCollector(p netip.Prefix, x exported) {
 	s := r.sim
-	s.stats.MessagesSent++
-	s.schedule(r.deliverAt(i, p), func() {
-		to := r.peers[i]
-		if s.faults.dropLinkMessage(r.asn, to.asn, p, true, s.now) {
-			s.stats.MessagesDropped++
-			return
-		}
-		to.receiveWithdraw(r.links[i].rev, p)
-	})
-}
-
-func (r *router) sendCollectorAnnounce(p netip.Prefix, e exported) {
-	s := r.sim
-	peer := r.asn
-	for _, sess := range s.collSessions[peer] {
-		sess := sess
-		delay := s.collectorSessionDelay(sess)
+	for k, sess := range s.collSessions[r.asn] {
 		s.stats.MessagesSent++
-		s.schedule(s.now.Add(delay), func() {
-			if s.faults.dropCollectorMessage(peer, p, false, s.now) {
-				s.stats.MessagesDropped++
-				return
-			}
-			s.stats.CollectorRecords++
-			s.sinkOrNop().PeerAnnounce(s.now, sess, p, RouteAttrs{Path: e.path, Aggregator: e.agg})
-		})
-	}
-}
-
-func (r *router) sendCollectorWithdraw(p netip.Prefix) {
-	s := r.sim
-	peer := r.asn
-	for _, sess := range s.collSessions[peer] {
-		sess := sess
-		delay := s.collectorSessionDelay(sess)
-		s.stats.MessagesSent++
-		s.schedule(s.now.Add(delay), func() {
-			if s.faults.dropCollectorMessage(peer, p, true, s.now) {
-				s.stats.MessagesDropped++
-				return
-			}
-			s.stats.CollectorRecords++
-			s.sinkOrNop().PeerWithdraw(s.now, sess, p)
-		})
+		s.send(s.now.Add(s.collectorSessionDelay(sess)), message{collector: true, i: int32(k), r: r, p: p, x: x})
 	}
 }
 
@@ -437,16 +410,13 @@ func (r *router) flushFrom(i int) {
 		if e.out != nil {
 			e.out[i] = exported{}
 		}
-		if e.in != nil && e.in[i] != nil {
+		if e.in != nil && e.in[i] != 0 {
 			affected = append(affected, p)
 		}
 	}
 	slices.SortFunc(affected, comparePrefix)
 	for _, p := range affected {
-		e := r.rib[p]
-		e.in[i] = nil
-		e.nin--
-		r.recompute(p, e)
+		r.removeAdjIn(i, p)
 	}
 }
 
@@ -456,15 +426,16 @@ func (r *router) flushFrom(i int) {
 func (r *router) readvertiseTo(i int) {
 	for _, p := range sortedPrefixes(r.rib) {
 		e := r.rib[p]
-		if !r.exportAllowed(e.best, i) {
+		b := r.at(e.best)
+		if !r.exportAllowed(b, i) {
 			continue
 		}
-		x := r.exportedRoute(e.best)
+		x := r.exportedRoute(b)
 		if e.out == nil {
 			e.out = make([]exported, len(r.links))
 		}
 		e.out[i] = x
-		r.sendAnnounce(i, p, x)
+		r.sendLink(i, p, x)
 	}
 }
 
@@ -480,11 +451,11 @@ func (r *router) revalidate() {
 		i int
 	}
 	for _, p := range sortedPrefixes(r.rib) {
-		for i, rt := range r.rib[p].in {
-			if rt == nil {
+		for i, h := range r.rib[p].in {
+			if h == 0 {
 				continue
 			}
-			origin, ok := rt.path.Origin()
+			origin, ok := r.at(h).path.Origin()
 			if !ok {
 				continue
 			}
@@ -509,7 +480,11 @@ func (r *router) clearRoutes(match PrefixMatcher) {
 		if e.nin == 0 || !matches(match, p) {
 			continue
 		}
+		in := e.in
 		e.in, e.nin = nil, 0
 		r.recompute(p, e)
+		for _, h := range in {
+			r.sim.routes.release(h)
+		}
 	}
 }

@@ -272,18 +272,18 @@ func TestFlushFromClearsOnlyThatNeighbor(t *testing.T) {
 	r := s.routers[1]
 	at2, from11, to10 := linkOf(t, s, 1, 2), linkOf(t, s, 1, 11), linkOf(t, s, 1, 10)
 	e := r.rib[customerPrefix]
-	if e.in[at2] == nil || e.in[from11] == nil || !e.out[at2].sent() || !e.out[to10].sent() {
+	if e.in[at2] == 0 || e.in[from11] == 0 || !e.out[at2].sent() || !e.out[to10].sent() {
 		t.Fatalf("unexpected converged state at AS1: in %v, out %v", e.in, e.out)
 	}
-	best := e.best
+	best := *r.at(e.best)
 	r.flushFrom(at2)
-	if e.in[at2] != nil || e.out[at2].sent() {
+	if e.in[at2] != 0 || e.out[at2].sent() {
 		t.Error("flushFrom left AS2's slots set")
 	}
-	if e.in[from11] == nil || !e.out[to10].sent() || e.nin != 1 {
+	if e.in[from11] == 0 || !e.out[to10].sent() || e.nin != 1 {
 		t.Errorf("flushFrom touched other neighbors' slots: in %v, out %v, nin %d", e.in, e.out, e.nin)
 	}
-	if e.best != best {
+	if e.best != e.in[from11] || !routesEqual(r.at(e.best), &best) {
 		t.Error("best route changed although it was not learned from AS2")
 	}
 }
@@ -375,13 +375,64 @@ func TestLoopDetectedAnnouncementRemovesSendersRoute(t *testing.T) {
 	r := s.routers[1]
 	from2, from11 := linkOf(t, s, 1, 2), linkOf(t, s, 1, 11)
 	e := r.rib[customerPrefix]
-	best := e.best
+	best := *r.at(e.best)
 	s.now = simStart.Add(time.Hour)
 	r.receiveAnnounce(from2, customerPrefix, bgp.NewASPath(2, 1, 11, 200), nil)
-	if e.in[from2] != nil {
+	if e.in[from2] != 0 {
 		t.Error("loop-detected announcement kept AS2's route")
 	}
-	if e.in[from11] == nil || e.nin != 1 || e.best != best {
+	if e.in[from11] == 0 || e.nin != 1 || e.best != e.in[from11] || !routesEqual(r.at(e.best), &best) {
 		t.Error("loop-detected announcement from AS2 disturbed the other routes")
 	}
+}
+
+// TestReannounceOverBestLinkIsExported replaces the best route with a
+// different path of the same length over the same link, and withdraws
+// and re-announces it there. Each change must reach the neighbors and the
+// collector: a route store that hands a replaced route's slot straight
+// back must not make the new best look like the old one.
+func TestReannounceOverBestLinkIsExported(t *testing.T) {
+	s := newTestSim(t, Config{})
+	sink := &testSink{}
+	s.SetSink(sink)
+	if err := s.AddCollectorSession(Session{Collector: "rrc00", PeerAS: 11, PeerIP: netip.MustParseAddr("2001:db8::11"), AFI: bgp.AFIIPv6}); err != nil {
+		t.Fatal(err)
+	}
+	s.ScheduleAnnounce(simStart, originAS, beaconP, nil)
+	s.Run(simStart.Add(time.Hour))
+	// AS11 prefers its provider 1 ("1 10 100") over provider 2.
+	r := s.routers[11]
+	from1 := linkOf(t, s, 11, 1)
+	if r.rib[beaconP].best != r.rib[beaconP].in[from1] {
+		t.Fatal("AS11's best route is not the one learned from AS1")
+	}
+	expect := func(step, want200, wantColl string) {
+		t.Helper()
+		s.RunAll()
+		if got, ok := s.BestRoute(200, beaconP); !ok || got.String() != want200 {
+			t.Errorf("%s: AS200's best path = %s, %v; want %s", step, got, ok, want200)
+		}
+		var last string
+		for _, ev := range sink.events {
+			if ev.announce && ev.prefix == beaconP {
+				last = ev.attrs.Path.String()
+			}
+		}
+		if last != wantColl {
+			t.Errorf("%s: collector last saw %q, want %q", step, last, wantColl)
+		}
+	}
+	s.now = simStart.Add(time.Hour)
+	r.receiveAnnounce(from1, beaconP, bgp.NewASPath(1, 12, 100), nil)
+	expect("re-announce", "11 1 12 100", "11 1 12 100")
+
+	s.now = simStart.Add(2 * time.Hour)
+	r.receiveWithdraw(from1, beaconP)
+	expect("withdraw", "11 2 1 10 100", "11 2 1 10 100")
+
+	s.now = simStart.Add(3 * time.Hour)
+	r.receiveAnnounce(from1, beaconP, bgp.NewASPath(1, 10, 100), nil)
+	expect("withdraw then re-announce", "11 1 10 100", "11 1 10 100")
+	r.receiveAnnounce(from1, beaconP, bgp.NewASPath(1, 12, 100), nil)
+	expect("re-announce after withdraw", "11 1 12 100", "11 1 12 100")
 }

@@ -77,6 +77,6 @@ func TestSharded80kDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(recsA, recsB) {
 		t.Fatalf("collector streams diverge between identical runs (%d vs %d records)", len(recsA), len(recsB))
 	}
-	t.Logf("80k-AS run: %d events, %d messages, %d collector records",
-		statsA.Events, statsA.MessagesSent, len(recsA))
+	t.Logf("80k-AS run: %d events, %d messages, %d collector records, at most %d events queued on one shard",
+		statsA.Events, statsA.MessagesSent, len(recsA), statsA.QueuePeak)
 }

@@ -199,13 +199,15 @@ func (s *Sharded) Now() time.Time {
 
 // Stats aggregates activity counters over all shards. CollectorRecords
 // counts records of the merged stream, not per-shard emissions (the
-// session-state bookkeeping fans out to every shard but is recorded once).
+// session-state bookkeeping fans out to every shard but is recorded once);
+// QueuePeak is the deepest any one shard's queue got.
 func (s *Sharded) Stats() Stats {
 	var st Stats
 	for _, sim := range s.shards {
 		st.Events += sim.stats.Events
 		st.MessagesSent += sim.stats.MessagesSent
 		st.MessagesDropped += sim.stats.MessagesDropped
+		st.QueuePeak = max(st.QueuePeak, sim.stats.QueuePeak)
 	}
 	st.CollectorRecords = s.replayed
 	return st

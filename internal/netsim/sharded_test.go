@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -185,30 +187,123 @@ func TestShardedStateQueries(t *testing.T) {
 }
 
 // TestMinHeapPopsInOrder: the index-addressed heap must pop the exact
-// ascending (at, seq) order container/heap produced.
+// ascending (at, seq) order container/heap produced — after a run of
+// pushes, and with pushes and pops interleaved over few distinct instants,
+// so that most pops break a tie on seq.
 func TestMinHeapPopsInOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	var h minHeap[event]
-	var want []event
-	for i := 0; i < 2000; i++ {
-		ev := event{atNanos: simStart.Add(time.Duration(rng.IntN(500)) * time.Second).UnixNano(), seq: uint64(i)}
+	var want []event // what h holds, in pop order
+	seq := uint64(0)
+	push := func(instants int) {
+		seq++
+		ev := event{atNanos: simStart.Add(time.Duration(rng.IntN(instants)) * time.Second).UnixNano(), seq: seq, msg: uint32(seq)}
 		h.push(ev)
-		want = append(want, ev)
+		i := sort.Search(len(want), func(i int) bool { return ev.before(want[i]) })
+		want = slices.Insert(want, i, ev)
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
-	for i, w := range want {
-		if h.len() != len(want)-i {
-			t.Fatalf("len = %d, want %d", h.len(), len(want)-i)
+	pop := func(op int) {
+		t.Helper()
+		if h.len() != len(want) {
+			t.Fatalf("op %d: len = %d, want %d", op, h.len(), len(want))
 		}
-		if pk := h.peek(); pk.atNanos != w.atNanos || pk.seq != w.seq {
-			t.Fatalf("peek %d = (%v, %d), want (%v, %d)", i, pk.atNanos, pk.seq, w.atNanos, w.seq)
+		w := want[0]
+		want = want[1:]
+		if pk := h.peek(); pk != w {
+			t.Fatalf("op %d: peek = %+v, want %+v", op, pk, w)
 		}
-		got := h.pop()
-		if got.atNanos != w.atNanos || got.seq != w.seq {
-			t.Fatalf("pop %d = (%v, %d), want (%v, %d)", i, got.atNanos, got.seq, w.atNanos, w.seq)
+		if got := h.pop(); got != w {
+			t.Fatalf("op %d: pop = %+v, want %+v", op, got, w)
 		}
+	}
+	for i := 0; i < 2000; i++ {
+		push(500)
+	}
+	for i := 0; len(want) > 0; i++ {
+		pop(i)
+	}
+	for i := 0; i < 20000; i++ {
+		if len(want) == 0 || rng.IntN(5) < 3 {
+			push(8)
+		} else {
+			pop(i)
+		}
+	}
+	for i := 0; len(want) > 0; i++ {
+		pop(i)
 	}
 	if h.len() != 0 {
 		t.Fatalf("heap not drained: %d left", h.len())
+	}
+}
+
+// slabLive returns how many handles of s are in use.
+func slabLive[T any](s *slab[T]) int { return int(max(s.next, 1)) - 1 - len(s.free) }
+
+// checkSlabs fails unless every message slot of s is free and the live
+// route slots are exactly the distinct handles its RIBs hold.
+func checkSlabs(t *testing.T, name string, s *Simulator) {
+	t.Helper()
+	if n := slabLive(&s.msgs) + slabLive(&s.fns); n != 0 {
+		t.Errorf("%s: %d message and op slots still in use after RunAll", name, n)
+	}
+	held := map[uint32]bool{}
+	hold := func(h uint32) {
+		if h == 0 {
+			return
+		}
+		if held[h] {
+			t.Errorf("%s: route handle %d held twice", name, h)
+		}
+		held[h] = true
+	}
+	for _, r := range s.routers {
+		for _, e := range r.rib {
+			hold(e.local)
+			for _, h := range e.in {
+				hold(h)
+			}
+		}
+	}
+	if n := slabLive(&s.routes); n != len(held) {
+		t.Errorf("%s: %d route slots in use, RIBs hold %d", name, n, len(held))
+	}
+}
+
+// TestSlabsDrainAfterRunAll: after RunAll no message slot is in use and no
+// route slot outlives the RIB entry naming it — on the fault-rich
+// scenario, where zombies keep some routes, and on a clean one, where
+// every route is withdrawn and the whole route slab must be free.
+func TestSlabsDrainAfterRunAll(t *testing.T) {
+	cfg, reg := shardedTestConfig(true)
+	sh := NewSharded(testGraph(t), cfg, 3)
+	runShardedScenario(t, sh, reg)
+	peak := 0
+	for i, sim := range sh.shards {
+		checkSlabs(t, fmt.Sprintf("fault-rich shard %d", i), sim)
+		peak = max(peak, sim.Stats().QueuePeak)
+	}
+	if st := sh.Stats(); st.QueuePeak != peak || peak == 0 {
+		t.Errorf("Sharded QueuePeak = %d, want the shards' maximum %d > 0", st.QueuePeak, peak)
+	}
+
+	s := newTestSim(t, Config{})
+	s.AddCollectorSession(collectorSession())
+	for i, p := range shardedPrefixes {
+		s.ScheduleAnnounce(simStart.Add(time.Duration(i)*time.Second), originAS, p, nil)
+		s.ScheduleWithdraw(simStart.Add(time.Hour), originAS, p)
+	}
+	s.ScheduleSessionReset(simStart.Add(30*time.Minute), 1, 11)
+	s.ScheduleClearRoutes(simStart.Add(40*time.Minute), 12, nil)
+	if got := s.Stats().QueuePeak; got != 2*len(shardedPrefixes)+2 {
+		t.Errorf("QueuePeak before the run = %d, want %d scheduled events", got, 2*len(shardedPrefixes)+2)
+	}
+	s.RunAll()
+	checkSlabs(t, "clean", s)
+	if n := slabLive(&s.routes); n != 0 {
+		t.Errorf("clean run: %d route slots in use after every prefix was withdrawn", n)
+	}
+	if st := s.Stats(); st.QueuePeak < 2*len(shardedPrefixes)+2 || uint64(st.QueuePeak) > st.Events {
+		t.Errorf("QueuePeak = %d, want at least the scheduled ops and at most Events %d", st.QueuePeak, st.Events)
 	}
 }

@@ -21,9 +21,10 @@ import (
 //
 //   - Route flap damping (RFC 2439, discussed by the paper's related
 //     work as exacerbating convergence): a per-(neighbor, prefix) penalty
-//     accumulates on withdrawals and re-announcements; routes whose
-//     penalty crosses the suppress threshold are ignored until the
-//     penalty decays below the reuse threshold.
+//     accumulates on each withdrawal only — re-announcements add none.
+//     Once it crosses the suppress threshold, announcements from that
+//     neighbor for that prefix are ignored until the penalty decays below
+//     the reuse threshold.
 
 // MRAIConfig enables MinRouteAdvertisementInterval batching.
 type MRAIConfig struct {
@@ -91,11 +92,11 @@ type mraiKey struct {
 	p  netip.Prefix
 }
 
-// sendAnnounceMRAI wraps sendAnnounce with MRAI batching.
+// sendAnnounceMRAI wraps sendLink with MRAI batching.
 func (r *router) sendAnnounceMRAI(to int, p netip.Prefix, e exported) {
 	cfg := r.sim.cfg.MRAI
 	if cfg.Interval <= 0 {
-		r.sendAnnounce(to, p, e)
+		r.sendLink(to, p, e)
 		return
 	}
 	if r.mrai == nil {
@@ -112,7 +113,7 @@ func (r *router) sendAnnounceMRAI(to int, p netip.Prefix, e exported) {
 		// Timer expired: send immediately and restart it.
 		st.nextAllowed = now.Add(cfg.Interval)
 		st.pending = nil
-		r.sendAnnounce(to, p, e)
+		r.sendLink(to, p, e)
 		return
 	}
 	// Queue the decision behind the running timer, replacing any older
@@ -141,7 +142,7 @@ func (r *router) flushMRAI(k mraiKey) {
 	if entry := r.rib[k.p]; entry != nil && entry.out != nil {
 		if cur := entry.out[k.to]; cur.sent() && cur.path.Equal(e.path) && aggEqual(cur.agg, e.agg) {
 			st.nextAllowed = r.sim.now.Add(r.sim.cfg.MRAI.Interval)
-			r.sendAnnounce(k.to, k.p, e)
+			r.sendLink(k.to, k.p, e)
 		}
 	}
 }
