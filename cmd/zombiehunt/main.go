@@ -227,7 +227,7 @@ func run(args []string, w io.Writer) (err error) {
 	return nil
 }
 
-// joinNames renders the registered detector names for the -detect usage
+// joinNames renders the anomaly detector names for the -detect usage
 // string.
 func joinNames() string {
 	return strings.Join(zombie.AnomalyDetectorNames(), ",")
@@ -318,8 +318,7 @@ func writeTrace(tr *obs.Tracer, path string) error {
 // function. Each tick logs the shared pipeline registry's series under
 // their /metrics names, so a long run shows decode/detection advancing
 // even before any report is printed. pipeline_events_sharded_total moves
-// only under -lifespans: the history build has no shard-routing stage,
-// so RIB-dump tracking is the counter's one feeder.
+// only under -lifespans: RIB-dump tracking is the counter's one feeder.
 func startProgress(l *slog.Logger, every time.Duration) func() {
 	done := make(chan struct{})
 	go func() {

@@ -20,15 +20,11 @@ type periodDetection struct {
 }
 
 func detectPeriod(pd *PeriodData, recordPaths bool, seed uint64) (*periodDetection, error) {
-	det := &zombie.Detector{RecordPaths: recordPaths}
-	rep, err := det.Detect(pd.Updates, pd.Intervals)
-	if err != nil {
-		return nil, err
-	}
 	h, err := zombie.BuildHistory(pd.Updates, trackSetOf(pd))
 	if err != nil {
 		return nil, err
 	}
+	rep := (&zombie.Detector{RecordPaths: recordPaths}).DetectFromHistory(h, pd.Intervals)
 	// The legacy looking-glass pipeline lost a substantial share of
 	// checks to service lag, outages and updates (the paper's §3.1 lists
 	// the RIPEstat changes); 0.89 availability reproduces the paper's

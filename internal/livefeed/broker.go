@@ -76,9 +76,8 @@ type Config struct {
 	// Journal, when set, durably records every published event and backs
 	// resume-from-sequence requests that fall off the in-memory replay
 	// window. Append errors are counted (livefeed_journal_errors_total)
-	// but never stall publishing. Implementations that also satisfy
-	// EncodedJournal receive the broker's shared encoding instead of
-	// re-marshalling the event.
+	// but never stall publishing. Append receives the broker's shared
+	// encoding, so the journal never re-marshals an event.
 	Journal Journal
 	// StartSeq seeds the broker's sequence counter, so a broker recovered
 	// from a journal continues numbering where the previous run stopped
@@ -351,10 +350,11 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 		f.sampled = sampled
 	}
 	if encErr != nil {
-		// Unreachable for well-formed events (every Event field marshals);
-		// counted and skipped rather than crashing the feed. The sequence
-		// number stays consumed — subscribers tolerate gaps exactly as
-		// they do for filtered events.
+		// Only an event JSON cannot carry (a timestamp past year 9999)
+		// gets here; counted and skipped rather than crashing the feed.
+		// The sequence number stays consumed — subscribers tolerate gaps
+		// exactly as they do for filtered events, and the journal keeps
+		// the same gap.
 		b.metrics.encodeErrors.Add(1)
 	} else {
 		b.metrics.encodes.Add(1)
@@ -362,12 +362,11 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 
 	if b.cfg.Journal != nil {
 		jSpan := span.Start("journal")
-		var jerr error
-		if ej, ok := b.cfg.Journal.(EncodedJournal); ok && f != nil {
-			jerr = ej.AppendEncoded(ev, f.payload())
-		} else {
-			jerr = b.cfg.Journal.Append(ev)
+		var payload []byte
+		if f != nil {
+			payload = f.payload()
 		}
+		jerr := b.cfg.Journal.Append(ev, payload)
 		jSpan.End()
 		if jerr != nil {
 			b.metrics.journalErrors.Add(1)

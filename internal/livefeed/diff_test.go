@@ -153,11 +153,25 @@ func randomDiffEvent(rng *rand.Rand, i int) Event {
 	return ev
 }
 
-// memJournal is a deterministic in-memory Journal for resume scenarios
-// (the plain-Append fallback path).
-type memJournal struct{ evs []Event }
+// memJournal is a deterministic in-memory Journal for resume scenarios.
+// On every append it verifies that the shared encoding the broker hands
+// over is byte-identical to an independent marshal of the event.
+type memJournal struct {
+	evs      []Event
+	mismatch error
+}
 
-func (j *memJournal) Append(ev Event) error { j.evs = append(j.evs, ev); return nil }
+func (j *memJournal) Append(ev Event, payload []byte) error {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, FrameEvent, &ev); err != nil {
+		return err
+	}
+	if want := buf.Bytes()[frameHeaderLen:]; !bytes.Equal(payload, want) && j.mismatch == nil {
+		j.mismatch = fmt.Errorf("seq %d: shared payload %q != independent marshal %q", ev.Seq, payload, want)
+	}
+	j.evs = append(j.evs, ev)
+	return nil
+}
 
 func (j *memJournal) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
 	for _, ev := range j.evs {
@@ -182,25 +196,6 @@ func (j *memJournal) LastSeq() uint64 {
 		return 0
 	}
 	return j.evs[len(j.evs)-1].Seq
-}
-
-// encodedMemJournal exercises the EncodedJournal fast path and verifies,
-// on every append, that the shared encoding the broker hands over is
-// byte-identical to an independent marshal of the event.
-type encodedMemJournal struct {
-	memJournal
-	mismatch error
-}
-
-func (j *encodedMemJournal) AppendEncoded(ev Event, payload []byte) error {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameEvent, &ev); err != nil {
-		return err
-	}
-	if want := buf.Bytes()[frameHeaderLen:]; !bytes.Equal(payload, want) && j.mismatch == nil {
-		j.mismatch = fmt.Errorf("seq %d: shared payload %q != independent marshal %q", ev.Seq, payload, want)
-	}
-	return j.memJournal.Append(ev)
 }
 
 // diffSub is one scenario subscriber's recorded view of the stream.
@@ -245,13 +240,11 @@ func (d *diffSub) record(t testing.TB, mode diffMode) bool {
 func runDiffScenario(t testing.TB, seed int64, mode diffMode) (subs []*diffSub, head uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := Config{RingSize: 4 + rng.Intn(28), ReplaySize: 16 + rng.Intn(112)}
-	var ej *encodedMemJournal
+	var mj *memJournal
 	switch seed % 3 {
-	case 0:
-		ej = &encodedMemJournal{}
-		cfg.Journal = ej // EncodedJournal fast path
-	case 1:
-		cfg.Journal = &memJournal{} // plain-Append fallback path
+	case 0, 1:
+		mj = &memJournal{}
+		cfg.Journal = mj
 	}
 	b := NewBroker(cfg)
 	defer b.Close()
@@ -352,8 +345,8 @@ func runDiffScenario(t testing.TB, seed int64, mode diffMode) (subs []*diffSub, 
 		}
 		d.drops = d.sub.Drops()
 	}
-	if ej != nil && ej.mismatch != nil {
-		t.Fatalf("journal shared-encoding mismatch: %v", ej.mismatch)
+	if mj != nil && mj.mismatch != nil {
+		t.Fatalf("journal shared-encoding mismatch: %v", mj.mismatch)
 	}
 	return subs, b.Seq()
 }

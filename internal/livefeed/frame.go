@@ -133,7 +133,7 @@ func (f *sharedFrame) release() {
 
 // payload returns the NDJSON payload portion of the wire frame
 // (trailing newline included) — the exact bytes json.Marshal(&ev) plus
-// '\n' would produce, which EncodedJournal implementations reuse.
+// '\n' would produce, which Journal.Append receives.
 func (f *sharedFrame) payload() []byte { return f.wire[frameHeaderLen:] }
 
 // Frame is one delivered event in encoded wire form, the zero-copy

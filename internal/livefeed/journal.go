@@ -1,6 +1,7 @@
 package livefeed
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -15,10 +16,15 @@ import (
 // LastSeq bound what Replay can serve; FirstSeq 0 means the journal is
 // empty.
 type Journal interface {
-	// Append durably records one published event. Called with the
-	// broker's publish lock held: implementations must not call back
-	// into the broker.
-	Append(ev Event) error
+	// Append durably records one published event. payload is the event's
+	// shared encoding (json.Marshal(&ev) plus a trailing newline) aliasing
+	// the broker's pooled frame buffer: it is valid only for the call, so
+	// an implementation that retains it must copy it. It is nil when the
+	// event could not be encoded; live subscribers see that sequence
+	// number as a gap, and Replay must too. Called with the broker's
+	// publish lock held: implementations must not call back into the
+	// broker.
+	Append(ev Event, payload []byte) error
 	// Replay invokes fn for every journaled event with sequence number
 	// in (fromSeq, toSeq], in order. The events passed to fn are fully
 	// owned by the callee.
@@ -29,46 +35,22 @@ type Journal interface {
 	LastSeq() uint64
 }
 
-// EncodedJournal is an optional Journal extension: a journal that can
-// reuse the broker's shared encoding instead of re-marshalling the
-// event. payload is the frame's NDJSON payload (json.Marshal(&ev) plus a
-// trailing newline) aliasing the broker's pooled frame buffer — it is
-// valid only for the duration of the call, so implementations must copy
-// it before returning if they retain it.
-type EncodedJournal interface {
-	Journal
-	// AppendEncoded durably records one published event whose JSON
-	// encoding is already available. Called with the broker's publish
-	// lock held, same contract as Append.
-	AppendEncoded(ev Event, payload []byte) error
-}
-
 // StoreJournal adapts an eventstore.Store into a broker Journal.
 //
 // Update-channel events that carry their raw MRT record are stored as
 // KindMRT with the record bytes as the payload — the densest encoding,
 // and the one recovery replays through the detector byte-faithfully.
 // Everything else (alerts, raw-less events published through Publish) is
-// stored as KindJSON with the JSON-encoded event as payload.
+// stored as KindJSON with the broker's encoding as payload, or with no
+// payload when the event could not be encoded.
 type StoreJournal struct {
 	Store *eventstore.Store
 }
 
-// Append implements Journal.
-func (j *StoreJournal) Append(ev Event) error {
-	return j.Store.Append(storeEvent(ev))
-}
-
-// AppendEncoded implements EncodedJournal: KindJSON events reuse the
-// broker's shared encoding (minus the NDJSON trailing newline) instead
-// of marshalling again. The store copies the payload into its segment
-// buffer before Append returns, so aliasing the pooled frame buffer is
-// safe under the broker's publish lock. KindMRT events (raw-carrying
-// updates) store the MRT bytes and never needed the JSON encoding.
-func (j *StoreJournal) AppendEncoded(ev Event, payload []byte) error {
-	if ev.Channel == ChannelUpdates && len(ev.Raw) > 0 {
-		return j.Store.Append(storeEvent(ev))
-	}
+// Append implements Journal. The store copies the payload into its
+// segment buffer before Append returns, so aliasing the pooled frame
+// buffer is safe under the broker's publish lock.
+func (j *StoreJournal) Append(ev Event, payload []byte) error {
 	se := eventstore.Event{
 		Seq:       ev.Seq,
 		Time:      ev.Timestamp,
@@ -77,32 +59,12 @@ func (j *StoreJournal) AppendEncoded(ev Event, payload []byte) error {
 		PeerAddr:  ev.Peer,
 		Prefixes:  ev.Prefixes(),
 		Kind:      eventstore.KindJSON,
-	}
-	if n := len(payload); n > 0 && payload[n-1] == '\n' {
-		payload = payload[:n-1]
-	}
-	se.Payload = payload
-	return j.Store.Append(se)
-}
-
-// storeEvent converts a feed event to its on-disk representation.
-func storeEvent(ev Event) eventstore.Event {
-	se := eventstore.Event{
-		Seq:       ev.Seq,
-		Time:      ev.Timestamp,
-		Collector: ev.Collector,
-		PeerAS:    uint32(ev.PeerAS),
-		PeerAddr:  ev.Peer,
-		Prefixes:  ev.Prefixes(),
+		Payload:   bytes.TrimSuffix(payload, []byte{'\n'}),
 	}
 	if ev.Channel == ChannelUpdates && len(ev.Raw) > 0 {
-		se.Kind = eventstore.KindMRT
-		se.Payload = ev.Raw
-		return se
+		se.Kind, se.Payload = eventstore.KindMRT, ev.Raw
 	}
-	se.Kind = eventstore.KindJSON
-	se.Payload, _ = json.Marshal(&ev)
-	return se
+	return j.Store.Append(se)
 }
 
 // feedEvent converts a stored event back to the feed event that produced
@@ -150,6 +112,9 @@ func decodeRecord(dec *mrt.Decoder, seq uint64, raw []byte) (mrt.Record, error) 
 func (j *StoreJournal) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
 	dec := mrt.Decoder{Borrow: true}
 	return j.Store.Replay(fromSeq, toSeq, func(se eventstore.Event) error {
+		if len(se.Payload) == 0 {
+			return nil // unencodable when published: a gap, as it was live
+		}
 		ev, err := feedEvent(&dec, se)
 		if err != nil {
 			return err
@@ -164,4 +129,4 @@ func (j *StoreJournal) FirstSeq() uint64 { return j.Store.FirstSeq() }
 // LastSeq implements Journal.
 func (j *StoreJournal) LastSeq() uint64 { return j.Store.LastSeq() }
 
-var _ EncodedJournal = (*StoreJournal)(nil)
+var _ Journal = (*StoreJournal)(nil)

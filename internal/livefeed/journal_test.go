@@ -237,6 +237,71 @@ func TestJournalRetentionReportsLost(t *testing.T) {
 	}
 }
 
+// TestJournalSkipsUnencodableEvent: an event the broker cannot encode (a
+// timestamp past year 9999) is a counted gap for live subscribers, and it
+// must stay exactly that gap in the journal. It once went to disk as a JSON
+// record with an empty payload, and every later catch-up across its
+// sequence number, before and after a restart, died with ErrJournal.
+func TestJournalSkipsUnencodableEvent(t *testing.T) {
+	const n, bad = 20, 4
+	evs := syntheticEvents(n)
+	evs[bad-1].Timestamp = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	dir := t.TempDir()
+	catchUp := func(b *Broker) {
+		t.Helper()
+		sub, lost, err := b.SubscribeFrom(Filter{}, PolicyBlock, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lost != 0 {
+			t.Fatalf("FromStart lost %d events", lost)
+		}
+		var seqs []uint64
+		for _, ev := range drainUntil(t, sub, n) {
+			seqs = append(seqs, ev.Seq)
+		}
+		var want []uint64
+		for seq := uint64(1); seq <= n; seq++ {
+			if seq != bad {
+				want = append(want, seq)
+			}
+		}
+		if fmt.Sprint(seqs) != fmt.Sprint(want) {
+			t.Fatalf("catch-up delivered seqs %v, want %v", seqs, want)
+		}
+	}
+
+	st1, err := eventstore.Open(eventstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1 := NewBroker(Config{RingSize: 64, ReplaySize: 4, Journal: &StoreJournal{Store: st1}})
+	for _, ev := range evs {
+		b1.Publish(ev)
+	}
+	if got := b1.Metrics().encodeErrors.Value(); got != 1 {
+		t.Fatalf("encode error counter = %d, want 1", got)
+	}
+	catchUp(b1)
+	b1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The journal is durable: a restarted broker must serve the same gap.
+	st2, err := eventstore.Open(eventstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.LastSeq() != n {
+		t.Fatalf("recovered store at seq %d, want %d", st2.LastSeq(), n)
+	}
+	b2 := NewBroker(Config{RingSize: 64, ReplaySize: 4, Journal: &StoreJournal{Store: st2}, StartSeq: st2.LastSeq()})
+	defer b2.Close()
+	catchUp(b2)
+}
+
 // errJournal fails on demand, for error-path coverage.
 type errJournal struct {
 	appendErr error
@@ -244,7 +309,7 @@ type errJournal struct {
 	last      uint64
 }
 
-func (j *errJournal) Append(ev Event) error {
+func (j *errJournal) Append(ev Event, _ []byte) error {
 	j.last = ev.Seq
 	return j.appendErr
 }

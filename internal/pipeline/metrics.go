@@ -66,8 +66,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		recordsDecoded:     reg.Counter("pipeline_records_decoded_total", "MRT records decoded."),
 		bytesDecoded:       reg.Counter("pipeline_bytes_decoded_total", "Archive bytes consumed."),
 		decodeErrors:       reg.Counter("pipeline_decode_errors_total", "Malformed records encountered."),
-		eventsSharded:      reg.Counter("pipeline_events_sharded_total", "RIB entries routed to lifespan-tracking shards (the history build does not shard)."),
-		shardsMerged:       reg.Counter("pipeline_shards_merged_total", "History chunk builders sealed plus lifespan shards merged."),
+		eventsSharded:      reg.Counter("pipeline_events_sharded_total", "RIB entries appended to lifespan observation series (the history build does not feed it)."),
+		shardsMerged:       reg.Counter("pipeline_shards_merged_total", "History chunk builders sealed plus lifespan prefixes folded."),
 		intervalsEvaluated: reg.Counter("pipeline_intervals_evaluated_total", "Beacon intervals evaluated."),
 		decodeSeconds:      stages.With("decode"),
 		buildSeconds:       stages.With("build"),
@@ -97,10 +97,10 @@ func (m *Metrics) AddFiles(n int) { m.filesDecoded.Add(int64(n)) }
 // AddDecodeError accounts a malformed record.
 func (m *Metrics) AddDecodeError() { m.decodeErrors.Inc() }
 
-// AddSharded accounts RIB entries routed to lifespan-tracking shards.
+// AddSharded accounts RIB entries appended to lifespan observation series.
 func (m *Metrics) AddSharded(n int) { m.eventsSharded.Add(int64(n)) }
 
-// AddMerged accounts history chunk builders sealed and lifespan shards merged.
+// AddMerged accounts history chunk builders sealed and lifespan prefixes folded.
 func (m *Metrics) AddMerged(n int) { m.shardsMerged.Add(int64(n)) }
 
 // AddIntervals accounts evaluated beacon intervals.

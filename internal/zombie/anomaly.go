@@ -28,7 +28,7 @@ type Window struct {
 
 // Anomaly is one typed finding with a lifespan.
 type Anomaly struct {
-	// Detector is the registered name of the detector that emitted it.
+	// Detector is the table name of the detector that emitted it.
 	Detector string
 	// Kind classifies the finding within the detector (e.g.
 	// "zombie-outbreak", "moas-conflict").
@@ -88,62 +88,55 @@ type AnomalyConfig struct {
 	Parallelism int
 }
 
-// anomalyFactories is the detector registry. Registration happens in
-// init, so the set is fixed before main runs and name iteration can be
-// sorted on demand.
-var anomalyFactories = map[string]func(AnomalyConfig) AnomalyDetector{}
-
-// RegisterAnomalyDetector adds a detector factory under a unique name.
-func RegisterAnomalyDetector(name string, factory func(AnomalyConfig) AnomalyDetector) {
-	if _, dup := anomalyFactories[name]; dup {
-		panic("zombie: duplicate anomaly detector " + name)
-	}
-	anomalyFactories[name] = factory
+// anomalyDetectors is the fixed detector table, sorted by name.
+var anomalyDetectors = []struct {
+	name  string
+	build func(AnomalyConfig) AnomalyDetector
+}{
+	{"community", func(cfg AnomalyConfig) AnomalyDetector {
+		return &CommunityStormDetector{MinEvents: cfg.StormMinEvents, RateWindow: cfg.StormWindow, Parallelism: cfg.Parallelism}
+	}},
+	{"hyperspecific", func(cfg AnomalyConfig) AnomalyDetector {
+		return &HyperSpecificDetector{MinDuration: cfg.HyperMinDuration, Parallelism: cfg.Parallelism}
+	}},
+	{"moas", func(cfg AnomalyConfig) AnomalyDetector {
+		return &MOASDetector{MinDuration: cfg.MOASMinDuration, Parallelism: cfg.Parallelism}
+	}},
+	{"zombie", func(cfg AnomalyConfig) AnomalyDetector {
+		return &ZombieAnomalyDetector{
+			Det:       Detector{Threshold: cfg.Threshold, Parallelism: cfg.Parallelism},
+			Intervals: cfg.Intervals,
+		}
+	}},
 }
 
-// AnomalyDetectorNames lists the registered detector names, sorted.
+// AnomalyDetectorNames lists the detector names, sorted.
 func AnomalyDetectorNames() []string {
-	names := make([]string, 0, len(anomalyFactories))
-	for name := range anomalyFactories {
-		names = append(names, name)
+	names := make([]string, len(anomalyDetectors))
+	for i, d := range anomalyDetectors {
+		names[i] = d.name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // BuildAnomalyDetectors instantiates detectors by name. An empty list
-// builds every registered detector, in sorted name order.
+// builds every detector, in sorted name order.
 func BuildAnomalyDetectors(names []string, cfg AnomalyConfig) ([]AnomalyDetector, error) {
 	if len(names) == 0 {
 		names = AnomalyDetectorNames()
 	}
 	out := make([]AnomalyDetector, 0, len(names))
+next:
 	for _, name := range names {
-		factory, ok := anomalyFactories[name]
-		if !ok {
-			return nil, fmt.Errorf("zombie: unknown anomaly detector %q (have %v)", name, AnomalyDetectorNames())
+		for _, d := range anomalyDetectors {
+			if d.name == name {
+				out = append(out, d.build(cfg))
+				continue next
+			}
 		}
-		out = append(out, factory(cfg))
+		return nil, fmt.Errorf("zombie: unknown anomaly detector %q (have %v)", name, AnomalyDetectorNames())
 	}
 	return out, nil
-}
-
-func init() {
-	RegisterAnomalyDetector("zombie", func(cfg AnomalyConfig) AnomalyDetector {
-		return &ZombieAnomalyDetector{
-			Det:       Detector{Threshold: cfg.Threshold, Parallelism: cfg.Parallelism},
-			Intervals: cfg.Intervals,
-		}
-	})
-	RegisterAnomalyDetector("moas", func(cfg AnomalyConfig) AnomalyDetector {
-		return &MOASDetector{MinDuration: cfg.MOASMinDuration, Parallelism: cfg.Parallelism}
-	})
-	RegisterAnomalyDetector("hyperspecific", func(cfg AnomalyConfig) AnomalyDetector {
-		return &HyperSpecificDetector{MinDuration: cfg.HyperMinDuration, Parallelism: cfg.Parallelism}
-	})
-	RegisterAnomalyDetector("community", func(cfg AnomalyConfig) AnomalyDetector {
-		return &CommunityStormDetector{MinEvents: cfg.StormMinEvents, RateWindow: cfg.StormWindow, Parallelism: cfg.Parallelism}
-	})
 }
 
 // AnomalyReport is the output of one framework run.

@@ -143,7 +143,7 @@ func (d *Detector) DetectFromHistory(h *History, intervals []beacon.Interval) *R
 	sp.SetArg("kernel", "columnar")
 	defer sp.End()
 	start := time.Now()
-	results := d.detectColumnar(h, intervals, sp)
+	results := d.detectColumnar(h, intervals, d.threshold(), sp)
 	pipeline.Default.AddIntervals(len(intervals))
 	pipeline.Default.ObserveDetect(time.Since(start))
 	return d.assemble(h.Peers(), intervals, results)

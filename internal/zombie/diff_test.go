@@ -226,9 +226,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if sw := refHist.sweep(sc.intervals, thresholds, FilterOptions{}); !reflect.DeepEqual(sw, seqSweep) {
 				t.Errorf("columnar store: Sweep diverges from reference store")
 			}
-			legacy := &LegacyDetector{Seed: seed}
-			if got, want := legacy.Detect(seqHist, sc.intervals), refHist.detectLegacy(legacy, sc.intervals); !reflect.DeepEqual(got, want) {
-				t.Errorf("columnar store: legacy Report diverges from reference store")
+			// The legacy baseline runs on the kernel; the oracle keeps the
+			// per-(interval, peer) looking-glass loop. The last row checks
+			// before the withdrawal (Threshold <= StateDelay).
+			for _, legacy := range []*LegacyDetector{
+				{Seed: seed},
+				{Seed: seed, StateDelay: 20 * time.Minute, Availability: 0.6},
+				{Seed: seed, Threshold: 10 * time.Minute, StateDelay: 25 * time.Minute, Availability: 0.8},
+			} {
+				if got, want := legacy.Detect(seqHist, sc.intervals), refHist.detectLegacy(legacy, sc.intervals); !reflect.DeepEqual(got, want) {
+					t.Errorf("legacy %+v: kernel Report diverges from the reference store's loop", *legacy)
+				}
 			}
 
 			for _, par := range diffParallelism {

@@ -219,7 +219,7 @@ func TestStateFoldMatchesOracle(t *testing.T) {
 			}
 			// LegacyDetector: likewise.
 			ld := &LegacyDetector{Seed: seed}
-			oldLegacy := ld.detect(h.Peers(), h.SeenAnnounced, func(peer PeerID, p netip.Prefix, at time.Time) State {
+			oldLegacy := ld.detectRows(h.Peers(), h.SeenAnnounced, func(peer PeerID, p netip.Prefix, at time.Time) State {
 				return ignoreLoopStateAt(h.pairEvents(peer, p), at)
 			}, ivs)
 			if got := ld.Detect(h, ivs); !reflect.DeepEqual(got, oldLegacy) {

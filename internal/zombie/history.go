@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 	"time"
 
 	"zombiescope/internal/bgp"
@@ -267,26 +266,6 @@ func (h *History) prefixPairs(xi uint32) []uint32 {
 	return h.byPrefix[h.prefixOff[xi]:h.prefixOff[xi+1]]
 }
 
-// cursor returns a state cursor over (peer, prefix) by identity; without
-// sessions it is the looking-glass reconstruction that never saw STATE
-// messages. An unknown peer or prefix folds nothing.
-func (h *History) cursor(peer PeerID, p netip.Prefix, sessions bool) stateCursor {
-	c := stateCursor{h: h}
-	pi, okPeer := h.peerIdx[peer]
-	if !okPeer {
-		return c
-	}
-	if xi, ok := h.prefixIdx[p]; ok {
-		if ki, ok := slices.BinarySearch(h.pairKeys, pairKey(pi, xi)); ok {
-			c.evs = h.spanRows(ki)
-		}
-	}
-	if sessions {
-		c.sess = h.sessRows(pi)
-	}
-	return c
-}
-
 // Events returns how many events the history stores, pair and session
 // events together.
 func (h *History) Events() int { return len(h.events) + len(h.sess) }
@@ -307,7 +286,7 @@ type State struct {
 }
 
 // fold applies one history event to the state. It is THE state step: the
-// batch cursor, StateAt, the anomaly sweeps and the StreamDetector all
+// batch cursor, the anomaly sweeps and the StreamDetector all
 // reconstruct a (peer, prefix) by folding its events through it, so they
 // cannot disagree on what an event does. A session down clears the route (a
 // dead session cannot host a zombie); a session up changes nothing. At
@@ -329,25 +308,4 @@ func (st *State) fold(ev *histEvent) {
 	case evSessionDown:
 		*st = State{LastEvent: ev.at}
 	}
-}
-
-// StateAt reconstructs the state of (peer, prefix) at time t, honoring
-// session downs and ignoring events at or after t.
-func (h *History) StateAt(peer PeerID, p netip.Prefix, t time.Time) State {
-	c := h.cursor(peer, p, true)
-	return c.advance(t)
-}
-
-// SeenAnnounced reports whether any peer announced p within [from, to).
-func (h *History) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
-	xi, ok := h.prefixIdx[p]
-	if !ok {
-		return false
-	}
-	for _, ki := range h.prefixPairs(xi) {
-		if seenInSpan(h.spanRows(int(ki)), from, to) {
-			return true
-		}
-	}
-	return false
 }

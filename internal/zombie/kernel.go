@@ -106,12 +106,11 @@ func seenInSpan(evs []row, from, to time.Time) bool {
 	return false
 }
 
-// planQueries builds the per-prefix query schedules. Intervals of prefixes
-// absent from the history contribute nothing in either kernel and get no
-// plan.
-func (d *Detector) planQueries(h *History, intervals []beacon.Interval) []*prefixPlan {
+// planQueries builds the per-prefix query schedules, checking each interval
+// at WithdrawAt+checkOffset. Intervals of prefixes absent from the history
+// contribute nothing in either kernel and get no plan.
+func (d *Detector) planQueries(h *History, intervals []beacon.Interval, checkOffset time.Duration) []*prefixPlan {
 	plans := make([]*prefixPlan, len(h.prefixes))
-	threshold := d.threshold()
 	for i, iv := range intervals {
 		xi, ok := h.prefixIdx[iv.Prefix]
 		if !ok {
@@ -127,7 +126,7 @@ func (d *Detector) planQueries(h *History, intervals []beacon.Interval) []*prefi
 		if d.RecordPaths {
 			pl.queries = append(pl.queries, pairQuery{slot: slot, pre: true, at: iv.WithdrawAt})
 		}
-		pl.queries = append(pl.queries, pairQuery{slot: slot, at: iv.WithdrawAt.Add(threshold)})
+		pl.queries = append(pl.queries, pairQuery{slot: slot, at: iv.WithdrawAt.Add(checkOffset)})
 	}
 	for _, pl := range plans {
 		if pl != nil {
@@ -175,12 +174,14 @@ func (d *Detector) sweepRange(h *History, intervals []beacon.Interval, plans []*
 	}
 }
 
-// detectColumnar evaluates every interval with the batched kernel. The
-// span sequence is cut into contiguous ranges, one per worker and one
-// result set per range, merged in range order — ranges ascend the pair-key
-// order, so concatenation reproduces the single-range append order exactly.
-func (d *Detector) detectColumnar(h *History, intervals []beacon.Interval, sp *obs.Span) []intervalResult {
-	plans := d.planQueries(h, intervals)
+// detectColumnar evaluates every interval with the batched kernel, checking
+// at WithdrawAt+checkOffset: the threshold for the revised method, the
+// looking glass's lagged instant for LegacyDetector. The span sequence is
+// cut into contiguous ranges, one per worker and one result set per range,
+// merged in range order — ranges ascend the pair-key order, so
+// concatenation reproduces the single-range append order exactly.
+func (d *Detector) detectColumnar(h *History, intervals []beacon.Interval, checkOffset time.Duration, sp *obs.Span) []intervalResult {
+	plans := d.planQueries(h, intervals, checkOffset)
 	maxIvs := 0
 	for _, pl := range plans {
 		if pl != nil && len(pl.ivs) > maxIvs {

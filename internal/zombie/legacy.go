@@ -2,7 +2,6 @@ package zombie
 
 import (
 	"hash/fnv"
-	"net/netip"
 	"time"
 
 	"zombiescope/internal/beacon"
@@ -49,56 +48,28 @@ func (d *LegacyDetector) availability() float64 {
 	return d.Availability
 }
 
-// Detect runs the legacy methodology over a history. Returned routes are
-// never marked Duplicate (the legacy method cannot tell).
+// Detect runs the legacy methodology over a history on the detection
+// kernel: with no session stream, checked at the looking glass's lagged
+// instant WithdrawAt+Threshold-StateDelay, and keeping a route only if its
+// check reached the service. Without a folded session event a present
+// route's last event is its last announcement, so AnnouncedAt is
+// LastUpdate; routes are never marked Duplicate (the legacy method cannot
+// tell).
 func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report {
-	return d.detect(h.Peers(), h.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
-		// No session stream: the looking glass never saw STATE messages.
-		c := h.cursor(peer, p, false)
-		return c.advance(t)
-	}, intervals)
-}
-
-// detect is the legacy decision over any state source: the shipped cursor
-// above, or the oracle's from-scratch walk (refstore_test.go).
-func (d *LegacyDetector) detect(peers []PeerID,
-	seenAnnounced func(p netip.Prefix, from, to time.Time) bool,
-	stateAt func(peer PeerID, p netip.Prefix, t time.Time) State,
-	intervals []beacon.Interval) *Report {
-	rep := &Report{
-		Threshold: d.threshold(),
-		Intervals: intervals,
-		Peers:     peers,
-	}
-	for _, iv := range intervals {
-		if seenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt) {
-			rep.VisiblePrefixes++
-		}
-		// The looking glass answers with state as of checkAt-StateDelay.
-		checkAt := iv.WithdrawAt.Add(d.threshold())
-		effective := checkAt.Add(-d.stateDelay())
-		var routes []Route
-		for _, peer := range peers {
-			if !d.checkSucceeds(peer, iv) {
-				continue // looking glass unreachable for this check
+	k := &Detector{IgnoreSessionState: true}
+	results := k.detectColumnar(h, intervals, d.threshold()-d.stateDelay(), nil)
+	for i := range results {
+		kept := results[i].routes[:0]
+		for _, r := range results[i].routes {
+			if d.checkSucceeds(r.Peer, intervals[i]) {
+				r.AnnouncedAt, r.Duplicate = r.LastUpdate, false
+				kept = append(kept, r)
 			}
-			st := stateAt(peer, iv.Prefix, effective)
-			if !st.Present {
-				continue
-			}
-			routes = append(routes, Route{
-				Peer:        peer,
-				Prefix:      iv.Prefix,
-				Interval:    iv,
-				Path:        st.Path,
-				AnnouncedAt: st.At,
-				LastUpdate:  st.LastEvent,
-			})
 		}
-		if len(routes) > 0 {
-			rep.Outbreaks = append(rep.Outbreaks, Outbreak{Prefix: iv.Prefix, Interval: iv, Routes: routes})
-		}
+		results[i].routes = kept
 	}
+	rep := k.assemble(h.Peers(), intervals, results)
+	rep.Threshold = d.threshold()
 	return rep
 }
 

@@ -86,8 +86,8 @@ type LifespanConfig struct {
 	// is a resurrection, like the paper's outbreaks that became visible
 	// a month after the last beacon withdrawal. Default 24h.
 	ResurrectionGrace time.Duration
-	// Parallelism is the pipeline worker (and prefix-shard) count for
-	// dump parsing and series building. 0 or 1: one inline worker — the
+	// Parallelism is the pipeline worker count for dump parsing and the
+	// per-prefix series folds. 0 or 1: one inline worker — the
 	// same code path, so the report and any error are identical for
 	// every value.
 	Parallelism int
@@ -111,12 +111,6 @@ func (c LifespanConfig) grace() time.Duration {
 type ribObs struct {
 	at   time.Time
 	path bgp.ASPath
-}
-
-// peerPrefix keys one observation series: one prefix at one collector peer.
-type peerPrefix struct {
-	peer   PeerID
-	prefix netip.Prefix
 }
 
 // comparePeers orders PeerIDs by (Collector, AS, Addr) — the canonical
@@ -144,28 +138,24 @@ func comparePeers(a, b PeerID) int {
 	return 0
 }
 
-// foldSeries turns one (peer, prefix) observation series into episodes and
-// resurrections on rep. The test-only reader-loop oracle shares it: the two
-// differ in how they read the dumps, never in what a series means.
-func (cfg LifespanConfig) foldSeries(rep *LifespanReport, k peerPrefix, obs []ribObs, intervals []beacon.Interval) {
+// foldSeries turns the observation series of pl's prefix at one peer into
+// episodes and resurrections on pl. The test-only reader-loop oracle shares
+// it: the two differ in how they read the dumps, never in what a series
+// means.
+func (cfg LifespanConfig) foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribObs, intervals []beacon.Interval) {
 	gap := cfg.gap()
 	sort.SliceStable(obs, func(i, j int) bool { return obs[i].at.Before(obs[j].at) })
-	pl := rep.Prefixes[k.prefix]
-	if pl == nil {
-		pl = &PrefixLifespan{Prefix: k.prefix}
-		rep.Prefixes[k.prefix] = pl
-	}
 	// A first appearance long after the withdrawal, unexplained by a
 	// new announcement, is itself a resurrection (the stuck route was
 	// re-announced to this peer by an infected router).
 	if len(obs) > 0 {
 		first := obs[0].at
-		anchor := withdrawAnchor(intervals, k.prefix, first)
+		anchor := withdrawAnchor(intervals, pl.Prefix, first)
 		if !anchor.IsZero() && first.Sub(anchor) > cfg.grace() &&
-			!announcedBetween(intervals, k.prefix, anchor, first) {
+			!announcedBetween(intervals, pl.Prefix, anchor, first) {
 			pl.Resurrections = append(pl.Resurrections, Resurrection{
-				Peer:         k.peer,
-				Prefix:       k.prefix,
+				Peer:         peer,
+				Prefix:       pl.Prefix,
 				LastSeen:     anchor,
 				ReappearedAt: first,
 				Path:         obs[0].path,
@@ -184,17 +174,17 @@ func (cfg LifespanConfig) foldSeries(rep *LifespanReport, k peerPrefix, obs []ri
 			pl.Episodes = append(pl.Episodes, *cur)
 			// A new episode after a gap is a resurrection unless a
 			// beacon announcement of the prefix happened in between.
-			if !announcedBetween(intervals, k.prefix, cur.LastSeen, o.at) {
+			if !announcedBetween(intervals, pl.Prefix, cur.LastSeen, o.at) {
 				pl.Resurrections = append(pl.Resurrections, Resurrection{
-					Peer:         k.peer,
-					Prefix:       k.prefix,
+					Peer:         peer,
+					Prefix:       pl.Prefix,
 					LastSeen:     cur.LastSeen,
 					ReappearedAt: o.at,
 					Path:         o.path,
 				})
 			}
 		}
-		cur = &Episode{Peer: k.peer, FirstSeen: o.at, LastSeen: o.at, Path: o.path, Observations: 1}
+		cur = &Episode{Peer: peer, FirstSeen: o.at, LastSeen: o.at, Path: o.path, Observations: 1}
 	}
 	if cur != nil {
 		pl.Episodes = append(pl.Episodes, *cur)
@@ -205,7 +195,7 @@ func (cfg LifespanConfig) foldSeries(rep *LifespanReport, k peerPrefix, obs []ri
 // the latest interval withdrawal at or before the prefix's first
 // observation. The sort keys are total orders (peer identity breaks every
 // tie), so the result is independent of series map iteration and of how
-// many shards the series were built on.
+// many workers folded the series.
 func finishLifespans(rep *LifespanReport, intervals []beacon.Interval) {
 	for p, pl := range rep.Prefixes {
 		sort.Slice(pl.Episodes, func(i, j int) bool {

@@ -16,11 +16,18 @@ import (
 	"zombiescope/internal/mrt"
 )
 
+// peerPrefix keys one observation series: one prefix at one collector peer.
+type peerPrefix struct {
+	peer   PeerID
+	prefix netip.Prefix
+}
+
 // trackLifespansReference is the lifespan oracle: the original plain
 // mrt.Reader loop over the dumps in name order, one record at a time, no
-// chunks, no shards. It shares only foldSeries and finishLifespans with
-// TrackLifespans, so agreement pins the chunked decode, the table carry
-// across chunk boundaries, the shard routing and the error ranking.
+// chunks, one flat series map. It shares only foldSeries and
+// finishLifespans with TrackLifespans, so agreement pins the chunked
+// decode, the table carry across chunk boundaries, the per-prefix fold and
+// the error ranking.
 func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
 	track := make(TrackSet)
 	for _, iv := range intervals {
@@ -67,14 +74,20 @@ func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interva
 	}
 	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
 	for k, obs := range series {
-		cfg.foldSeries(rep, k, obs, intervals)
+		pl := rep.Prefixes[k.prefix]
+		if pl == nil {
+			pl = &PrefixLifespan{Prefix: k.prefix}
+			rep.Prefixes[k.prefix] = pl
+		}
+		cfg.foldSeries(pl, k.peer, obs, intervals)
 	}
 	finishLifespans(rep, intervals)
 	return rep, nil
 }
 
 // lifespanParallelism is every worker count TrackLifespans is compared with
-// the oracle at: 0 and 1 are the inline worker, 2 and 8 chunk and shard.
+// the oracle at: 0 and 1 are the inline worker, 2 and 8 chunk the decode
+// and spread the per-prefix folds.
 var lifespanParallelism = []int{0, 1, 2, 8}
 
 // assertLifespansMatchReference runs TrackLifespans at every worker count

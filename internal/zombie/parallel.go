@@ -3,7 +3,6 @@ package zombie
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"slices"
 	"sort"
@@ -17,11 +16,10 @@ import (
 
 // This file holds the package's worker convention (engine) and the lifespan
 // tracker built on it: RIB dumps are decoded in record-aligned chunks by the
-// pipeline engine, tracked RIB records are routed to prefix-hashed shards,
-// each shard builds its slice of the observation series lock-free in stream
-// order, and the shards merge into one report. The differential harness
-// (diff_test.go) compares every worker count against the plain mrt.Reader
-// loop kept as a test-only oracle.
+// pipeline engine, one ordered walk over the chunks builds the observation
+// series, and each prefix's series fold into its lifespan on the engine's
+// workers. The differential harness (diff_test.go) compares every worker
+// count against the plain mrt.Reader loop kept as a test-only oracle.
 
 // engine is THE worker convention: a user-set parallelism of 0 or 1 is one
 // inline worker — pipeline.Engine.For with one worker is a plain loop in
@@ -29,16 +27,6 @@ import (
 // engine it returns, so there is no sequential twin that could drift.
 func engine(parallelism int, trace *obs.Span) *pipeline.Engine {
 	return &pipeline.Engine{Workers: max(parallelism, 1), Trace: trace}
-}
-
-// shardOfPrefix routes a prefix to its shard. FNV-1a keeps the assignment
-// stable across processes (no per-run hash seed).
-func shardOfPrefix(p netip.Prefix, n int) int {
-	h := fnv.New64a()
-	a16 := p.Addr().As16()
-	h.Write(a16[:])
-	h.Write([]byte{byte(p.Bits())})
-	return int(h.Sum64() % uint64(n))
 }
 
 // ribChunk is a per-chunk accumulator for RIB dump streams: the peer index
@@ -62,11 +50,10 @@ type ribItem struct {
 // real announcements.
 //
 // Chunked decode breaks the "RIB entries follow their PeerIndexTable in the
-// same file" invariant, so every shard walks the chunk list of each file in
-// order, carrying the effective table across chunk boundaries, and applies
-// only its own prefixes — cheap, lock-free, and order-identical. The error
-// returned is the first in (file, record) order, whether the framing, the
-// record decode or the peer-index lookup failed there.
+// same file" invariant, so one walk visits the chunks of each file in order,
+// carrying the effective table across chunk boundaries. The error returned
+// is the first in (file, record) order, whether the framing, the record
+// decode or the peer-index lookup failed there.
 func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
 	track := make(TrackSet)
 	for _, iv := range intervals {
@@ -78,9 +65,8 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 	// which the decoder always allocates fresh.
 	e := engine(cfg.Parallelism, sp)
 	e.Borrow = true
-	nshards := e.Workers
 	sp.SetArg("dumps", len(dumps))
-	sp.SetArg("shards", nshards)
+	sp.SetArg("workers", e.Workers)
 	// On a framing or decode error the fold still hands back what it
 	// decoded before (and, in later chunks, after) the bad record, so a
 	// peer-index error at an earlier record can outrank it below.
@@ -100,103 +86,97 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 
 	m := pipeline.Default
 	buildStart := time.Now()
+	// zombie.shard_build times the series walk; trace readers know it by
+	// that name.
 	buildSp := sp.Start("zombie.shard_build")
-	type shardResult struct {
-		rep    *LifespanReport
-		err    error
-		errPos [2]int // (file, record) of the shard's first error, for ranking
-	}
-	results := make([]shardResult, nshards)
-	e.For(nshards, func(s int) {
-		series := make(map[peerPrefix][]ribObs)
-		n := 0
-		fail := func(pos [2]int, err error) {
-			if results[s].err == nil {
-				results[s].err, results[s].errPos = err, pos
-			}
-		}
-		for i := range names {
-			var carry *mrt.PeerIndexTable
-			for _, acc := range accs[i] {
-				for _, it := range acc.items {
-					table := carry
-					if it.tablesBefore > 0 {
-						table = acc.tables[it.tablesBefore-1]
-					}
-					// One shard owns every prefix: skip the hash.
-					if nshards > 1 && shardOfPrefix(it.rib.Prefix, nshards) != s {
-						continue
-					}
-					if table == nil {
-						fail([2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrNoPeerIndex))
-						continue
-					}
-					for _, entry := range it.rib.Entries {
-						if int(entry.PeerIndex) >= len(table.Peers) {
-							fail([2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", names[i], mrt.ErrBadPeerIndex))
-							continue
-						}
-						pe := table.Peers[entry.PeerIndex]
-						k := peerPrefix{
-							peer:   PeerID{Collector: names[i], AS: pe.AS, Addr: pe.Addr},
-							prefix: it.rib.Prefix,
-						}
-						series[k] = append(series[k], ribObs{at: it.rib.Timestamp, path: entry.Attrs.ASPath})
-						n++
-					}
-				}
-				if len(acc.tables) > 0 {
-					carry = acc.tables[len(acc.tables)-1]
-				}
-			}
-		}
-		if results[s].err != nil || foldErr != nil {
-			return
-		}
-		rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
-		for k, obs := range series {
-			cfg.foldSeries(rep, k, obs, intervals)
-		}
-		results[s].rep = rep
-		m.AddSharded(n)
-	})
+	series, n, walkPos, walkErr := walkRIBs(names, accs)
 	buildSp.End()
 	m.ObserveBuild(time.Since(buildStart))
 
 	// The first error in (file, record) order wins, as a reader of the files
 	// in name order would have met it: the fold's framing/decode error
-	// ranked against every shard's first peer-index error.
-	var firstErr error
-	var firstPos [2]int
+	// ranked against the walk's first peer-index error.
 	if foldErr != nil {
 		var fe *pipeline.FileError
 		if !errors.As(foldErr, &fe) {
 			return nil, foldErr
 		}
-		firstErr = fmt.Errorf("zombie: dumps %s: %w", fe.Name, fe.Err)
-		firstPos = [2]int{sort.SearchStrings(names, fe.Name), fe.Record}
-	}
-	for _, r := range results {
-		if r.err != nil && (firstErr == nil || slices.Compare(r.errPos[:], firstPos[:]) < 0) {
-			firstErr, firstPos = r.err, r.errPos
+		pos := [2]int{sort.SearchStrings(names, fe.Name), fe.Record}
+		if walkErr == nil || slices.Compare(pos[:], walkPos[:]) <= 0 {
+			return nil, fmt.Errorf("zombie: dumps %s: %w", fe.Name, fe.Err)
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if walkErr != nil {
+		return nil, walkErr
 	}
+	m.AddSharded(n)
 
-	// Merge: prefixes are disjoint across shards.
+	// Fold: each prefix's series into its own lifespan, prefixes spread
+	// over the workers.
 	mergeStart := time.Now()
 	mergeSp := sp.Start("zombie.merge")
-	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan)}
-	for _, r := range results {
-		for p, pl := range r.rep.Prefixes {
-			rep.Prefixes[p] = pl
+	prefixes := make([]netip.Prefix, 0, len(series))
+	for p := range series {
+		prefixes = append(prefixes, p)
+	}
+	pls := make([]*PrefixLifespan, len(prefixes))
+	e.For(len(prefixes), func(i int) {
+		pl := &PrefixLifespan{Prefix: prefixes[i]}
+		for peer, obs := range series[prefixes[i]] {
+			cfg.foldSeries(pl, peer, obs, intervals)
 		}
+		pls[i] = pl
+	})
+	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan, len(pls))}
+	for _, pl := range pls {
+		rep.Prefixes[pl.Prefix] = pl
 	}
 	finishLifespans(rep, intervals)
 	mergeSp.End()
-	m.AddMerged(nshards)
+	m.AddMerged(len(pls))
 	m.ObserveMerge(time.Since(mergeStart))
 	return rep, nil
+}
+
+// walkRIBs is the one ordered walk over the folded chunks: files in name
+// order, chunks in stream order, the peer-index table carried across chunk
+// boundaries. It appends every tracked entry to its (prefix, peer) series
+// and returns how many it appended. It stops at the first peer-index error,
+// which is therefore the first in (file, record) order, and returns its
+// position with it.
+func walkRIBs(names []string, accs [][]*ribChunk) (map[netip.Prefix]map[PeerID][]ribObs, int, [2]int, error) {
+	series := make(map[netip.Prefix]map[PeerID][]ribObs)
+	n := 0
+	for i, name := range names {
+		var carry *mrt.PeerIndexTable
+		for _, acc := range accs[i] {
+			for _, it := range acc.items {
+				table := carry
+				if it.tablesBefore > 0 {
+					table = acc.tables[it.tablesBefore-1]
+				}
+				if table == nil {
+					return nil, 0, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
+				}
+				bySeries := series[it.rib.Prefix]
+				for _, entry := range it.rib.Entries {
+					if int(entry.PeerIndex) >= len(table.Peers) {
+						return nil, 0, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
+					}
+					if bySeries == nil { // a prefix gets a lifespan only once observed
+						bySeries = make(map[PeerID][]ribObs)
+						series[it.rib.Prefix] = bySeries
+					}
+					pe := table.Peers[entry.PeerIndex]
+					peer := PeerID{Collector: name, AS: pe.AS, Addr: pe.Addr}
+					bySeries[peer] = append(bySeries[peer], ribObs{at: it.rib.Timestamp, path: entry.Attrs.ASPath})
+					n++
+				}
+			}
+			if len(acc.tables) > 0 {
+				carry = acc.tables[len(acc.tables)-1]
+			}
+		}
+	}
+	return series, n, [2]int{}, nil
 }

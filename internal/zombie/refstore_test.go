@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,9 +21,11 @@ import (
 // kept so the harnesses (the 50-seed matrix and the kernel differential in
 // diff_test.go, the seal and fold tests) compare the shipped columnar
 // store, cursor and kernel against an implementation that shares nothing
-// with them beyond recordEvents and the decisions (peerDecision,
-// LegacyDetector.detect). It is test-only: nothing here is compiled into
-// the shipped package.
+// with them beyond recordEvents and peerDecision, plus the legacy
+// looking-glass loop (LegacyDetector.detectRows) the shipped baseline's
+// kernel run is held to. It is test-only: nothing here is compiled into the
+// shipped package, including History's random-access state API (cursor,
+// StateAt, SeenAnnounced) that the fold and store tests probe it with.
 
 // referenceHistory is the oracle's history store.
 type referenceHistory struct {
@@ -178,6 +181,47 @@ func refStateAt(evs, sess []histEvent, t time.Time) State {
 	return st
 }
 
+// cursor returns a state cursor over (peer, prefix) by identity; without
+// sessions it is the looking-glass reconstruction that never saw STATE
+// messages. An unknown peer or prefix folds nothing.
+func (h *History) cursor(peer PeerID, p netip.Prefix, sessions bool) stateCursor {
+	c := stateCursor{h: h}
+	pi, okPeer := h.peerIdx[peer]
+	if !okPeer {
+		return c
+	}
+	if xi, ok := h.prefixIdx[p]; ok {
+		if ki, ok := slices.BinarySearch(h.pairKeys, pairKey(pi, xi)); ok {
+			c.evs = h.spanRows(ki)
+		}
+	}
+	if sessions {
+		c.sess = h.sessRows(pi)
+	}
+	return c
+}
+
+// StateAt reconstructs the state of (peer, prefix) at time t, honoring
+// session downs and ignoring events at or after t.
+func (h *History) StateAt(peer PeerID, p netip.Prefix, t time.Time) State {
+	c := h.cursor(peer, p, true)
+	return c.advance(t)
+}
+
+// SeenAnnounced reports whether any peer announced p within [from, to).
+func (h *History) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
+	xi, ok := h.prefixIdx[p]
+	if !ok {
+		return false
+	}
+	for _, ki := range h.prefixPairs(xi) {
+		if seenInSpan(h.spanRows(int(ki)), from, to) {
+			return true
+		}
+	}
+	return false
+}
+
 // rowStore is what the row sweep reads; both stores provide it.
 type rowStore interface {
 	Peers() []PeerID
@@ -270,7 +314,52 @@ func (r *referenceHistory) sweep(intervals []beacon.Interval, thresholds []time.
 
 // detectLegacy is LegacyDetector.Detect over the oracle.
 func (r *referenceHistory) detectLegacy(d *LegacyDetector, intervals []beacon.Interval) *Report {
-	return d.detect(r.peers, r.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
+	return d.detectRows(r.peers, r.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
 		return refStateAt(r.pairEvents(peer, p), nil, t)
 	}, intervals)
+}
+
+// detectRows is the oracle's legacy decision over any state source: one
+// looking-glass query per (interval, peer) at the lagged check instant,
+// kept when the check reached the service. LegacyDetector.Detect runs the
+// columnar kernel instead and must agree with it bit for bit.
+func (d *LegacyDetector) detectRows(peers []PeerID,
+	seenAnnounced func(p netip.Prefix, from, to time.Time) bool,
+	stateAt func(peer PeerID, p netip.Prefix, t time.Time) State,
+	intervals []beacon.Interval) *Report {
+	rep := &Report{
+		Threshold: d.threshold(),
+		Intervals: intervals,
+		Peers:     peers,
+	}
+	for _, iv := range intervals {
+		if seenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt) {
+			rep.VisiblePrefixes++
+		}
+		// The looking glass answers with state as of checkAt-StateDelay.
+		checkAt := iv.WithdrawAt.Add(d.threshold())
+		effective := checkAt.Add(-d.stateDelay())
+		var routes []Route
+		for _, peer := range peers {
+			if !d.checkSucceeds(peer, iv) {
+				continue // looking glass unreachable for this check
+			}
+			st := stateAt(peer, iv.Prefix, effective)
+			if !st.Present {
+				continue
+			}
+			routes = append(routes, Route{
+				Peer:        peer,
+				Prefix:      iv.Prefix,
+				Interval:    iv,
+				Path:        st.Path,
+				AnnouncedAt: st.At,
+				LastUpdate:  st.LastEvent,
+			})
+		}
+		if len(routes) > 0 {
+			rep.Outbreaks = append(rep.Outbreaks, Outbreak{Prefix: iv.Prefix, Interval: iv, Routes: routes})
+		}
+	}
+	return rep
 }

@@ -20,7 +20,7 @@ import (
 // the original collector streams. Every (peer, prefix) pair and every
 // peer session belongs to a single collector, and the merge preserves
 // each collector's relative record order, so the per-pair and per-session
-// event streams (and therefore every StateAt reconstruction) are
+// event streams (and therefore every state reconstruction) are
 // identical to what BuildHistory derives from the raw archives.
 func BuildHistoryFromStore(st *eventstore.Store, track TrackSet) (*History, error) {
 	b := NewHistoryBuilder(track)
