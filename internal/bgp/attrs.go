@@ -190,14 +190,16 @@ func (m *MPUnreachNLRI) appendValue(dst []byte) ([]byte, error) {
 // instead.
 func DecodePathAttributes(b []byte) (PathAttributes, error) {
 	var pa PathAttributes
-	err := decodePathAttributesInto(&pa, nil, 0, b)
+	err := decodePathAttributesInto(&pa, nil, nil, 0, b)
 	return pa, err
 }
 
 // decodePathAttributesInto is the shared attribute-block walk. s, when
-// non-nil, provides scratch MP_REACH/UNREACH structs to decode into; df
-// selects borrow/intern behavior per the DecodeFlags contract.
-func decodePathAttributesInto(pa *PathAttributes, s *Scratch, df DecodeFlags, b []byte) error {
+// non-nil, holds the front caches DecodeIntern looks up through; st, when
+// non-nil, is the storage the communities, unknown attributes and
+// MP_REACH/UNREACH are decoded into; df selects borrow/intern behavior per
+// the DecodeFlags contract.
+func decodePathAttributesInto(pa *PathAttributes, s *Scratch, st *AttrStore, df DecodeFlags, b []byte) error {
 	for len(b) > 0 {
 		if len(b) < 3 {
 			return fmt.Errorf("%w: truncated attribute header", ErrBadAttribute)
@@ -218,7 +220,7 @@ func decodePathAttributesInto(pa *PathAttributes, s *Scratch, df DecodeFlags, b 
 			return fmt.Errorf("%w: attribute %d value needs %d bytes, have %d", ErrBadAttribute, typ, vlen, len(b)-off)
 		}
 		val := b[off : off+vlen]
-		if err := pa.decodeOne(df, s, flags, typ, val); err != nil {
+		if err := pa.decodeOne(df, s, st, flags, typ, val); err != nil {
 			return err
 		}
 		b = b[off+vlen:]
@@ -226,7 +228,7 @@ func decodePathAttributesInto(pa *PathAttributes, s *Scratch, df DecodeFlags, b 
 	return nil
 }
 
-func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, flags, typ uint8, val []byte) error {
+func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, st *AttrStore, flags, typ uint8, val []byte) error {
 	switch typ {
 	case AttrOrigin:
 		if len(val) != 1 {
@@ -284,18 +286,24 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, flags, typ uint8
 		if len(val)%4 != 0 {
 			return fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttribute, len(val))
 		}
-		if pa.Communities == nil {
-			pa.Communities = make([]Community, 0, len(val)/4)
-		} else {
-			pa.Communities = pa.Communities[:0]
+		c := pa.Communities[:0]
+		if c == nil && st != nil {
+			c = st.comms[:0]
+		}
+		if c == nil {
+			c = make([]Community, 0, len(val)/4)
 		}
 		for i := 0; i+4 <= len(val); i += 4 {
-			pa.Communities = append(pa.Communities, Community(binary.BigEndian.Uint32(val[i:])))
+			c = append(c, Community(binary.BigEndian.Uint32(val[i:])))
+		}
+		pa.Communities = c
+		if st != nil {
+			st.comms = c
 		}
 	case AttrMPReachNLRI:
 		var m *MPReachNLRI
-		if s != nil {
-			m = &s.mpReach
+		if st != nil {
+			m = &st.reach
 			*m = MPReachNLRI{NLRI: m.NLRI[:0]}
 		} else {
 			m = &MPReachNLRI{}
@@ -303,17 +311,23 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, flags, typ uint8
 		if err := decodeMPReachInto(m, val); err != nil {
 			return err
 		}
+		if len(m.NLRI) == 0 {
+			m.NLRI = nil // as the allocating decode leaves it
+		}
 		pa.MPReach = m
 	case AttrMPUnreachNLRI:
 		var m *MPUnreachNLRI
-		if s != nil {
-			m = &s.mpUnreach
+		if st != nil {
+			m = &st.unreach
 			*m = MPUnreachNLRI{Withdrawn: m.Withdrawn[:0]}
 		} else {
 			m = &MPUnreachNLRI{}
 		}
 		if err := decodeMPUnreachInto(m, val); err != nil {
 			return err
+		}
+		if len(m.Withdrawn) == 0 {
+			m.Withdrawn = nil // as the allocating decode leaves it
 		}
 		pa.MPUnreach = m
 	default:
@@ -322,7 +336,14 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, flags, typ uint8
 		if df&DecodeBorrow == 0 {
 			val = slices.Clone(val)
 		}
-		pa.Unknown = append(pa.Unknown, RawAttr{Flags: flags, Type: typ, Value: val})
+		u := pa.Unknown
+		if u == nil && st != nil {
+			u = st.unknown[:0]
+		}
+		pa.Unknown = append(u, RawAttr{Flags: flags, Type: typ, Value: val})
+		if st != nil {
+			st.unknown = pa.Unknown
+		}
 	}
 	return nil
 }

@@ -27,20 +27,33 @@ const (
 	DecodeIntern
 )
 
-// Scratch is a reusable UPDATE decode workspace for hot paths that
-// process one message at a time. DecodeUpdate returns a pointer into the
-// Scratch itself: the Update, its prefix slices, and its MP_REACH/UNREACH
-// attributes are all overwritten by the next call, so the caller must
-// extract what it needs before decoding again. Values obtained with
-// DecodeIntern (AS paths, aggregators) are the only parts safe to retain.
+// Scratch is a reusable decode workspace for hot paths that process one
+// message at a time. DecodeUpdate returns a pointer into the Scratch
+// itself: the Update, its prefix slices, and its communities and
+// MP_REACH/UNREACH attributes are all overwritten by the next call, so the
+// caller must extract what it needs before decoding again. Values obtained
+// with DecodeIntern (AS paths, aggregators) are the only parts safe to
+// retain.
 //
 // A Scratch must not be shared between goroutines. The zero value is
 // ready to use.
 type Scratch struct {
-	u         Update
-	mpReach   MPReachNLRI
-	mpUnreach MPUnreachNLRI
-	front     *scratchFront // see fronts
+	u     Update
+	attrs AttrStore     // the storage behind u.Attrs
+	front *scratchFront // see fronts
+}
+
+// AttrStore is the reusable storage behind one decoded attribute block:
+// the backing arrays of its communities and unknown attributes and its
+// MP_REACH_NLRI and MP_UNREACH_NLRI structs. A caller that keeps several
+// blocks decoded at once (the entries of one RIB record) holds one
+// AttrStore per block, so no two blocks share memory. The zero value is
+// ready to use.
+type AttrStore struct {
+	comms   []Community
+	unknown []RawAttr
+	reach   MPReachNLRI
+	unreach MPUnreachNLRI
 }
 
 // DecodeUpdate parses a full UPDATE message (header included) into the
@@ -58,18 +71,24 @@ func (s *Scratch) DecodeUpdate(b []byte, df DecodeFlags) (*Update, error) {
 		return nil, fmt.Errorf("%w: message declares %d bytes, have %d", ErrShortMessage, length, len(b))
 	}
 	u := &s.u
-	*u = Update{
-		Withdrawn: u.Withdrawn[:0],
-		NLRI:      u.NLRI[:0],
-		Attrs: PathAttributes{
-			Communities: u.Attrs.Communities[:0],
-			Unknown:     u.Attrs.Unknown[:0],
-		},
-	}
-	if err := decodeUpdateBodyInto(u, s, df, b[HeaderLen:length]); err != nil {
+	*u = Update{Withdrawn: u.Withdrawn[:0], NLRI: u.NLRI[:0]}
+	if err := decodeUpdateBodyInto(u, s, &s.attrs, df, b[HeaderLen:length]); err != nil {
 		return nil, err
 	}
 	return u, nil
+}
+
+// DecodePathAttributes parses the path-attribute block b into pa, which it
+// overwrites, keeping what it can in st: pa's communities, unknown
+// attributes and MP_REACH/UNREACH live in st until st decodes another
+// block. Every field of pa is what the allocating DecodePathAttributes
+// returns for b, nil for an absent attribute included. The flags and the
+// retention rules are DecodeUpdate's: with DecodeIntern the AS path and
+// aggregator are safe to retain, and with DecodeBorrow unknown attribute
+// values alias b.
+func (s *Scratch) DecodePathAttributes(pa *PathAttributes, st *AttrStore, b []byte, df DecodeFlags) error {
+	*pa = PathAttributes{}
+	return decodePathAttributesInto(pa, s, st, df, b)
 }
 
 // Process-wide intern tables for the attributes the detection hot path

@@ -124,16 +124,17 @@ func DecodeUpdate(b []byte) (*Update, error) {
 // DecodeUpdateBody parses an UPDATE body (after the common header).
 func DecodeUpdateBody(b []byte) (*Update, error) {
 	u := &Update{}
-	if err := decodeUpdateBodyInto(u, nil, 0, b); err != nil {
+	if err := decodeUpdateBodyInto(u, nil, nil, 0, b); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
 // decodeUpdateBodyInto is the shared UPDATE body parse, filling u in
-// place. s and df thread the scratch workspace and decode flags down to
-// the attribute walk (nil/0 for the allocating retain path).
-func decodeUpdateBodyInto(u *Update, s *Scratch, df DecodeFlags, b []byte) error {
+// place. s, st and df thread the scratch workspace, the attribute storage
+// and the decode flags down to the attribute walk (nil, nil, 0 for the
+// allocating retain path).
+func decodeUpdateBodyInto(u *Update, s *Scratch, st *AttrStore, df DecodeFlags, b []byte) error {
 	if len(b) < 2 {
 		return fmt.Errorf("%w: missing withdrawn routes length", ErrShortMessage)
 	}
@@ -156,7 +157,7 @@ func decodeUpdateBodyInto(u *Update, s *Scratch, df DecodeFlags, b []byte) error
 	if len(b) < attrLen {
 		return fmt.Errorf("%w: attributes need %d bytes, have %d", ErrShortMessage, attrLen, len(b))
 	}
-	if err := decodePathAttributesInto(&u.Attrs, s, df, b[:attrLen]); err != nil {
+	if err := decodePathAttributesInto(&u.Attrs, s, st, df, b[:attrLen]); err != nil {
 		return err
 	}
 	nlri, err := appendDecodedPrefixes(u.NLRI, b[attrLen:], AFIIPv4)

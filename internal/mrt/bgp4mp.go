@@ -1,6 +1,7 @@
 package mrt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -146,7 +147,7 @@ func decodeBGP4MPMessageInto(m *BGP4MPMessage, ts time.Time, b []byte, as4, borr
 	if borrow {
 		m.Data = b[n:]
 	} else {
-		m.Data = append([]byte(nil), b[n:]...)
+		m.Data = bytes.Clone(b[n:]) // empty, not nil, like the borrowed alias
 	}
 	return nil
 }

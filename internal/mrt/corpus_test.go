@@ -105,6 +105,41 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 				Attrs: bgp.PathAttributes{HasOrigin: true, ASPath: bgp.NewASPath(8298, 210312)}}}},
 	)
 
+	// Entries that carry communities, an unknown attribute and MP_UNREACH,
+	// in two records of different families: a borrowed decode that let two
+	// entries (or a later record) share storage shows as a mismatch in
+	// FuzzDecoderBorrow.
+	v6, v4 := netip.MustParsePrefix("2a0d:3dc1:1200::/48"), netip.MustParsePrefix("93.175.146.0/24")
+	storageEntry := func(peer uint16, comm uint16, withdrawn string, extra byte) RIBEntry {
+		e := RIBEntry{PeerIndex: peer, OriginatedTime: ts.Add(-time.Hour), Attrs: bgp.PathAttributes{
+			HasOrigin:   true,
+			ASPath:      bgp.NewASPath(25091, 8298, 210312),
+			Communities: []bgp.Community{bgp.NewCommunity(8298, comm), bgp.NewCommunity(25091, comm+1)},
+			MPUnreach: &bgp.MPUnreachNLRI{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast,
+				Withdrawn: []netip.Prefix{netip.MustParsePrefix(withdrawn)}},
+			Unknown: []bgp.RawAttr{{Flags: bgp.FlagOptional | bgp.FlagTransitive, Type: 99, Value: []byte{extra, extra + 1, extra + 2}}},
+		}}
+		return e
+	}
+	withMPReach := func(e RIBEntry, p netip.Prefix) RIBEntry {
+		e.Attrs.MPReach = &bgp.MPReachNLRI{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast,
+			NextHop: netip.MustParseAddr("2001:db8::9"), NLRI: []netip.Prefix{p}}
+		return e
+	}
+	ribStorage := write(
+		table,
+		&RIB{Timestamp: ts, Sequence: 0, Prefix: v6, Entries: []RIBEntry{
+			withMPReach(storageEntry(0, 100, "2a0d:3dc1:1300::/48", 1), v6),
+			withMPReach(storageEntry(1, 200, "2a0d:3dc1:1400::/48", 7), v6),
+			{PeerIndex: 1, OriginatedTime: ts, Attrs: bgp.PathAttributes{HasOrigin: true, ASPath: bgp.NewASPath(8298, 210312)}},
+		}},
+		&RIB{Timestamp: ts, Sequence: 1, Prefix: v4, Entries: []RIBEntry{
+			{PeerIndex: 0, OriginatedTime: ts, Attrs: bgp.PathAttributes{HasOrigin: true, ASPath: bgp.NewASPath(25091, 210312),
+				NextHop: netip.MustParseAddr("192.0.2.1")}},
+			storageEntry(1, 300, "2a0d:3dc1:1500::/48", 9),
+		}},
+	)
+
 	// The writer only emits the AS4 subtypes; hand-frame a legacy 2-byte-AS
 	// state change so the old code path has a seed too.
 	var legacy []byte
@@ -138,6 +173,8 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"seed-bgp4mp-messages":   messages,
 		"seed-tabledumpv2":       tableDump,
 		"seed-mixed-unsupported": mixed,
+		"seed-rib-entry-storage": ribStorage,
+		"seed-rfc6396-vector":    readVectors(t, tableDumpVector)["dump"],
 	}
 }
 

@@ -11,19 +11,23 @@ import (
 // structs across calls.
 //
 // With Borrow unset every record owns its memory. With Borrow set, BGP4MP
-// message and state-change records are decoded into the Decoder's internal
-// scratch structs — overwritten by the next Decode — and
-// BGP4MPMessage.Data aliases the body buffer, so the caller must fully
-// consume each record before the next Decode call (and before the buffer
-// is reused). TABLE_DUMP_V2 records (RIB, PeerIndexTable) are always
-// freshly allocated and never alias the body; they are safe to retain in
-// either mode.
+// message and state-change records and TABLE_DUMP_V2 RIB records are
+// decoded into the Decoder's internal scratch structs, each overwritten by
+// the next Decode of its kind, and the caller must fully consume each
+// record before the next Decode call (and before the body buffer is
+// reused): BGP4MPMessage.Data aliases the body, and a RIB's entries, their
+// communities, MP_REACH/UNREACH and unknown attributes are scratch storage
+// (one slot per entry, so entries of one record never share memory). A
+// borrowed RIB's AS paths and aggregators are interned, so they alone may
+// be retained past the next Decode. PeerIndexTable records always own
+// their memory and are safe to retain in either mode.
 //
 // A Decoder must not be shared between goroutines.
 type Decoder struct {
 	Borrow bool
 	msg    BGP4MPMessage
 	state  BGP4MPStateChange
+	rib    *ribScratch // allocated by the first borrowed RIB
 }
 
 // Decode decodes a single MRT record body given its header fields.
@@ -59,10 +63,25 @@ func (d *Decoder) Decode(ts time.Time, typ, subtype uint16, body []byte) (Record
 		switch subtype {
 		case SubtypePeerIndexTable:
 			return decodePeerIndexTable(ts, body)
-		case SubtypeRIBIPv4Unicast:
-			return decodeRIB(ts, body, bgp.AFIIPv4)
-		case SubtypeRIBIPv6Unicast:
-			return decodeRIB(ts, body, bgp.AFIIPv6)
+		case SubtypeRIBIPv4Unicast, SubtypeRIBIPv6Unicast:
+			afi := bgp.AFIIPv4
+			if subtype == SubtypeRIBIPv6Unicast {
+				afi = bgp.AFIIPv6
+			}
+			var r *RIB
+			var sc *ribScratch
+			if d.Borrow {
+				if d.rib == nil {
+					d.rib = new(ribScratch)
+				}
+				r, sc = &d.rib.rib, d.rib
+			} else {
+				r = &RIB{}
+			}
+			if err := decodeRIBInto(r, sc, ts, body, afi); err != nil {
+				return nil, err
+			}
+			return r, nil
 		}
 	}
 	return nil, nil // unsupported; caller loop skips

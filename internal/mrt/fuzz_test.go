@@ -2,8 +2,10 @@ package mrt
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -53,6 +55,38 @@ func FuzzReader(f *testing.F) {
 			// fail cleanly.
 			var out bytes.Buffer
 			_ = NewWriter(&out).Write(rec)
+		}
+	})
+}
+
+// FuzzDecoderBorrow decodes every record of a mutated stream twice, with
+// Borrow off and on, and requires the same error or deep-equal records.
+// Each borrowed record is compared before the next Decode, as the borrow
+// contract requires, and both decoders live for the whole stream, so
+// storage a borrowed record shares with an earlier entry or record shows.
+// Seeded from the FuzzReader corpus; run with
+// `go test -fuzz FuzzDecoderBorrow ./internal/mrt`.
+func FuzzDecoderBorrow(f *testing.F) {
+	for _, data := range corpusSeeds(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		owned, borrowed := Decoder{}, Decoder{Borrow: true}
+		for i := 0; len(data) >= HeaderLen; i++ {
+			ts, typ, subtype, n := ParseHeader([HeaderLen]byte(data))
+			if n > MaxRecordLen || len(data)-HeaderLen < int(n) {
+				return // framing errors are the Reader's, not the Decoder's
+			}
+			body := data[HeaderLen : HeaderLen+int(n)]
+			data = data[HeaderLen+int(n):]
+			want, wantErr := owned.Decode(ts, typ, subtype, body)
+			got, gotErr := borrowed.Decode(ts, typ, subtype, body)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("record %d: borrowed error %v, owned %v", i, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("record %d: borrowed decode\n%+v\nowned\n%+v", i, got, want)
+			}
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"time"
 
 	"zombiescope/internal/bgp"
@@ -159,22 +160,27 @@ func appendRIBAttrs(dst []byte, attrs *bgp.PathAttributes) ([]byte, error) {
 	return out, nil
 }
 
-// decodeRIBAttrs decodes a RIB entry attribute block, reconstructing a full
-// MP_REACH_NLRI (with the record's prefix as NLRI) from the abbreviated
-// table-dump form.
-func decodeRIBAttrs(b []byte, prefix netip.Prefix) (bgp.PathAttributes, error) {
+// decodeRIBAttrs decodes a RIB entry attribute block into pa,
+// reconstructing a full MP_REACH_NLRI (with the record's prefix as NLRI)
+// from the abbreviated table-dump form. slot, when non-nil, is the borrowed
+// decode's storage for this entry: the attributes decode into it interned,
+// and unknown attribute values alias its copy of the block.
+func decodeRIBAttrs(pa *bgp.PathAttributes, sc *ribScratch, slot *ribSlot, b []byte, prefix netip.Prefix) error {
 	var rest []byte
+	if slot != nil {
+		rest = slot.raw[:0]
+	}
 	var nextHop netip.Addr
 	sawMPReach := false
 	for len(b) > 0 {
 		if len(b) < 3 {
-			return bgp.PathAttributes{}, fmt.Errorf("%w: RIB attribute header", ErrTruncated)
+			return fmt.Errorf("%w: RIB attribute header", ErrTruncated)
 		}
 		flags, typ := b[0], b[1]
 		var vlen, off int
 		if flags&bgp.FlagExtLen != 0 {
 			if len(b) < 4 {
-				return bgp.PathAttributes{}, fmt.Errorf("%w: RIB attribute ext length", ErrTruncated)
+				return fmt.Errorf("%w: RIB attribute ext length", ErrTruncated)
 			}
 			vlen = int(binary.BigEndian.Uint16(b[2:]))
 			off = 4
@@ -183,12 +189,12 @@ func decodeRIBAttrs(b []byte, prefix netip.Prefix) (bgp.PathAttributes, error) {
 			off = 3
 		}
 		if len(b) < off+vlen {
-			return bgp.PathAttributes{}, fmt.Errorf("%w: RIB attribute value", ErrTruncated)
+			return fmt.Errorf("%w: RIB attribute value", ErrTruncated)
 		}
 		if typ == bgp.AttrMPReachNLRI {
 			val := b[off : off+vlen]
 			if len(val) < 1 || len(val) < 1+int(val[0]) {
-				return bgp.PathAttributes{}, fmt.Errorf("%w: abbreviated MP_REACH", ErrBadRecord)
+				return fmt.Errorf("%w: abbreviated MP_REACH", ErrBadRecord)
 			}
 			nhLen := int(val[0])
 			switch nhLen {
@@ -197,7 +203,7 @@ func decodeRIBAttrs(b []byte, prefix netip.Prefix) (bgp.PathAttributes, error) {
 			case 16, 32:
 				nextHop = netip.AddrFrom16([16]byte(val[1:17]))
 			default:
-				return bgp.PathAttributes{}, fmt.Errorf("%w: MP_REACH next hop length %d", ErrBadRecord, nhLen)
+				return fmt.Errorf("%w: MP_REACH next hop length %d", ErrBadRecord, nhLen)
 			}
 			sawMPReach = true
 		} else {
@@ -205,19 +211,30 @@ func decodeRIBAttrs(b []byte, prefix netip.Prefix) (bgp.PathAttributes, error) {
 		}
 		b = b[off+vlen:]
 	}
-	attrs, err := bgp.DecodePathAttributes(rest)
-	if err != nil {
-		return bgp.PathAttributes{}, err
+	var err error
+	if slot != nil {
+		slot.raw = rest
+		err = sc.attrs.DecodePathAttributes(pa, &slot.attrs, rest, bgp.DecodeBorrow|bgp.DecodeIntern)
+	} else {
+		*pa, err = bgp.DecodePathAttributes(rest)
 	}
-	if sawMPReach {
-		attrs.MPReach = &bgp.MPReachNLRI{
-			AFI:     bgp.PrefixAFI(prefix),
-			SAFI:    bgp.SAFIUnicast,
-			NextHop: nextHop,
-			NLRI:    []netip.Prefix{prefix},
-		}
+	if err != nil || !sawMPReach {
+		return err
 	}
-	return attrs, nil
+	var m *bgp.MPReachNLRI
+	if slot != nil {
+		m = &slot.reach
+	} else {
+		m = new(bgp.MPReachNLRI)
+	}
+	*m = bgp.MPReachNLRI{
+		AFI:     bgp.PrefixAFI(prefix),
+		SAFI:    bgp.SAFIUnicast,
+		NextHop: nextHop,
+		NLRI:    append(m.NLRI[:0], prefix),
+	}
+	pa.MPReach = m
+	return nil
 }
 
 func (r *RIB) appendBody(dst []byte) ([]byte, error) {
@@ -248,43 +265,75 @@ func (r *RIB) appendBody(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func decodeRIB(ts time.Time, b []byte, afi bgp.AFI) (*RIB, error) {
+// ribScratch is a Decoder's borrowed RIB workspace: the record it hands
+// out, whose entries are reused record after record, the attribute decoder
+// whose front caches intern every entry's AS path and aggregator, and one
+// slot of storage per entry position.
+type ribScratch struct {
+	rib   RIB
+	attrs bgp.Scratch
+	slots []ribSlot
+}
+
+// ribSlot is the storage of one entry position of a borrowed RIB, so no
+// entry shares memory with another.
+type ribSlot struct {
+	attrs bgp.AttrStore   // communities, unknown attributes, MP_UNREACH
+	reach bgp.MPReachNLRI // the reconstructed MP_REACH
+	raw   []byte          // the attribute block less its abbreviated MP_REACH
+}
+
+// decodeRIBInto fills r from the record body: the one RIB parse, for both
+// decoder modes. sc, when non-nil, is the borrowed decode's workspace and r
+// its record; otherwise r is fresh and every entry owns its memory.
+func decodeRIBInto(r *RIB, sc *ribScratch, ts time.Time, b []byte, afi bgp.AFI) error {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: RIB header", ErrTruncated)
+		return fmt.Errorf("%w: RIB header", ErrTruncated)
 	}
-	r := &RIB{Timestamp: ts, Sequence: binary.BigEndian.Uint32(b)}
+	r.Timestamp, r.Sequence = ts, binary.BigEndian.Uint32(b)
 	b = b[4:]
 	prefix, n, err := bgp.DecodePrefix(b, afi)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Prefix = prefix
 	b = b[n:]
 	if len(b) < 2 {
-		return nil, fmt.Errorf("%w: RIB entry count", ErrTruncated)
+		return fmt.Errorf("%w: RIB entry count", ErrTruncated)
 	}
 	count := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
-	r.Entries = make([]RIBEntry, 0, count)
+	// Every entry takes at least its 8-byte header, so a count the body
+	// cannot hold does not presize past it.
+	if r.Entries == nil {
+		r.Entries = make([]RIBEntry, 0, min(count, len(b)/8))
+	} else {
+		r.Entries = slices.Grow(r.Entries[:0], min(count, len(b)/8))
+	}
 	for i := 0; i < count; i++ {
 		if len(b) < 8 {
-			return nil, fmt.Errorf("%w: RIB entry %d header", ErrTruncated, i)
+			return fmt.Errorf("%w: RIB entry %d header", ErrTruncated, i)
 		}
-		var e RIBEntry
-		e.PeerIndex = binary.BigEndian.Uint16(b)
-		e.OriginatedTime = time.Unix(int64(binary.BigEndian.Uint32(b[2:])), 0).UTC()
+		r.Entries = append(r.Entries, RIBEntry{
+			PeerIndex:      binary.BigEndian.Uint16(b),
+			OriginatedTime: time.Unix(int64(binary.BigEndian.Uint32(b[2:])), 0).UTC(),
+		})
 		alen := int(binary.BigEndian.Uint16(b[6:]))
 		b = b[8:]
 		if len(b) < alen {
-			return nil, fmt.Errorf("%w: RIB entry %d attributes", ErrTruncated, i)
+			return fmt.Errorf("%w: RIB entry %d attributes", ErrTruncated, i)
 		}
-		attrs, err := decodeRIBAttrs(b[:alen], prefix)
-		if err != nil {
-			return nil, err
+		var slot *ribSlot
+		if sc != nil {
+			if i == len(sc.slots) {
+				sc.slots = append(sc.slots, ribSlot{})
+			}
+			slot = &sc.slots[i]
 		}
-		e.Attrs = attrs
+		if err := decodeRIBAttrs(&r.Entries[i].Attrs, sc, slot, b[:alen], prefix); err != nil {
+			return err
+		}
 		b = b[alen:]
-		r.Entries = append(r.Entries, e)
 	}
-	return r, nil
+	return nil
 }

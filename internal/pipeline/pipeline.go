@@ -35,11 +35,12 @@ type Engine struct {
 	// when tracing is disabled).
 	Trace *obs.Span
 	// Borrow switches FoldStreams to zero-copy record decoding: BGP4MP
-	// records are scratch structs reused across a chunk's records and
-	// their Data aliases the archive bytes. Folds must consume each record
-	// before returning from fn (or retain only TABLE_DUMP_V2 records,
-	// which are always freshly allocated): the history build and lifespan
-	// tracking borrow, a fold that keeps its records (MergeUpdates) owns.
+	// and RIB records are scratch structs reused across a chunk's records
+	// and alias the archive bytes (see mrt.Decoder). Folds must consume
+	// each record before returning from fn, retaining only interned AS
+	// paths and aggregators and peer index tables: the history build and
+	// lifespan tracking borrow, a fold that keeps its records
+	// (MergeUpdates) owns.
 	Borrow bool
 }
 

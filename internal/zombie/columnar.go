@@ -256,6 +256,28 @@ func identity[V any](v V) V { return v }
 // sealCursor is a write position in the event and community arenas.
 type sealCursor struct{ row, comm uint32 }
 
+// builderPairRef is one builder's share of a canonical (peer, prefix) pair.
+type builderPairRef struct {
+	key    uint64 // canonical
+	bi, lp uint32
+}
+
+// countingSort stably orders src by key, a dense number below n, into dst.
+func countingSort[T any](dst, src []T, n int, key func(T) uint32) {
+	next := make([]uint32, n+1)
+	for _, r := range src {
+		next[key(r)+1]++
+	}
+	for i := range n {
+		next[i+1] += next[i]
+	}
+	for _, r := range src {
+		k := key(r)
+		dst[next[k]] = r
+		next[k]++
+	}
+}
+
 // sealHistory merges builders into the canonical columnar History, running
 // its per-builder and per-span work on e; sorted is how many pair spans were
 // not already in (time, order) order.
@@ -272,7 +294,8 @@ type sealCursor struct{ row, comm uint32 }
 // so same-record ties keep their insertion order.
 //
 // The seal does one map operation per distinct (builder, table entry) and
-// one sort over the distinct (builder, pair)s; per event it does a copy.
+// two counting passes over the distinct (builder, pair)s; per event it does
+// a copy.
 func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, sorted int, err error) {
 	h = &History{}
 	var peerMap, prefixMap, pathMap, aggMap [][]uint32
@@ -283,13 +306,15 @@ func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, so
 	h.aggs, aggMap, _ = canonTable(builders, func(b *HistoryBuilder) []*bgp.Aggregator { return b.aggs.vals }, 1, identity, compareAggregators)
 
 	// Lay the spans out in ascending key order and hand every builder its
-	// cursors: sorted by (key, builder), the builders' pairs are visited
-	// span by span and, within one span, in builder order.
-	type builderPairRef struct {
-		key    uint64 // canonical
-		bi, lp uint32
+	// cursors: ordered by (key, builder), the builders' pairs are visited
+	// span by span and, within one span, in builder order. The refs are
+	// gathered in builder order, so two stable counting passes over the
+	// dense canonical numbers, prefix first and then peer, give that order.
+	n := 0
+	for _, b := range builders {
+		n += len(b.pairs.vals)
 	}
-	var refs []builderPairRef
+	refs, byPrefix := make([]builderPairRef, 0, n), make([]builderPairRef, n)
 	cursors := make([][]sealCursor, len(builders))
 	for bi, b := range builders {
 		cursors[bi] = make([]sealCursor, len(b.pairs.vals))
@@ -298,12 +323,8 @@ func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, so
 			refs = append(refs, builderPairRef{key: k, bi: uint32(bi), lp: uint32(lp)})
 		}
 	}
-	slices.SortFunc(refs, func(a, b builderPairRef) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
-		}
-		return cmp.Compare(a.bi, b.bi)
-	})
+	countingSort(byPrefix, refs, len(h.prefixes), func(r builderPairRef) uint32 { return uint32(r.key) })
+	countingSort(refs, byPrefix, len(h.peers), func(r builderPairRef) uint32 { return uint32(r.key >> 32) })
 	var events, comms uint64
 	for i, ref := range refs {
 		if i == 0 || ref.key != refs[i-1].key {

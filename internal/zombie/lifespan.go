@@ -138,10 +138,21 @@ func comparePeers(a, b PeerID) int {
 	return 0
 }
 
+// intervalsByPrefix groups the beacon intervals by prefix, in their
+// order, so each series reads its own prefix's intervals only.
+func intervalsByPrefix(intervals []beacon.Interval) map[netip.Prefix][]beacon.Interval {
+	by := make(map[netip.Prefix][]beacon.Interval)
+	for _, iv := range intervals {
+		by[iv.Prefix] = append(by[iv.Prefix], iv)
+	}
+	return by
+}
+
 // foldSeries turns the observation series of pl's prefix at one peer into
-// episodes and resurrections on pl. The test-only reader-loop oracle shares
-// it: the two differ in how they read the dumps, never in what a series
-// means.
+// episodes and resurrections on pl. Only pl.Prefix's intervals are read, so
+// a caller may pass just those (intervalsByPrefix). The test-only
+// reader-loop oracle shares it: the two differ in how they read the dumps,
+// never in what a series means.
 func (cfg LifespanConfig) foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribObs, intervals []beacon.Interval) {
 	gap := cfg.gap()
 	sort.SliceStable(obs, func(i, j int) bool { return obs[i].at.Before(obs[j].at) })
@@ -191,33 +202,41 @@ func (cfg LifespanConfig) foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribO
 	}
 }
 
-// finishLifespans imposes the canonical ordering and anchors withdrawals:
-// the latest interval withdrawal at or before the prefix's first
-// observation. The sort keys are total orders (peer identity breaks every
-// tie), so the result is independent of series map iteration and of how
-// many workers folded the series.
+// finishLifespans imposes the canonical ordering and anchors withdrawals
+// on every prefix of rep (see finishLifespan).
 func finishLifespans(rep *LifespanReport, intervals []beacon.Interval) {
+	byPrefix := intervalsByPrefix(intervals)
 	for p, pl := range rep.Prefixes {
-		sort.Slice(pl.Episodes, func(i, j int) bool {
-			a, b := pl.Episodes[i], pl.Episodes[j]
-			if !a.FirstSeen.Equal(b.FirstSeen) {
-				return a.FirstSeen.Before(b.FirstSeen)
-			}
-			return comparePeers(a.Peer, b.Peer) < 0
-		})
-		sort.Slice(pl.Resurrections, func(i, j int) bool {
-			a, b := pl.Resurrections[i], pl.Resurrections[j]
-			if !a.ReappearedAt.Equal(b.ReappearedAt) {
-				return a.ReappearedAt.Before(b.ReappearedAt)
-			}
-			return comparePeers(a.Peer, b.Peer) < 0
-		})
-		first := time.Time{}
-		if len(pl.Episodes) > 0 {
-			first = pl.Episodes[0].FirstSeen
-		}
-		pl.WithdrawAt = withdrawAnchor(intervals, p, first)
+		finishLifespan(pl, byPrefix[p])
 	}
+}
+
+// finishLifespan imposes the canonical ordering on pl and anchors its
+// withdrawal: the latest interval withdrawal at or before the prefix's
+// first observation. The sort keys are total orders (peer identity breaks
+// every tie), so the result is independent of series map iteration and of
+// how many workers folded the series. ivs are pl.Prefix's intervals (or
+// any superset).
+func finishLifespan(pl *PrefixLifespan, ivs []beacon.Interval) {
+	sort.Slice(pl.Episodes, func(i, j int) bool {
+		a, b := pl.Episodes[i], pl.Episodes[j]
+		if !a.FirstSeen.Equal(b.FirstSeen) {
+			return a.FirstSeen.Before(b.FirstSeen)
+		}
+		return comparePeers(a.Peer, b.Peer) < 0
+	})
+	sort.Slice(pl.Resurrections, func(i, j int) bool {
+		a, b := pl.Resurrections[i], pl.Resurrections[j]
+		if !a.ReappearedAt.Equal(b.ReappearedAt) {
+			return a.ReappearedAt.Before(b.ReappearedAt)
+		}
+		return comparePeers(a.Peer, b.Peer) < 0
+	})
+	first := time.Time{}
+	if len(pl.Episodes) > 0 {
+		first = pl.Episodes[0].FirstSeen
+	}
+	pl.WithdrawAt = withdrawAnchor(ivs, pl.Prefix, first)
 }
 
 func announcedBetween(intervals []beacon.Interval, p netip.Prefix, from, to time.Time) bool {

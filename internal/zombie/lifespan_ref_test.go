@@ -86,9 +86,9 @@ func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interva
 }
 
 // lifespanParallelism is every worker count TrackLifespans is compared with
-// the oracle at: 0 and 1 are the inline worker, 2 and 8 chunk the decode
-// and spread the per-prefix folds.
-var lifespanParallelism = []int{0, 1, 2, 8}
+// the oracle at: 0 and 1 are the inline worker, 2, 4 and 8 chunk the
+// decode and spread the per-prefix folds.
+var lifespanParallelism = []int{0, 1, 2, 4, 8}
 
 // assertLifespansMatchReference runs TrackLifespans at every worker count
 // and requires the report and the error string of the oracle.

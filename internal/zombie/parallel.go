@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zombiescope/internal/beacon"
+	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
 	"zombiescope/internal/obs"
 	"zombiescope/internal/pipeline"
@@ -30,18 +31,28 @@ func engine(parallelism int, trace *obs.Span) *pipeline.Engine {
 }
 
 // ribChunk is a per-chunk accumulator for RIB dump streams: the peer index
-// tables of the chunk plus the tracked RIB records, each remembering its
-// record index within the file and how many tables preceded it inside the
-// chunk (0 = the table is in an earlier chunk).
+// tables of the chunk, and for each tracked RIB record its prefix, time and
+// record index within the file, how many tables preceded it inside the
+// chunk (0 = the table is in an earlier chunk) and the end of its run of
+// entry rows. A row keeps an entry's peer index and interned AS path, all
+// the walk reads of it.
 type ribChunk struct {
-	tables []*mrt.PeerIndexTable
-	items  []ribItem
+	tables  []*mrt.PeerIndexTable
+	items   []ribItem
+	entries []ribEntry
 }
 
 type ribItem struct {
-	tablesBefore int
+	prefix       netip.Prefix
+	at           time.Time
 	record       int
-	rib          *mrt.RIB
+	tablesBefore int
+	end          int // the record's rows are entries[previous end:end]
+}
+
+type ribEntry struct {
+	peer uint16
+	path bgp.ASPath
 }
 
 // TrackLifespans parses RIB dump archives (keyed by collector name) and
@@ -55,14 +66,12 @@ type ribItem struct {
 // is the first in (file, record) order, whether the framing, the record
 // decode or the peer-index lookup failed there.
 func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
-	track := make(TrackSet)
-	for _, iv := range intervals {
-		track[iv.Prefix] = true
-	}
+	byPrefix := intervalsByPrefix(intervals)
 	sp := obs.StartSpan("zombie.lifespans")
 	defer sp.End()
-	// Borrow is safe here: the fold retains only TABLE_DUMP_V2 records,
-	// which the decoder always allocates fresh.
+	// Borrow is safe here: the fold copies what it keeps out of each RIB
+	// record before the next decode, and a borrowed RIB's AS paths are
+	// interned, so retaining them is allowed.
 	e := engine(cfg.Parallelism, sp)
 	e.Borrow = true
 	sp.SetArg("dumps", len(dumps))
@@ -77,8 +86,12 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 			case *mrt.PeerIndexTable:
 				acc.tables = append(acc.tables, r)
 			case *mrt.RIB:
-				if track[r.Prefix] {
-					acc.items = append(acc.items, ribItem{tablesBefore: len(acc.tables), record: idx, rib: r})
+				if _, ok := byPrefix[r.Prefix]; ok {
+					for _, entry := range r.Entries {
+						acc.entries = append(acc.entries, ribEntry{peer: entry.PeerIndex, path: entry.Attrs.ASPath})
+					}
+					acc.items = append(acc.items, ribItem{prefix: r.Prefix, at: r.Timestamp, record: idx,
+						tablesBefore: len(acc.tables), end: len(acc.entries)})
 				}
 			}
 			return nil
@@ -89,7 +102,7 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 	// zombie.shard_build times the series walk; trace readers know it by
 	// that name.
 	buildSp := sp.Start("zombie.shard_build")
-	series, n, walkPos, walkErr := walkRIBs(names, accs)
+	series, walkPos, walkErr := walkRIBs(names, accs)
 	buildSp.End()
 	m.ObserveBuild(time.Since(buildStart))
 
@@ -109,74 +122,112 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 	if walkErr != nil {
 		return nil, walkErr
 	}
-	m.AddSharded(n)
+	m.AddSharded(series.n)
 
 	// Fold: each prefix's series into its own lifespan, prefixes spread
 	// over the workers.
 	mergeStart := time.Now()
 	mergeSp := sp.Start("zombie.merge")
-	prefixes := make([]netip.Prefix, 0, len(series))
-	for p := range series {
+	prefixes := make([]netip.Prefix, 0, len(series.byPrefix))
+	for p := range series.byPrefix {
 		prefixes = append(prefixes, p)
 	}
 	pls := make([]*PrefixLifespan, len(prefixes))
 	e.For(len(prefixes), func(i int) {
 		pl := &PrefixLifespan{Prefix: prefixes[i]}
-		for peer, obs := range series[prefixes[i]] {
-			cfg.foldSeries(pl, peer, obs, intervals)
+		ivs := byPrefix[pl.Prefix]
+		for peer, obs := range series.byPrefix[pl.Prefix] {
+			cfg.foldSeries(pl, series.peers[peer], obs, ivs)
 		}
+		finishLifespan(pl, ivs)
 		pls[i] = pl
 	})
 	rep := &LifespanReport{Prefixes: make(map[netip.Prefix]*PrefixLifespan, len(pls))}
 	for _, pl := range pls {
 		rep.Prefixes[pl.Prefix] = pl
 	}
-	finishLifespans(rep, intervals)
 	mergeSp.End()
 	m.AddMerged(len(pls))
 	m.ObserveMerge(time.Since(mergeStart))
 	return rep, nil
 }
 
+// ribSeries is the walk's result: every tracked observation, by prefix and
+// then by dense peer number.
+type ribSeries struct {
+	peers    []PeerID // by peer number
+	byPrefix map[netip.Prefix]map[uint32][]ribObs
+	n        int // observations
+}
+
 // walkRIBs is the one ordered walk over the folded chunks: files in name
 // order, chunks in stream order, the peer-index table carried across chunk
-// boundaries. It appends every tracked entry to its (prefix, peer) series
-// and returns how many it appended. It stops at the first peer-index error,
-// which is therefore the first in (file, record) order, and returns its
-// position with it.
-func walkRIBs(names []string, accs [][]*ribChunk) (map[netip.Prefix]map[PeerID][]ribObs, int, [2]int, error) {
-	series := make(map[netip.Prefix]map[PeerID][]ribObs)
-	n := 0
+// boundaries. Each table's peers are numbered once, when the walk reaches
+// it (a table listing the same peers as the file's previous one shares its
+// numbers); every tracked entry is appended to its (prefix, peer number)
+// series. It stops at the first peer-index error, which is therefore the
+// first in (file, record) order, and returns its position with it.
+func walkRIBs(names []string, accs [][]*ribChunk) (*ribSeries, [2]int, error) {
+	s := &ribSeries{byPrefix: make(map[netip.Prefix]map[uint32][]ribObs)}
+	peerIdx := make(map[PeerID]uint32)
+	var last *mrt.PeerIndexTable
+	var lastIDs []uint32
+	// number never returns nil, so a nil table below means none yet.
+	number := func(name string, t *mrt.PeerIndexTable) []uint32 {
+		if last != nil && slices.Equal(t.Peers, last.Peers) {
+			return lastIDs
+		}
+		ids := make([]uint32, len(t.Peers))
+		for i, pe := range t.Peers {
+			peer := PeerID{Collector: name, AS: pe.AS, Addr: pe.Addr}
+			id, ok := peerIdx[peer]
+			if !ok {
+				id = uint32(len(s.peers))
+				peerIdx[peer] = id
+				s.peers = append(s.peers, peer)
+			}
+			ids[i] = id
+		}
+		last, lastIDs = t, ids
+		return ids
+	}
 	for i, name := range names {
-		var carry *mrt.PeerIndexTable
+		last = nil
+		var carry []uint32
 		for _, acc := range accs[i] {
+			tables := make([][]uint32, len(acc.tables))
+			for k, t := range acc.tables {
+				tables[k] = number(name, t)
+			}
+			start := 0
 			for _, it := range acc.items {
+				rows := acc.entries[start:it.end]
+				start = it.end
 				table := carry
 				if it.tablesBefore > 0 {
-					table = acc.tables[it.tablesBefore-1]
+					table = tables[it.tablesBefore-1]
 				}
 				if table == nil {
-					return nil, 0, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
+					return nil, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
 				}
-				bySeries := series[it.rib.Prefix]
-				for _, entry := range it.rib.Entries {
-					if int(entry.PeerIndex) >= len(table.Peers) {
-						return nil, 0, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
+				bySeries := s.byPrefix[it.prefix]
+				for _, row := range rows {
+					if int(row.peer) >= len(table) {
+						return nil, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
 					}
 					if bySeries == nil { // a prefix gets a lifespan only once observed
-						bySeries = make(map[PeerID][]ribObs)
-						series[it.rib.Prefix] = bySeries
+						bySeries = make(map[uint32][]ribObs)
+						s.byPrefix[it.prefix] = bySeries
 					}
-					pe := table.Peers[entry.PeerIndex]
-					peer := PeerID{Collector: name, AS: pe.AS, Addr: pe.Addr}
-					bySeries[peer] = append(bySeries[peer], ribObs{at: it.rib.Timestamp, path: entry.Attrs.ASPath})
-					n++
+					id := table[row.peer]
+					bySeries[id] = append(bySeries[id], ribObs{at: it.at, path: row.path})
+					s.n++
 				}
 			}
-			if len(acc.tables) > 0 {
-				carry = acc.tables[len(acc.tables)-1]
+			if len(tables) > 0 {
+				carry = tables[len(tables)-1]
 			}
 		}
 	}
-	return series, n, [2]int{}, nil
+	return s, [2]int{}, nil
 }
