@@ -380,7 +380,6 @@ func (d *daemon) status() statusz.Status {
 		HeadSeq:       d.broker.Seq(),
 		PendingChecks: d.pipe.PendingChecks(),
 		Subscribers:   d.broker.SubscriberCount(),
-		Shards:        d.broker.ShardCount(),
 		Counters:      counters,
 		Stages:        stages,
 		Sessions:      d.broker.Sessions(),

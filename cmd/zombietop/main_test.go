@@ -52,7 +52,7 @@ func serveStatus(t *testing.T, snaps ...statusz.Status) *httptest.Server {
 func sample() statusz.Status {
 	return statusz.Status{
 		Server: "zombied/1", GoVersion: "go-test", NumCPU: 2,
-		Ready: true, HeadSeq: 420, Subscribers: 2, Shards: 1,
+		Ready: true, HeadSeq: 420, Subscribers: 2,
 		Counters: map[string]int64{"livefeed_records_in_total": 100, "livefeed_bytes_written_total": 9000},
 		Stages: map[string]obs.HistogramSummary{
 			"livefeed_e2e_seconds": {Count: 99, P50: 150e-6, P99: 900e-6, P999: 2e-3},

@@ -75,8 +75,8 @@ var fanoutPrefixes = []netip.Prefix{
 }
 
 // fanoutEvent builds event i of the seeded stream: a mix of updates and
-// zombie alerts across collectors, so channel- and collector-filtered
-// shards all see traffic.
+// zombie alerts across collectors, so channel-, collector- and
+// peer-filtered subscribers all see traffic.
 func fanoutEvent(rng *rand.Rand, i int) livefeed.Event {
 	ts := time.Unix(1700000000+int64(i), 0).UTC()
 	collector := fanoutCollectors[rng.Intn(len(fanoutCollectors))]
@@ -143,11 +143,12 @@ type heldFrame struct {
 }
 
 // fanoutDrainer consumes one in-process subscriber until the stream
-// ends, enforcing the shared-buffer invariants. kind selects behavior:
+// ends, enforcing the shared-buffer invariants and that every frame
+// passes the subscriber's filter. kind selects behavior:
 // "fast" drains eagerly, "holder" keeps a window of frames referenced
 // while the feed churns past, "doomed" reads slowly on a tiny ring until
 // kicked.
-func fanoutDrainer(sub *livefeed.Subscriber, kind string, errs chan<- error) {
+func fanoutDrainer(sub *livefeed.Subscriber, filter livefeed.Filter, kind string, errs chan<- error) {
 	var last uint64
 	var held []heldFrame
 	n := 0
@@ -189,6 +190,11 @@ func fanoutDrainer(sub *livefeed.Subscriber, kind string, errs chan<- error) {
 		n++
 		if err := validateFrame(fr, n%32 == 0); err != nil {
 			fail(err)
+			fr.Release()
+			return
+		}
+		if ev := fr.Event(); !filter.Match(&ev) {
+			fail(fmt.Errorf("seq %d: delivered an event the filter %+v rejects", ev.Seq, filter))
 			fr.Release()
 			return
 		}
@@ -270,7 +276,7 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 	go srv.Serve(inj.Listener(l))
 	defer srv.Close()
 
-	// In-process population: mostly fast drainers across filter shards,
+	// In-process population: mostly fast drainers across five filters,
 	// plus holders (reuse-while-referenced torture) and doomed tiny-ring
 	// slow readers that must get kicked without corrupting anyone else.
 	errs := make(chan error, 16)
@@ -294,14 +300,15 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 		case i%11 == 3:
 			kind = "holder"
 		}
-		sub, _, err := broker.SubscribeFrom(filters[i%len(filters)], policy, 0, false)
+		filter := filters[i%len(filters)]
+		sub, _, err := broker.SubscribeFrom(filter, policy, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fanoutDrainer(sub, kind, errs)
+			fanoutDrainer(sub, filter, kind, errs)
 		}()
 	}
 
@@ -394,7 +401,6 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 
 	// End the in-process streams and wait for every drainer's final
 	// held-frame stability checks.
-	shards := broker.ShardCount()
 	broker.Close()
 	drained := make(chan struct{})
 	go func() { wg.Wait(); close(drained) }()
@@ -416,9 +422,6 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 	if doomed > 0 && m["livefeed_kicks_total"] == 0 {
 		fail("no doomed reader was ever kicked (%d candidates): the soak did not stress kick-slowest", doomed)
 	}
-	if shards == 0 || shards > len(filters)+1 {
-		fail("broker tracked %d filter shards for %d distinct filters", shards, len(filters))
-	}
 	// Every event a wire client never saw must be one its drop-oldest
 	// session shed (the counter also covers the in-process subscribers, so
 	// it bounds the holes from above).
@@ -432,6 +435,6 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 		fail("wire clients missed %v events (%d in all) but the broker shed only %d: loss outside drop-oldest",
 			missing, missingSum, m["livefeed_drops_drop_oldest_total"])
 	}
-	t.Logf("seed %d: head=%d subs=%d kicks=%d drops=%d wire_missing=%v conns=%d shards=%d",
-		seed, head, subs, m["livefeed_kicks_total"], m["livefeed_drops_drop_oldest_total"], missing, inj.Conns(), shards)
+	t.Logf("seed %d: head=%d subs=%d kicks=%d drops=%d wire_missing=%v conns=%d",
+		seed, head, subs, m["livefeed_kicks_total"], m["livefeed_drops_drop_oldest_total"], missing, inj.Conns())
 }

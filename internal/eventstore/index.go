@@ -4,8 +4,10 @@ package eventstore
 // sealed segment open in O(1): it holds what Open needs to serve reads by
 // sequence without scanning the data file. It is pure derived state: any
 // disagreement with the data file — missing, torn, CRC-failed, of another
-// sidecar version, or describing a different size (a compaction crash
-// between renames) — discards it and rebuilds from the segment scan.
+// sidecar version, describing a different size (a compaction crash
+// between renames), or naming a sequence range the frames at its first
+// and last offsets do not carry — discards it and rebuilds from the
+// segment scan.
 //
 //	header:  magic u32 | idxVersion u16 | reserved u16 | baseSeq u64 |
 //	         crc32c(header[0:16]) u32 | reserved u32
@@ -244,6 +246,27 @@ func decodeIndexBody(body []byte) (*segIndex, error) {
 		}
 	}
 	return idx, nil
+}
+
+// matchesData checks the sidecar's sequence range against the data file
+// at both ends: the frame at the first offset is event firstSeq, the frame
+// at the last offset is event lastSeq, and only whole dictionary frames
+// (the remnant of a torn append) follow it up to the end of data. A
+// sidecar that passes its own checks can still drop the newest events or
+// claim a lastSeq past them; the interior ordinals are checked by every
+// read instead.
+func (idx *segIndex) matchesData(data []byte) bool {
+	eventAt := func(off uint32, seq uint64) int64 {
+		return scanFrames(data, int64(off), func(kind byte, body []byte, at int64) bool {
+			if at > int64(off) {
+				return kind != fkEvent
+			}
+			e, ok := decodeEventBody(body)
+			return kind == fkEvent && ok && e.seq == seq
+		})
+	}
+	first, last := idx.offsets[0], idx.offsets[len(idx.offsets)-1]
+	return eventAt(first, idx.firstSeq) > int64(first) && eventAt(last, idx.lastSeq) == int64(len(data))
 }
 
 // addrBytes reads a length-prefixed address (length byte, then that many

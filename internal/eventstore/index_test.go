@@ -126,3 +126,76 @@ func TestReadRejectsInconsistentSidecar(t *testing.T) {
 		})
 	}
 }
+
+// rewriteSidecar replaces the sidecar of the segment starting at baseSeq
+// in dir with a damaged copy that still passes every structural check.
+func rewriteSidecar(t *testing.T, dir string, baseSeq uint64, damage func(idx *segIndex)) {
+	t.Helper()
+	path := idxPathFor(filepath.Join(dir, segName(baseSeq)))
+	idx, err := readIndexFile(path, baseSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(idx)
+	if err := writeIndexFile(path, baseSeq, idx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openRepaired opens dir read-write and requires that exactly one sidecar
+// was rebuilt and that the store holds testEvents(40), then appends event
+// 41.
+func openRepaired(t *testing.T, dir string) {
+	t.Helper()
+	m := NewMetrics(nil)
+	st, err := Open(Options{Dir: dir, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := m.repairs.Value(); got != 1 {
+		t.Errorf("repairs = %d, want 1: the damaged sidecar was trusted", got)
+	}
+	if got := st.LastSeq(); got != 40 {
+		t.Fatalf("LastSeq = %d, want 40", got)
+	}
+	checkEvents(t, replayAll(t, st), testEvents(40))
+	if err := st.Append(testEvents(41)[40]); err != nil {
+		t.Fatalf("append seq 41: %v", err)
+	}
+}
+
+// TestSidecarDroppingTailEventsRebuilt: a sidecar of the newest segment
+// (events 25..40) that leaves out its last four events, while still
+// recording the data file's size, is rebuilt from the data file. Trusting
+// it would lose events 37..40 silently and let the next appends reuse
+// their sequence numbers.
+func TestSidecarDroppingTailEventsRebuilt(t *testing.T) {
+	files, seeds := indexSeeds(t)
+	dir := writeIndexStore(t, files, frameIndex(1, seeds["seed-valid"]))
+	rewriteSidecar(t, dir, 25, func(idx *segIndex) {
+		idx.offsets = idx.offsets[:12]
+		idx.lastSeq = 36
+	})
+	openRepaired(t, dir)
+}
+
+// TestSidecarOverlongRangeRebuilt: a sidecar of the first segment (events
+// 1..24) that claims to run through seq 40 is rebuilt from the data file.
+// Trusting it would make the next segment (25..40) look like a compaction
+// leftover the first segment supersedes, and Open would delete it.
+func TestSidecarOverlongRangeRebuilt(t *testing.T) {
+	files, seeds := indexSeeds(t)
+	dir := writeIndexStore(t, files, frameIndex(1, seeds["seed-valid"]))
+	rewriteSidecar(t, dir, 1, func(idx *segIndex) {
+		last := idx.offsets[len(idx.offsets)-1]
+		for len(idx.offsets) < 40 {
+			idx.offsets = append(idx.offsets, last)
+		}
+		idx.lastSeq = 40
+	})
+	openRepaired(t, dir)
+	if _, err := os.Stat(filepath.Join(dir, segName(25))); err != nil {
+		t.Fatalf("segment 25..40: %v", err)
+	}
+}

@@ -567,11 +567,16 @@ func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error)
 	baseSeq := le.Uint64(h[8:])
 
 	// Fast path: a valid index sidecar that agrees with the data file.
-	// Any size disagreement (a compaction crash between renames) discards
-	// the sidecar and falls back to a scan of what the data file actually
+	// Any size disagreement (a compaction crash between renames), or a
+	// sequence range the frames at its ends do not carry, discards the
+	// sidecar and falls back to a scan of what the data file actually
 	// holds — the data file is always the source of truth.
 	if idx, err := readIndexFile(idxPathFor(path), baseSeq); err == nil && int64(idx.segSize) == size {
-		return mapSegment(path, size, idx, 0)
+		seg, err := mapSegment(path, size, idx, 0)
+		if err != nil || idx.matchesData(seg.data) {
+			return seg, err
+		}
+		seg.release()
 	}
 
 	// Rebuild by sequential scan.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,92 +106,10 @@ func (c Config) replaySize() int {
 	return c.ReplaySize
 }
 
-// shard groups every subscriber sharing one canonical filter signature.
-// Because the subscribers of a shard have semantically identical filters
-// (same membership sets per dimension), Publish evaluates the filter ONCE
-// per shard and then walks only the members of matching shards — at RIS
-// scale this turns "filter × subscribers" work into "filter × distinct
-// filters", and the common case (everyone on the firehose or one of a
-// few canned filters) into a handful of checks per event.
-type shard struct {
-	sig      string
-	filter   Filter
-	channels []string // channel index keys ("" = unrestricted)
-	subs     map[*Subscriber]struct{}
-}
-
-// filterSig canonicalizes a filter into a signature string: each
-// dimension's values are sorted and length-prefixed, so two filters with
-// the same membership sets — in any order — land in the same shard.
-// Filter semantics are pure set membership per dimension, which is what
-// makes signature equality imply identical match behavior.
-func filterSig(f Filter) string {
-	var sb strings.Builder
-	dim := func(tag byte, vals []string) {
-		sb.WriteByte(tag)
-		if len(vals) == 0 {
-			return
-		}
-		sorted := append([]string(nil), vals...)
-		sort.Strings(sorted)
-		for _, v := range sorted {
-			sb.WriteString(strconv.Itoa(len(v)))
-			sb.WriteByte(':')
-			sb.WriteString(v)
-		}
-	}
-	dim('c', f.Channels)
-	dim('t', f.Types)
-	dim('o', f.Collectors)
-	sb.WriteByte('a')
-	if len(f.PeerAS) > 0 {
-		asns := make([]uint64, len(f.PeerAS))
-		for i, as := range f.PeerAS {
-			asns[i] = uint64(as)
-		}
-		sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-		for _, as := range asns {
-			sb.WriteString(strconv.FormatUint(as, 10))
-			sb.WriteByte(',')
-		}
-	}
-	sb.WriteByte('p')
-	if len(f.Prefixes) > 0 {
-		ps := make([]string, len(f.Prefixes))
-		for i, p := range f.Prefixes {
-			ps[i] = p.String()
-		}
-		sort.Strings(ps)
-		for _, p := range ps {
-			sb.WriteString(p)
-			sb.WriteByte(',')
-		}
-	}
-	return sb.String()
-}
-
-// channelKeys returns the channel-index keys a filter's shard registers
-// under: the filter's channel set, or the catch-all "" when the filter
-// does not restrict channels (it must be walked for every event).
-func channelKeys(f Filter) []string {
-	if len(f.Channels) == 0 {
-		return []string{""}
-	}
-	keys := append([]string(nil), f.Channels...)
-	sort.Strings(keys)
-	uniq := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			uniq = append(uniq, k)
-		}
-	}
-	return uniq
-}
-
 // Broker assigns sequence numbers to published events, encodes each one
 // exactly once into a shared wire frame, retains a bounded replay window
-// of frames, and broadcasts frame references to subscribers grouped into
-// filter shards.
+// of frames, and broadcasts frame references to every subscriber whose
+// filter matches.
 type Broker struct {
 	cfg     Config
 	metrics *Metrics
@@ -204,15 +121,13 @@ type Broker struct {
 
 	mu     sync.Mutex
 	seq    uint64
-	subs   map[*Subscriber]struct{}
 	closed bool
 
-	// shards groups subscribers by canonical filter signature; byChannel
-	// indexes the shards whose filters can match an event of a given
-	// channel ("" holds channel-unrestricted shards). Publish walks
-	// byChannel[ev.Channel] + byChannel[""] only.
-	shards    map[string]*shard
-	byChannel map[string][]*shard
+	// subs is every attached subscriber, in no particular order; each
+	// one's idx is its position, so detaching is a swap-remove. Publish
+	// checks every subscriber's filter: a filter check is a few slice
+	// scans, cheaper than any index that would let Publish skip it.
+	subs []*Subscriber
 
 	// replay is a circular buffer of the most recent event frames, for
 	// resume-from-sequence. replay[i] for i in [start, start+count); each
@@ -229,14 +144,7 @@ func NewBroker(cfg Config) *Broker {
 	if m == nil {
 		m = NewMetrics(nil)
 	}
-	b := &Broker{
-		cfg:       cfg,
-		metrics:   m,
-		seq:       cfg.StartSeq,
-		subs:      make(map[*Subscriber]struct{}),
-		shards:    make(map[string]*shard),
-		byChannel: make(map[string][]*shard),
-	}
+	b := &Broker{cfg: cfg, metrics: m, seq: cfg.StartSeq}
 	if n := cfg.replaySize(); n > 0 {
 		b.replay = make([]*sharedFrame, n)
 	}
@@ -258,13 +166,7 @@ func (b *Broker) refreshScrapeGauges() {
 	if b.cfg.Journal != nil {
 		b.metrics.journalFirst.Set(float64(b.cfg.Journal.FirstSeq()))
 	}
-	b.mu.Lock()
-	subs := make([]*Subscriber, 0, len(b.subs))
-	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
-	for _, s := range subs {
+	for _, s := range b.snapshotSubs() {
 		s.mu.Lock()
 		queued := s.n
 		s.mu.Unlock()
@@ -295,11 +197,12 @@ func (b *Broker) SubscriberCount() int {
 	return len(b.subs)
 }
 
-// ShardCount returns the number of distinct filter shards.
-func (b *Broker) ShardCount() int {
+// snapshotSubs copies the subscriber list, so callers can visit each
+// subscriber without holding the broker lock.
+func (b *Broker) snapshotSubs() []*Subscriber {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.shards)
+	return append([]*Subscriber(nil), b.subs...)
 }
 
 // Publish assigns the next sequence number to ev, encodes it exactly
@@ -388,40 +291,24 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 		b.count++
 	}
 
-	// Broadcast: walk only the shards whose channel index can match, and
-	// evaluate each shard's filter once for all of its subscribers.
 	fanSpan := span.Start("fanout")
 	var kicked []*Subscriber
-	var pushes, skips, matches int64
+	var pushes int64
 	if f != nil {
-		walk := func(list []*shard) {
-			for _, sh := range list {
-				if !sh.filter.Match(&ev) {
-					skips++
-					continue
-				}
-				matches++
-				for s := range sh.subs {
-					if s.push(f, b.metrics) {
-						pushes++
-					} else {
-						kicked = append(kicked, s)
-					}
-				}
+		for _, s := range b.subs {
+			if !s.filter.Match(&ev) {
+				continue
+			}
+			if s.push(f, b.metrics) {
+				pushes++
+			} else {
+				kicked = append(kicked, s)
 			}
 		}
-		walk(b.byChannel[ev.Channel])
-		walk(b.byChannel[""])
 	}
 	if pushes > 0 {
 		b.metrics.eventsOut.Add(pushes)
 		b.metrics.framesShared.Add(pushes)
-	}
-	if skips > 0 {
-		b.metrics.shardSkips.Add(skips)
-	}
-	if matches > 0 {
-		b.metrics.shardMatches.Add(matches)
 	}
 	for _, s := range kicked {
 		b.removeLocked(s)
@@ -543,69 +430,28 @@ func (b *Broker) SubscribeFrom(f Filter, policy Policy, resumeFrom uint64, fromS
 			sub.backlog = bl
 		}
 	}
-	b.subs[sub] = struct{}{}
-	b.addToShardLocked(sub)
+	sub.idx = len(b.subs)
+	b.subs = append(b.subs, sub)
 	b.metrics.subscribers.Add(1)
 	b.metrics.subscribersTotal.Add(1)
 	return sub, lost, nil
 }
 
-// addToShardLocked registers sub in the shard of its filter signature,
-// creating the shard (and its channel-index entries) on first use.
-func (b *Broker) addToShardLocked(sub *Subscriber) {
-	sig := filterSig(sub.filter)
-	sh := b.shards[sig]
-	if sh == nil {
-		sh = &shard{
-			sig:      sig,
-			filter:   sub.filter,
-			channels: channelKeys(sub.filter),
-			subs:     make(map[*Subscriber]struct{}),
-		}
-		b.shards[sig] = sh
-		for _, ch := range sh.channels {
-			b.byChannel[ch] = append(b.byChannel[ch], sh)
-		}
-		b.metrics.filterShards.Set(float64(len(b.shards)))
-	}
-	sh.subs[sub] = struct{}{}
-	sub.shard = sh
-}
-
-// removeLocked detaches a subscriber from the broker's maps and its
-// shard, dropping empty shards from the channel index.
+// removeLocked detaches a subscriber from the list by moving the last
+// subscriber into its slot. A subscriber already detached is left alone.
 func (b *Broker) removeLocked(s *Subscriber) {
-	if _, ok := b.subs[s]; !ok {
+	i := s.idx
+	if i >= len(b.subs) || b.subs[i] != s {
 		return
 	}
-	delete(b.subs, s)
+	last := len(b.subs) - 1
+	b.subs[i] = b.subs[last]
+	b.subs[i].idx = i
+	b.subs[last] = nil
+	b.subs = b.subs[:last]
 	b.metrics.subscribers.Add(-1)
 	b.metrics.subLag.Delete(s.idStr)
 	b.metrics.subQueue.Delete(s.idStr)
-	sh := s.shard
-	if sh == nil {
-		return
-	}
-	delete(sh.subs, s)
-	if len(sh.subs) > 0 {
-		return
-	}
-	delete(b.shards, sh.sig)
-	for _, ch := range sh.channels {
-		list := b.byChannel[ch]
-		for i, cand := range list {
-			if cand == sh {
-				list[i] = list[len(list)-1]
-				list[len(list)-1] = nil
-				b.byChannel[ch] = list[:len(list)-1]
-				break
-			}
-		}
-		if len(b.byChannel[ch]) == 0 {
-			delete(b.byChannel, ch)
-		}
-	}
-	b.metrics.filterShards.Set(float64(len(b.shards)))
 }
 
 // remove detaches a subscriber (called from Subscriber.Close, never while
@@ -624,15 +470,9 @@ func (b *Broker) Close() {
 		return
 	}
 	b.closed = true
-	subs := make([]*Subscriber, 0, len(b.subs))
-	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.subs = make(map[*Subscriber]struct{})
-	b.shards = make(map[string]*shard)
-	b.byChannel = make(map[string][]*shard)
+	subs := b.subs
+	b.subs = nil
 	b.metrics.subscribers.Add(-float64(len(subs)))
-	b.metrics.filterShards.Set(0)
 	for _, s := range subs {
 		b.metrics.subLag.Delete(s.idStr)
 		b.metrics.subQueue.Delete(s.idStr)
@@ -661,7 +501,7 @@ type Subscriber struct {
 	b      *Broker
 	filter Filter
 	policy Policy
-	shard  *shard // registration shard; broker-lock protected
+	idx    int // position in the broker's subscriber list; broker-lock protected
 
 	// Session identity and telemetry. The atomics are written on the
 	// consumer's dequeue path and on block-policy stalls, and read by the
@@ -1090,12 +930,7 @@ type SessionInfo struct {
 // sorted by session id.
 func (b *Broker) Sessions() []SessionInfo {
 	head := b.headSeq.Load()
-	b.mu.Lock()
-	subs := make([]*Subscriber, 0, len(b.subs))
-	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
+	subs := b.snapshotSubs()
 	out := make([]SessionInfo, 0, len(subs))
 	for _, s := range subs {
 		s.mu.Lock()

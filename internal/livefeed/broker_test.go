@@ -2,9 +2,14 @@ package livefeed
 
 import (
 	"errors"
+	"math/rand"
+	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"zombiescope/internal/bgp"
 )
 
 func testEvent(i int) Event {
@@ -213,45 +218,134 @@ func TestResumeFromSequence(t *testing.T) {
 	}
 }
 
-// TestFanoutFilters: each subscriber receives exactly its filtered
-// subset, in publish order.
+// TestFanoutFilters: every subscriber receives exactly the events its
+// filter's Match accepts, in sequence order. The seeded table covers all
+// five filter dimensions, prefix more-specifics, and filters that differ
+// only in value order or duplicates; mid-stream, a subscriber in the
+// middle of the list and the one the swap-remove moved into its slot
+// close, and a new one joins.
 func TestFanoutFilters(t *testing.T) {
-	b := NewBroker(Config{ReplaySize: -1})
-	all, _, err := b.Subscribe(Filter{}, PolicyDropOldest, 0)
-	if err != nil {
-		t.Fatal(err)
+	pfx := netip.MustParsePrefix
+	filters := []Filter{
+		{},
+		{Channels: []string{ChannelZombie}},
+		{Channels: []string{ChannelUpdates, ChannelZombie}},
+		{Channels: []string{ChannelZombie, ChannelUpdates, ChannelZombie}},
+		{Types: []string{TypeUpdate}},
+		{Types: []string{TypeState, TypeZombie}},
+		{Types: []string{TypeZombie, TypeState, TypeState}},
+		{Collectors: []string{"rrc01"}},
+		{Collectors: []string{"rrc06", "rrc01", "rrc06"}},
+		{PeerAS: []bgp.ASN{64501, 64502}},
+		{PeerAS: []bgp.ASN{64502, 64501, 64501}},
+		{Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}},
+		{Prefixes: []netip.Prefix{pfx("10.1.0.0/16"), pfx("2001:db8::/32")}},
+		{Prefixes: []netip.Prefix{pfx("2001:db8::/32"), pfx("10.1.0.0/16"), pfx("10.1.0.0/16")}},
+		{Channels: []string{ChannelUpdates}, Types: []string{TypeUpdate}, Collectors: []string{"rrc00"},
+			PeerAS: []bgp.ASN{64500}, Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}},
 	}
-	zombiesOnly, _, err := b.Subscribe(Filter{Channels: []string{ChannelZombie}}, PolicyDropOldest, 0)
-	if err != nil {
-		t.Fatal(err)
+	prefixes := []netip.Prefix{
+		pfx("10.1.2.0/24"), pfx("10.1.0.0/16"), pfx("10.200.0.0/16"),
+		pfx("192.0.2.0/24"), pfx("2001:db8:1::/48"), pfx("2001:db9::/48"),
 	}
-	for i := 0; i < 30; i++ {
-		ev := testEvent(i)
-		if i%3 == 0 {
-			ev.Channel = ChannelZombie
-			ev.Type = TypeZombie
+
+	// The oracle's prefix semantics, pinned by hand: a more-specific
+	// passes a covering filter, a sibling does not, and neither check
+	// allocates.
+	covering := Filter{Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}}
+	inside := Event{Alert: &Alert{Prefix: pfx("10.1.2.0/24")}}
+	outside := Event{Withdrawals: []netip.Prefix{pfx("192.0.2.0/24")}}
+	if !covering.Match(&inside) || covering.Match(&outside) {
+		t.Fatal("prefix filter 10.0.0.0/8: want 10.1.2.0/24 in and 192.0.2.0/24 out")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { covering.Match(&inside); covering.Match(&outside) }); n != 0 {
+			t.Errorf("prefix Filter.Match allocates %.0f times per call pair, want 0", n)
 		}
-		b.Publish(ev)
 	}
-	if all.Len() != 30 {
-		t.Errorf("unfiltered subscriber queued %d events, want 30", all.Len())
+
+	rng := rand.New(rand.NewSource(39))
+	event := func(i int) Event {
+		ev := testEvent(i)
+		ev.Collector = []string{"rrc00", "rrc01", "rrc06"}[rng.Intn(3)]
+		ev.PeerAS = bgp.ASN(64500 + rng.Intn(4))
+		p := prefixes[rng.Intn(len(prefixes))]
+		switch rng.Intn(4) {
+		case 0:
+			ev.Channel, ev.Type = ChannelZombie, TypeZombie
+			ev.Alert = &Alert{Prefix: p}
+		case 1:
+			ev.Type = TypeState // no prefix: every prefix filter rejects it
+		case 2:
+			ev.Withdrawals = []netip.Prefix{p}
+		default:
+			ev.Announcements = []Announcement{{
+				NextHop:  netip.MustParseAddr("192.0.2.1"),
+				Prefixes: []netip.Prefix{p, prefixes[rng.Intn(len(prefixes))]},
+			}}
+		}
+		return ev
 	}
-	if zombiesOnly.Len() != 10 {
-		t.Errorf("zombie subscriber queued %d events, want 10", zombiesOnly.Len())
+
+	type tracked struct {
+		f    Filter
+		sub  *Subscriber
+		want []uint64
 	}
-	var prev uint64
-	for i := 0; i < 10; i++ {
-		ev, err := zombiesOnly.Next()
+	b := NewBroker(Config{RingSize: 1024, ReplaySize: -1})
+	var all, live []*tracked
+	subscribe := func(f Filter) {
+		sub, _, err := b.Subscribe(f, PolicyDropOldest, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.Channel != ChannelZombie {
-			t.Fatalf("leaked %s event through the channel filter", ev.Channel)
+		tr := &tracked{f: f, sub: sub}
+		all = append(all, tr)
+		live = append(live, tr)
+	}
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			ev := event(i)
+			ev.Seq = b.Publish(ev)
+			for _, tr := range live {
+				if tr.f.Match(&ev) {
+					tr.want = append(tr.want, ev.Seq)
+				}
+			}
 		}
-		if ev.Seq <= prev {
-			t.Fatalf("out of order: seq %d after %d", ev.Seq, prev)
+	}
+	for _, f := range filters {
+		subscribe(f)
+	}
+	publish(200)
+	// Close the subscriber in the middle of the list, then the one the
+	// swap-remove moved into its slot, and add a newcomer at the end.
+	mid, last := live[len(live)/2], live[len(live)-1]
+	mid.sub.Close()
+	last.sub.Close()
+	live = slices.DeleteFunc(live, func(tr *tracked) bool { return tr == mid || tr == last })
+	subscribe(filters[len(filters)-1])
+	if n := b.SubscriberCount(); n != len(live) {
+		t.Fatalf("%d subscribers attached after the churn, want %d", n, len(live))
+	}
+	publish(200)
+
+	for i, tr := range all {
+		if len(tr.want) == 0 {
+			t.Errorf("subscriber %d %+v: the table never matched it", i, tr.f)
 		}
-		prev = ev.Seq
+		var got []uint64
+		for tr.sub.Len() > 0 {
+			ev, err := tr.sub.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, ev.Seq)
+		}
+		if !slices.Equal(got, tr.want) {
+			t.Errorf("subscriber %d %+v received %d events %v, want the %d Match accepts %v",
+				i, tr.f, len(got), got, len(tr.want), tr.want)
+		}
 	}
 }
 

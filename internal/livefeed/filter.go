@@ -57,8 +57,28 @@ func (f *Filter) Match(ev *Event) bool {
 	return true
 }
 
+// matchPrefixes walks the prefixes Event.Prefixes would list without
+// building that slice: Publish runs it once per prefix-filtered
+// subscriber, so it must not allocate.
 func (f *Filter) matchPrefixes(ev *Event) bool {
-	for _, p := range ev.Prefixes() {
+	switch {
+	case ev.Alert != nil:
+		return f.coversAny([]netip.Prefix{ev.Alert.Prefix})
+	case ev.Anomaly != nil:
+		return f.coversAny([]netip.Prefix{ev.Anomaly.Prefix})
+	}
+	for _, a := range ev.Announcements {
+		if f.coversAny(a.Prefixes) {
+			return true
+		}
+	}
+	return f.coversAny(ev.Withdrawals)
+}
+
+// coversAny reports whether one of ps equals or is a more-specific of one
+// of the filter's prefixes.
+func (f *Filter) coversAny(ps []netip.Prefix) bool {
+	for _, p := range ps {
 		for _, want := range f.Prefixes {
 			if coversOrEqual(want, p) {
 				return true

@@ -34,9 +34,6 @@ type Metrics struct {
 	encodes      *obs.Counter
 	encodeErrors *obs.Counter
 	framesShared *obs.Counter
-	filterShards *obs.Gauge
-	shardMatches *obs.Counter
-	shardSkips   *obs.Counter
 
 	// Backpressure, per policy.
 	dropsDropOldest *obs.Counter
@@ -103,12 +100,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		"Events that failed to encode and were skipped.")
 	m.framesShared = reg.Counter("livefeed_frames_shared_total",
 		"Frame references handed to subscriber rings; deliveries reusing a shared encoding.")
-	m.filterShards = reg.Gauge("livefeed_filter_shards",
-		"Distinct filter shards currently registered (subscribers grouped by canonical filter signature).")
-	m.shardMatches = reg.Counter("livefeed_shard_matches_total",
-		"Shard filter evaluations that matched a published event.")
-	m.shardSkips = reg.Counter("livefeed_shard_skips_total",
-		"Shard filter evaluations that rejected a published event (one check skipped the whole shard).")
 	m.dropsDropOldest = reg.Counter("livefeed_drops_drop_oldest_total", "Events evicted under drop-oldest.")
 	m.blockStalls = reg.Counter("livefeed_block_stalls_total", "Publishes that had to wait under block.")
 	m.kicks = reg.Counter("livefeed_kicks_total", "Subscribers kicked under kick-slowest.")

@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -167,6 +168,9 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	mixed = append(mixed, 0xde, 0xad, 0xbe, 0xef)
 	mixed = append(mixed, messages...)
 
+	bgp4mpVec := readVectors(t, bgp4mpVector)
+	bgp4mp := slices.Concat(bgp4mpVec["update-ipv4"], bgp4mpVec["update-ipv6"], bgp4mpVec["state-change"])
+
 	return map[string][]byte{
 		"seed-statechange-as4":   stateChanges,
 		"seed-statechange-as2":   legacy,
@@ -175,6 +179,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"seed-mixed-unsupported": mixed,
 		"seed-rib-entry-storage": ribStorage,
 		"seed-rfc6396-vector":    readVectors(t, tableDumpVector)["dump"],
+		"seed-bgp4mp-vectors":    bgp4mp,
 	}
 }
 

@@ -166,3 +166,123 @@ func TestBorrowedRIBDecodeAllocs(t *testing.T) {
 		t.Errorf("warm borrowed RIB decode allocates %v allocs/op, want 0", avg)
 	}
 }
+
+const bgp4mpVector = "testdata/rfc4271_bgp4mp.txt"
+
+// TestRFC4271BGP4MPVectors checks the BGP4MP decoder and encoder, and the
+// UPDATE codec under them, against records assembled by hand, not
+// produced by this package's writer: an IPv4 UPDATE with withdrawn routes,
+// NLRI, a four-octet AS_PATH, NEXT_HOP, a beacon Aggregator clock and
+// COMMUNITIES; an RFC 4760 UPDATE announcing and withdrawing IPv6 beacon
+// /48s; and a session state change.
+func TestRFC4271BGP4MPVectors(t *testing.T) {
+	vec := readVectors(t, bgp4mpVector)
+	at := time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
+	path := func(asns ...bgp.ASN) bgp.ASPath {
+		return bgp.ASPath{Segments: []bgp.PathSegment{{Type: bgp.ASSequence, ASNs: asns}}}
+	}
+	clock4 := &bgp.Aggregator{ASN: 210312, Addr: netip.AddrFrom4([4]byte{10, 12, 134, 34})}
+	clock6 := &bgp.Aggregator{ASN: 210312, Addr: netip.AddrFrom4([4]byte{10, 12, 134, 64})}
+	for clock, want := range map[*bgp.Aggregator]time.Time{
+		clock4: at.Add(-30 * time.Second),
+		clock6: at,
+	} {
+		if got, ok := beacon.DecodeAggregatorClock(clock.Addr, at); !ok || !got.Equal(want) {
+			t.Fatalf("aggregator clock %s decodes to %v, %v; want %v", clock.Addr, got, ok, want)
+		}
+	}
+	cases := []struct {
+		section string
+		rec     Record
+		update  *bgp.Update // the UPDATE a message record carries
+	}{
+		{
+			section: "update-ipv4",
+			rec: &BGP4MPMessage{Timestamp: at, PeerAS: 25091, LocalAS: 12654, AFI: bgp.AFIIPv4,
+				PeerIP: netip.AddrFrom4([4]byte{192, 0, 2, 1}), LocalIP: netip.AddrFrom4([4]byte{192, 0, 2, 2})},
+			update: &bgp.Update{
+				Withdrawn: []netip.Prefix{netip.MustParsePrefix("93.175.147.0/24"), netip.MustParsePrefix("84.205.65.0/24")},
+				Attrs: bgp.PathAttributes{
+					HasOrigin:   true,
+					Origin:      bgp.OriginIGP,
+					ASPath:      path(25091, 8298, 210312),
+					NextHop:     netip.AddrFrom4([4]byte{192, 0, 2, 1}),
+					Aggregator:  clock4,
+					Communities: []bgp.Community{bgp.Community(8298<<16 | 100), bgp.Community(25091<<16 | 200)},
+				},
+				NLRI: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24"), netip.MustParsePrefix("84.205.64.0/24")},
+			},
+		},
+		{
+			section: "update-ipv6",
+			rec: &BGP4MPMessage{Timestamp: at.Add(5 * time.Second), PeerAS: 211509, LocalAS: 12654, AFI: bgp.AFIIPv6,
+				PeerIP: netip.MustParseAddr("2001:db8::1"), LocalIP: netip.MustParseAddr("2001:db8::2")},
+			update: &bgp.Update{Attrs: bgp.PathAttributes{
+				HasOrigin:  true,
+				Origin:     bgp.OriginIGP,
+				ASPath:     path(211509, 8298, 210312),
+				Aggregator: clock6,
+				MPReach: &bgp.MPReachNLRI{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast,
+					NextHop: netip.MustParseAddr("2001:db8::1"), NLRI: []netip.Prefix{netip.MustParsePrefix("2a0d:3dc1:1200::/48")}},
+				MPUnreach: &bgp.MPUnreachNLRI{AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast,
+					Withdrawn: []netip.Prefix{netip.MustParsePrefix("2a0d:3dc1:1300::/48")}},
+			}},
+		},
+		{
+			section: "state-change",
+			rec: &BGP4MPStateChange{Timestamp: at.Add(time.Minute), PeerAS: 25091, LocalAS: 12654, AFI: bgp.AFIIPv4,
+				PeerIP: netip.AddrFrom4([4]byte{192, 0, 2, 1}), LocalIP: netip.AddrFrom4([4]byte{192, 0, 2, 2}),
+				OldState: StateEstablished, NewState: StateIdle},
+		},
+	}
+	var stream []byte
+	var want []Record
+	for _, c := range cases {
+		raw := vec[c.section]
+		if len(raw) == 0 {
+			t.Fatalf("%s: no section in %s", c.section, bgp4mpVector)
+		}
+		stream = append(stream, raw...)
+		if c.update != nil {
+			// The carried message is the expected UPDATE's encoding: the
+			// comparisons below check the UPDATE encoder too.
+			wire, err := c.update.AppendWireFormat(nil)
+			if err != nil {
+				t.Fatalf("%s: encode the expected UPDATE: %v", c.section, err)
+			}
+			c.rec.(*BGP4MPMessage).Data = wire
+		}
+		want = append(want, c.rec)
+
+		// Decode, allocating and borrowed.
+		for _, borrow := range []bool{false, true} {
+			got, err := (&Decoder{Borrow: borrow}).DecodeFramed(raw)
+			if err != nil {
+				t.Fatalf("%s borrow=%v: %v", c.section, borrow, err)
+			}
+			if !reflect.DeepEqual(got, c.rec) {
+				t.Errorf("%s borrow=%v: decodes to\n%+v\nwant\n%+v", c.section, borrow, got, c.rec)
+			}
+			if c.update == nil {
+				continue
+			}
+			msg, ok := got.(*BGP4MPMessage)
+			if !ok {
+				t.Fatalf("%s borrow=%v: decoded a %T", c.section, borrow, got)
+			}
+			u, err := msg.Update()
+			if err != nil || !reflect.DeepEqual(u, c.update) {
+				t.Errorf("%s borrow=%v: UPDATE decodes to\n%+v, %v\nwant\n%+v", c.section, borrow, u, err, c.update)
+			}
+		}
+
+		// Encode: the expected record reproduces the vector byte for byte.
+		if got, err := AppendRecord(nil, c.rec); err != nil || !bytes.Equal(got, raw) {
+			t.Errorf("%s: AppendRecord = %x, %v\nwant %x", c.section, got, err, raw)
+		}
+	}
+	recs, err := ReadAll(bytes.NewReader(stream))
+	if err != nil || !reflect.DeepEqual(recs, want) {
+		t.Errorf("ReadAll = %+v, %v; want %+v", recs, err, want)
+	}
+}

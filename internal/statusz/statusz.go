@@ -34,7 +34,6 @@ type Status struct {
 	HeadSeq       uint64 `json:"head_seq"`
 	PendingChecks int    `json:"pending_checks"`
 	Subscribers   int    `json:"subscribers"`
-	Shards        int    `json:"shards"`
 
 	// Counters and Stages are the daemon's registries as obs.Values reads
 	// them: every counter series, and a summary of every histogram
@@ -95,7 +94,7 @@ td:first-child,th:first-child{text-align:left}
 <h1>{{.Server}}</h1>
 <p>{{.GoVersion}}, {{.NumCPU}} CPU, up {{printf "%.0f" .UptimeSeconds}}s,
 ready={{.Ready}}, head={{.HeadSeq}}, pending_checks={{.PendingChecks}},
-subscribers={{.Subscribers}}, shards={{.Shards}}, goroutines={{.Runtime.Goroutines}}</p>
+subscribers={{.Subscribers}}, goroutines={{.Runtime.Goroutines}}</p>
 <h2>Stages</h2>
 <table><tr><th>series</th><th>count</th><th>p50</th><th>p99</th><th>p99.9</th></tr>
 {{range $name, $s := .Stages}}<tr><td>{{$name}}</td><td>{{$s.Count}}</td><td>{{secs $s.P50}}</td><td>{{secs $s.P99}}</td><td>{{secs $s.P999}}</td></tr>
@@ -131,9 +130,8 @@ func Render(w io.Writer, prev, cur *Status, top int) {
 		}
 		return fmt.Sprintf("%.0f/s", float64(d)/dt)
 	}
-	fmt.Fprintf(w, "%s  up %.0fs  head %d  subs %d  shards %d  pending %d  goroutines %d\n",
-		cur.Server, cur.UptimeSeconds, cur.HeadSeq, cur.Subscribers, cur.Shards,
-		cur.PendingChecks, cur.Runtime.Goroutines)
+	fmt.Fprintf(w, "%s  up %.0fs  head %d  subs %d  pending %d  goroutines %d\n",
+		cur.Server, cur.UptimeSeconds, cur.HeadSeq, cur.Subscribers, cur.PendingChecks, cur.Runtime.Goroutines)
 	fmt.Fprintf(w, "in %s  out %s  bytes %s  drops %s  kicks %s  alerts %s  heap %dM\n",
 		rate("livefeed_records_in_total"), rate("livefeed_events_out_total"),
 		rate("livefeed_bytes_written_total"), rate("livefeed_drops_drop_oldest_total"),

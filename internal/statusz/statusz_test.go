@@ -19,7 +19,6 @@ func sampleStatus() Status {
 		Ready:         true,
 		HeadSeq:       42,
 		Subscribers:   2,
-		Shards:        1,
 		Counters: map[string]int64{
 			"livefeed_records_in_total": 100, "livefeed_events_out_total": 90, "livefeed_bytes_written_total": 4096,
 		},

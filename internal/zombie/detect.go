@@ -174,9 +174,9 @@ func (d *Detector) assemble(peers []PeerID, intervals []beacon.Interval, results
 	return rep
 }
 
-// ThresholdSweep runs the detection at several thresholds (the paper's
-// Fig. 2 sweep) and returns, per threshold, the outbreak count and the
-// fraction of announcements leading to outbreaks, after applying opts.
+// SweepPoint is one threshold of the paper's Fig. 2 sweep: the outbreak
+// count and the fraction of announcements leading to outbreaks, after
+// the filter options are applied.
 type SweepPoint struct {
 	Threshold time.Duration
 	Outbreaks int
@@ -185,8 +185,9 @@ type SweepPoint struct {
 	Fraction float64
 }
 
-// Sweep evaluates thresholds over a shared history. Announce denominator
-// is the number of intervals.
+// Sweep runs the detection at each threshold over a shared history and
+// returns one SweepPoint per threshold. The announcement denominator is
+// the number of intervals.
 func Sweep(h *History, intervals []beacon.Interval, thresholds []time.Duration, opts FilterOptions) []SweepPoint {
 	sp := obs.StartSpan("zombie.sweep")
 	sp.SetArg("thresholds", len(thresholds))
