@@ -45,10 +45,9 @@ type config struct {
 	// journaled there, and a restarted daemon recovers detector state and
 	// resume-from-sequence history from it. Empty disables persistence.
 	storeDir     string
-	storeSegSize int64         // segment rotation size (0: eventstore default)
-	storeRetain  int64         // retention budget in bytes (0: unlimited)
-	storeSync    int           // fsync every N appends (0: on seal only)
-	storeCompact time.Duration // background compaction interval (0: off)
+	storeSegSize int64 // segment rotation size (0: eventstore default)
+	storeRetain  int64 // retention budget for sealed segments, in bytes (0: unlimited)
+	storeSync    int   // fsync every N appends (0: on seal only)
 	threshold    time.Duration
 	speed        float64
 	ringSize     int
@@ -136,12 +135,11 @@ func newDaemon(cfg config, logger *slog.Logger) (*daemon, error) {
 	var store *eventstore.Store
 	if cfg.storeDir != "" {
 		store, err = eventstore.Open(eventstore.Options{
-			Dir:             cfg.storeDir,
-			SegmentBytes:    cfg.storeSegSize,
-			SyncEvery:       cfg.storeSync,
-			RetainBytes:     cfg.storeRetain,
-			CompactInterval: cfg.storeCompact,
-			Metrics:         eventstore.NewMetrics(reg),
+			Dir:          cfg.storeDir,
+			SegmentBytes: cfg.storeSegSize,
+			SyncEvery:    cfg.storeSync,
+			RetainBytes:  cfg.storeRetain,
+			Metrics:      eventstore.NewMetrics(reg),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("opening event store: %w", err)

@@ -17,7 +17,7 @@
 //	         -base 2a0d:3dc1::/32 -approach 15d -stride 1] \
 //	        [-seed 42 -scale 8]           (simulated scenario mode) \
 //	        [-store-dir ./store -store-segment-bytes 67108864 -store-retain 0 \
-//	         -store-sync 0 -store-compact 0] \
+//	         -store-sync 0] \
 //	        [-threshold 90m] [-speed 0] [-policy-block] [-oneshot] [-grace 5s]
 //
 // With -store-dir the daemon journals every published event to a durable
@@ -25,7 +25,10 @@
 // serves resume-from-sequence for windows long gone from RAM, and the
 // daemon recovers its detector state from the journal instead of
 // replaying the whole archive — /readyz flips near-instantly and
-// ingestion resumes exactly where the previous run stopped.
+// ingestion resumes exactly where the previous run stopped, appending to
+// the newest segment while it is below -store-segment-bytes rather than
+// starting a new one. -store-retain bounds the sealed segments; the
+// active segment comes on top.
 //
 // Subscribers connect with livefeed.Client (or any implementation of the
 // frame protocol documented in internal/livefeed), choosing server-side
@@ -88,9 +91,8 @@ func main() {
 		toStr      = flag.String("to", "", "experiment end, RFC 3339 (archive mode)")
 		storeDir   = flag.String("store-dir", "", "durable event store directory (empty disables persistence)")
 		storeSeg   = flag.Int64("store-segment-bytes", 0, "store segment size before rotation (0: 64 MiB)")
-		storeRet   = flag.Int64("store-retain", 0, "store retention budget in bytes, oldest segments dropped first (0: unlimited)")
+		storeRet   = flag.Int64("store-retain", 0, "store retention budget in bytes for sealed segments, oldest dropped first; the active segment comes on top (0: unlimited)")
 		storeSync  = flag.Int("store-sync", 0, "fsync the store every N appends (0: only on segment seal)")
-		storeComp  = flag.Duration("store-compact", 0, "background store compaction interval (0 disables)")
 		threshold  = flag.Duration("threshold", 90*time.Minute, "zombie detection threshold")
 		speed      = flag.Float64("speed", 0, "replay speed: 0 = as fast as possible, N = N simulated seconds per wall second")
 		ringSize   = flag.Int("ring", 1024, "per-subscriber ring buffer size (events)")
@@ -130,7 +132,6 @@ func main() {
 		storeSegSize: *storeSeg,
 		storeRetain:  *storeRet,
 		storeSync:    *storeSync,
-		storeCompact: *storeComp,
 		threshold:    *threshold,
 		speed:        *speed,
 		ringSize:     *ringSize,

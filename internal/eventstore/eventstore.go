@@ -28,11 +28,13 @@
 // an older segment it is a hard error, because silently skipping interior
 // data would fabricate a gap.
 //
-// Background compaction merges runs of small adjacent sealed segments
-// into segments of at most the segment size, and an optional retention
-// bound drops the oldest sealed segments once the store exceeds a byte
-// budget (consumers see the loss through FirstSeq, exactly like a broker
-// replay window).
+// A restarted store does not start a new segment: the first append after
+// Open continues the newest segment while it is below the segment size,
+// so many restarts (or crash recoveries) leave no trail of small
+// segments. An optional retention bound drops the oldest sealed segments
+// once they exceed a byte budget (consumers see the loss through
+// FirstSeq, exactly like a broker replay window, and a Replay that asks
+// for a dropped sequence fails instead of skipping it).
 //
 // Sequence numbers are assigned by the producer (the livefeed broker) and
 // must be contiguous: Append enforces Seq == LastSeq()+1, which is what
@@ -59,6 +61,7 @@ var (
 	ErrOutOfOrder = errors.New("eventstore: append out of sequence")
 	ErrCorrupt    = errors.New("eventstore: corrupt segment")
 	ErrReadOnly   = errors.New("eventstore: store opened read-only")
+	ErrDropped    = errors.New("eventstore: sequence dropped by retention")
 )
 
 // Conventional payload kinds. The store treats Kind as opaque; these
@@ -107,17 +110,14 @@ type Options struct {
 	// SyncEvery fsyncs the active segment after every N appends.
 	// 0 syncs only on seal and Close; 1 syncs every append.
 	SyncEvery int
-	// RetainBytes drops the oldest sealed segments once the store
-	// exceeds this many bytes (0 = unbounded). The active segment is
-	// never dropped.
+	// RetainBytes drops the oldest sealed segments once the sealed
+	// segments exceed this many bytes (0 = unbounded). The active
+	// segment, up to SegmentBytes, comes on top and is never dropped.
 	RetainBytes int64
 	// ReadOnly opens without repairing: torn tails and missing indexes
 	// are reported in SegmentInfo instead of truncated/rewritten, and
-	// Append/Compact fail.
+	// Append fails.
 	ReadOnly bool
-	// CompactInterval runs Compact in the background every interval; 0
-	// leaves compaction to explicit Compact calls.
-	CompactInterval time.Duration
 	// Metrics is the instrument sink (nil: a private registry).
 	Metrics *Metrics
 }
@@ -141,24 +141,25 @@ type Store struct {
 	opts    Options
 	metrics *Metrics
 
-	mu         sync.Mutex
-	segs       []*segment // sealed segments, ascending baseSeq
-	w          *segWriter // active segment; nil between rotation and next append
-	lastSeq    uint64
-	closed     bool
-	compacting bool
+	mu   sync.Mutex
+	segs []*segment // sealed segments, ascending baseSeq
+	// tail is the newest sealed segment when Open found it below the
+	// segment size: the first append continues it instead of starting
+	// a new one.
+	tail    *segment
+	w       *segWriter // active segment; nil between rotation and next append
+	lastSeq uint64
+	closed  bool
 
 	scans sync.WaitGroup
-
-	compactStop chan struct{}
-	compactDone chan struct{}
 }
 
 // Open opens (creating if needed) the store at opts.Dir, recovering from
 // any crash the previous process suffered: the newest segment's torn
 // tail, if any, is truncated back to the last whole frame, missing or
-// corrupt index sidecars are rebuilt, and fully-superseded compaction
-// leftovers are removed.
+// corrupt index sidecars are rebuilt, and segments fully covered by their
+// predecessor (the leftovers of an interrupted merge by an earlier build)
+// are removed.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("eventstore: empty dir")
@@ -177,11 +178,6 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.syncGauges()
-	if iv := opts.CompactInterval; iv > 0 && !opts.ReadOnly {
-		s.compactStop = make(chan struct{})
-		s.compactDone = make(chan struct{})
-		go s.compactLoop(iv)
-	}
 	return s, nil
 }
 
@@ -219,9 +215,9 @@ func (s *Store) load() error {
 		}
 		segs = append(segs, seg)
 	}
-	// Drop compaction leftovers (segments fully covered by their
-	// predecessor: the crash hit between the merged rename and the input
-	// deletes) and verify the survivors are contiguous.
+	// Drop segments fully covered by their predecessor (stores written by
+	// earlier builds, which merged small segments, can hold the inputs a
+	// crash left behind) and verify the survivors are contiguous.
 	var kept []*segment
 	for _, seg := range segs {
 		if n := len(kept); n > 0 {
@@ -246,11 +242,14 @@ func (s *Store) load() error {
 	s.segs = kept
 	if n := len(kept); n > 0 {
 		s.lastSeq = kept[n-1].idx.lastSeq
+		if !s.opts.ReadOnly && kept[n-1].size < s.opts.segmentBytes() {
+			s.tail = kept[n-1]
+		}
 	}
 	return nil
 }
 
-// removeTempFiles clears compaction/seal temp files left by a crash.
+// removeTempFiles clears sidecar temp files left by a crash.
 func removeTempFiles(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -331,7 +330,7 @@ func (s *Store) Append(ev Event) error {
 		return fmt.Errorf("%w: got seq %d, want %d", ErrOutOfOrder, ev.Seq, s.lastSeq+1)
 	}
 	if s.w == nil {
-		w, err := newSegWriter(s.opts.Dir, ev.Seq)
+		w, err := s.startSegmentLocked(ev.Seq)
 		if err != nil {
 			return err
 		}
@@ -365,6 +364,25 @@ func (s *Store) Append(ev Event) error {
 	return nil
 }
 
+// startSegmentLocked returns the writer for the next append: the tail
+// segment Open left below the size budget, reopened, or else a new
+// segment starting at seq. A continued tail leaves the sealed list; scans
+// that pinned its mapping finish on it.
+func (s *Store) startSegmentLocked(seq uint64) (*segWriter, error) {
+	tail := s.tail
+	s.tail = nil
+	if tail == nil {
+		return newSegWriter(s.opts.Dir, seq)
+	}
+	w, err := reopenSegWriter(tail)
+	if err != nil {
+		return nil, err
+	}
+	s.segs = s.segs[:len(s.segs)-1]
+	tail.release()
+	return w, nil
+}
+
 func (s *Store) fsyncActiveLocked() error {
 	start := time.Now()
 	if err := s.w.f.Sync(); err != nil {
@@ -389,13 +407,15 @@ func (s *Store) Sync() error {
 }
 
 // Seal forces the active segment to seal now (normally it seals when it
-// exceeds Options.SegmentBytes or on Close).
+// exceeds Options.SegmentBytes or on Close). A segment sealed this way is
+// never continued by this store: the next append starts a new one.
 func (s *Store) Seal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	s.tail = nil
 	if s.w == nil || s.w.count() == 0 {
 		return nil
 	}
@@ -432,9 +452,7 @@ func (s *Store) sealLocked() error {
 // sealed total exceeds RetainBytes.
 func (s *Store) enforceRetentionLocked() {
 	limit := s.opts.RetainBytes
-	if limit <= 0 || s.compacting {
-		// Retention pauses during compaction so the merge group stays
-		// stable; the next seal applies the budget.
+	if limit <= 0 {
 		return
 	}
 	total := int64(0)
@@ -488,12 +506,7 @@ func (s *Store) Close() error {
 	}
 	segs := s.segs
 	s.segs = nil
-	stop, done := s.compactStop, s.compactDone
 	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	s.scans.Wait()
 	for _, seg := range segs {
 		seg.release()
@@ -516,12 +529,7 @@ func (s *Store) Abandon() error {
 	s.w = nil
 	segs := s.segs
 	s.segs = nil
-	stop, done := s.compactStop, s.compactDone
 	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	s.scans.Wait()
 	if w != nil {
 		w.f.Close()

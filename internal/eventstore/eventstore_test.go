@@ -99,7 +99,11 @@ func appendAll(t testing.TB, st *Store, evs []Event) {
 func replayAll(t testing.TB, st *Store) []Event {
 	t.Helper()
 	var got []Event
-	if err := st.Replay(0, st.LastSeq(), func(ev Event) error {
+	from := st.FirstSeq()
+	if from > 0 {
+		from-- // Replay's range is (from, to]
+	}
+	if err := st.Replay(from, st.LastSeq(), func(ev Event) error {
 		got = append(got, ev)
 		return nil
 	}); err != nil {
@@ -147,12 +151,12 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 	checkEvents(t, replayAll(t, st), want)
 
-	infos := st.SegmentInfos()
-	if len(infos) < 2 {
-		t.Fatalf("expected multiple segments, got %d", len(infos))
+	infos0 := st.SegmentInfos()
+	if len(infos0) < 2 {
+		t.Fatalf("expected multiple segments, got %d", len(infos0))
 	}
 	next := uint64(1)
-	for _, info := range infos {
+	for _, info := range infos0 {
 		if !info.Sealed {
 			t.Errorf("%s: not sealed after reopen", filepath.Base(info.Path))
 		}
@@ -163,6 +167,16 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 	if next != 501 {
 		t.Fatalf("segments cover up to %d, want 501", next)
+	}
+	// An explicit Seal ends the reopened tail for good: the next append
+	// starts a new segment instead of continuing it.
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, st, testEvents(501)[500:])
+	if infos := st.SegmentInfos(); len(infos) != len(infos0)+1 || infos[len(infos)-1].FirstSeq != 501 {
+		t.Fatalf("append after Seal: newest segment starts at %d of %d segments, want 501 of %d",
+			infos[len(infos)-1].FirstSeq, len(infos), len(infos0)+1)
 	}
 }
 
@@ -312,6 +326,12 @@ func TestRetention(t *testing.T) {
 	if st.metrics.retentionDrops.Value() == 0 {
 		t.Fatal("retention drop counter never moved")
 	}
+	// A replay that starts one sequence below the retained range fails
+	// and delivers nothing, rather than skipping the dropped events.
+	n := 0
+	if err := st.Replay(first-2, first+9, func(Event) error { n++; return nil }); !errors.Is(err, ErrDropped) || n != 0 {
+		t.Fatalf("Replay(FirstSeq-2): %d events, err %v; want 0, ErrDropped", n, err)
+	}
 }
 
 func TestReadOnlyOpen(t *testing.T) {
@@ -333,9 +353,6 @@ func TestReadOnlyOpen(t *testing.T) {
 	defer ro.Close()
 	if err := ro.Append(want[0]); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only append error = %v, want ErrReadOnly", err)
-	}
-	if _, err := ro.Compact(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only compact error = %v, want ErrReadOnly", err)
 	}
 	checkEvents(t, replayAll(t, ro), want)
 }

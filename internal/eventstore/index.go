@@ -4,8 +4,8 @@ package eventstore
 // sealed segment open in O(1): it holds what Open needs to serve reads by
 // sequence without scanning the data file. It is pure derived state: any
 // disagreement with the data file — missing, torn, CRC-failed, of another
-// sidecar version, describing a different size (a compaction crash
-// between renames), or naming a sequence range the frames at its first
+// sidecar version, describing a different size (a crash after appends
+// continued the segment), or naming a sequence range the frames at its first
 // and last offsets do not carry — discards it and rebuilds from the
 // segment scan.
 //

@@ -182,8 +182,8 @@ func TestSidecarDroppingTailEventsRebuilt(t *testing.T) {
 
 // TestSidecarOverlongRangeRebuilt: a sidecar of the first segment (events
 // 1..24) that claims to run through seq 40 is rebuilt from the data file.
-// Trusting it would make the next segment (25..40) look like a compaction
-// leftover the first segment supersedes, and Open would delete it.
+// Trusting it would make the next segment (25..40) look like a leftover
+// the first segment supersedes, and Open would delete it.
 func TestSidecarOverlongRangeRebuilt(t *testing.T) {
 	files, seeds := indexSeeds(t)
 	dir := writeIndexStore(t, files, frameIndex(1, seeds["seed-valid"]))

@@ -14,8 +14,6 @@ type Metrics struct {
 	appends        *obs.Counter
 	appendBytes    *obs.Counter
 	seals          *obs.Counter
-	compactions    *obs.Counter
-	compactedSegs  *obs.Counter
 	repairs        *obs.Counter
 	retentionDrops *obs.Counter
 	truncatedBytes *obs.Counter
@@ -47,10 +45,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Bytes written by appends (frames plus dictionary entries)."),
 		seals: reg.Counter("eventstore_seals_total",
 			"Segments sealed (index sidecar written)."),
-		compactions: reg.Counter("eventstore_compactions_total",
-			"Compaction merges performed."),
-		compactedSegs: reg.Counter("eventstore_compacted_segments_total",
-			"Input segments consumed by compaction merges."),
 		repairs: reg.Counter("eventstore_repairs_total",
 			"Open-time repairs (torn-tail truncations, index rebuilds, quarantines, leftover removals)."),
 		retentionDrops: reg.Counter("eventstore_retention_dropped_total",

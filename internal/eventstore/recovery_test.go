@@ -1,10 +1,11 @@
 package eventstore
 
-// Crash-recovery coverage: every corruption a torn write or interrupted
-// compaction can leave behind — partial tail frames, flipped bytes, lost
-// or stale index sidecars, quarantined headers, superseded leftovers —
-// must be detected at Open and either repaired (newest segment) or
-// refused (interior segments, where silent repair would fabricate gaps).
+// Crash-recovery coverage: every corruption a torn write, or an earlier
+// build's merge of small segments interrupted mid-way, can leave behind —
+// partial tail frames, flipped bytes, lost or stale index sidecars,
+// quarantined headers, superseded leftovers — must be detected at Open
+// and either repaired (newest segment) or refused (interior segments,
+// where silent repair would fabricate gaps).
 
 import (
 	"errors"
@@ -340,6 +341,43 @@ func TestReadOnlyReportsTornBytes(t *testing.T) {
 	}
 }
 
+// copyMergedSegment writes evs into a fresh one-segment store and copies
+// its data file over dir's segment name, with its sidecar when withIdx is
+// set: the merged segment that earlier builds, which merged runs of small
+// segments, renamed over the first input before deleting the rest.
+func copyMergedSegment(t *testing.T, dir, name string, evs []Event, withIdx bool) {
+	t.Helper()
+	src := t.TempDir()
+	st, err := Open(Options{Dir: src, SegmentBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, st, evs)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := segmentFiles(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged) != 1 || merged[0] != name {
+		t.Fatalf("merged store holds %v, want one segment %s", merged, name)
+	}
+	files := []string{name}
+	if withIdx {
+		files = append(files, strings.TrimSuffix(name, segSuffix)+idxSuffix)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(src, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestCompactionCrashLeftoverRemoved(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, SegmentBytes: 2 << 10})
@@ -358,47 +396,10 @@ func TestCompactionCrashLeftoverRemoved(t *testing.T) {
 	if len(names) < 4 {
 		t.Fatalf("want >= 4 segments, got %d", len(names))
 	}
-	// Preserve the soon-to-be-merged inputs, compact, then restore them —
-	// the state a crash between the merged rename and the input deletes
-	// leaves behind (fully-contained leftovers on disk).
-	type saved struct {
-		name string
-		data []byte
-	}
-	var stash []saved
-	for _, name := range names {
-		for _, p := range []string{name, strings.TrimSuffix(name, segSuffix) + idxSuffix} {
-			data, err := os.ReadFile(filepath.Join(dir, p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			stash = append(stash, saved{name: p, data: data})
-		}
-	}
-	st, err = Open(Options{Dir: dir, SegmentBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := st.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged == 0 {
-		t.Fatal("compaction merged nothing")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Restore the original inputs alongside the merged output.
-	for _, s := range stash {
-		p := filepath.Join(dir, s.name)
-		if _, err := os.Stat(p); err == nil {
-			continue // still present (e.g. replaced first input)
-		}
-		if err := os.WriteFile(p, s.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Put the merged segment over the first input and keep the rest: the
+	// state a crash between the merged rename and the input deletes leaves
+	// behind (fully-contained leftovers on disk).
+	copyMergedSegment(t, dir, names[0], all, true)
 	reopenAndCheck(t, dir, 600, 600)
 	// The leftovers must be gone from disk.
 	after, err := segmentFiles(dir)
@@ -422,7 +423,8 @@ func TestCompactionStaleIndexRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, st, testEvents(600))
+	all := testEvents(600)
+	appendAll(t, st, all)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -430,26 +432,9 @@ func TestCompactionStaleIndexRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stash the first segment's sidecar, compact (merging it away), then
-	// put the stale sidecar back over the merged segment's: the crash
-	// state of "data renamed, index rename lost".
-	firstIdx := idxPathFor(filepath.Join(dir, names[0]))
-	stale, err := os.ReadFile(firstIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err = Open(Options{Dir: dir, SegmentBytes: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged, err := st.Compact(); err != nil || merged == 0 {
-		t.Fatalf("compact: %d merged, err %v", merged, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(firstIdx, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Put the merged data file over the first segment but keep that
+	// segment's own, now stale, sidecar: the crash state of "data renamed,
+	// index rename lost".
+	copyMergedSegment(t, dir, names[0], all, false)
 	reopenAndCheck(t, dir, 600, 600)
 }

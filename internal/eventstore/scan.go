@@ -23,8 +23,9 @@ type Query struct {
 // whole frames, so reading it is safe against concurrent appends. The
 // active dictionaries are pinned as they stand: they are append-only, so
 // the prefix seen here never changes, and the read need not walk the file
-// from its header.
+// from its header. first is the oldest sequence retained at that moment.
 type snapshot struct {
+	first                uint64
 	segs                 []*segment
 	activePath           string
 	activeFrom, activeTo int64
@@ -39,7 +40,7 @@ func (s *Store) snapshot(lo, hi uint64) (snapshot, error) {
 		return snapshot{}, ErrClosed
 	}
 	s.scans.Add(1)
-	sn := snapshot{segs: make([]*segment, len(s.segs))}
+	sn := snapshot{first: s.firstSeqLocked(), segs: make([]*segment, len(s.segs))}
 	copy(sn.segs, s.segs)
 	for _, seg := range sn.segs {
 		seg.acquire()
@@ -123,7 +124,10 @@ func (s *Store) Scan(q Query, fn func(Event) error) error {
 // Replay streams the events with sequence numbers in (fromSeq, toSeq], in
 // order — the half-open range a resume-from-sequence subscriber wants.
 // Unlike Scan, delivered Events own their memory (payload and prefixes
-// are copied) so they can be queued past the callback.
+// are copied) so they can be queued past the callback. A non-empty range
+// that starts below FirstSeq fails with ErrDropped before delivering
+// anything: retention has dropped events the caller asked for, and
+// skipping them would be a silent gap.
 func (s *Store) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
 	return s.read(fromSeq+1, toSeq, 0, true, fn)
 }
@@ -137,6 +141,10 @@ func (s *Store) read(lo, hi uint64, kind uint8, copyOut bool, fn func(Event) err
 		return err
 	}
 	defer s.releaseSnapshot(sn)
+	// Scan reads from lo 0, whatever is retained.
+	if lo > 0 && lo <= hi && lo < sn.first {
+		return fmt.Errorf("%w: read from seq %d, oldest retained is %d", ErrDropped, lo, sn.first)
+	}
 	s.metrics.scans.Inc()
 	var scratch []netip.Prefix
 	for _, seg := range sn.segs {

@@ -275,7 +275,6 @@ type segWriter struct {
 	f       *os.File
 	baseSeq uint64
 	size    int64
-	created int64
 
 	pendingSync int
 
@@ -294,22 +293,15 @@ func (w *segWriter) firstSeq() uint64 { return w.bld.firstSeq }
 // header.
 func newSegWriter(dir string, baseSeq uint64) (*segWriter, error) {
 	path := filepath.Join(dir, segName(baseSeq))
-	return newSegWriterAt(path, idxPathFor(path), baseSeq)
-}
-
-// newSegWriterAt creates a segment writer at an explicit path (compaction
-// writes to a temp path and renames into place).
-func newSegWriterAt(path, idxPath string, baseSeq uint64) (*segWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("eventstore: %w", err)
 	}
-	created := time.Now().UnixNano()
 	var h [segHeaderLen]byte
 	le.PutUint32(h[0:], segMagic)
 	le.PutUint16(h[4:], formatVersion)
 	le.PutUint64(h[8:], baseSeq)
-	le.PutUint64(h[16:], uint64(created))
+	le.PutUint64(h[16:], uint64(time.Now().UnixNano()))
 	le.PutUint32(h[28:], crc32.Checksum(h[:28], castagnoli))
 	if _, err := f.Write(h[:]); err != nil {
 		f.Close()
@@ -318,12 +310,49 @@ func newSegWriterAt(path, idxPath string, baseSeq uint64) (*segWriter, error) {
 	}
 	return &segWriter{
 		path:    path,
-		idxPath: idxPath,
+		idxPath: idxPathFor(path),
 		f:       f,
 		baseSeq: baseSeq,
 		size:    segHeaderLen,
-		created: created,
 		dicts:   newSegDicts(),
+	}, nil
+}
+
+// reopenSegWriter continues a sealed segment: its data file reopens for
+// appending, and the offset table, time bounds and dictionaries start
+// from its index. The writer only appends past the index's lengths, so
+// scans still reading the segment never see its writes. The sidecar left
+// on disk no longer matches the growing file; the next seal replaces it,
+// and a crash before that rebuilds it by scan.
+func reopenSegWriter(seg *segment) (*segWriter, error) {
+	f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, fmt.Errorf("eventstore: %w", err)
+	}
+	idx := seg.idx
+	d := newSegDicts()
+	d.colls, d.peers, d.prefs = idx.colls, idx.peers, idx.prefs
+	for id, name := range d.colls {
+		d.collIdx[name] = uint32(id)
+	}
+	for id, pk := range d.peers {
+		d.peerIdx[pk] = uint32(id)
+	}
+	for id, p := range d.prefs {
+		d.prefIdx[p] = uint32(id)
+	}
+	return &segWriter{
+		path:    seg.path,
+		idxPath: idxPathFor(seg.path),
+		f:       f,
+		baseSeq: idx.firstSeq,
+		size:    seg.size,
+		dicts:   d,
+		bld: idxBuilder{
+			firstSeq: idx.firstSeq, lastSeq: idx.lastSeq,
+			minNS: idx.minNS, maxNS: idx.maxNS,
+			offsets: idx.offsets,
+		},
 	}, nil
 }
 
@@ -482,8 +511,9 @@ type segment struct {
 	idx  *segIndex
 	data []byte
 	// seg is the refcounted mapping behind data. The store holds one
-	// reference and every scan snapshot another, so compaction and
-	// retention can drop a segment while scans over it finish.
+	// reference and every scan snapshot another, so retention, or a
+	// restarted store continuing its tail, can drop a segment while scans
+	// over it finish.
 	seg  *mmapio.Mapping
 	torn int64 // unrecovered tail bytes (read-only opens)
 }
@@ -567,7 +597,8 @@ func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error)
 	baseSeq := le.Uint64(h[8:])
 
 	// Fast path: a valid index sidecar that agrees with the data file.
-	// Any size disagreement (a compaction crash between renames), or a
+	// Any size disagreement (a crash after appends continued the segment,
+	// or an earlier build's merge interrupted between renames), or a
 	// sequence range the frames at its ends do not carry, discards the
 	// sidecar and falls back to a scan of what the data file actually
 	// holds — the data file is always the source of truth.

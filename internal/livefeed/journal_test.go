@@ -237,6 +237,64 @@ func TestJournalRetentionReportsLost(t *testing.T) {
 	}
 }
 
+// TestJournalRetentionOvertakesCatchUp: a from-start catch-up that falls
+// behind the store's retention horizon mid-way must end with ErrJournal,
+// not skip the dropped range. The subscriber has read one event of its
+// first 512-event journal batch when 8,000 more publishes make retention
+// drop the segments its next batch starts in. It must get the rest of the
+// batch it holds, then ErrJournal, and a resume from its last event must
+// report the dropped range as lost.
+func TestJournalRetentionOvertakesCatchUp(t *testing.T) {
+	st, err := eventstore.Open(eventstore.Options{Dir: t.TempDir(), SegmentBytes: 4 << 10, RetainBytes: 128 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	b := NewBroker(Config{RingSize: 16384, ReplaySize: 8, Journal: &StoreJournal{Store: st}})
+	defer b.Close()
+	evs := syntheticEvents(12000)
+	for _, ev := range evs[:4000] {
+		b.Publish(ev)
+	}
+	sub, _, err := b.SubscribeFrom(Filter{}, PolicyBlock, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := sub.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ev.Seq
+	for _, ev := range evs[4000:] {
+		b.Publish(ev)
+	}
+	for {
+		ev, err := sub.NextTimeout(2 * time.Second)
+		if err != nil {
+			if !errors.Is(err, ErrJournal) {
+				t.Fatalf("after seq %d: %v, want ErrJournal", last, err)
+			}
+			break
+		}
+		if ev.Seq != last+1 {
+			t.Fatalf("silent gap: seq %d after %d (drops %d)", ev.Seq, last, sub.Drops())
+		}
+		last = ev.Seq
+	}
+	jFirst := st.FirstSeq()
+	if last+1 >= jFirst {
+		t.Fatalf("catch-up ended at seq %d, but the journal still holds %d on", last, jFirst)
+	}
+	resumed, lost, err := b.Subscribe(Filter{}, PolicyBlock, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if want := jFirst - 1 - last; lost != want {
+		t.Fatalf("resume from %d: lost = %d, want %d (journal first seq %d)", last, lost, want, jFirst)
+	}
+}
+
 // TestJournalSkipsUnencodableEvent: an event the broker cannot encode (a
 // timestamp past year 9999) is a counted gap for live subscribers, and it
 // must stay exactly that gap in the journal. It once went to disk as a JSON
