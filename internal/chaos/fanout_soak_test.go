@@ -174,7 +174,7 @@ func fanoutDrainer(sub *livefeed.Subscriber, filter livefeed.Filter, kind string
 		}
 	}()
 	for {
-		fr, err := sub.NextFrame()
+		fr, err := sub.NextFrameTimeout(0)
 		if err != nil {
 			switch {
 			case errors.Is(err, livefeed.ErrBrokerClosed), errors.Is(err, livefeed.ErrClosed):

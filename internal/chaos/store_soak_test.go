@@ -64,6 +64,16 @@ func TestStoreCrashSoak(t *testing.T) {
 	}
 }
 
+// nextTimeout is Subscriber.Next bounded by a wait of d.
+func nextTimeout(sub *livefeed.Subscriber, d time.Duration) (livefeed.Event, error) {
+	fr, err := sub.NextFrameTimeout(d)
+	if err != nil {
+		return livefeed.Event{}, err
+	}
+	defer fr.Release()
+	return fr.Event(), nil
+}
+
 // damageTail vandalizes the active (unsealed) segment the way a real
 // crash can: mode 1 truncates up to 128 tail bytes, mode 2 flips one
 // byte inside the last frame. Mode 0 leaves the abandoned file as is
@@ -152,7 +162,7 @@ func runStoreCrashSeed(t *testing.T, sc *soakScenario, seed uint64) {
 	b1.Close()
 	preRoutes := make(map[routeKey]bool)
 	for {
-		ev, err := sub1.NextTimeout(5 * time.Second)
+		ev, err := nextTimeout(sub1, 5*time.Second)
 		if err != nil {
 			if !errors.Is(err, livefeed.ErrBrokerClosed) {
 				fail("pre-crash subscriber drain: %v", err)
@@ -213,7 +223,7 @@ func runStoreCrashSeed(t *testing.T, sc *soakScenario, seed uint64) {
 	}
 	postRoutes := make(map[routeKey]bool)
 	for want := uint64(1); want <= head; want++ {
-		ev, err := sub2.NextTimeout(5 * time.Second)
+		ev, err := nextTimeout(sub2, 5*time.Second)
 		if err != nil {
 			fail("drain stalled at seq %d of %d: %v", want, head, err)
 		}

@@ -362,8 +362,12 @@ func (b *Broker) Subscribe(f Filter, policy Policy, resumeFrom uint64) (sub *Sub
 // lost its very first connection unable to ask for the events published
 // in between (the chaos harness exposed exactly this gap). fromStart
 // with resumeFrom 0 instead replays every retained event, reporting
-// events already evicted from the window as lost.
+// events already evicted from the window as lost. A filter naming an
+// unknown channel or event type is refused with an error.
 func (b *Broker) SubscribeFrom(f Filter, policy Policy, resumeFrom uint64, fromStart bool) (sub *Subscriber, lost uint64, err error) {
+	if err := f.validate(); err != nil {
+		return nil, 0, err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -496,7 +500,7 @@ func (b *Broker) Close() {
 // event frames plus the policy applied when the ring is full. Each ring
 // slot holds one reference on its frame; dequeuing transfers that
 // reference to the consumer (Next releases it after copying the event
-// out, NextFrame hands it to the caller).
+// out, NextFrameTimeout hands it to the caller).
 type Subscriber struct {
 	b      *Broker
 	filter Filter
@@ -720,7 +724,7 @@ func (s *Subscriber) push(f *sharedFrame, m *Metrics) bool {
 // being too slow, ErrJournal if the resume gap could not be read back,
 // or ErrClosed/ErrBrokerClosed after Close.
 func (s *Subscriber) Next() (Event, error) {
-	f, err := s.nextFrame(time.Time{})
+	f, err := s.next(0)
 	if err != nil {
 		return Event{}, err
 	}
@@ -729,119 +733,69 @@ func (s *Subscriber) Next() (Event, error) {
 	return ev, nil
 }
 
-// errIdle reports an expired NextTimeout wait; the subscriber is intact.
+// errIdle reports an expired NextFrameTimeout wait; the subscriber is
+// intact.
 var errIdle = fmt.Errorf("livefeed: no event within the wait")
 
-// NextTimeout is Next bounded by a wait: if no event arrives within d it
-// returns errIdle while the subscription stays attached. The server's
-// heartbeat loop uses it to interleave keepalives into idle streams.
-func (s *Subscriber) NextTimeout(d time.Duration) (Event, error) {
-	f, err := s.nextFrameTimeout(d)
-	if err != nil {
-		return Event{}, err
-	}
-	ev := f.ev
-	f.release()
-	return ev, nil
-}
-
-// NextFrame is the zero-copy Next: it blocks until an event is available
-// and returns it in encoded wire form. The caller owns the frame's
-// reference and must Release it once the bytes have been consumed.
-func (s *Subscriber) NextFrame() (Frame, error) {
-	f, err := s.nextFrame(time.Time{})
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{f: f}, nil
-}
-
-// NextFrameTimeout is NextFrame bounded by a wait (errIdle semantics as
-// NextTimeout).
+// NextFrameTimeout is the zero-copy Next: it returns the next event in
+// encoded wire form, and the caller owns the frame's reference and must
+// Release it once the bytes have been consumed. A positive d bounds the
+// wait: if no event arrives within d it returns errIdle while the
+// subscription stays attached, which the server's heartbeat loop uses to
+// interleave keepalives into idle streams. d <= 0 waits without bound.
 func (s *Subscriber) NextFrameTimeout(d time.Duration) (Frame, error) {
-	f, err := s.nextFrameTimeout(d)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{f: f}, nil
+	f, err := s.next(d)
+	return Frame{f: f}, err
 }
 
 // TryNextFrame returns the next frame only if one is available without
-// blocking (backfill batches may still read the journal). ok reports
-// whether a frame was returned; a stream-ending condition surfaces on
-// the next blocking call instead.
+// blocking: backlog first, then whatever the live ring holds right now.
+// The server's writev batching uses it to gather consecutive frames. ok
+// reports whether a frame was returned; errors (journal failure, close)
+// are left for the next blocking call to surface, so a partially
+// gathered batch is still written.
 func (s *Subscriber) TryNextFrame() (Frame, bool) {
-	f, ok := s.tryNextFrame()
-	if !ok {
-		return Frame{}, false
-	}
-	return Frame{f: f}, true
-}
-
-func (s *Subscriber) nextFrameTimeout(d time.Duration) (*sharedFrame, error) {
-	if f, ok, err := s.backfillNext(); ok || err != nil {
-		return f, err
-	}
-	if d <= 0 {
-		return s.nextLive(time.Time{})
-	}
-	// A sleeping cond.Wait cannot be timed out directly; an AfterFunc
-	// broadcast wakes every waiter, and the deadline check in nextLive
-	// turns the spurious wakeup into errIdle for this caller only. The
-	// deadline is taken before the timer is armed, so the timer never
-	// fires ahead of it, and the broadcast holds the lock, so it cannot
-	// land between nextLive's deadline check and its Wait — either would
-	// leave the caller asleep until the next publish.
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	return s.nextLive(deadline)
-}
-
-func (s *Subscriber) nextFrame(deadline time.Time) (*sharedFrame, error) {
-	if f, ok, err := s.backfillNext(); ok || err != nil {
-		return f, err
-	}
-	return s.nextLive(deadline)
-}
-
-// tryNextFrame is the non-blocking dequeue the server's writev batching
-// uses to gather consecutive frames: backlog first, then whatever the
-// live ring holds right now. Errors (journal failure, close) are left
-// for the next blocking call to surface so a partially-gathered batch
-// is still written.
-func (s *Subscriber) tryNextFrame() (*sharedFrame, bool) {
 	if s.backlog != nil {
 		f, ok, err := s.backfillNext()
 		if err != nil {
-			return nil, false
+			return Frame{}, false
 		}
 		if ok {
-			return f, true
+			return Frame{f: f}, true
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 {
-		return nil, false
+		return Frame{}, false
 	}
-	f := s.buf[s.head]
-	s.buf[s.head] = nil // reference transfers to the caller
-	s.head = (s.head + 1) % len(s.buf)
-	s.n--
-	s.cond.Signal() // wake a blocked publisher
-	s.noteDelivered(f)
-	return f, true
+	return Frame{f: s.popLocked()}, true
 }
 
-// nextLive dequeues from the live ring, blocking until a frame arrives,
-// the deadline passes (errIdle), or the subscriber closes. The dequeued
-// slot's reference transfers to the caller.
-func (s *Subscriber) nextLive(deadline time.Time) (*sharedFrame, error) {
+// next is the one blocking dequeue: resume catch-up first, then the live
+// ring, waiting at most d when d is positive. The dequeued frame's
+// reference transfers to the caller.
+func (s *Subscriber) next(d time.Duration) (*sharedFrame, error) {
+	if f, ok, err := s.backfillNext(); ok || err != nil {
+		return f, err
+	}
+	var deadline time.Time
+	if d > 0 {
+		// A sleeping cond.Wait cannot be timed out directly; an AfterFunc
+		// broadcast wakes every waiter, and the deadline check below turns
+		// the spurious wakeup into errIdle for this caller only. The
+		// deadline is taken before the timer is armed, so the timer never
+		// fires ahead of it, and the broadcast holds the lock, so it
+		// cannot land between the deadline check and the Wait — either
+		// would leave the caller asleep until the next publish.
+		deadline = time.Now().Add(d)
+		timer := time.AfterFunc(d, func() {
+			s.mu.Lock()
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		})
+		defer timer.Stop()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.n == 0 && !s.closed {
@@ -857,13 +811,19 @@ func (s *Subscriber) nextLive(deadline time.Time) (*sharedFrame, error) {
 		}
 		return nil, reason
 	}
+	return s.popLocked(), nil
+}
+
+// popLocked dequeues the head of the non-empty live ring; the slot's
+// reference transfers to the caller. s.mu must be held.
+func (s *Subscriber) popLocked() *sharedFrame {
 	f := s.buf[s.head]
-	s.buf[s.head] = nil // reference transfers to the caller
+	s.buf[s.head] = nil
 	s.head = (s.head + 1) % len(s.buf)
 	s.n--
 	s.cond.Signal() // wake a blocked publisher
 	s.noteDelivered(f)
-	return f, nil
+	return f
 }
 
 // noteDelivered advances the session's consumption telemetry on every

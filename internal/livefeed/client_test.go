@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +82,55 @@ func TestServerRefusesBlockPolicy(t *testing.T) {
 	conn, err := Dial(addr2, Filter{}, PolicyBlock, 0)
 	if err != nil {
 		t.Fatalf("Dial with block policy on AllowBlock server: %v", err)
+	}
+	conn.Close()
+}
+
+// TestSubscribeRefusesUnknownNames: a filter naming a channel or event
+// type no event carries is refused, in process and over the wire, instead
+// of being acknowledged and then starved forever. Valid names still
+// subscribe.
+func TestSubscribeRefusesUnknownNames(t *testing.T) {
+	b := NewBroker(Config{})
+	defer b.Close()
+	_, addr := startServer(t, b, false)
+	for _, tc := range []struct {
+		f    Filter
+		want string
+	}{
+		{Filter{Channels: []string{"anomaly"}}, `unknown channel "anomaly"`},
+		{Filter{Channels: []string{ChannelZombie, "zombies"}}, `unknown channel "zombies"`},
+		{Filter{Types: []string{"moas"}}, `unknown event type "moas"`},
+	} {
+		if sub, _, err := b.SubscribeFrom(tc.f, PolicyDropOldest, 0, false); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if sub != nil {
+				sub.Close()
+			}
+			t.Errorf("SubscribeFrom(%+v) = %v, want an error containing %s", tc.f, err, tc.want)
+		}
+		if conn, err := Dial(addr, tc.f, PolicyDropOldest, 0); !errors.Is(err, ErrServerRefused) || !strings.Contains(err.Error(), tc.want) {
+			if conn != nil {
+				conn.Close()
+			}
+			t.Errorf("Dial(%+v) = %v, want ErrServerRefused naming %s", tc.f, err, tc.want)
+		}
+	}
+	if n := b.SubscriberCount(); n != 0 {
+		t.Fatalf("%d subscribers left after refused subscriptions", n)
+	}
+
+	valid := Filter{
+		Channels: []string{ChannelUpdates, ChannelZombie},
+		Types:    []string{TypeUpdate, TypeState, TypeZombie, TypeResurrection},
+	}
+	sub, _, err := b.SubscribeFrom(valid, PolicyDropOldest, 0, false)
+	if err != nil {
+		t.Fatalf("SubscribeFrom(valid) = %v", err)
+	}
+	sub.Close()
+	conn, err := Dial(addr, valid, PolicyDropOldest, 0)
+	if err != nil {
+		t.Fatalf("Dial(valid) = %v", err)
 	}
 	conn.Close()
 }

@@ -446,7 +446,7 @@ func TestDifferentialBlockingStall(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for len(events[c]) < n {
-					fr, err := sub.NextFrame()
+					fr, err := sub.NextFrameTimeout(0)
 					if err != nil {
 						t.Errorf("consumer %d: %v", c, err)
 						return

@@ -17,10 +17,6 @@ const (
 	ChannelUpdates = "updates"
 	// ChannelZombie carries real-time detection alerts.
 	ChannelZombie = "zombie"
-	// ChannelAnomaly carries findings from the pluggable anomaly
-	// framework (MOAS conflicts, hyper-specific leaks, community storms,
-	// zombie outbreaks evaluated in batch over the accumulated stream).
-	ChannelAnomaly = "anomaly"
 )
 
 // Event types within a channel.
@@ -83,51 +79,6 @@ type Event struct {
 
 	// Alert is set on zombie-channel events.
 	Alert *Alert `json:"alert,omitempty"`
-
-	// Anomaly is set on anomaly-channel events.
-	Anomaly *AnomalyAlert `json:"anomaly,omitempty"`
-}
-
-// AnomalyAlert is the payload of an anomaly-channel event: one typed
-// finding from the anomaly framework. The event Type is the finding's
-// Kind, so subscribers can filter per pathology.
-type AnomalyAlert struct {
-	Detector string       `json:"detector"`
-	Kind     string       `json:"kind"`
-	Prefix   netip.Prefix `json:"prefix"`
-	// PeerAS/Peer are set for per-session findings (community storms).
-	PeerAS  bgp.ASN    `json:"peer_as,omitempty"`
-	Peer    netip.Addr `json:"peer,omitempty"`
-	Origins []bgp.ASN  `json:"origins,omitempty"`
-	Start   time.Time  `json:"start"`
-	End     time.Time  `json:"end"`
-	Count   int        `json:"count"`
-	Detail  string     `json:"detail,omitempty"`
-}
-
-// AnomalyEvent converts a framework finding into an anomaly-channel
-// event.
-func AnomalyEvent(a zombie.Anomaly) Event {
-	return Event{
-		Channel:   ChannelAnomaly,
-		Type:      a.Kind,
-		Collector: a.Peer.Collector,
-		Timestamp: a.End,
-		PeerAS:    a.Peer.AS,
-		Peer:      a.Peer.Addr,
-		Anomaly: &AnomalyAlert{
-			Detector: a.Detector,
-			Kind:     a.Kind,
-			Prefix:   a.Prefix,
-			PeerAS:   a.Peer.AS,
-			Peer:     a.Peer.Addr,
-			Origins:  a.Origins,
-			Start:    a.Start,
-			End:      a.End,
-			Count:    a.Count,
-			Detail:   a.Detail,
-		},
-	}
 }
 
 // Streamable reports whether EventFromRecord would publish rec: BGP4MP
@@ -256,14 +207,10 @@ func (ev *Event) Record() (mrt.Record, error) {
 }
 
 // Prefixes returns every prefix the event concerns: announced plus
-// withdrawn NLRI for updates, the alert prefix for zombie and anomaly
-// events.
+// withdrawn NLRI for updates, the alert prefix for zombie events.
 func (ev *Event) Prefixes() []netip.Prefix {
 	if ev.Alert != nil {
 		return []netip.Prefix{ev.Alert.Prefix}
-	}
-	if ev.Anomaly != nil {
-		return []netip.Prefix{ev.Anomaly.Prefix}
 	}
 	out := make([]netip.Prefix, 0, len(ev.Withdrawals)+1)
 	for _, a := range ev.Announcements {

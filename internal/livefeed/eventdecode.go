@@ -13,7 +13,7 @@ import (
 // update or state event: keys in struct order with omitempty respected,
 // no whitespace, strings of printable ASCII without a backslash, unsigned
 // integers in canonical form and within the field's width, non-empty
-// arrays, no alert or anomaly. Leaf values go through the methods
+// arrays, no alert. Leaf values go through the methods
 // encoding/json calls for them, so an accepted payload decodes to exactly
 // what json.Unmarshal returns (FuzzEventDecode holds it to that). Anything
 // else reports false and the caller falls back to json.Unmarshal.

@@ -89,10 +89,10 @@ func eventDecodeSeeds(t testing.TB) map[string]eventSeed {
 		PeerAS: 25091, Peer: netip.MustParseAddr("2001:db8::1"),
 		Alert: &Alert{Prefix: netip.MustParsePrefix("2a0d:3dc1:1200::/48"), Path: []bgp.ASN{25091, 8298}, AnnouncedAt: ts, DetectedAt: ts},
 	})
-	anomaly := marshal(Event{
-		Seq: 44, Channel: ChannelAnomaly, Type: "moas", Timestamp: ts,
-		Anomaly: &AnomalyAlert{Detector: "moas", Kind: "moas", Prefix: netip.MustParsePrefix("84.205.64.0/24"), Start: ts, End: ts, Count: 2},
-	})
+	// anomaly carries an object under a key Event does not have.
+	anomaly := `{"seq":44,"channel":"anomaly","type":"moas","timestamp":"2024-06-10T12:00:00.123456789Z","peer":"",` +
+		`"anomaly":{"detector":"moas","kind":"moas","prefix":"84.205.64.0/24","peer":"",` +
+		`"start":"2024-06-10T12:00:00.123456789Z","end":"2024-06-10T12:00:00.123456789Z","count":2}}` + "\n"
 	// edit replaces the first occurrence of old in the canonical update,
 	// failing loudly if a seed stops editing anything.
 	edit := func(src, old, new string) string {

@@ -11,13 +11,13 @@ import (
 // gives an update or state event, the mirror of decodeEventFast: keys in
 // struct order with omitempty respected, and every leaf through the append
 // form of the method encoding/json calls for it. It reports false, with
-// only dst's bytes in the result, for alerts and anomalies and for
-// anything json.Marshal would escape or reject: a string byte outside
-// printable ASCII or in `"\<>&`; a year outside 0-9999; a zone offset not
-// in whole minutes or not under a day; an announcement with no prefixes;
-// an invalid non-zero prefix. FuzzEventEncode holds it to byte identity.
+// only dst's bytes in the result, for alerts and for anything json.Marshal
+// would escape or reject: a string byte outside printable ASCII or in
+// `"\<>&`; a year outside 0-9999; a zone offset not in whole minutes or
+// not under a day; an announcement with no prefixes; an invalid non-zero
+// prefix. FuzzEventEncode holds it to byte identity.
 func appendEvent(dst []byte, ev *Event) ([]byte, bool) {
-	if ev.Alert != nil || ev.Anomaly != nil {
+	if ev.Alert != nil {
 		return dst, false
 	}
 	e := fastEncoder{b: dst, ok: true}

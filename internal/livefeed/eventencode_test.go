@@ -21,7 +21,7 @@ import (
 const (
 	shapeState         = 1 << iota // a STATE event instead of an UPDATE
 	shapeAlert                     // a zombie-channel event carrying an Alert
-	shapeAnomaly                   // an anomaly-channel event
+	_                              // unused; the later bits keep their values
 	shapeNilPrefixes               // an announcement with no prefixes
 	shapeInvalidPrefix             // a non-zero prefix that is not valid
 )
@@ -79,9 +79,6 @@ func fuzzEncodeEvent(in encodeInput) Event {
 	case in.shape&shapeAlert != 0:
 		ev.Channel, ev.Type = ChannelZombie, TypeZombie
 		ev.Alert = &Alert{Prefix: pfx, Path: []bgp.ASN{25091}, AnnouncedAt: ts, DetectedAt: ts}
-	case in.shape&shapeAnomaly != 0:
-		ev.Channel, ev.Type = ChannelAnomaly, "moas"
-		ev.Anomaly = &AnomalyAlert{Detector: "moas", Kind: "moas", Prefix: pfx, Start: ts, End: ts, Count: 2}
 	case in.shape&shapeState != 0:
 		ev.Type = TypeState
 		ev.OldState, ev.NewState = uint16(in.seq), uint16(in.seq>>16)
@@ -134,7 +131,7 @@ func checkEventEncode(t testing.TB, ev Event) bool {
 		}
 		return false
 	}
-	if ev.Alert != nil || ev.Anomaly != nil {
+	if ev.Alert != nil {
 		t.Fatalf("appendEvent took a %s event", ev.Channel)
 	}
 	if err != nil {
@@ -208,7 +205,6 @@ func eventEncodeSeeds() map[string]encodeSeed {
 		"nil-prefixes":    {with(func(in *encodeInput) { in.shape = shapeNilPrefixes }), false},
 		"invalid-prefix":  {with(func(in *encodeInput) { in.shape = shapeInvalidPrefix }), false},
 		"alert":           {with(func(in *encodeInput) { in.shape = shapeAlert }), false},
-		"anomaly":         {with(func(in *encodeInput) { in.shape = shapeAnomaly }), false},
 		"state-nil-raw":   {with(func(in *encodeInput) { in.shape, in.raw = shapeState, nil }), true},
 		"max-seq":         {with(func(in *encodeInput) { in.seq = 1<<64 - 1 }), true},
 		"negative-offset": {with(func(in *encodeInput) { in.offset = -86400 }), false},

@@ -1,6 +1,7 @@
 package livefeed
 
 import (
+	"fmt"
 	"net/netip"
 
 	"zombiescope/internal/bgp"
@@ -9,7 +10,8 @@ import (
 // Filter is a server-side subscription filter, evaluated against every
 // published event before it is queued for a subscriber. The zero value
 // matches everything. Each populated dimension must match (AND across
-// dimensions, OR within one).
+// dimensions, OR within one). Subscribing with a channel or type no
+// event carries is refused rather than left silently empty.
 type Filter struct {
 	// Channels restricts to the named feed channels ("updates",
 	// "zombie"). Empty means all channels.
@@ -26,6 +28,25 @@ type Filter struct {
 	// Types restricts to event types ("UPDATE", "STATE", "zombie",
 	// "resurrection").
 	Types []string `json:"types,omitempty"`
+}
+
+// validate reports the first channel or type in f that no published
+// event carries: a subscription naming one would be acknowledged and then
+// never receive a thing.
+func (f *Filter) validate() error {
+	for _, c := range f.Channels {
+		if c != ChannelUpdates && c != ChannelZombie {
+			return fmt.Errorf("livefeed: unknown channel %q", c)
+		}
+	}
+	for _, t := range f.Types {
+		switch t {
+		case TypeUpdate, TypeState, TypeZombie, TypeResurrection:
+		default:
+			return fmt.Errorf("livefeed: unknown event type %q", t)
+		}
+	}
+	return nil
 }
 
 // Match reports whether the event passes the filter.
@@ -61,11 +82,8 @@ func (f *Filter) Match(ev *Event) bool {
 // building that slice: Publish runs it once per prefix-filtered
 // subscriber, so it must not allocate.
 func (f *Filter) matchPrefixes(ev *Event) bool {
-	switch {
-	case ev.Alert != nil:
+	if ev.Alert != nil {
 		return f.coversAny([]netip.Prefix{ev.Alert.Prefix})
-	case ev.Anomaly != nil:
-		return f.coversAny([]netip.Prefix{ev.Anomaly.Prefix})
 	}
 	for _, a := range ev.Announcements {
 		if f.coversAny(a.Prefixes) {

@@ -19,13 +19,24 @@ import (
 	"zombiescope/internal/zombie"
 )
 
+// nextTimeout is Subscriber.Next bounded by a wait of d (errIdle when
+// nothing arrives).
+func nextTimeout(sub *Subscriber, d time.Duration) (Event, error) {
+	fr, err := sub.NextFrameTimeout(d)
+	if err != nil {
+		return Event{}, err
+	}
+	defer fr.Release()
+	return fr.Event(), nil
+}
+
 // drainUntil reads events off sub until it sees sequence head (inclusive)
 // or goes idle.
 func drainUntil(t *testing.T, sub *Subscriber, head uint64) []Event {
 	t.Helper()
 	var out []Event
 	for {
-		ev, err := sub.NextTimeout(2 * time.Second)
+		ev, err := nextTimeout(sub, 2*time.Second)
 		if err == errIdle {
 			return out
 		}
@@ -269,7 +280,7 @@ func TestJournalRetentionOvertakesCatchUp(t *testing.T) {
 		b.Publish(ev)
 	}
 	for {
-		ev, err := sub.NextTimeout(2 * time.Second)
+		ev, err := nextTimeout(sub, 2*time.Second)
 		if err != nil {
 			if !errors.Is(err, ErrJournal) {
 				t.Fatalf("after seq %d: %v, want ErrJournal", last, err)

@@ -73,12 +73,6 @@ type Metrics struct {
 	checksFired   *obs.Counter
 	pendingChecks *obs.Gauge
 	peerRate      *obs.GaugeVec
-
-	// Anomaly framework (the accumulated-stream evaluation wired by
-	// Pipeline.DetectAnomalies): findings per detector name, plus the
-	// wall time of one full seal-and-evaluate pass.
-	anomalyFindings *obs.CounterVec
-	anomalyEval     *obs.Histogram
 }
 
 // NewMetrics registers the broker instrument families on reg (nil: a
@@ -132,11 +126,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.peerRate = reg.GaugeVec("detector_peer_zombie_rate",
 		"Per-peer zombie likelihood: deduped zombie routes over beacon announcements of the family (the paper's noisy-peer table, live).",
 		"collector", "peer_as", "afi")
-	m.anomalyFindings = reg.CounterVec("anomaly_findings_total",
-		"Anomaly-channel findings published, per detector.", "detector")
-	m.anomalyEval = reg.Histogram("anomaly_eval_seconds",
-		"Wall time of one full anomaly evaluation (seal the accumulated history, run every detector).",
-		obs.ExponentialBuckets(1e-5, 4, 12))
 	return m
 }
 

@@ -78,13 +78,6 @@ type Pipeline struct {
 	sd        *zombie.StreamDetector
 	watermark time.Time
 
-	// Anomaly mode (EnableAnomalies): every streamable record also
-	// accumulates into a track-all HistoryBuilder, and DetectAnomalies seals
-	// it and runs the framework, publishing findings on the anomaly channel.
-	anomalyHist *zombie.HistoryBuilder
-	anomalyDets []zombie.AnomalyDetector
-	anomalyPar  int
-
 	// recovering mutes alert publication while Recover re-observes
 	// journaled records: those detections already fired (and were
 	// published) before the restart.
@@ -142,41 +135,6 @@ func NewPipeline(b *Broker, intervals []beacon.Interval, threshold time.Duration
 	return p
 }
 
-// EnableAnomalies turns on anomaly accumulation: subsequently ingested
-// (and recovered) records build a track-all history, and DetectAnomalies
-// evaluates the named detectors over it. An empty names list enables
-// every registered detector.
-func (p *Pipeline) EnableAnomalies(names []string, cfg zombie.AnomalyConfig) error {
-	dets, err := zombie.BuildAnomalyDetectors(names, cfg)
-	if err != nil {
-		return err
-	}
-	p.anomalyHist = zombie.NewHistoryBuilder(nil)
-	p.anomalyDets = dets
-	p.anomalyPar = cfg.Parallelism
-	return nil
-}
-
-// DetectAnomalies seals the accumulated stream history, runs the enabled
-// detectors over win, and publishes every finding on the anomaly
-// channel. The accumulator keeps observing: later calls evaluate the
-// longer stream. It returns nil when EnableAnomalies was not called.
-func (p *Pipeline) DetectAnomalies(win zombie.Window) *zombie.AnomalyReport {
-	if p.anomalyHist == nil {
-		return nil
-	}
-	m := p.Broker.Metrics()
-	started := obs.Nanos()
-	h := p.anomalyHist.Seal()
-	rep := zombie.RunAnomalyDetectors(h, win, p.anomalyDets, p.anomalyPar)
-	m.anomalyEval.Observe(obs.SinceNanos(started))
-	for _, a := range rep.Findings {
-		m.anomalyFindings.With(a.Detector).Inc()
-		p.Broker.Publish(AnomalyEvent(a))
-	}
-	return rep
-}
-
 func famIdx(v6 bool) int {
 	if v6 {
 		return 1
@@ -232,12 +190,6 @@ func (p *Pipeline) Ingest(sr SourcedRecord) {
 	p.sd.SetIngestStamp(ing)
 	p.sd.Advance(p.watermark)
 	p.sd.Observe(sr.Collector, sr.Rec)
-	if p.anomalyHist != nil {
-		// A record the decoder rejects contributes no history events; the
-		// live path keeps going, exactly as the batch builder would fail
-		// the whole archive the stream never sees.
-		_ = p.anomalyHist.Observe(sr.Collector, sr.Rec)
-	}
 	m.stageDetect.Observe(obs.SinceNanos(ing))
 	p.syncChecks()
 	m.watermark.Set(float64(p.watermark.Unix()))
@@ -276,8 +228,8 @@ func (p *Pipeline) Recover(st *eventstore.Store) (int, error) {
 	defer func() { p.recovering = false }()
 	n := 0
 	// Scan payloads alias the segment mapping only until the callback
-	// returns; the detector and the anomaly history keep nothing of the
-	// record, so each one is decoded borrowed.
+	// returns; the detector keeps nothing of the record, so each one is
+	// decoded borrowed.
 	dec := mrt.Decoder{Borrow: true}
 	err := st.Scan(eventstore.Query{}, func(se eventstore.Event) error {
 		if se.Kind != eventstore.KindMRT {
@@ -300,9 +252,6 @@ func (p *Pipeline) Recover(st *eventstore.Store) (int, error) {
 		p.watermark = rec.RecordTime()
 		p.sd.Advance(p.watermark)
 		p.sd.Observe(se.Collector, rec)
-		if p.anomalyHist != nil {
-			_ = p.anomalyHist.Observe(se.Collector, rec)
-		}
 		n++
 		return nil
 	})

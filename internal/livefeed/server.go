@@ -18,9 +18,9 @@ import (
 // policy is chosen by the client (subject to AllowBlock).
 //
 // The event path is zero-copy: the write loop dequeues encoded frames
-// (Subscriber.NextFrame) and hands their shared buffers straight to the
-// kernel via net.Buffers — on a TCP connection consecutive frames go out
-// in one writev call. Events are never re-marshalled per connection.
+// (Subscriber.NextFrameTimeout) and hands their shared buffers straight
+// to the kernel via net.Buffers — on a TCP connection consecutive frames
+// go out in one writev call. Events are never re-marshalled per connection.
 type Server struct {
 	Broker *Broker
 	// Name is reported in the Hello frame (e.g. "zombied/1").

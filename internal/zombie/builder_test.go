@@ -261,7 +261,8 @@ func TestSealDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One builder, sealed halfway and again at the end, as livefeed does.
+	// One builder, sealed halfway and again at the end: Seal leaves the
+	// builder observing.
 	one := NewHistoryBuilder(nil)
 	half := len(recs) / 2
 	for i, rec := range recs {

@@ -80,9 +80,8 @@ type builderPair struct {
 
 // HistoryBuilder is the one way to build a History: Observe collector
 // records in stream order, then Seal. Every source is an adapter over it —
-// archives (BuildHistoryStreams, one builder per decoded chunk), the event
-// store (BuildHistoryFromStore) and live feeds (livefeed.Pipeline). Records
-// of one collector must arrive in that collector's stream order; how
+// archives (BuildHistoryStreams, one builder per decoded chunk) and the
+// event store (BuildHistoryFromStore). Records of one collector must arrive in that collector's stream order; how
 // collectors interleave does not matter, because a (peer, prefix) pair
 // never spans collectors.
 //
