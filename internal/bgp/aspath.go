@@ -164,6 +164,24 @@ func (p ASPath) AppendWireFormat(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// validASPath reports whether DecodeASPath accepts b, without decoding it.
+func validASPath(b []byte) bool {
+	for len(b) > 0 {
+		if len(b) < 2 {
+			return false
+		}
+		if st := SegmentType(b[0]); st != ASSet && st != ASSequence {
+			return false
+		}
+		need := 2 + 4*int(b[1])
+		if len(b) < need {
+			return false
+		}
+		b = b[need:]
+	}
+	return true
+}
+
 // DecodeASPath parses a four-octet-AS AS_PATH attribute value.
 func DecodeASPath(b []byte) (ASPath, error) {
 	var p ASPath

@@ -198,7 +198,8 @@ func DecodePathAttributes(b []byte) (PathAttributes, error) {
 // non-nil, holds the front caches DecodeIntern looks up through; st, when
 // non-nil, is the storage the communities, unknown attributes and
 // MP_REACH/UNREACH are decoded into; df selects borrow/intern behavior per
-// the DecodeFlags contract.
+// the DecodeFlags contract, and with decodeDefer the walk leaves the
+// deferred attributes in s.deferred.
 func decodePathAttributesInto(pa *PathAttributes, s *Scratch, st *AttrStore, df DecodeFlags, b []byte) error {
 	for len(b) > 0 {
 		if len(b) < 3 {
@@ -220,7 +221,9 @@ func decodePathAttributesInto(pa *PathAttributes, s *Scratch, st *AttrStore, df 
 			return fmt.Errorf("%w: attribute %d value needs %d bytes, have %d", ErrBadAttribute, typ, vlen, len(b)-off)
 		}
 		val := b[off : off+vlen]
-		if err := pa.decodeOne(df, s, st, flags, typ, val); err != nil {
+		if df&decodeDefer != 0 && isDeferred(typ) {
+			s.deferred = append(s.deferred, RawAttr{Flags: flags, Type: typ, Value: val})
+		} else if err := pa.decodeOne(df, s, st, flags, typ, val); err != nil {
 			return err
 		}
 		b = b[off+vlen:]

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -15,8 +16,14 @@ import (
 // corpus under testdata/fuzz/FuzzCommunities is kept in sync by
 // TestFuzzSeedCorpus.
 func FuzzCommunities(f *testing.F) {
-	for _, seed := range communityCorpusSeeds(f) {
-		f.Add(seed.data)
+	seeds := communityCorpusSeeds(f)
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names) // seed#N names the same input on every run
+	for _, name := range names {
+		f.Add(seeds[name].data)
 	}
 	// One scratch for the whole run: reuse across inputs is the production
 	// access pattern, and exactly where a missed reset would leak one

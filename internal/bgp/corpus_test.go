@@ -116,7 +116,7 @@ func corpusEntry(data []byte) []byte {
 }
 
 // parseCorpusEntry is the inverse, for validating committed files.
-func parseCorpusEntry(t *testing.T, raw []byte) []byte {
+func parseCorpusEntry(t testing.TB, raw []byte) []byte {
 	t.Helper()
 	lines := strings.SplitN(string(raw), "\n", 2)
 	if len(lines) != 2 || lines[0] != "go test fuzz v1" {

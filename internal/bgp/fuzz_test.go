@@ -9,37 +9,9 @@ import (
 // wire data. Run with `go test -fuzz FuzzDecodeUpdate ./internal/bgp`;
 // the seed corpus also runs as a normal test.
 func FuzzDecodeUpdate(f *testing.F) {
-	// Seeds: real encodings of representative messages.
-	v6 := &Update{
-		Attrs: PathAttributes{
-			HasOrigin:  true,
-			ASPath:     NewASPath(4637, 1299, 25091, 8298, 210312),
-			Aggregator: &Aggregator{ASN: 210312, Addr: netip.MustParseAddr("10.19.29.192")},
-			MPReach: &MPReachNLRI{
-				AFI: AFIIPv6, SAFI: SAFIUnicast,
-				NextHop: netip.MustParseAddr("2001:db8::1"),
-				NLRI:    []netip.Prefix{netip.MustParsePrefix("2a0d:3dc1:1851::/48")},
-			},
-		},
+	for _, seed := range decodeUpdateSeeds(f) {
+		f.Add(seed)
 	}
-	if wire, err := v6.AppendWireFormat(nil); err == nil {
-		f.Add(wire)
-	}
-	v4 := &Update{
-		Withdrawn: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")},
-		Attrs: PathAttributes{
-			HasOrigin: true,
-			ASPath:    NewASPath(12654),
-			NextHop:   netip.MustParseAddr("192.0.2.1"),
-		},
-		NLRI: []netip.Prefix{netip.MustParsePrefix("93.175.147.0/24")},
-	}
-	if wire, err := v4.AppendWireFormat(nil); err == nil {
-		f.Add(wire)
-	}
-	f.Add(NewKeepalive())
-	f.Add([]byte{})
-	f.Add(make([]byte, HeaderLen))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := DecodeUpdate(data)
@@ -67,6 +39,42 @@ func FuzzDecodeUpdate(f *testing.F) {
 			t.Fatalf("withdrawn count changed: %d -> %d", len(u.WithdrawnAll()), len(u2.WithdrawnAll()))
 		}
 	})
+}
+
+// decodeUpdateSeeds are FuzzDecodeUpdate's seeds, shared with
+// FuzzDeferredDecode: real encodings of representative messages plus the
+// framing edge cases.
+func decodeUpdateSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	var seeds [][]byte
+	v6 := &Update{
+		Attrs: PathAttributes{
+			HasOrigin:  true,
+			ASPath:     NewASPath(4637, 1299, 25091, 8298, 210312),
+			Aggregator: &Aggregator{ASN: 210312, Addr: netip.MustParseAddr("10.19.29.192")},
+			MPReach: &MPReachNLRI{
+				AFI: AFIIPv6, SAFI: SAFIUnicast,
+				NextHop: netip.MustParseAddr("2001:db8::1"),
+				NLRI:    []netip.Prefix{netip.MustParsePrefix("2a0d:3dc1:1851::/48")},
+			},
+		},
+	}
+	if wire, err := v6.AppendWireFormat(nil); err == nil {
+		seeds = append(seeds, wire)
+	}
+	v4 := &Update{
+		Withdrawn: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")},
+		Attrs: PathAttributes{
+			HasOrigin: true,
+			ASPath:    NewASPath(12654),
+			NextHop:   netip.MustParseAddr("192.0.2.1"),
+		},
+		NLRI: []netip.Prefix{netip.MustParsePrefix("93.175.147.0/24")},
+	}
+	if wire, err := v4.AppendWireFormat(nil); err == nil {
+		seeds = append(seeds, wire)
+	}
+	return append(seeds, NewKeepalive(), []byte{}, make([]byte, HeaderLen))
 }
 
 // FuzzDecodePrefix checks the NLRI prefix decoder against arbitrary bytes

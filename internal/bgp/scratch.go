@@ -25,6 +25,11 @@ const (
 	// process-wide intern tables, so repeated attributes share one
 	// allocation. Interned values are safe to retain indefinitely.
 	DecodeIntern
+
+	// decodeDefer is DecodeUpdateIf's first pass: the attribute walk
+	// files the AS_PATH, AGGREGATOR and COMMUNITIES values in
+	// Scratch.deferred instead of decoding them.
+	decodeDefer DecodeFlags = 1 << 7
 )
 
 // Scratch is a reusable decode workspace for hot paths that process one
@@ -38,9 +43,11 @@ const (
 // A Scratch must not be shared between goroutines. The zero value is
 // ready to use.
 type Scratch struct {
-	u     Update
-	attrs AttrStore     // the storage behind u.Attrs
-	front *scratchFront // see fronts
+	u        Update
+	attrs    AttrStore     // the storage behind u.Attrs
+	front    *scratchFront // see fronts
+	deferred []RawAttr     // the attribute values DecodeUpdateIf has not decoded yet
+	eager    bool          // DecodeUpdateIf kept the last update: decode the next in full
 }
 
 // AttrStore is the reusable storage behind one decoded attribute block:
@@ -76,6 +83,95 @@ func (s *Scratch) DecodeUpdate(b []byte, df DecodeFlags) (*Update, error) {
 		return nil, err
 	}
 	return u, nil
+}
+
+// DecodeUpdateIf is DecodeUpdate for a caller that keeps an update only
+// when want accepts one of its prefixes (withdrawn or announced, top-level
+// or MP). It makes every check DecodeUpdate makes and decodes every
+// prefix, but it decodes the AS_PATH, AGGREGATOR and COMMUNITIES values —
+// the attributes that intern, hash or copy — only once want has accepted a
+// prefix; for an update no prefix of which is wanted it merely validates
+// them, and returns a nil Update and a nil error. A kept update is the
+// Update DecodeUpdate returns, under the same ownership rules, and no
+// attribute of it is walked twice. A message that fails returns exactly
+// DecodeUpdate's error: the failure path decodes the message again in
+// full, so the first error in wire order wins as it does there.
+//
+// Kept updates come in runs (in a stream whose every prefix is wanted, one
+// run), and deferring costs a kept update the bookkeeping of the second
+// step. So after a kept update the next one is decoded in full first and
+// want asked after; the first update of a run of unwanted ones is
+// materialized, the rest are not.
+func (s *Scratch) DecodeUpdateIf(b []byte, df DecodeFlags, want func(netip.Prefix) bool) (*Update, error) {
+	if s.eager {
+		u, err := s.DecodeUpdate(b, df)
+		if err != nil || wantsAny(u, want) {
+			return u, err
+		}
+		s.eager = false
+		return nil, nil
+	}
+	s.deferred = s.deferred[:0]
+	u, err := s.DecodeUpdate(b, df|decodeDefer)
+	if err == nil {
+		keep := wantsAny(u, want)
+		for _, a := range s.deferred {
+			if keep {
+				err = u.Attrs.decodeOne(df, s, &s.attrs, a.Flags, a.Type, a.Value)
+			} else if !deferredValid(a) {
+				err = ErrBadAttribute
+			}
+			if err != nil {
+				break
+			}
+		}
+		if err == nil {
+			if s.eager = keep; !keep {
+				u = nil
+			}
+			return u, nil
+		}
+	}
+	_, err = s.DecodeUpdate(b, df)
+	return nil, err
+}
+
+// isDeferred reports whether DecodeUpdateIf postpones attributes of type typ.
+func isDeferred(typ uint8) bool {
+	return typ == AttrASPath || typ == AttrAggregator || typ == AttrCommunities
+}
+
+// deferredValid reports whether decodeOne accepts the deferred attribute a.
+func deferredValid(a RawAttr) bool {
+	switch a.Type {
+	case AttrASPath:
+		return validASPath(a.Value)
+	case AttrAggregator:
+		return len(a.Value) == 8
+	default: // AttrCommunities
+		return len(a.Value)%4 == 0
+	}
+}
+
+// wantsAny reports whether want accepts any prefix u withdraws or announces.
+func wantsAny(u *Update, want func(netip.Prefix) bool) bool {
+	if anyWanted(u.Withdrawn, want) || anyWanted(u.NLRI, want) {
+		return true
+	}
+	if m := u.Attrs.MPUnreach; m != nil && anyWanted(m.Withdrawn, want) {
+		return true
+	}
+	m := u.Attrs.MPReach
+	return m != nil && anyWanted(m.NLRI, want)
+}
+
+func anyWanted(ps []netip.Prefix, want func(netip.Prefix) bool) bool {
+	for _, p := range ps {
+		if want(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // DecodePathAttributes parses the path-attribute block b into pa, which it

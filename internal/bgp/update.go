@@ -3,6 +3,7 @@ package bgp
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 )
 
@@ -92,10 +93,9 @@ func DecodeHeader(b []byte) (length int, typ MessageType, err error) {
 	if len(b) < HeaderLen {
 		return 0, 0, fmt.Errorf("%w: header needs %d bytes, have %d", ErrShortMessage, HeaderLen, len(b))
 	}
-	for i := 0; i < MarkerLen; i++ {
-		if b[i] != 0xff {
-			return 0, 0, ErrBadMarker
-		}
+	// The all-ones marker, as two word compares.
+	if binary.LittleEndian.Uint64(b) != math.MaxUint64 || binary.LittleEndian.Uint64(b[8:MarkerLen]) != math.MaxUint64 {
+		return 0, 0, ErrBadMarker
 	}
 	length = int(binary.BigEndian.Uint16(b[MarkerLen:]))
 	typ = MessageType(b[MarkerLen+2])

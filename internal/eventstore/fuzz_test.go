@@ -18,8 +18,9 @@ import (
 // store must never panic, never loop, and — when it does open — serve a
 // scannable, internally consistent segment.
 func FuzzSegment(f *testing.F) {
-	for _, seed := range segmentSeeds(f) {
-		f.Add(seed)
+	seeds := segmentSeeds(f)
+	for _, name := range sortedNames(seeds) {
+		f.Add(seeds[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, ro := range []bool{true, false} {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"time"
 )
 
@@ -205,9 +207,13 @@ func (c *Client) idleTimeout() time.Duration {
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
 // Run connects and consumes the feed until ctx is done, reconnecting on
-// failure. It returns ctx.Err() on cancellation, or ErrKicked if the
-// server kicked the subscription (reconnecting after a kick would kick
-// again; callers must slow down first).
+// failure. It returns ctx.Err() on cancellation, ErrKicked if the server
+// kicked the subscription (reconnecting after a kick would kick again;
+// callers must slow down first), or an error wrapping ErrServerRefused if
+// the server refused the subscription for a reason no redial changes, such
+// as an unknown channel or a block policy the server does not allow. A
+// refusal that may clear (see retryableRefusal) is retried like a dropped
+// connection.
 func (c *Client) Run(ctx context.Context) error {
 	backoff := c.minBackoff()
 	for {
@@ -216,6 +222,8 @@ func (c *Client) Run(ctx context.Context) error {
 		case ctx.Err() != nil:
 			return ctx.Err()
 		case err == ErrKicked:
+			return err
+		case errors.Is(err, ErrServerRefused) && !retryableRefusal(err):
 			return err
 		case err == nil:
 			backoff = c.minBackoff() // clean EOF after progress: retry soon
@@ -230,6 +238,16 @@ func (c *Client) Run(ctx context.Context) error {
 			backoff = c.maxBackoff()
 		}
 	}
+}
+
+// retryableRefusal reports whether a server refusal may clear on a
+// redial: the server's broker was closing (a daemon restart), or the server
+// could not read the subscribe frame (a transport fault or a stalled
+// handshake). Every other refusal names the subscription itself and
+// refuses every redial alike.
+func retryableRefusal(err error) bool {
+	msg := err.Error()
+	return strings.HasSuffix(msg, ErrBrokerClosed.Error()) || strings.Contains(msg, badSubscribe)
 }
 
 // runOnce runs one connection lifetime. nil means the connection ended

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,6 +259,77 @@ func TestClientIdleTimeoutReconnects(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// TestClientRunStopsOnRefusal: a refusal no redial can change — an
+// unknown channel, a block policy the server does not allow — ends Run at
+// once with ErrServerRefused, after one dial and without OnConnect. The
+// transient refusal of a closing broker keeps the backoff and redials.
+func TestClientRunStopsOnRefusal(t *testing.T) {
+	serve := func(b *Broker) *countingListener {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := &countingListener{Listener: l}
+		srv := &Server{Broker: b, Name: "test/1"}
+		go srv.Serve(cl)
+		t.Cleanup(srv.Close)
+		return cl
+	}
+	run := func(addr string, f Filter, policy Policy, d time.Duration) (connects int32, took time.Duration, err error) {
+		var n atomic.Int32
+		c := &Client{Addr: addr, Filter: f, Policy: policy, MinBackoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
+			OnConnect: func(Ack) { n.Add(1) }}
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		start := time.Now()
+		err = c.Run(ctx)
+		return n.Load(), time.Since(start), err
+	}
+
+	b := NewBroker(Config{})
+	defer b.Close()
+	l := serve(b)
+	for _, tc := range []struct {
+		f      Filter
+		policy Policy
+	}{
+		{Filter{Channels: []string{"anomaly"}}, PolicyDropOldest},
+		{Filter{}, PolicyBlock},
+	} {
+		before := l.accepts.Load()
+		connects, took, err := run(l.Addr().String(), tc.f, tc.policy, 10*time.Second)
+		if !errors.Is(err, ErrServerRefused) || connects != 0 || took > time.Second {
+			t.Errorf("Run(%+v, %v) = %v after %v with %d connects, want ErrServerRefused in under 1s with 0", tc.f, tc.policy, err, took, connects)
+		}
+		if dials := l.accepts.Load() - before; dials != 1 {
+			t.Errorf("Run(%+v, %v) dialed %d times, want 1", tc.f, tc.policy, dials)
+		}
+	}
+
+	closed := NewBroker(Config{})
+	closed.Close()
+	lc := serve(closed)
+	connects, _, err := run(lc.Addr().String(), Filter{}, PolicyDropOldest, 300*time.Millisecond)
+	if !errors.Is(err, context.DeadlineExceeded) || connects != 0 || lc.accepts.Load() < 2 {
+		t.Errorf("Run against a closed broker = %v with %d connects after %d dials, want redials until the deadline",
+			err, connects, lc.accepts.Load())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -186,4 +187,16 @@ func TestFuzzSeedCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sortedNames returns a seed map's names in order. A fuzz target adds its
+// seeds in this order, so seed#N names the same input on every run and a
+// failing seed#N can be replayed by name.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

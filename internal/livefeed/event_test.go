@@ -111,8 +111,9 @@ func TestEventFromRecordMatchesRef(t *testing.T) {
 // DecodeFramed accepts. Run with
 // `go test ./internal/livefeed -run NONE -fuzz FuzzEventFromRecord`.
 func FuzzEventFromRecord(f *testing.F) {
-	for _, s := range eventFromRecordSeeds(f) {
-		f.Add(s.data)
+	seeds := eventFromRecordSeeds(f)
+	for _, name := range sortedNames(seeds) {
+		f.Add(seeds[name].data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := (&mrt.Decoder{}).DecodeFramed(data)

@@ -20,8 +20,9 @@ import (
 // the two Events are deeply equal. Run with
 // `go test ./internal/livefeed -run NONE -fuzz FuzzEventDecode`.
 func FuzzEventDecode(f *testing.F) {
-	for _, seed := range eventDecodeSeeds(f) {
-		f.Add(seed.data)
+	seeds := eventDecodeSeeds(f)
+	for _, name := range sortedNames(seeds) {
+		f.Add(seeds[name].data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEventDecode(t, data)

@@ -104,8 +104,9 @@ func fuzzEncodeEvent(in encodeInput) Event {
 // through decodeEventFast to itself. Run with
 // `go test ./internal/livefeed -run NONE -fuzz FuzzEventEncode`.
 func FuzzEventEncode(f *testing.F) {
-	for _, s := range eventEncodeSeeds() {
-		in := s.in
+	seeds := eventEncodeSeeds()
+	for _, name := range sortedNames(seeds) {
+		in := seeds[name].in
 		f.Add(in.shape, in.seq, in.collector, in.sec, in.nsec, in.offset, in.peer, in.zone, in.raw)
 	}
 	f.Fuzz(func(t *testing.T, shape uint8, seq uint64, collector string, sec, nsec int64, offset int32, peer []byte, zone string, raw []byte) {

@@ -16,8 +16,9 @@ import (
 // exact bytes consumed, and the payload decodes into the frame type's
 // struct without panicking.
 func FuzzFrame(f *testing.F) {
-	for _, seed := range corpusSeeds(f) {
-		f.Add(seed)
+	seeds := corpusSeeds(f)
+	for _, name := range sortedNames(seeds) {
+		f.Add(seeds[name])
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, frameHeaderLen))

@@ -2,7 +2,6 @@ package livefeed
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -239,7 +238,7 @@ func (s *Server) handle(conn net.Conn) {
 	var req Subscribe
 	if err := readFrameInto(conn, FrameSubscribe, &req); err != nil {
 		s.logConn("livefeed handshake failed", conn, err)
-		refuse(conn, fmt.Sprintf("bad subscribe: %v", err))
+		refuse(conn, badSubscribe+err.Error())
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -359,6 +358,10 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 }
+
+// badSubscribe opens the refusal of a subscribe frame the server could
+// not read; clients retry it (see retryableRefusal).
+const badSubscribe = "bad subscribe: "
 
 func refuse(w io.Writer, msg string) {
 	WriteFrame(w, FrameError, ErrorFrame{Message: msg})

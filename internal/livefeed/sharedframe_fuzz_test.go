@@ -34,8 +34,9 @@ import (
 const sharedFrameCorpusDir = "testdata/fuzz/FuzzSharedFrame"
 
 func FuzzSharedFrame(f *testing.F) {
-	for _, seed := range sharedFrameSeeds() {
-		f.Add(seed)
+	seeds := sharedFrameSeeds()
+	for _, name := range sortedNames(seeds) {
+		f.Add(seeds[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSharedFrame(t, data)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -67,8 +68,14 @@ func FuzzReader(f *testing.F) {
 // Seeded from the FuzzReader corpus; run with
 // `go test -fuzz FuzzDecoderBorrow ./internal/mrt`.
 func FuzzDecoderBorrow(f *testing.F) {
-	for _, data := range corpusSeeds(f) {
-		f.Add(data)
+	seeds := corpusSeeds(f)
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names) // seed#N names the same input on every run
+	for _, name := range names {
+		f.Add(seeds[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		owned, borrowed := Decoder{}, Decoder{Borrow: true}

@@ -182,6 +182,85 @@ func TestBuildHistoryErrorShape(t *testing.T) {
 	}
 }
 
+// TestTrackedBuildErrorIdentity: a tracked build validates an update none
+// of whose prefixes it tracks without decoding its attributes, and must
+// still fail on a malformed one with exactly the error the track-all build
+// reports for the same bytes — at any parallelism and segmentation. The
+// last case puts a malformed AS_PATH ahead of a malformed MP_REACH_NLRI:
+// the first fault in wire order is the one reported.
+func TestTrackedBuildErrorIdentity(t *testing.T) {
+	origin := []byte{bgp.FlagTransitive, bgp.AttrOrigin, 1, 0}
+	path := []byte{bgp.FlagTransitive, bgp.AttrASPath, 6, byte(bgp.ASSequence), 1, 0, 0, 0xfb, 0xf4}
+	nextHop := []byte{bgp.FlagTransitive, bgp.AttrNextHop, 4, 192, 0, 2, 1}
+	badPath := []byte{bgp.FlagTransitive, bgp.AttrASPath, 6, 9, 1, 0, 0, 0xfb, 0xf4}
+	badReach := []byte{bgp.FlagOptional, bgp.AttrMPReachNLRI, 17, 0, 2, 1, 5, 0x20, 0x01, 0x0d, 0xb8, 0, 0,
+		48, 0x2a, 0x0e, 0xbb, 0, 0, 0}
+	untracked := []byte{24, 198, 51, 100} // 198.51.100.0/24
+	for _, tc := range []struct {
+		name  string
+		attrs [][]byte
+		want  string
+	}{
+		{"AS_PATH segment type", [][]byte{origin, badPath, nextHop}, "bad AS_PATH segment type 9"},
+		{"COMMUNITIES length", [][]byte{origin, path, nextHop,
+			{bgp.FlagOptional | bgp.FlagTransitive, bgp.AttrCommunities, 5, 0, 0, 0, 1, 2}}, "COMMUNITIES length 5"},
+		{"AGGREGATOR length", [][]byte{origin, path, nextHop,
+			{bgp.FlagOptional | bgp.FlagTransitive, bgp.AttrAggregator, 6, 0, 0, 0xfb, 0xf4, 10, 0}}, "AGGREGATOR length 6"},
+		{"MP_REACH next-hop length", [][]byte{origin, path, badReach}, "MP_REACH_NLRI next hop length 5"},
+		{"first fault in wire order", [][]byte{origin, badPath, badReach}, "bad AS_PATH segment type 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var attrs []byte
+			for _, a := range tc.attrs {
+				attrs = append(attrs, a...)
+			}
+			body := binary.BigEndian.AppendUint16([]byte{0, 0}, uint16(len(attrs)))
+			body = append(append(body, attrs...), untracked...)
+			bad := append(bytes.Repeat([]byte{0xff}, bgp.MarkerLen), 0, 0, byte(bgp.MsgUpdate))
+			binary.BigEndian.PutUint16(bad[bgp.MarkerLen:], uint16(bgp.HeaderLen+len(body)))
+			bad = append(bad, body...)
+
+			// Tracked announcements around the bad record, so the builds
+			// have events to store before and after it.
+			var buf bytes.Buffer
+			wr := mrt.NewWriter(&buf)
+			for i := 0; i < 8; i++ {
+				wire := bad
+				if i != 5 {
+					u := &bgp.Update{NLRI: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")}, Attrs: bgp.PathAttributes{
+						HasOrigin: true, ASPath: bgp.NewASPath(64500, 64501), NextHop: netip.MustParseAddr("192.0.2.1"),
+					}}
+					var err error
+					if wire, err = u.AppendWireFormat(nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := wr.Write(&mrt.BGP4MPMessage{
+					Timestamp: t0.Add(time.Duration(i) * time.Minute), PeerAS: 64500, LocalAS: 64499, AFI: bgp.AFIIPv4,
+					PeerIP: netip.MustParseAddr("192.0.2.2"), LocalIP: netip.MustParseAddr("192.0.2.100"), Data: wire,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			updates := map[string][]byte{"rrc00": buf.Bytes()}
+			streams := map[string][][]byte{"rrc00": splitRecords(buf.Bytes(), 3)}
+			_, want := BuildHistory(updates, nil)
+			if want == nil || !errors.Is(want, bgp.ErrBadAttribute) || !strings.Contains(want.Error(), tc.want) {
+				t.Fatalf("track-all build: error %v, want one naming %q", want, tc.want)
+			}
+			track := NewTrackSet([]netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")})
+			for _, par := range []int{0, 4} {
+				if _, got := BuildHistoryParallel(updates, track, par); got == nil || got.Error() != want.Error() {
+					t.Errorf("tracked BuildHistoryParallel/%d: error %v, want %q", par, got, want)
+				}
+				if _, got := BuildHistoryStreams(streams, track, par); got == nil || got.Error() != want.Error() {
+					t.Errorf("tracked BuildHistoryStreams/%d: error %v, want %q", par, got, want)
+				}
+			}
+		})
+	}
+}
+
 // assertMatchesReference checks a columnar History against the oracle's
 // store event by event: same peers, and for every peer the same session
 // stream and the same stream per prefix, in the same order.

@@ -17,7 +17,7 @@ import (
 // stream order as packed rows, canonicalizing peers, prefixes, AS paths and
 // aggregators to dense builder-local indices; sealHistory renumbers them
 // canonically (sorted), lays every (peer, prefix) event stream out
-// contiguously in one shared arena, and imposes the (time, order) sort where
+// contiguously in its collector's arena, and imposes the (time, order) sort where
 // a stream did not arrive in it. The layout is a pure function of the event
 // multiset plus per-pair stream order, so however a stream is cut across
 // builders — one builder for a whole feed, or one per decoded chunk of an
@@ -87,29 +87,55 @@ type builderPair struct {
 //
 // Updates are decoded into a reused scratch workspace with interned AS
 // paths, so nothing a record allocates outlives Observe, and a borrowed
-// record may be recycled as soon as Observe returns. Events are appended to
-// fixed-size blocks, so storing one never moves an earlier one. A builder
-// is single-goroutine.
+// record may be recycled as soon as Observe returns. Under a track set, a
+// record with no tracked prefix is validated but not materialized (see
+// TrackSet). Events are appended to fixed-size blocks, so storing one never
+// moves an earlier one. A builder is single-goroutine.
+//
+// An event resolves its peer and its (peer, prefix) pair through two
+// open-addressed indexes of 32-bit slots: the peer's keyed on (collector
+// number, AS, address words), the pair's on (local peer, prefix words).
+// Each compares the stored values in full, so a zoned address — which
+// hashes as its unzoned form — still resolves to its own peer. The prefix
+// table's map is consulted only when a pair is first seen.
 type HistoryBuilder struct {
-	track   TrackSet
+	track   *trackIndex
 	scratch bgp.Scratch
 	order   int  // position of the last observed record; Observe numbers the next order+1
 	full    bool // an event was refused: the builder is at maxHistory
 
-	peers    table[PeerID, PeerID]
-	prefixes table[netip.Prefix, netip.Prefix]
-	pairs    table[uint64, builderPair]              // by builderPair.key
-	paths    table[*bgp.PathSegment, bgp.ASPath]     // by the interned backing array; row.path is index+1
-	aggs     table[*bgp.Aggregator, *bgp.Aggregator] // row.agg is index+1
-	comms    []bgp.Community
-	blocks   [][]row // pair events; every block but the last is full
-	events   int
-	sess     []row // session events, few; slot is the local peer
+	collectors []string // numbered in first-seen order
+	coll       uint32   // the collector number last resolved
+	peers      []PeerID
+	peerColl   []uint32  // the collector number of peers[i]
+	peerSlots  openSlots // local peer numbers
+	prefixes   table[netip.Prefix, netip.Prefix]
+	pairs      []builderPair
+	pairSlots  openSlots                               // local pair numbers
+	paths      table[*bgp.PathSegment, bgp.ASPath]     // by the interned backing array; row.path is index+1
+	aggs       table[*bgp.Aggregator, *bgp.Aggregator] // row.agg is index+1
+	comms      []bgp.Community
+	blocks     [][]row // pair events; every block but the last is full
+	events     int
+	sess       []row // session events, few; slot is the local peer
+	// dropOnSeal marks a builder that is sealed once and then dropped (a
+	// chunk builder of BuildHistoryStreams): the seal releases its
+	// storage as soon as it has been scattered.
+	dropOnSeal bool
 }
 
 // NewHistoryBuilder returns an empty builder reconstructing the tracked
-// prefixes (nil tracks every prefix).
-func NewHistoryBuilder(track TrackSet) *HistoryBuilder { return &HistoryBuilder{track: track} }
+// prefixes (nil tracks every prefix). It reads track once, here.
+func NewHistoryBuilder(track TrackSet) *HistoryBuilder { return newHistoryBuilder(track.prepare()) }
+
+// newHistoryBuilder returns an empty builder over a prepared track set,
+// which builders may share.
+func newHistoryBuilder(track *trackIndex) *HistoryBuilder {
+	b := &HistoryBuilder{track: track}
+	b.peerSlots.resize(0, 0, nil)
+	b.pairSlots.resize(0, 0, nil)
+	return b
+}
 
 // Observe ingests one record of the named collector's stream. The error is
 // the record's BGP decode error, unwrapped (adapters add their own
@@ -183,10 +209,9 @@ func (b *HistoryBuilder) add(peer PeerID, p netip.Prefix, ev histEvent) {
 	if b.full = b.full || uint64(b.events) >= maxHistory || uint64(len(b.comms)+len(ev.comms)) > maxHistory; b.full {
 		return
 	}
-	key := pairKey(b.peers.intern(peer, peer), b.prefixes.intern(p, p))
-	lp := b.pairs.intern(key, builderPair{key: key})
-	b.pairs.vals[lp].n++
-	b.pairs.vals[lp].comms += uint32(len(ev.comms))
+	lp := b.pairNum(b.peerNum(peer), p)
+	b.pairs[lp].n++
+	b.pairs[lp].comms += uint32(len(ev.comms))
 	last := len(b.blocks) - 1
 	if last < 0 || len(b.blocks[last]) == blockRows {
 		b.blocks = append(b.blocks, make([]row, 0, blockRows))
@@ -198,8 +223,70 @@ func (b *HistoryBuilder) add(peer PeerID, p netip.Prefix, ev histEvent) {
 
 func (b *HistoryBuilder) addSession(peer PeerID, ev histEvent) {
 	if b.full = b.full || uint64(len(b.sess)) >= maxHistory; !b.full {
-		b.sess = append(b.sess, b.pack(&ev, b.peers.intern(peer, peer)))
+		b.sess = append(b.sess, b.pack(&ev, b.peerNum(peer)))
 	}
+}
+
+// collectorNum returns the number of the named collector, numbering it on
+// first sight. Records of one collector come in runs, so the last number
+// resolved is tried first.
+func (b *HistoryBuilder) collectorNum(name string) uint32 {
+	if int(b.coll) < len(b.collectors) && b.collectors[b.coll] == name {
+		return b.coll
+	}
+	for i, c := range b.collectors {
+		if c == name {
+			b.coll = uint32(i)
+			return b.coll
+		}
+	}
+	b.coll = uint32(len(b.collectors))
+	b.collectors = append(b.collectors, name)
+	return b.coll
+}
+
+// peerHash is the peer index's hash of (collector number, AS, address).
+func peerHash(coll uint32, peer *PeerID) uint64 {
+	return addrHash(peer.Addr, uint64(coll)<<32|uint64(peer.AS))
+}
+
+// peerNum returns peer's local number, numbering it on first sight.
+func (b *HistoryBuilder) peerNum(peer PeerID) uint32 {
+	coll := b.collectorNum(peer.Collector)
+	h := peerHash(coll, &peer)
+	i := b.peerSlots.home(h)
+	for ; b.peerSlots.slots[i] != 0; i = b.peerSlots.next(i) {
+		n := b.peerSlots.slots[i] - 1
+		if q := &b.peers[n]; b.peerColl[n] == coll && q.AS == peer.AS && q.Addr == peer.Addr {
+			return n
+		}
+	}
+	n := uint32(len(b.peers))
+	b.peers = append(b.peers, peer)
+	b.peerColl = append(b.peerColl, coll)
+	b.peerSlots.add(i, h, n, func(k uint32) uint64 { return peerHash(b.peerColl[k], &b.peers[k]) })
+	return n
+}
+
+// pairNum returns the local number of the pair (local peer, p), numbering
+// it on first sight.
+func (b *HistoryBuilder) pairNum(peer uint32, p netip.Prefix) uint32 {
+	h := prefixHash(p, peer)
+	i := b.pairSlots.home(h)
+	for ; b.pairSlots.slots[i] != 0; i = b.pairSlots.next(i) {
+		n := b.pairSlots.slots[i] - 1
+		if key := b.pairs[n].key; uint32(key>>32) == peer && b.prefixes.vals[uint32(key)] == p {
+			return n
+		}
+	}
+	key := pairKey(peer, b.prefixes.intern(p, p))
+	n := uint32(len(b.pairs))
+	b.pairs = append(b.pairs, builderPair{key: key})
+	b.pairSlots.add(i, h, n, func(k uint32) uint64 {
+		key := b.pairs[k].key
+		return prefixHash(b.prefixes.vals[uint32(key)], uint32(key>>32))
+	})
+	return n
 }
 
 // comparePrefixes orders prefixes by (Addr, Bits) — the canonical prefix
@@ -252,8 +339,9 @@ func canonTable[K comparable, V any](builders []*HistoryBuilder, table func(*His
 
 func identity[V any](v V) V { return v }
 
-// sealCursor is a write position in the event and community arenas.
-type sealCursor struct{ row, comm uint32 }
+// sealCursor is a write position in an event arena and the community
+// arena.
+type sealCursor struct{ row, comm, arena uint32 }
 
 // builderPairRef is one builder's share of a canonical (peer, prefix) pair.
 type builderPairRef struct {
@@ -298,7 +386,7 @@ func countingSort[T any](dst, src []T, n int, key func(T) uint32) {
 func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, sorted int, err error) {
 	h = &History{}
 	var peerMap, prefixMap, pathMap, aggMap [][]uint32
-	h.peers, peerMap, h.peerIdx = canonTable(builders, func(b *HistoryBuilder) []PeerID { return b.peers.vals }, 0, identity, comparePeers)
+	h.peers, peerMap, h.peerIdx = canonTable(builders, func(b *HistoryBuilder) []PeerID { return b.peers }, 0, identity, comparePeers)
 	h.prefixes, prefixMap, h.prefixIdx = canonTable(builders, func(b *HistoryBuilder) []netip.Prefix { return b.prefixes.vals }, 0, identity, comparePrefixes)
 	h.paths, pathMap, _ = canonTable(builders, func(b *HistoryBuilder) []bgp.ASPath { return b.paths.vals }, 1,
 		func(p bgp.ASPath) *bgp.PathSegment { return &p.Segments[0] }, comparePaths)
@@ -311,28 +399,37 @@ func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, so
 	// dense canonical numbers, prefix first and then peer, give that order.
 	n := 0
 	for _, b := range builders {
-		n += len(b.pairs.vals)
+		n += len(b.pairs)
 	}
 	refs, byPrefix := make([]builderPairRef, 0, n), make([]builderPairRef, n)
 	cursors := make([][]sealCursor, len(builders))
 	for bi, b := range builders {
-		cursors[bi] = make([]sealCursor, len(b.pairs.vals))
-		for lp, bp := range b.pairs.vals {
+		cursors[bi] = make([]sealCursor, len(b.pairs))
+		for lp, bp := range b.pairs {
 			k := pairKey(peerMap[bi][bp.key>>32], prefixMap[bi][uint32(bp.key)])
 			refs = append(refs, builderPairRef{key: k, bi: uint32(bi), lp: uint32(lp)})
 		}
 	}
 	countingSort(byPrefix, refs, len(h.prefixes), func(r builderPairRef) uint32 { return uint32(r.key) })
 	countingSort(refs, byPrefix, len(h.peers), func(r builderPairRef) uint32 { return uint32(r.key >> 32) })
+	// Pairs ascend by canonical peer, and peers by collector first, so each
+	// collector's pairs are a run of pair numbers: its own arena.
 	var events, comms uint64
+	var arenaSizes []uint32
 	for i, ref := range refs {
 		if i == 0 || ref.key != refs[i-1].key {
+			if i == 0 || h.peers[ref.key>>32].Collector != h.peers[refs[i-1].key>>32].Collector {
+				h.arenaPairs = append(h.arenaPairs, uint32(len(h.pairKeys)))
+				arenaSizes = append(arenaSizes, 0)
+			}
 			h.pairKeys = append(h.pairKeys, ref.key)
-			h.spans = append(h.spans, span{off: uint32(events)})
+			h.spans = append(h.spans, span{off: arenaSizes[len(arenaSizes)-1]})
 		}
-		bp := builders[ref.bi].pairs.vals[ref.lp]
+		bp := builders[ref.bi].pairs[ref.lp]
+		a := len(arenaSizes) - 1
 		h.spans[len(h.spans)-1].n += bp.n
-		cursors[ref.bi][ref.lp] = sealCursor{row: uint32(events), comm: uint32(comms)}
+		cursors[ref.bi][ref.lp] = sealCursor{row: arenaSizes[a], comm: uint32(comms), arena: uint32(a)}
+		arenaSizes[a] += bp.n
 		events += uint64(bp.n)
 		comms += uint64(bp.comms)
 	}
@@ -340,26 +437,48 @@ func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, so
 		return nil, 0, ErrHistoryTooLarge // the 32-bit positions above have wrapped
 	}
 
-	// Scatter: builders write disjoint arena slots, so they run concurrently.
-	h.events = make([]row, events)
+	// Scatter, one collector's arena at a time: a builder is scattered once
+	// the arenas of all its collectors exist, and a builder that is dropped
+	// after the seal releases its storage right then. A chunk builder holds
+	// one collector's records, so the arena being allocated never coexists
+	// with the rows of the collectors already scattered. Builders write
+	// disjoint arena slots, so one arena's builders run concurrently.
 	h.comms = make([]bgp.Community, comms)
-	e.For(len(builders), func(bi int) {
-		b, cur, paths, aggs := builders[bi], cursors[bi], pathMap[bi], aggMap[bi]
-		for _, blk := range b.blocks {
-			for _, r := range blk {
-				c := &cur[r.slot]
-				r.path, r.agg, r.slot = paths[r.path], aggs[r.agg], 0
-				if r.commN > 0 {
-					copy(h.comms[c.comm:], b.comms[r.commOff:][:r.commN])
-					r.commOff = c.comm
-					c.comm += uint32(r.commN)
-				}
-				h.events[c.row] = r
-				c.row++
+	lastArena := make([]uint32, len(builders))
+	for _, ref := range refs {
+		lastArena[ref.bi] = max(lastArena[ref.bi], cursors[ref.bi][ref.lp].arena)
+	}
+	var due []int
+	for a, size := range arenaSizes {
+		h.arenas = append(h.arenas, make([]row, size))
+		due = due[:0]
+		for bi := range builders {
+			if lastArena[bi] == uint32(a) && len(builders[bi].pairs) > 0 {
+				due = append(due, bi)
 			}
 		}
-	})
-	sorted = sortSpans(e, h.events, h.spans)
+		e.For(len(due), func(i int) {
+			bi := due[i]
+			b, cur, paths, aggs := builders[bi], cursors[bi], pathMap[bi], aggMap[bi]
+			for _, blk := range b.blocks {
+				for _, r := range blk {
+					c := &cur[r.slot]
+					r.path, r.agg, r.slot = paths[r.path], aggs[r.agg], 0
+					if r.commN > 0 {
+						copy(h.comms[c.comm:], b.comms[r.commOff:][:r.commN])
+						r.commOff = c.comm
+						c.comm += uint32(r.commN)
+					}
+					h.arenas[c.arena][c.row] = r
+					c.row++
+				}
+			}
+			if b.dropOnSeal {
+				b.blocks, b.comms = nil, nil
+			}
+		})
+	}
+	sorted = sortSpans(e, h)
 
 	// Prefix-major pair index: pair keys ascend peer-major, so filing pair
 	// numbers in key order leaves every prefix's pairs in peer order.
@@ -402,16 +521,17 @@ func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, so
 	return h, sorted, nil
 }
 
-// sortSpans puts every span of the arena into (time, order) order and
+// sortSpans puts every pair span of h into (time, order) order and
 // returns how many were not in it already: a feed is written in time order,
 // so most spans pass the linear check and are never handed to a sort. Spans
 // are disjoint; e's workers take contiguous runs of them.
-func sortSpans(e *pipeline.Engine, arena []row, spans []span) int {
-	parts := min(len(spans), 8*max(e.Workers, 1))
+func sortSpans(e *pipeline.Engine, h *History) int {
+	n := len(h.spans)
+	parts := min(n, 8*max(e.Workers, 1))
 	sorted := make([]int, parts)
 	e.For(parts, func(p int) {
-		for _, sp := range spans[p*len(spans)/parts : (p+1)*len(spans)/parts] {
-			if evs := arena[sp.off : sp.off+sp.n]; !slices.IsSortedFunc(evs, compareRows) {
+		for ki := p * n / parts; ki < (p+1)*n/parts; ki++ {
+			if evs := h.spanRows(ki); !slices.IsSortedFunc(evs, compareRows) {
 				slices.SortStableFunc(evs, compareRows)
 				sorted[p]++
 			}

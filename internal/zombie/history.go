@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sort"
 	"time"
 
 	"zombiescope/internal/bgp"
@@ -39,37 +40,41 @@ type histEvent struct {
 //
 // The store is columnar: peers, prefixes, AS paths and aggregators are
 // canonicalized to dense sorted indices, every (peer, prefix) event stream
-// is a contiguous span of one shared arena of packed rows (laid out in
-// ascending pairKey order), and session events live in a parallel arena
-// spanned per peer. The layout is built by sealHistory in columnar.go and
+// is a contiguous span of packed rows in its collector's arena (spans laid
+// out in ascending pairKey order; a pair never spans collectors), and
+// session events live in a parallel arena spanned per peer. The layout is built by sealHistory in columnar.go and
 // is identical no matter how many builders produced the events.
 type History struct {
-	peers     []PeerID
-	prefixes  []netip.Prefix
-	peerIdx   map[PeerID]uint32
-	prefixIdx map[netip.Prefix]uint32
-	paths     []bgp.ASPath      // what row.path indexes; [0] is the empty path
-	aggs      []*bgp.Aggregator // what row.agg indexes; [0] is nil
-	comms     []bgp.Community   // community arena: per pair, in stream order
-	events    []row             // pair-event arena
-	pairKeys  []uint64          // sorted pair keys: the arena's span order
-	spans     []span            // parallel to pairKeys
-	byPrefix  []uint32          // pair numbers grouped by prefix, ascending peer within
-	prefixOff []uint32          // prefix xi's pairs are byPrefix[prefixOff[xi]:prefixOff[xi+1]]
-	sess      []row             // session-event arena
-	sessSpans []span            // indexed by peer index; zero span = none
+	peers      []PeerID
+	prefixes   []netip.Prefix
+	peerIdx    map[PeerID]uint32
+	prefixIdx  map[netip.Prefix]uint32
+	paths      []bgp.ASPath      // what row.path indexes; [0] is the empty path
+	aggs       []*bgp.Aggregator // what row.agg indexes; [0] is nil
+	comms      []bgp.Community   // community arena: per pair, in stream order
+	arenas     [][]row           // pair-event arenas, one per collector
+	arenaPairs []uint32          // the first pair number of each arena
+	pairKeys   []uint64          // sorted pair keys: the arenas' span order
+	spans      []span            // parallel to pairKeys; offsets within the pair's arena
+	byPrefix   []uint32          // pair numbers grouped by prefix, ascending peer within
+	prefixOff  []uint32          // prefix xi's pairs are byPrefix[prefixOff[xi]:prefixOff[xi+1]]
+	sess       []row             // session-event arena
+	sessSpans  []span            // indexed by peer index; zero span = none
 }
 
-// TrackSet selects the prefixes worth reconstructing (beacon prefixes).
-// A nil TrackSet tracks every prefix seen in the archives — the mode the
-// anomaly detectors run in, since MOAS conflicts and hyper-specific leaks
-// by definition involve prefixes no beacon schedule names.
+// TrackSet selects the prefixes worth reconstructing (beacon prefixes):
+// those it maps to true. A nil TrackSet tracks every prefix seen in the
+// archives — the mode the anomaly detectors run in, since MOAS conflicts
+// and hyper-specific leaks by definition involve prefixes no beacon
+// schedule names.
+//
+// A build or a detector reads its TrackSet once, when it starts, into an
+// open-addressed set that answers for a prefix in one probe. With a
+// non-nil TrackSet a record none of whose prefixes is tracked is validated
+// — it fails exactly as it would under a nil TrackSet — but not
+// materialized: its AS path, aggregator and communities are never
+// interned, hashed or copied.
 type TrackSet map[netip.Prefix]bool
-
-// tracks reports whether p should be reconstructed (nil = track all).
-func (ts TrackSet) tracks(p netip.Prefix) bool {
-	return ts == nil || ts[p]
-}
 
 // NewTrackSet builds a TrackSet from prefixes.
 func NewTrackSet(prefixes []netip.Prefix) TrackSet {
@@ -118,8 +123,13 @@ func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelis
 	e.Borrow = true
 	sp.SetArg("collectors", len(streams))
 	sp.SetArg("workers", e.Workers)
+	tracked := track.prepare()
 	_, chunks, err := pipeline.FoldStreams(e, streams,
-		func(pipeline.FileChunk) *HistoryBuilder { return NewHistoryBuilder(track) },
+		func(pipeline.FileChunk) *HistoryBuilder {
+			b := newHistoryBuilder(tracked)
+			b.dropOnSeal = true
+			return b
+		},
 		func(b *HistoryBuilder, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
 			// The record's position across the whole archive set, so the
 			// same-second tie-break does not depend on where chunks fall
@@ -175,9 +185,12 @@ func wrapFileError(err error) error {
 // scratch workspace with interned AS paths and aggregators; the update is
 // only valid until the next call, so an emitted event's comms alias the
 // workspace and must be copied by a callback that keeps them (its interned
-// path/agg and prefix values are retention-safe). With scratch nil the
-// original fully-allocating decode runs and an event owns everything.
-func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratch *bgp.Scratch,
+// path/agg and prefix values are retention-safe). Under a track set
+// (track non-nil) the decode is deferred: an update carrying no tracked
+// prefix is validated, its attributes are not materialized, and it emits
+// nothing. With scratch nil the original fully-allocating decode runs and
+// an event owns everything.
+func recordEvents(name string, order int, rec mrt.Record, track *trackIndex, scratch *bgp.Scratch,
 	prefixEv func(peer PeerID, p netip.Prefix, ev histEvent),
 	sessionEv func(peer PeerID, ev histEvent),
 ) error {
@@ -186,13 +199,16 @@ func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratc
 		peer := PeerID{Collector: name, AS: r.PeerAS, Addr: r.PeerIP}
 		var u *bgp.Update
 		var err error
-		if scratch != nil {
-			u, err = scratch.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern)
-		} else {
+		switch {
+		case scratch == nil:
 			u, err = r.Update()
+		case track != nil:
+			u, err = scratch.DecodeUpdateIf(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern, track.has)
+		default:
+			u, err = scratch.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern)
 		}
-		if err != nil {
-			return err
+		if u == nil {
+			return err // nil: no tracked prefix
 		}
 		// Withdrawals before announcements; within each, top-level routes
 		// before MP attributes — the same order WithdrawnAll/Announced
@@ -206,7 +222,7 @@ func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratc
 		}
 		for _, ps := range [2][]netip.Prefix{u.Withdrawn, mpWithdrawn} {
 			for _, p := range ps {
-				if track.tracks(p) {
+				if track.has(p) {
 					prefixEv(peer, p, histEvent{at: r.Timestamp, order: order, kind: evWithdraw})
 				}
 			}
@@ -217,7 +233,7 @@ func recordEvents(name string, order int, rec mrt.Record, track TrackSet, scratc
 		}
 		for _, ps := range [2][]netip.Prefix{u.NLRI, mpNLRI} {
 			for _, p := range ps {
-				if track.tracks(p) {
+				if track.has(p) {
 					prefixEv(peer, p, annEv)
 				}
 			}
@@ -251,8 +267,9 @@ func (h *History) rowComms(r *row) []bgp.Community {
 // spanRows returns the time-ordered event stream of pair number ki, the
 // pair of pairKeys[ki].
 func (h *History) spanRows(ki int) []row {
+	a := sort.Search(len(h.arenaPairs), func(i int) bool { return int(h.arenaPairs[i]) > ki }) - 1
 	sp := h.spans[ki]
-	return h.events[sp.off : sp.off+sp.n]
+	return h.arenas[a][sp.off : sp.off+sp.n]
 }
 
 // sessRows returns the time-ordered session stream of peer pi.
@@ -268,7 +285,13 @@ func (h *History) prefixPairs(xi uint32) []uint32 {
 
 // Events returns how many events the history stores, pair and session
 // events together.
-func (h *History) Events() int { return len(h.events) + len(h.sess) }
+func (h *History) Events() int {
+	n := len(h.sess)
+	for _, a := range h.arenas {
+		n += len(a)
+	}
+	return n
+}
 
 // Peers returns every peer seen in the archives, sorted.
 func (h *History) Peers() []PeerID { return h.peers }

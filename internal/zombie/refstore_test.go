@@ -21,7 +21,8 @@ import (
 // kept so the harnesses (the 50-seed matrix and the kernel differential in
 // diff_test.go, the seal and fold tests) compare the shipped columnar
 // store, cursor and kernel against an implementation that shares nothing
-// with them beyond recordEvents and peerDecision, plus the legacy
+// with them beyond recordEvents' track-all, allocating decode and
+// peerDecision, plus the legacy
 // looking-glass loop (LegacyDetector.detectRows) the shipped baseline's
 // kernel run is held to. It is test-only: nothing here is compiled into the
 // shipped package, including History's random-access state API (cursor,
@@ -48,6 +49,13 @@ func buildHistoryReference(updates map[string][]byte, track TrackSet) (*referenc
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// The oracle filters the tracked prefixes itself, through the map, so
+	// the shipped prepared track set and deferred decode are held to it.
+	add := func(peer PeerID, p netip.Prefix, ev histEvent) {
+		if track == nil || track[p] {
+			r.add(peer, p, ev)
+		}
+	}
 	order := 0
 	for _, name := range names {
 		rd := mrt.NewReader(bytes.NewReader(updates[name]))
@@ -60,7 +68,7 @@ func buildHistoryReference(updates map[string][]byte, track TrackSet) (*referenc
 				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
 			}
 			order++
-			if err := recordEvents(name, order, rec, track, nil, r.add, r.addSession); err != nil {
+			if err := recordEvents(name, order, rec, nil, nil, add, r.addSession); err != nil {
 				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
 			}
 		}

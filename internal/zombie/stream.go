@@ -26,7 +26,7 @@ type StreamDetector struct {
 	det      Detector // threshold and tolerance of the shared peerDecision
 	onZombie func(ZombieEvent)
 
-	track   TrackSet
+	track   *trackIndex
 	scratch bgp.Scratch
 	// peers numbers, densely, every peer that has announced a tracked
 	// prefix; peerIdx inverts it. A peer seen only through withdrawals or
@@ -97,15 +97,16 @@ func NewStreamDetector(intervals []beacon.Interval, threshold time.Duration, onZ
 	sd := &StreamDetector{
 		det:      Detector{Threshold: threshold},
 		onZombie: onZombie,
-		track:    make(TrackSet),
 		peerIdx:  make(map[PeerID]uint32),
 		state:    make(map[streamKey]*streamState),
 		byPrefix: make(map[netip.Prefix]*streamState),
 	}
+	track := make(TrackSet)
 	for _, iv := range intervals {
-		sd.track[iv.Prefix] = true
+		track[iv.Prefix] = true
 		sd.checks = append(sd.checks, pendingCheck{at: iv.WithdrawAt.Add(sd.det.threshold()), interval: iv})
 	}
+	sd.track = track.prepare()
 	sort.SliceStable(sd.checks, func(i, j int) bool { return sd.checks[i].at.Before(sd.checks[j].at) })
 	return sd
 }
@@ -113,8 +114,10 @@ func NewStreamDetector(intervals []beacon.Interval, threshold time.Duration, onZ
 // Observe ingests one collector record: the events recordEvents derives
 // from it — the same events a HistoryBuilder would store — are folded
 // straight into the per-pair states. Records timestamped after the current
-// Advance watermark are fine (they usually are); records for untracked
-// prefixes are ignored, and so are records that fail to decode.
+// Advance watermark are fine (they usually are); records that fail to
+// decode are ignored, and so are records for untracked prefixes: those
+// are validated but not materialized — their AS paths, aggregators and
+// communities are never interned, hashed or copied.
 func (sd *StreamDetector) Observe(collectorName string, rec mrt.Record) {
 	_ = recordEvents(collectorName, 0, rec, sd.track, &sd.scratch, sd.foldPair, sd.foldSession)
 }
