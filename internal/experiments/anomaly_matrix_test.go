@@ -11,7 +11,7 @@ import (
 	"zombiescope/internal/zombie"
 )
 
-var updateMatrix = flag.Bool("update", false, "rewrite golden files under testdata/")
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 const anomalyMatrixSeed = 0xa401
 
@@ -66,7 +66,7 @@ func TestAnomalyFalsePositiveMatrix(t *testing.T) {
 	}
 	golden := filepath.Join("testdata", "anomaly_matrix.golden")
 	got := formatAnomalyMatrix(matrix)
-	if *updateMatrix {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
