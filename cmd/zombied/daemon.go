@@ -108,6 +108,9 @@ type daemon struct {
 // returns, feedAddr/httpAddr are final and run can be called. On error
 // nothing is left listening.
 func newDaemon(cfg config, logger *slog.Logger) (*daemon, error) {
+	if cfg.threshold <= 0 {
+		return nil, fmt.Errorf("-threshold must be positive, got %v", cfg.threshold)
+	}
 	feed, err := loadFeed(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("loading feed source: %w", err)

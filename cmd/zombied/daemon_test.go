@@ -328,3 +328,19 @@ func TestDaemonListenErrors(t *testing.T) {
 		d2.httpL.Close()
 	}
 }
+
+// TestDaemonRejectsNonPositiveThreshold: a zero or negative -threshold
+// is refused rather than quietly replaced by the detector's default.
+func TestDaemonRejectsNonPositiveThreshold(t *testing.T) {
+	for _, th := range []time.Duration{0, -30 * time.Minute} {
+		cfg := testConfig()
+		cfg.threshold = th
+		if d, err := newDaemon(cfg, testLogger(t)); err == nil {
+			d.feedL.Close()
+			if d.httpL != nil {
+				d.httpL.Close()
+			}
+			t.Errorf("threshold %v accepted", th)
+		}
+	}
+}

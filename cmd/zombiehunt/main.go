@@ -14,9 +14,11 @@
 // -detect runs the pluggable anomaly framework alongside the beacon
 // methodology: "all" or a comma-separated subset of zombie, moas,
 // hyperspecific, community. Findings are reported per detector (and
-// under "anomalies" with -json). The anomaly detectors reconstruct a
+// under "anomalies" with -json). With -detect the run builds one
 // track-all history — every prefix in the archive, not just beacon
-// prefixes — so expect more memory than the beacon-only run.
+// prefixes — and the beacon detection and the anomaly detectors all read
+// it; the report is the one the beacon-only run prints. Expect more
+// memory than the beacon-only run, which keeps the beacon prefixes only.
 //
 // -trace writes the run's span tree as Chrome trace-event JSON (open in
 // chrome://tracing or Perfetto) — decode, merge (the history seal) and
@@ -126,6 +128,9 @@ func run(args []string, w io.Writer) (err error) {
 		defer startProgress(obs.Component(logger, "zombiehunt"), *progress)()
 	}
 
+	if *threshold <= 0 {
+		return fmt.Errorf("zombiehunt: -threshold must be positive, got %v", *threshold)
+	}
 	intervals, from, to, err := beacon.ParseSchedule(*schedKind, *baseStr, *approach, bgp.ASN(*origin), *stride, *fromStr, *toStr)
 	if err != nil {
 		return err
@@ -136,8 +141,8 @@ func run(args []string, w io.Writer) (err error) {
 	// mmap is unavailable) and the pipeline decodes record-aligned chunks
 	// straight out of the mappings — no concatenated in-memory copy of the
 	// archive. The mappings stay pinned until the run is done: borrowed
-	// decode scratch aliases them only during the fold, but the -detect
-	// pass re-reads the updates and -lifespans reads the dump bytes.
+	// decode scratch aliases them only during the fold, and -lifespans
+	// reads the dump bytes.
 	ms, err := archive.OpenMapped(*archiveDir)
 	if err != nil {
 		return err
@@ -147,21 +152,13 @@ func run(args []string, w io.Writer) (err error) {
 	if !*jsonOut {
 		fmt.Fprintf(w, "archive: %d collectors, %d beacon intervals\n", collectors, len(intervals))
 	}
-	rep, err := det.DetectStreams(ms.Updates, intervals)
-	if err != nil {
-		return err
-	}
-
-	summary := zombie.Summarize(rep, zombie.NoisyConfig{}, 5)
-	var lr *zombie.LifespanReport
-	if *lifespans {
-		if lr, err = zombie.TrackLifespans(ms.Dumps, intervals, zombie.LifespanConfig{Parallelism: *parallel}); err != nil {
+	var rep *zombie.Report
+	var anomalies *zombie.AnomalyReport
+	if *detect == "" {
+		if rep, err = det.DetectStreams(ms.Updates, intervals); err != nil {
 			return err
 		}
-	}
-
-	var anomalies *zombie.AnomalyReport
-	if *detect != "" {
+	} else {
 		var names []string
 		if *detect != "all" {
 			names = splitDetect(*detect)
@@ -178,13 +175,23 @@ func run(args []string, w io.Writer) (err error) {
 		if derr != nil {
 			return derr
 		}
-		// Track-all history: the anomaly detectors see every prefix in the
-		// archive, not just beacon prefixes.
+		// One track-all history — every prefix in the archive, not just
+		// the beacon prefixes — serves the beacon detection and the
+		// anomaly detectors.
 		h, herr := zombie.BuildHistoryStreams(ms.Updates, nil, *parallel)
 		if herr != nil {
 			return herr
 		}
+		rep = det.DetectFromHistory(h, intervals)
 		anomalies = zombie.RunAnomalyDetectors(h, zombie.Window{From: from, To: to}, dets, *parallel)
+	}
+
+	summary := zombie.Summarize(rep, zombie.NoisyConfig{}, 5)
+	var lr *zombie.LifespanReport
+	if *lifespans {
+		if lr, err = zombie.TrackLifespans(ms.Dumps, intervals, zombie.LifespanConfig{Parallelism: *parallel}); err != nil {
+			return err
+		}
 	}
 
 	if *jsonOut {

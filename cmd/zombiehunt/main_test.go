@@ -214,6 +214,33 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
+// TestDetectTraceBuildsOnce checks that -detect answers the beacon
+// detection and the anomaly detectors from one history build.
+func TestDetectTraceBuildsOnce(t *testing.T) {
+	traceFile := filepath.Join(t.TempDir(), "trace.json")
+	var buf bytes.Buffer
+	if err := run(append(goldenArgs("4"), "-detect", "all", "-trace", traceFile), &buf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace is not a JSON event array: %v", err)
+	}
+	builds := 0
+	for _, ev := range events {
+		if ev["name"] == "zombie.build_history" {
+			builds++
+		}
+	}
+	if builds != 1 {
+		t.Errorf("trace has %d zombie.build_history spans, want 1", builds)
+	}
+}
+
 // TestProfileOutput runs the golden scenario with -cpuprofile and
 // -memprofile and checks both files come out as non-empty gzipped
 // protobuf profiles (pprof files start with the gzip magic).
@@ -244,5 +271,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(goldenArgs("0")[:0], &buf); err == nil {
 		t.Error("missing -from/-to accepted")
+	}
+	for _, th := range []string{"0", "-30m"} {
+		if err := run(append(goldenArgs("0"), "-threshold", th), &buf); err == nil {
+			t.Errorf("-threshold %s accepted", th)
+		}
 	}
 }

@@ -25,15 +25,7 @@ func runAblation(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	track := make(zombie.TrackSet)
-	for _, iv := range d.Intervals {
-		track[iv.Prefix] = true
-	}
-	h, err := zombie.BuildHistory(d.Updates, track)
-	if err != nil {
-		return nil, err
-	}
-
+	h := d.history
 	full := (&zombie.Detector{}).DetectFromHistory(h, d.Intervals)
 	noSessions := (&zombie.Detector{IgnoreSessionState: true}).DetectFromHistory(h, d.Intervals)
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"zombiescope/internal/beacon"
 	"zombiescope/internal/zombie"
 )
 
@@ -30,35 +29,16 @@ func init() {
 	})
 }
 
-// caseIntervals returns the beacon intervals of one scripted prefix.
-func caseIntervals(d *AuthorData, c ScriptedCase) []beacon.Interval {
-	var out []beacon.Interval
-	for _, iv := range d.Intervals {
-		if iv.Prefix == c.Prefix {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
 func runCaseResurrectionSubpath(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	d, err := authorData(cfg)
 	if err != nil {
 		return nil, err
 	}
-	track := make(zombie.TrackSet)
-	for _, iv := range d.Intervals {
-		track[iv.Prefix] = true
-	}
-	h, err := zombie.BuildHistory(d.Updates, track)
-	if err != nil {
-		return nil, err
-	}
 	// Detect at 180 minutes and keep routes whose last update arrived
 	// more than 150 minutes after the withdrawal — the late
 	// re-announcements behind the Fig. 2 bump.
-	rep := (&zombie.Detector{Threshold: 180 * time.Minute}).DetectFromHistory(h, d.Intervals)
+	rep := (&zombie.Detector{Threshold: 180 * time.Minute}).DetectFromHistory(d.history, d.Intervals)
 	var late []zombie.Route
 	for _, ob := range rep.Outbreaks {
 		for _, r := range ob.Routes {
@@ -96,20 +76,21 @@ func runCaseImpactful(cfg Config) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: impactful case missing")
 	}
-	h, err := zombie.BuildHistory(d.Updates, zombie.TrackSet{c.Prefix: true})
-	if err != nil {
-		return nil, err
-	}
-	ivs := caseIntervals(d, c)
-	rep := (&zombie.Detector{Threshold: 3 * time.Hour}).DetectFromHistory(h, ivs)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "§5.2 impactful zombie: %s (paper's instance: 2a0d:3dc1:2233::/48)\n\n", c.Prefix)
 	metrics := map[string]float64{}
-	if len(rep.Outbreaks) == 0 {
+	// The case's first outbreak 3h after a withdrawal.
+	var ob zombie.Outbreak
+	for _, o := range (&zombie.Detector{Threshold: 3 * time.Hour}).DetectFromHistory(d.history, d.Intervals).Outbreaks {
+		if o.Prefix == c.Prefix {
+			ob = o
+			break
+		}
+	}
+	if len(ob.Routes) == 0 {
 		sb.WriteString("no outbreak detected\n")
 		return &Result{ID: "CaseImpactful", Text: sb.String(), Metrics: metrics}, nil
 	}
-	ob := rep.Outbreaks[0]
 	peerASes := ob.PeerASes()
 	fmt.Fprintf(&sb, "stuck 3h after withdrawal in %d peer routers across %d peer ASes (paper: 24 routers / 21 ASes)\n",
 		len(ob.Routes), len(peerASes))
@@ -123,11 +104,7 @@ func runCaseImpactful(cfg Config) (*Result, error) {
 		metrics["coneSize"] = float64(d.Graph.CustomerConeSize(rc.Candidate))
 	}
 	// Verify the outbreak clears after ~4 days using the RIB dumps.
-	lr, err := zombie.TrackLifespans(d.Dumps, ivs, zombie.LifespanConfig{DumpInterval: d.Config.DumpEvery})
-	if err != nil {
-		return nil, err
-	}
-	if pl := lr.Prefixes[c.Prefix]; pl != nil {
+	if pl := d.lifespans.Prefixes[c.Prefix]; pl != nil {
 		if dur, ok := pl.Duration(nil, nil); ok {
 			fmt.Fprintf(&sb, "gone from all peers after %.1f days (paper: 4 days)\n", dur.Hours()/24)
 			metrics["days"] = dur.Hours() / 24
@@ -146,15 +123,10 @@ func runCaseLongLived(cfg Config) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: hgc case missing")
 	}
-	ivs := caseIntervals(d, c)
-	lr, err := zombie.TrackLifespans(d.Dumps, ivs, zombie.LifespanConfig{DumpInterval: d.Config.DumpEvery})
-	if err != nil {
-		return nil, err
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "§5.2 extremely long-lived zombie: %s (paper's instance: 2a0d:3dc1:163::/48)\n\n", c.Prefix)
 	metrics := map[string]float64{}
-	pl := lr.Prefixes[c.Prefix]
+	pl := d.lifespans.Prefixes[c.Prefix]
 	if pl == nil || len(pl.Episodes) == 0 {
 		sb.WriteString("no RIB-dump visibility\n")
 		return &Result{ID: "CaseLongLived", Text: sb.String(), Metrics: metrics}, nil

@@ -52,17 +52,9 @@ func runFig2(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	track := make(zombie.TrackSet)
-	for _, iv := range d.Intervals {
-		track[iv.Prefix] = true
-	}
-	h, err := zombie.BuildHistory(d.Updates, track)
-	if err != nil {
-		return nil, err
-	}
 	ths := fig2Thresholds()
-	all := zombie.Sweep(h, d.Intervals, ths, zombie.FilterOptions{})
-	excl := zombie.Sweep(h, d.Intervals, ths, zombie.FilterOptions{ExcludePeerAS: d.NoisyPeerAS})
+	all := zombie.Sweep(d.history, d.Intervals, ths, zombie.FilterOptions{})
+	excl := zombie.Sweep(d.history, d.Intervals, ths, zombie.FilterOptions{ExcludePeerAS: d.NoisyPeerAS})
 
 	tbl := &analysis.Table{
 		Title:  "Fig 2: outbreaks and affected announcements vs threshold",
@@ -121,10 +113,6 @@ func runFig3(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lr, err := zombie.TrackLifespans(d.Dumps, d.Intervals, zombie.LifespanConfig{DumpInterval: d.Config.DumpEvery})
-	if err != nil {
-		return nil, err
-	}
 	day := 24 * time.Hour
 	toDays := func(ds []time.Duration) []float64 {
 		out := make([]float64, len(ds))
@@ -133,8 +121,8 @@ func runFig3(cfg Config) (*Result, error) {
 		}
 		return out
 	}
-	allD := toDays(lr.Durations(day, nil, nil))
-	exclD := toDays(lr.Durations(day, d.NoisyPeerAS, d.NoisyPeerAddr))
+	allD := toDays(d.lifespans.Durations(day, nil, nil))
+	exclD := toDays(d.lifespans.Durations(day, d.NoisyPeerAS, d.NoisyPeerAddr))
 	cAll, cExcl := analysis.NewCDF(allD), analysis.NewCDF(exclD)
 
 	var sb strings.Builder
@@ -170,11 +158,7 @@ func runFig4(cfg Config) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: resurrection case missing from scenario")
 	}
-	lr, err := zombie.TrackLifespans(d.Dumps, d.Intervals, zombie.LifespanConfig{DumpInterval: d.Config.DumpEvery})
-	if err != nil {
-		return nil, err
-	}
-	pl := lr.Prefixes[c.Prefix]
+	pl := d.lifespans.Prefixes[c.Prefix]
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig 4: timeline of the resurrected zombie prefix %s\n", c.Prefix)
 	fmt.Fprintf(&sb, "(paper's instance: 2a0d:3dc1:1851::/48)\n\n")
@@ -211,16 +195,8 @@ func runTable5(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	track := make(zombie.TrackSet)
-	for _, iv := range d.Intervals {
-		track[iv.Prefix] = true
-	}
-	h, err := zombie.BuildHistory(d.Updates, track)
-	if err != nil {
-		return nil, err
-	}
 	countAt := func(th time.Duration) map[zombie.PeerID]int {
-		rep := (&zombie.Detector{Threshold: th}).DetectFromHistory(h, d.Intervals)
+		rep := (&zombie.Detector{Threshold: th}).DetectFromHistory(d.history, d.Intervals)
 		counts := make(map[zombie.PeerID]int)
 		for _, ob := range rep.Outbreaks {
 			for _, r := range ob.Routes {

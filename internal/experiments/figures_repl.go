@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"zombiescope/internal/analysis"
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/zombie"
 )
 
@@ -30,38 +29,21 @@ func init() {
 	})
 }
 
-// replReports runs the revised detector with path recording over every
-// replication period and hands each report to fn.
-func replReports(cfg Config, recordPaths bool, fn func(*PeriodData, *zombie.Report) error) error {
-	periods, err := replicationData(cfg)
-	if err != nil {
-		return err
-	}
-	for _, pd := range periods {
-		det := &zombie.Detector{RecordPaths: recordPaths}
-		rep, err := det.Detect(pd.Updates, pd.Intervals)
-		if err != nil {
-			return err
-		}
-		if err := fn(pd, rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func runFig5(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	var sb strings.Builder
 	sb.WriteString("Fig 5: CDF of zombie emergence rate per <beacon, peer AS>\n\n")
+	periods, err := replicationData(cfg)
+	if err != nil {
+		return nil, err
+	}
 	metrics := map[string]float64{}
 	for _, includeDup := range []bool{true, false} {
 		rates4, rates6 := []float64{}, []float64{}
 		zeroPairs, pairs := 0, 0
-		err := replReports(cfg, false, func(pd *PeriodData, rep *zombie.Report) error {
-			opts := zombie.FilterOptions{IncludeDuplicates: includeDup,
-				ExcludePeerAS: map[bgp.ASN]bool{NoisyReplicationPeer: true}}
-			for _, r := range zombie.EmergenceRates(rep, opts) {
+		for _, det := range periods {
+			opts := zombie.FilterOptions{IncludeDuplicates: includeDup, ExcludePeerAS: noisyReplicationAS}
+			for _, r := range zombie.EmergenceRates(det.report, opts) {
 				pairs++
 				if r.Rate == 0 {
 					zeroPairs++
@@ -72,10 +54,6 @@ func runFig5(cfg Config) (*Result, error) {
 					rates6 = append(rates6, r.Rate)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		c4, c6 := analysis.NewCDF(rates4), analysis.NewCDF(rates6)
 		variant, key := "with double-counting", "dc"
@@ -101,12 +79,16 @@ func runFig6(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	var sb strings.Builder
 	sb.WriteString("Fig 6: CDF of AS path lengths (normal vs zombie)\n\n")
+	periods, err := replicationData(cfg)
+	if err != nil {
+		return nil, err
+	}
 	metrics := map[string]float64{}
 	for _, includeDup := range []bool{true, false} {
 		var normalNormal, normalZombie, zombiePath []int
 		changed4, total4, changed6, total6 := 0, 0, 0, 0
-		err := replReports(cfg, true, func(pd *PeriodData, rep *zombie.Report) error {
-			for _, po := range rep.PathObs {
+		for _, det := range periods {
+			for _, po := range det.report.PathObs {
 				if po.Peer.AS == NoisyReplicationPeer {
 					continue
 				}
@@ -133,10 +115,6 @@ func runFig6(cfg Config) (*Result, error) {
 					normalNormal = append(normalNormal, po.NormalLen)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		cn, cz, cp := analysis.NewCDFInts(normalNormal), analysis.NewCDFInts(normalZombie), analysis.NewCDFInts(zombiePath)
 		variant, key := "with double-counting", "dc"
@@ -169,14 +147,16 @@ func runFig7(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	var sb strings.Builder
 	sb.WriteString("Fig 7: CDF of the number of concurrent zombie outbreaks\n\n")
+	periods, err := replicationData(cfg)
+	if err != nil {
+		return nil, err
+	}
 	metrics := map[string]float64{}
 	for _, includeDup := range []bool{true, false} {
 		counts4, counts6 := []int{}, []int{}
 		allAtOnce4, tot4 := 0, 0
-		err := replReports(cfg, false, func(pd *PeriodData, rep *zombie.Report) error {
-			opts := zombie.FilterOptions{IncludeDuplicates: includeDup,
-				ExcludePeerAS: map[bgp.ASN]bool{NoisyReplicationPeer: true}}
-			obs := rep.Filter(opts)
+		for _, det := range periods {
+			obs := det.report.Filter(zombie.FilterOptions{IncludeDuplicates: includeDup, ExcludePeerAS: noisyReplicationAS})
 			var obs4, obs6 []zombie.Outbreak
 			for _, ob := range obs {
 				if ob.Prefix.Addr().Is4() {
@@ -195,10 +175,6 @@ func runFig7(cfg Config) (*Result, error) {
 					allAtOnce4 += c
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		c4, c6 := analysis.NewCDFInts(counts4), analysis.NewCDFInts(counts6)
 		single4, single6 := c4.At(1), c6.At(1)

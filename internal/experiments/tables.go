@@ -5,48 +5,13 @@ import (
 	"strings"
 
 	"zombiescope/internal/analysis"
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/zombie"
 )
 
-// periodDetection is the per-period detection shared by the replication
-// tables.
-type periodDetection struct {
-	data       *PeriodData
-	report     *zombie.Report
-	legacy     *zombie.Report
-	noisyAS    map[bgp.ASN]bool
-	noisyAddrs map[string]bool // rendered addresses, for reports
-}
-
-func detectPeriod(pd *PeriodData, recordPaths bool, seed uint64) (*periodDetection, error) {
-	h, err := zombie.BuildHistory(pd.Updates, trackSetOf(pd))
-	if err != nil {
-		return nil, err
-	}
-	rep := (&zombie.Detector{RecordPaths: recordPaths}).DetectFromHistory(h, pd.Intervals)
-	// The legacy looking-glass pipeline lost a substantial share of
-	// checks to service lag, outages and updates (the paper's §3.1 lists
-	// the RIPEstat changes); 0.89 availability reproduces the paper's
-	// finding that raw data surfaces ~12.5% more outbreaks.
-	legacy := (&zombie.LegacyDetector{Seed: seed, Availability: 0.89}).Detect(h, pd.Intervals)
-	// The replication analysis excludes the known noisy peer (AS16347).
-	noisyAS := map[bgp.ASN]bool{NoisyReplicationPeer: true}
-	return &periodDetection{data: pd, report: rep, legacy: legacy, noisyAS: noisyAS}, nil
-}
-
-func trackSetOf(pd *PeriodData) zombie.TrackSet {
-	ts := make(zombie.TrackSet)
-	for _, iv := range pd.Intervals {
-		ts[iv.Prefix] = true
-	}
-	return ts
-}
-
-func countsFor(rep *zombie.Report, includeDup bool, noisyAS map[bgp.ASN]bool) (v4, v6 int) {
+func countsFor(rep *zombie.Report, includeDup bool) (v4, v6 int) {
 	obs := rep.Filter(zombie.FilterOptions{
 		IncludeDuplicates: includeDup,
-		ExcludePeerAS:     noisyAS,
+		ExcludePeerAS:     noisyReplicationAS,
 	})
 	return zombie.CountByFamily(obs)
 }
@@ -90,14 +55,10 @@ func runTable1(cfg Config) (*Result, error) {
 	}
 	metrics := map[string]float64{}
 	totalWith, totalWithout := 0, 0
-	for i, pd := range periods {
-		det, err := detectPeriod(pd, false, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		w4, w6 := countsFor(det.report, true, det.noisyAS)
-		n4, n6 := countsFor(det.report, false, det.noisyAS)
-		tbl.AddRow(pd.Period.Name, det.report.VisiblePrefixes,
+	for i, det := range periods {
+		w4, w6 := countsFor(det.report, true)
+		n4, n6 := countsFor(det.report, false)
+		tbl.AddRow(det.data.Period.Name, det.report.VisiblePrefixes,
 			w4, w6, n4, n6,
 			analysis.Reduction(w4, n4), analysis.Reduction(w6, n6))
 		k := fmt.Sprintf("period%d", i)
@@ -130,19 +91,15 @@ func runTable2(cfg Config) (*Result, error) {
 	}
 	metrics := map[string]float64{}
 	studyTotal, withTotal, withoutTotal := 0, 0, 0
-	for i, pd := range periods {
-		det, err := detectPeriod(pd, false, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+	for i, det := range periods {
 		// The previous study never surfaced the noisy peer: its
 		// looking-glass pipeline (with traceroute validation) masked
 		// that feed, which is exactly why the raw-data methodology
 		// finds more outbreaks. Model the study's view without it.
-		s4, s6 := countsFor(det.legacy, true, det.noisyAS)
-		w4, w6 := countsFor(det.report, true, det.noisyAS)
-		n4, n6 := countsFor(det.report, false, det.noisyAS)
-		tbl.AddRow(pd.Period.Name, s4, s6, w4, w6, n4, n6, det.report.VisiblePrefixes)
+		s4, s6 := countsFor(det.legacy, true)
+		w4, w6 := countsFor(det.report, true)
+		n4, n6 := countsFor(det.report, false)
+		tbl.AddRow(det.data.Period.Name, s4, s6, w4, w6, n4, n6, det.report.VisiblePrefixes)
 		k := fmt.Sprintf("period%d", i)
 		metrics[k+".study4"] = float64(s4)
 		metrics[k+".study6"] = float64(s6)
@@ -176,18 +133,14 @@ func runTable3(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var d zombie.RouteDiff
-	for _, pd := range periods {
-		det, err := detectPeriod(pd, false, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+	for _, det := range periods {
 		// A = the revised final methodology (deduped, noisy peer
 		// excluded); B = the study's raw route-level data (double
 		// counting and the noisy feed included). The revised side
 		// "misses" everything it deliberately dropped — the paper
 		// likewise counts its own missing routes including the noisy
 		// peer's.
-		a := det.report.Filter(zombie.FilterOptions{ExcludePeerAS: det.noisyAS})
+		a := det.report.Filter(zombie.FilterOptions{ExcludePeerAS: noisyReplicationAS})
 		b := det.legacy.Filter(zombie.FilterOptions{IncludeDuplicates: true})
 		pd := zombie.Diff(a, b)
 		d.RoutesOnlyInA4 += pd.RoutesOnlyInA4
@@ -232,11 +185,7 @@ func runTable4(cfg Config) (*Result, error) {
 	metrics := map[string]float64{}
 	for _, includeDup := range []bool{true, false} {
 		var all4, all6 []float64
-		for _, pd := range periods {
-			det, err := detectPeriod(pd, false, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
+		for _, det := range periods {
 			rates := zombie.EmergenceRates(det.report, zombie.FilterOptions{IncludeDuplicates: includeDup})
 			for _, r := range rates {
 				if r.PeerAS != NoisyReplicationPeer {
@@ -263,11 +212,7 @@ func runTable4(cfg Config) (*Result, error) {
 	}
 	// Average likelihood of the remaining peers for contrast.
 	var restAll []float64
-	for _, pd := range periods {
-		det, err := detectPeriod(pd, false, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+	for _, det := range periods {
 		for _, r := range zombie.EmergenceRates(det.report, zombie.FilterOptions{}) {
 			if r.PeerAS != NoisyReplicationPeer && !r.Prefix.Addr().Is4() {
 				restAll = append(restAll, r.Rate)

@@ -91,8 +91,6 @@ var (
 	ErrNoPeerIndex   = errors.New("mrt: RIB record before peer index table")
 	ErrBadPeerIndex  = errors.New("mrt: RIB entry references unknown peer index")
 	ErrBadViewName   = errors.New("mrt: malformed view name")
-	ErrNotSeekable   = errors.New("mrt: reader requires sequential input")
-	ErrWriterClosed  = errors.New("mrt: writer is closed")
 	ErrBadTimestamp  = errors.New("mrt: timestamp outside the 32-bit unix seconds range")
 	ErrEmptyRIBEntry = errors.New("mrt: RIB record with no entries")
 )

@@ -145,11 +145,6 @@ func (f *FaultSet) StickRIB(asn bgp.ASN, match PrefixMatcher) {
 	f.stuckRIB[asn] = match
 }
 
-// UnstickRIB removes a StickRIB fault (the operator fixed the router).
-func (f *FaultSet) UnstickRIB(asn bgp.ASN) {
-	delete(f.stuckRIB, asn)
-}
-
 func (f *FaultSet) ribStuck(asn bgp.ASN, p netip.Prefix) bool {
 	m, ok := f.stuckRIB[asn]
 	if !ok {

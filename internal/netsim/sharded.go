@@ -75,9 +75,6 @@ func NewSharded(g *topology.Graph, cfg Config, nshards int) *Sharded {
 	return s
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // Faults exposes the shared fault set for scenario construction.
 func (s *Sharded) Faults() *FaultSet { return s.shards[0].faults }
 

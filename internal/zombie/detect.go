@@ -146,7 +146,7 @@ func (d *Detector) DetectFromHistory(h *History, intervals []beacon.Interval) *R
 	results := d.detectColumnar(h, intervals, d.threshold(), sp)
 	pipeline.Default.AddIntervals(len(intervals))
 	pipeline.Default.ObserveDetect(time.Since(start))
-	return d.assemble(h.Peers(), intervals, results)
+	return d.assemble(h.reportPeers(intervals), intervals, results)
 }
 
 // assemble folds per-interval results into the Report, in interval order.

@@ -2,6 +2,7 @@ package zombie
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -246,6 +247,44 @@ func TestRecordPaths(t *testing.T) {
 	}
 	if normal == 0 || zombie == 0 {
 		t.Errorf("observations normal=%d zombie=%d", normal, zombie)
+	}
+}
+
+// TestReportIndependentOfTrackSet builds the scenario's history tracked
+// and track-all, with one more collector peer that announces only a
+// non-beacon prefix and writes no STATE record: the track-all build holds
+// that peer, the tracked one does not, and every report must still agree.
+func TestReportIndependentOfTrackSet(t *testing.T) {
+	updates, _, _, _ := buildScenario(t)
+	f := collector.NewFleet()
+	other := sess("rrc01", 500, "2001:db8:feed::5")
+	f.PeerAnnounce(t0.Add(5*time.Second), other, netip.MustParsePrefix("2001:db8:99::/48"), attrsAt(t0, 500, 64500))
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	updates["rrc01"] = f.UpdatesData()["rrc01"]
+	ivs := twoIntervals()
+	for _, par := range []int{0, 4} {
+		tracked, err := BuildHistoryParallel(updates, NewTrackSet([]netip.Prefix{pfx}), par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := BuildHistoryParallel(updates, nil, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all.Peers()) != len(tracked.Peers())+1 {
+			t.Fatalf("parallelism %d: track-all history has %d peers, tracked %d; want one more", par, len(all.Peers()), len(tracked.Peers()))
+		}
+		for _, d := range []*Detector{{Parallelism: par}, {Parallelism: par, RecordPaths: true, IgnoreSessionState: true}} {
+			if got, want := d.DetectFromHistory(all, ivs), d.DetectFromHistory(tracked, ivs); !reflect.DeepEqual(got, want) {
+				t.Errorf("parallelism %d, %+v: track-all report differs from tracked\ngot peers  %v\nwant peers %v", par, *d, got.Peers, want.Peers)
+			}
+		}
+		legacy := &LegacyDetector{Seed: 7}
+		if got, want := legacy.Detect(all, ivs), legacy.Detect(tracked, ivs); !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: legacy track-all report differs from tracked", par)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
 	"zombiescope/internal/obs"
@@ -295,6 +296,30 @@ func (h *History) Events() int {
 
 // Peers returns every peer seen in the archives, sorted.
 func (h *History) Peers() []PeerID { return h.peers }
+
+// reportPeers returns Report.Peers for a detection over intervals: the
+// peers with a session event or an event on an interval's prefix, in
+// h.peers' order — all the peers a build tracking those prefixes holds.
+func (h *History) reportPeers(intervals []beacon.Interval) []PeerID {
+	keep := make([]bool, len(h.peers))
+	for pi, sp := range h.sessSpans {
+		keep[pi] = sp.n > 0
+	}
+	for _, iv := range intervals {
+		if xi, ok := h.prefixIdx[iv.Prefix]; ok {
+			for _, ki := range h.prefixPairs(xi) {
+				keep[h.pairKeys[ki]>>32] = true
+			}
+		}
+	}
+	out := make([]PeerID, 0, len(h.peers))
+	for pi, k := range keep {
+		if k {
+			out = append(out, h.peers[pi])
+		}
+	}
+	return out
+}
 
 // State is the reconstructed status of a (peer, prefix) at an instant.
 type State struct {

@@ -27,13 +27,6 @@ type LegacyDetector struct {
 	Seed         uint64
 }
 
-func (d *LegacyDetector) threshold() time.Duration {
-	if d.Threshold <= 0 {
-		return DefaultThreshold
-	}
-	return d.Threshold
-}
-
 func (d *LegacyDetector) stateDelay() time.Duration {
 	if d.StateDelay <= 0 {
 		return 3 * time.Minute
@@ -56,8 +49,8 @@ func (d *LegacyDetector) availability() float64 {
 // LastUpdate; routes are never marked Duplicate (the legacy method cannot
 // tell).
 func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report {
-	k := &Detector{IgnoreSessionState: true}
-	results := k.detectColumnar(h, intervals, d.threshold()-d.stateDelay(), nil)
+	k := &Detector{Threshold: d.Threshold, IgnoreSessionState: true}
+	results := k.detectColumnar(h, intervals, k.threshold()-d.stateDelay(), nil)
 	for i := range results {
 		kept := results[i].routes[:0]
 		for _, r := range results[i].routes {
@@ -68,9 +61,7 @@ func (d *LegacyDetector) Detect(h *History, intervals []beacon.Interval) *Report
 		}
 		results[i].routes = kept
 	}
-	rep := k.assemble(h.Peers(), intervals, results)
-	rep.Threshold = d.threshold()
-	return rep
+	return k.assemble(h.reportPeers(intervals), intervals, results)
 }
 
 func (d *LegacyDetector) checkSucceeds(peer PeerID, iv beacon.Interval) bool {

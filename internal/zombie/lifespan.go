@@ -1,6 +1,7 @@
 package zombie
 
 import (
+	"cmp"
 	"net/netip"
 	"sort"
 	"time"
@@ -117,25 +118,7 @@ type ribObs struct {
 // order finish() uses, reused as the deterministic tie-break everywhere a
 // sort key alone is not total.
 func comparePeers(a, b PeerID) int {
-	if a.Collector != b.Collector {
-		if a.Collector < b.Collector {
-			return -1
-		}
-		return 1
-	}
-	if a.AS != b.AS {
-		if a.AS < b.AS {
-			return -1
-		}
-		return 1
-	}
-	if a.Addr != b.Addr {
-		if a.Addr.Less(b.Addr) {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Or(cmp.Compare(a.Collector, b.Collector), cmp.Compare(a.AS, b.AS), a.Addr.Compare(b.Addr))
 }
 
 // intervalsByPrefix groups the beacon intervals by prefix, in their

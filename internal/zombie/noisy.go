@@ -3,6 +3,7 @@ package zombie
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"zombiescope/internal/bgp"
@@ -69,16 +70,7 @@ func ScorePeers(rep *Report, includeDuplicates bool) []PeerScore {
 		}
 		out = append(out, *sc)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Peer, out[j].Peer
-		if a.Collector != b.Collector {
-			return a.Collector < b.Collector
-		}
-		if a.AS != b.AS {
-			return a.AS < b.AS
-		}
-		return a.Addr.Less(b.Addr)
-	})
+	slices.SortFunc(out, func(a, b PeerScore) int { return comparePeers(a.Peer, b.Peer) })
 	return out
 }
 

@@ -296,7 +296,23 @@ func (d *Detector) detectRows(s rowStore, intervals []beacon.Interval) *Report {
 	})
 	pipeline.Default.AddIntervals(len(intervals))
 	pipeline.Default.ObserveDetect(time.Since(start))
-	return d.assemble(s.Peers(), intervals, results)
+	return d.assemble(refReportPeers(s, intervals), intervals, results)
+}
+
+// refReportPeers is History.reportPeers by peer-at-a-time lookups: the
+// peers with a session event or an event on an interval's prefix.
+func refReportPeers(s rowStore, intervals []beacon.Interval) []PeerID {
+	out := []PeerID{}
+	for _, peer := range s.Peers() {
+		keep := len(s.sessionEvents(peer)) > 0
+		for _, iv := range intervals {
+			keep = keep || len(s.pairEvents(peer, iv.Prefix)) > 0
+		}
+		if keep {
+			out = append(out, peer)
+		}
+	}
+	return out
 }
 
 // detectFromHistoryRows evaluates the columnar store with the oracle's row
@@ -322,7 +338,7 @@ func (r *referenceHistory) sweep(intervals []beacon.Interval, thresholds []time.
 
 // detectLegacy is LegacyDetector.Detect over the oracle.
 func (r *referenceHistory) detectLegacy(d *LegacyDetector, intervals []beacon.Interval) *Report {
-	return d.detectRows(r.peers, r.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
+	return d.detectRows(refReportPeers(r, intervals), r.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
 		return refStateAt(r.pairEvents(peer, p), nil, t)
 	}, intervals)
 }
@@ -335,8 +351,9 @@ func (d *LegacyDetector) detectRows(peers []PeerID,
 	seenAnnounced func(p netip.Prefix, from, to time.Time) bool,
 	stateAt func(peer PeerID, p netip.Prefix, t time.Time) State,
 	intervals []beacon.Interval) *Report {
+	threshold := (&Detector{Threshold: d.Threshold}).threshold()
 	rep := &Report{
-		Threshold: d.threshold(),
+		Threshold: threshold,
 		Intervals: intervals,
 		Peers:     peers,
 	}
@@ -345,7 +362,7 @@ func (d *LegacyDetector) detectRows(peers []PeerID,
 			rep.VisiblePrefixes++
 		}
 		// The looking glass answers with state as of checkAt-StateDelay.
-		checkAt := iv.WithdrawAt.Add(d.threshold())
+		checkAt := iv.WithdrawAt.Add(threshold)
 		effective := checkAt.Add(-d.stateDelay())
 		var routes []Route
 		for _, peer := range peers {

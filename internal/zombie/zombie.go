@@ -125,7 +125,10 @@ type Report struct {
 	// Outbreaks, including duplicate routes (flagged, not removed): use
 	// Filter to apply the paper's corrections.
 	Outbreaks []Outbreak
-	// Peers lists every peer that appeared in the archives.
+	// Peers lists, sorted, the peers with an event on an interval's prefix
+	// or a session event: the peers the detection could have seen. It is
+	// the same whether the history tracked the beacon prefixes or every
+	// prefix.
 	Peers []PeerID
 	// PathObs carries per-peer path-length observations when the
 	// detector was configured to record them.
