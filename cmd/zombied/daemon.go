@@ -111,6 +111,18 @@ func newDaemon(cfg config, logger *slog.Logger) (*daemon, error) {
 	if cfg.threshold <= 0 {
 		return nil, fmt.Errorf("-threshold must be positive, got %v", cfg.threshold)
 	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"-store-segment-bytes", cfg.storeSegSize},
+		{"-store-retain", cfg.storeRetain},
+		{"-store-sync", int64(cfg.storeSync)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("%s must not be negative, got %d", f.name, f.v)
+		}
+	}
 	feed, err := loadFeed(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("loading feed source: %w", err)

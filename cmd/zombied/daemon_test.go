@@ -344,3 +344,28 @@ func TestDaemonRejectsNonPositiveThreshold(t *testing.T) {
 		}
 	}
 }
+
+// TestDaemonRejectsNegativeStoreFlags: a negative -store-segment-bytes,
+// -store-retain or -store-sync is refused rather than quietly read as the
+// default, unlimited retention or seal-only fsync.
+func TestDaemonRejectsNegativeStoreFlags(t *testing.T) {
+	for name, set := range map[string]func(*config){
+		"segment-bytes": func(c *config) { c.storeSegSize = -1 },
+		"retain":        func(c *config) { c.storeRetain = -1 },
+		"sync":          func(c *config) { c.storeSync = -3 },
+	} {
+		cfg := testConfig()
+		cfg.storeDir = t.TempDir()
+		set(&cfg)
+		if d, err := newDaemon(cfg, testLogger(t)); err == nil {
+			d.feedL.Close()
+			if d.httpL != nil {
+				d.httpL.Close()
+			}
+			if d.store != nil {
+				d.store.Close()
+			}
+			t.Errorf("negative store %s accepted", name)
+		}
+	}
+}

@@ -82,6 +82,44 @@ func BenchmarkStoreScan(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreOpen measures a read-only Open (and Close) of a ~12 MiB
+// store of 4 MiB segments: the cost a restart pays before it scans.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	st, err := Open(Options{Dir: dir, SegmentBytes: 4 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	evs := benchEvents(1024)
+	seq := uint64(0)
+	for total := int64(0); total < 12<<20; {
+		ev := evs[seq%uint64(len(evs))]
+		seq++
+		ev.Seq = seq
+		if err := st.Append(ev); err != nil {
+			b.Fatal(err)
+		}
+		total += int64(len(ev.Payload)) + eventFixedLen + frameHeaderLen
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(Options{Dir: dir, ReadOnly: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.LastSeq() != seq {
+			b.Fatalf("LastSeq = %d, want %d", st.LastSeq(), seq)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkStoreScanKind(b *testing.B) {
 	dir := b.TempDir()
 	st, err := Open(Options{Dir: dir, SegmentBytes: 16 << 20})

@@ -8,11 +8,13 @@
 // names, peers and prefixes are canonicalized into per-segment dense
 // dictionaries (dictionary entries interleave with events, so a segment
 // is self-describing under a pure sequential scan). When a segment
-// reaches its size budget — or the store closes — it is sealed: a sidecar
-// index file records the sequence range, time bounds, event offset table
-// and dictionaries under their own CRC-checked header, so sealed segments
-// open in O(1). Sealed segments are mmap'd (with a plain-read fallback on
-// platforms without mmap).
+// reaches its size budget — or the store closes — it is sealed: its data
+// file is fsynced and mmap'd for reads (with a plain-read fallback on
+// platforms without mmap). The data file is a segment's only on-disk
+// state: Open maps each segment and derives its index (sequence range,
+// time bounds, event offset table and dictionaries) from one scan of the
+// mapping, which every shipped opener follows with a Scan of the whole
+// journal anyway.
 //
 // The store serves two reads, both through one loop over a sequence
 // range: Scan delivers every event (optionally of one payload kind) with
@@ -23,7 +25,6 @@
 // Crash safety is by construction: every frame carries a CRC over its
 // kind and body, so a torn tail write (the process died mid-append) is
 // detected on the next Open and truncated back to the last whole frame.
-// A missing or corrupt index sidecar is rebuilt by scanning the segment.
 // A corrupt segment header on the newest segment quarantines the file; on
 // an older segment it is a hard error, because silently skipping interior
 // data would fabricate a gap.
@@ -114,9 +115,9 @@ type Options struct {
 	// segments exceed this many bytes (0 = unbounded). The active
 	// segment, up to SegmentBytes, comes on top and is never dropped.
 	RetainBytes int64
-	// ReadOnly opens without repairing: torn tails and missing indexes
-	// are reported in SegmentInfo instead of truncated/rewritten, and
-	// Append fails.
+	// ReadOnly opens without repairing: torn tails are reported in
+	// SegmentInfo instead of truncated, no file is removed, and Append
+	// fails.
 	ReadOnly bool
 	// Metrics is the instrument sink (nil: a private registry).
 	Metrics *Metrics
@@ -156,10 +157,10 @@ type Store struct {
 
 // Open opens (creating if needed) the store at opts.Dir, recovering from
 // any crash the previous process suffered: the newest segment's torn
-// tail, if any, is truncated back to the last whole frame, missing or
-// corrupt index sidecars are rebuilt, and segments fully covered by their
-// predecessor (the leftovers of an interrupted merge by an earlier build)
-// are removed.
+// tail, if any, is truncated back to the last whole frame, and segments
+// fully covered by their predecessor (the leftovers of an interrupted
+// merge by an earlier build) are removed. Each segment's index is derived
+// from a scan of its data file.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("eventstore: empty dir")
@@ -184,7 +185,7 @@ func Open(opts Options) (*Store, error) {
 // load discovers and validates the on-disk segments.
 func (s *Store) load() error {
 	if !s.opts.ReadOnly {
-		removeTempFiles(s.opts.Dir)
+		removeLeftovers(s.opts.Dir)
 	}
 	names, err := segmentFiles(s.opts.Dir)
 	if err != nil {
@@ -204,7 +205,6 @@ func (s *Store) load() error {
 				if rerr := os.Rename(bad, bad+".corrupt"); rerr != nil {
 					return fmt.Errorf("eventstore: quarantine %s: %w", name, rerr)
 				}
-				os.Remove(idxPathFor(bad))
 				s.metrics.repairs.Inc()
 				continue
 			}
@@ -227,7 +227,7 @@ func (s *Store) load() error {
 					seg.release()
 					continue
 				}
-				seg.removeFiles()
+				os.Remove(seg.path)
 				seg.release()
 				s.metrics.repairs.Inc()
 				continue
@@ -249,15 +249,17 @@ func (s *Store) load() error {
 	return nil
 }
 
-// removeTempFiles clears sidecar temp files left by a crash.
-func removeTempFiles(dir string) {
+// removeLeftovers deletes the index sidecars (".idx") and their temp
+// files (".tmp") that earlier builds wrote next to each segment, so that
+// retention, which removes data files only, leaves no orphans.
+func removeLeftovers(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), tmpSuffix) {
-			os.Remove(filepath.Join(dir, e.Name()))
+		if name := e.Name(); !e.IsDir() && (strings.HasSuffix(name, ".idx") || strings.HasSuffix(name, ".tmp")) {
+			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
@@ -422,8 +424,8 @@ func (s *Store) Seal() error {
 	return s.sealLocked()
 }
 
-// sealLocked seals the active segment: fsync data, write the index
-// sidecar, reopen read-only (mmap'd) and apply retention.
+// sealLocked seals the active segment: fsync data, reopen read-only
+// (mmap'd) and apply retention.
 func (s *Store) sealLocked() error {
 	w := s.w
 	if w == nil {
@@ -463,7 +465,7 @@ func (s *Store) enforceRetentionLocked() {
 		old := s.segs[0]
 		s.segs = s.segs[1:]
 		total -= old.size
-		old.removeFiles()
+		os.Remove(old.path)
 		old.release()
 		s.metrics.retentionDrops.Inc()
 	}
@@ -514,8 +516,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Abandon closes the store's file handles WITHOUT sealing, fsyncing or
-// writing indexes — it leaves the on-disk state exactly as a crashed
+// Abandon closes the store's file handles WITHOUT sealing or fsyncing —
+// it leaves the on-disk state exactly as a crashed
 // process would. It exists for crash-recovery tests; production code
 // wants Close.
 func (s *Store) Abandon() error {
@@ -543,7 +545,7 @@ func (s *Store) Abandon() error {
 // SegmentInfo describes one on-disk segment for inspection tooling.
 type SegmentInfo struct {
 	Path     string
-	Sealed   bool // a valid index sidecar is on disk
+	Sealed   bool // immutable and mapped; false for the active segment
 	FirstSeq uint64
 	LastSeq  uint64
 	Events   int

@@ -3,6 +3,7 @@ package eventstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -112,6 +113,22 @@ func replayAll(t testing.TB, st *Store) []Event {
 	return got
 }
 
+// scanAll returns the events a Scan of q delivers, copied out of the
+// store.
+func scanAll(t testing.TB, st *Store, q Query) []Event {
+	t.Helper()
+	var got []Event
+	if err := st.Scan(q, func(ev Event) error {
+		ev.Payload = append([]byte(nil), ev.Payload...)
+		ev.Prefixes = append([]netip.Prefix(nil), ev.Prefixes...)
+		got = append(got, ev)
+		return nil
+	}); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return got
+}
+
 func checkEvents(t *testing.T, got, want []Event) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -188,8 +205,8 @@ func TestRecoverUnsealedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(t, st, want)
-	// Abandon leaves the tail segment with no index sidecar, as a crash
-	// would; reopen must seal it by scanning.
+	// Abandon leaves the tail segment unsealed and unsynced, as a crash
+	// would; reopen must recover it by scanning.
 	if err := st.Abandon(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +284,7 @@ func TestScanFilters(t *testing.T) {
 	}
 	run := func(name string, q Query, match func(Event) bool) {
 		t.Run(name, func(t *testing.T) {
-			var got []Event
-			if err := st.Scan(q, func(ev Event) error {
-				// Scan events alias store memory; copy to retain.
-				ev.Payload = append([]byte(nil), ev.Payload...)
-				ev.Prefixes = append([]netip.Prefix(nil), ev.Prefixes...)
-				got = append(got, ev)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			checkEvents(t, got, naive(match))
+			checkEvents(t, scanAll(t, st, q), naive(match))
 		})
 	}
 
@@ -377,27 +384,114 @@ func TestReadOnlyOpenOfUnsealedTailDoesNotModify(t *testing.T) {
 	checkEvents(t, replayAll(t, ro), want)
 	ro.Close()
 
-	if after := dirSnapshot(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("read-only open modified the store:\nbefore %v\nafter  %v", before, after)
+	if after := dirSnapshot(t, dir); !maps.Equal(after, before) {
+		t.Fatal("read-only open modified the store")
 	}
 }
 
-// dirSnapshot captures (name, size) of every file in dir.
-func dirSnapshot(t *testing.T, dir string) [][2]string {
+// dirSnapshot maps the name of every file in dir to its contents.
+func dirSnapshot(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out [][2]string
+	out := map[string]string{}
 	for _, e := range entries {
-		info, err := e.Info()
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, [2]string{e.Name(), fmt.Sprint(info.Size())})
+		out[e.Name()] = string(data)
 	}
 	return out
+}
+
+// copyDir copies the files of src into a new directory and returns it.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range dirSnapshot(t, src) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// requireOnlySegments fails unless every file in dir is a segment data
+// file.
+func requireOnlySegments(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != segSuffix {
+			t.Errorf("%s: store directory holds a non-segment file", e.Name())
+		}
+	}
+}
+
+// TestStoreWritesOnlySegments: every step of a store's life (appends
+// across rotations, Seal, Close, a crash, reopen, tail continuation and
+// retention) leaves only segment data files in its directory.
+func TestStoreWritesOnlySegments(t *testing.T) {
+	dir := t.TempDir()
+	m := NewMetrics(nil)
+	opts := Options{Dir: dir, SegmentBytes: 2 << 10, RetainBytes: 8 << 10, Metrics: m}
+	all := testEvents(400)
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, st, all[:100])
+	requireOnlySegments(t, dir)
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlySegments(t, dir)
+	appendAll(t, st, all[100:150])
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlySegments(t, dir)
+	for _, crash := range []bool{true, false} {
+		st, err = Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOnlySegments(t, dir)
+		from := int(st.LastSeq())
+		appendAll(t, st, all[from:from+10])
+		for _, info := range st.SegmentInfos() {
+			if info.FirstSeq == uint64(from+1) {
+				t.Fatalf("append after reopen started a segment at %d instead of continuing the tail", from+1)
+			}
+		}
+		if crash {
+			err = st.Abandon()
+		} else {
+			err = st.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOnlySegments(t, dir)
+	}
+	st, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, st, all[170:])
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlySegments(t, dir)
+	if m.retentionDrops.Value() == 0 {
+		t.Fatal("retention never dropped a segment")
+	}
 }
 
 func TestClosedStoreErrors(t *testing.T) {

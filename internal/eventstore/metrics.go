@@ -44,9 +44,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		appendBytes: reg.Counter("eventstore_append_bytes_total",
 			"Bytes written by appends (frames plus dictionary entries)."),
 		seals: reg.Counter("eventstore_seals_total",
-			"Segments sealed (index sidecar written)."),
+			"Segments sealed (data file fsynced and mapped for reads)."),
 		repairs: reg.Counter("eventstore_repairs_total",
-			"Open-time repairs (torn-tail truncations, index rebuilds, quarantines, leftover removals)."),
+			"Open-time repairs (torn-tail truncations, quarantines, covered-segment removals)."),
 		retentionDrops: reg.Counter("eventstore_retention_dropped_total",
 			"Sealed segments dropped by the retention byte budget."),
 		truncatedBytes: reg.Counter("eventstore_truncated_bytes_total",

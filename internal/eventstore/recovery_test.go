@@ -2,23 +2,23 @@ package eventstore
 
 // Crash-recovery coverage: every corruption a torn write, or an earlier
 // build's merge of small segments interrupted mid-way, can leave behind —
-// partial tail frames, flipped bytes, lost or stale index sidecars,
-// quarantined headers, superseded leftovers — must be detected at Open
-// and either repaired (newest segment) or refused (interior segments,
-// where silent repair would fabricate gaps).
+// partial tail frames, flipped bytes, inconsistent frames, quarantined
+// headers, superseded leftovers — must be detected at Open and either
+// repaired (newest segment) or refused (interior segments, where silent
+// repair would fabricate gaps).
 
 import (
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
 
 // buildCrashedStore appends n events across small segments and abandons
-// the store mid-flight (no seal, no sidecar on the tail), returning the
-// sorted segment file names.
+// the store mid-flight (the tail neither sealed nor fsynced), returning
+// the sorted segment file names.
 func buildCrashedStore(t *testing.T, dir string, n int) []string {
 	t.Helper()
 	st, err := Open(Options{Dir: dir, SegmentBytes: 4 << 10})
@@ -137,42 +137,6 @@ func TestRecoverTornTail(t *testing.T) {
 				})
 			},
 		},
-		{
-			name: "sealed-index-deleted",
-			damage: func(t *testing.T, dir string, names []string) {
-				// Delete a sealed (non-tail) segment's sidecar: open must
-				// rebuild it by scanning with zero data loss.
-				if err := os.Remove(idxPathFor(filepath.Join(dir, names[0]))); err != nil {
-					t.Fatal(err)
-				}
-			},
-		},
-		{
-			name: "sealed-index-corrupted",
-			damage: func(t *testing.T, dir string, names []string) {
-				idx := idxPathFor(filepath.Join(dir, names[0]))
-				damageFile(t, idx, func(data []byte) []byte {
-					data[len(data)/2] ^= 0xff
-					return data
-				})
-			},
-		},
-		{
-			name: "all-indexes-deleted",
-			damage: func(t *testing.T, dir string, names []string) {
-				entries, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, e := range entries {
-					if strings.HasSuffix(e.Name(), idxSuffix) {
-						if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,35 +185,27 @@ func TestInteriorCorruptionRefusesOpen(t *testing.T) {
 		{
 			name: "interior-header-flipped",
 			damage: func(t *testing.T, dir string, names []string) {
-				p := filepath.Join(dir, names[0])
-				// Kill both the header and the sidecar so the open cannot
-				// sidestep the damaged header via the index fast path.
-				damageFile(t, p, func(data []byte) []byte {
+				damageFile(t, filepath.Join(dir, names[0]), func(data []byte) []byte {
 					data[0] ^= 0xff
 					return data
 				})
-				os.Remove(idxPathFor(p))
 			},
 		},
 		{
 			name: "interior-frame-corrupt-no-index",
 			damage: func(t *testing.T, dir string, names []string) {
-				p := filepath.Join(dir, names[0])
-				damageFile(t, p, func(data []byte) []byte {
+				damageFile(t, filepath.Join(dir, names[0]), func(data []byte) []byte {
 					data[len(data)/2] ^= 0xff
 					return data
 				})
-				os.Remove(idxPathFor(p))
 			},
 		},
 		{
 			name: "interior-truncated-no-index",
 			damage: func(t *testing.T, dir string, names []string) {
-				p := filepath.Join(dir, names[0])
-				damageFile(t, p, func(data []byte) []byte {
+				damageFile(t, filepath.Join(dir, names[0]), func(data []byte) []byte {
 					return data[:len(data)-20]
 				})
-				os.Remove(idxPathFor(p))
 			},
 		},
 		{
@@ -257,11 +213,9 @@ func TestInteriorCorruptionRefusesOpen(t *testing.T) {
 			damage: func(t *testing.T, dir string, names []string) {
 				// Remove an interior segment entirely: the survivors are
 				// individually valid but no longer contiguous.
-				p := filepath.Join(dir, names[1])
-				if err := os.Remove(p); err != nil {
+				if err := os.Remove(filepath.Join(dir, names[1])); err != nil {
 					t.Fatal(err)
 				}
-				os.Remove(idxPathFor(p))
 			},
 		},
 	}
@@ -342,10 +296,10 @@ func TestReadOnlyReportsTornBytes(t *testing.T) {
 }
 
 // copyMergedSegment writes evs into a fresh one-segment store and copies
-// its data file over dir's segment name, with its sidecar when withIdx is
-// set: the merged segment that earlier builds, which merged runs of small
-// segments, renamed over the first input before deleting the rest.
-func copyMergedSegment(t *testing.T, dir, name string, evs []Event, withIdx bool) {
+// its data file over dir's segment name: the merged segment that earlier
+// builds, which merged runs of small segments, renamed over the first
+// input before deleting the rest.
+func copyMergedSegment(t *testing.T, dir, name string, evs []Event) {
 	t.Helper()
 	src := t.TempDir()
 	st, err := Open(Options{Dir: src, SegmentBytes: 1 << 20})
@@ -363,29 +317,25 @@ func copyMergedSegment(t *testing.T, dir, name string, evs []Event, withIdx bool
 	if len(merged) != 1 || merged[0] != name {
 		t.Fatalf("merged store holds %v, want one segment %s", merged, name)
 	}
-	files := []string{name}
-	if withIdx {
-		files = append(files, strings.TrimSuffix(name, segSuffix)+idxSuffix)
+	data, err := os.ReadFile(filepath.Join(src, name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range files {
-		data, err := os.ReadFile(filepath.Join(src, f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestCompactionCrashLeftoverRemoved(t *testing.T) {
+// smallSegmentStore writes testEvents(600) in 2 KiB segments and returns
+// the directory and the sorted segment names.
+func smallSegmentStore(t *testing.T) (string, []string) {
+	t.Helper()
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := testEvents(600)
-	appendAll(t, st, all)
+	appendAll(t, st, testEvents(600))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -396,45 +346,223 @@ func TestCompactionCrashLeftoverRemoved(t *testing.T) {
 	if len(names) < 4 {
 		t.Fatalf("want >= 4 segments, got %d", len(names))
 	}
-	// Put the merged segment over the first input and keep the rest: the
-	// state a crash between the merged rename and the input deletes leaves
-	// behind (fully-contained leftovers on disk).
-	copyMergedSegment(t, dir, names[0], all, true)
+	return dir, names
+}
+
+// TestCoveredSegmentRemoved: the merged segment over the first input with
+// the other inputs still on disk — the state a crash between an earlier
+// build's merged rename and its input deletes left behind. Open removes
+// every segment its predecessor covers.
+func TestCoveredSegmentRemoved(t *testing.T) {
+	dir, names := smallSegmentStore(t)
+	copyMergedSegment(t, dir, names[0], testEvents(600))
 	reopenAndCheck(t, dir, 600, 600)
-	// The leftovers must be gone from disk.
-	after, err := segmentFiles(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(after)
-	for _, name := range after[:len(after)-1] {
-		// No remaining segment may be fully contained in a predecessor;
-		// reopenAndCheck already proved contiguity via replay.
-		_ = name
-	}
-	if len(after) >= len(names) {
-		t.Fatalf("leftover segments not removed: %d files before, %d after", len(names), len(after))
+	for _, name := range names[1:] {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: covered segment not removed (stat err %v)", name, err)
+		}
 	}
 }
 
-func TestCompactionStaleIndexRebuilt(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, SegmentBytes: 2 << 10})
+// TestMergedSegmentReopens: a merge by an earlier build that finished
+// except for the sidecar rename leaves the merged data file next to the
+// first input's sidecar, which describes a shorter file. Open goes by the
+// data file alone and deletes the stale sidecar.
+func TestMergedSegmentReopens(t *testing.T) {
+	dir, names := smallSegmentStore(t)
+	for _, name := range names[1:] {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyMergedSegment(t, dir, names[0], testEvents(600))
+	stale, err := os.ReadFile("testdata/sidecar-v1/0000000000000001.idx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := testEvents(600)
-	appendAll(t, st, all)
+	if err := os.WriteFile(filepath.Join(dir, "0000000000000001.idx"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopenAndCheck(t, dir, 600, 600)
+	requireOnlySegments(t, dir)
+}
+
+// TestEarlierBuildStoreOpens: testdata/sidecar-v1 is a four-segment store
+// of testEvents(90) written by an earlier build, which kept an index
+// sidecar (".idx") next to every segment; a stray ".idx.tmp" stands for a
+// sidecar write a crash cut short. A read-only open serves the events and
+// leaves the directory byte-identical. A read-write open serves them and
+// deletes every leftover; its first append continues the newest segment,
+// and retention then drops a segment without leaving an orphan.
+func TestEarlierBuildStoreOpens(t *testing.T) {
+	dir := copyDir(t, "testdata/sidecar-v1")
+	if err := os.WriteFile(filepath.Join(dir, "0000000000000046.idx.tmp"), []byte("torn sidecar"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := testEvents(91)
+	before := dirSnapshot(t, dir)
+	ro, err := Open(Options{Dir: dir, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEvents(t, scanAll(t, ro, Query{}), want[:90])
+	checkEvents(t, replayAll(t, ro), want[:90])
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := dirSnapshot(t, dir); !maps.Equal(after, before) {
+		t.Fatal("read-only open modified the store")
+	}
+
+	// The four segments hold 8183 bytes, so a 7 KiB budget drops the
+	// first, and only the first, once the continued tail seals.
+	st, err := Open(Options{Dir: dir, RetainBytes: 7 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEvents(t, scanAll(t, st, Query{}), want[:90])
+	checkEvents(t, replayAll(t, st), want[:90])
+	requireOnlySegments(t, dir)
+	appendAll(t, st, want[90:])
+	infos := st.SegmentInfos()
+	if tail := infos[len(infos)-1]; tail.Sealed || filepath.Base(tail.Path) != "0000000000000046.seg" || tail.LastSeq != 91 {
+		t.Fatalf("append did not continue the newest segment: %+v", tail)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	names, err := segmentFiles(dir)
+	requireOnlySegments(t, dir)
+	st, err = Open(Options{Dir: dir, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Put the merged data file over the first segment but keep that
-	// segment's own, now stale, sidecar: the crash state of "data renamed,
-	// index rename lost".
-	copyMergedSegment(t, dir, names[0], all, false)
-	reopenAndCheck(t, dir, 600, 600)
+	defer st.Close()
+	if first := st.FirstSeq(); first != 0x1a {
+		t.Fatalf("FirstSeq = %d after retention, want %d", first, 0x1a)
+	}
+	checkEvents(t, replayAll(t, st), want[0x1a-1:])
+}
+
+// damageEvent rewrites the body of event seq's frame in the segment image
+// data and re-computes the frame CRC, so the frame still checks out. It
+// returns the frame's byte range.
+func damageEvent(t *testing.T, data []byte, seq uint64, damage func(body []byte)) (from, to int64) {
+	t.Helper()
+	scanFrames(data, segHeaderLen, func(kind byte, body []byte, off int64) bool {
+		if kind != fkEvent || le.Uint64(body) != seq {
+			return true
+		}
+		damage(body)
+		le.PutUint32(data[off+5:], frameCRC(kind, body))
+		from, to = off, off+frameHeaderLen+int64(len(body))
+		return false
+	})
+	if to == 0 {
+		t.Fatalf("no frame of event %d", seq)
+	}
+	return from, to
+}
+
+// TestInconsistentEventRejected: an event frame whose CRC checks out but
+// which carries a wrong sequence number, or a prefix id beyond the
+// dictionaries, is corruption. Open refuses it in an interior segment; a
+// read-write Open truncates the newest segment back to the event before
+// it; and once written into the mapping of an open store, every read that
+// reaches it fails with ErrCorrupt without delivering an event out of
+// sequence.
+func TestInconsistentEventRejected(t *testing.T) {
+	src := t.TempDir()
+	st, err := Open(Options{Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := testEvents(40)
+	appendAll(t, st, evs[:24])
+	if err := st.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, st, evs[24:])
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Events 6 (in segment 1..24) and 30 (in segment 25..40) both carry
+	// two prefixes.
+	damages := map[string]func(body []byte){
+		"wrong-seq":       func(body []byte) { le.PutUint64(body, le.Uint64(body)+100) },
+		"prefix-id-range": func(body []byte) { le.PutUint32(body[eventFixedLen:], 1000) },
+	}
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			corrupt := func(dir string, base, seq uint64) {
+				damageFile(t, filepath.Join(dir, segName(base)), func(data []byte) []byte {
+					damageEvent(t, data, seq, damage)
+					return data
+				})
+			}
+			for _, ro := range []bool{false, true} {
+				dir := copyDir(t, src)
+				corrupt(dir, 1, 6)
+				if _, err := Open(Options{Dir: dir, ReadOnly: ro}); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("interior segment, read-only %v: Open err = %v, want ErrCorrupt", ro, err)
+				}
+			}
+
+			dir := copyDir(t, src)
+			corrupt(dir, 25, 30)
+			reopenAndCheck(t, dir, 29, 29)
+
+			dir = copyDir(t, src)
+			st, err := Open(Options{Dir: dir, ReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if !st.segs[0].seg.Mapped() {
+				t.Skip("segments are heap copies here: writes after Open are not visible")
+			}
+			path := filepath.Join(dir, segName(1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, to := damageEvent(t, data, 6, damage)
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(data[from:to], from); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reads := map[string]func(func(Event) error) error{
+				"scan":      func(fn func(Event) error) error { return st.Scan(Query{}, fn) },
+				"scan-kind": func(fn func(Event) error) error { return st.Scan(Query{Kind: KindMRT}, fn) },
+				"replay":    func(fn func(Event) error) error { return st.Replay(0, 40, fn) },
+			}
+			for read, run := range reads {
+				next := uint64(1)
+				err := run(func(ev Event) error {
+					if ev.Seq < next || ev.Seq >= 6 {
+						t.Errorf("%s: delivered seq %d after %d", read, ev.Seq, next-1)
+					}
+					next = ev.Seq + 1
+					return nil
+				})
+				if !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: err = %v, want ErrCorrupt", read, err)
+				}
+			}
+			// The newest segment is intact.
+			var got []Event
+			if err := st.Replay(24, 40, func(ev Event) error {
+				got = append(got, ev)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			checkEvents(t, got, evs[24:])
+		})
+	}
 }

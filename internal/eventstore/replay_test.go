@@ -32,15 +32,7 @@ func TestReplayActiveWindows(t *testing.T) {
 	}
 	appendAll(t, st, evs[12:])
 
-	var full []Event
-	if err := st.Scan(Query{}, func(ev Event) error {
-		ev.Payload = append([]byte(nil), ev.Payload...)
-		ev.Prefixes = append([]netip.Prefix(nil), ev.Prefixes...)
-		full = append(full, ev)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	full := scanAll(t, st, Query{})
 	checkEvents(t, full, evs)
 	for from := 0; from <= len(evs); from++ {
 		for to := from; to <= len(evs); to++ {

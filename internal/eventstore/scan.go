@@ -57,7 +57,7 @@ func (s *Store) snapshot(lo, hi uint64) (snapshot, error) {
 		if hi < w.bld.lastSeq {
 			sn.activeTo = int64(offs[hi-w.firstSeq()+1])
 		}
-		sn.dicts = w.dicts.slices()
+		sn.dicts = w.dicts
 	}
 	return sn, nil
 }
@@ -73,8 +73,8 @@ func (s *Store) releaseSnapshot(sn snapshot) {
 // the frame references an id beyond the dictionaries. With copyOut false
 // the payload (and prefix scratch) alias backing storage valid only until
 // the next event; with copyOut true everything is retention-safe.
-func makeEvent(e rawEvent, d *segDicts, scratch *[]netip.Prefix, copyOut bool) (Event, bool) {
-	if int(e.coll) >= len(d.colls) {
+func makeEvent(e *rawEvent, d *segDicts, scratch *[]netip.Prefix, copyOut bool) (Event, bool) {
+	if !d.resolves(e) {
 		return Event{}, false
 	}
 	ev := Event{
@@ -85,20 +85,13 @@ func makeEvent(e rawEvent, d *segDicts, scratch *[]netip.Prefix, copyOut bool) (
 		Payload:   e.payload,
 	}
 	if e.peer != noPeer {
-		if int(e.peer) >= len(d.peers) {
-			return Event{}, false
-		}
 		pk := d.peers[e.peer]
 		ev.PeerAS, ev.PeerAddr = pk.as, pk.addr
 	}
 	if n := e.nPrefixes(); n > 0 {
 		*scratch = (*scratch)[:0]
 		for i := 0; i < n; i++ {
-			id := e.prefixID(i)
-			if int(id) >= len(d.prefs) {
-				return Event{}, false
-			}
-			*scratch = append(*scratch, d.prefs[id])
+			*scratch = append(*scratch, d.prefs[e.prefixID(i)])
 		}
 		ev.Prefixes = *scratch
 	}
@@ -187,6 +180,7 @@ func (seg *segment) walk(lo, hi uint64, kind uint8, copyOut bool, scratch *[]net
 	corrupt := func(ord uint64, what string) (int64, error) {
 		return bytes, fmt.Errorf("%w: %s: seq %d: %s", ErrCorrupt, filepath.Base(seg.path), idx.firstSeq+ord, what)
 	}
+	var e rawEvent
 	for ord := first; ord <= last; ord++ {
 		off := int64(idx.offsets[ord])
 		if off+frameHeaderLen > n {
@@ -196,15 +190,14 @@ func (seg *segment) walk(lo, hi uint64, kind uint8, copyOut bool, scratch *[]net
 		if data[off+4] != fkEvent || end > n {
 			return corrupt(ord, "event frame invalid")
 		}
-		e, ok := decodeEventBody(data[off+frameHeaderLen : end])
-		if !ok || e.seq != idx.firstSeq+ord {
+		if !e.decode(data[off+frameHeaderLen:end]) || e.seq != idx.firstSeq+ord {
 			return corrupt(ord, "event body invalid or out of sequence")
 		}
 		bytes += end - off
 		if kind != 0 && e.kind != kind {
 			continue
 		}
-		ev, ok := makeEvent(e, &idx.segDicts, scratch, copyOut)
+		ev, ok := makeEvent(&e, &idx.segDicts, scratch, copyOut)
 		if !ok {
 			return corrupt(ord, "event references a missing dictionary entry")
 		}
@@ -230,14 +223,14 @@ func (s *Store) readActive(sn snapshot, kind uint8, copyOut bool, scratch *[]net
 	}
 	next := sn.activeSeq
 	var ferr error
+	var e rawEvent
 	bytes := int64(0)
 	good := scanFrames(data, 0, func(fk byte, body []byte, off int64) bool {
 		if fk != fkEvent {
 			// The pinned dictionaries already hold every entry in range.
 			return fk == fkCollector || fk == fkPeer || fk == fkPrefix
 		}
-		e, ok := decodeEventBody(body)
-		if !ok || e.seq != next {
+		if !e.decode(body) || e.seq != next {
 			return false
 		}
 		next++
@@ -245,7 +238,7 @@ func (s *Store) readActive(sn snapshot, kind uint8, copyOut bool, scratch *[]net
 		if kind != 0 && e.kind != kind {
 			return true
 		}
-		ev, ok := makeEvent(e, &sn.dicts, scratch, copyOut)
+		ev, ok := makeEvent(&e, &sn.dicts, scratch, copyOut)
 		if !ok {
 			return false
 		}

@@ -29,6 +29,10 @@ package eventstore
 // can tell exactly where a torn tail write begins: the first frame that is
 // short, oversized, fails its CRC, or decodes inconsistently marks the end
 // of good data, and a read-write open truncates the file back to it.
+//
+// The data file is the only on-disk state of a segment: Open derives each
+// segment's index (sequence range, time bounds, event offsets and
+// dictionaries) from one scan of its mapping.
 
 import (
 	"encoding/binary"
@@ -38,7 +42,6 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"zombiescope/internal/mmapio"
@@ -46,11 +49,8 @@ import (
 
 const (
 	segSuffix = ".seg"
-	idxSuffix = ".idx"
-	tmpSuffix = ".tmp"
 
 	segMagic      = 0x5A534547 // "ZSEG"
-	idxMagic      = 0x5A494458 // "ZIDX"
 	formatVersion = 1
 
 	segHeaderLen   = 32
@@ -61,7 +61,6 @@ const (
 	fkCollector = 2
 	fkPeer      = 3
 	fkPrefix    = 4
-	fkIndex     = 5
 
 	// noPeer marks an event with no BGP peer.
 	noPeer = ^uint32(0)
@@ -89,10 +88,6 @@ var (
 
 func segName(baseSeq uint64) string { return fmt.Sprintf("%016x%s", baseSeq, segSuffix) }
 
-func idxPathFor(segPath string) string {
-	return strings.TrimSuffix(segPath, segSuffix) + idxSuffix
-}
-
 func frameCRC(kind byte, body []byte) uint32 {
 	return crc32.Update(kindCRC[kind], castagnoli, body)
 }
@@ -115,52 +110,51 @@ type rawEvent struct {
 	payload []byte
 }
 
-func (e rawEvent) nPrefixes() int        { return len(e.ids) / 4 }
-func (e rawEvent) prefixID(i int) uint32 { return le.Uint32(e.ids[i*4:]) }
+func (e *rawEvent) nPrefixes() int        { return len(e.ids) / 4 }
+func (e *rawEvent) prefixID(i int) uint32 { return le.Uint32(e.ids[i*4:]) }
 
-func decodeEventBody(body []byte) (rawEvent, bool) {
+// decode fills e from an fkEvent body in place (a rawEvent is too large
+// to copy per frame for free), or reports false when the body is shorter
+// than its prefix count says.
+func (e *rawEvent) decode(body []byte) bool {
 	if len(body) < eventFixedLen {
-		return rawEvent{}, false
+		return false
 	}
 	n := int(le.Uint16(body[26:]))
 	if len(body) < eventFixedLen+n*4 {
-		return rawEvent{}, false
+		return false
 	}
-	return rawEvent{
-		seq:     le.Uint64(body[0:]),
-		ns:      int64(le.Uint64(body[8:])),
-		coll:    le.Uint32(body[16:]),
-		peer:    le.Uint32(body[20:]),
-		kind:    body[24],
-		ids:     body[eventFixedLen : eventFixedLen+n*4],
-		payload: body[eventFixedLen+n*4:],
-	}, true
+	e.seq = le.Uint64(body[0:])
+	e.ns = int64(le.Uint64(body[8:]))
+	e.coll = le.Uint32(body[16:])
+	e.peer = le.Uint32(body[20:])
+	e.kind = body[24]
+	e.ids = body[eventFixedLen : eventFixedLen+n*4]
+	e.payload = body[eventFixedLen+n*4:]
+	return true
 }
 
-// segDicts are the per-segment dense dictionaries, populated either by the
-// writer (interning) or by a sequential scan (dict frames in order). A
-// sealed segment's index and a read snapshot hold the slices only.
+// segDicts are the per-segment dense dictionaries, in id order, filled
+// either by the writer (interning) or by a sequential scan (dictionary
+// frames in order). They are append-only, so a copy of the struct is a
+// snapshot whose entries never change.
 type segDicts struct {
-	colls   []string
-	collIdx map[string]uint32
-	peers   []peerKey
-	peerIdx map[peerKey]uint32
-	prefs   []netip.Prefix
-	prefIdx map[netip.Prefix]uint32
+	colls []string
+	peers []peerKey
+	prefs []netip.Prefix
 }
 
-func newSegDicts() *segDicts {
-	return &segDicts{
-		collIdx: make(map[string]uint32),
-		peerIdx: make(map[peerKey]uint32),
-		prefIdx: make(map[netip.Prefix]uint32),
+// resolves reports whether every dictionary id e carries is in range.
+func (d *segDicts) resolves(e *rawEvent) bool {
+	if int(e.coll) >= len(d.colls) || (e.peer != noPeer && int(e.peer) >= len(d.peers)) {
+		return false
 	}
-}
-
-// slices returns the dictionaries without the writer's lookup maps. The
-// slices are append-only, so the prefix returned never changes.
-func (d *segDicts) slices() segDicts {
-	return segDicts{colls: d.colls, peers: d.peers, prefs: d.prefs}
+	for i := 0; i < e.nPrefixes(); i++ {
+		if int(e.prefixID(i)) >= len(d.prefs) {
+			return false
+		}
+	}
+	return true
 }
 
 // addDictFrame applies one dictionary frame seen during a sequential scan.
@@ -171,9 +165,7 @@ func (d *segDicts) addDictFrame(kind byte, body []byte) bool {
 		if len(body) < 4 || le.Uint32(body) != uint32(len(d.colls)) {
 			return false
 		}
-		name := string(body[4:])
-		d.collIdx[name] = uint32(len(d.colls))
-		d.colls = append(d.colls, name)
+		d.colls = append(d.colls, string(body[4:]))
 	case fkPeer:
 		if len(body) < 9 {
 			return false
@@ -185,9 +177,7 @@ func (d *segDicts) addDictFrame(kind byte, body []byte) bool {
 		if !ok {
 			return false
 		}
-		pk := peerKey{as: le.Uint32(body[4:]), addr: addr}
-		d.peerIdx[pk] = uint32(len(d.peers))
-		d.peers = append(d.peers, pk)
+		d.peers = append(d.peers, peerKey{as: le.Uint32(body[4:]), addr: addr})
 	case fkPrefix:
 		if len(body) < 6 {
 			return false
@@ -203,7 +193,6 @@ func (d *segDicts) addDictFrame(kind byte, body []byte) bool {
 		if !p.IsValid() {
 			return false
 		}
-		d.prefIdx[p] = uint32(len(d.prefs))
 		d.prefs = append(d.prefs, p)
 	default:
 		return false
@@ -222,24 +211,6 @@ func decodeAddr(addrLen byte, b []byte) (netip.Addr, bool) {
 	}
 	addr, ok := netip.AddrFromSlice(b)
 	return addr, ok
-}
-
-// idxBuilder accumulates what the index sidecar records while events are
-// appended or scanned.
-type idxBuilder struct {
-	firstSeq, lastSeq uint64
-	minNS, maxNS      int64
-	offsets           []uint32
-}
-
-func (b *idxBuilder) addEvent(seq uint64, ns, off int64) {
-	if len(b.offsets) == 0 {
-		b.firstSeq = seq
-		b.minNS, b.maxNS = ns, ns
-	}
-	b.minNS, b.maxNS = min(b.minNS, ns), max(b.maxNS, ns)
-	b.lastSeq = seq
-	b.offsets = append(b.offsets, uint32(off))
 }
 
 // scanFrames walks whole frames in data starting at offset start, calling
@@ -268,18 +239,73 @@ func scanFrames(data []byte, start int64, fn func(kind byte, body []byte, frameO
 	return off
 }
 
+// segIndex is what reads by sequence need of a segment, derived from its
+// data file: event ordinal i holds sequence number firstSeq+i at
+// offsets[i].
+type segIndex struct {
+	idxBuilder
+	segDicts
+}
+
+// idxBuilder accumulates the sequence range, time bounds and event
+// offsets while events are appended or scanned.
+type idxBuilder struct {
+	firstSeq, lastSeq uint64
+	minNS, maxNS      int64
+	offsets           []uint32
+}
+
+func (b *idxBuilder) addEvent(seq uint64, ns, off int64) {
+	if len(b.offsets) == 0 {
+		b.firstSeq = seq
+		b.minNS, b.maxNS = ns, ns
+	}
+	b.minNS, b.maxNS = min(b.minNS, ns), max(b.maxNS, ns)
+	b.lastSeq = seq
+	b.offsets = append(b.offsets, uint32(off))
+}
+
+// buildIndex seals accumulated builder state into a segIndex.
+func buildIndex(b *idxBuilder, d segDicts) *segIndex {
+	return &segIndex{idxBuilder: *b, segDicts: d}
+}
+
+// scanIndex derives the index of the segment data whose header names
+// baseSeq, and returns it with the offset where good data ends. The scan
+// stops at the first frame that is short, fails its CRC, breaks the
+// dictionary order, is not event baseSeq+ordinal, or names an id beyond
+// the dictionaries.
+func scanIndex(data []byte, baseSeq uint64) (*segIndex, int64) {
+	var d segDicts
+	var b idxBuilder
+	var e rawEvent
+	good := scanFrames(data, segHeaderLen, func(kind byte, body []byte, off int64) bool {
+		if kind != fkEvent {
+			return d.addDictFrame(kind, body)
+		}
+		if !e.decode(body) || e.seq != baseSeq+uint64(len(b.offsets)) || !d.resolves(&e) {
+			return false
+		}
+		b.addEvent(e.seq, e.ns, off)
+		return true
+	})
+	return buildIndex(&b, d), good
+}
+
 // segWriter is the active (appendable) segment.
 type segWriter struct {
-	path    string
-	idxPath string
-	f       *os.File
-	baseSeq uint64
-	size    int64
+	path string
+	f    *os.File
+	size int64
 
 	pendingSync int
 
-	dicts *segDicts
-	bld   idxBuilder
+	dicts segDicts
+	// collIdx, peerIdx and prefIdx map each dictionary entry to its id.
+	collIdx map[string]uint32
+	peerIdx map[peerKey]uint32
+	prefIdx map[netip.Prefix]uint32
+	bld     idxBuilder
 
 	buf []byte   // per-append frame assembly buffer
 	ids []uint32 // per-append prefix ids
@@ -308,52 +334,45 @@ func newSegWriter(dir string, baseSeq uint64) (*segWriter, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("eventstore: %w", err)
 	}
-	return &segWriter{
-		path:    path,
-		idxPath: idxPathFor(path),
-		f:       f,
-		baseSeq: baseSeq,
-		size:    segHeaderLen,
-		dicts:   newSegDicts(),
-	}, nil
+	return startWriter(path, f, segHeaderLen, segIndex{}), nil
 }
 
 // reopenSegWriter continues a sealed segment: its data file reopens for
 // appending, and the offset table, time bounds and dictionaries start
 // from its index. The writer only appends past the index's lengths, so
-// scans still reading the segment never see its writes. The sidecar left
-// on disk no longer matches the growing file; the next seal replaces it,
-// and a crash before that rebuilds it by scan.
+// scans still reading the segment never see its writes.
 func reopenSegWriter(seg *segment) (*segWriter, error) {
 	f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return nil, fmt.Errorf("eventstore: %w", err)
 	}
-	idx := seg.idx
-	d := newSegDicts()
-	d.colls, d.peers, d.prefs = idx.colls, idx.peers, idx.prefs
+	return startWriter(seg.path, f, seg.size, *seg.idx), nil
+}
+
+// startWriter returns the writer appending to f at size, starting from
+// idx and the lookup maps of its dictionaries.
+func startWriter(path string, f *os.File, size int64, idx segIndex) *segWriter {
+	d := idx.segDicts
+	w := &segWriter{
+		path:    path,
+		f:       f,
+		size:    size,
+		dicts:   d,
+		collIdx: make(map[string]uint32, len(d.colls)),
+		peerIdx: make(map[peerKey]uint32, len(d.peers)),
+		prefIdx: make(map[netip.Prefix]uint32, len(d.prefs)),
+		bld:     idx.idxBuilder,
+	}
 	for id, name := range d.colls {
-		d.collIdx[name] = uint32(id)
+		w.collIdx[name] = uint32(id)
 	}
 	for id, pk := range d.peers {
-		d.peerIdx[pk] = uint32(id)
+		w.peerIdx[pk] = uint32(id)
 	}
 	for id, p := range d.prefs {
-		d.prefIdx[p] = uint32(id)
+		w.prefIdx[p] = uint32(id)
 	}
-	return &segWriter{
-		path:    seg.path,
-		idxPath: idxPathFor(seg.path),
-		f:       f,
-		baseSeq: idx.firstSeq,
-		size:    seg.size,
-		dicts:   d,
-		bld: idxBuilder{
-			firstSeq: idx.firstSeq, lastSeq: idx.lastSeq,
-			minNS: idx.minNS, maxNS: idx.maxNS,
-			offsets: idx.offsets,
-		},
-	}, nil
+	return w
 }
 
 // frame appends one frame (header + body) to w.buf; build appends the body
@@ -378,12 +397,12 @@ func appendAddr(b []byte, addr netip.Addr) []byte {
 }
 
 func (w *segWriter) internCollector(name string) uint32 {
-	if id, ok := w.dicts.collIdx[name]; ok {
+	if id, ok := w.collIdx[name]; ok {
 		return id
 	}
 	id := uint32(len(w.dicts.colls))
 	w.dicts.colls = append(w.dicts.colls, name)
-	w.dicts.collIdx[name] = id
+	w.collIdx[name] = id
 	w.frame(fkCollector, func(b []byte) []byte {
 		b = le.AppendUint32(b, id)
 		return append(b, name...)
@@ -392,12 +411,12 @@ func (w *segWriter) internCollector(name string) uint32 {
 }
 
 func (w *segWriter) internPeer(pk peerKey) uint32 {
-	if id, ok := w.dicts.peerIdx[pk]; ok {
+	if id, ok := w.peerIdx[pk]; ok {
 		return id
 	}
 	id := uint32(len(w.dicts.peers))
 	w.dicts.peers = append(w.dicts.peers, pk)
-	w.dicts.peerIdx[pk] = id
+	w.peerIdx[pk] = id
 	w.frame(fkPeer, func(b []byte) []byte {
 		b = le.AppendUint32(b, id)
 		b = le.AppendUint32(b, pk.as)
@@ -407,12 +426,12 @@ func (w *segWriter) internPeer(pk peerKey) uint32 {
 }
 
 func (w *segWriter) internPrefix(p netip.Prefix) uint32 {
-	if id, ok := w.dicts.prefIdx[p]; ok {
+	if id, ok := w.prefIdx[p]; ok {
 		return id
 	}
 	id := uint32(len(w.dicts.prefs))
 	w.dicts.prefs = append(w.dicts.prefs, p)
-	w.dicts.prefIdx[p] = id
+	w.prefIdx[p] = id
 	w.frame(fkPrefix, func(b []byte) []byte {
 		b = le.AppendUint32(b, id)
 		b = append(b, byte(p.Bits()))
@@ -469,8 +488,7 @@ func (w *segWriter) append(ev Event) (int, error) {
 	return len(w.buf), nil
 }
 
-// seal fsyncs the data file, writes the index sidecar, and reopens the
-// segment for mmap'd reads.
+// seal fsyncs the data file and reopens the segment for mmap'd reads.
 func (w *segWriter) seal(m *Metrics) (*segment, error) {
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
@@ -481,11 +499,7 @@ func (w *segWriter) seal(m *Metrics) (*segment, error) {
 	if err := w.f.Close(); err != nil {
 		return nil, fmt.Errorf("eventstore: close %s: %w", filepath.Base(w.path), err)
 	}
-	idx := buildIndex(&w.bld, w.dicts, w.size)
-	if err := writeIndexFile(w.idxPath, w.baseSeq, idx); err != nil {
-		return nil, err
-	}
-	return mapSegment(w.path, w.size, idx, 0)
+	return mapSegment(w.path, w.size, buildIndex(&w.bld, w.dicts), 0)
 }
 
 func (w *segWriter) info() SegmentInfo {
@@ -530,11 +544,6 @@ func (s *segment) acquire() {
 	}
 }
 
-func (s *segment) removeFiles() {
-	os.Remove(s.path)
-	os.Remove(idxPathFor(s.path))
-}
-
 func (s *segment) info() SegmentInfo {
 	return SegmentInfo{
 		Path:       s.path,
@@ -567,100 +576,48 @@ func mapSegment(path string, size int64, idx *segIndex, torn int64) (*segment, e
 	return &segment{path: path, size: size, idx: idx, data: mp.Data, seg: mp, torn: torn}, nil
 }
 
-// openSegment validates and (unless readOnly) repairs one segment file:
-// bad header -> errBadHeader (caller quarantines the newest segment);
-// missing/corrupt/mismatched index sidecar -> rebuild by scanning, with
-// torn-tail truncation allowed only on the newest segment; zero events ->
-// file removed, (nil, nil).
+// openSegment maps one segment file and derives its index by scanning the
+// mapping, repairing the file unless readOnly: a bad header is
+// errBadHeader (the caller quarantines the newest segment); corrupt bytes
+// are truncated on the newest segment (last) and ErrCorrupt anywhere else;
+// a segment of zero events is removed and yields (nil, nil).
 func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error) {
-	f, err := os.Open(path)
+	mp, err := mmapio.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("eventstore: %w", err)
+		return nil, fmt.Errorf("eventstore: map %s: %w", filepath.Base(path), err)
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("eventstore: %w", err)
+	data := mp.Data
+	if len(data) < segHeaderLen || le.Uint32(data[0:]) != segMagic || le.Uint16(data[4:]) != formatVersion ||
+		le.Uint32(data[28:]) != crc32.Checksum(data[:28], castagnoli) {
+		mp.Release()
+		return nil, fmt.Errorf("%w: %s: %d bytes", errBadHeader, filepath.Base(path), len(data))
 	}
-	size := st.Size()
-	var h [segHeaderLen]byte
-	if size < segHeaderLen {
-		return nil, fmt.Errorf("%w: %s: %d bytes", errBadHeader, filepath.Base(path), size)
-	}
-	if _, err := f.ReadAt(h[:], 0); err != nil {
-		return nil, fmt.Errorf("eventstore: %w", err)
-	}
-	if le.Uint32(h[0:]) != segMagic || le.Uint16(h[4:]) != formatVersion ||
-		le.Uint32(h[28:]) != crc32.Checksum(h[:28], castagnoli) {
-		return nil, fmt.Errorf("%w: %s", errBadHeader, filepath.Base(path))
-	}
-	baseSeq := le.Uint64(h[8:])
-
-	// Fast path: a valid index sidecar that agrees with the data file.
-	// Any size disagreement (a crash after appends continued the segment,
-	// or an earlier build's merge interrupted between renames), or a
-	// sequence range the frames at its ends do not carry, discards the
-	// sidecar and falls back to a scan of what the data file actually
-	// holds — the data file is always the source of truth.
-	if idx, err := readIndexFile(idxPathFor(path), baseSeq); err == nil && int64(idx.segSize) == size {
-		seg, err := mapSegment(path, size, idx, 0)
-		if err != nil || idx.matchesData(seg.data) {
-			return seg, err
-		}
-		seg.release()
-	}
-
-	// Rebuild by sequential scan.
-	data := make([]byte, size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return nil, fmt.Errorf("eventstore: read %s: %w", filepath.Base(path), err)
-	}
-	dicts := newSegDicts()
-	var bld idxBuilder
-	var scratch []netip.Prefix
-	good := scanFrames(data, segHeaderLen, func(kind byte, body []byte, off int64) bool {
-		if kind == fkEvent {
-			e, ok := decodeEventBody(body)
-			if !ok || e.seq != baseSeq+uint64(len(bld.offsets)) {
-				return false
-			}
-			if _, ok := makeEvent(e, dicts, &scratch, false); !ok {
-				return false
-			}
-			bld.addEvent(e.seq, e.ns, off)
-			return true
-		}
-		return dicts.addDictFrame(kind, body)
-	})
-	torn := size - good
-	if torn > 0 {
-		if !last {
-			return nil, fmt.Errorf("%w: %s: %d corrupt bytes at offset %d in a non-tail segment",
-				ErrCorrupt, filepath.Base(path), torn, good)
-		}
+	idx, good := scanIndex(data, le.Uint64(data[8:]))
+	torn := int64(len(data)) - good
+	switch {
+	case torn > 0 && !last:
+		mp.Release()
+		return nil, fmt.Errorf("%w: %s: %d corrupt bytes at offset %d in a non-tail segment",
+			ErrCorrupt, filepath.Base(path), torn, good)
+	case len(idx.offsets) == 0:
+		mp.Release()
 		if !readOnly {
-			if err := os.Truncate(path, good); err != nil {
-				return nil, fmt.Errorf("eventstore: truncate %s: %w", filepath.Base(path), err)
+			if torn > 0 {
+				m.truncatedBytes.Add(torn)
+				m.repairs.Inc()
 			}
-			m.truncatedBytes.Add(torn)
-			m.repairs.Inc()
-			size = good
-			torn = 0
-		}
-	}
-	if len(bld.offsets) == 0 {
-		if !readOnly {
 			os.Remove(path)
-			os.Remove(idxPathFor(path))
 		}
 		return nil, nil
-	}
-	idx := buildIndex(&bld, dicts, good)
-	if !readOnly {
-		if err := writeIndexFile(idxPathFor(path), baseSeq, idx); err != nil {
-			return nil, err
+	case torn > 0 && !readOnly:
+		// The mapping covers the bytes the truncation drops: map again.
+		mp.Release()
+		if err := os.Truncate(path, good); err != nil {
+			return nil, fmt.Errorf("eventstore: truncate %s: %w", filepath.Base(path), err)
 		}
+		m.truncatedBytes.Add(torn)
 		m.repairs.Inc()
+		return mapSegment(path, good, idx, 0)
 	}
-	return mapSegment(path, size, idx, torn)
+	return &segment{path: path, size: int64(len(data)), idx: idx, data: data, seg: mp, torn: torn}, nil
 }
