@@ -320,7 +320,7 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 	// that policy promises: a strictly increasing sequence that reaches
 	// head, every hole accounted for by the broker's drop counter. Strict
 	// contiguity (or gap-then-recover) returns with the gap frame, ROADMAP
-	// item 1(d).
+	// item 2.
 	type clientState struct {
 		mu      sync.Mutex
 		last    uint64

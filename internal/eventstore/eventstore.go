@@ -194,7 +194,13 @@ func (s *Store) load() error {
 	var segs []*segment
 	for i, name := range names {
 		last := i == len(names)-1
-		seg, err := openSegment(filepath.Join(s.opts.Dir, name), last, s.opts.ReadOnly, s.metrics)
+		// A sealed segment holds every event below the next one's base
+		// sequence; the newest grows by append.
+		var events uint64
+		if !last {
+			events = sealedEvents(name, names[i+1])
+		}
+		seg, err := openSegment(filepath.Join(s.opts.Dir, name), last, s.opts.ReadOnly, events, s.metrics)
 		if err != nil {
 			if last && errors.Is(err, errBadHeader) && !s.opts.ReadOnly {
 				// The newest segment's header never made it to disk

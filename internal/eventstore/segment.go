@@ -42,6 +42,8 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"time"
 
 	"zombiescope/internal/mmapio"
@@ -87,6 +89,18 @@ var (
 )
 
 func segName(baseSeq uint64) string { return fmt.Sprintf("%016x%s", baseSeq, segSuffix) }
+
+// sealedEvents is how many events the segment named name holds when the
+// segment named next follows it: the difference of the base sequences the
+// names carry, or 0 when either name does not parse.
+func sealedEvents(name, next string) uint64 {
+	a, errA := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 16, 64)
+	b, errB := strconv.ParseUint(strings.TrimSuffix(next, segSuffix), 16, 64)
+	if errA != nil || errB != nil || b <= a {
+		return 0
+	}
+	return b - a
+}
 
 func frameCRC(kind byte, body []byte) uint32 {
 	return crc32.Update(kindCRC[kind], castagnoli, body)
@@ -274,10 +288,11 @@ func buildIndex(b *idxBuilder, d segDicts) *segIndex {
 // baseSeq, and returns it with the offset where good data ends. The scan
 // stops at the first frame that is short, fails its CRC, breaks the
 // dictionary order, is not event baseSeq+ordinal, or names an id beyond
-// the dictionaries.
-func scanIndex(data []byte, baseSeq uint64) (*segIndex, int64) {
+// the dictionaries. The offset table starts at capacity events, so a
+// sealed segment's table is built at its final length.
+func scanIndex(data []byte, baseSeq uint64, events int) (*segIndex, int64) {
 	var d segDicts
-	var b idxBuilder
+	b := idxBuilder{offsets: make([]uint32, 0, events)}
 	var e rawEvent
 	good := scanFrames(data, segHeaderLen, func(kind byte, body []byte, off int64) bool {
 		if kind != fkEvent {
@@ -580,8 +595,10 @@ func mapSegment(path string, size int64, idx *segIndex, torn int64) (*segment, e
 // mapping, repairing the file unless readOnly: a bad header is
 // errBadHeader (the caller quarantines the newest segment); corrupt bytes
 // are truncated on the newest segment (last) and ErrCorrupt anywhere else;
-// a segment of zero events is removed and yields (nil, nil).
-func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error) {
+// a segment of zero events is removed and yields (nil, nil). events is how
+// many events the segment should hold (0 when unknown), capped by how many
+// minimal event frames the mapping has room for.
+func openSegment(path string, last, readOnly bool, events uint64, m *Metrics) (*segment, error) {
 	mp, err := mmapio.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("eventstore: map %s: %w", filepath.Base(path), err)
@@ -592,7 +609,8 @@ func openSegment(path string, last, readOnly bool, m *Metrics) (*segment, error)
 		mp.Release()
 		return nil, fmt.Errorf("%w: %s: %d bytes", errBadHeader, filepath.Base(path), len(data))
 	}
-	idx, good := scanIndex(data, le.Uint64(data[8:]))
+	events = min(events, uint64(len(data)-segHeaderLen)/(frameHeaderLen+eventFixedLen))
+	idx, good := scanIndex(data, le.Uint64(data[8:]), int(events))
 	torn := int64(len(data)) - good
 	switch {
 	case torn > 0 && !last:

@@ -16,8 +16,8 @@ import (
 // budget, so the count stays within ⌈bytes / SegmentBytes⌉ + 1, and a
 // replay must yield exactly the appended events. Every third cycle
 // abandons a continued segment and then tears a half-written frame onto
-// it, so torn-tail truncation and the sidecar rebuild run on a segment
-// that was reopened.
+// it, so torn-tail truncation and the index scan run on a segment that
+// was reopened.
 func TestRestartContinuesTail(t *testing.T) {
 	const (
 		cycles   = 30

@@ -170,15 +170,13 @@ func (b *Broker) refreshScrapeGauges() {
 		s.mu.Lock()
 		queued := s.n
 		s.mu.Unlock()
-		last := s.lastSeq.Load()
-		var lag uint64
-		if head > last {
-			lag = head - last
-		}
-		s.lagGauge.Set(float64(lag))
+		s.lagGauge.Set(float64(lag(head, s.lastSeq.Load())))
 		s.queueGauge.Set(float64(queued))
 	}
 }
+
+// lag is how far a subscriber that consumed last trails the stream head.
+func lag(head, last uint64) uint64 { return head - min(head, last) }
 
 // Metrics returns the broker's counters.
 func (b *Broker) Metrics() *Metrics { return b.metrics }
@@ -296,7 +294,7 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 	var pushes int64
 	if f != nil {
 		for _, s := range b.subs {
-			if !s.filter.Match(&ev) {
+			if s.catchingUp || !s.filter.Match(&ev) {
 				continue
 			}
 			if s.push(f, b.metrics) {
@@ -362,8 +360,10 @@ func (b *Broker) Subscribe(f Filter, policy Policy, resumeFrom uint64) (sub *Sub
 // lost its very first connection unable to ask for the events published
 // in between (the chaos harness exposed exactly this gap). fromStart
 // with resumeFrom 0 instead replays every retained event, reporting
-// events already evicted from the window as lost. A filter naming an
-// unknown channel or event type is refused with an error.
+// events no longer retained as lost. A filter naming an unknown channel
+// or event type is refused with an error. The subscriber starts in
+// catch-up, which the first refillLocked call made here sets up; Publish
+// pushes nothing to it until it joins live delivery.
 func (b *Broker) SubscribeFrom(f Filter, policy Policy, resumeFrom uint64, fromStart bool) (sub *Subscriber, lost uint64, err error) {
 	if err := f.validate(); err != nil {
 		return nil, 0, err
@@ -374,71 +374,78 @@ func (b *Broker) SubscribeFrom(f Filter, policy Policy, resumeFrom uint64, fromS
 		return nil, 0, ErrBrokerClosed
 	}
 	sub = newSubscriber(b, f, policy, b.cfg.ringSize())
-	replay := resumeFrom > 0 && resumeFrom < b.seq
-	if fromStart && resumeFrom == 0 {
-		replay = b.seq > 0
+	next := b.seq + 1
+	if resumeFrom > 0 && resumeFrom < b.seq {
+		next = resumeFrom + 1
+	} else if fromStart && resumeFrom == 0 {
+		next = 1
 	}
-	// Seed the lag baseline: a resuming subscriber starts lagging by its
-	// catch-up distance and converges to zero as it drains; a fresh one
-	// starts at the head.
-	if replay {
-		sub.lastSeq.Store(resumeFrom)
-	} else {
-		sub.lastSeq.Store(b.seq)
-	}
-	if replay {
-		// The catch-up is NOT pushed into the subscriber's ring here: a
-		// journal-served gap can exceed any ring (a month-scale store vs a
-		// 1024-slot buffer), and a blocked push would deadlock the broker —
-		// SubscribeFrom holds b.mu and the consumer that would drain the
-		// ring only exists after it returns. Instead the gap is recorded as
-		// a backlog (journal range + a snapshot of matching retained replay
-		// frames, each holding its own reference) that Next serves lazily,
-		// in batches, before live events. Live pushes start at the current
-		// head, above everything in the backlog, so ordering stays
-		// contiguous.
-		firstAvail := b.seq + 1 - uint64(b.count) // oldest retained seq
-		sub.catchUpSeq = b.seq
-		bl := &backfill{}
-		if resumeFrom+1 < firstAvail {
-			if b.cfg.Journal != nil {
-				// Serve the part of the gap the journal still holds; only
-				// events older than its retention horizon are truly lost.
-				from := resumeFrom
-				jFirst := b.cfg.Journal.FirstSeq()
-				if jFirst == 0 { // empty journal: the whole gap is gone
-					lost = firstAvail - resumeFrom - 1
-					from = firstAvail - 1
-				} else if jFirst-1 > from {
-					lost = jFirst - 1 - from
-					from = jFirst - 1
-				}
-				if from+1 < firstAvail {
-					bl.journal = b.cfg.Journal
-					bl.nextSeq = from + 1
-					bl.endSeq = firstAvail - 1
-				}
-			} else {
-				lost = firstAvail - resumeFrom - 1
-			}
-		}
-		for i := 0; i < b.count; i++ {
-			fr := b.replay[(b.start+i)%len(b.replay)]
-			if fr.ev.Seq <= resumeFrom || !f.Match(&fr.ev) {
-				continue
-			}
-			fr.retain()
-			bl.ring = append(bl.ring, fr)
-		}
-		if bl.journal != nil || len(bl.ring) > 0 {
-			sub.backlog = bl
-		}
-	}
+	// Seed the lag baseline: a resuming subscriber lags by its catch-up
+	// distance at first, a fresh one starts at the head.
+	sub.lastSeq.Store(next - 1)
+	sub.subscribeHead = b.seq
+	sub.catchingUp = true
+	sub.backlog = &backfill{next: next}
+	lost = b.refillLocked(sub, true)
 	sub.idx = len(b.subs)
 	b.subs = append(b.subs, sub)
 	b.metrics.subscribers.Add(1)
 	b.metrics.subscribersTotal.Add(1)
 	return sub, lost, nil
+}
+
+// refillLocked extends the drained backlog of catching-up s from bl.next,
+// the first sequence not yet served, with one source per range; b.mu must
+// be held.
+//
+//   - At subscribe only, bl.next is clamped to the oldest sequence a
+//     source holds (the journal's, else the replay window's); lost counts
+//     the difference. A later journal range is read unclamped, so
+//     retention that overtakes the catch-up ends it with ErrJournal.
+//   - Below the window: the journal serves [bl.next, windowStart-1],
+//     read outside every lock, then the backlog refills.
+//   - Inside the window: the matching window frames are retained. Without
+//     a journal the window is their only copy, so s joins live delivery in
+//     this same lock section, and block policy stays lossless; with one, s
+//     stays in catch-up and refills once they are served.
+//   - Above the head: s joins live delivery. Deciding that under the lock
+//     Publish takes is what makes the join miss and repeat nothing; the
+//     consumer then serves what is left without taking it.
+func (b *Broker) refillLocked(s *Subscriber, subscribing bool) (lost uint64) {
+	bl, head, j := s.backlog, b.seq, b.cfg.Journal
+	if bl.next <= head {
+		windowStart := head + 1 - uint64(b.count)
+		if subscribing {
+			first := windowStart
+			if j != nil {
+				if jf := j.FirstSeq(); jf != 0 && jf < first {
+					first = jf
+				}
+			}
+			if bl.next < first {
+				lost, bl.next = first-bl.next, first
+			}
+		}
+		if bl.next < windowStart {
+			bl.journalEnd = windowStart - 1
+			return lost
+		}
+		// Slot i holds a sequence <= windowStart+i: the wanted ones start here.
+		bl.ring, bl.ringPos = bl.ring[:0], 0
+		for i := int(bl.next - windowStart); i < b.count; i++ {
+			fr := b.replay[(b.start+i)%len(b.replay)]
+			if fr.ev.Seq >= bl.next && s.filter.Match(&fr.ev) {
+				fr.retain()
+				bl.ring = append(bl.ring, fr)
+			}
+		}
+		bl.next = head + 1
+		if j != nil {
+			return lost
+		}
+	}
+	s.catchingUp, s.catchUpSeq, bl.live = false, head, true
+	return lost
 }
 
 // removeLocked detaches a subscriber from the list by moving the last
@@ -492,7 +499,7 @@ func (b *Broker) Close() {
 	b.count = 0
 	b.mu.Unlock()
 	for _, s := range subs {
-		s.closeDetached(ErrBrokerClosed)
+		s.markClosed(ErrBrokerClosed)
 	}
 }
 
@@ -522,17 +529,25 @@ type Subscriber struct {
 	lagGauge   *obs.Gauge
 	queueGauge *obs.Gauge
 
-	// backlog holds the resume catch-up (journal range + retained-frame
-	// snapshot) that Next serves before live events. It is touched only
-	// by the consumer goroutine, never under a lock.
+	// catchingUp marks a subscriber served by its backlog, which Publish
+	// skips. Broker-lock protected.
+	catchingUp bool
+
+	// subscribeHead is the broker head SubscribeFrom subscribed at, which
+	// the server acks. Written once before the subscriber is returned.
+	subscribeHead uint64
+
+	// backlog is the catch-up Next serves before live events, refilled
+	// each time it runs dry; nil once served after the join. Touched only
+	// by SubscribeFrom and then the consumer goroutine.
 	backlog *backfill
 
-	// catchUpSeq is the broker head at subscribe time for a resuming
-	// subscriber (0 otherwise). Frames at or below it are catch-up: their
-	// ingest stamps are historical, so the server excludes them from the
-	// end-to-end latency histogram — a reconnecting client must not spike
-	// e2e p999 with its own catch-up distance. Written once before the
-	// subscriber is returned, read-only after.
+	// catchUpSeq is the broker head at which the subscriber joined live
+	// delivery. Frames at or below it are catch-up: their ingest stamps
+	// are historical, so the server excludes them from the end-to-end
+	// latency histogram — a reconnecting client must not spike e2e p999
+	// with its own catch-up distance. Written, like backlog, by
+	// refillLocked when the subscriber joins.
 	catchUpSeq uint64
 
 	mu     sync.Mutex
@@ -550,109 +565,105 @@ type Subscriber struct {
 // keep memory flat while catching up over a month-scale journal.
 const backfillBatch = 512
 
-// backfill is the catch-up state handed to a resuming subscriber by
-// SubscribeFrom: first the journal range (nextSeq..endSeq), then the
-// snapshot of matching frames the broker's replay window still retained
-// at subscribe time (one reference each). Consumer-goroutine-only; no
-// lock needed. Journal events are re-encoded into private frames on
-// dequeue — the filter applied inside the Replay callback is the
-// post-filter that keeps a resuming subscriber's view correct without
-// the broker walking its filter at publish time.
+// backfill is a catching-up subscriber's backlog: a journal range, else
+// the matching replay-window frames refillLocked retained (one reference
+// each). Consumer-goroutine only; no lock needed. Journal events are
+// re-encoded into private frames on dequeue — the filter applied inside
+// the Replay callback is the post-filter that keeps a resuming
+// subscriber's view correct without the broker walking its filter at
+// publish time.
 type backfill struct {
-	journal  Journal
-	nextSeq  uint64 // next journal seq to serve; > endSeq when done
-	endSeq   uint64 // last journal seq to serve (inclusive); 0 = no journal part
-	batch    []Event
-	batchPos int
-	ring     []*sharedFrame
-	ringPos  int
+	next       uint64 // first sequence not yet taken into the backlog
+	journalEnd uint64 // the journal serves [next, journalEnd]
+	live       bool   // s has joined live delivery: nothing more is refilled
+	batch      []Event
+	batchPos   int
+	ring       []*sharedFrame
+	ringPos    int
 }
 
-// releaseRing drops the snapshot's remaining frame references (used when
-// the catch-up is abandoned).
-func (bl *backfill) releaseRing() {
-	for ; bl.ringPos < len(bl.ring); bl.ringPos++ {
-		bl.ring[bl.ringPos].release()
-		bl.ring[bl.ringPos] = nil
-	}
-}
-
-// backfillNext serves the next catch-up frame, reading the journal in
-// batches outside every lock. ok is false once the backlog is exhausted
-// (the caller falls through to the live ring). The returned frame's
-// reference is owned by the caller. A journal read error closes the
-// subscriber with ErrJournal: a journal that cannot be read must not
-// become a silent gap in a stream the client asked to resume.
-func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool, err error) {
+// backfillNext serves the next catch-up frame: the journal range in
+// batches read outside every lock, then the retained window frames, then
+// (in catch-up only) a refill under the broker lock. ok is false once s has
+// joined live delivery and its backlog is served, or is closed; the
+// caller falls through to the live ring and its close reason. The
+// returned frame's reference is owned by the caller. A journal read error
+// closes the subscriber with ErrJournal: a journal that cannot be read
+// must not become a silent gap in a stream the client asked to resume.
+func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool) {
 	bl := s.backlog
 	if bl == nil {
-		return nil, false, nil
+		return nil, false
 	}
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
-	if closed {
-		// Abandon the catch-up; next() drains any buffered live events
-		// and then reports the close reason, same as every consumer.
-		bl.releaseRing()
+	if closed { // abandon the catch-up
+		for _, f := range bl.ring[bl.ringPos:] {
+			f.release()
+		}
 		s.backlog = nil
-		return nil, false, nil
+		return nil, false
 	}
-	for {
-		if bl.batchPos < len(bl.batch) {
+	b := s.b
+	for f == nil {
+		switch {
+		case bl.batchPos < len(bl.batch):
 			ev := &bl.batch[bl.batchPos]
 			bl.batchPos++
 			// Journal catch-up events are encoded on dequeue into private
 			// frames (refs=1, owned by the caller): the resume path is the
 			// one place re-encoding still happens, and it is metered.
-			f, ferr := newEventFrame(ev)
+			var err error
+			if f, err = newEventFrame(ev); err != nil {
+				b.metrics.encodeErrors.Add(1) // skipped, as Publish would
+			} else {
+				b.metrics.encodes.Add(1)
+			}
 			*ev = Event{} // release references
-			if ferr != nil {
-				b := s.b
-				b.metrics.encodeErrors.Add(1)
-				continue // skip the unencodable event, as Publish would
-			}
-			s.b.metrics.encodes.Add(1)
-			s.b.metrics.eventsOut.Add(1)
-			s.noteDelivered(f)
-			return f, true, nil
-		}
-		if bl.journal != nil && bl.nextSeq <= bl.endSeq {
-			to := bl.nextSeq - 1 + backfillBatch
-			if to > bl.endSeq {
-				to = bl.endSeq
-			}
-			bl.batch = bl.batch[:0]
-			bl.batchPos = 0
-			rerr := bl.journal.Replay(bl.nextSeq-1, to, func(ev Event) error {
+		case bl.next <= bl.journalEnd:
+			// A journal whose appends failed ends short of the range; the
+			// part it lacks is a gap, not an empty stretch.
+			j := b.cfg.Journal
+			to := min(bl.next-1+backfillBatch, bl.journalEnd, j.LastSeq())
+			bl.batch, bl.batchPos = bl.batch[:0], 0
+			err := j.Replay(bl.next-1, to, func(ev Event) error {
 				if s.filter.Match(&ev) {
 					bl.batch = append(bl.batch, ev)
 				}
 				return nil
 			})
-			if rerr != nil {
-				s.b.metrics.journalErrors.Add(1)
-				bl.releaseRing()
-				s.backlog = nil
-				werr := fmt.Errorf("%w: %v", ErrJournal, rerr)
-				s.markClosed(werr)
-				s.b.remove(s)
-				return nil, false, werr
+			if err == nil && to < bl.next {
+				err = fmt.Errorf("journal ends at seq %d", to)
 			}
-			bl.nextSeq = to + 1
-			continue
-		}
-		if bl.ringPos < len(bl.ring) {
-			f := bl.ring[bl.ringPos]
+			if err != nil {
+				b.metrics.journalErrors.Add(1)
+				s.backlog = nil
+				s.markClosed(fmt.Errorf("%w: %v", ErrJournal, err))
+				b.remove(s)
+				return nil, false
+			}
+			bl.next = to + 1
+		case bl.ringPos < len(bl.ring):
+			f = bl.ring[bl.ringPos]
 			bl.ring[bl.ringPos] = nil // reference transfers to the caller
 			bl.ringPos++
-			s.b.metrics.eventsOut.Add(1)
-			s.noteDelivered(f)
-			return f, true, nil
+		case bl.live:
+			// Served and live: a publisher may be waiting on s's full ring
+			// under the broker lock, so the backlog is dropped without it.
+			s.backlog = nil
+			return nil, false
+		default:
+			// Drained in catch-up, which Publish never waits on. A refill
+			// after a broker Close serves at most the journal to the head.
+			b.mu.Lock()
+			b.refillLocked(s, false)
+			b.mu.Unlock()
 		}
-		s.backlog = nil
-		return nil, false, nil
 	}
+	b.metrics.eventsOut.Add(1)
+	s.noteDelivered(f)
+	return f, true
 }
 
 func newSubscriber(b *Broker, f Filter, policy Policy, ringSize int) *Subscriber {
@@ -755,14 +766,8 @@ func (s *Subscriber) NextFrameTimeout(d time.Duration) (Frame, error) {
 // are left for the next blocking call to surface, so a partially
 // gathered batch is still written.
 func (s *Subscriber) TryNextFrame() (Frame, bool) {
-	if s.backlog != nil {
-		f, ok, err := s.backfillNext()
-		if err != nil {
-			return Frame{}, false
-		}
-		if ok {
-			return Frame{f: f}, true
-		}
+	if f, ok := s.backfillNext(); ok {
+		return Frame{f: f}, true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -776,8 +781,8 @@ func (s *Subscriber) TryNextFrame() (Frame, bool) {
 // ring, waiting at most d when d is positive. The dequeued frame's
 // reference transfers to the caller.
 func (s *Subscriber) next(d time.Duration) (*sharedFrame, error) {
-	if f, ok, err := s.backfillNext(); ok || err != nil {
-		return f, err
+	if f, ok := s.backfillNext(); ok {
+		return f, nil
 	}
 	var deadline time.Time
 	if d > 0 {
@@ -863,9 +868,6 @@ func (s *Subscriber) Close() {
 	s.b.remove(s)
 }
 
-// closeDetached closes a subscriber already removed from the broker.
-func (s *Subscriber) closeDetached(reason error) { s.markClosed(reason) }
-
 // SessionInfo is a point-in-time view of one attached subscriber's
 // session — the /statusz row zombietop renders. Lag is sequence distance
 // to the broker head; Bytes counts wire bytes the server flushed to this
@@ -897,10 +899,6 @@ func (b *Broker) Sessions() []SessionInfo {
 		queued, drops := s.n, s.drops
 		s.mu.Unlock()
 		last := s.lastSeq.Load()
-		var lag uint64
-		if head > last {
-			lag = head - last
-		}
 		out = append(out, SessionInfo{
 			ID:            s.id,
 			Policy:        s.policy.String(),
@@ -908,7 +906,7 @@ func (b *Broker) Sessions() []SessionInfo {
 			Queue:         queued,
 			Cap:           len(s.buf),
 			LastSeq:       last,
-			Lag:           lag,
+			Lag:           lag(head, last),
 			Delivered:     s.delivered.Load(),
 			Bytes:         s.bytes.Load(),
 			Drops:         drops,

@@ -263,7 +263,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer sub.Close()
 
 	armWrite()
-	if err := WriteFrame(conn, FrameAck, Ack{Head: s.Broker.Seq(), Lost: lost}); err != nil {
+	if err := WriteFrame(conn, FrameAck, Ack{Head: sub.subscribeHead, Lost: lost}); err != nil {
 		return
 	}
 
@@ -343,9 +343,9 @@ func (s *Server) handle(conn net.Conn) {
 			// End-to-end latency closes here, at the kernel handoff; only
 			// frames that actually went out and carry an ingest stamp are
 			// observed. Catch-up is excluded twice over: journal backfill
-			// frames are re-encoded without a stamp, and ring-snapshot
+			// frames are re-encoded without a stamp, and window-snapshot
 			// frames keep their historical stamp but sit at or below the
-			// subscriber's resume boundary.
+			// head the subscriber joined live delivery at.
 			if ing := frames[i].f.ingest; werr == nil && ing > 0 && frames[i].f.ev.Seq > sub.catchUpSeq {
 				m.e2eSeconds.Observe(obs.SinceNanos(ing))
 			}

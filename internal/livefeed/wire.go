@@ -130,13 +130,15 @@ type Subscribe struct {
 	// FromStart (with ResumeFrom 0) asks for replay from the oldest
 	// retained event instead of "from now", so a consumer that never
 	// received anything can still recover events published before its
-	// first stable connection. Events already evicted from the replay
-	// window are reported in Ack.Lost.
+	// first stable connection. Events neither the replay window nor the
+	// server's journal still holds are reported in Ack.Lost.
 	FromStart bool `json:"from_start,omitempty"`
 }
 
 // Ack confirms a subscription.
 type Ack struct {
+	// Head is the broker head the subscription was taken at: a from-now
+	// subscription is delivered only events above it.
 	Head uint64 `json:"head"`
 	// Lost is how many events between ResumeFrom and the server's oldest
 	// retained event were no longer available for replay.
