@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/api.golden")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 const apiGolden = "testdata/api.golden"
 

@@ -27,6 +27,7 @@ import (
 	"zombiescope/internal/experiments"
 	"zombiescope/internal/livefeed"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 	"zombiescope/internal/netsim"
 	"zombiescope/internal/pipeline"
 	"zombiescope/internal/topology"
@@ -195,7 +196,7 @@ func BenchmarkMRTWriteRead(b *testing.B) {
 		if err := mrt.NewWriter(&buf).Write(rec); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mrt.ReadAll(&buf); err != nil {
+		if _, err := mrttest.ReadAll(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"zombiescope/internal/archive"
-	"zombiescope/internal/experiments"
+	"zombiescope/internal/experiments/anomalytest"
 )
 
 // Golden outbreak fixture corpus: one committed synthetic scenario per
@@ -48,7 +48,7 @@ func anomalyArgs(kind, parallel string) []string {
 
 func writeAnomalyFixture(t *testing.T, kind string) {
 	t.Helper()
-	sc, err := experiments.RunAnomalyScenario(kind, anomalyFixtureSeed)
+	sc, err := anomalytest.Generate(kind, anomalyFixtureSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func writeAnomalyFixture(t *testing.T, kind string) {
 }
 
 func TestAnomalyGolden(t *testing.T) {
-	for _, kind := range experiments.AnomalyKinds() {
+	for _, kind := range anomalytest.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			golden := anomalyGoldenFile(kind)
 			if *update {

@@ -117,7 +117,7 @@ func writeFixture(t *testing.T) {
 
 	must(os.RemoveAll(fixtureDir))
 	must(os.MkdirAll(filepath.Dir(fixtureDir), 0o755))
-	must(archive.WriteFleet(fixtureDir, fleet))
+	must(archive.Write(fixtureDir, &archive.Set{Updates: fleet.UpdatesData(), Dumps: fleet.DumpData()}))
 }
 
 // canonicalJSON re-marshals a JSON document through a generic value, so keys

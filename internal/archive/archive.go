@@ -7,7 +7,8 @@
 //
 // Because MRT records are self-delimiting, the rotated update files of a
 // collector concatenate (in name order) into one valid stream, which is
-// how Load returns them.
+// how Load returns them. Write stores the single-file form only: rotated
+// archives, as RIS publishes them, are read and never written.
 package archive
 
 import (
@@ -16,8 +17,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"zombiescope/internal/collector"
 )
 
 // Set is an in-memory archive: per-collector update streams and RIB dump
@@ -104,29 +103,6 @@ func Write(dir string, set *Set) error {
 		}
 		if err := os.WriteFile(filepath.Join(sub, "bview.mrt"), data, 0o644); err != nil {
 			return fmt.Errorf("archive: %w", err)
-		}
-	}
-	return nil
-}
-
-// WriteFleet stores a collector fleet's archives, using the rotated
-// update-file layout when the collectors rotated.
-func WriteFleet(dir string, f *collector.Fleet) error {
-	for _, name := range f.Names() {
-		c := f.Collector(name)
-		sub := filepath.Join(dir, name)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return fmt.Errorf("archive: %w", err)
-		}
-		for _, seg := range c.Segments() {
-			if err := os.WriteFile(filepath.Join(sub, seg.Name), seg.Data, 0o644); err != nil {
-				return fmt.Errorf("archive: %w", err)
-			}
-		}
-		if dump := c.DumpData(); len(dump) > 0 {
-			if err := os.WriteFile(filepath.Join(sub, "bview.mrt"), dump, 0o644); err != nil {
-				return fmt.Errorf("archive: %w", err)
-			}
 		}
 	}
 	return nil

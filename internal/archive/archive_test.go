@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/collector"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 	"zombiescope/internal/netsim"
 )
 
@@ -37,6 +39,32 @@ func feed(t *testing.T, f *collector.Fleet, hours int) netsim.Session {
 	return sess
 }
 
+// writeRotated stores a fleet's archives in the rotated layout of a RIS
+// mirror: each collector's update stream cut at record boundaries into
+// one updates.YYYYMMDD.HHMM.mrt file per period, plus its bview.mrt.
+func writeRotated(t *testing.T, dir string, f *collector.Fleet, period time.Duration) {
+	t.Helper()
+	if err := Write(dir, &Set{Dumps: f.DumpData()}); err != nil {
+		t.Fatal(err)
+	}
+	periodOf := func(rec []byte) time.Time {
+		return time.Unix(int64(binary.BigEndian.Uint32(rec)), 0).UTC().Truncate(period)
+	}
+	for name, data := range f.UpdatesData() {
+		for len(data) > 0 {
+			start, n := periodOf(data), 0
+			for n < len(data) && periodOf(data[n:]).Equal(start) {
+				n += mrt.HeaderLen + int(binary.BigEndian.Uint32(data[n+8:]))
+			}
+			file := filepath.Join(dir, name, "updates."+start.Format("20060102.1504")+".mrt")
+			if err := os.WriteFile(file, data[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			data = data[n:]
+		}
+	}
+}
+
 func TestWriteLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	f := collector.NewFleet()
@@ -58,59 +86,12 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRotatedSegments(t *testing.T) {
-	f := collector.NewFleet()
-	c := f.Collector("rrc25")
-	c.SetRotatePeriod(time.Hour)
-	feed(t, f, 4)
-	segs := c.Segments()
-	if len(segs) != 4 {
-		t.Fatalf("segments = %d, want 4 (one per hour)", len(segs))
-	}
-	// Names follow the RIS convention and sort chronologically.
-	if segs[0].Name != "updates.20240610.1200.mrt" {
-		t.Errorf("first segment name %q", segs[0].Name)
-	}
-	for i := 1; i < len(segs); i++ {
-		if segs[i].Name <= segs[i-1].Name {
-			t.Errorf("segment names not sorted: %q after %q", segs[i].Name, segs[i-1].Name)
-		}
-	}
-	// Each segment is independently a valid MRT stream.
-	total := 0
-	for _, s := range segs {
-		recs, err := mrt.ReadAll(bytes.NewReader(s.Data))
-		if err != nil {
-			t.Fatalf("segment %s: %v", s.Name, err)
-		}
-		total += len(recs)
-	}
-	if total != 8 {
-		t.Errorf("records across segments = %d, want 8", total)
-	}
-}
-
-func TestUpdatesDataEqualsSegmentConcatenation(t *testing.T) {
-	f1 := collector.NewFleet()
-	f1.Collector("rrc25").SetRotatePeriod(time.Hour)
-	feed(t, f1, 4)
-	f2 := collector.NewFleet()
-	feed(t, f2, 4)
-	if !bytes.Equal(f1.Collector("rrc25").UpdatesData(), f2.Collector("rrc25").UpdatesData()) {
-		t.Error("rotated and unrotated archives differ as streams")
-	}
-}
-
-func TestWriteFleetAndLoadRotated(t *testing.T) {
+func TestLoadRotated(t *testing.T) {
 	dir := t.TempDir()
 	f := collector.NewFleet()
-	c := f.Collector("rrc25")
-	c.SetRotatePeriod(time.Hour)
 	feed(t, f, 4)
 	f.SnapshotRIBs(t0.Add(8 * time.Hour))
-	if err := WriteFleet(dir, f); err != nil {
-		t.Fatal(err)
-	}
+	writeRotated(t, dir, f, time.Hour)
 	files, err := os.ReadDir(filepath.Join(dir, "rrc25"))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +108,7 @@ func TestWriteFleetAndLoadRotated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := mrt.ReadAll(bytes.NewReader(set.Updates["rrc25"]))
+	recs, err := mrttest.ReadAll(bytes.NewReader(set.Updates["rrc25"]))
 	if err != nil {
 		t.Fatal(err)
 	}

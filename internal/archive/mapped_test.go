@@ -11,12 +11,9 @@ import (
 func TestOpenMappedMatchesLoad(t *testing.T) {
 	dir := t.TempDir()
 	f := collector.NewFleet()
-	f.Collector("rrc25").SetRotatePeriod(time.Hour)
 	feed(t, f, 4)
 	f.SnapshotRIBs(t0.Add(8 * time.Hour))
-	if err := WriteFleet(dir, f); err != nil {
-		t.Fatal(err)
-	}
+	writeRotated(t, dir, f, time.Hour)
 
 	if names, err := Collectors(dir); err != nil || len(names) != 1 || names[0] != "rrc25" {
 		t.Fatalf("Collectors = %v, %v; want [rrc25]", names, err)

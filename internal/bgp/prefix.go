@@ -74,17 +74,9 @@ func AppendPrefixes(dst []byte, ps []netip.Prefix) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodePrefixes parses a run of NLRI-encoded prefixes filling exactly b.
-func DecodePrefixes(b []byte, afi AFI) ([]netip.Prefix, error) {
-	out, err := appendDecodedPrefixes(nil, b, afi)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// appendDecodedPrefixes is DecodePrefixes appending into dst, so scratch
-// decoding can reuse slice capacity across messages.
+// appendDecodedPrefixes parses a run of NLRI-encoded prefixes filling
+// exactly b, appending into dst so scratch decoding can reuse slice
+// capacity across messages.
 func appendDecodedPrefixes(dst []netip.Prefix, b []byte, afi AFI) ([]netip.Prefix, error) {
 	for len(b) > 0 {
 		p, n, err := DecodePrefix(b, afi)

@@ -118,7 +118,7 @@ func TestDecodePrefixesRejectsTrailingGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	b = append(b, 200) // bogus length byte with no body possible
-	if _, err := DecodePrefixes(b, AFIIPv4); err == nil {
+	if _, err := appendDecodedPrefixes(nil, b, AFIIPv4); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }
@@ -168,7 +168,7 @@ func TestDecodePrefixesMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePrefixes(b, AFIIPv4)
+	got, err := appendDecodedPrefixes(nil, b, AFIIPv4)
 	if err != nil {
 		t.Fatal(err)
 	}

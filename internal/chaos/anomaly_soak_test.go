@@ -25,7 +25,7 @@ import (
 
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/chaos"
-	"zombiescope/internal/experiments"
+	"zombiescope/internal/experiments/anomalytest"
 	"zombiescope/internal/livefeed"
 	"zombiescope/internal/zombie"
 )
@@ -58,7 +58,7 @@ var (
 func anomalyScenario(t *testing.T) *anomalySoakScenario {
 	t.Helper()
 	anomalyScenarioOnce.Do(func() {
-		sc, err := experiments.RunAnomalyScenario("mixed", anomalyScenarioSeed)
+		sc, err := anomalytest.Generate("mixed", anomalyScenarioSeed)
 		if err != nil {
 			anomalyScenarioErr = err
 			return

@@ -147,8 +147,10 @@ type heldFrame struct {
 // passes the subscriber's filter. kind selects behavior:
 // "fast" drains eagerly, "holder" keeps a window of frames referenced
 // while the feed churns past, "doomed" reads slowly on a tiny ring until
-// kicked.
-func fanoutDrainer(sub *livefeed.Subscriber, filter livefeed.Filter, kind string, errs chan<- error) {
+// kicked. A doomed drainer given a non-nil stall stops reading after its
+// first 8 frames until stall is closed, so it falls behind by
+// construction rather than only while the publisher outruns its pace.
+func fanoutDrainer(sub *livefeed.Subscriber, filter livefeed.Filter, kind string, stall <-chan struct{}, errs chan<- error) {
 	var last uint64
 	var held []heldFrame
 	n := 0
@@ -219,7 +221,10 @@ func fanoutDrainer(sub *livefeed.Subscriber, filter livefeed.Filter, kind string
 			}
 		case "doomed":
 			fr.Release()
-			if n%8 == 0 {
+			switch {
+			case stall != nil && n == 8:
+				<-stall // the publisher laps the ring meanwhile: a kick
+			case n%8 == 0:
 				time.Sleep(50 * time.Millisecond) // fall hopelessly behind on purpose
 			}
 		default:
@@ -283,6 +288,12 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 	var wg sync.WaitGroup
 	subs := *fanoutSubs
 	doomed := 0
+	// Doomed readers on the all-events filter stall until the publisher is
+	// done: each of them sees every event, so a 256-slot ring that nobody
+	// reads must overflow and kick it however the cores are loaded.
+	stall := make(chan struct{})
+	release := sync.OnceFunc(func() { close(stall) })
+	defer release()
 	filters := []livefeed.Filter{
 		{},
 		{Channels: []string{livefeed.ChannelZombie}},
@@ -301,6 +312,10 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 			kind = "holder"
 		}
 		filter := filters[i%len(filters)]
+		var hold <-chan struct{}
+		if kind == "doomed" && i%len(filters) == 0 {
+			hold = stall
+		}
 		sub, _, err := broker.SubscribeFrom(filter, policy, 0, false)
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +323,7 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fanoutDrainer(sub, filter, kind, errs)
+			fanoutDrainer(sub, filter, kind, hold, errs)
 		}()
 	}
 
@@ -401,6 +416,7 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 
 	// End the in-process streams and wait for every drainer's final
 	// held-frame stability checks.
+	release()
 	broker.Close()
 	drained := make(chan struct{})
 	go func() { wg.Wait(); close(drained) }()

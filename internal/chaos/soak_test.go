@@ -30,7 +30,7 @@ import (
 	"zombiescope/internal/chaos"
 	"zombiescope/internal/experiments"
 	"zombiescope/internal/livefeed"
-	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 	"zombiescope/internal/zombie"
 )
 
@@ -377,7 +377,7 @@ func TestChaosSoakBackpressure(t *testing.T) {
 		go srv.Serve(inj.Listener(l))
 		defer srv.Close()
 
-		conn, err := livefeed.Dial(l.Addr().String(), livefeed.Filter{}, livefeed.PolicyKickSlowest, 0)
+		conn, err := livefeed.DialWith(l.Addr().String(), livefeed.Filter{}, livefeed.PolicyKickSlowest, 0, livefeed.DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func TestChaosSoakBackpressure(t *testing.T) {
 		go srv.Serve(l)
 		defer srv.Close()
 
-		conn, err := livefeed.Dial(l.Addr().String(), livefeed.Filter{}, livefeed.PolicyDropOldest, 0)
+		conn, err := livefeed.DialWith(l.Addr().String(), livefeed.Filter{}, livefeed.PolicyDropOldest, 0, livefeed.DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +514,7 @@ func TestChaosReaderMRTReplay(t *testing.T) {
 		}
 	}
 	raw := sc.updates[name]
-	clean, err := mrt.ReadAll(bytes.NewReader(raw))
+	clean, err := mrttest.ReadAll(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestChaosReaderMRTReplay(t *testing.T) {
 		StallTimeout: 20 * time.Millisecond,
 		Disable:      []chaos.Fault{chaos.FaultCorrupt, chaos.FaultReset},
 	})
-	chaotic, err := mrt.ReadAll(in.Reader(bytes.NewReader(raw)))
+	chaotic, err := mrttest.ReadAll(in.Reader(bytes.NewReader(raw)))
 	if err != nil {
 		t.Fatalf("decode through benign chaos: %v", err)
 	}
@@ -536,10 +536,10 @@ func TestChaosReaderMRTReplay(t *testing.T) {
 		t.Fatalf("decoded %d records through chaos, %d clean", len(chaotic), len(clean))
 	}
 	var cleanBuf, chaosBuf bytes.Buffer
-	if err := mrt.NewWriter(&cleanBuf).WriteAll(clean); err != nil {
+	if err := mrttest.WriteAll(&cleanBuf, clean); err != nil {
 		t.Fatal(err)
 	}
-	if err := mrt.NewWriter(&chaosBuf).WriteAll(chaotic); err != nil {
+	if err := mrttest.WriteAll(&chaosBuf, chaotic); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(cleanBuf.Bytes(), chaosBuf.Bytes()) {

@@ -50,11 +50,6 @@ type Collector struct {
 	uw      *mrt.Writer
 	dw      *mrt.Writer
 
-	// Update-file rotation (see SetRotatePeriod).
-	rotateEvery time.Duration
-	curSegment  *segment
-	segments    []segment
-
 	sessions map[sessionKey]netsim.Session
 	state    map[sessionKey]map[netip.Prefix]ribRoute
 
@@ -149,22 +144,8 @@ func (c *Collector) Err() error { return c.err }
 // Records returns how many MRT records were written.
 func (c *Collector) Records() int { return c.records }
 
-// UpdatesData returns the raw MRT update archive — the concatenation of
-// every rotated segment plus the in-progress one (a concatenation of MRT
-// files is itself a valid MRT stream).
-func (c *Collector) UpdatesData() []byte {
-	if len(c.segments) == 0 && c.curSegment == nil {
-		return c.updates.Bytes()
-	}
-	var out []byte
-	for _, s := range c.segments {
-		out = append(out, s.data...)
-	}
-	if c.curSegment != nil {
-		out = append(out, c.curSegment.data...)
-	}
-	return append(out, c.updates.Bytes()...)
-}
+// UpdatesData returns the raw MRT update archive.
+func (c *Collector) UpdatesData() []byte { return c.updates.Bytes() }
 
 // DumpData returns the raw MRT RIB dump archive (all snapshots,
 // concatenated; each begins with a PEER_INDEX_TABLE).
@@ -214,7 +195,6 @@ func buildUpdate(sess netsim.Session, announce bool, p netip.Prefix, attrs netsi
 }
 
 func (c *Collector) writeMessage(at time.Time, sess netsim.Session, u *bgp.Update) {
-	c.rotateIfNeeded(at)
 	data, err := u.AppendWireFormat(nil)
 	if err != nil {
 		c.fail(err)
@@ -271,7 +251,6 @@ func (c *Collector) PeerWithdraw(at time.Time, sess netsim.Session, p netip.Pref
 // PeerState records a session transition; leaving Established flushes the
 // collector's view of the session, as the real collectors do.
 func (c *Collector) PeerState(at time.Time, sess netsim.Session, old, new mrt.SessionState) {
-	c.rotateIfNeeded(at)
 	k := c.session(sess)
 	rec := &mrt.BGP4MPStateChange{
 		Timestamp: at,

@@ -3,13 +3,12 @@ package collector
 import (
 	"bytes"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 	"zombiescope/internal/netsim"
 )
 
@@ -51,7 +50,7 @@ func TestUpdateArchiveRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := f.Collector("rrc25").UpdatesData()
-	recs, err := mrt.ReadAll(bytes.NewReader(data))
+	recs, err := mrttest.ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestIPv6OverIPv4Session(t *testing.T) {
 	if err := f.Err(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := mrt.ReadAll(bytes.NewReader(f.Collector("rrc25").UpdatesData()))
+	recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector("rrc25").UpdatesData()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestIPv4PrefixUpdate(t *testing.T) {
 	sess := netsim.Session{Collector: "rrc21", PeerAS: 16347, PeerIP: netip.MustParseAddr("192.0.2.77"), AFI: bgp.AFIIPv4}
 	f.PeerAnnounce(at0, sess, pfx4, attrs)
 	f.PeerWithdraw(at0.Add(time.Hour), sess, pfx4)
-	recs, err := mrt.ReadAll(bytes.NewReader(f.Collector("rrc21").UpdatesData()))
+	recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector("rrc21").UpdatesData()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +159,7 @@ func TestRIBSnapshot(t *testing.T) {
 	if err := f.Err(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := mrt.ReadAll(bytes.NewReader(f.Collector("rrc25").DumpData()))
+	recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector("rrc25").DumpData()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func TestSessionDownFlushesState(t *testing.T) {
 	f.PeerAnnounce(at0, sess, pfx6, attrs)
 	f.PeerState(at0.Add(time.Minute), sess, mrt.StateEstablished, mrt.StateIdle)
 	f.SnapshotRIBs(at0.Add(time.Hour))
-	recs, err := mrt.ReadAll(bytes.NewReader(f.Collector("rrc25").DumpData()))
+	recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector("rrc25").DumpData()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,28 +245,6 @@ func TestFleetDispatchAndNames(t *testing.T) {
 	}
 }
 
-func TestWriteArchive(t *testing.T) {
-	dir := t.TempDir()
-	f := NewFleet()
-	f.PeerAnnounce(at0, v6Session(), pfx6, attrs)
-	f.SnapshotRIBs(at0.Add(time.Hour))
-	if err := f.WriteArchive(dir); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"updates.mrt", "bview.mrt"} {
-		b, err := os.ReadFile(filepath.Join(dir, "rrc25", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) == 0 {
-			t.Errorf("%s is empty", name)
-		}
-		if _, err := mrt.ReadAll(bytes.NewReader(b)); err != nil {
-			t.Errorf("%s does not parse: %v", name, err)
-		}
-	}
-}
-
 func TestCollectorIDStable(t *testing.T) {
 	a, b := collectorID("rrc21"), collectorID("rrc21")
 	if a != b {
@@ -289,7 +266,7 @@ func TestDuplicateAnnouncementReplacesState(t *testing.T) {
 	attrs2.Path = bgp.NewASPath(200, 2, 1, 10, 100)
 	f.PeerAnnounce(at0.Add(time.Minute), sess, pfx6, attrs2)
 	f.SnapshotRIBs(at0.Add(time.Hour))
-	recs, err := mrt.ReadAll(bytes.NewReader(f.Collector("rrc25").DumpData()))
+	recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector("rrc25").DumpData()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +319,7 @@ func TestTapSeesEveryArchivedRecord(t *testing.T) {
 		t.Fatalf("tap distribution %v, want rrc25:3 rrc00:1", byCollector)
 	}
 	// The tapped records are the archived records, in order.
-	recs, err := mrt.ReadAll(bytes.NewReader(f.Collector("rrc25").UpdatesData()))
+	recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector("rrc25").UpdatesData()))
 	if err != nil {
 		t.Fatal(err)
 	}

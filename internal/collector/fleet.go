@@ -1,10 +1,7 @@
 package collector
 
 import (
-	"fmt"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -113,23 +110,4 @@ func (f *Fleet) DumpData() map[string][]byte {
 		out[name] = c.DumpData()
 	}
 	return out
-}
-
-// WriteArchive writes the fleet's archives to dir using RIS-like naming:
-// <dir>/<collector>/updates.mrt and <dir>/<collector>/bview.mrt.
-func (f *Fleet) WriteArchive(dir string) error {
-	for _, name := range f.Names() {
-		c := f.collectors[name]
-		sub := filepath.Join(dir, name)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return fmt.Errorf("collector: %w", err)
-		}
-		if err := os.WriteFile(filepath.Join(sub, "updates.mrt"), c.UpdatesData(), 0o644); err != nil {
-			return fmt.Errorf("collector: %w", err)
-		}
-		if err := os.WriteFile(filepath.Join(sub, "bview.mrt"), c.DumpData(), 0o644); err != nil {
-			return fmt.Errorf("collector: %w", err)
-		}
-	}
-	return nil
 }

@@ -1,17 +1,16 @@
-package experiments
+package experiments_test
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"zombiescope/internal/experiments"
+	"zombiescope/internal/experiments/anomalytest"
 	"zombiescope/internal/zombie"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 const anomalyMatrixSeed = 0xa401
 
@@ -20,11 +19,11 @@ const anomalyMatrixSeed = 0xa401
 // full reports for diagnostics.
 func runAnomalyMatrix(t *testing.T) (map[string]map[string]int, map[string]*zombie.AnomalyReport) {
 	t.Helper()
-	kinds := AnomalyKinds()
+	kinds := anomalytest.Kinds()
 	matrix := make(map[string]map[string]int, len(kinds))
 	reports := make(map[string]*zombie.AnomalyReport, len(kinds))
 	for _, kind := range kinds {
-		sc, err := RunAnomalyScenario(kind, anomalyMatrixSeed)
+		sc, err := anomalytest.Generate(kind, anomalyMatrixSeed)
 		if err != nil {
 			t.Fatalf("scenario %s: %v", kind, err)
 		}
@@ -49,7 +48,7 @@ func runAnomalyMatrix(t *testing.T) (map[string]map[string]int, map[string]*zomb
 // not look like a MOAS conflict.
 func TestAnomalyFalsePositiveMatrix(t *testing.T) {
 	matrix, reports := runAnomalyMatrix(t)
-	kinds := AnomalyKinds()
+	kinds := anomalytest.Kinds()
 	for _, gen := range kinds {
 		for _, det := range kinds {
 			n := matrix[gen][det]
@@ -66,7 +65,7 @@ func TestAnomalyFalsePositiveMatrix(t *testing.T) {
 	}
 	golden := filepath.Join("testdata", "anomaly_matrix.golden")
 	got := formatAnomalyMatrix(matrix)
-	if *update {
+	if *experiments.Update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +85,7 @@ func TestAnomalyFalsePositiveMatrix(t *testing.T) {
 // formatAnomalyMatrix renders the generator x detector counts as a
 // fixed-order text table.
 func formatAnomalyMatrix(matrix map[string]map[string]int) string {
-	kinds := AnomalyKinds()
+	kinds := anomalytest.Kinds()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s", "gen\\det")
 	for _, det := range kinds {

@@ -2,12 +2,17 @@ package experiments
 
 import (
 	"encoding/json"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 )
+
+// Update rewrites the golden files under testdata/. It is exported so the
+// external anomaly matrix test reads the same flag.
+var Update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // TestMetricsGolden pins every experiment's metrics at testCfg. The
 // experiments run in reverse registry order, so a driver that mutated a
@@ -26,7 +31,7 @@ func TestMetricsGolden(t *testing.T) {
 		got[all[i].ID] = res.Metrics
 	}
 	golden := filepath.Join("testdata", "metrics.golden.json")
-	if *update {
+	if *Update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

@@ -40,16 +40,6 @@ type Stats struct {
 	Entries uint64
 }
 
-// HitRate returns the fraction of lookups served from the table, or 0
-// before the first lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // NewTable returns an empty table.
 func NewTable[V any]() *Table[V] {
 	t := &Table[V]{}

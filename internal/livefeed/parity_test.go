@@ -65,7 +65,7 @@ func TestFeedStreamingMatchesBatchDetector(t *testing.T) {
 
 	// Client side: one connection, all channels, feeding a second
 	// StreamDetector from the events' raw MRT records.
-	conn, err := Dial(l.Addr().String(), Filter{}, PolicyDropOldest, 0)
+	conn, err := DialWith(l.Addr().String(), Filter{}, PolicyDropOldest, 0, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

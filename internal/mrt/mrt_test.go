@@ -15,6 +15,23 @@ import (
 
 var testTime = time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
 
+// readAll decodes every record from r (mrttest.ReadAll, which this
+// package's own tests cannot import).
+func readAll(r io.Reader) ([]Record, error) {
+	rd := NewReader(r)
+	var out []Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
+
 func testUpdateBytes(t *testing.T) []byte {
 	t.Helper()
 	u := &bgp.Update{
@@ -51,7 +68,7 @@ func TestBGP4MPMessageRoundTrip(t *testing.T) {
 	if err := NewWriter(&buf).Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +114,7 @@ func TestBGP4MPMessageIPv4SessionCarryingIPv6(t *testing.T) {
 	if err := NewWriter(&buf).Write(msg); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +146,7 @@ func TestStateChangeRoundTrip(t *testing.T) {
 	if err := NewWriter(&buf).Write(sc); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +190,7 @@ func TestPeerIndexTableRoundTrip(t *testing.T) {
 	if err := NewWriter(&buf).Write(tbl); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +238,7 @@ func TestRIBRoundTripIPv6(t *testing.T) {
 	if err := NewWriter(&buf).Write(rib); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +291,7 @@ func TestRIBRoundTripIPv4(t *testing.T) {
 	if err := NewWriter(&buf).Write(rib); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +318,12 @@ func TestMultiRecordStream(t *testing.T) {
 			PeerIP: netip.MustParseAddr("192.0.2.1"), LocalIP: netip.MustParseAddr("192.0.2.2"),
 			Data: testUpdateBytes(t)},
 	}
-	if err := w.WriteAll(recs); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +352,7 @@ func TestReaderSkipsUnknownRecords(t *testing.T) {
 	if err := w.Write(sc); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +374,7 @@ func TestReaderTruncatedBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	_, err := ReadAll(bytes.NewReader(full[:len(full)-2]))
+	_, err := readAll(bytes.NewReader(full[:len(full)-2]))
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}
@@ -368,7 +387,7 @@ func TestReaderRejectsHugeRecord(t *testing.T) {
 	hdr[9] = 0xff
 	hdr[10] = 0xff
 	hdr[11] = 0xff
-	_, err := ReadAll(bytes.NewReader(hdr))
+	_, err := readAll(bytes.NewReader(hdr))
 	if !errors.Is(err, ErrRecordTooBig) {
 		t.Errorf("err = %v, want ErrRecordTooBig", err)
 	}
@@ -418,7 +437,7 @@ func TestDecodeFramed(t *testing.T) {
 }
 
 func TestReaderEmptyInput(t *testing.T) {
-	recs, err := ReadAll(bytes.NewReader(nil))
+	recs, err := readAll(bytes.NewReader(nil))
 	if err != nil || len(recs) != 0 {
 		t.Errorf("got %v, %v", recs, err)
 	}
@@ -463,7 +482,7 @@ func makeStream(t *testing.T, n int) []byte {
 func TestCountRecordsStopsAtBadFraming(t *testing.T) {
 	trunc := makeStream(t, 10)
 	trunc = trunc[:len(trunc)-3]
-	recs, err := ReadAll(bytes.NewReader(trunc))
+	recs, err := readAll(bytes.NewReader(trunc))
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
@@ -477,11 +496,11 @@ func TestCountRecordsStopsAtBadFraming(t *testing.T) {
 func TestReadAllUnsizedReaderStillWorks(t *testing.T) {
 	const n = 100
 	data := makeStream(t, n)
-	recs, err := ReadAll(iotest.OneByteReader(bytes.NewReader(data)))
+	recs, err := readAll(iotest.OneByteReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ReadAll(bytes.NewReader(data))
+	want, err := readAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +548,7 @@ func TestLegacy2ByteSubtypeDecode(t *testing.T) {
 	hdr[11] = byte(len(body))
 	buf.Write(hdr)
 	buf.Write(body)
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

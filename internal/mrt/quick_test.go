@@ -20,7 +20,7 @@ func TestReaderNeverPanics(t *testing.T) {
 				t.Fatalf("reader panicked on %x: %v", data, r)
 			}
 		}()
-		_, _ = ReadAll(bytes.NewReader(data))
+		_, _ = readAll(bytes.NewReader(data))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(6))}); err != nil {
@@ -46,7 +46,7 @@ func TestReaderValidHeaderRandomBody(t *testing.T) {
 				t.Fatalf("panicked on subtype %d body %x: %v", st, body, r)
 			}
 		}()
-		_, _ = ReadAll(bytes.NewReader(append(hdr, body...)))
+		_, _ = readAll(bytes.NewReader(append(hdr, body...)))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(7))}); err != nil {
@@ -78,7 +78,7 @@ func TestStateChangeQuickRoundTrip(t *testing.T) {
 		if err := NewWriter(&buf).Write(sc); err != nil {
 			return false
 		}
-		recs, err := ReadAll(&buf)
+		recs, err := readAll(&buf)
 		if err != nil || len(recs) != 1 {
 			return false
 		}
@@ -132,7 +132,7 @@ func TestMessageQuickRoundTrip(t *testing.T) {
 		if err := NewWriter(&buf).Write(msg); err != nil {
 			return false
 		}
-		recs, err := ReadAll(&buf)
+		recs, err := readAll(&buf)
 		if err != nil || len(recs) != 1 {
 			return false
 		}

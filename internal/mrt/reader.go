@@ -74,19 +74,3 @@ func ParseHeader(h [HeaderLen]byte) (ts time.Time, typ, subtype uint16, length u
 	length = binary.BigEndian.Uint32(h[8:])
 	return ts, typ, subtype, length
 }
-
-// ReadAll decodes every record from r.
-func ReadAll(r io.Reader) ([]Record, error) {
-	rd := NewReader(r)
-	var out []Record
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}

@@ -122,7 +122,7 @@ func TestRFC6396TableDumpV2Vector(t *testing.T) {
 			t.Errorf("borrow=%v: %d bytes after the last record", borrow, len(rest))
 		}
 	}
-	recs, err := ReadAll(bytes.NewReader(dump))
+	recs, err := readAll(bytes.NewReader(dump))
 	if err != nil || !reflect.DeepEqual(recs, want) {
 		t.Errorf("ReadAll = %+v, %v; want %+v", recs, err, want)
 	}
@@ -281,7 +281,7 @@ func TestRFC4271BGP4MPVectors(t *testing.T) {
 			t.Errorf("%s: AppendRecord = %x, %v\nwant %x", c.section, got, err, raw)
 		}
 	}
-	recs, err := ReadAll(bytes.NewReader(stream))
+	recs, err := readAll(bytes.NewReader(stream))
 	if err != nil || !reflect.DeepEqual(recs, want) {
 		t.Errorf("ReadAll = %+v, %v; want %+v", recs, err, want)
 	}

@@ -72,13 +72,3 @@ func (wr *Writer) Write(rec Record) error {
 	_, err = wr.w.Write(buf)
 	return err
 }
-
-// WriteAll encodes all records in order.
-func (wr *Writer) WriteAll(recs []Record) error {
-	for _, r := range recs {
-		if err := wr.Write(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}

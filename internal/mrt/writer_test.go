@@ -41,7 +41,7 @@ func TestWriterRejectsTimestampPast32Bits(t *testing.T) {
 	if err := NewWriter(&buf).Write(testStateChange(last)); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil || len(recs) != 1 || !recs[0].RecordTime().Equal(last) {
 		t.Fatalf("read back %v, %v; want one record at %v", recs, err, last)
 	}
@@ -102,7 +102,7 @@ func TestAppendRecordMatchesWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := parseCorpusEntry(t, raw)
-	recs, err := ReadAll(bytes.NewReader(data))
+	recs, err := readAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

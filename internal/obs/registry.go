@@ -296,22 +296,6 @@ var DefBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// ExponentialBuckets returns count upper bounds starting at start, each
-// factor times the previous — the standard way to cut a custom bucket
-// layout when DefBuckets' range does not fit. start must be positive and
-// factor greater than 1.
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	if start <= 0 || factor <= 1 || count < 1 {
-		panic("obs: ExponentialBuckets needs start > 0, factor > 1, count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Histogram is a bucketed distribution (Prometheus semantics: cumulative
 // buckets at exposition, plus sum and count). Observations are float64 —
 // by convention seconds for latency series. All methods are safe for

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"zombiescope/internal/experiments"
+	"zombiescope/internal/experiments/anomalytest"
 	"zombiescope/internal/zombie"
 )
 
@@ -25,7 +25,7 @@ func TestAnomalyDetectorsBitIdentical(t *testing.T) {
 		seeds = 5
 	}
 	for seed := 0; seed < seeds; seed++ {
-		sc, err := experiments.RunAnomalyScenario("all", uint64(seed))
+		sc, err := anomalytest.Generate("all", uint64(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

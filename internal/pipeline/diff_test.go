@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"zombiescope/internal/experiments"
+	"zombiescope/internal/experiments/anomalytest"
 	"zombiescope/internal/mrt"
 	"zombiescope/internal/zombie"
 )
@@ -27,9 +27,9 @@ var diffParallelism = []int{1, 2, 8}
 
 // diffScenario generates the seed's all-pathology scenario and the track
 // set of its beacon prefixes.
-func diffScenario(t *testing.T, seed uint64) (*experiments.AnomalyScenario, zombie.TrackSet) {
+func diffScenario(t *testing.T, seed uint64) (*anomalytest.Scenario, zombie.TrackSet) {
 	t.Helper()
-	sc, err := experiments.RunAnomalyScenario("all", seed)
+	sc, err := anomalytest.Generate("all", seed)
 	if err != nil {
 		t.Fatal(err)
 	}

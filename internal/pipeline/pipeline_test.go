@@ -14,6 +14,7 @@ import (
 
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 )
 
 // makeUpdateArchive writes n BGP4MP records (announce/withdraw updates with
@@ -93,7 +94,7 @@ func TestForInlinePreservesOrder(t *testing.T) {
 
 func TestScanChunksCoversStreamExactly(t *testing.T) {
 	data := makeUpdateArchive(t, 5000, 1)
-	seq, err := mrt.ReadAll(bytes.NewReader(data))
+	seq, err := mrttest.ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestScanChunksCoversStreamExactly(t *testing.T) {
 				t.Fatalf("parts=%d: chunk %d base %d, want %d", parts, i, c.base, records)
 			}
 			// The chunk must itself be a valid record-aligned stream.
-			if _, err := mrt.ReadAll(bytes.NewReader(data[c.off:c.end])); err != nil {
+			if _, err := mrttest.ReadAll(bytes.NewReader(data[c.off:c.end])); err != nil {
 				t.Fatalf("parts=%d: chunk %d not record-aligned: %v", parts, i, err)
 			}
 			pos = c.end
@@ -154,7 +155,7 @@ func TestDecodeArchivesMatchesSequentialReader(t *testing.T) {
 	}
 	want := make(map[string][]mrt.Record)
 	for name, data := range archives {
-		recs, err := mrt.ReadAll(bytes.NewReader(data))
+		recs, err := mrttest.ReadAll(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}

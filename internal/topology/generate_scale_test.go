@@ -13,7 +13,7 @@ func graphHash(g *Graph) uint64 {
 	h := fnv.New64a()
 	for _, asn := range g.ASNs() {
 		a := g.AS(asn)
-		fmt.Fprintf(h, "%d|%s|%d|%v|%v|%v\n", asn, a.Name, a.Tier, a.Providers(), a.Customers(), a.Peers())
+		fmt.Fprintf(h, "%d|%s|%d|%v|%v|%v\n", asn, a.Name, a.Tier, a.Providers(), a.customers, a.Peers())
 	}
 	return h.Sum64()
 }

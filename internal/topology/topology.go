@@ -53,9 +53,6 @@ type AS struct {
 // Providers returns the AS's transit providers (sorted, read-only).
 func (a *AS) Providers() []bgp.ASN { return a.providers }
 
-// Customers returns the AS's customers (sorted, read-only).
-func (a *AS) Customers() []bgp.ASN { return a.customers }
-
 // Peers returns the AS's settlement-free peers (sorted, read-only).
 func (a *AS) Peers() []bgp.ASN { return a.peers }
 

@@ -192,7 +192,7 @@ func TestGenerateStructure(t *testing.T) {
 	}
 	// Stubs have no customers.
 	for _, asn := range g.TierASNs(4) {
-		if len(g.AS(asn).Customers()) != 0 {
+		if len(g.AS(asn).customers) != 0 {
 			t.Errorf("stub %s has customers", asn)
 		}
 	}
@@ -265,7 +265,7 @@ func TestGenerateQuickProperty(t *testing.T) {
 		// customer's cone.
 		for _, asn := range g.ASNs() {
 			cone := g.CustomerCone(asn)
-			for _, c := range g.AS(asn).Customers() {
+			for _, c := range g.AS(asn).customers {
 				for sub := range g.CustomerCone(c) {
 					if !cone[sub] {
 						t.Fatalf("seed %d: %s in cone(%s) but not in cone(%s)", seed, sub, c, asn)

@@ -9,6 +9,7 @@ import (
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 )
 
 // allocHistoryArchive writes an update archive of announce/withdraw churn
@@ -96,7 +97,7 @@ func TestStreamObserveAllocs(t *testing.T) {
 	}
 	const records = 500
 	updates, track := allocHistoryArchive(t, records)
-	recs, err := mrt.ReadAll(bytes.NewReader(updates["rrc00"]))
+	recs, err := mrttest.ReadAll(bytes.NewReader(updates["rrc00"]))
 	if err != nil {
 		t.Fatal(err)
 	}

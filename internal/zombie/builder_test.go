@@ -14,6 +14,7 @@ import (
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/collector"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 	"zombiescope/internal/pipeline"
 )
 
@@ -331,7 +332,7 @@ func sealScenario(t *testing.T) map[string][]byte {
 func TestSealDeterministic(t *testing.T) {
 	updates := sealScenario(t)
 	data := updates["rrc25"]
-	recs, err := mrt.ReadAll(bytes.NewReader(data))
+	recs, err := mrttest.ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +469,7 @@ func TestHistoryTooLarge(t *testing.T) {
 		}
 	}
 	data := buf.Bytes()
-	recs, err := mrt.ReadAll(bytes.NewReader(data))
+	recs, err := mrttest.ReadAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,6 @@ type Detector struct {
 	// Threshold after the withdrawal at which a still-present route is a
 	// zombie. Default 90 minutes.
 	Threshold time.Duration
-	// ClockTolerance allows the Aggregator clock to lag the interval
-	// start slightly before a route counts as a duplicate (clock
-	// resolution and propagation slack). Default 1 minute.
-	ClockTolerance time.Duration
 	// RecordPaths collects per-peer path-length observations (the
 	// material for the paper's AS-path-length and emergence-rate
 	// figures). Costs memory on large runs.
@@ -45,12 +41,10 @@ func (d *Detector) threshold() time.Duration {
 	return d.Threshold
 }
 
-func (d *Detector) tolerance() time.Duration {
-	if d.ClockTolerance <= 0 {
-		return time.Minute
-	}
-	return d.ClockTolerance
-}
+// clockTolerance is how far the Aggregator clock may lag the interval
+// start before a route counts as a duplicate: clock resolution and
+// propagation slack.
+const clockTolerance = time.Minute
 
 // Detect parses the update archives and evaluates every interval,
 // returning all zombie routes with duplicates flagged (not removed).
@@ -109,7 +103,7 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 			announcedAt = t
 		}
 	}
-	dup := announcedAt.Before(iv.AnnounceAt.Add(-d.tolerance()))
+	dup := announcedAt.Before(iv.AnnounceAt.Add(-clockTolerance))
 	*routes = append(*routes, Route{
 		Peer:        peer,
 		Prefix:      iv.Prefix,

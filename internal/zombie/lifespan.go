@@ -81,12 +81,6 @@ type LifespanConfig struct {
 	// DumpInterval is the snapshot cadence (RIS: 8h). A gap of more than
 	// 1.5× splits an episode. Default 8h.
 	DumpInterval time.Duration
-	// ResurrectionGrace is how long after the beacon withdrawal a FIRST
-	// appearance still counts as ordinary zombie visibility; a first
-	// episode starting later than this (with no announcement in between)
-	// is a resurrection, like the paper's outbreaks that became visible
-	// a month after the last beacon withdrawal. Default 24h.
-	ResurrectionGrace time.Duration
 	// Parallelism is the pipeline worker count for dump parsing and the
 	// per-prefix series folds. 0 or 1: one inline worker — the
 	// same code path, so the report and any error are identical for
@@ -102,12 +96,12 @@ func (c LifespanConfig) gap() time.Duration {
 	return di + di/2
 }
 
-func (c LifespanConfig) grace() time.Duration {
-	if c.ResurrectionGrace <= 0 {
-		return 24 * time.Hour
-	}
-	return c.ResurrectionGrace
-}
+// resurrectionGrace is how long after the beacon withdrawal a FIRST
+// appearance still counts as ordinary zombie visibility; a first episode
+// starting later than this (with no announcement in between) is a
+// resurrection, like the paper's outbreaks that became visible a month
+// after the last beacon withdrawal.
+const resurrectionGrace = 24 * time.Hour
 
 type ribObs struct {
 	at   time.Time
@@ -145,7 +139,7 @@ func (cfg LifespanConfig) foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribO
 	if len(obs) > 0 {
 		first := obs[0].at
 		anchor := withdrawAnchor(intervals, pl.Prefix, first)
-		if !anchor.IsZero() && first.Sub(anchor) > cfg.grace() &&
+		if !anchor.IsZero() && first.Sub(anchor) > resurrectionGrace &&
 			!announcedBetween(intervals, pl.Prefix, anchor, first) {
 			pl.Resurrections = append(pl.Resurrections, Resurrection{
 				Peer:         peer,

@@ -76,20 +76,15 @@ func ScorePeers(rep *Report, includeDuplicates bool) []PeerScore {
 
 // NoisyConfig tunes outlier flagging.
 type NoisyConfig struct {
-	// Sigmas above the mean at which a peer is an outlier. Default 3.
-	Sigmas float64
 	// MinProb is an absolute floor: a peer below it is never flagged,
 	// however skewed the distribution. Default 0.05 (the paper's outlier
 	// had ~0.43 against a ~0.016 average).
 	MinProb float64
 }
 
-func (c NoisyConfig) sigmas() float64 {
-	if c.Sigmas <= 0 {
-		return 3
-	}
-	return c.Sigmas
-}
+// noisySigmas is how many (normalized) median absolute deviations above
+// the median a peer's likelihood must sit to be an outlier.
+const noisySigmas = 3
 
 func (c NoisyConfig) minProb() float64 {
 	if c.MinProb <= 0 {
@@ -100,7 +95,7 @@ func (c NoisyConfig) minProb() float64 {
 
 // FlagNoisyPeers returns peers whose likelihood in either family is an
 // outlier. Outliers are judged against a robust baseline — the median plus
-// Sigmas times the (normalized) median absolute deviation — so a single
+// noisySigmas times the (normalized) median absolute deviation — so a single
 // wildly noisy peer cannot inflate the cut the way it inflates a mean/σ
 // cut; the peer must also clear the absolute MinProb floor. This mirrors
 // the paper's reasoning: AS16347's ~42.8% against the remaining peers'
@@ -122,7 +117,7 @@ func FlagNoisyPeers(scores []PeerScore, cfg NoisyConfig) []PeerID {
 		med := median(vals)
 		mad := medianAbsDev(vals, med)
 		// 1.4826 scales the MAD to a σ-equivalent for normal data.
-		cut := med + cfg.sigmas()*1.4826*mad
+		cut := med + noisySigmas*1.4826*mad
 		if cut < cfg.minProb() {
 			cut = cfg.minProb()
 		}

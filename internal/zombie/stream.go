@@ -206,7 +206,7 @@ func (sd *StreamDetector) fire(check pendingCheck) {
 			// announcement: a live resurrection.
 			Resurrected: !st.withdrawnAt.IsZero() &&
 				st.At.After(iv.WithdrawAt) &&
-				r.AnnouncedAt.Before(st.At.Add(-sd.det.tolerance())),
+				r.AnnouncedAt.Before(st.At.Add(-clockTolerance)),
 		}
 		if sd.onZombie != nil {
 			sd.onZombie(ev)

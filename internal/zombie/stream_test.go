@@ -13,6 +13,7 @@ import (
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/collector"
 	"zombiescope/internal/mrt"
+	"zombiescope/internal/mrt/mrttest"
 	"zombiescope/internal/netsim"
 )
 
@@ -254,7 +255,7 @@ func fleetRecords(t *testing.T, f *collector.Fleet) (names []string, recs []mrt.
 	}
 	slices.Sort(collectors)
 	for _, name := range collectors {
-		rs, err := mrt.ReadAll(bytes.NewReader(updates[name]))
+		rs, err := mrttest.ReadAll(bytes.NewReader(updates[name]))
 		if err != nil {
 			t.Fatal(err)
 		}
