@@ -52,12 +52,12 @@ func main() {
 			fatal(err)
 		}
 		for _, pd := range periods {
-			dir := filepath.Join(*out, sanitize(pd.Period.Name))
+			dir := filepath.Join(*out, sanitize(pd.Name))
 			if err := archive.Write(dir, &archive.Set{Updates: pd.Updates}); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("period %q: %d intervals, %d+%d announcements\n",
-				pd.Period.Name, len(pd.Intervals), pd.Ann4, pd.Ann6)
+				pd.Name, len(pd.Intervals), pd.Ann4, pd.Ann6)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)

@@ -35,8 +35,7 @@ func main() {
 		len(clean), data.Announcements)
 
 	// Follow them through a year of 8-hourly RIB dumps.
-	lr, err := zombiescope.TrackLifespans(data.Dumps, data.Intervals,
-		zombiescope.LifespanConfig{DumpInterval: cfg.DumpEvery})
+	lr, err := zombiescope.TrackLifespans(data.Dumps, data.Intervals, zombiescope.LifespanConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

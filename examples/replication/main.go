@@ -30,7 +30,7 @@ func main() {
 		without := rep.Filter(zombiescope.FilterOptions{ExcludePeerAS: noisy})
 		w4, w6 := zombieCounts(with)
 		n4, n6 := zombieCounts(without)
-		fmt.Printf("%s (visible prefixes: %d)\n", pd.Period.Name, rep.VisiblePrefixes)
+		fmt.Printf("%s (visible prefixes: %d)\n", pd.Name, rep.VisiblePrefixes)
 		fmt.Printf("  with double-counting:    IPv4 %4d  IPv6 %4d\n", w4, w6)
 		fmt.Printf("  without double-counting: IPv4 %4d  IPv6 %4d\n", n4, n6)
 

@@ -49,11 +49,7 @@ func main() {
 	reg.Add(t0.Add(-24*time.Hour), roa32)
 	reg.Add(t0.Add(-24*time.Hour), roa48)
 
-	sim := zombiescope.NewSimulator(g, zombiescope.SimConfig{
-		Seed:               3,
-		ROA:                reg,
-		ROVRevalidateDelay: 30 * time.Minute,
-	})
+	sim := zombiescope.NewSimulator(g, zombiescope.SimConfig{Seed: 3, ROA: reg})
 	sim.SetROVPolicy(transitROV, rpki.ROVEnforce)
 	sim.SetROVPolicy(transitBad, rpki.ROVNoEvict)
 

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,7 +31,7 @@ const exportsGolden = "testdata/exports.golden"
 func TestTestOnlyExports(t *testing.T) {
 	found := scanTestOnlyExports(t)
 	if *update {
-		old, _ := readExportsGolden(exportsGolden)
+		old, _ := readGolden(exportsGolden)
 		var b bytes.Buffer
 		b.WriteString("# Exported identifiers under internal/ that no shipped code calls, each\n")
 		b.WriteString("# with the reason it stays exported (TestTestOnlyExports).\n")
@@ -43,7 +42,7 @@ func TestTestOnlyExports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := readExportsGolden(exportsGolden)
+	want, err := readGolden(exportsGolden)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
@@ -67,7 +66,7 @@ func TestTestOnlyExports(t *testing.T) {
 }
 
 // readExportsGolden reads "name<TAB>reason" lines; # starts a comment.
-func readExportsGolden(file string) (map[string]string, error) {
+func readGolden(file string) (map[string]string, error) {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return nil, err
@@ -121,38 +120,8 @@ func scanTestOnlyExports(t *testing.T) []testOnlyExport {
 		method     bool
 		node       ast.Node // the declaration; uses inside it do not count
 	}
-	type file struct {
-		pkg string // import path
-		ast *ast.File
-	}
 	fset := token.NewFileSet()
-	var files []file
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(f.Name.Name, "test") {
-			return nil
-		}
-		files = append(files, file{path.Join("zombiescope", filepath.ToSlash(filepath.Dir(p))), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := shippedFiles(t, fset)
 
 	span := func(from, to token.Pos) int {
 		return fset.Position(to).Line - fset.Position(from).Line + 1
@@ -219,15 +188,7 @@ func scanTestOnlyExports(t *testing.T) []testOnlyExport {
 		}
 	}
 	for _, f := range files {
-		imports := make(map[string]string)
-		for _, im := range f.ast.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(p)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
-		}
+		imports := fileImports(f.ast)
 		var recv *ast.FieldList // the receiver of the method being walked
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -261,6 +222,48 @@ func scanTestOnlyExports(t *testing.T) []testOnlyExport {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// shippedFile is one parsed shipped file and its package's import path.
+type shippedFile struct {
+	pkg string // import path
+	ast *ast.File
+}
+
+// shippedFiles parses the tree from the repository root: the
+// non-_test.go files of packages whose name does not end in "test"
+// (test-support packages such as obstest are test code); bench/ and
+// examples/ are shipped.
+func shippedFiles(t *testing.T, fset *token.FileSet) []shippedFile {
+	t.Helper()
+	var files []shippedFile
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(f.Name.Name, "test") {
+			return nil
+		}
+		files = append(files, shippedFile{path.Join("zombiescope", filepath.ToSlash(filepath.Dir(p))), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // within reports whether n lies inside outer.

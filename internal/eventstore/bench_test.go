@@ -54,7 +54,7 @@ func BenchmarkStoreScan(b *testing.B) {
 		}
 		total += int64(len(ev.Payload)) + eventFixedLen + frameHeaderLen
 	}
-	if err := st.Seal(); err != nil {
+	if err := st.seal(); err != nil {
 		b.Fatal(err)
 	}
 	segBytes := int64(0)
@@ -137,7 +137,7 @@ func BenchmarkStoreScanKind(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := st.Seal(); err != nil {
+	if err := st.seal(); err != nil {
 		b.Fatal(err)
 	}
 	q := Query{Kind: KindMRT}

@@ -150,10 +150,24 @@ type Store struct {
 	tail    *segment
 	w       *segWriter // active segment; nil between rotation and next append
 	lastSeq uint64
-	closed  bool
+	// gaps are the sequences up to lastSeq whose append failed, waiting
+	// for the next write to record them ahead of its own frames.
+	gaps   []gap
+	closed bool
 
 	scans sync.WaitGroup
 }
+
+// gap is the time and kind of an event whose append failed, held until a
+// write records it. At most maxGaps wait: a store holding that many takes
+// no further sequence number, so a disk that keeps failing cannot grow
+// the list without limit.
+type gap struct {
+	ns   int64
+	kind uint8
+}
+
+const maxGaps = 1 << 16
 
 // Open opens (creating if needed) the store at opts.Dir, recovering from
 // any crash the previous process suffered: the newest segment's torn
@@ -290,14 +304,8 @@ func segmentFiles(dir string) ([]string, error) {
 	return names, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.opts.Dir }
-
-// Metrics returns the store's instrument sink.
-func (s *Store) Metrics() *Metrics { return s.metrics }
-
-// LastSeq returns the sequence number of the newest stored event (0 when
-// empty).
+// LastSeq returns the sequence number of the newest appended event,
+// counting a failed append, which reads back as a gap (0 when empty).
 func (s *Store) LastSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -323,7 +331,12 @@ func (s *Store) firstSeqLocked() uint64 {
 }
 
 // Append durably logs one event. Sequence numbers must be contiguous:
-// ev.Seq must equal LastSeq()+1 (the producer owns numbering).
+// ev.Seq must equal LastSeq()+1 (the producer owns numbering). A failed
+// append still takes its sequence number, and the event reads back as a
+// gap: its sequence, time and kind, with no collector, peer, prefixes or
+// payload. An event the format cannot hold (an invalid prefix, more than
+// 65535 prefixes) is written so and refused; one whose write fails is
+// written so by the next write, an append's or a seal's (Close seals).
 func (s *Store) Append(ev Event) error {
 	start := time.Now()
 	s.mu.Lock()
@@ -337,21 +350,20 @@ func (s *Store) Append(ev Event) error {
 	if ev.Seq != s.lastSeq+1 {
 		return fmt.Errorf("%w: got seq %d, want %d", ErrOutOfOrder, ev.Seq, s.lastSeq+1)
 	}
-	if s.w == nil {
-		w, err := s.startSegmentLocked(ev.Seq)
-		if err != nil {
-			return err
-		}
-		s.w = w
-		s.metrics.segments.Set(float64(len(s.segs) + 1))
+	if len(s.gaps) >= maxGaps {
+		return fmt.Errorf("eventstore: seq %d refused: %d failed appends are not yet written", ev.Seq, len(s.gaps))
 	}
-	n, err := s.w.append(ev)
+	refused := checkEvent(ev)
+	if refused != nil {
+		ev = Event{Seq: ev.Seq, Time: ev.Time, Kind: ev.Kind}
+	}
+	n, err := s.writeLocked(&ev)
+	s.lastSeq = ev.Seq
 	if err != nil {
+		s.gaps = append(s.gaps, gap{ns: ev.Time.UnixNano(), kind: ev.Kind})
 		return err
 	}
-	s.lastSeq = ev.Seq
 	s.metrics.appends.Inc()
-	s.metrics.appendBytes.Add(int64(n))
 	s.metrics.bytes.Add(float64(n))
 	s.metrics.lastSeq.Set(float64(ev.Seq))
 	s.metrics.firstSeq.Set(float64(s.firstSeqLocked()))
@@ -369,7 +381,33 @@ func (s *Store) Append(ev Event) error {
 		}
 	}
 	s.metrics.appendSeconds.Observe(time.Since(start).Seconds())
-	return nil
+	return refused
+}
+
+// writeLocked writes the pending gaps and then ev, when not nil, to the
+// active segment, starting one if there is none, and returns the byte
+// count written. ev must be the event after lastSeq. When the gaps are
+// written and ev is not, the error is ev's.
+func (s *Store) writeLocked(ev *Event) (n int, err error) {
+	first := s.lastSeq + 1 - uint64(len(s.gaps))
+	if s.w == nil {
+		if s.w, err = s.startSegmentLocked(first); err != nil {
+			return 0, err
+		}
+		s.metrics.segments.Set(float64(len(s.segs) + 1))
+	}
+	if len(s.gaps) > 0 {
+		if n, err = s.w.writeGaps(first, s.gaps); err != nil {
+			return 0, err
+		}
+		s.gaps = s.gaps[:0]
+	}
+	m := 0
+	if ev != nil {
+		m, err = s.w.append(*ev)
+	}
+	s.metrics.appendBytes.Add(int64(n + m))
+	return n + m, err
 }
 
 // startSegmentLocked returns the writer for the next append: the tail
@@ -401,38 +439,14 @@ func (s *Store) fsyncActiveLocked() error {
 	return nil
 }
 
-// Sync fsyncs the active segment.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.w == nil {
-		return nil
-	}
-	return s.fsyncActiveLocked()
-}
-
-// Seal forces the active segment to seal now (normally it seals when it
-// exceeds Options.SegmentBytes or on Close). A segment sealed this way is
-// never continued by this store: the next append starts a new one.
-func (s *Store) Seal() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.tail = nil
-	if s.w == nil || s.w.count() == 0 {
-		return nil
-	}
-	return s.sealLocked()
-}
-
-// sealLocked seals the active segment: fsync data, reopen read-only
-// (mmap'd) and apply retention.
+// sealLocked seals the active segment: write the pending gaps, fsync
+// data, reopen read-only (mmap'd) and apply retention.
 func (s *Store) sealLocked() error {
+	if len(s.gaps) > 0 {
+		if _, err := s.writeLocked(nil); err != nil {
+			return err
+		}
+	}
 	w := s.w
 	if w == nil {
 		return nil

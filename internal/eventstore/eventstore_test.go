@@ -1,6 +1,7 @@
 package eventstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -187,7 +188,7 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 	// An explicit Seal ends the reopened tail for good: the next append
 	// starts a new segment instead of continuing it.
-	if err := st.Seal(); err != nil {
+	if err := st.seal(); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, st, testEvents(501)[500:])
@@ -448,7 +449,7 @@ func TestStoreWritesOnlySegments(t *testing.T) {
 	}
 	appendAll(t, st, all[:100])
 	requireOnlySegments(t, dir)
-	if err := st.Seal(); err != nil {
+	if err := st.seal(); err != nil {
 		t.Fatal(err)
 	}
 	requireOnlySegments(t, dir)
@@ -562,7 +563,7 @@ func TestSegmentInfoStats(t *testing.T) {
 	defer st.Close()
 	all := testEvents(100)
 	appendAll(t, st, all)
-	if err := st.Seal(); err != nil {
+	if err := st.seal(); err != nil {
 		t.Fatal(err)
 	}
 	infos := st.SegmentInfos()
@@ -583,10 +584,10 @@ func TestSegmentInfoStats(t *testing.T) {
 }
 
 // TestAppendInvalidPrefixWritesNothing: an append refused for an invalid
-// prefix must not intern the event's new collector, peer or valid
-// prefixes, or the next event that uses them would reference dictionary
-// entries the file never got, and a crash-recovery scan would truncate
-// the store there.
+// prefix is stored as a gap and must not intern the event's new
+// collector, peer or valid prefixes, or the next event that uses them
+// would reference dictionary entries the file never got, and a
+// crash-recovery scan would truncate the store there.
 func TestAppendInvalidPrefixWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir})
@@ -608,9 +609,9 @@ func TestAppendInvalidPrefixWritesNothing(t *testing.T) {
 	if err := st.Append(fresh); err == nil {
 		t.Fatal("append with an invalid prefix succeeded")
 	}
-	fresh.Prefixes = fresh.Prefixes[:1]
-	want := []Event{evs[0], fresh}
-	appendAll(t, st, want[1:])
+	fresh.Seq, fresh.Prefixes = 3, fresh.Prefixes[:1]
+	want := []Event{evs[0], gapOf(evs[1]), fresh}
+	appendAll(t, st, want[2:])
 	if err := st.Abandon(); err != nil {
 		t.Fatal(err)
 	}
@@ -620,4 +621,173 @@ func TestAppendInvalidPrefixWritesNothing(t *testing.T) {
 	}
 	defer st.Close()
 	checkEvents(t, replayAll(t, st), want)
+}
+
+// TestFailedAppendLeavesGap: a failed append takes its sequence number, so
+// the journal goes on after it, and reads report that sequence as a gap —
+// an event with the failed event's time and kind and no collector, peer,
+// prefixes or payload — that survives a reopen and that kind-filtered
+// scans skip. An event the format refuses is written as a gap at once
+// (TestAppendInvalidPrefixWritesNothing covers an invalid prefix); one
+// whose write fails leaves no bytes and no dictionary entries behind, and
+// the next append writes its gap.
+func TestFailedAppendLeavesGap(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := testEvents(6)
+	appendAll(t, st, evs[:1])
+
+	many := evs[1]
+	many.Prefixes = make([]netip.Prefix, 0x10000)
+	for i := range many.Prefixes {
+		many.Prefixes[i] = netip.MustParsePrefix("192.0.2.0/24")
+	}
+	if err := st.Append(many); err == nil {
+		t.Fatal("append with 65536 prefixes succeeded")
+	}
+
+	// A failed write: the file handle refuses writes and truncation, and
+	// the bytes a torn write would leave, more than the next appends
+	// write, are past the last frame. The event names a collector and a
+	// peer no earlier event did.
+	fresh := evs[2]
+	fresh.Collector, fresh.PeerAS, fresh.PeerAddr = "rrc99", 64500, netip.MustParseAddr("203.0.113.9")
+	restore := failWrites(t, st)
+	if err := st.Append(fresh); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	if _, err := restore().WriteAt(bytes.Repeat([]byte{0xde}, 4096), st.w.size); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next appends go on, the first one naming the failed event's
+	// collector and peer; the seal cuts the torn bytes left past them.
+	next := evs[3]
+	next.Collector, next.PeerAS, next.PeerAddr = fresh.Collector, fresh.PeerAS, fresh.PeerAddr
+	appendAll(t, st, []Event{next, evs[4]})
+	if err := st.seal(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, st, evs[5:])
+	want := []Event{evs[0], gapOf(evs[1]), gapOf(evs[2]), next, evs[4], evs[5]}
+	checkEvents(t, replayAll(t, st), want)
+	checkEvents(t, scanAll(t, st, Query{}), want)
+	// The gap at seq 2 is of KindMRT and has no payload.
+	checkEvents(t, scanAll(t, st, Query{Kind: KindMRT}), []Event{evs[0], next, evs[4], evs[5]})
+	if err := st.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.LastSeq(); got != 6 {
+		t.Fatalf("reopened LastSeq = %d, want 6", got)
+	}
+	checkEvents(t, replayAll(t, st), want)
+	// Collectors: rrc00, the gaps' empty name, rrc99 and rrc01; the
+	// refused event's prefix is not among the 3 prefixes.
+	infos := st.SegmentInfos()
+	if len(infos) != 2 || infos[0].Collectors != 4 || infos[0].Peers != 2 || infos[0].Prefixes != 3 || infos[0].TornBytes != 0 {
+		t.Errorf("segments = %+v, want two, the first with 4 collectors, 2 peers, 3 prefixes and no torn bytes", infos)
+	}
+}
+
+// TestCloseWritesPendingGaps: the gaps of failed writes that no later
+// append recorded are written when the store closes, so a reopened store
+// ends at the last sequence number its producer handed out. Past maxGaps
+// pending, the store takes no further sequence number, also once writes
+// succeed again, and ends at the last one it took.
+func TestCloseWritesPendingGaps(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := testEvents(3)
+	appendAll(t, st, evs[:1])
+	restore := failWrites(t, st)
+	for _, ev := range evs[1:] {
+		if err := st.Append(ev); err == nil {
+			t.Fatalf("append of seq %d through a read-only handle succeeded", ev.Seq)
+		}
+	}
+	restore()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.LastSeq(); got != 3 {
+		t.Fatalf("reopened LastSeq = %d, want 3", got)
+	}
+	checkEvents(t, replayAll(t, st), []Event{evs[0], gapOf(evs[1]), gapOf(evs[2])})
+
+	ev := Event{Seq: 4, Time: evs[2].Time, Kind: KindMRT, Payload: []byte{1}}
+	appendAll(t, st, []Event{ev})
+	restore = failWrites(t, st)
+	for ev.Seq = 5; ev.Seq < 5+maxGaps; ev.Seq++ {
+		if err := st.Append(ev); err == nil || errors.Is(err, ErrOutOfOrder) {
+			t.Fatalf("append of seq %d through a read-only handle: %v", ev.Seq, err)
+		}
+	}
+	restore()
+	if err := st.Append(ev); err == nil {
+		t.Fatalf("append of seq %d past %d pending gaps succeeded", ev.Seq, maxGaps)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, want := st.LastSeq(), uint64(4+maxGaps); got != want {
+		t.Fatalf("reopened LastSeq = %d, want %d", got, want)
+	}
+}
+
+// failWrites swaps the active segment's file handle for a read-only one,
+// so writes and truncation fail, and returns the function that swaps the
+// real handle back and returns it.
+func failWrites(t *testing.T, st *Store) (restore func() *os.File) {
+	t.Helper()
+	real := st.w.f
+	ro, err := os.Open(real.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.w.f = ro
+	return func() *os.File {
+		st.w.f = real
+		ro.Close()
+		return real
+	}
+}
+
+// gapOf is the gap a failed append of ev reads back as.
+func gapOf(ev Event) Event {
+	return Event{Seq: ev.Seq, Time: ev.Time, Kind: ev.Kind}
+}
+
+// seal seals the active segment now, as reaching Options.SegmentBytes
+// would; the next append starts a new segment.
+func (s *Store) seal() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	s.tail = nil
+	if len(s.gaps) == 0 && (s.w == nil || s.w.count() == 0) {
+		return nil
+	}
+	return s.sealLocked()
 }

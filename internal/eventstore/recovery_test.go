@@ -478,7 +478,7 @@ func TestInconsistentEventRejected(t *testing.T) {
 	}
 	evs := testEvents(40)
 	appendAll(t, st, evs[:24])
-	if err := st.Seal(); err != nil {
+	if err := st.seal(); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, st, evs[24:])

@@ -27,7 +27,7 @@ func TestReplayActiveWindows(t *testing.T) {
 	}
 	defer st.Close()
 	appendAll(t, st, evs[:12])
-	if err := st.Seal(); err != nil {
+	if err := st.seal(); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, st, evs[12:])

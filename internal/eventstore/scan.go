@@ -11,7 +11,8 @@ import (
 // Query selects the events a Scan delivers. The zero Query matches
 // everything.
 type Query struct {
-	// Kind, when non-zero, matches events of that payload kind.
+	// Kind, when non-zero, matches events with a payload of that kind:
+	// never a gap, which has no payload.
 	Kind uint8
 }
 
@@ -194,7 +195,7 @@ func (seg *segment) walk(lo, hi uint64, kind uint8, copyOut bool, scratch *[]net
 			return corrupt(ord, "event body invalid or out of sequence")
 		}
 		bytes += end - off
-		if kind != 0 && e.kind != kind {
+		if kind != 0 && (e.kind != kind || len(e.payload) == 0) {
 			continue
 		}
 		ev, ok := makeEvent(&e, &idx.segDicts, scratch, copyOut)
@@ -235,7 +236,7 @@ func (s *Store) readActive(sn snapshot, kind uint8, copyOut bool, scratch *[]net
 		}
 		next++
 		bytes += frameHeaderLen + int64(len(body))
-		if kind != 0 && e.kind != kind {
+		if kind != 0 && (e.kind != kind || len(e.payload) == 0) {
 			return true
 		}
 		ev, ok := makeEvent(&e, &sn.dicts, scratch, copyOut)

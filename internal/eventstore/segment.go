@@ -324,6 +324,12 @@ type segWriter struct {
 
 	buf []byte   // per-append frame assembly buffer
 	ids []uint32 // per-append prefix ids
+
+	// pend holds the frames of the gaps waiting for a write, each encoded
+	// once, and pendOff their offsets in it. Dictionary entries the gaps
+	// intern stay: pend is written ahead of anything else.
+	pend    []byte
+	pendOff []int
 }
 
 // Convenience accessors mirroring the sealed-segment index.
@@ -353,11 +359,11 @@ func newSegWriter(dir string, baseSeq uint64) (*segWriter, error) {
 }
 
 // reopenSegWriter continues a sealed segment: its data file reopens for
-// appending, and the offset table, time bounds and dictionaries start
+// writing past its last frame, and the offset table, time bounds and dictionaries start
 // from its index. The writer only appends past the index's lengths, so
 // scans still reading the segment never see its writes.
 func reopenSegWriter(seg *segment) (*segWriter, error) {
-	f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(seg.path, os.O_WRONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("eventstore: %w", err)
 	}
@@ -455,21 +461,74 @@ func (w *segWriter) internPrefix(p netip.Prefix) uint32 {
 	return id
 }
 
-// append encodes ev (dictionary frames for any new entries, then the event
-// frame) and writes it with a single Write call. It returns the byte count
-// written.
-func (w *segWriter) append(ev Event) (int, error) {
-	if len(ev.Prefixes) > 0xffff {
-		return 0, fmt.Errorf("eventstore: %d prefixes in one event", len(ev.Prefixes))
+// writeGaps writes a gap frame for each of gaps, sequences first,
+// first+1, …: an event frame with the failed event's time and kind and no
+// collector name, peer, prefixes or payload. gaps extends the list of the
+// previous call that failed, if any: only its new gaps are encoded, so a
+// disk that keeps failing costs each failed append one encode.
+func (w *segWriter) writeGaps(first uint64, gaps []gap) (int, error) {
+	w.buf, w.pend = w.pend, w.buf
+	for i := len(w.pendOff); i < len(gaps); i++ {
+		ev := Event{Seq: first + uint64(i), Time: time.Unix(0, gaps[i].ns), Kind: gaps[i].kind}
+		w.pendOff = append(w.pendOff, w.encode(ev))
 	}
-	// Reject before interning anything: a dictionary entry interned for a
-	// refused event would never reach the file.
+	w.buf, w.pend = w.pend, w.buf
+	if err := w.write(w.pend); err != nil {
+		return 0, err
+	}
+	for i, off := range w.pendOff {
+		w.bld.addEvent(first+uint64(i), gaps[i].ns, w.size+int64(off))
+	}
+	n := len(w.pend)
+	w.size += int64(n)
+	w.pend, w.pendOff = w.pend[:0], w.pendOff[:0]
+	return n, nil
+}
+
+// append encodes ev (dictionary frames for any new entries, then the event
+// frame) and writes it with a single write. A failed write leaves no
+// dictionary or index entry behind. It returns the byte count written.
+func (w *segWriter) append(ev Event) (int, error) {
+	dicts := w.dicts
+	w.buf = w.buf[:0]
+	off := w.encode(ev)
+	if err := w.write(w.buf); err != nil {
+		w.forget(dicts)
+		return 0, err
+	}
+	w.bld.addEvent(ev.Seq, ev.Time.UnixNano(), w.size+int64(off))
+	w.size += int64(len(w.buf))
+	return len(w.buf), nil
+}
+
+// write writes b at the end of the last whole frame. The bytes a failed
+// write may leave past that end are cut; if that fails too, the next
+// write overwrites them and the seal cuts what remains.
+func (w *segWriter) write(b []byte) error {
+	if _, err := w.f.WriteAt(b, w.size); err != nil {
+		w.f.Truncate(w.size)
+		return fmt.Errorf("eventstore: append %s: %w", filepath.Base(w.path), err)
+	}
+	return nil
+}
+
+// checkEvent refuses an event the format cannot hold.
+func checkEvent(ev Event) error {
+	if len(ev.Prefixes) > 0xffff {
+		return fmt.Errorf("eventstore: %d prefixes in one event", len(ev.Prefixes))
+	}
 	for _, p := range ev.Prefixes {
 		if !p.IsValid() {
-			return 0, fmt.Errorf("eventstore: invalid prefix %v", p)
+			return fmt.Errorf("eventstore: invalid prefix %v", p)
 		}
 	}
-	w.buf = w.buf[:0]
+	return nil
+}
+
+// encode appends ev's frames to w.buf — dictionary frames for any new
+// entries, then the event frame — and returns the event frame's offset in
+// w.buf.
+func (w *segWriter) encode(ev Event) int {
 	collID := w.internCollector(ev.Collector)
 	peerID := noPeer
 	if ev.PeerAS != 0 || ev.PeerAddr.IsValid() {
@@ -482,7 +541,7 @@ func (w *segWriter) append(ev Event) (int, error) {
 		w.ids = append(w.ids, w.internPrefix(p))
 	}
 	ns := ev.Time.UnixNano()
-	eventOff := w.size + int64(len(w.buf))
+	off := len(w.buf)
 	w.frame(fkEvent, func(b []byte) []byte {
 		b = le.AppendUint64(b, ev.Seq)
 		b = le.AppendUint64(b, uint64(ns))
@@ -495,16 +554,32 @@ func (w *segWriter) append(ev Event) (int, error) {
 		}
 		return append(b, ev.Payload...)
 	})
-	if _, err := w.f.Write(w.buf); err != nil {
-		return 0, fmt.Errorf("eventstore: append %s: %w", filepath.Base(w.path), err)
-	}
-	w.bld.addEvent(ev.Seq, ns, eventOff)
-	w.size += int64(len(w.buf))
-	return len(w.buf), nil
+	return off
 }
 
-// seal fsyncs the data file and reopens the segment for mmap'd reads.
+// forget drops the dictionary entries interned since the snapshot d was
+// taken. Readers only ever snapshot the dictionaries between appends, so
+// none holds the dropped entries.
+func (w *segWriter) forget(d segDicts) {
+	for _, name := range w.dicts.colls[len(d.colls):] {
+		delete(w.collIdx, name)
+	}
+	for _, pk := range w.dicts.peers[len(d.peers):] {
+		delete(w.peerIdx, pk)
+	}
+	for _, p := range w.dicts.prefs[len(d.prefs):] {
+		delete(w.prefIdx, p)
+	}
+	w.dicts = d
+}
+
+// seal cuts the data file at its last whole frame, fsyncs it and reopens
+// the segment for mmap'd reads.
 func (w *segWriter) seal(m *Metrics) (*segment, error) {
+	if err := w.f.Truncate(w.size); err != nil {
+		w.f.Close()
+		return nil, fmt.Errorf("eventstore: truncate %s: %w", filepath.Base(w.path), err)
+	}
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()

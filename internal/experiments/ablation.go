@@ -33,7 +33,7 @@ func runAblation(cfg Config) (*Result, error) {
 	noDedup := full.Filter(zombie.FilterOptions{IncludeDuplicates: true, ExcludePeerAS: d.NoisyPeerAS})
 	noNoisyFilter := full.Filter(zombie.FilterOptions{})
 	noSessionState := noSessions.Filter(zombie.FilterOptions{ExcludePeerAS: d.NoisyPeerAS})
-	legacyLike := (&zombie.LegacyDetector{Seed: cfg.Seed, Availability: 0.89}).
+	legacyLike := (&zombie.LegacyDetector{Seed: cfg.Seed}).
 		Detect(h, d.Intervals).
 		Filter(zombie.FilterOptions{IncludeDuplicates: true})
 

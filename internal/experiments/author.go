@@ -47,30 +47,49 @@ type AuthorConfig struct {
 	Seed       uint64
 	SlotStride int // 1 = the paper's 96/day; larger thins the schedule
 
-	Approach1Start, Approach1End time.Time
-	Approach2Start, Approach2End time.Time
-	ROARemoveAt                  time.Time
+	// Approach1Start is the first 24h-recycle announcement, Approach2End
+	// the last 15d-recycle withdrawal, and TrackUntil the end of the RIB
+	// dump tracking (the paper's 2025-05-09).
+	Approach1Start, Approach2End time.Time
 	TrackUntil                   time.Time
-	DumpEvery                    time.Duration
+}
 
-	// Noisy collector peers (Table 5).
-	Noisy211509Prob, Noisy211380Prob float64
+// The rest of the paper's timeline (§4): the 24h-recycle approach ends
+// 2024-06-10 09:30, the 15d-recycle one starts two hours later, and the
+// beacons' maxlen-48 ROA is removed 2024-06-22 19:49.
+var (
+	approach1End   = time.Date(2024, 6, 10, 9, 30, 0, 0, time.UTC)
+	approach2Start = time.Date(2024, 6, 10, 11, 30, 0, 0, time.UTC)
+	roaRemoveAt    = time.Date(2024, 6, 22, 19, 49, 0, 0, time.UTC)
+)
 
-	// TransientWedgeProb is the per-announcement probability of a slow-
+// The scenario's calibration against Tables 1–5 and Figs. 2–3.
+const (
+	// dumpEvery is RIS's RIB dump cadence (8-hourly), the one lifespan
+	// tracking assumes.
+	dumpEvery = 8 * time.Hour
+
+	// Noisy collector peers (Table 5): the probability that each drops a
+	// withdrawal toward the collector.
+	noisy211509Prob = 0.099
+	noisy211380Prob = 0.070
+
+	// transientWedgeProb is the per-announcement probability of a slow-
 	// convergence wedge on a random peer's upstream (zombies that clear
 	// between 1.5h and ~3.5h — the Fig. 2 decay).
-	TransientWedgeProb float64
-	// OrganicLongWedges is how many multi-day organic zombies to inject
+	transientWedgeProb = 0.105
+	// organicLongWedges is how many multi-day organic zombies to inject
 	// (the lower tail of Fig. 3).
-	OrganicLongWedges int
-	GenericPeers      int
+	organicLongWedges = 3
+	// genericPeers is how many generic RIS peer ASes add path diversity.
+	genericPeers = 8
 
-	// NoisySessionResetEvery is the mean interval between the noisy
+	// noisySessionResetEvery is the mean interval between the noisy
 	// peers' collector session flaps. Real RIS sessions flap now and
 	// then; without this, a dropped withdrawal would freeze the
 	// collector's view of the peer until the end of time.
-	NoisySessionResetEvery time.Duration
-}
+	noisySessionResetEvery = 21 * 24 * time.Hour
+)
 
 // DefaultAuthorConfig mirrors the paper's timeline; scale thins the
 // 15-minute slot grid (scale=1 → 96 prefixes/day as deployed).
@@ -79,21 +98,11 @@ func DefaultAuthorConfig(seed uint64, scale int) AuthorConfig {
 		scale = 8
 	}
 	return AuthorConfig{
-		Seed:                   seed,
-		SlotStride:             scale,
-		Approach1Start:         time.Date(2024, 6, 4, 11, 45, 0, 0, time.UTC),
-		Approach1End:           time.Date(2024, 6, 10, 9, 30, 0, 0, time.UTC),
-		Approach2Start:         time.Date(2024, 6, 10, 11, 30, 0, 0, time.UTC),
-		Approach2End:           time.Date(2024, 6, 22, 17, 30, 0, 0, time.UTC),
-		ROARemoveAt:            time.Date(2024, 6, 22, 19, 49, 0, 0, time.UTC),
-		TrackUntil:             time.Date(2025, 5, 9, 0, 0, 0, 0, time.UTC),
-		DumpEvery:              8 * time.Hour,
-		Noisy211509Prob:        0.099,
-		Noisy211380Prob:        0.070,
-		TransientWedgeProb:     0.105,
-		OrganicLongWedges:      3,
-		GenericPeers:           8,
-		NoisySessionResetEvery: 21 * 24 * time.Hour,
+		Seed:           seed,
+		SlotStride:     scale,
+		Approach1Start: time.Date(2024, 6, 4, 11, 45, 0, 0, time.UTC),
+		Approach2End:   time.Date(2024, 6, 22, 17, 30, 0, 0, time.UTC),
+		TrackUntil:     time.Date(2025, 5, 9, 0, 0, 0, 0, time.UTC),
 	}
 }
 
@@ -128,7 +137,7 @@ type AuthorData struct {
 
 // buildAuthorGraph wires the named actors so that the paper's quoted AS
 // paths fall out of the decision process.
-func buildAuthorGraph(cfg AuthorConfig) (*topology.Graph, []bgp.ASN, error) {
+func buildAuthorGraph() (*topology.Graph, []bgp.ASN, error) {
 	g := topology.New()
 	add := func(asn bgp.ASN, name string, tier int) { g.AddAS(asn, name, tier) }
 	add(AS1299, "Arelion", 1)
@@ -203,7 +212,7 @@ func buildAuthorGraph(cfg AuthorConfig) (*topology.Graph, []bgp.ASN, error) {
 	}
 	// Generic RIS peers for diversity.
 	generic := []bgp.ASN{AS1299, AS6939, AS34549, AS43100, AS10429, AS3356, AS12956, AS174}
-	for i := 0; i < cfg.GenericPeers; i++ {
+	for i := 0; i < genericPeers; i++ {
 		asn := bgp.ASN(65200 + i)
 		add(asn, fmt.Sprintf("ris-peer-%d", i), 4)
 		links = append(links, link{"c", asn, generic[i%len(generic)]})
@@ -241,7 +250,7 @@ func v6PeerAddr(asn bgp.ASN, idx int) netip.Addr {
 // aftermath: both recycle approaches, the scripted case studies, the ROA
 // removal, and nearly a year of 8-hourly RIB dumps.
 func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
-	g, peers, err := buildAuthorGraph(cfg)
+	g, peers, err := buildAuthorGraph()
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +264,7 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 	epoch := cfg.Approach1Start.Add(-24 * time.Hour)
 	reg.Add(epoch, roa32)
 	reg.Add(epoch, roa48)
-	reg.Remove(cfg.ROARemoveAt, roa48)
+	reg.Remove(roaRemoveAt, roa48)
 
 	sim := netsim.New(g, netsim.Config{Seed: cfg.Seed, ROA: reg})
 	fleet := collector.NewFleet()
@@ -308,10 +317,10 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 	// Beacon schedules.
 	sched1 := &beacon.AuthorSchedule{Base: AuthorBase, OriginAS: AuthorOriginAS, Approach: beacon.Recycle24h, SlotStride: cfg.SlotStride}
 	sched2 := &beacon.AuthorSchedule{Base: AuthorBase, OriginAS: AuthorOriginAS, Approach: beacon.Recycle15d, SlotStride: cfg.SlotStride}
-	events := append(sched1.Events(cfg.Approach1Start, cfg.Approach1End),
-		sched2.Events(cfg.Approach2Start, cfg.Approach2End)...)
-	intervals := append(sched1.Intervals(cfg.Approach1Start, cfg.Approach1End),
-		sched2.Intervals(cfg.Approach2Start, cfg.Approach2End)...)
+	events := append(sched1.Events(cfg.Approach1Start, approach1End),
+		sched2.Events(approach2Start, cfg.Approach2End)...)
+	intervals := append(sched1.Intervals(cfg.Approach1Start, approach1End),
+		sched2.Intervals(approach2Start, cfg.Approach2End)...)
 	announcements := 0
 	annByPrefix := make(map[netip.Prefix][]beacon.Event)
 	for _, ev := range events {
@@ -465,17 +474,17 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 	// would cure them early): peer 0 hosts the 85-day case, the last
 	// third hosts the organic multi-day zombies, the middle the
 	// transient ones.
-	genericPeers := make([]bgp.ASN, 0, cfg.GenericPeers)
-	for i := 0; i < cfg.GenericPeers; i++ {
-		genericPeers = append(genericPeers, bgp.ASN(65200+i))
+	genericASNs := make([]bgp.ASN, 0, genericPeers)
+	for i := 0; i < genericPeers; i++ {
+		genericASNs = append(genericASNs, bgp.ASN(65200+i))
 	}
-	transientPool := genericPeers[1 : 1+(len(genericPeers)-1)*2/3]
-	organicPool := genericPeers[1+(len(genericPeers)-1)*2/3:]
+	transientPool := genericASNs[1 : 1+(genericPeers-1)*2/3]
+	organicPool := genericASNs[1+(genericPeers-1)*2/3:]
 
 	// Case 6 — an ~85-day organic zombie for the Fig. 3 mid-tail.
 	if ev, ok := slotAt(time.Date(2024, 6, 20, 4, 0, 0, 0, time.UTC)); !scripted[ev.Prefix] && ok {
 		c := addCase("organic85", ev)
-		peer := genericPeers[0]
+		peer := genericASNs[0]
 		provider := g.AS(peer).Providers()[0]
 		end := c.WithdrawAt.Add(85 * 24 * time.Hour)
 		faults.WedgeLink(provider, peer, bgp.AFIIPv6, c.WithdrawAt.Add(-5*time.Minute), end, matchOne(c.Prefix))
@@ -485,8 +494,8 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 	}
 
 	// Noisy collector peers (Table 5).
-	faults.DropCollectorWithdrawals(AS211509, cfg.Noisy211509Prob, nil)
-	faults.DropCollectorWithdrawals(AS211380, cfg.Noisy211380Prob, nil)
+	faults.DropCollectorWithdrawals(AS211509, noisy211509Prob, nil)
+	faults.DropCollectorWithdrawals(AS211380, noisy211380Prob, nil)
 
 	// Transient slow-convergence wedges: the Fig. 2 decay between 90 and
 	// 180 minutes.
@@ -494,7 +503,7 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 		if !ev.Announce || scripted[ev.Prefix] {
 			continue
 		}
-		if rng.Float64() >= cfg.TransientWedgeProb {
+		if rng.Float64() >= transientWedgeProb {
 			continue
 		}
 		peer := transientPool[rng.IntN(len(transientPool))]
@@ -507,8 +516,8 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 		}
 	}
 	// Organic multi-day zombies (Fig. 3 lower tail).
-	for i := 0; i < cfg.OrganicLongWedges; i++ {
-		at := cfg.Approach2Start.Add(time.Duration(rng.Int64N(int64(cfg.Approach2End.Sub(cfg.Approach2Start)))))
+	for i := 0; i < organicLongWedges; i++ {
+		at := approach2Start.Add(time.Duration(rng.Int64N(int64(cfg.Approach2End.Sub(approach2Start)))))
 		ev, ok := slotAt(at)
 		if !ok || scripted[ev.Prefix] {
 			continue
@@ -527,27 +536,25 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 	// The noisy peers' collector sessions flap every few weeks, clearing
 	// frozen measurement-level zombies (their table replay restores only
 	// routes the peer really still holds).
-	if cfg.NoisySessionResetEvery > 0 {
-		for _, s := range sessions {
-			if s.PeerAS != AS211509 && s.PeerAS != AS211380 {
-				continue
-			}
-			step := cfg.NoisySessionResetEvery
-			at := cfg.Approach1Start.Add(step/2 + time.Duration(rng.Int64N(int64(step))))
-			for ; at.Before(cfg.TrackUntil); at = at.Add(step + time.Duration(rng.Int64N(int64(step/2)))) {
-				if err := sim.ScheduleCollectorSessionReset(at, s); err != nil {
-					return nil, err
-				}
+	for _, s := range sessions {
+		if s.PeerAS != AS211509 && s.PeerAS != AS211380 {
+			continue
+		}
+		const step = noisySessionResetEvery
+		at := cfg.Approach1Start.Add(step/2 + time.Duration(rng.Int64N(int64(step))))
+		for ; at.Before(cfg.TrackUntil); at = at.Add(step + time.Duration(rng.Int64N(int64(step/2)))) {
+			if err := sim.ScheduleCollectorSessionReset(at, s); err != nil {
+				return nil, err
 			}
 		}
 	}
 
 	// ROA removal: enforcing ASes revalidate shortly after.
-	sim.ScheduleROARevalidation(cfg.ROARemoveAt)
+	sim.ScheduleROARevalidation(roaRemoveAt)
 
 	// Run, interleaving the 8-hourly RIB dumps.
 	sim.EstablishCollectorSessions(cfg.Approach1Start.Add(-time.Hour))
-	for t := cfg.Approach1Start.Truncate(cfg.DumpEvery).Add(cfg.DumpEvery); t.Before(cfg.TrackUntil); t = t.Add(cfg.DumpEvery) {
+	for t := cfg.Approach1Start.Truncate(dumpEvery).Add(dumpEvery); t.Before(cfg.TrackUntil); t = t.Add(dumpEvery) {
 		sim.Run(t)
 		fleet.SnapshotRIBs(t)
 	}

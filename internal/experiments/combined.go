@@ -31,7 +31,7 @@ func init() {
 // prefixes are more prone" observation.
 func runCombined(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, peers, err := buildAuthorGraph(DefaultAuthorConfig(cfg.Seed, cfg.Scale))
+	g, peers, err := buildAuthorGraph()
 	if err != nil {
 		return nil, err
 	}

@@ -129,12 +129,7 @@ func replicationData(cfg Config) ([]*periodDetection, error) {
 		dets[i] = &periodDetection{
 			data:   pd,
 			report: (&zombie.Detector{RecordPaths: true}).DetectFromHistory(h, pd.Intervals),
-			// The legacy looking-glass pipeline lost a substantial share
-			// of checks to service lag, outages and updates (the paper's
-			// §3.1 lists the RIPEstat changes); 0.89 availability
-			// reproduces the paper's finding that raw data surfaces
-			// ~12.5% more outbreaks.
-			legacy: (&zombie.LegacyDetector{Seed: cfg.Seed, Availability: 0.89}).Detect(h, pd.Intervals),
+			legacy: (&zombie.LegacyDetector{Seed: cfg.Seed}).Detect(h, pd.Intervals),
 		}
 	}
 	replCache[cfg] = dets
@@ -172,7 +167,7 @@ func authorData(cfg Config) (*authorAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	lr, err := zombie.TrackLifespans(d.Dumps, d.Intervals, zombie.LifespanConfig{DumpInterval: d.Config.DumpEvery})
+	lr, err := zombie.TrackLifespans(d.Dumps, d.Intervals, zombie.LifespanConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"zombiescope/internal/analysis"
-	"zombiescope/internal/bgp"
 	"zombiescope/internal/zombie"
 )
 
@@ -238,12 +237,4 @@ func runTable5(cfg Config) (*Result, error) {
 	tbl.Render(&sb)
 	sb.WriteString("\nThe two AS211509 router addresses report identical counts (one router, two sessions), as in the paper.\n")
 	return &Result{ID: "Table5", Text: sb.String(), Metrics: metrics}, nil
-}
-
-// familyName maps an AFI to the paper's label.
-func familyName(afi bgp.AFI) string {
-	if afi == bgp.AFIIPv4 {
-		return "IPv4"
-	}
-	return "IPv6"
 }

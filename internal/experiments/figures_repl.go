@@ -199,10 +199,3 @@ func runFig7(cfg Config) (*Result, error) {
 	sb.WriteString("(paper: 22.35%/34.04% of v4/v6 outbreaks occur singly with dc; 26.38%/37.97% deduped)\n")
 	return &Result{ID: "Fig7", Text: sb.String(), Metrics: metrics}, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -33,63 +33,74 @@ const NoisyReplicationPeer bgp.ASN = 16347
 // beacons' origin).
 const RISOriginAS bgp.ASN = 12654
 
-// WedgeParams controls the long-lived link wedges that create
+// wedgeParams controls the long-lived link wedges that create
 // multi-interval (double-counted) zombies for one address family.
-type WedgeParams struct {
-	Count  int
-	MinDur time.Duration
-	MaxDur time.Duration
-	// AllCount of the Count wedges freeze a broad prefix set at once
+type wedgeParams struct {
+	count  int
+	minDur time.Duration
+	maxDur time.Duration
+	// allCount of the count wedges freeze a broad prefix set at once
 	// (the rest freeze 1-2 random prefixes); the paper observes that a
 	// quarter of IPv4 outbreaks hit all beacons simultaneously.
-	AllCount int
-	// BroadSize bounds how many prefixes a broad (AllCount) wedge
+	allCount int
+	// broadSize bounds how many prefixes a broad (allCount) wedge
 	// freezes; 0 means the whole family.
-	BroadSize int
+	broadSize int
 }
 
-// DropParams controls per-link withdrawal loss, creating single-interval
+// dropParams controls per-link withdrawal loss, creating single-interval
 // (fresh) zombies for one address family.
-type DropParams struct {
-	// Links is how many peer-adjacent links lose withdrawals.
-	Links int
-	// Prob is the per-withdrawal loss probability on those links.
-	Prob float64
+type dropParams struct {
+	// links is how many peer-adjacent links lose withdrawals.
+	links int
+	// prob is the per-withdrawal loss probability on those links.
+	prob float64
 }
 
-// ReplicationPeriod is one of the paper's three measurement periods.
-type ReplicationPeriod struct {
-	Name  string
-	Start time.Time
-	Days  int // already scaled
+// replicationPeriod is one of the paper's three measurement periods.
+type replicationPeriod struct {
+	name  string
+	start time.Time
+	days  int // already scaled
 
-	Wedge4, Wedge6 WedgeParams
-	Drop4, Drop6   DropParams
+	wedge4, wedge6 wedgeParams
+	drop4, drop6   dropParams
 }
+
+// The replication scenario's calibration against Tables 1–4.
+const (
+	// replicationPeers is how many RIS peer ASes there are besides the
+	// noisy one.
+	replicationPeers = 30
+	// AS16347's two failure modes (the paper's Table 4 signature): its
+	// IPv6 zombies are fresh every interval (withdrawals toward the
+	// collector are lost with noisyV6DropProb ≈ 43%, likelihood barely
+	// changed by dedup), while its IPv4 zombies are frozen long-wedge
+	// duplicates (sessions wedge for noisyV4WedgeFrac of the period,
+	// nearly all removed by dedup).
+	noisyV6DropProb  = 0.43
+	noisyV4WedgeFrac = 0.09
+	// backgroundDropProb is a small per-withdrawal loss probability on
+	// every directed link, spreading rare zombies across all
+	// <beacon, peer> pairs as the paper observes in the wild.
+	backgroundDropProb = 0.0004
+)
 
 // ReplicationConfig parameterizes the §3 replication scenario.
 type ReplicationConfig struct {
-	Seed      uint64
-	PeerCount int // RIS peer ASes (excluding the noisy one)
-	Periods   []ReplicationPeriod
-	// AS16347's two failure modes (the paper's Table 4 signature): its
-	// IPv6 zombies are fresh every interval (withdrawals toward the
-	// collector are lost with NoisyV6DropProb ≈ 43%, likelihood barely
-	// changed by dedup), while its IPv4 zombies are frozen long-wedge
-	// duplicates (sessions wedge for NoisyV4WedgeFrac of the period,
-	// nearly all removed by dedup).
-	NoisyV6DropProb  float64
-	NoisyV4WedgeFrac float64
-	// BackgroundDropProb is a small per-withdrawal loss probability on
-	// every directed link, spreading rare zombies across all
-	// <beacon, peer> pairs as the paper observes in the wild.
-	BackgroundDropProb float64
+	Seed  uint64
+	scale int // divides the periods' durations; 0 means 8
 }
 
 // DefaultReplicationConfig mirrors the paper's three periods at 1/scale
 // duration. scale=8 keeps a full run in seconds; scale=1 is the paper's
 // full length.
 func DefaultReplicationConfig(seed uint64, scale int) ReplicationConfig {
+	return ReplicationConfig{Seed: seed, scale: scale}
+}
+
+// replicationPeriods is the paper's three periods at 1/scale duration.
+func replicationPeriods(scale int) []replicationPeriod {
 	if scale <= 0 {
 		scale = 8
 	}
@@ -113,53 +124,46 @@ func DefaultReplicationConfig(seed uint64, scale int) ReplicationConfig {
 		return c
 	}
 	d2018, dOct, dMar := days(44), days(89), days(59)
-	return ReplicationConfig{
-		Seed:      seed,
-		PeerCount: 30,
-		Periods: []ReplicationPeriod{
-			{
-				// 2018-07-19 – 2018-08-31: heavy IPv4 double-counting
-				// (-57.8% after dedup), moderate IPv6 (-31%).
-				Name:   "Jul 19 - Aug 31, 2018",
-				Start:  time.Date(2018, 7, 19, 0, 0, 0, 0, time.UTC),
-				Days:   d2018,
-				Wedge4: WedgeParams{Count: scaled(9, 44, d2018), AllCount: scaled(9, 44, d2018), MinDur: 16 * time.Hour, MaxDur: 20 * time.Hour},
-				Wedge6: WedgeParams{Count: scaled(8, 44, d2018), AllCount: scaled(8, 44, d2018), MinDur: 12 * time.Hour, MaxDur: 15 * time.Hour},
-				Drop4:  DropParams{Links: 5, Prob: 0.006},
-				Drop6:  DropParams{Links: 8, Prob: 0.014},
-			},
-			{
-				// 2017-10-01 – 2017-12-28: IPv4 -32.8%, IPv6 nearly no
-				// double-counting.
-				Name:   "Oct 01 - Dec 28, 2017",
-				Start:  time.Date(2017, 10, 1, 0, 0, 0, 0, time.UTC),
-				Days:   dOct,
-				Wedge4: WedgeParams{Count: scaled(10, 89, dOct), AllCount: scaled(10, 89, dOct), BroadSize: 9, MinDur: 12 * time.Hour, MaxDur: 15 * time.Hour},
-				Wedge6: WedgeParams{Count: 2, AllCount: 0, MinDur: 2 * time.Hour, MaxDur: 3 * time.Hour},
-				Drop4:  DropParams{Links: 6, Prob: 0.0085},
-				Drop6:  DropParams{Links: 9, Prob: 0.019},
-			},
-			{
-				// 2017-03-01 – 2017-04-28: IPv4 -26%, IPv6 no
-				// double-counting at all.
-				Name:   "Mar 01 - Apr 28, 2017",
-				Start:  time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC),
-				Days:   dMar,
-				Wedge4: WedgeParams{Count: scaled(17, 59, dMar), AllCount: scaled(17, 59, dMar), BroadSize: 10, MinDur: 12 * time.Hour, MaxDur: 17 * time.Hour},
-				Wedge6: WedgeParams{Count: 1, AllCount: 0, MinDur: 90 * time.Minute, MaxDur: 3 * time.Hour},
-				Drop4:  DropParams{Links: 10, Prob: 0.019},
-				Drop6:  DropParams{Links: 5, Prob: 0.019},
-			},
+	return []replicationPeriod{
+		{
+			// 2018-07-19 – 2018-08-31: heavy IPv4 double-counting
+			// (-57.8% after dedup), moderate IPv6 (-31%).
+			name:   "Jul 19 - Aug 31, 2018",
+			start:  time.Date(2018, 7, 19, 0, 0, 0, 0, time.UTC),
+			days:   d2018,
+			wedge4: wedgeParams{count: scaled(9, 44, d2018), allCount: scaled(9, 44, d2018), minDur: 16 * time.Hour, maxDur: 20 * time.Hour},
+			wedge6: wedgeParams{count: scaled(8, 44, d2018), allCount: scaled(8, 44, d2018), minDur: 12 * time.Hour, maxDur: 15 * time.Hour},
+			drop4:  dropParams{links: 5, prob: 0.006},
+			drop6:  dropParams{links: 8, prob: 0.014},
 		},
-		NoisyV6DropProb:    0.43,
-		NoisyV4WedgeFrac:   0.09,
-		BackgroundDropProb: 0.0004,
+		{
+			// 2017-10-01 – 2017-12-28: IPv4 -32.8%, IPv6 nearly no
+			// double-counting.
+			name:   "Oct 01 - Dec 28, 2017",
+			start:  time.Date(2017, 10, 1, 0, 0, 0, 0, time.UTC),
+			days:   dOct,
+			wedge4: wedgeParams{count: scaled(10, 89, dOct), allCount: scaled(10, 89, dOct), broadSize: 9, minDur: 12 * time.Hour, maxDur: 15 * time.Hour},
+			wedge6: wedgeParams{count: 2, allCount: 0, minDur: 2 * time.Hour, maxDur: 3 * time.Hour},
+			drop4:  dropParams{links: 6, prob: 0.0085},
+			drop6:  dropParams{links: 9, prob: 0.019},
+		},
+		{
+			// 2017-03-01 – 2017-04-28: IPv4 -26%, IPv6 no
+			// double-counting at all.
+			name:   "Mar 01 - Apr 28, 2017",
+			start:  time.Date(2017, 3, 1, 0, 0, 0, 0, time.UTC),
+			days:   dMar,
+			wedge4: wedgeParams{count: scaled(17, 59, dMar), allCount: scaled(17, 59, dMar), broadSize: 10, minDur: 12 * time.Hour, maxDur: 17 * time.Hour},
+			wedge6: wedgeParams{count: 1, allCount: 0, minDur: 90 * time.Minute, maxDur: 3 * time.Hour},
+			drop4:  dropParams{links: 10, prob: 0.019},
+			drop6:  dropParams{links: 5, prob: 0.019},
+		},
 	}
 }
 
 // PeriodData is the archive of one replication period.
 type PeriodData struct {
-	Period    ReplicationPeriod
+	Name      string // the period, e.g. "Jul 19 - Aug 31, 2018"
 	Updates   map[string][]byte
 	Intervals []beacon.Interval
 	// Announcements per family, the likelihood denominators.
@@ -171,17 +175,17 @@ type PeriodData struct {
 // processes them) and returns the archives.
 func RunReplication(cfg ReplicationConfig) ([]*PeriodData, error) {
 	var out []*PeriodData
-	for i, period := range cfg.Periods {
-		pd, err := runReplicationPeriod(cfg, period, cfg.Seed+uint64(i)*1000)
+	for i, period := range replicationPeriods(cfg.scale) {
+		pd, err := runReplicationPeriod(period, cfg.Seed+uint64(i)*1000)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: period %q: %w", period.Name, err)
+			return nil, fmt.Errorf("experiments: period %q: %w", period.name, err)
 		}
 		out = append(out, pd)
 	}
 	return out, nil
 }
 
-func runReplicationPeriod(cfg ReplicationConfig, period ReplicationPeriod, seed uint64) (*PeriodData, error) {
+func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, error) {
 	rng := rand.New(rand.NewPCG(seed, 0x5e91))
 	topoCfg := topology.GenerateConfig{
 		Seed:          seed,
@@ -210,8 +214,8 @@ func runReplicationPeriod(cfg ReplicationConfig, period ReplicationPeriod, seed 
 	// RIS peers: fresh stub ASes spread under tier-2/3 transits, plus the
 	// noisy AS16347 at rrc21.
 	collectors := []string{"rrc00", "rrc01", "rrc21"}
-	peers := make([]bgp.ASN, 0, cfg.PeerCount)
-	for i := 0; i < cfg.PeerCount; i++ {
+	peers := make([]bgp.ASN, 0, replicationPeers)
+	for i := 0; i < replicationPeers; i++ {
 		asn := bgp.ASN(65000 + i)
 		g.AddAS(asn, fmt.Sprintf("ris-peer-%d", i), 4)
 		var transit bgp.ASN
@@ -265,8 +269,8 @@ func runReplicationPeriod(cfg ReplicationConfig, period ReplicationPeriod, seed 
 	// Beacon schedule.
 	v4Prefixes, v6Prefixes := beacon.DefaultRISPrefixes(RISOriginAS)
 	sched := &beacon.RISSchedule{Prefixes4: v4Prefixes, Prefixes6: v6Prefixes, OriginAS: RISOriginAS}
-	start := period.Start
-	end := start.Add(time.Duration(period.Days) * 24 * time.Hour)
+	start := period.start
+	end := start.Add(time.Duration(period.days) * 24 * time.Hour)
 
 	// Faults.
 	faults := sim.Faults()
@@ -276,19 +280,16 @@ func runReplicationPeriod(cfg ReplicationConfig, period ReplicationPeriod, seed 
 	// AS16347's IPv6 failure mode: its exports toward the collector lose
 	// withdrawals ~43% of the time — fresh zombies every interval, which
 	// dedup barely changes (the paper's Table 4 signature).
-	faults.DropCollectorWithdrawals(NoisyReplicationPeer, cfg.NoisyV6DropProb,
+	faults.DropCollectorWithdrawals(NoisyReplicationPeer, noisyV6DropProb,
 		matchFamily(bgp.AFIIPv6))
 	// Its IPv4 failure mode: long collector-session wedges covering
-	// roughly NoisyV4WedgeFrac of the period (back-to-back windows, so
+	// roughly noisyV4WedgeFrac of the period (back-to-back windows, so
 	// coverage is exact) — frozen duplicates that dedup removes.
-	if cfg.NoisyV4WedgeFrac > 0 {
-		frac := cfg.NoisyV4WedgeFrac
-		for at := start; at.Before(end); {
-			dur := 24*time.Hour + time.Duration(rng.Int64N(int64(48*time.Hour)))
-			faults.WedgeCollectorSessions(NoisyReplicationPeer, bgp.AFIIPv4, at, at.Add(dur), nil)
-			gap := time.Duration(float64(dur) * (1 - frac) / frac)
-			at = at.Add(dur + gap)
-		}
+	for at := start; at.Before(end); {
+		dur := 24*time.Hour + time.Duration(rng.Int64N(int64(48*time.Hour)))
+		faults.WedgeCollectorSessions(NoisyReplicationPeer, bgp.AFIIPv4, at, at.Add(dur), nil)
+		gap := time.Duration(float64(dur) * (1 - noisyV4WedgeFrac) / noisyV4WedgeFrac)
+		at = at.Add(dur + gap)
 	}
 
 	// Long wedges on provider→peer links: multi-interval zombies. Each
@@ -307,29 +308,29 @@ func runReplicationPeriod(cfg ReplicationConfig, period ReplicationPeriod, seed 
 	// path, as the paper finds), then the session freezes entirely until
 	// the reset, turning later intervals into Aggregator-flagged
 	// duplicates.
-	scheduleWedges := func(wp WedgeParams, afi bgp.AFI) error {
+	scheduleWedges := func(wp wedgeParams, afi bgp.AFI) error {
 		period4h := 4 * time.Hour
 		cycles := int(end.Sub(start)/period4h) - 1
 		if cycles < 1 {
 			cycles = 1
 		}
-		for i := 0; i < wp.Count; i++ {
+		for i := 0; i < wp.count; i++ {
 			peer := peers[rng.IntN(len(peers))]
 			provider := g.AS(peer).Providers()[0]
 			wStart := start.Add(time.Duration(rng.IntN(cycles))*period4h + 2*time.Hour)
-			dur := wp.MinDur + time.Duration(rng.Int64N(int64(wp.MaxDur-wp.MinDur)+1))
+			dur := wp.minDur + time.Duration(rng.Int64N(int64(wp.maxDur-wp.minDur)+1))
 			match := matchFamily(afi)
-			if i >= wp.AllCount {
+			if i >= wp.allCount {
 				pool := allOf(afi)
 				subset := make(map[netip.Prefix]bool)
 				for n := 1 + rng.IntN(2); n > 0; n-- {
 					subset[pool[rng.IntN(len(pool))]] = true
 				}
 				match = func(p netip.Prefix) bool { return subset[p] }
-			} else if wp.BroadSize > 0 && wp.BroadSize < len(allOf(afi)) {
+			} else if wp.broadSize > 0 && wp.broadSize < len(allOf(afi)) {
 				pool := allOf(afi)
 				subset := make(map[netip.Prefix]bool)
-				for _, k := range rng.Perm(len(pool))[:wp.BroadSize] {
+				for _, k := range rng.Perm(len(pool))[:wp.broadSize] {
 					subset[pool[k]] = true
 				}
 				match = func(p netip.Prefix) bool { return subset[p] }
@@ -343,26 +344,24 @@ func runReplicationPeriod(cfg ReplicationConfig, period ReplicationPeriod, seed 
 		}
 		return nil
 	}
-	if err := scheduleWedges(period.Wedge4, bgp.AFIIPv4); err != nil {
+	if err := scheduleWedges(period.wedge4, bgp.AFIIPv4); err != nil {
 		return nil, err
 	}
-	if err := scheduleWedges(period.Wedge6, bgp.AFIIPv6); err != nil {
+	if err := scheduleWedges(period.wedge6, bgp.AFIIPv6); err != nil {
 		return nil, err
 	}
 	// Withdrawal loss on peer links: fresh single-interval zombies. The
 	// stale route is replaced by the next interval's announcement.
-	scheduleDrops := func(dp DropParams, afi bgp.AFI) {
-		for i := 0; i < dp.Links; i++ {
+	scheduleDrops := func(dp dropParams, afi bgp.AFI) {
+		for i := 0; i < dp.links; i++ {
 			peer := peers[rng.IntN(len(peers))]
 			provider := g.AS(peer).Providers()[0]
-			faults.DropWithdrawals(provider, peer, dp.Prob, matchFamily(afi))
+			faults.DropWithdrawals(provider, peer, dp.prob, matchFamily(afi))
 		}
 	}
-	scheduleDrops(period.Drop4, bgp.AFIIPv4)
-	scheduleDrops(period.Drop6, bgp.AFIIPv6)
-	if cfg.BackgroundDropProb > 0 {
-		faults.GlobalWithdrawalDrop(cfg.BackgroundDropProb, nil)
-	}
+	scheduleDrops(period.drop4, bgp.AFIIPv4)
+	scheduleDrops(period.drop6, bgp.AFIIPv6)
+	faults.GlobalWithdrawalDrop(backgroundDropProb, nil)
 
 	// Run.
 	sim.EstablishCollectorSessions(start.Add(-time.Minute))
@@ -388,7 +387,7 @@ func runReplicationPeriod(cfg ReplicationConfig, period ReplicationPeriod, seed 
 		return nil, err
 	}
 	return &PeriodData{
-		Period:         period,
+		Name:           period.name,
 		Updates:        fleet.UpdatesData(),
 		Intervals:      sched.Intervals(start, end),
 		Ann4:           ann4,

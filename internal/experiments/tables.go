@@ -58,7 +58,7 @@ func runTable1(cfg Config) (*Result, error) {
 	for i, det := range periods {
 		w4, w6 := countsFor(det.report, true)
 		n4, n6 := countsFor(det.report, false)
-		tbl.AddRow(det.data.Period.Name, det.report.VisiblePrefixes,
+		tbl.AddRow(det.data.Name, det.report.VisiblePrefixes,
 			w4, w6, n4, n6,
 			analysis.Reduction(w4, n4), analysis.Reduction(w6, n6))
 		k := fmt.Sprintf("period%d", i)
@@ -99,7 +99,7 @@ func runTable2(cfg Config) (*Result, error) {
 		s4, s6 := countsFor(det.legacy, true)
 		w4, w6 := countsFor(det.report, true)
 		n4, n6 := countsFor(det.report, false)
-		tbl.AddRow(det.data.Period.Name, s4, s6, w4, w6, n4, n6, det.report.VisiblePrefixes)
+		tbl.AddRow(det.data.Name, s4, s6, w4, w6, n4, n6, det.report.VisiblePrefixes)
 		k := fmt.Sprintf("period%d", i)
 		metrics[k+".study4"] = float64(s4)
 		metrics[k+".study6"] = float64(s6)

@@ -108,7 +108,7 @@ func runTimersAblation(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rfd, err := runOne(netsim.Config{Seed: cfg.Seed, RFD: netsim.RFDConfig{Enabled: true, HalfLife: time.Hour, Suppress: 2000}})
+	rfd, err := runOne(netsim.Config{Seed: cfg.Seed, RFD: netsim.RFDConfig{Enabled: true}})
 	if err != nil {
 		return nil, err
 	}

@@ -622,8 +622,10 @@ func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool) {
 			}
 			*ev = Event{} // release references
 		case bl.next <= bl.journalEnd:
-			// A journal whose appends failed ends short of the range; the
-			// part it lacks is a gap, not an empty stretch.
+			// A failed append is a gap Replay skips, as it skips an
+			// unencodable event. A journal that took no sequence number
+			// for an append ends short of the range; the part it lacks
+			// ends the catch-up with an error, not as an empty stretch.
 			j := b.cfg.Journal
 			to := min(bl.next-1+backfillBatch, bl.journalEnd, j.LastSeq())
 			bl.batch, bl.batchPos = bl.batch[:0], 0

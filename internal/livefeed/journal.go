@@ -31,7 +31,9 @@ type Journal interface {
 	Replay(fromSeq, toSeq uint64, fn func(Event) error) error
 	// FirstSeq returns the oldest retained sequence number (0 if empty).
 	FirstSeq() uint64
-	// LastSeq returns the newest journaled sequence number (0 if empty).
+	// LastSeq returns the newest journaled sequence number (0 if empty),
+	// counting an append that failed but took its sequence number:
+	// Replay treats that one as a gap.
 	LastSeq() uint64
 }
 
@@ -113,7 +115,7 @@ func (j *StoreJournal) Replay(fromSeq, toSeq uint64, fn func(Event) error) error
 	dec := mrt.Decoder{Borrow: true}
 	return j.Store.Replay(fromSeq, toSeq, func(se eventstore.Event) error {
 		if len(se.Payload) == 0 {
-			return nil // unencodable when published: a gap, as it was live
+			return nil // a gap: unencodable when published, or its append failed
 		}
 		ev, err := feedEvent(&dec, se)
 		if err != nil {

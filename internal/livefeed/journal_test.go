@@ -371,6 +371,66 @@ func TestJournalSkipsUnencodableEvent(t *testing.T) {
 	catchUp(b2)
 }
 
+// TestJournalGoesOnAfterRefusedEvent: an event the store refuses (a
+// withdrawal of the zero prefix) is journaled as a gap, and the journal
+// keeps every later event: a from-start catch-up, also after a restart,
+// delivers all but the refused one.
+func TestJournalGoesOnAfterRefusedEvent(t *testing.T) {
+	const n, bad = 20, 2
+	evs := syntheticEvents(n)
+	evs[bad-1].Withdrawals = []netip.Prefix{{}}
+	dir := t.TempDir()
+	var want []uint64
+	for seq := uint64(1); seq <= n; seq++ {
+		if seq != bad {
+			want = append(want, seq)
+		}
+	}
+	catchUp := func(b *Broker) {
+		t.Helper()
+		sub, lost, err := b.SubscribeFrom(Filter{}, PolicyBlock, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs []uint64
+		for _, ev := range drainUntil(t, sub, n) {
+			seqs = append(seqs, ev.Seq)
+		}
+		if lost != 0 || fmt.Sprint(seqs) != fmt.Sprint(want) {
+			t.Fatalf("catch-up delivered seqs %v (lost %d), want %v", seqs, lost, want)
+		}
+	}
+
+	st1, err := eventstore.Open(eventstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1 := NewBroker(Config{RingSize: 64, ReplaySize: 4, Journal: &StoreJournal{Store: st1}})
+	for _, ev := range evs {
+		b1.Publish(ev)
+	}
+	if got := b1.Metrics().journalErrors.Value(); got != 1 {
+		t.Fatalf("journal error counter = %d, want 1", got)
+	}
+	if got := st1.LastSeq(); got != n {
+		t.Fatalf("journal at seq %d, want %d", got, n)
+	}
+	catchUp(b1)
+	b1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := eventstore.Open(eventstore.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	b2 := NewBroker(Config{RingSize: 64, ReplaySize: 4, Journal: &StoreJournal{Store: st2}, StartSeq: st2.LastSeq()})
+	defer b2.Close()
+	catchUp(b2)
+}
+
 // errJournal fails on demand, for error-path coverage.
 type errJournal struct {
 	appendErr error
@@ -621,6 +681,51 @@ func TestStoredRecordRule(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoverCountsRecordGaps: a record whose journal append failed reads
+// back as a gap of KindMRT, and Recover counts it among the records the
+// pre-crash run ingested, so ResumeOffset does not ingest it, or any
+// record after it, a second time. The store writes the same gap for an
+// append it refuses and for one whose write fails; a refused append makes
+// it here.
+func TestRecoverCountsRecordGaps(t *testing.T) {
+	ts := time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
+	var stream []SourcedRecord
+	st, err := eventstore.Open(eventstore.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 4; i++ {
+		rec := sessionDown(ts.Add(time.Duration(i) * time.Minute))
+		stream = append(stream, SourcedRecord{Collector: "rrc00", Rec: rec})
+		var buf bytes.Buffer
+		if err := mrt.NewWriter(&buf).Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		ev := eventstore.Event{Seq: uint64(i + 1), Time: rec.Timestamp, Collector: "rrc00", Kind: eventstore.KindMRT, Payload: buf.Bytes()}
+		if i == 1 || i == 2 {
+			ev.Prefixes = []netip.Prefix{{}}
+			if err := st.Append(ev); err == nil {
+				t.Fatal("append with an invalid prefix succeeded")
+			}
+		} else if err := st.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := NewBroker(Config{})
+	defer b.Close()
+	n, err := NewPipeline(b, nil, 0).Recover(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(stream) {
+		t.Fatalf("recovered %d records, want %d", n, len(stream))
+	}
+	if got := ResumeOffset(stream, n); got != len(stream) {
+		t.Fatalf("resume offset %d would ingest %d journaled records again", got, len(stream)-got)
 	}
 }
 

@@ -72,8 +72,6 @@ func MergeUpdates(updates map[string][]byte) ([]SourcedRecord, error) {
 // of the zombied daemon; tests and examples reuse it in-process.
 type Pipeline struct {
 	Broker *Broker
-	// Threshold is the zombie detection threshold (default 90m).
-	Threshold time.Duration
 
 	sd        *zombie.StreamDetector
 	watermark time.Time
@@ -104,9 +102,10 @@ type peerFam struct {
 }
 
 // NewPipeline builds a pipeline detecting over the given beacon
-// intervals.
+// intervals, each checked threshold after its withdrawal (0 means
+// zombie.DefaultThreshold).
 func NewPipeline(b *Broker, intervals []beacon.Interval, threshold time.Duration) *Pipeline {
-	p := &Pipeline{Broker: b, Threshold: threshold, zombieCount: make(map[peerFam]int)}
+	p := &Pipeline{Broker: b, zombieCount: make(map[peerFam]int)}
 	for _, iv := range intervals {
 		p.annByFam[famIdx(iv.Prefix.Addr().Is6())]++
 	}
@@ -214,8 +213,9 @@ func (p *Pipeline) PendingChecks() int { return int(p.pending.Load()) }
 // Recover rebuilds the detector from the durable event store: every
 // journaled update record is re-observed (with alert publication muted —
 // the pre-crash run already delivered those alerts), leaving the detector
-// in the exact state it held when the last record was journaled. It
-// returns how many update records were recovered; a daemon replaying a
+// in the exact state it held when the last record was journaled, less
+// the records whose journal append failed (gaps). It returns how many
+// update records were journaled, gaps included; a daemon replaying a
 // merged archive stream resumes ingestion at that offset. Alerts landing
 // exactly at a crash boundary are delivered at least once: an alert
 // published but not yet journaled before the crash is re-detected, muted,
@@ -232,16 +232,21 @@ func (p *Pipeline) Recover(st *eventstore.Store) (int, error) {
 	// decoded borrowed.
 	dec := mrt.Decoder{Borrow: true}
 	err := st.Scan(eventstore.Query{}, func(se eventstore.Event) error {
-		if se.Kind != eventstore.KindMRT {
+		if se.Kind != eventstore.KindMRT || len(se.Payload) == 0 {
 			// Non-record events (alerts, raw-less updates) carry clock
 			// information only: a journaled alert proves its interval
 			// check fired before the restart, so advancing past its
 			// detection time keeps it from re-firing. Event times never
 			// exceed the pre-crash record watermark, so this cannot
-			// over-advance the clock.
+			// over-advance the clock. A record whose journal append
+			// failed is a gap of KindMRT: the pre-crash run ingested it,
+			// so it counts, but there is nothing to observe.
 			if se.Time.After(p.watermark) {
 				p.watermark = se.Time
 				p.sd.Advance(p.watermark)
+			}
+			if se.Kind == eventstore.KindMRT {
+				n++
 			}
 			return nil
 		}

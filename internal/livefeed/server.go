@@ -24,9 +24,6 @@ type Server struct {
 	Broker *Broker
 	// Name is reported in the Hello frame (e.g. "zombied/1").
 	Name string
-	// HandshakeTimeout bounds the wait for the Subscribe frame. Default
-	// 10s.
-	HandshakeTimeout time.Duration
 	// WriteTimeout bounds every frame write to a subscriber, so a peer
 	// that stops reading (with full kernel buffers) cannot pin a handler
 	// goroutine forever. Default 30s; negative disables.
@@ -58,12 +55,8 @@ type Server struct {
 	handlers sync.WaitGroup
 }
 
-func (s *Server) handshakeTimeout() time.Duration {
-	if s.HandshakeTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return s.HandshakeTimeout
-}
+// handshakeTimeout bounds the wait for a client's Subscribe frame.
+const handshakeTimeout = 10 * time.Second
 
 func (s *Server) writeTimeout() time.Duration {
 	if s.WriteTimeout == 0 {
@@ -234,7 +227,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
-	conn.SetReadDeadline(time.Now().Add(s.handshakeTimeout()))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var req Subscribe
 	if err := readFrameInto(conn, FrameSubscribe, &req); err != nil {
 		s.logConn("livefeed handshake failed", conn, err)

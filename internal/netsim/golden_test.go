@@ -72,6 +72,21 @@ func goldenConfig(g *topology.Graph) Config {
 	}
 }
 
+// setGoldenDamping gives every simulator of e the damping the golden
+// pins: suppressed at 3000, 15-minute half-life, gentler than the
+// shipped damping.
+func setGoldenDamping(e engine) {
+	d := rfdDamping{suppress: 3000, halfLife: 15 * time.Minute}
+	switch v := e.(type) {
+	case *Simulator:
+		v.rfd = d
+	case *Sharded:
+		for _, s := range v.shards {
+			s.rfd = d
+		}
+	}
+}
+
 // runGoldenScenario drives one fault-heavy scenario over goldenGraph and
 // returns the merged collector stream. The actors are picked from the
 // generated graph by tier and adjacency, so the scenario is fixed by the
@@ -190,6 +205,7 @@ func goldenLine(name string, recs []sinkRecord, st Stats) string {
 func TestSimulatorGolden(t *testing.T) {
 	g := goldenGraph(t)
 	mono := New(g, goldenConfig(g))
+	setGoldenDamping(mono)
 	lines := []string{goldenLine("monolithic", runGoldenScenario(t, g, mono), mono.Stats())}
 	if st := mono.Stats(); st.MessagesDropped == 0 || st.CollectorRecords < 200 {
 		t.Fatalf("scenario too quiet to pin anything: %+v", st)
@@ -198,6 +214,7 @@ func TestSimulatorGolden(t *testing.T) {
 		var want string
 		for _, parallel := range []bool{false, true} {
 			sh := NewSharded(g, goldenConfig(g), shards)
+			setGoldenDamping(sh)
 			sh.Parallel = parallel
 			got := goldenLine(fmt.Sprintf("sharded%d", shards), runGoldenScenario(t, g, sh), sh.Stats())
 			if !parallel {

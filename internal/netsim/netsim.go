@@ -32,20 +32,6 @@ import (
 type Config struct {
 	Seed uint64
 
-	// MinLinkDelay/MaxLinkDelay bound the per-link propagation delay
-	// (deterministically derived per link from the seed). Defaults:
-	// 20ms–800ms.
-	MinLinkDelay time.Duration
-	MaxLinkDelay time.Duration
-
-	// CollectorDelay bounds the delay from a peer AS to its collectors
-	// (derived per peer/collector pair). Default: 200ms.
-	CollectorDelay time.Duration
-
-	// ROVRevalidateDelay bounds how long an ROV-enforcing AS takes to act
-	// on a ROA change (RPKI time-of-flight). Default: 2h.
-	ROVRevalidateDelay time.Duration
-
 	// ROA is the RPKI registry consulted for origin validation. Nil
 	// disables validation entirely.
 	ROA *rpki.Registry
@@ -57,33 +43,18 @@ type Config struct {
 	RFD RFDConfig
 }
 
-func (c *Config) minDelay() time.Duration {
-	if c.MinLinkDelay <= 0 {
-		return 20 * time.Millisecond
-	}
-	return c.MinLinkDelay
-}
-
-func (c *Config) maxDelay() time.Duration {
-	if c.MaxLinkDelay <= c.minDelay() {
-		return c.minDelay() + 780*time.Millisecond
-	}
-	return c.MaxLinkDelay
-}
-
-func (c *Config) collectorDelay() time.Duration {
-	if c.CollectorDelay <= 0 {
-		return 200 * time.Millisecond
-	}
-	return c.CollectorDelay
-}
-
-func (c *Config) rovDelay() time.Duration {
-	if c.ROVRevalidateDelay <= 0 {
-		return 2 * time.Hour
-	}
-	return c.ROVRevalidateDelay
-}
+// The simulator's delays, each derived deterministically from the seed.
+const (
+	// minLinkDelay/maxLinkDelay bound the per-link propagation delay.
+	minLinkDelay = 20 * time.Millisecond
+	maxLinkDelay = 800 * time.Millisecond
+	// collectorDelay bounds the delay from a peer AS to its collectors
+	// (derived per peer/collector pair).
+	collectorDelay = 200 * time.Millisecond
+	// rovRevalidateDelay bounds how long an ROV-enforcing AS takes to act
+	// on a ROA change (RPKI time-of-flight).
+	rovRevalidateDelay = 2 * time.Hour
+)
 
 // Stats counts simulator activity, useful in benchmarks and sanity checks.
 type Stats struct {
@@ -98,6 +69,7 @@ type Stats struct {
 type Simulator struct {
 	graph  *topology.Graph
 	cfg    Config
+	rfd    rfdDamping // read only when cfg.RFD.Enabled
 	faults *FaultSet
 
 	routers map[bgp.ASN]*router
@@ -128,6 +100,7 @@ func newSimulator(g *topology.Graph, cfg Config, links map[bgp.ASN][]link) *Simu
 	s := &Simulator{
 		graph:        g,
 		cfg:          cfg,
+		rfd:          rfdDamping{rfdSuppress, rfdHalfLife},
 		faults:       newFaultSet(cfg.Seed),
 		routers:      make(map[bgp.ASN]*router, g.Len()),
 		rov:          make(map[bgp.ASN]rpki.ROVPolicy),
@@ -332,19 +305,16 @@ func prefixHash(p netip.Prefix) uint64 {
 // linkDelay returns the deterministic propagation delay for a directed AS
 // link.
 func (c *Config) linkDelay(from, to bgp.ASN) time.Duration {
-	min, max := c.minDelay(), c.maxDelay()
-	span := uint64(max - min)
 	h := hash64(c.Seed, uint64(from), uint64(to), 0x11d)
-	return min + time.Duration(h%span)
+	return minLinkDelay + time.Duration(h%uint64(maxLinkDelay-minLinkDelay))
 }
 
 // collectorSessionDelay is derived per (peer AS, collector), NOT per
 // session address: all sessions of one peer AS to the same collector see
 // updates at the same instant, as they reflect a single router's RIB.
 func (s *Simulator) collectorSessionDelay(sess Session) time.Duration {
-	maxD := s.cfg.collectorDelay()
 	h := hash64(s.cfg.Seed, uint64(sess.PeerAS), hashString(sess.Collector), 0xc0)
-	return time.Duration(h % uint64(maxD))
+	return time.Duration(h % uint64(collectorDelay))
 }
 
 func hashString(str string) uint64 {

@@ -394,7 +394,7 @@ func TestROVEnforceEvictsAfterROARemoval(t *testing.T) {
 	reg.Add(simStart.Add(-time.Hour), roa32)
 	reg.Add(simStart.Add(-time.Hour), roa48)
 
-	s := newTestSim(t, Config{ROA: reg, ROVRevalidateDelay: time.Minute})
+	s := newTestSim(t, Config{ROA: reg})
 	s.SetROVPolicy(11, rpki.ROVEnforce)
 	// Wedge so 11 becomes a zombie holder.
 	s.Faults().WedgeLink(1, 11, 0, simStart.Add(5*time.Minute), simStart.Add(240*time.Hour), nil)
@@ -425,7 +425,7 @@ func TestROVNoEvictKeepsZombie(t *testing.T) {
 	reg.Add(simStart.Add(-time.Hour), roa32)
 	reg.Add(simStart.Add(-time.Hour), roa48)
 
-	s := newTestSim(t, Config{ROA: reg, ROVRevalidateDelay: time.Minute})
+	s := newTestSim(t, Config{ROA: reg})
 	s.SetROVPolicy(11, rpki.ROVNoEvict)
 	s.Faults().WedgeLink(1, 11, 0, simStart.Add(5*time.Minute), simStart.Add(240*time.Hour), nil)
 	s.ScheduleAnnounce(simStart, originAS, beaconP, nil)

@@ -88,7 +88,7 @@ func (s *Simulator) ScheduleCollectorSessionReset(at time.Time, sess Session) er
 
 // ScheduleROARevalidation tells every ROV-enforcing AS to re-validate its
 // RIB after a ROA change at time at. Each AS acts after its own
-// deterministic delay within ROVRevalidateDelay, modelling RPKI
+// deterministic delay within rovRevalidateDelay (2h), modelling RPKI
 // time-of-flight; non-enforcing and flawed (no-evict) ASes do nothing —
 // the behaviour the paper observes after removing its ROA.
 func (s *Simulator) ScheduleROARevalidation(at time.Time) {
@@ -100,7 +100,7 @@ func (s *Simulator) ScheduleROARevalidation(at time.Time) {
 		if r == nil {
 			continue
 		}
-		jitter := time.Duration(hash64(s.cfg.Seed, uint64(asn), 0x70a) % uint64(s.cfg.rovDelay()))
+		jitter := time.Duration(hash64(s.cfg.Seed, uint64(asn), 0x70a) % uint64(rovRevalidateDelay))
 		s.schedule(at.Add(jitter), func() { r.revalidate() })
 	}
 }

@@ -114,9 +114,8 @@ func TestLinkDelayDeterministicPerLink(t *testing.T) {
 	if s.cfg.linkDelay(1, 11) == s.cfg.linkDelay(11, 1) && s.cfg.linkDelay(1, 11) == s.cfg.linkDelay(1, 12) {
 		t.Error("suspiciously identical delays across links")
 	}
-	min, max := s.cfg.minDelay(), s.cfg.maxDelay()
-	if d1 < min || d1 >= max {
-		t.Errorf("delay %v outside [%v, %v)", d1, min, max)
+	if d1 < minLinkDelay || d1 >= maxLinkDelay {
+		t.Errorf("delay %v outside [%v, %v)", d1, minLinkDelay, maxLinkDelay)
 	}
 }
 

@@ -37,42 +37,26 @@ type MRAIConfig struct {
 type RFDConfig struct {
 	// Enabled turns damping on.
 	Enabled bool
-	// WithdrawPenalty accumulates on each withdrawal (default 1000).
-	WithdrawPenalty float64
-	// Suppress threshold (default 3000).
-	Suppress float64
-	// Reuse threshold (default 750).
-	Reuse float64
-	// HalfLife of the exponential decay (default 15 min).
-	HalfLife time.Duration
 }
 
-func (c RFDConfig) withdrawPenalty() float64 {
-	if c.WithdrawPenalty <= 0 {
-		return 1000
-	}
-	return c.WithdrawPenalty
-}
+// Route flap damping's fixed parameters: the penalty each withdrawal
+// adds, the threshold the penalty must decay below before a suppressed
+// route is reused, and the damping every simulator runs with — a route
+// is suppressed by its second withdrawal in quick succession, and the
+// penalty's one-hour half-life keeps the timers ablation's rapidly
+// recycled beacons suppressed.
+const (
+	rfdWithdrawPenalty = 1000
+	rfdReuse           = 750
+	rfdSuppress        = 2000
+	rfdHalfLife        = time.Hour
+)
 
-func (c RFDConfig) suppress() float64 {
-	if c.Suppress <= 0 {
-		return 3000
-	}
-	return c.Suppress
-}
-
-func (c RFDConfig) reuse() float64 {
-	if c.Reuse <= 0 {
-		return 750
-	}
-	return c.Reuse
-}
-
-func (c RFDConfig) halfLife() time.Duration {
-	if c.HalfLife <= 0 {
-		return 15 * time.Minute
-	}
-	return c.HalfLife
+// rfdDamping is the penalty a route must reach to be suppressed and the
+// half-life of the penalty's exponential decay.
+type rfdDamping struct {
+	suppress float64
+	halfLife time.Duration
 }
 
 // mraiState tracks the per-(neighbor, prefix) advertisement timer and the
@@ -182,8 +166,7 @@ func (st *rfdState) decayed(now time.Time, halfLife time.Duration) float64 {
 // rfdPenalize registers a flap event (a withdrawal) and updates the
 // suppression state. Returns whether the prefix is suppressed.
 func (r *router) rfdPenalize(from bgp.ASN, p netip.Prefix) bool {
-	cfg := r.sim.cfg.RFD
-	if !cfg.Enabled {
+	if !r.sim.cfg.RFD.Enabled {
 		return false
 	}
 	if r.rfd == nil {
@@ -196,9 +179,9 @@ func (r *router) rfdPenalize(from bgp.ASN, p netip.Prefix) bool {
 		r.rfd[k] = st
 	}
 	now := r.sim.now
-	st.penalty = st.decayed(now, cfg.halfLife()) + cfg.withdrawPenalty()
+	st.penalty = st.decayed(now, r.sim.rfd.halfLife) + rfdWithdrawPenalty
 	st.lastUpdate = now
-	if st.penalty >= cfg.suppress() {
+	if st.penalty >= r.sim.rfd.suppress {
 		st.suppressed = true
 	}
 	return st.suppressed
@@ -207,8 +190,7 @@ func (r *router) rfdPenalize(from bgp.ASN, p netip.Prefix) bool {
 // rfdSuppressed reports whether announcements from `from` for p are
 // currently suppressed, updating the reuse state.
 func (r *router) rfdSuppressed(from bgp.ASN, p netip.Prefix) bool {
-	cfg := r.sim.cfg.RFD
-	if !cfg.Enabled || r.rfd == nil {
+	if !r.sim.cfg.RFD.Enabled || r.rfd == nil {
 		return false
 	}
 	st := r.rfd[rfdKey{from: from, p: p}]
@@ -216,9 +198,9 @@ func (r *router) rfdSuppressed(from bgp.ASN, p netip.Prefix) bool {
 		return false
 	}
 	now := r.sim.now
-	if st.decayed(now, cfg.halfLife()) < cfg.reuse() {
+	if st.decayed(now, r.sim.rfd.halfLife) < rfdReuse {
 		st.suppressed = false
-		st.penalty = st.decayed(now, cfg.halfLife())
+		st.penalty = st.decayed(now, r.sim.rfd.halfLife)
 		st.lastUpdate = now
 		return false
 	}

@@ -58,10 +58,7 @@ func TestRFDSuppressesFlappingRoute(t *testing.T) {
 	// Flap the beacon enough times that damping at the neighbors
 	// suppresses it: after the final announcement some ASes refuse the
 	// route until the penalty decays.
-	s := newTestSim(t, Config{Seed: 4, RFD: RFDConfig{
-		Enabled:  true,
-		HalfLife: time.Hour, // slow decay so suppression holds
-	}})
+	s := newTestSim(t, Config{Seed: 4, RFD: RFDConfig{Enabled: true}})
 	at := simStart
 	for i := 0; i < 4; i++ {
 		s.ScheduleAnnounce(at, originAS, beaconP, nil)
@@ -72,7 +69,7 @@ func TestRFDSuppressesFlappingRoute(t *testing.T) {
 	s.ScheduleAnnounce(finalAnnounce, originAS, beaconP, nil)
 	s.Run(finalAnnounce.Add(10 * time.Minute))
 	// 10 (adjacent to the origin) has taken >= 3 withdrawals from 100:
-	// penalty 3000+ crosses the suppress threshold, so the final
+	// penalty 2000+ crosses the suppress threshold, so the final
 	// announcement is refused somewhere along the chain and full
 	// visibility is NOT reached shortly after the announcement.
 	if got := s.RouteCount(beaconP); got == 8 {

@@ -44,7 +44,6 @@ const (
 type ZombieAnomalyDetector struct {
 	Det       Detector
 	Intervals []beacon.Interval
-	Filter    FilterOptions
 }
 
 func (d *ZombieAnomalyDetector) Name() string { return "zombie" }
@@ -52,7 +51,7 @@ func (d *ZombieAnomalyDetector) Name() string { return "zombie" }
 func (d *ZombieAnomalyDetector) DetectAnomalies(h *History, win Window) []Anomaly {
 	rep := d.Det.DetectFromHistory(h, d.Intervals)
 	var out []Anomaly
-	for _, ob := range rep.Filter(d.Filter) {
+	for _, ob := range rep.Filter(FilterOptions{}) {
 		origins := make(map[bgp.ASN]bool)
 		for _, r := range ob.Routes {
 			if o, ok := r.Path.Origin(); ok {

@@ -265,9 +265,6 @@ func EmergenceRates(rep *Report, opts FilterOptions) []EmergenceRate {
 	}
 	var out []EmergenceRate
 	for p, n := range perPrefix {
-		if opts.Family != 0 && bgp.PrefixAFI(p) != opts.Family {
-			continue
-		}
 		for as := range peerASes {
 			c := counts[key{p, as}]
 			out = append(out, EmergenceRate{

@@ -227,15 +227,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Errorf("columnar store: Sweep diverges from reference store")
 			}
 			// The legacy baseline runs on the kernel; the oracle keeps the
-			// per-(interval, peer) looking-glass loop. The last row checks
-			// before the withdrawal (Threshold <= StateDelay).
-			for _, legacy := range []*LegacyDetector{
-				{Seed: seed},
-				{Seed: seed, StateDelay: 20 * time.Minute, Availability: 0.6},
-				{Seed: seed, Threshold: 10 * time.Minute, StateDelay: 25 * time.Minute, Availability: 0.8},
-			} {
-				if got, want := legacy.Detect(seqHist, sc.intervals), refHist.detectLegacy(legacy, sc.intervals); !reflect.DeepEqual(got, want) {
-					t.Errorf("legacy %+v: kernel Report diverges from the reference store's loop", *legacy)
+			// per-(interval, peer) looking-glass loop.
+			legacy := &LegacyDetector{Seed: seed}
+			for _, avail := range []float64{lookingGlassAvailability, 0.6} {
+				if got, want := legacy.detect(seqHist, sc.intervals, avail), refHist.detectLegacy(legacy, sc.intervals, avail); !reflect.DeepEqual(got, want) {
+					t.Errorf("legacy at availability %v: kernel Report diverges from the reference store's loop", avail)
 				}
 			}
 

@@ -221,7 +221,7 @@ func TestStateFoldMatchesOracle(t *testing.T) {
 			ld := &LegacyDetector{Seed: seed}
 			oldLegacy := ld.detectRows(h.Peers(), h.SeenAnnounced, func(peer PeerID, p netip.Prefix, at time.Time) State {
 				return ignoreLoopStateAt(h.pairEvents(peer, p), at)
-			}, ivs)
+			}, ivs, lookingGlassAvailability)
 			if got := ld.Detect(h, ivs); !reflect.DeepEqual(got, oldLegacy) {
 				t.Error("LegacyDetector Report changes when Path/Agg survive a withdrawal")
 			}

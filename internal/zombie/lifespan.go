@@ -78,9 +78,6 @@ type LifespanReport struct {
 
 // LifespanConfig tunes episode construction.
 type LifespanConfig struct {
-	// DumpInterval is the snapshot cadence (RIS: 8h). A gap of more than
-	// 1.5× splits an episode. Default 8h.
-	DumpInterval time.Duration
 	// Parallelism is the pipeline worker count for dump parsing and the
 	// per-prefix series folds. 0 or 1: one inline worker — the
 	// same code path, so the report and any error are identical for
@@ -88,13 +85,12 @@ type LifespanConfig struct {
 	Parallelism int
 }
 
-func (c LifespanConfig) gap() time.Duration {
-	di := c.DumpInterval
-	if di <= 0 {
-		di = 8 * time.Hour
-	}
-	return di + di/2
-}
+// dumpInterval is the RIB snapshot cadence (RIS: 8h). A gap of more than
+// 1.5× between two observations splits an episode.
+const (
+	dumpInterval = 8 * time.Hour
+	episodeGap   = dumpInterval + dumpInterval/2
+)
 
 // resurrectionGrace is how long after the beacon withdrawal a FIRST
 // appearance still counts as ordinary zombie visibility; a first episode
@@ -130,8 +126,7 @@ func intervalsByPrefix(intervals []beacon.Interval) map[netip.Prefix][]beacon.In
 // a caller may pass just those (intervalsByPrefix). The test-only
 // reader-loop oracle shares it: the two differ in how they read the dumps,
 // never in what a series means.
-func (cfg LifespanConfig) foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribObs, intervals []beacon.Interval) {
-	gap := cfg.gap()
+func foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribObs, intervals []beacon.Interval) {
 	sort.SliceStable(obs, func(i, j int) bool { return obs[i].at.Before(obs[j].at) })
 	// A first appearance long after the withdrawal, unexplained by a
 	// new announcement, is itself a resurrection (the stuck route was
@@ -152,7 +147,7 @@ func (cfg LifespanConfig) foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribO
 	}
 	var cur *Episode
 	for _, o := range obs {
-		if cur != nil && o.at.Sub(cur.LastSeen) <= gap {
+		if cur != nil && o.at.Sub(cur.LastSeen) <= episodeGap {
 			cur.LastSeen = o.at
 			cur.Path = o.path
 			cur.Observations++
@@ -176,15 +171,6 @@ func (cfg LifespanConfig) foldSeries(pl *PrefixLifespan, peer PeerID, obs []ribO
 	}
 	if cur != nil {
 		pl.Episodes = append(pl.Episodes, *cur)
-	}
-}
-
-// finishLifespans imposes the canonical ordering and anchors withdrawals
-// on every prefix of rep (see finishLifespan).
-func finishLifespans(rep *LifespanReport, intervals []beacon.Interval) {
-	byPrefix := intervalsByPrefix(intervals)
-	for p, pl := range rep.Prefixes {
-		finishLifespan(pl, byPrefix[p])
 	}
 }
 

@@ -28,7 +28,7 @@ type peerPrefix struct {
 // finishLifespans with TrackLifespans, so agreement pins the chunked
 // decode, the table carry across chunk boundaries, the per-prefix fold and
 // the error ranking.
-func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
+func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interval) (*LifespanReport, error) {
 	track := make(TrackSet)
 	for _, iv := range intervals {
 		track[iv.Prefix] = true
@@ -79,10 +79,19 @@ func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interva
 			pl = &PrefixLifespan{Prefix: k.prefix}
 			rep.Prefixes[k.prefix] = pl
 		}
-		cfg.foldSeries(pl, k.peer, obs, intervals)
+		foldSeries(pl, k.peer, obs, intervals)
 	}
 	finishLifespans(rep, intervals)
 	return rep, nil
+}
+
+// finishLifespans imposes the canonical ordering and anchors withdrawals
+// on every prefix of rep (see finishLifespan).
+func finishLifespans(rep *LifespanReport, intervals []beacon.Interval) {
+	byPrefix := intervalsByPrefix(intervals)
+	for p, pl := range rep.Prefixes {
+		finishLifespan(pl, byPrefix[p])
+	}
 }
 
 // lifespanParallelism is every worker count TrackLifespans is compared with
@@ -94,7 +103,7 @@ var lifespanParallelism = []int{0, 1, 2, 4, 8}
 // and requires the report and the error string of the oracle.
 func assertLifespansMatchReference(t *testing.T, dumps map[string][]byte, intervals []beacon.Interval) (*LifespanReport, error) {
 	t.Helper()
-	want, wantErr := trackLifespansReference(dumps, intervals, LifespanConfig{})
+	want, wantErr := trackLifespansReference(dumps, intervals)
 	for _, par := range lifespanParallelism {
 		got, err := TrackLifespans(dumps, intervals, LifespanConfig{Parallelism: par})
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {

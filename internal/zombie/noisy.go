@@ -19,15 +19,6 @@ type PeerScore struct {
 	Routes4, Routes6 int
 }
 
-// Prob returns the peer's combined likelihood across families.
-func (s PeerScore) Prob(ann4, ann6 int) float64 {
-	total := ann4 + ann6
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Routes4+s.Routes6) / float64(total)
-}
-
 // ScorePeers computes per-peer zombie likelihoods from a report.
 // includeDuplicates selects the "with double-counting" variant.
 func ScorePeers(rep *Report, includeDuplicates bool) []PeerScore {

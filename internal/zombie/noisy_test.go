@@ -91,8 +91,8 @@ func TestLegacyDetectorDoubleCountsAndMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := &LegacyDetector{Availability: 1.0}
-	rep := legacy.Detect(h, ivs)
+	legacy := &LegacyDetector{}
+	rep := legacy.detect(h, ivs, 1)
 	// Legacy counts: interval 1 -> B and C (ignores the session down!);
 	// interval 2 -> B and C again (no dedup).
 	if len(rep.Outbreaks) != 2 {
@@ -109,8 +109,8 @@ func TestLegacyDetectorDoubleCountsAndMisses(t *testing.T) {
 		}
 	}
 	// With poor availability the legacy detector loses checks.
-	flaky := &LegacyDetector{Availability: 0.25, Seed: 7}
-	frep := flaky.Detect(h, ivs)
+	flaky := &LegacyDetector{Seed: 7}
+	frep := flaky.detect(h, ivs, 0.25)
 	if CountRoutes(frep.Outbreaks) >= 4 {
 		t.Errorf("flaky legacy found %d routes, expected misses", CountRoutes(frep.Outbreaks))
 	}
@@ -131,7 +131,7 @@ func TestLegacyStateDelayHidesLateWithdrawals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := (&LegacyDetector{Availability: 1.0}).Detect(h, []beacon.Interval{iv})
+	legacy := (&LegacyDetector{}).detect(h, []beacon.Interval{iv}, 1)
 	if CountRoutes(legacy.Outbreaks) != 1 {
 		t.Errorf("legacy routes = %d, want 1 false positive", CountRoutes(legacy.Outbreaks))
 	}

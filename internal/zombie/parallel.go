@@ -137,7 +137,7 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 		pl := &PrefixLifespan{Prefix: prefixes[i]}
 		ivs := byPrefix[pl.Prefix]
 		for peer, obs := range series.byPrefix[pl.Prefix] {
-			cfg.foldSeries(pl, series.peers[peer], obs, ivs)
+			foldSeries(pl, series.peers[peer], obs, ivs)
 		}
 		finishLifespan(pl, ivs)
 		pls[i] = pl

@@ -336,11 +336,11 @@ func (r *referenceHistory) sweep(intervals []beacon.Interval, thresholds []time.
 	return out
 }
 
-// detectLegacy is LegacyDetector.Detect over the oracle.
-func (r *referenceHistory) detectLegacy(d *LegacyDetector, intervals []beacon.Interval) *Report {
+// detectLegacy is LegacyDetector.detect over the oracle.
+func (r *referenceHistory) detectLegacy(d *LegacyDetector, intervals []beacon.Interval, availability float64) *Report {
 	return d.detectRows(refReportPeers(r, intervals), r.SeenAnnounced, func(peer PeerID, p netip.Prefix, t time.Time) State {
 		return refStateAt(r.pairEvents(peer, p), nil, t)
-	}, intervals)
+	}, intervals, availability)
 }
 
 // detectRows is the oracle's legacy decision over any state source: one
@@ -350,10 +350,9 @@ func (r *referenceHistory) detectLegacy(d *LegacyDetector, intervals []beacon.In
 func (d *LegacyDetector) detectRows(peers []PeerID,
 	seenAnnounced func(p netip.Prefix, from, to time.Time) bool,
 	stateAt func(peer PeerID, p netip.Prefix, t time.Time) State,
-	intervals []beacon.Interval) *Report {
-	threshold := (&Detector{Threshold: d.Threshold}).threshold()
+	intervals []beacon.Interval, availability float64) *Report {
 	rep := &Report{
-		Threshold: threshold,
+		Threshold: DefaultThreshold,
 		Intervals: intervals,
 		Peers:     peers,
 	}
@@ -361,12 +360,12 @@ func (d *LegacyDetector) detectRows(peers []PeerID,
 		if seenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt) {
 			rep.VisiblePrefixes++
 		}
-		// The looking glass answers with state as of checkAt-StateDelay.
-		checkAt := iv.WithdrawAt.Add(threshold)
-		effective := checkAt.Add(-d.stateDelay())
+		// The looking glass answers with state as of checkAt minus its lag.
+		checkAt := iv.WithdrawAt.Add(DefaultThreshold)
+		effective := checkAt.Add(-lookingGlassDelay)
 		var routes []Route
 		for _, peer := range peers {
-			if !d.checkSucceeds(peer, iv) {
+			if !d.checkSucceeds(peer, iv, availability) {
 				continue // looking glass unreachable for this check
 			}
 			st := stateAt(peer, iv.Prefix, effective)

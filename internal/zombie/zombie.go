@@ -142,10 +142,6 @@ type FilterOptions struct {
 	IncludeDuplicates bool
 	// ExcludePeerAS removes routes from these peer ASes (noisy peers).
 	ExcludePeerAS map[bgp.ASN]bool
-	// ExcludePeerAddr removes routes from specific peer router addresses.
-	ExcludePeerAddr map[netip.Addr]bool
-	// Family restricts to one address family (0 = both).
-	Family bgp.AFI
 }
 
 func (f *FilterOptions) keeps(r Route) bool {
@@ -153,12 +149,6 @@ func (f *FilterOptions) keeps(r Route) bool {
 		return false
 	}
 	if f.ExcludePeerAS != nil && f.ExcludePeerAS[r.Peer.AS] {
-		return false
-	}
-	if f.ExcludePeerAddr != nil && f.ExcludePeerAddr[r.Peer.Addr] {
-		return false
-	}
-	if f.Family != 0 && bgp.PrefixAFI(r.Prefix) != f.Family {
 		return false
 	}
 	return true
