@@ -561,8 +561,10 @@ func BenchmarkLivefeedFanoutOracle(b *testing.B) {
 			continue // the old path at 100k subscribers is pointlessly slow
 		}
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			published := benchFanoutEvent()
 			runFanoutBench(b, subs, func(fr livefeed.Frame) {
-				ev := fr.Event()
+				ev := published // the one event runFanoutBench publishes, as delivered
+				ev.Seq = fr.Seq()
 				if err := livefeed.WriteFrame(io.Discard, livefeed.FrameEvent, &ev); err != nil {
 					b.Fatal(err)
 				}

@@ -5,13 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
-	"path"
-	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -29,7 +25,7 @@ const exportsGolden = "testdata/exports.golden"
 // the golden: listed reasons are kept and new entries get an empty one,
 // which fails until it is filled in.
 func TestTestOnlyExports(t *testing.T) {
-	found := scanTestOnlyExports(t)
+	found := scanTestOnlyExports(t, loadShippedTree(t))
 	if *update {
 		old, _ := readGolden(exportsGolden)
 		var b bytes.Buffer
@@ -92,85 +88,82 @@ type testOnlyExport struct {
 	lines     int
 }
 
-// stdMethods are method names a standard-library interface calls
-// (fmt.Stringer, error, io, sort, heap, json, http, slog), which a scan
-// of selectors cannot see being called.
-var stdMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true, "Format": true,
-	"Read": true, "Write": true, "Close": true, "ReadAt": true, "WriteTo": true, "ReadFrom": true, "Seek": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"ServeHTTP": true, "Enabled": true, "Handle": true, "WithAttrs": true, "WithGroup": true,
-}
-
-// scanTestOnlyExports walks the tree from the repository root. Shipped
-// files are the non-_test.go files of packages whose name does not end
-// in "test" (test-support packages such as obstest are test code); bench/
-// and examples/ are shipped. An exported top-level name declared in a
-// shipped package under internal/ is used when a shipped file in another
-// package selects it through its import (pkg.Name) or a shipped file of
-// its own package names it outside its own declaration. An exported
-// method is used when any shipped file selects a field or method of that
-// name; methods named after standard interface methods are skipped.
-func scanTestOnlyExports(t *testing.T) []testOnlyExport {
+// scanTestOnlyExports lists the exported identifiers declared in the
+// tree's packages under internal/ that no shipped code uses: top-level
+// types, functions, variables and constants, and the methods of any type
+// declared there. A declaration is used when an identifier in a shipped
+// file resolves to it (its generic origin, for an instance) outside its
+// own declaration and outside a method's receiver. A method is also used
+// when it implements, on T or *T, an interface method that shipped code
+// calls. A method of a standard-library interface its type implements
+// (String, Error, Len, ...) is called by the standard library and is not
+// listed. Uses inside a listed declaration do not count: the scan repeats
+// until no more declarations are listed, so what only test-only code
+// reaches is listed too.
+func scanTestOnlyExports(t *testing.T, tr *typedTree) []testOnlyExport {
 	t.Helper()
+	std, err := stdInterfaces()
+	if err != nil {
+		t.Fatal(err)
+	}
 	type decl struct {
 		testOnlyExport
-		pkg, ident string
-		method     bool
-		node       ast.Node // the declaration; uses inside it do not count
+		obj    types.Object
+		node   ast.Node // the declaration; uses inside it do not count
+		listed bool
 	}
-	fset := token.NewFileSet()
-	files := shippedFiles(t, fset)
-
 	span := func(from, to token.Pos) int {
-		return fset.Position(to).Line - fset.Position(from).Line + 1
+		return scanFset.Position(to).Line - scanFset.Position(from).Line + 1
 	}
 	var decls []*decl
-	add := func(pkg, name string, method bool, doc *ast.CommentGroup, node ast.Node) {
+	byObj := make(map[types.Object]*decl)
+	add := func(pkg string, id *ast.Ident, doc *ast.CommentGroup, node ast.Node) {
+		obj := tr.info.Defs[id]
+		name := id.Name
+		if recv := methodRecv(obj); recv != nil {
+			if implementsStd(obj.(*types.Func), std) {
+				return
+			}
+			name = recv.Obj().Name() + "." + name
+		}
 		from := node.Pos()
 		if doc != nil {
 			from = doc.Pos()
 		}
-		ident := name
-		if method {
-			ident = name[strings.LastIndexByte(name, '.')+1:]
+		d := &decl{
+			testOnlyExport: testOnlyExport{name: tr.shortName(pkg, name), pos: scanFset.Position(node.Pos()).String(), lines: span(from, node.End())},
+			obj:            obj, node: node,
 		}
-		decls = append(decls, &decl{
-			testOnlyExport: testOnlyExport{name: pkg + "." + name, pos: fset.Position(node.Pos()).String(), lines: span(from, node.End())},
-			pkg:            pkg, ident: ident, method: method, node: node,
-		})
+		decls = append(decls, d)
+		byObj[obj] = d
 	}
-	for _, f := range files {
-		if !strings.HasPrefix(f.pkg, "zombiescope/internal/") {
+	for _, p := range tr.pkgs {
+		if !tr.internal(p.path) {
 			continue
 		}
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				if d.Recv == nil {
-					add(f.pkg, d.Name.Name, false, d.Doc, d)
-				} else if !stdMethods[d.Name.Name] {
-					add(f.pkg, recvName(d.Recv.List[0].Type)+"."+d.Name.Name, true, d.Doc, d)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					doc, node := d.Doc, ast.Node(s)
-					if len(d.Specs) == 1 {
-						node = d
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Name.IsExported() {
+						add(p.path, d.Name, d.Doc, d)
 					}
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							add(f.pkg, s.Name.Name, false, specDoc(s.Doc, doc, len(d.Specs)), node)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						doc, node := specDoc(d, s), ast.Node(s)
+						if len(d.Specs) == 1 {
+							node = d
 						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.IsExported() {
-								add(f.pkg, n.Name, false, specDoc(s.Doc, doc, len(d.Specs)), node)
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								add(p.path, s.Name, doc, node)
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								if n.IsExported() {
+									add(p.path, n, doc, node)
+								}
 							}
 						}
 					}
@@ -179,91 +172,98 @@ func scanTestOnlyExports(t *testing.T) []testOnlyExport {
 		}
 	}
 
-	used := make(map[string]bool)     // "importpath.Name" of top-level names
-	selected := make(map[string]bool) // every selected field or method name
-	own := make(map[string][]*decl)
+	// Every use in a shipped file, with the declaration node of the
+	// candidates it sits in (nil outside all of them).
+	type use struct {
+		obj  types.Object
+		from ast.Node
+	}
+	nodes := make(map[ast.Node]bool)
 	for _, d := range decls {
-		if !d.method {
-			own[d.pkg+"."+d.ident] = append(own[d.pkg+"."+d.ident], d)
+		nodes[d.node] = true
+	}
+	var uses []use
+	for _, p := range tr.pkgs {
+		for _, f := range p.files {
+			for _, top := range f.Decls {
+				var recv *ast.FieldList
+				if fd, ok := top.(*ast.FuncDecl); ok {
+					recv = fd.Recv
+				}
+				var from ast.Node
+				ast.Inspect(top, func(n ast.Node) bool {
+					if nodes[n] {
+						from = n
+					}
+					id, ok := n.(*ast.Ident)
+					if !ok || recv != nil && within(id, recv) {
+						return true
+					}
+					if obj := tr.info.Uses[id]; obj != nil {
+						u := use{obj: origin(obj)}
+						if from != nil && within(id, from) {
+							u.from = from
+						}
+						uses = append(uses, u)
+					}
+					return true
+				})
+			}
 		}
 	}
-	for _, f := range files {
-		imports := fileImports(f.ast)
-		var recv *ast.FieldList // the receiver of the method being walked
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				recv = n.Recv
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					used[imports[x.Name]+"."+n.Sel.Name] = true
-					return false
-				}
-			case *ast.Ident:
-				// A receiver names its own type, and a declaration
-				// names itself; neither is a use.
-				key := f.pkg + "." + n.Name
-				if ds, ok := own[key]; ok && (recv == nil || !within(n, recv)) && !slices.ContainsFunc(ds, func(d *decl) bool { return within(n, d.node) }) {
-					used[key] = true
+
+	listed := make(map[ast.Node]bool) // declaration nodes of listed candidates
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
+	}
+	for {
+		used := make(map[types.Object]bool)
+		called := make(map[ifaceMethod]bool)
+		for _, u := range uses {
+			if u.from != nil && (listed[u.from] || byObj[u.obj] != nil && byObj[u.obj].node == u.from) {
+				continue
+			}
+			used[u.obj] = true
+			if m, ok := u.obj.(*types.Func); ok {
+				if recv := m.Type().(*types.Signature).Recv(); recv != nil {
+					if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+						called[ifaceMethod{iface, m.Name()}] = true
+					}
 				}
 			}
-			return true
-		})
+		}
+		implementsCalled := func(recv *types.Named, name string) bool {
+			for c := range called {
+				if c.name == name && implements(recv, c.iface) {
+					return true
+				}
+			}
+			return false
+		}
+		grew := false
+		for _, d := range decls {
+			if d.listed || used[d.obj] {
+				continue
+			}
+			if recv := methodRecv(d.obj); recv != nil && implementsCalled(recv, d.obj.Name()) {
+				continue
+			}
+			d.listed, listed[d.node], grew = true, true, true
+		}
+		if !grew {
+			break
+		}
 	}
 
 	var out []testOnlyExport
 	for _, d := range decls {
-		if d.method && selected[d.ident] || !d.method && used[d.pkg+"."+d.ident] {
-			continue
+		if d.listed {
+			out = append(out, d.testOnlyExport)
 		}
-		d.name = strings.TrimPrefix(d.name, "zombiescope/")
-		out = append(out, d.testOnlyExport)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// shippedFile is one parsed shipped file and its package's import path.
-type shippedFile struct {
-	pkg string // import path
-	ast *ast.File
-}
-
-// shippedFiles parses the tree from the repository root: the
-// non-_test.go files of packages whose name does not end in "test"
-// (test-support packages such as obstest are test code); bench/ and
-// examples/ are shipped.
-func shippedFiles(t *testing.T, fset *token.FileSet) []shippedFile {
-	t.Helper()
-	var files []shippedFile
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(f.Name.Name, "test") {
-			return nil
-		}
-		files = append(files, shippedFile{path.Join("zombiescope", filepath.ToSlash(filepath.Dir(p))), f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
 }
 
 // within reports whether n lies inside outer.
@@ -273,24 +273,16 @@ func within(n, outer ast.Node) bool {
 
 // specDoc picks a spec's own doc comment, or its declaration's when the
 // declaration holds only that spec.
-func specDoc(spec, decl *ast.CommentGroup, specs int) *ast.CommentGroup {
-	if spec != nil || specs > 1 {
-		return spec
+func specDoc(d *ast.GenDecl, s ast.Spec) *ast.CommentGroup {
+	var doc *ast.CommentGroup
+	switch s := s.(type) {
+	case *ast.TypeSpec:
+		doc = s.Doc
+	case *ast.ValueSpec:
+		doc = s.Doc
 	}
-	return decl
-}
-
-// recvName is the type name of a method receiver.
-func recvName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return recvName(e.X)
-	case *ast.IndexExpr:
-		return recvName(e.X)
-	case *ast.IndexListExpr:
-		return recvName(e.X)
-	case *ast.Ident:
-		return e.Name
+	if doc != nil || len(d.Specs) > 1 {
+		return doc
 	}
-	return "?"
+	return d.Doc
 }

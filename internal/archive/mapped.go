@@ -78,17 +78,6 @@ func OpenMapped(dir string) (*MappedSet, error) {
 	return set, nil
 }
 
-// Mapped reports whether at least one segment is a real mmap (false means
-// every segment fell back to a heap read).
-func (s *MappedSet) Mapped() bool {
-	for _, m := range s.maps {
-		if m.Mapped() {
-			return true
-		}
-	}
-	return false
-}
-
 // Close releases every mapping. Slices handed out before Close must not
 // be touched afterwards.
 func (s *MappedSet) Close() {

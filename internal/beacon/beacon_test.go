@@ -408,7 +408,10 @@ func TestAuthorScheduleInterval24hEnd(t *testing.T) {
 func TestAuthorSchedulePrefixes(t *testing.T) {
 	s := &AuthorSchedule{Base: base, OriginAS: 210312, Approach: Recycle24h}
 	start := time.Date(2024, 6, 5, 0, 0, 0, 0, time.UTC)
-	ps := s.Prefixes(start, start.Add(48*time.Hour))
+	ps := make(map[netip.Prefix]bool)
+	for _, ev := range s.Events(start, start.Add(48*time.Hour)) {
+		ps[ev.Prefix] = true
+	}
 	if len(ps) != 96 {
 		t.Errorf("two days of 24h-recycled beacons use %d prefixes, want 96", len(ps))
 	}

@@ -37,8 +37,6 @@ type Schedule interface {
 	// Intervals returns the detection intervals for announcements in
 	// [start, end), time-ordered.
 	Intervals(start, end time.Time) []Interval
-	// Prefixes returns every prefix the schedule can emit in [start, end).
-	Prefixes(start, end time.Time) []netip.Prefix
 }
 
 // RISSchedule models the RIPE RIS beacons: each prefix is announced every
@@ -114,11 +112,6 @@ func (s *RISSchedule) Intervals(start, end time.Time) []Interval {
 	}
 	sortIntervals(out)
 	return out
-}
-
-// Prefixes implements Schedule.
-func (s *RISSchedule) Prefixes(start, end time.Time) []netip.Prefix {
-	return s.all()
 }
 
 // AuthorSchedule models the authors' beacons: every SlotDuration a
@@ -232,24 +225,6 @@ func nextUse(slots []time.Time, slotPrefix map[time.Time]netip.Prefix, p netip.P
 		}
 	}
 	return time.Time{}, false
-}
-
-// Prefixes implements Schedule.
-func (s *AuthorSchedule) Prefixes(start, end time.Time) []netip.Prefix {
-	seen := make(map[netip.Prefix]bool)
-	var out []netip.Prefix
-	for _, t := range s.slots(start, end) {
-		p, err := EncodeAuthorPrefix(s.Base, t, s.Approach)
-		if err != nil {
-			continue
-		}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr().Less(out[j].Addr()) })
-	return out
 }
 
 func sortEvents(evs []Event) {

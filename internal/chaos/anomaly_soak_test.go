@@ -27,6 +27,7 @@ import (
 	"zombiescope/internal/chaos"
 	"zombiescope/internal/experiments/anomalytest"
 	"zombiescope/internal/livefeed"
+	"zombiescope/internal/mrt"
 	"zombiescope/internal/zombie"
 )
 
@@ -163,7 +164,7 @@ func runAnomalySoakSeed(t *testing.T, sc *anomalySoakScenario, seed uint64) {
 			if onEventErr != nil || ev.Channel != livefeed.ChannelUpdates {
 				return
 			}
-			rec, err := ev.Record()
+			rec, err := new(mrt.Decoder).DecodeFramed(ev.Raw)
 			if err != nil {
 				onEventErr = fmt.Errorf("seq %d: decode raw record: %w", ev.Seq, err)
 				return

@@ -150,7 +150,7 @@ type heldFrame struct {
 // kicked. A doomed drainer given a non-nil stall stops reading after its
 // first 8 frames until stall is closed, so it falls behind by
 // construction rather than only while the publisher outruns its pace.
-func fanoutDrainer(sub *livefeed.Subscriber, filter livefeed.Filter, kind string, stall <-chan struct{}, errs chan<- error) {
+func fanoutDrainer(sub *livefeed.Subscriber, stream []livefeed.Event, filter livefeed.Filter, kind string, stall <-chan struct{}, errs chan<- error) {
 	var last uint64
 	var held []heldFrame
 	n := 0
@@ -195,8 +195,11 @@ func fanoutDrainer(sub *livefeed.Subscriber, filter livefeed.Filter, kind string
 			fr.Release()
 			return
 		}
-		if ev := fr.Event(); !filter.Match(&ev) {
-			fail(fmt.Errorf("seq %d: delivered an event the filter %+v rejects", ev.Seq, filter))
+		// The stream is published whole from seq 1, so a frame's sequence
+		// names the event it carries; validateFrame's sampled decode
+		// holds the two together.
+		if seq := fr.Seq(); seq < 1 || seq > uint64(len(stream)) || !filter.Match(&stream[seq-1]) {
+			fail(fmt.Errorf("seq %d: delivered an event the filter %+v rejects", seq, filter))
 			fr.Release()
 			return
 		}
@@ -284,6 +287,11 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 	// In-process population: mostly fast drainers across five filters,
 	// plus holders (reuse-while-referenced torture) and doomed tiny-ring
 	// slow readers that must get kicked without corrupting anyone else.
+	rng := rand.New(rand.NewSource(int64(seed)))
+	stream := make([]livefeed.Event, *fanoutEvents)
+	for i := range stream {
+		stream[i] = fanoutEvent(rng, i)
+	}
 	errs := make(chan error, 16)
 	var wg sync.WaitGroup
 	subs := *fanoutSubs
@@ -323,7 +331,7 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fanoutDrainer(sub, filter, kind, hold, errs)
+			fanoutDrainer(sub, stream, filter, kind, hold, errs)
 		}()
 	}
 
@@ -374,10 +382,8 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 
 	// Publish the seeded stream. Occasional yields keep 10k drainers
 	// scheduled on small CI machines.
-	rng := rand.New(rand.NewSource(int64(seed)))
-	events := *fanoutEvents
-	for i := 0; i < events; i++ {
-		broker.Publish(fanoutEvent(rng, i))
+	for i := range stream {
+		broker.Publish(stream[i])
 		if i%64 == 63 {
 			time.Sleep(200 * time.Microsecond)
 		}
@@ -432,8 +438,8 @@ func runFanoutSeed(t *testing.T, seed uint64) {
 	}
 
 	m, _ := broker.Metrics().Registry().Values()
-	if got := m["livefeed_records_in_total"]; got != int64(events) {
-		fail("livefeed_records_in_total = %d, want %d", got, events)
+	if got := m["livefeed_records_in_total"]; got != int64(len(stream)) {
+		fail("livefeed_records_in_total = %d, want %d", got, len(stream))
 	}
 	if doomed > 0 && m["livefeed_kicks_total"] == 0 {
 		fail("no doomed reader was ever kicked (%d candidates): the soak did not stress kick-slowest", doomed)

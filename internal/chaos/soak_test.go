@@ -30,6 +30,7 @@ import (
 	"zombiescope/internal/chaos"
 	"zombiescope/internal/experiments"
 	"zombiescope/internal/livefeed"
+	"zombiescope/internal/mrt"
 	"zombiescope/internal/mrt/mrttest"
 	"zombiescope/internal/zombie"
 )
@@ -221,7 +222,7 @@ func runSoakSeed(t *testing.T, sc *soakScenario, seed uint64) {
 			}
 			switch ev.Channel {
 			case livefeed.ChannelUpdates:
-				rec, err := ev.Record()
+				rec, err := new(mrt.Decoder).DecodeFramed(ev.Raw)
 				if err != nil {
 					onEventErr = fmt.Errorf("seq %d: decode raw record: %w", ev.Seq, err)
 					return

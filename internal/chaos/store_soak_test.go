@@ -21,6 +21,8 @@
 package chaos_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -64,14 +66,20 @@ func TestStoreCrashSoak(t *testing.T) {
 	}
 }
 
-// nextTimeout is Subscriber.Next bounded by a wait of d.
+// nextTimeout is Subscriber.Next bounded by a wait of d. The event is
+// decoded from the frame's wire bytes, as a client decodes it.
 func nextTimeout(sub *livefeed.Subscriber, d time.Duration) (livefeed.Event, error) {
 	fr, err := sub.NextFrameTimeout(d)
 	if err != nil {
 		return livefeed.Event{}, err
 	}
 	defer fr.Release()
-	return fr.Event(), nil
+	var ev livefeed.Event
+	_, payload, err := livefeed.ReadFrame(bytes.NewReader(fr.Wire()))
+	if err == nil {
+		err = json.Unmarshal(payload, &ev)
+	}
+	return ev, err
 }
 
 // damageTail vandalizes the active (unsealed) segment the way a real

@@ -53,25 +53,13 @@ type Collector struct {
 	sessions map[sessionKey]netsim.Session
 	state    map[sessionKey]map[netip.Prefix]ribRoute
 
-	tap Tap
-
 	seq4, seq6 uint32
-	records    int
 	err        error
 
 	// Cached registry children (see metrics.go).
 	obsRecords   *obs.Counter
 	obsSnapshots *obs.Counter
 }
-
-// Tap observes every update-stream record a collector writes, in write
-// order, right after it is archived — the fan-out hook that lets records
-// flow to the archives and a live feed at the same time. Implementations
-// must not retain rec past the call.
-type Tap func(collector string, rec mrt.Record)
-
-// SetTap installs (or, with nil, removes) the record tap.
-func (c *Collector) SetTap(t Tap) { c.tap = t }
 
 func newCollector(name string) *Collector {
 	c := &Collector{
@@ -140,9 +128,6 @@ func (c *Collector) fail(err error) {
 
 // Err returns the first write/encode error, if any.
 func (c *Collector) Err() error { return c.err }
-
-// Records returns how many MRT records were written.
-func (c *Collector) Records() int { return c.records }
 
 // UpdatesData returns the raw MRT update archive.
 func (c *Collector) UpdatesData() []byte { return c.updates.Bytes() }
@@ -214,9 +199,6 @@ func (c *Collector) writeMessage(at time.Time, sess netsim.Session, u *bgp.Updat
 		return
 	}
 	c.noteRecord()
-	if c.tap != nil {
-		c.tap(c.Name, rec)
-	}
 }
 
 // PeerAnnounce records an announcement and updates the collector's view.
@@ -267,9 +249,6 @@ func (c *Collector) PeerState(at time.Time, sess netsim.Session, old, new mrt.Se
 		return
 	}
 	c.noteRecord()
-	if c.tap != nil {
-		c.tap(c.Name, rec)
-	}
 	if rec.Down() {
 		delete(c.state, k)
 	}

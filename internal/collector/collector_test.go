@@ -237,8 +237,11 @@ func TestFleetDispatchAndNames(t *testing.T) {
 	if len(names) != 2 || names[0] != "rrc00" || names[1] != "rrc25" {
 		t.Errorf("names %v", names)
 	}
-	if f.Records() != 2 {
-		t.Errorf("records %d", f.Records())
+	for _, name := range names {
+		recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector(name).UpdatesData()))
+		if err != nil || len(recs) != 1 {
+			t.Errorf("%s: %d update records, err %v", name, len(recs), err)
+		}
 	}
 	if len(f.UpdatesData()) != 2 || len(f.DumpData()) != 2 {
 		t.Error("data maps wrong size")
@@ -279,64 +282,5 @@ func TestDuplicateAnnouncementReplacesState(t *testing.T) {
 				t.Errorf("snapshot path %q, want the replacement", got)
 			}
 		}
-	}
-}
-
-func TestTapSeesEveryArchivedRecord(t *testing.T) {
-	f := NewFleet()
-	type tapped struct {
-		collector string
-		rec       mrt.Record
-	}
-	var got []tapped
-	f.SetTap(func(name string, rec mrt.Record) {
-		got = append(got, tapped{name, rec})
-	})
-	sess := v6Session()
-	f.PeerState(at0.Add(-time.Minute), sess, mrt.StateActive, mrt.StateEstablished)
-	f.PeerAnnounce(at0, sess, pfx6, attrs)
-	f.PeerWithdraw(at0.Add(15*time.Minute), sess, pfx6)
-	// A second collector created AFTER SetTap must inherit the tap.
-	other := netsim.Session{
-		Collector: "rrc00",
-		PeerAS:    201,
-		PeerIP:    netip.MustParseAddr("2001:db8:feed::2"),
-		AFI:       bgp.AFIIPv6,
-	}
-	f.PeerAnnounce(at0, other, pfx6, attrs)
-	if err := f.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(got) != f.Records() {
-		t.Fatalf("tap saw %d records, archive has %d", len(got), f.Records())
-	}
-	byCollector := map[string]int{}
-	for _, tp := range got {
-		byCollector[tp.collector]++
-	}
-	if byCollector["rrc25"] != 3 || byCollector["rrc00"] != 1 {
-		t.Fatalf("tap distribution %v, want rrc25:3 rrc00:1", byCollector)
-	}
-	// The tapped records are the archived records, in order.
-	recs, err := mrttest.ReadAll(bytes.NewReader(f.Collector("rrc25").UpdatesData()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for _, tp := range got {
-		if tp.collector != "rrc25" {
-			continue
-		}
-		if tp.rec.RecordTime() != recs[i].RecordTime() {
-			t.Fatalf("tapped record %d at %s, archived at %s", i, tp.rec.RecordTime(), recs[i].RecordTime())
-		}
-		i++
-	}
-	// RIB snapshots are dump-archive only and must not hit the tap.
-	before := len(got)
-	f.SnapshotRIBs(at0.Add(8 * time.Hour))
-	if len(got) != before {
-		t.Fatalf("RIB snapshot leaked %d records into the tap", len(got)-before)
 	}
 }

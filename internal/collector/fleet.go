@@ -13,7 +13,6 @@ import (
 // netsim.Sink by dispatching on the session's collector name.
 type Fleet struct {
 	collectors map[string]*Collector
-	tap        Tap
 }
 
 // NewFleet returns an empty fleet; collectors are created on first use.
@@ -21,22 +20,11 @@ func NewFleet() *Fleet {
 	return &Fleet{collectors: make(map[string]*Collector)}
 }
 
-// SetTap installs a record tap on every collector of the fleet, current
-// and future, so each archived update-stream record also reaches the tap
-// (e.g. a livefeed broker).
-func (f *Fleet) SetTap(t Tap) {
-	f.tap = t
-	for _, c := range f.collectors {
-		c.SetTap(t)
-	}
-}
-
 // Collector returns (creating if needed) the named collector.
 func (f *Fleet) Collector(name string) *Collector {
 	c, ok := f.collectors[name]
 	if !ok {
 		c = newCollector(name)
-		c.SetTap(f.tap)
 		f.collectors[name] = c
 	}
 	return c
@@ -83,15 +71,6 @@ func (f *Fleet) Err() error {
 		}
 	}
 	return nil
-}
-
-// Records returns the total MRT records written across the fleet.
-func (f *Fleet) Records() int {
-	n := 0
-	for _, c := range f.collectors {
-		n += c.Records()
-	}
-	return n
 }
 
 // UpdatesData returns every collector's update archive, keyed by name.

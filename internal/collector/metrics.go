@@ -30,7 +30,6 @@ func Registry() *obs.Registry { return registry }
 
 // noteRecord accounts one archived MRT record.
 func (c *Collector) noteRecord() {
-	c.records++
 	c.obsRecords.Inc()
 }
 

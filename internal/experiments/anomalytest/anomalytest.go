@@ -148,15 +148,8 @@ func Generate(kind string, seed uint64) (*Scenario, error) {
 	sched := &beacon.AuthorSchedule{Base: experiments.AuthorBase, OriginAS: originAS, Approach: beacon.Recycle24h, SlotStride: slotStride}
 	events := sched.Events(start, end)
 	intervals := sched.Intervals(start, end)
-	for _, ev := range events {
-		if ev.Announce {
-			err = sim.ScheduleAnnounce(ev.At, originAS, ev.Prefix, ev.Aggregator)
-		} else {
-			err = sim.ScheduleWithdraw(ev.At, originAS, ev.Prefix)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := experiments.ScheduleBeacons(sim, originAS, events); err != nil {
+		return nil, err
 	}
 
 	sc := &Scenario{

@@ -321,19 +321,13 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 		sched2.Events(approach2Start, cfg.Approach2End)...)
 	intervals := append(sched1.Intervals(cfg.Approach1Start, approach1End),
 		sched2.Intervals(approach2Start, cfg.Approach2End)...)
+	if err := ScheduleBeacons(sim, AuthorOriginAS, events); err != nil {
+		return nil, err
+	}
 	announcements := 0
-	annByPrefix := make(map[netip.Prefix][]beacon.Event)
 	for _, ev := range events {
 		if ev.Announce {
 			announcements++
-			annByPrefix[ev.Prefix] = append(annByPrefix[ev.Prefix], ev)
-			if err := sim.ScheduleAnnounce(ev.At, AuthorOriginAS, ev.Prefix, ev.Aggregator); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := sim.ScheduleWithdraw(ev.At, AuthorOriginAS, ev.Prefix); err != nil {
-				return nil, err
-			}
 		}
 	}
 

@@ -67,22 +67,10 @@ func runCombined(cfg Config) (*Result, error) {
 		Base: AuthorBase, OriginAS: AuthorOriginAS,
 		Approach: beacon.Recycle24h, SlotStride: cfg.Scale,
 	}
-	schedule := func(s beacon.Schedule) error {
-		for _, ev := range s.Events(start, end) {
-			if ev.Announce {
-				if err := sim.ScheduleAnnounce(ev.At, AuthorOriginAS, ev.Prefix, ev.Aggregator); err != nil {
-					return err
-				}
-			} else if err := sim.ScheduleWithdraw(ev.At, AuthorOriginAS, ev.Prefix); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := schedule(ris); err != nil {
+	if err := ScheduleBeacons(sim, AuthorOriginAS, ris.Events(start, end)); err != nil {
 		return nil, err
 	}
-	if err := schedule(author); err != nil {
+	if err := ScheduleBeacons(sim, AuthorOriginAS, author.Events(start, end)); err != nil {
 		return nil, err
 	}
 	sim.EstablishCollectorSessions(start.Add(-time.Minute))

@@ -8,6 +8,7 @@ import (
 
 	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
+	"zombiescope/internal/netsim"
 	"zombiescope/internal/zombie"
 )
 
@@ -18,6 +19,23 @@ type Config struct {
 	// Scale divides the paper's period durations (1 = full length,
 	// 8 = default quick run). Larger is faster and smaller.
 	Scale int
+}
+
+// ScheduleBeacons has origin announce or withdraw each beacon event's
+// prefix on sim, in event order.
+func ScheduleBeacons(sim *netsim.Simulator, origin bgp.ASN, events []beacon.Event) error {
+	for _, ev := range events {
+		var err error
+		if ev.Announce {
+			err = sim.ScheduleAnnounce(ev.At, origin, ev.Prefix, ev.Aggregator)
+		} else {
+			err = sim.ScheduleWithdraw(ev.At, origin, ev.Prefix)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {

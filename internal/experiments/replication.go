@@ -167,8 +167,7 @@ type PeriodData struct {
 	Updates   map[string][]byte
 	Intervals []beacon.Interval
 	// Announcements per family, the likelihood denominators.
-	Ann4, Ann6     int
-	NoisyPeerAddrs []netip.Addr
+	Ann4, Ann6 int
 }
 
 // RunReplication simulates every period independently (as the paper
@@ -238,7 +237,6 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 	fleet := collector.NewFleet()
 	sim.SetSink(fleet)
 
-	var noisyAddrs []netip.Addr
 	addSession := func(asn bgp.ASN, idx int, coll string) (netsim.Session, error) {
 		var addr netip.Addr
 		var afi bgp.AFI
@@ -260,11 +258,9 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 			return nil, err
 		}
 	}
-	noisySess, err := addSession(NoisyReplicationPeer, len(peers), "rrc21")
-	if err != nil {
+	if _, err := addSession(NoisyReplicationPeer, len(peers), "rrc21"); err != nil {
 		return nil, err
 	}
-	noisyAddrs = append(noisyAddrs, noisySess.PeerIP)
 
 	// Beacon schedule.
 	v4Prefixes, v6Prefixes := beacon.DefaultRISPrefixes(RISOriginAS)
@@ -365,21 +361,19 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 
 	// Run.
 	sim.EstablishCollectorSessions(start.Add(-time.Minute))
+	events := sched.Events(start, end)
+	if err := ScheduleBeacons(sim, RISOriginAS, events); err != nil {
+		return nil, err
+	}
 	ann4, ann6 := 0, 0
-	for _, ev := range sched.Events(start, end) {
-		if ev.Announce {
-			if ev.Prefix.Addr().Is4() {
-				ann4++
-			} else {
-				ann6++
-			}
-			if err := sim.ScheduleAnnounce(ev.At, RISOriginAS, ev.Prefix, ev.Aggregator); err != nil {
-				return nil, err
-			}
+	for _, ev := range events {
+		if !ev.Announce {
+			continue
+		}
+		if ev.Prefix.Addr().Is4() {
+			ann4++
 		} else {
-			if err := sim.ScheduleWithdraw(ev.At, RISOriginAS, ev.Prefix); err != nil {
-				return nil, err
-			}
+			ann6++
 		}
 	}
 	sim.RunAll()
@@ -387,11 +381,10 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 		return nil, err
 	}
 	return &PeriodData{
-		Name:           period.name,
-		Updates:        fleet.UpdatesData(),
-		Intervals:      sched.Intervals(start, end),
-		Ann4:           ann4,
-		Ann6:           ann6,
-		NoisyPeerAddrs: noisyAddrs,
+		Name:      period.name,
+		Updates:   fleet.UpdatesData(),
+		Intervals: sched.Intervals(start, end),
+		Ann4:      ann4,
+		Ann6:      ann6,
 	}, nil
 }

@@ -76,14 +76,8 @@ func runRouteViews(cfg Config) (*Result, error) {
 		Base: AuthorBase, OriginAS: bgp.ASN(origin),
 		Approach: beacon.Recycle24h, SlotStride: cfg.Scale,
 	}
-	for _, ev := range sched.Events(start, end) {
-		if ev.Announce {
-			if err := sim.ScheduleAnnounce(ev.At, origin, ev.Prefix, ev.Aggregator); err != nil {
-				return nil, err
-			}
-		} else if err := sim.ScheduleWithdraw(ev.At, origin, ev.Prefix); err != nil {
-			return nil, err
-		}
+	if err := ScheduleBeacons(sim, origin, sched.Events(start, end)); err != nil {
+		return nil, err
 	}
 	sim.EstablishCollectorSessions(start.Add(-time.Minute))
 	sim.RunAll()

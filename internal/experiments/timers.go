@@ -75,14 +75,8 @@ func runTimersAblation(cfg Config) (*Result, error) {
 			WithdrawAfter:  15 * time.Minute,
 		}
 		end := start.Add(24 * time.Hour)
-		for _, ev := range sched.Events(start, end) {
-			if ev.Announce {
-				if err := sim.ScheduleAnnounce(ev.At, origin, ev.Prefix, ev.Aggregator); err != nil {
-					return outcome{}, err
-				}
-			} else if err := sim.ScheduleWithdraw(ev.At, origin, ev.Prefix); err != nil {
-				return outcome{}, err
-			}
+		if err := ScheduleBeacons(sim, origin, sched.Events(start, end)); err != nil {
+			return outcome{}, err
 		}
 		sim.EstablishCollectorSessions(start.Add(-time.Minute))
 		sim.RunAll()

@@ -53,12 +53,6 @@ func NewTable[V any]() *Table[V] {
 // nanoseconds for an AS path's wire bytes.
 var shardSeed = maphash.MakeSeed()
 
-// Get is GetErr for constructors that cannot fail.
-func (t *Table[V]) Get(key []byte, mk func(key []byte) V) V {
-	v, _ := t.GetErr(key, func(key []byte) (V, error) { return mk(key), nil })
-	return v
-}
-
 // GetErr returns the canonical value for key, building it with mk(key) on
 // first sight. mk runs under the shard's write lock, at most once per key
 // it succeeds on: a failed construction is not cached, the error is
@@ -88,18 +82,6 @@ func (t *Table[V]) GetErr(key []byte, mk func(key []byte) (V, error)) (V, error)
 	s.m[string(key)] = v
 	s.misses.Add(1)
 	return v, nil
-}
-
-// Len returns the number of interned entries.
-func (t *Table[V]) Len() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
 }
 
 // Stats sums the per-shard counters.

@@ -11,21 +11,21 @@ import (
 
 func TestGetCanonicalizes(t *testing.T) {
 	tab := NewTable[*[]byte]()
-	mk := func(key []byte) *[]byte {
+	mk := func(key []byte) (*[]byte, error) {
 		b := append([]byte(nil), key...)
-		return &b
+		return &b, nil
 	}
-	a := tab.Get([]byte("path-1"), mk)
-	b := tab.Get([]byte("path-1"), mk)
+	a, _ := tab.GetErr([]byte("path-1"), mk)
+	b, _ := tab.GetErr([]byte("path-1"), mk)
 	if a != b {
 		t.Error("same key returned distinct values")
 	}
-	c := tab.Get([]byte("path-2"), mk)
+	c, _ := tab.GetErr([]byte("path-2"), mk)
 	if c == a {
 		t.Error("distinct keys returned the same value")
 	}
-	if got := tab.Len(); got != 2 {
-		t.Errorf("Len = %d, want 2", got)
+	if got := tab.Stats().Entries; got != 2 {
+		t.Errorf("Entries = %d, want 2", got)
 	}
 }
 
@@ -35,17 +35,17 @@ func TestGetCanonicalizes(t *testing.T) {
 // not corrupt the table, and the original key must still hit.
 func TestKeyDoesNotAliasCallerBuffer(t *testing.T) {
 	tab := NewTable[uint32]()
-	mk := func(key []byte) uint32 { return binary.BigEndian.Uint32(key) }
+	mk := func(key []byte) (uint32, error) { return binary.BigEndian.Uint32(key), nil }
 	buf := []byte{0, 0, 0, 7}
-	if got := tab.Get(buf, mk); got != 7 {
-		t.Fatalf("Get = %d, want 7", got)
+	if got, _ := tab.GetErr(buf, mk); got != 7 {
+		t.Fatalf("GetErr = %d, want 7", got)
 	}
 	// Reuse the buffer for a different key, as a pooled decoder would.
 	binary.BigEndian.PutUint32(buf, 9)
-	if got := tab.Get(buf, mk); got != 9 {
-		t.Fatalf("Get after reuse = %d, want 9", got)
+	if got, _ := tab.GetErr(buf, mk); got != 9 {
+		t.Fatalf("GetErr after reuse = %d, want 9", got)
 	}
-	if got := tab.Get([]byte{0, 0, 0, 7}, mk); got != 7 {
+	if got, _ := tab.GetErr([]byte{0, 0, 0, 7}, mk); got != 7 {
 		t.Errorf("original key corrupted by buffer reuse: got %d, want 7", got)
 	}
 	if st := tab.Stats(); st.Entries != 2 || st.Misses != 2 || st.Hits != 1 {
@@ -58,14 +58,14 @@ func TestKeyDoesNotAliasCallerBuffer(t *testing.T) {
 // the buffers are dead and the GC has run.
 func TestInternedValuesSurviveOriginals(t *testing.T) {
 	tab := NewTable[*string]()
-	mk := func(key []byte) *string {
+	mk := func(key []byte) (*string, error) {
 		s := string(key)
-		return &s
+		return &s, nil
 	}
 	ptrs := make([]*string, 64)
 	for i := range ptrs {
 		key := []byte(fmt.Sprintf("as-path-%d", i)) // dies after this iteration
-		ptrs[i] = tab.Get(key, mk)
+		ptrs[i], _ = tab.GetErr(key, mk)
 	}
 	runtime.GC()
 	runtime.GC()
@@ -74,7 +74,7 @@ func TestInternedValuesSurviveOriginals(t *testing.T) {
 		if *p != want {
 			t.Fatalf("interned value %d = %q, want %q", i, *p, want)
 		}
-		if again := tab.Get([]byte(want), mk); again != p {
+		if again, _ := tab.GetErr([]byte(want), mk); again != p {
 			t.Fatalf("re-lookup %d returned a different pointer", i)
 		}
 	}
@@ -106,12 +106,12 @@ func TestGetErrDoesNotCacheFailures(t *testing.T) {
 
 func TestStatsHitRate(t *testing.T) {
 	tab := NewTable[int]()
-	mk := func(key []byte) int { return int(key[0]) }
+	mk := func(key []byte) (int, error) { return int(key[0]), nil }
 	keys := [][]byte{{1}, {2}, {3}, {4}}
 	for round := 0; round < 5; round++ {
 		for _, k := range keys {
-			if got := tab.Get(k, mk); got != int(k[0]) {
-				t.Fatalf("Get(%v) = %d", k, got)
+			if got, _ := tab.GetErr(k, mk); got != int(k[0]) {
+				t.Fatalf("GetErr(%v) = %d", k, got)
 			}
 		}
 	}
@@ -132,9 +132,9 @@ func TestStatsHitRate(t *testing.T) {
 // observed the canonical pointer per key.
 func TestConcurrentGet(t *testing.T) {
 	tab := NewTable[*uint64]()
-	mk := func(key []byte) *uint64 {
+	mk := func(key []byte) (*uint64, error) {
 		v := binary.BigEndian.Uint64(key)
-		return &v
+		return &v, nil
 	}
 	const (
 		workers = 8
@@ -152,7 +152,7 @@ func TestConcurrentGet(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for k := 0; k < keys; k++ {
 					binary.BigEndian.PutUint64(key[:], uint64(k*7919))
-					p := tab.Get(key[:], mk)
+					p, _ := tab.GetErr(key[:], mk)
 					if got[w][k] == nil {
 						got[w][k] = p
 					} else if got[w][k] != p {
@@ -183,11 +183,11 @@ func TestConcurrentGet(t *testing.T) {
 // TestHitPathAllocates0 pins the zero-allocation contract of the hit path.
 func TestHitPathAllocates0(t *testing.T) {
 	tab := NewTable[int]()
-	mk := func(key []byte) int { return len(key) }
+	mk := func(key []byte) (int, error) { return len(key), nil }
 	key := []byte("steady-state-key")
-	tab.Get(key, mk)
+	tab.GetErr(key, mk)
 	avg := testing.AllocsPerRun(1000, func() {
-		if tab.Get(key, mk) != len(key) {
+		if v, _ := tab.GetErr(key, mk); v != len(key) {
 			t.Fatal("wrong value")
 		}
 	})

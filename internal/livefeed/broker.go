@@ -326,7 +326,7 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 	return seq
 }
 
-// PublishRecord converts a tapped collector record to an event carrying
+// PublishRecord converts a collector record to an event carrying
 // the raw MRT record, so subscribers can run byte-faithful pipelines
 // (e.g. zombie.StreamDetector), and publishes it. RIB-dump records are
 // not streamed (ok is false).
@@ -679,13 +679,6 @@ func newSubscriber(b *Broker, f Filter, policy Policy, ringSize int) *Subscriber
 	return s
 }
 
-// ID returns the session id, unique per broker lifetime — the value of
-// the id label on this subscriber's lag/queue gauges.
-func (s *Subscriber) ID() uint64 { return s.id }
-
-// Policy returns the subscriber's backpressure policy.
-func (s *Subscriber) Policy() Policy { return s.policy }
-
 // push enqueues one frame under the subscriber's policy, taking a new
 // reference on success. It returns false when the subscriber was kicked
 // (caller must detach it). Called with the broker lock held; only the
@@ -841,23 +834,6 @@ func (s *Subscriber) noteDelivered(f *sharedFrame) {
 		s.lastSeq.Store(seq)
 	}
 	s.delivered.Add(1)
-}
-
-// Len returns how many events are queued.
-func (s *Subscriber) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Cap returns the ring capacity.
-func (s *Subscriber) Cap() int { return len(s.buf) }
-
-// Drops returns how many events this subscriber lost to drop-oldest.
-func (s *Subscriber) Drops() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drops
 }
 
 // Close detaches the subscriber: no further events are queued, a blocked

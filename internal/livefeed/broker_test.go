@@ -21,6 +21,20 @@ func testEvent(i int) Event {
 	}
 }
 
+// subQueued is how many events s has queued.
+func subQueued(s *Subscriber) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
+}
+
+// subDrops is how many events s lost to drop-oldest.
+func subDrops(s *Subscriber) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.drops
+}
+
 // publishN publishes n events, failing the test if the whole batch does
 // not complete within the deadline (i.e. a slow subscriber stalled
 // ingestion).
@@ -53,17 +67,17 @@ func TestDropOldestNeverStallsOrGrows(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		b.Publish(testEvent(i))
-		if sub.Len() > ring {
-			t.Fatalf("subscriber queue grew to %d, ring size is %d", sub.Len(), ring)
+		if subQueued(sub) > ring {
+			t.Fatalf("subscriber queue grew to %d, ring size is %d", subQueued(sub), ring)
 		}
 	}
 	publishN(t, b, n, 10*time.Second) // and under concurrency, without the per-publish check
-	if sub.Len() != ring {
-		t.Fatalf("queue holds %d events, want full ring of %d", sub.Len(), ring)
+	if subQueued(sub) != ring {
+		t.Fatalf("queue holds %d events, want full ring of %d", subQueued(sub), ring)
 	}
 	wantDrops := uint64(2*n - ring)
-	if sub.Drops() != wantDrops {
-		t.Errorf("drops = %d, want %d", sub.Drops(), wantDrops)
+	if subDrops(sub) != wantDrops {
+		t.Errorf("drops = %d, want %d", subDrops(sub), wantDrops)
 	}
 	if got := b.Metrics().dropsDropOldest.Value(); got != int64(wantDrops) {
 		t.Errorf("metrics drops = %d, want %d", got, wantDrops)
@@ -139,8 +153,8 @@ func TestBlockPolicyLossless(t *testing.T) {
 	if stalls := b.Metrics().blockStalls.Value(); stalls == 0 {
 		t.Error("expected at least one block stall with ring 2 and 500 events")
 	}
-	if sub.Drops() != 0 {
-		t.Errorf("block policy dropped %d events", sub.Drops())
+	if subDrops(sub) != 0 {
+		t.Errorf("block policy dropped %d events", subDrops(sub))
 	}
 }
 
@@ -191,8 +205,8 @@ func TestResumeFromSequence(t *testing.T) {
 			t.Fatalf("resumed seq %d, want %d", ev.Seq, want)
 		}
 	}
-	if sub.Len() != 0 {
-		t.Fatalf("%d unexpected events queued", sub.Len())
+	if subQueued(sub) != 0 {
+		t.Fatalf("%d unexpected events queued", subQueued(sub))
 	}
 
 	// A window smaller than the gap reports the shortfall.
@@ -335,7 +349,7 @@ func TestFanoutFilters(t *testing.T) {
 			t.Errorf("subscriber %d %+v: the table never matched it", i, tr.f)
 		}
 		var got []uint64
-		for tr.sub.Len() > 0 {
+		for subQueued(tr.sub) > 0 {
 			ev, err := tr.sub.Next()
 			if err != nil {
 				t.Fatal(err)

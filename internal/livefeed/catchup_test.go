@@ -37,10 +37,10 @@ func drainContiguous(t *testing.T, sub *Subscriber, first, last uint64) {
 	for want := first; want <= last; want++ {
 		ev, err := nextTimeout(sub, 5*time.Second)
 		if err != nil {
-			t.Fatalf("waiting for seq %d: %v (drops %d)", want, err, sub.Drops())
+			t.Fatalf("waiting for seq %d: %v (drops %d)", want, err, subDrops(sub))
 		}
 		if ev.Seq != want {
-			t.Fatalf("got seq %d, want %d (drops %d)", ev.Seq, want, sub.Drops())
+			t.Fatalf("got seq %d, want %d (drops %d)", ev.Seq, want, subDrops(sub))
 		}
 	}
 }
@@ -66,7 +66,7 @@ func TestCatchUpTakesNoLivePushes(t *testing.T) {
 		b.Publish(ev)
 	}
 	drainContiguous(t, sub, 1, 600)
-	if d := sub.Drops(); d != 0 {
+	if d := subDrops(sub); d != 0 {
 		t.Fatalf("catch-up dropped %d events", d)
 	}
 }
@@ -142,7 +142,7 @@ func TestCatchUpUnderConcurrentPublish(t *testing.T) {
 		defer close(published)
 		for _, ev := range evs[pre:] {
 			for _, r := range readers {
-				for r.sub.Len() > r.sub.Cap()/2 {
+				for subQueued(r.sub) > len(r.sub.buf)/2 {
 					select {
 					case <-stop:
 						return
@@ -169,7 +169,7 @@ func TestCatchUpUnderConcurrentPublish(t *testing.T) {
 			for b.headSeq.Load() < uint64(pre+k*(n-pre)/len(readers)) && time.Since(start) < time.Second {
 				time.Sleep(100 * time.Microsecond)
 			}
-			if q := r.sub.Len(); q != 0 {
+			if q := subQueued(r.sub); q != 0 {
 				errs <- fmt.Errorf("%s: %d live events queued ahead of its catch-up", r.name, q)
 				return
 			}
@@ -184,7 +184,7 @@ func TestCatchUpUnderConcurrentPublish(t *testing.T) {
 					return
 				}
 			}
-			if d := r.sub.Drops(); d != 0 {
+			if d := subDrops(r.sub); d != 0 {
 				errs <- fmt.Errorf("%s: %d drops", r.name, d)
 			}
 		}()
@@ -192,7 +192,7 @@ func TestCatchUpUnderConcurrentPublish(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	for _, r := range readers {
-		if q := r.sub.Len(); q != 0 {
+		if q := subQueued(r.sub); q != 0 {
 			t.Errorf("%s: %d events queued after the last one", r.name, q)
 		}
 		r.sub.Close() // releases a publisher blocked on a full ring
@@ -267,7 +267,7 @@ func TestCatchUpNoJournalJoinsAtWindow(t *testing.T) {
 	for _, ev := range evs[20:] {
 		b.Publish(ev)
 	}
-	if d := sub.Drops(); d != 14 { // 30 live pushes into 16 slots
+	if d := subDrops(sub); d != 14 { // 30 live pushes into 16 slots
 		t.Fatalf("drops = %d, want 14", d)
 	}
 	drainContiguous(t, sub, 13, 20)
@@ -298,7 +298,7 @@ func TestCatchUpNoJournalBlockResume(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(5 * time.Second); b.Metrics().blockStalls.Value() == 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("publisher never waited on the full ring (queued %d)", sub.Len())
+			t.Fatalf("publisher never waited on the full ring (queued %d)", subQueued(sub))
 		}
 		time.Sleep(time.Millisecond)
 	}

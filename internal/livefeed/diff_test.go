@@ -217,7 +217,7 @@ func (d *diffSub) record(t testing.TB, mode diffMode) bool {
 	if !ok {
 		return false
 	}
-	ev := fr.Event()
+	ev := fr.f.ev
 	switch mode {
 	case modeFrames:
 		d.stream = append(d.stream, fr.Wire()...)
@@ -282,7 +282,7 @@ func runDiffScenario(t testing.TB, seed int64, mode diffMode) (subs []*diffSub, 
 				if d.policy != PolicyBlock || d.status != "open" {
 					continue
 				}
-				for d.sub.Len() == d.sub.Cap() {
+				for subQueued(d.sub) == len(d.sub.buf) {
 					if !d.record(t, mode) {
 						break
 					}
@@ -343,7 +343,7 @@ func runDiffScenario(t testing.TB, seed int64, mode diffMode) (subs []*diffSub, 
 		default:
 			t.Fatalf("final drain returned an event after the ring was empty")
 		}
-		d.drops = d.sub.Drops()
+		d.drops = subDrops(d.sub)
 	}
 	if mj != nil && mj.mismatch != nil {
 		t.Fatalf("journal shared-encoding mismatch: %v", mj.mismatch)
@@ -451,7 +451,7 @@ func TestDifferentialBlockingStall(t *testing.T) {
 						t.Errorf("consumer %d: %v", c, err)
 						return
 					}
-					events[c] = append(events[c], fr.Event())
+					events[c] = append(events[c], fr.f.ev)
 					if mode == modeFrames {
 						streams[c] = append(streams[c], fr.Wire()...)
 					}

@@ -1,7 +1,6 @@
 package livefeed
 
 import (
-	"fmt"
 	"net/netip"
 	"sync"
 	"time"
@@ -91,11 +90,12 @@ func Streamable(rec mrt.Record) bool {
 	return false
 }
 
-// EventFromRecord converts a tapped collector record into a feed event.
+// EventFromRecord converts a collector record into a feed event.
 // RIB-dump record types are not streamed; ok is false for them. When
 // includeRaw is set, the MRT encoding of the record rides along so
-// subscribers can reconstruct it with Event.Record; records the encoder
-// refuses (timestamps outside 32-bit unix seconds) ride without it.
+// subscribers can decode it (mrt.Decoder.DecodeFramed); records the
+// encoder refuses (timestamps outside 32-bit unix seconds) ride without
+// it.
 //
 // The UPDATE is decoded into a pooled scratch workspace and the event
 // copies out what it keeps: the path's ASNs and one exact-size array
@@ -195,15 +195,6 @@ func AlertEvent(ze zombie.ZombieEvent) Event {
 			Duplicate:        ze.Duplicate,
 		},
 	}
-}
-
-// Record decodes the event's embedded MRT record. It fails on events
-// published without raw data. The record owns its memory.
-func (ev *Event) Record() (mrt.Record, error) {
-	if len(ev.Raw) == 0 {
-		return nil, fmt.Errorf("livefeed: event %d has no raw record", ev.Seq)
-	}
-	return decodeRecord(&mrt.Decoder{}, ev.Seq, ev.Raw)
 }
 
 // Prefixes returns every prefix the event concerns: announced plus

@@ -212,8 +212,8 @@ func TestEventDecodeFastPathCoverage(t *testing.T) {
 		}
 		payload := fr.Wire()[frameHeaderLen:]
 		took := checkEventDecode(t, payload)
-		encoded := checkEventEncode(t, fr.Event())
-		switch ch := fr.Event().Channel; {
+		encoded := checkEventEncode(t, fr.f.ev)
+		switch ch := fr.f.ev.Channel; {
 		case ch == ChannelUpdates && !encoded:
 			t.Fatalf("update frame %d fell back to json.Encoder: %s", seq, payload)
 		case ch == ChannelUpdates && !took:

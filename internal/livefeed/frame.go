@@ -138,26 +138,17 @@ func (f *sharedFrame) payload() []byte { return f.wire[frameHeaderLen:] }
 
 // Frame is one delivered event in encoded wire form, the zero-copy
 // counterpart of Subscriber.Next. Wire returns the complete frame bytes
-// (header + NDJSON payload) ready to be written to a connection; Event
-// returns the decoded form without re-parsing. The consumer owns exactly
-// one reference: it must call Release once done, and must not touch
-// Wire's bytes afterwards — the buffer is recycled for future events.
+// (header + NDJSON payload) ready to be written to a connection. The
+// consumer owns exactly one reference: it must call Release once done,
+// and must not touch Wire's bytes afterwards — the buffer is recycled for
+// future events.
 type Frame struct{ f *sharedFrame }
 
 // Wire returns the complete encoded frame. Valid until Release.
 func (fr Frame) Wire() []byte { return fr.f.wire }
 
-// Event returns the event carried by the frame. The returned value (and
-// its slices) remains valid after Release — only the wire buffer is
-// recycled.
-func (fr Frame) Event() Event { return fr.f.ev }
-
 // Seq returns the event's sequence number.
 func (fr Frame) Seq() uint64 { return fr.f.ev.Seq }
-
-// IngestNanos returns the obs.Nanos stamp taken when the event entered
-// the process, or 0 when unknown (journal-served backfill).
-func (fr Frame) IngestNanos() int64 { return fr.f.ingest }
 
 // Release returns the consumer's reference. The Frame must not be used
 // afterwards.

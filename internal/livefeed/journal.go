@@ -96,9 +96,9 @@ func feedEvent(dec *mrt.Decoder, se eventstore.Event) (Event, error) {
 	}
 }
 
-// decodeRecord decodes the raw MRT record of event seq — a KindMRT
-// payload or Event.Raw. Both are written only for streamable records, so
-// anything but exactly one BGP4MP message or state change is an error.
+// decodeRecord decodes the raw MRT record of event seq, a KindMRT
+// payload. It is written only for streamable records, so anything but
+// exactly one BGP4MP message or state change is an error.
 func decodeRecord(dec *mrt.Decoder, seq uint64, raw []byte) (mrt.Record, error) {
 	rec, err := dec.DecodeFramed(raw)
 	if err != nil {

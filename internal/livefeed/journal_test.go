@@ -27,7 +27,7 @@ func nextTimeout(sub *Subscriber, d time.Duration) (Event, error) {
 		return Event{}, err
 	}
 	defer fr.Release()
-	return fr.Event(), nil
+	return fr.f.ev, nil
 }
 
 // drainUntil reads events off sub until it sees sequence head (inclusive)
@@ -288,7 +288,7 @@ func TestJournalRetentionOvertakesCatchUp(t *testing.T) {
 			break
 		}
 		if ev.Seq != last+1 {
-			t.Fatalf("silent gap: seq %d after %d (drops %d)", ev.Seq, last, sub.Drops())
+			t.Fatalf("silent gap: seq %d after %d (drops %d)", ev.Seq, last, subDrops(sub))
 		}
 		last = ev.Seq
 	}
@@ -783,31 +783,5 @@ func TestRecoverAllocs(t *testing.T) {
 	t.Logf("Recover: %d records, %.0f B allocated per record", n, perRecord)
 	if perRecord > 1024 {
 		t.Errorf("Recover allocates %.0f B per recovered record, want under 1 KiB", perRecord)
-	}
-}
-
-// TestEventRecordAllocs fences Event.Record: the caller keeps the record,
-// so it owns its memory, but decoding it must not cost a pooled body
-// buffer per call.
-func TestEventRecordAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under -race")
-	}
-	ev, ok := EventFromRecord("rrc00", sessionDown(time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)), true)
-	if !ok || len(ev.Raw) == 0 {
-		t.Fatal("state change did not produce a raw-carrying event")
-	}
-	const calls = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		if _, err := ev.Record(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
-	if perCall > 1024 {
-		t.Errorf("Event.Record allocates %.0f B per call, want under 1 KiB", perCall)
 	}
 }

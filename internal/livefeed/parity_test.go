@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"zombiescope/internal/experiments"
+	"zombiescope/internal/mrt"
 	"zombiescope/internal/zombie"
 )
 
@@ -91,7 +92,7 @@ func TestFeedStreamingMatchesBatchDetector(t *testing.T) {
 		}
 		switch ev.Channel {
 		case ChannelUpdates:
-			rec, err := ev.Record()
+			rec, err := decodeRecord(&mrt.Decoder{}, ev.Seq, ev.Raw)
 			if err != nil {
 				t.Fatal(err)
 			}

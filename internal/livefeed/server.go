@@ -123,16 +123,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Addr returns the listener address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
-}
-
 // Close stops accepting and closes every active connection.
 func (s *Server) Close() {
 	s.mu.Lock()

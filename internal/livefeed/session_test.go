@@ -102,7 +102,7 @@ func TestSubscriberLagUnderDropOldest(t *testing.T) {
 	if got := samples[lagKey(sub)]; got != 0 {
 		t.Errorf("lag after draining = %v, want 0", got)
 	}
-	if got := sub.Drops(); got != 16 {
+	if got := subDrops(sub); got != 16 {
 		t.Errorf("drops = %d, want 16", got)
 	}
 }

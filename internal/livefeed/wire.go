@@ -1,6 +1,6 @@
 // Package livefeed is the network-facing streaming layer of the
 // reproduction: a RIS-Live-style broker that turns collector output into a
-// live, subscribable feed. Records tapped from the collector fleet are
+// live, subscribable feed. Records from the collector fleet's archives are
 // framed in a versioned length-prefixed wire protocol over TCP (NDJSON
 // payloads, like RIS Live), and fanned out to any number of concurrent
 // subscribers, each with server-side filters and a bounded ring buffer

@@ -23,9 +23,8 @@ type Mapping struct {
 	// merely wastes heap (fallback). Treat it as strictly read-only.
 	Data []byte
 
-	refs   atomic.Int32
-	unmap  func()
-	mapped bool
+	refs  atomic.Int32
+	unmap func()
 }
 
 // Acquire adds a reference, pinning Data for an additional holder.
@@ -45,9 +44,6 @@ func (m *Mapping) Release() {
 	}
 }
 
-// Mapped reports whether the bytes are a real mmap (false: heap fallback).
-func (m *Mapping) Mapped() bool { return m.mapped }
-
 // MapFile maps [0, size) of f read-only. The file descriptor is not
 // retained (an mmap outlives its fd; the fallback copies), so the caller
 // may close f immediately. A failed mmap degrades to the heap copy.
@@ -58,7 +54,7 @@ func MapFile(f *os.File, size int64) (*Mapping, error) {
 		return m, nil
 	}
 	if data, unmap, err := rawMap(f, size); err == nil {
-		m := &Mapping{Data: data, unmap: unmap, mapped: true}
+		m := &Mapping{Data: data, unmap: unmap}
 		m.refs.Store(1)
 		return m, nil
 	}

@@ -131,9 +131,6 @@ func (s *Simulator) Faults() *FaultSet { return s.faults }
 // Stats returns activity counters.
 func (s *Simulator) Stats() Stats { return s.stats }
 
-// Now returns the current simulated time.
-func (s *Simulator) Now() time.Time { return s.now }
-
 // SetSink attaches the collector sink receiving peer session activity.
 func (s *Simulator) SetSink(sink Sink) { s.sink = sink }
 

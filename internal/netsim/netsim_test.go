@@ -228,7 +228,7 @@ func TestStuckRIBGhostWithdrawAndResurrection(t *testing.T) {
 		}
 	}
 	// A session reset between 10 and its provider 1 resurrects the route.
-	s.ScheduleSessionReset(s.Now().Add(time.Hour), 10, 1)
+	s.ScheduleSessionReset(s.now.Add(time.Hour), 10, 1)
 	s.RunAll()
 	for _, asn := range []bgp.ASN{1, 2, 11, 12, 200, 300} {
 		if !s.HasRoute(asn, beaconP) {
@@ -236,7 +236,7 @@ func TestStuckRIBGhostWithdrawAndResurrection(t *testing.T) {
 		}
 	}
 	// Operator intervention clears it globally.
-	s.ScheduleClearRoutes(s.Now().Add(time.Hour), 10, nil)
+	s.ScheduleClearRoutes(s.now.Add(time.Hour), 10, nil)
 	s.RunAll()
 	if got := s.RouteCount(beaconP); got != 0 {
 		t.Errorf("after clear: RouteCount = %d, want 0", got)

@@ -8,7 +8,6 @@ import (
 
 	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
-	"zombiescope/internal/rpki"
 	"zombiescope/internal/topology"
 )
 
@@ -17,12 +16,14 @@ import (
 // that hash to its shard. BGP state is strictly per-prefix everywhere in
 // the simulator except the per-link delivery FIFO, so prefix sharding
 // decomposes a scenario exactly: announcements and withdrawals are routed
-// to the owning shard, while AS-level operations (session resets, route
-// clears, ROA revalidation) fan out to every shard and act on each
-// shard's slice of the RIBs.
+// to the owning shard, while collector sessions are set up on every shard
+// and each shard exports its own slice of the RIBs. Its surface is what
+// the beacon workloads drive; the differential tests give it the
+// AS-level operations (session resets, route clears, ROA revalidation),
+// which fan out to every shard the same way.
 //
 // Collector output is recorded per shard and merged deterministically at
-// every Run boundary — the same discipline internal/pipeline uses for
+// the end of every run — the same discipline internal/pipeline uses for
 // chunked decode: each shard's stream is already in emission order, and
 // the merge orders records by (timestamp, shard index, per-shard
 // position). Session-state records fan out to every shard but are taken
@@ -41,10 +42,10 @@ type Sharded struct {
 	recs   []*recordSink
 	sink   Sink
 
-	// Parallel runs the shards on concurrent goroutines inside Run and
-	// RunAll. The merged output is identical either way; Parallel only
-	// buys wall-clock. The fault set and ROA registry must not be mutated
-	// while a parallel run is in flight.
+	// Parallel runs the shards on concurrent goroutines. The merged
+	// output is identical either way; Parallel only buys wall-clock. The
+	// fault set and ROA registry must not be mutated while a parallel run
+	// is in flight.
 	Parallel bool
 
 	replayed uint64
@@ -75,9 +76,6 @@ func NewSharded(g *topology.Graph, cfg Config, nshards int) *Sharded {
 	return s
 }
 
-// Faults exposes the shared fault set for scenario construction.
-func (s *Sharded) Faults() *FaultSet { return s.shards[0].faults }
-
 // SetSink attaches the sink receiving the merged collector stream.
 func (s *Sharded) SetSink(sink Sink) { s.sink = sink }
 
@@ -87,13 +85,6 @@ func (s *Sharded) shardOf(p netip.Prefix) *Simulator {
 		return s.shards[0]
 	}
 	return s.shards[prefixHash(p)%uint64(len(s.shards))]
-}
-
-// SetROVPolicy configures origin validation on every shard.
-func (s *Sharded) SetROVPolicy(asn bgp.ASN, p rpki.ROVPolicy) {
-	for _, sim := range s.shards {
-		sim.SetROVPolicy(asn, p)
-	}
 }
 
 // AddCollectorSession registers a collector feed on every shard: each
@@ -118,47 +109,6 @@ func (s *Sharded) ScheduleWithdraw(at time.Time, origin bgp.ASN, p netip.Prefix)
 	return s.shardOf(p).ScheduleWithdraw(at, origin, p)
 }
 
-// ScheduleSessionReset flaps the a↔b session on every shard: each shard
-// flushes and re-advertises its own prefixes, reproducing the full-table
-// flap of the monolithic engine.
-func (s *Sharded) ScheduleSessionReset(at time.Time, a, b bgp.ASN) error {
-	for _, sim := range s.shards {
-		if err := sim.ScheduleSessionReset(at, a, b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScheduleCollectorSessionReset flaps one collector session. The FSM
-// transitions are recorded by shard 0 only; the table re-send happens per
-// shard over that shard's routes.
-func (s *Sharded) ScheduleCollectorSessionReset(at time.Time, sess Session) error {
-	for _, sim := range s.shards {
-		if err := sim.ScheduleCollectorSessionReset(at, sess); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScheduleClearRoutes clears matching routes on every shard.
-func (s *Sharded) ScheduleClearRoutes(at time.Time, asn bgp.ASN, match PrefixMatcher) error {
-	for _, sim := range s.shards {
-		if err := sim.ScheduleClearRoutes(at, asn, match); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScheduleROARevalidation triggers revalidation on every shard.
-func (s *Sharded) ScheduleROARevalidation(at time.Time) {
-	for _, sim := range s.shards {
-		sim.ScheduleROARevalidation(at)
-	}
-}
-
 // EstablishCollectorSessions emits the initial Established transitions
 // (recorded once, via shard 0).
 func (s *Sharded) EstablishCollectorSessions(at time.Time) {
@@ -167,31 +117,9 @@ func (s *Sharded) EstablishCollectorSessions(at time.Time) {
 	}
 }
 
-// BestRoute reports the best route for p as seen by asn (on p's shard).
-func (s *Sharded) BestRoute(asn bgp.ASN, p netip.Prefix) (bgp.ASPath, bool) {
-	return s.shardOf(p).BestRoute(asn, p)
-}
-
-// HasRoute reports whether asn currently has a route for p.
-func (s *Sharded) HasRoute(asn bgp.ASN, p netip.Prefix) bool {
-	return s.shardOf(p).HasRoute(asn, p)
-}
-
 // RouteCount returns how many ASes currently have a route for p.
 func (s *Sharded) RouteCount(p netip.Prefix) int {
 	return s.shardOf(p).RouteCount(p)
-}
-
-// Now returns the latest simulated time across shards (after Run they are
-// all equal to the run horizon).
-func (s *Sharded) Now() time.Time {
-	now := s.shards[0].Now()
-	for _, sim := range s.shards[1:] {
-		if sim.Now().After(now) {
-			now = sim.Now()
-		}
-	}
-	return now
 }
 
 // Stats aggregates activity counters over all shards. CollectorRecords
@@ -208,15 +136,6 @@ func (s *Sharded) Stats() Stats {
 	}
 	st.CollectorRecords = s.replayed
 	return st
-}
-
-// Run advances every shard to `until`, then merges and replays the
-// shards' collector records into the sink. Returns the total events
-// processed.
-func (s *Sharded) Run(until time.Time) int {
-	n := s.runShards(func(sim *Simulator) int { return sim.Run(until) })
-	s.flush()
-	return n
 }
 
 // RunAll drains every shard completely, then merges and replays.

@@ -32,6 +32,80 @@ type engine interface {
 	Run(time.Time) int
 }
 
+// The Sharded methods below are the part of the engine interface, and
+// the route probes, that no shipped scenario drives through Sharded: the
+// differential tests run every kind of scenario step on both engines.
+
+// Faults exposes the shared fault set for scenario construction.
+func (s *Sharded) Faults() *FaultSet { return s.shards[0].faults }
+
+// SetROVPolicy configures origin validation on every shard.
+func (s *Sharded) SetROVPolicy(asn bgp.ASN, p rpki.ROVPolicy) {
+	for _, sim := range s.shards {
+		sim.SetROVPolicy(asn, p)
+	}
+}
+
+// ScheduleSessionReset flaps the a↔b session on every shard: each shard
+// flushes and re-advertises its own prefixes, reproducing the full-table
+// flap of the monolithic engine.
+func (s *Sharded) ScheduleSessionReset(at time.Time, a, b bgp.ASN) error {
+	for _, sim := range s.shards {
+		if err := sim.ScheduleSessionReset(at, a, b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ScheduleCollectorSessionReset flaps one collector session. The FSM
+// transitions are recorded by shard 0 only; the table re-send happens per
+// shard over that shard's routes.
+func (s *Sharded) ScheduleCollectorSessionReset(at time.Time, sess Session) error {
+	for _, sim := range s.shards {
+		if err := sim.ScheduleCollectorSessionReset(at, sess); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ScheduleClearRoutes clears matching routes on every shard.
+func (s *Sharded) ScheduleClearRoutes(at time.Time, asn bgp.ASN, match PrefixMatcher) error {
+	for _, sim := range s.shards {
+		if err := sim.ScheduleClearRoutes(at, asn, match); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ScheduleROARevalidation triggers revalidation on every shard.
+func (s *Sharded) ScheduleROARevalidation(at time.Time) {
+	for _, sim := range s.shards {
+		sim.ScheduleROARevalidation(at)
+	}
+}
+
+// BestRoute reports the best route for p as seen by asn (on p's shard).
+func (s *Sharded) BestRoute(asn bgp.ASN, p netip.Prefix) (bgp.ASPath, bool) {
+	return s.shardOf(p).BestRoute(asn, p)
+}
+
+// HasRoute reports whether asn currently has a route for p.
+func (s *Sharded) HasRoute(asn bgp.ASN, p netip.Prefix) bool {
+	return s.shardOf(p).HasRoute(asn, p)
+}
+
+// Run advances every shard to `until`, then merges and replays the
+// shards' collector records into the sink. Returns the total events
+// processed.
+func (s *Sharded) Run(until time.Time) int {
+	n := s.runShards(func(sim *Simulator) int { return sim.Run(until) })
+	s.flush()
+	return n
+}
+
 var shardedPrefixes = []netip.Prefix{
 	netip.MustParsePrefix("2a0d:3dc1:1200::/48"),
 	netip.MustParsePrefix("2a0d:3dc1:1201::/48"),

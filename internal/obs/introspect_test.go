@@ -89,12 +89,14 @@ func TestVecDelete(t *testing.T) {
 		t.Errorf("re-created child missing:\n%s", buf.String())
 	}
 
+	// Only gauge children are deleted in use (a detached subscriber's);
+	// the family's delete serves counters and histograms alike.
 	c := r.CounterVec("ops_total", "", "kind")
 	c.With("x").Inc()
-	c.Delete("x")
+	c.f.delete([]string{"x"})
 	hv := r.HistogramVec("lat_seconds", "", []float64{1}, "kind")
 	hv.With("x").Observe(0.5)
-	hv.Delete("x")
+	hv.f.delete([]string{"x"})
 	buf.Reset()
 	r.WritePrometheus(&buf)
 	if strings.Contains(buf.String(), `kind="x"`) {

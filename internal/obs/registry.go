@@ -226,9 +226,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
-// Delete drops the child for the given label values from the exposition.
-func (v *CounterVec) Delete(values ...string) { v.f.delete(values) }
-
 // Gauge is a metric that can go up and down. All methods are safe for
 // concurrent use; the nil Gauge is a no-op sink.
 type Gauge struct {
@@ -454,6 +451,3 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
 }
-
-// Delete drops the child for the given label values from the exposition.
-func (v *HistogramVec) Delete(values ...string) { v.f.delete(values) }

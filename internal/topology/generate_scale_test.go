@@ -13,7 +13,7 @@ func graphHash(g *Graph) uint64 {
 	h := fnv.New64a()
 	for _, asn := range g.ASNs() {
 		a := g.AS(asn)
-		fmt.Fprintf(h, "%d|%s|%d|%v|%v|%v\n", asn, a.Name, a.Tier, a.Providers(), a.customers, a.Peers())
+		fmt.Fprintf(h, "%d|%s|%d|%v|%v|%v\n", asn, a.Name, a.Tier, a.Providers(), a.customers, a.peers)
 	}
 	return h.Sum64()
 }
@@ -104,7 +104,7 @@ func TestGenerateInternetScale(t *testing.T) {
 	countPeers := func(tier int) int {
 		n := 0
 		for _, asn := range g.TierASNs(tier) {
-			n += len(g.AS(asn).Peers())
+			n += len(g.AS(asn).peers)
 		}
 		return n / 2
 	}

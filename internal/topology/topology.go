@@ -53,9 +53,6 @@ type AS struct {
 // Providers returns the AS's transit providers (sorted, read-only).
 func (a *AS) Providers() []bgp.ASN { return a.providers }
 
-// Peers returns the AS's settlement-free peers (sorted, read-only).
-func (a *AS) Peers() []bgp.ASN { return a.peers }
-
 // Neighbors returns every adjacent ASN, sorted.
 func (a *AS) Neighbors() []bgp.ASN {
 	out := make([]bgp.ASN, 0, len(a.providers)+len(a.customers)+len(a.peers))

@@ -178,8 +178,8 @@ func TestGenerateStructure(t *testing.T) {
 		if len(a.Providers()) != 0 {
 			t.Errorf("tier1 %s has providers", asn)
 		}
-		if len(a.Peers()) != cfg.Tier1Count-1 {
-			t.Errorf("tier1 %s peers with %d, want %d", asn, len(a.Peers()), cfg.Tier1Count-1)
+		if len(a.peers) != cfg.Tier1Count-1 {
+			t.Errorf("tier1 %s peers with %d, want %d", asn, len(a.peers), cfg.Tier1Count-1)
 		}
 	}
 	// Every non-tier-1 AS has at least one provider (the graph is

@@ -76,8 +76,8 @@ func TestBuildHistoryAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(h.Peers()) != 2 {
-			t.Fatalf("peers = %d, want 2", len(h.Peers()))
+		if len(h.peers) != 2 {
+			t.Fatalf("peers = %d, want 2", len(h.peers))
 		}
 	})
 	perRecord := avg / records

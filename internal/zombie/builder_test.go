@@ -267,11 +267,11 @@ func TestTrackedBuildErrorIdentity(t *testing.T) {
 // stream and the same stream per prefix, in the same order.
 func assertMatchesReference(t *testing.T, h *History, ref *referenceHistory) {
 	t.Helper()
-	if !reflect.DeepEqual(h.Peers(), ref.Peers()) {
-		t.Fatalf("peers = %v, reference %v", h.Peers(), ref.Peers())
+	if !reflect.DeepEqual(h.peers, ref.peers) {
+		t.Fatalf("peers = %v, reference %v", h.peers, ref.peers)
 	}
 	events := 0
-	for _, peer := range ref.Peers() {
+	for _, peer := range ref.peers {
 		if got, want := h.sessionEvents(peer), ref.sessionEvents(peer); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: session stream diverges from the reference:\n got %+v\nwant %+v", peer, got, want)
 		}

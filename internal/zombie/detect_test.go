@@ -267,8 +267,8 @@ func TestReportIndependentOfTrackSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(all.Peers()) != len(tracked.Peers())+1 {
-			t.Fatalf("parallelism %d: track-all history has %d peers, tracked %d; want one more", par, len(all.Peers()), len(tracked.Peers()))
+		if len(all.peers) != len(tracked.peers)+1 {
+			t.Fatalf("parallelism %d: track-all history has %d peers, tracked %d; want one more", par, len(all.peers), len(tracked.peers))
 		}
 		for _, d := range []*Detector{{Parallelism: par}, {Parallelism: par, RecordPaths: true, IgnoreSessionState: true}} {
 			if got, want := d.DetectFromHistory(all, ivs), d.DetectFromHistory(tracked, ivs); !reflect.DeepEqual(got, want) {

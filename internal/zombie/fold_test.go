@@ -206,20 +206,20 @@ func TestStateFoldMatchesOracle(t *testing.T) {
 			results := make([]intervalResult, len(ivs))
 			for i, iv := range ivs {
 				results[i].visible = h.SeenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt)
-				for _, peer := range h.Peers() {
+				for _, peer := range h.peers {
 					evs := h.pairEvents(peer, iv.Prefix)
 					d.peerDecision(peer, iv, ignoreLoopStateAt(evs, iv.WithdrawAt.Add(d.threshold())),
 						ignoreLoopStateAt(evs, iv.WithdrawAt), &results[i].routes, &results[i].pathObs)
 				}
 			}
-			if got, want := d.DetectFromHistory(h, ivs), d.assemble(h.Peers(), ivs, results); !reflect.DeepEqual(got, want) {
+			if got, want := d.DetectFromHistory(h, ivs), d.assemble(h.peers, ivs, results); !reflect.DeepEqual(got, want) {
 				t.Error("IgnoreSessionState Report changes when Path/Agg survive a withdrawal")
 			} else if len(got.Outbreaks) == 0 {
 				t.Error("IgnoreSessionState Report is empty")
 			}
 			// LegacyDetector: likewise.
 			ld := &LegacyDetector{Seed: seed}
-			oldLegacy := ld.detectRows(h.Peers(), h.SeenAnnounced, func(peer PeerID, p netip.Prefix, at time.Time) State {
+			oldLegacy := ld.detectRows(h.peers, h.SeenAnnounced, func(peer PeerID, p netip.Prefix, at time.Time) State {
 				return ignoreLoopStateAt(h.pairEvents(peer, p), at)
 			}, ivs, lookingGlassAvailability)
 			if got := ld.Detect(h, ivs); !reflect.DeepEqual(got, oldLegacy) {

@@ -294,9 +294,6 @@ func (h *History) Events() int {
 	return n
 }
 
-// Peers returns every peer seen in the archives, sorted.
-func (h *History) Peers() []PeerID { return h.peers }
-
 // reportPeers returns Report.Peers for a detection over intervals: the
 // peers with a session event or an event on an interval's prefix, in
 // h.peers' order — all the peers a build tracking those prefixes holds.

@@ -119,8 +119,8 @@ func (r *referenceHistory) finish() {
 	sort.Slice(r.peers, func(i, j int) bool { return comparePeers(r.peers[i], r.peers[j]) < 0 })
 }
 
-// Peers returns every peer seen in the archives, sorted.
-func (r *referenceHistory) Peers() []PeerID { return r.peers }
+// allPeers returns every peer seen in the archives, sorted.
+func (r *referenceHistory) allPeers() []PeerID { return r.peers }
 
 func (r *referenceHistory) pairEvents(peer PeerID, p netip.Prefix) []histEvent {
 	return r.events[peer][p]
@@ -232,11 +232,14 @@ func (h *History) SeenAnnounced(p netip.Prefix, from, to time.Time) bool {
 
 // rowStore is what the row sweep reads; both stores provide it.
 type rowStore interface {
-	Peers() []PeerID
+	allPeers() []PeerID
 	SeenAnnounced(p netip.Prefix, from, to time.Time) bool
 	pairEvents(peer PeerID, p netip.Prefix) []histEvent
 	sessionEvents(peer PeerID) []histEvent
 }
+
+// allPeers returns every peer seen in the archives, sorted.
+func (h *History) allPeers() []PeerID { return h.peers }
 
 // decoded materializes rows as decoded events: the view the oracle's row
 // sweep (detectFromHistoryRows) walks. Shipped sweeps never build it — the
@@ -267,7 +270,7 @@ func (h *History) sessionEvents(peer PeerID) []histEvent {
 func (d *Detector) evalInterval(s rowStore, iv beacon.Interval) intervalResult {
 	res := intervalResult{visible: s.SeenAnnounced(iv.Prefix, iv.AnnounceAt, iv.WithdrawAt)}
 	checkAt := iv.WithdrawAt.Add(d.threshold())
-	for _, peer := range s.Peers() {
+	for _, peer := range s.allPeers() {
 		evs, sess := s.pairEvents(peer, iv.Prefix), s.sessionEvents(peer)
 		if d.IgnoreSessionState {
 			sess = nil
@@ -303,7 +306,7 @@ func (d *Detector) detectRows(s rowStore, intervals []beacon.Interval) *Report {
 // peers with a session event or an event on an interval's prefix.
 func refReportPeers(s rowStore, intervals []beacon.Interval) []PeerID {
 	out := []PeerID{}
-	for _, peer := range s.Peers() {
+	for _, peer := range s.allPeers() {
 		keep := len(s.sessionEvents(peer)) > 0
 		for _, iv := range intervals {
 			keep = keep || len(s.pairEvents(peer, iv.Prefix)) > 0

@@ -105,7 +105,7 @@ func TestBuildHistoryFromStoreParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	memPeers, storePeers := mem.Peers(), stored.Peers()
+	memPeers, storePeers := zombie.HistoryPeers(mem), zombie.HistoryPeers(stored)
 	if len(memPeers) == 0 {
 		t.Fatal("archive history has no peers; scenario too small")
 	}
