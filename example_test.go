@@ -13,10 +13,10 @@ import (
 // with a wedged link → collector fleet → MRT bytes → detection.
 func Example() {
 	g := zombiescope.NewTopology()
-	g.AddAS(64500, "tier1", 1)
-	g.AddAS(64501, "transit", 2)
-	g.AddAS(65010, "origin", 3)
-	g.AddAS(65020, "ris-peer", 3)
+	g.AddAS(64500, 1)
+	g.AddAS(64501, 2)
+	g.AddAS(65010, 3)
+	g.AddAS(65020, 3)
 	for _, l := range [][2]zombiescope.ASN{{64501, 64500}, {65010, 64501}, {65020, 64501}} {
 		if err := g.AddC2P(l[0], l[1]); err != nil {
 			panic(err)

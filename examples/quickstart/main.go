@@ -24,11 +24,11 @@ func main() {
 		peerAS   zombiescope.ASN = 65020
 	)
 	g := zombiescope.NewTopology()
-	g.AddAS(tier1, "tier1", 1)
-	g.AddAS(transitA, "transit-a", 2)
-	g.AddAS(transitB, "transit-b", 2)
-	g.AddAS(origin, "beacon-origin", 3)
-	g.AddAS(peerAS, "ris-peer", 3)
+	g.AddAS(tier1, 1)
+	g.AddAS(transitA, 2)
+	g.AddAS(transitB, 2)
+	g.AddAS(origin, 3)
+	g.AddAS(peerAS, 3)
 	for _, link := range [][2]zombiescope.ASN{
 		{transitA, tier1}, {transitB, tier1}, {origin, transitA}, {peerAS, transitB},
 	} {

@@ -25,11 +25,11 @@ func main() {
 		origin     zombiescope.ASN = 65010
 	)
 	g := zombiescope.NewTopology()
-	g.AddAS(tier1, "tier1", 1)
-	g.AddAS(transitROV, "rov-enforcing", 2)
-	g.AddAS(transitBad, "rov-no-evict", 2)
-	g.AddAS(transitOff, "no-rov", 2)
-	g.AddAS(origin, "beacon-origin", 3)
+	g.AddAS(tier1, 1)
+	g.AddAS(transitROV, 2)
+	g.AddAS(transitBad, 2)
+	g.AddAS(transitOff, 2)
+	g.AddAS(origin, 3)
 	for _, l := range [][2]zombiescope.ASN{
 		{transitROV, tier1}, {transitBad, tier1}, {transitOff, tier1}, {origin, tier1},
 	} {

@@ -26,42 +26,60 @@ const exportsGolden = "testdata/exports.golden"
 // which fails until it is filled in.
 func TestTestOnlyExports(t *testing.T) {
 	found := scanTestOnlyExports(t, loadShippedTree(t))
-	if *update {
-		old, _ := readGolden(exportsGolden)
-		var b bytes.Buffer
-		b.WriteString("# Exported identifiers under internal/ that no shipped code calls, each\n")
-		b.WriteString("# with the reason it stays exported (TestTestOnlyExports).\n")
-		for _, e := range found {
-			fmt.Fprintf(&b, "%s\t%s\n", e.name, old[e.name])
-		}
-		if err := os.WriteFile(exportsGolden, b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := readGolden(exportsGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
+	checkGolden(t, exportsGolden, "# Exported identifiers under internal/ that no shipped code calls, each\n# with the reason it stays exported (TestTestOnlyExports).\n", found)
 	lines := 0
 	for _, e := range found {
 		lines += e.lines
-		reason, ok := want[e.name]
-		switch {
-		case !ok:
-			t.Errorf("%s (%s) is exported but only tests use it: delete it, move it into the tests, or list it in %s with a reason",
-				e.name, e.pos, exportsGolden)
-		case reason == "":
-			t.Errorf("%s: %s gives no reason", exportsGolden, e.name)
-		}
-		delete(want, e.name)
-	}
-	for name := range want {
-		t.Errorf("%s lists %s, which is gone or has a shipped caller now: remove the line", exportsGolden, name)
 	}
 	t.Logf("%d test-only exports, %d lines", len(found), lines)
 }
 
-// readExportsGolden reads "name<TAB>reason" lines; # starts a comment.
+// finding is one declaration a scan lists: name is "internal/pkg.Name" or
+// "internal/pkg.Type.Member", problem says what is wrong with it and how
+// to mend it, lines is its declaration's length with its doc comment.
+type finding struct {
+	name, pos, problem string
+	lines              int
+}
+
+// checkGolden compares a scan's findings with file, whose lines list the
+// findings that stay, each with its reason. A finding the golden does not
+// list fails, and so do a listed one without a reason and a listed name
+// the scan no longer finds. With -update it first rewrites file as header
+// and the findings: listed reasons are kept and new entries get an empty
+// one, which fails until it is filled in.
+func checkGolden(t *testing.T, file, header string, found []finding) {
+	t.Helper()
+	if *update {
+		old, _ := readGolden(file)
+		b := bytes.NewBufferString(header)
+		for _, f := range found {
+			fmt.Fprintf(b, "%s\t%s\n", f.name, old[f.name])
+		}
+		if err := os.WriteFile(file, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := readGolden(file)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	for _, f := range found {
+		reason, ok := want[f.name]
+		switch {
+		case !ok:
+			t.Errorf("%s (%s) %s, or list it in %s with a reason", f.name, f.pos, f.problem, file)
+		case reason == "":
+			t.Errorf("%s: %s gives no reason", file, f.name)
+		}
+		delete(want, f.name)
+	}
+	for name := range want {
+		t.Errorf("%s lists %s, which is gone or no longer found: remove the line", file, name)
+	}
+}
+
+// readGolden reads "name<TAB>reason" lines; # starts a comment.
 func readGolden(file string) (map[string]string, error) {
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -80,14 +98,6 @@ func readGolden(file string) (map[string]string, error) {
 	return out, sc.Err()
 }
 
-// testOnlyExport is one exported identifier with no shipped use: name is
-// "importpath.Name" or "importpath.Type.Method", lines its declaration's
-// length with its doc comment.
-type testOnlyExport struct {
-	name, pos string
-	lines     int
-}
-
 // scanTestOnlyExports lists the exported identifiers declared in the
 // tree's packages under internal/ that no shipped code uses: top-level
 // types, functions, variables and constants, and the methods of any type
@@ -100,14 +110,14 @@ type testOnlyExport struct {
 // listed. Uses inside a listed declaration do not count: the scan repeats
 // until no more declarations are listed, so what only test-only code
 // reaches is listed too.
-func scanTestOnlyExports(t *testing.T, tr *typedTree) []testOnlyExport {
+func scanTestOnlyExports(t *testing.T, tr *typedTree) []finding {
 	t.Helper()
 	std, err := stdInterfaces()
 	if err != nil {
 		t.Fatal(err)
 	}
 	type decl struct {
-		testOnlyExport
+		finding
 		obj    types.Object
 		node   ast.Node // the declaration; uses inside it do not count
 		listed bool
@@ -131,8 +141,9 @@ func scanTestOnlyExports(t *testing.T, tr *typedTree) []testOnlyExport {
 			from = doc.Pos()
 		}
 		d := &decl{
-			testOnlyExport: testOnlyExport{name: tr.shortName(pkg, name), pos: scanFset.Position(node.Pos()).String(), lines: span(from, node.End())},
-			obj:            obj, node: node,
+			finding: finding{name: tr.shortName(pkg, name), pos: scanFset.Position(node.Pos()).String(), lines: span(from, node.End()),
+				problem: "is exported but only tests use it: delete it, move it into the tests"},
+			obj: obj, node: node,
 		}
 		decls = append(decls, d)
 		byObj[obj] = d
@@ -256,10 +267,10 @@ func scanTestOnlyExports(t *testing.T, tr *typedTree) []testOnlyExport {
 		}
 	}
 
-	var out []testOnlyExport
+	var out []finding
 	for _, d := range decls {
 		if d.listed {
-			out = append(out, d.testOnlyExport)
+			out = append(out, d.finding)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })

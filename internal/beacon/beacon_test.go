@@ -282,7 +282,7 @@ func TestDecodeAuthorPrefixRejectsJunk(t *testing.T) {
 }
 
 func TestRISScheduleEvents(t *testing.T) {
-	v4, v6 := DefaultRISPrefixes(12654)
+	v4, v6 := DefaultRISPrefixes()
 	if len(v4) != 13 || len(v6) != 14 {
 		t.Fatalf("default prefixes: %d v4, %d v6", len(v4), len(v6))
 	}

@@ -260,7 +260,7 @@ func ParseSchedule(kind, base, approach string, origin bgp.ASN, stride int, from
 		}
 		sched = &AuthorSchedule{Base: basePrefix, OriginAS: origin, Approach: ap, SlotStride: stride}
 	case "ris":
-		v4, v6 := DefaultRISPrefixes(origin)
+		v4, v6 := DefaultRISPrefixes()
 		sched = &RISSchedule{Prefixes4: v4, Prefixes6: v6, OriginAS: origin}
 	default:
 		return nil, from, to, fmt.Errorf("unknown -schedule %q", kind)
@@ -274,7 +274,7 @@ func ParseSchedule(kind, base, approach string, origin bgp.ASN, stride int, from
 // DefaultRISPrefixes returns stand-ins for the RIPE RIS beacon prefixes of
 // the replication era: 13 IPv4 and 14 IPv6 beacons (the counts the paper
 // gives for the 2017–2018 periods), drawn from documentation space.
-func DefaultRISPrefixes(originAS bgp.ASN) (v4, v6 []netip.Prefix) {
+func DefaultRISPrefixes() (v4, v6 []netip.Prefix) {
 	for i := 0; i < 13; i++ {
 		v4 = append(v4, netip.MustParsePrefix(fmt.Sprintf("93.175.%d.0/24", 144+i)))
 	}

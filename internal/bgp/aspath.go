@@ -183,7 +183,10 @@ func validASPath(b []byte) bool {
 }
 
 // DecodeASPath parses a four-octet-AS AS_PATH attribute value.
-func DecodeASPath(b []byte) (ASPath, error) {
+func DecodeASPath(b []byte) (ASPath, error) { return decodeASPath(b, 4) }
+
+// decodeASPath parses an AS_PATH attribute value of asLen-octet ASNs.
+func decodeASPath(b []byte, asLen int) (ASPath, error) {
 	var p ASPath
 	for len(b) > 0 {
 		if len(b) < 2 {
@@ -194,16 +197,55 @@ func DecodeASPath(b []byte) (ASPath, error) {
 			return ASPath{}, fmt.Errorf("%w: bad AS_PATH segment type %d", ErrBadAttribute, st)
 		}
 		count := int(b[1])
-		need := 2 + 4*count
+		need := 2 + asLen*count
 		if len(b) < need {
 			return ASPath{}, fmt.Errorf("%w: AS_PATH segment needs %d bytes, have %d", ErrBadAttribute, need, len(b))
 		}
 		seg := PathSegment{Type: st, ASNs: make([]ASN, count)}
-		for i := 0; i < count; i++ {
-			seg.ASNs[i] = ASN(binary.BigEndian.Uint32(b[2+4*i:]))
+		for i := range seg.ASNs {
+			if asLen == 4 {
+				seg.ASNs[i] = ASN(binary.BigEndian.Uint32(b[2+4*i:]))
+			} else {
+				seg.ASNs[i] = ASN(binary.BigEndian.Uint16(b[2+2*i:]))
+			}
 		}
 		p.Segments = append(p.Segments, seg)
 		b = b[need:]
 	}
 	return p, nil
+}
+
+// mergeAS4Path is the AS path of a two-octet session's UPDATE (RFC 6793
+// §4.2.3): AS4_PATH behind as many leading ASNs of AS_PATH, counted as
+// Length counts them, as make the result as long as AS_PATH. An AS4_PATH
+// longer than AS_PATH is ignored. A sequence split off AS_PATH joins
+// AS4_PATH's leading sequence, as one four-octet speaker would send it,
+// unless the two hold more than a segment can.
+func mergeAS4Path(path, path4 ASPath) ASPath {
+	lead := path.Length() - path4.Length()
+	if lead < 0 {
+		return path
+	}
+	var segs []PathSegment
+	for _, seg := range path.Segments {
+		if lead == 0 {
+			break
+		}
+		if seg.Type == ASSet {
+			segs = append(segs, seg)
+			lead--
+			continue
+		}
+		if k := min(lead, len(seg.ASNs)); k > 0 {
+			segs = append(segs, PathSegment{Type: ASSequence, ASNs: seg.ASNs[:k:k]})
+			lead -= k
+		}
+	}
+	rest := path4.Segments
+	if n := len(segs); n > 0 && len(rest) > 0 && segs[n-1].Type == ASSequence && rest[0].Type == ASSequence &&
+		len(segs[n-1].ASNs)+len(rest[0].ASNs) <= 255 {
+		segs[n-1].ASNs = append(segs[n-1].ASNs, rest[0].ASNs...)
+		rest = rest[1:]
+	}
+	return ASPath{Segments: append(segs, rest...)}
 }

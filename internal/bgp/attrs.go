@@ -199,8 +199,10 @@ func DecodePathAttributes(b []byte) (PathAttributes, error) {
 // non-nil, is the storage the communities, unknown attributes and
 // MP_REACH/UNREACH are decoded into; df selects borrow/intern behavior per
 // the DecodeFlags contract, and with decodeDefer the walk leaves the
-// deferred attributes in s.deferred.
+// deferred attributes in s.deferred. With DecodeAS2 it sets the AS path
+// and aggregator after the walk, from the four attributes that carry them.
 func decodePathAttributesInto(pa *PathAttributes, s *Scratch, st *AttrStore, df DecodeFlags, b []byte) error {
+	var as2 [4][]byte // with DecodeAS2: AS_PATH, AGGREGATOR, AS4_PATH, AS4_AGGREGATOR
 	for len(b) > 0 {
 		if len(b) < 3 {
 			return fmt.Errorf("%w: truncated attribute header", ErrBadAttribute)
@@ -221,14 +223,96 @@ func decodePathAttributesInto(pa *PathAttributes, s *Scratch, st *AttrStore, df 
 			return fmt.Errorf("%w: attribute %d value needs %d bytes, have %d", ErrBadAttribute, typ, vlen, len(b)-off)
 		}
 		val := b[off : off+vlen]
+		b = b[off+vlen:]
+		if df&DecodeAS2 != 0 {
+			if i := as2Slot(typ); i >= 0 {
+				as2[i] = val
+				continue
+			}
+		}
 		if df&decodeDefer != 0 && isDeferred(typ) {
 			s.deferred = append(s.deferred, RawAttr{Flags: flags, Type: typ, Value: val})
 		} else if err := pa.decodeOne(df, s, st, flags, typ, val); err != nil {
 			return err
 		}
-		b = b[off+vlen:]
+	}
+	if df&DecodeAS2 != 0 {
+		return pa.mergeAS4(df, s, st, as2[0], as2[1], as2[2], as2[3])
 	}
 	return nil
+}
+
+// as2Slot is the index of an attribute a DecodeAS2 walk keeps for
+// mergeAS4, or -1.
+func as2Slot(typ uint8) int {
+	switch typ {
+	case AttrASPath:
+		return 0
+	case AttrAggregator:
+		return 1
+	case AttrAS4Path:
+		return 2
+	case AttrAS4Aggregator:
+		return 3
+	}
+	return -1
+}
+
+// mergeAS4 sets the AS path and aggregator of a two-octet session's
+// UPDATE from its AS_PATH, AGGREGATOR, AS4_PATH and AS4_AGGREGATOR values
+// (nil when absent), per RFC 6793 §4.2.3. AS_PATH and AGGREGATOR carry
+// two-octet ASNs, AS_TRANS standing for each four-octet one; the last
+// four-octet speaker on the path added AS4_PATH and AS4_AGGREGATOR to
+// restore them. An AGGREGATOR of an AS other than AS_TRANS voids both AS4
+// attributes; one of AS_TRANS takes AS4_AGGREGATOR's AS and address. The
+// path is mergeAS4Path's. Both results are then decoded as the four-octet
+// attributes they equal, so the intern tables key them by their
+// four-octet bytes, never by two-octet bytes an AS4 entry may share. The
+// AS4 attributes are consumed, not kept as unknown attributes.
+func (pa *PathAttributes) mergeAS4(df DecodeFlags, s *Scratch, st *AttrStore, path, agg, path4, agg4 []byte) error {
+	if agg != nil {
+		if len(agg) != 6 {
+			return fmt.Errorf("%w: AGGREGATOR length %d (want 6, two-octet AS)", ErrBadAttribute, len(agg))
+		}
+		var key [8]byte // the four-octet AGGREGATOR value
+		if asn := binary.BigEndian.Uint16(agg); asn == asTrans && agg4 != nil {
+			if len(agg4) != 8 {
+				return fmt.Errorf("%w: AS4_AGGREGATOR length %d", ErrBadAttribute, len(agg4))
+			}
+			copy(key[:], agg4)
+		} else {
+			if asn != asTrans {
+				path4 = nil
+			}
+			binary.BigEndian.PutUint32(key[:], uint32(asn))
+			copy(key[4:], agg[2:])
+		}
+		if err := pa.decodeOne(df, s, st, FlagOptional|FlagTransitive, AttrAggregator, key[:]); err != nil {
+			return err
+		}
+	}
+	if path == nil {
+		return nil
+	}
+	p, err := decodeASPath(path, 2)
+	if err != nil {
+		return err
+	}
+	if path4 != nil {
+		p4, err := DecodeASPath(path4)
+		if err != nil {
+			return err
+		}
+		p = mergeAS4Path(p, p4)
+	}
+	var wire []byte
+	for _, seg := range p.Segments {
+		wire = append(wire, byte(seg.Type), byte(len(seg.ASNs)))
+		for _, asn := range seg.ASNs {
+			wire = binary.BigEndian.AppendUint32(wire, uint32(asn))
+		}
+	}
+	return pa.decodeOne(df, s, st, FlagTransitive, AttrASPath, wire)
 }
 
 func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, st *AttrStore, flags, typ uint8, val []byte) error {

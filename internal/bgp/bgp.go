@@ -77,7 +77,7 @@ const (
 	SAFIMulticast SAFI = 2
 )
 
-// Path attribute type codes (RFC 4271 §4.3, RFC 1997, RFC 4760).
+// Path attribute type codes (RFC 4271 §4.3, RFC 1997, RFC 4760, RFC 6793).
 const (
 	AttrOrigin          uint8 = 1
 	AttrASPath          uint8 = 2
@@ -89,7 +89,13 @@ const (
 	AttrCommunities     uint8 = 8
 	AttrMPReachNLRI     uint8 = 14
 	AttrMPUnreachNLRI   uint8 = 15
+	AttrAS4Path         uint8 = 17
+	AttrAS4Aggregator   uint8 = 18
 )
+
+// asTrans is AS_TRANS (RFC 6793 §9), the two-octet ASN a two-octet-AS
+// session carries for each four-octet one.
+const asTrans = 23456
 
 // Path attribute flag bits.
 const (

@@ -25,6 +25,11 @@ const (
 	// process-wide intern tables, so repeated attributes share one
 	// allocation. Interned values are safe to retain indefinitely.
 	DecodeIntern
+	// DecodeAS2 decodes a message of a two-octet-AS session (an MRT
+	// BGP4MP_MESSAGE): AS_PATH and AGGREGATOR carry two-octet ASNs, and
+	// AS4_PATH and AS4_AGGREGATOR restore the four-octet ones they stand
+	// for (RFC 6793 §4.2.3); see mergeAS4.
+	DecodeAS2
 
 	// decodeDefer is DecodeUpdateIf's first pass: the attribute walk
 	// files the AS_PATH, AGGREGATOR and COMMUNITIES values in
@@ -103,7 +108,7 @@ func (s *Scratch) DecodeUpdate(b []byte, df DecodeFlags) (*Update, error) {
 // want asked after; the first update of a run of unwanted ones is
 // materialized, the rest are not.
 func (s *Scratch) DecodeUpdateIf(b []byte, df DecodeFlags, want func(netip.Prefix) bool) (*Update, error) {
-	if s.eager {
+	if s.eager || df&DecodeAS2 != 0 { // a two-octet AS_PATH merges after the walk: no deferring
 		u, err := s.DecodeUpdate(b, df)
 		if err != nil || wantsAny(u, want) {
 			return u, err

@@ -63,5 +63,5 @@ func runAblation(cfg Config) (*Result, error) {
 	sb.WriteString("multi-interval duplicates, the noisy filter removes measurement-level\n")
 	sb.WriteString("zombies, and session-state handling prevents dead sessions from being\n")
 	sb.WriteString("mistaken for frozen RIBs — the three §3.1 differences from the prior study.\n")
-	return &Result{ID: "AblationMethodology", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }

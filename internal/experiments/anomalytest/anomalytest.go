@@ -75,16 +75,16 @@ type Scenario struct {
 // behind transit 12.
 func buildGraph() (*topology.Graph, error) {
 	g := topology.New()
-	g.AddAS(1, "tier1-1", 1)
-	g.AddAS(2, "tier1-2", 1)
-	g.AddAS(10, "transit-10", 2)
-	g.AddAS(11, "transit-11", 2)
-	g.AddAS(12, "transit-12", 2)
-	g.AddAS(originAS, "origin", 3)
-	g.AddAS(peer1AS, "peer-200", 3)
-	g.AddAS(peer2AS, "peer-300", 3)
-	g.AddAS(hijackerAS, "hijacker", 3)
-	g.AddAS(leakerAS, "leaker", 3)
+	g.AddAS(1, 1)
+	g.AddAS(2, 1)
+	g.AddAS(10, 2)
+	g.AddAS(11, 2)
+	g.AddAS(12, 2)
+	g.AddAS(originAS, 3)
+	g.AddAS(peer1AS, 3)
+	g.AddAS(peer2AS, 3)
+	g.AddAS(hijackerAS, 3)
+	g.AddAS(leakerAS, 3)
 	type link struct {
 		kind string
 		a, b bgp.ASN

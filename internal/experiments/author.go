@@ -106,10 +106,9 @@ func DefaultAuthorConfig(seed uint64, scale int) AuthorConfig {
 	}
 }
 
-// ScriptedCase names a scenario-scripted zombie for the case-study
-// drivers.
+// ScriptedCase is a scenario-scripted zombie for the case-study drivers,
+// which look it up by name in AuthorData.Cases.
 type ScriptedCase struct {
-	Name       string
 	Prefix     netip.Prefix
 	AnnounceAt time.Time
 	WithdrawAt time.Time
@@ -139,28 +138,27 @@ type AuthorData struct {
 // paths fall out of the decision process.
 func buildAuthorGraph() (*topology.Graph, []bgp.ASN, error) {
 	g := topology.New()
-	add := func(asn bgp.ASN, name string, tier int) { g.AddAS(asn, name, tier) }
-	add(AS1299, "Arelion", 1)
-	add(AS3356, "Lumen", 1)
-	add(AS6939, "Hurricane Electric", 1)
-	add(AS12956, "Telxius", 1)
-	add(AS174, "Cogent", 1)
-	add(AS4637, "Telstra Global", 2)
-	add(AS33891, "Core-Backbone", 2)
-	add(AS9304, "HGC", 2)
-	add(AS43100, "transit-43100", 2)
-	add(AS34549, "transit-34549", 2)
-	add(AS10429, "transit-10429", 2)
-	add(AS28598, "transit-28598", 3)
-	add(AS25091, "upstream-25091", 2)
-	add(AS8298, "upstream-8298", 3)
-	add(AuthorOriginAS, "author-origin", 4)
-	add(AS61573, "peer-61573", 4)
-	add(AS17639, "peer-17639", 4)
-	add(AS142271, "peer-142271", 4)
-	add(AS207301, "peer-207301", 4)
-	add(AS211380, "Simulhost", 4)
-	add(AS211509, "Rudakov Ihor", 3)
+	g.AddAS(AS1299, 1)
+	g.AddAS(AS3356, 1)
+	g.AddAS(AS6939, 1)
+	g.AddAS(AS12956, 1)
+	g.AddAS(AS174, 1)
+	g.AddAS(AS4637, 2)
+	g.AddAS(AS33891, 2)
+	g.AddAS(AS9304, 2)
+	g.AddAS(AS43100, 2)
+	g.AddAS(AS34549, 2)
+	g.AddAS(AS10429, 2)
+	g.AddAS(AS28598, 3)
+	g.AddAS(AS25091, 2)
+	g.AddAS(AS8298, 3)
+	g.AddAS(AuthorOriginAS, 4)
+	g.AddAS(AS61573, 4)
+	g.AddAS(AS17639, 4)
+	g.AddAS(AS142271, 4)
+	g.AddAS(AS207301, 4)
+	g.AddAS(AS211380, 4)
+	g.AddAS(AS211509, 3)
 
 	type link struct {
 		kind string
@@ -199,14 +197,14 @@ func buildAuthorGraph() (*topology.Graph, []bgp.ASN, error) {
 	// outbreak audience).
 	for i := 0; i < 21; i++ {
 		asn := bgp.ASN(65000 + i)
-		add(asn, fmt.Sprintf("cb-cust-%d", i), 4)
+		g.AddAS(asn, 4)
 		links = append(links, link{"c", asn, AS33891})
 		peers = append(peers, asn)
 	}
 	// 6 RIS peer ASes under Telstra (the resurrection-bump audience).
 	for i := 0; i < 6; i++ {
 		asn := bgp.ASN(65100 + i)
-		add(asn, fmt.Sprintf("telstra-cust-%d", i), 4)
+		g.AddAS(asn, 4)
 		links = append(links, link{"c", asn, AS4637})
 		peers = append(peers, asn)
 	}
@@ -214,7 +212,7 @@ func buildAuthorGraph() (*topology.Graph, []bgp.ASN, error) {
 	generic := []bgp.ASN{AS1299, AS6939, AS34549, AS43100, AS10429, AS3356, AS12956, AS174}
 	for i := 0; i < genericPeers; i++ {
 		asn := bgp.ASN(65200 + i)
-		add(asn, fmt.Sprintf("ris-peer-%d", i), 4)
+		g.AddAS(asn, 4)
 		links = append(links, link{"c", asn, generic[i%len(generic)]})
 		peers = append(peers, asn)
 	}
@@ -354,7 +352,7 @@ func RunAuthorScenario(cfg AuthorConfig) (*AuthorData, error) {
 	}
 	scripted := make(map[netip.Prefix]bool)
 	addCase := func(name string, ev beacon.Event) ScriptedCase {
-		c := ScriptedCase{Name: name, Prefix: ev.Prefix, AnnounceAt: ev.At, WithdrawAt: ev.At.Add(beacon.SlotDuration)}
+		c := ScriptedCase{Prefix: ev.Prefix, AnnounceAt: ev.At, WithdrawAt: ev.At.Add(beacon.SlotDuration)}
 		cases[name] = c
 		scripted[ev.Prefix] = true
 		return c

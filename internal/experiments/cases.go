@@ -52,7 +52,7 @@ func runCaseResurrectionSubpath(cfg Config) (*Result, error) {
 	metrics := map[string]float64{"lateRoutes": float64(len(late))}
 	if len(late) == 0 {
 		sb.WriteString("no late re-announcements detected\n")
-		return &Result{ID: "CaseResurrectionSubpath", Text: sb.String(), Metrics: metrics}, nil
+		return &Result{Text: sb.String(), Metrics: metrics}, nil
 	}
 	ob := zombie.Outbreak{Routes: late}
 	if rc, ok := zombie.InferRootCause(ob.Paths()); ok {
@@ -63,7 +63,7 @@ func runCaseResurrectionSubpath(cfg Config) (*Result, error) {
 		metrics["candidate"] = float64(rc.Candidate)
 		metrics["coneSize"] = float64(d.Graph.CustomerConeSize(rc.Candidate))
 	}
-	return &Result{ID: "CaseResurrectionSubpath", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runCaseImpactful(cfg Config) (*Result, error) {
@@ -89,7 +89,7 @@ func runCaseImpactful(cfg Config) (*Result, error) {
 	}
 	if len(ob.Routes) == 0 {
 		sb.WriteString("no outbreak detected\n")
-		return &Result{ID: "CaseImpactful", Text: sb.String(), Metrics: metrics}, nil
+		return &Result{Text: sb.String(), Metrics: metrics}, nil
 	}
 	peerASes := ob.PeerASes()
 	fmt.Fprintf(&sb, "stuck 3h after withdrawal in %d peer routers across %d peer ASes (paper: 24 routers / 21 ASes)\n",
@@ -110,7 +110,7 @@ func runCaseImpactful(cfg Config) (*Result, error) {
 			metrics["days"] = dur.Hours() / 24
 		}
 	}
-	return &Result{ID: "CaseImpactful", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runCaseLongLived(cfg Config) (*Result, error) {
@@ -129,7 +129,7 @@ func runCaseLongLived(cfg Config) (*Result, error) {
 	pl := d.lifespans.Prefixes[c.Prefix]
 	if pl == nil || len(pl.Episodes) == 0 {
 		sb.WriteString("no RIB-dump visibility\n")
-		return &Result{ID: "CaseLongLived", Text: sb.String(), Metrics: metrics}, nil
+		return &Result{Text: sb.String(), Metrics: metrics}, nil
 	}
 
 	for _, ep := range pl.Episodes {
@@ -154,5 +154,5 @@ func runCaseLongLived(cfg Config) (*Result, error) {
 			dur.Hours()/24, dur.Hours()/24/30)
 		metrics["days"] = dur.Hours() / 24
 	}
-	return &Result{ID: "CaseLongLived", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }

@@ -128,7 +128,7 @@ func runCombined(cfg Config) (*Result, error) {
 	sb.WriteString("several times more zombie events per prefix-day — they are 'noisier', as\n")
 	sb.WriteString("prior work argued, while a fresh once-a-day prefix better approximates an\n")
 	sb.WriteString("ordinary withdrawal. This motivates the authors' beacon design (§4).\n")
-	return &Result{ID: "DiscussionCombined", Text: sb.String(), Metrics: map[string]float64{
+	return &Result{Text: sb.String(), Metrics: map[string]float64{
 		"ris.rate":            risRate,
 		"author.rate":         authorRate,
 		"ris.perPrefixDay":    risPerPrefixDay,

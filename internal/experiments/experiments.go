@@ -51,7 +51,6 @@ func (c Config) withDefaults() Config {
 // Result is an experiment's rendered output plus machine-checkable
 // metrics.
 type Result struct {
-	ID      string
 	Text    string
 	Metrics map[string]float64
 }

@@ -103,7 +103,7 @@ func runFig2(cfg Config) (*Result, error) {
 	} else {
 		metrics["bump"] = 0
 	}
-	return &Result{ID: "Fig2", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runFig3(cfg Config) (*Result, error) {
@@ -144,7 +144,7 @@ func runFig3(cfg Config) (*Result, error) {
 		"all.maxDays":  cAll.Max(),
 		"excl.maxDays": cExcl.Max(),
 	}
-	return &Result{ID: "Fig3", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runFig4(cfg Config) (*Result, error) {
@@ -166,7 +166,7 @@ func runFig4(cfg Config) (*Result, error) {
 	metrics := map[string]float64{}
 	if pl == nil || len(pl.Episodes) == 0 {
 		sb.WriteString("  (no RIB-dump visibility — scenario too thin)\n")
-		return &Result{ID: "Fig4", Text: sb.String(), Metrics: metrics}, nil
+		return &Result{Text: sb.String(), Metrics: metrics}, nil
 	}
 	for i, ep := range pl.Episodes {
 		fmt.Fprintf(&sb, "  visible    %s -> %s at %s/%s (path %s)\n",
@@ -185,7 +185,7 @@ func runFig4(cfg Config) (*Result, error) {
 		metrics["totalDays"] = total.Hours() / 24
 		metrics["resurrections"] = float64(len(pl.Resurrections))
 	}
-	return &Result{ID: "Fig4", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runTable5(cfg Config) (*Result, error) {
@@ -236,5 +236,5 @@ func runTable5(cfg Config) (*Result, error) {
 	var sb strings.Builder
 	tbl.Render(&sb)
 	sb.WriteString("\nThe two AS211509 router addresses report identical counts (one router, two sessions), as in the paper.\n")
-	return &Result{ID: "Table5", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }

@@ -72,7 +72,7 @@ func runFig5(cfg Config) (*Result, error) {
 		metrics[key+".median6"] = c6.Median()
 		metrics[key+".zeroFrac"] = float64(zeroPairs) / float64(max(pairs, 1))
 	}
-	return &Result{ID: "Fig5", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runFig6(cfg Config) (*Result, error) {
@@ -140,7 +140,7 @@ func runFig6(cfg Config) (*Result, error) {
 		metrics[key+".changed4"] = pc4
 		metrics[key+".changed6"] = pc6
 	}
-	return &Result{ID: "Fig6", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runFig7(cfg Config) (*Result, error) {
@@ -197,5 +197,5 @@ func runFig7(cfg Config) (*Result, error) {
 		metrics[key+".max4"] = c4.Max()
 	}
 	sb.WriteString("(paper: 22.35%/34.04% of v4/v6 outbreaks occur singly with dc; 26.38%/37.97% deduped)\n")
-	return &Result{ID: "Fig7", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }

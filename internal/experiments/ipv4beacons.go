@@ -120,7 +120,7 @@ func runIPv4Beacons(cfg Config) (*Result, error) {
 	sb.WriteString("slot encoding replaces the IPv6 prefix clock, and the Aggregator clock\n")
 	sb.WriteString("dedup works unchanged. A /17 hosts a full day of unique beacons; a /13\n")
 	sb.WriteString("hosts the 15-day recycle — the space-utilization arithmetic §6 asks for.\n")
-	return &Result{ID: "DiscussionIPv4Beacons", Text: sb.String(), Metrics: map[string]float64{
+	return &Result{Text: sb.String(), Metrics: map[string]float64{
 		"announcements": float64(announcements),
 		"withDup":       float64(w4),
 		"deduped":       float64(n4),

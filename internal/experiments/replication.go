@@ -203,7 +203,7 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 	// Beacon origin: a stub buying transit from two Tier-2s.
 	t2 := g.TierASNs(2)
 	t3 := g.TierASNs(3)
-	g.AddAS(RISOriginAS, "ris-beacons", 4)
+	g.AddAS(RISOriginAS, 4)
 	if err := g.AddC2P(RISOriginAS, t2[0]); err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 	peers := make([]bgp.ASN, 0, replicationPeers)
 	for i := 0; i < replicationPeers; i++ {
 		asn := bgp.ASN(65000 + i)
-		g.AddAS(asn, fmt.Sprintf("ris-peer-%d", i), 4)
+		g.AddAS(asn, 4)
 		var transit bgp.ASN
 		if i%3 == 0 {
 			transit = t2[rng.IntN(len(t2))]
@@ -228,7 +228,7 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 		}
 		peers = append(peers, asn)
 	}
-	g.AddAS(NoisyReplicationPeer, "Inherent Adista SAS", 4)
+	g.AddAS(NoisyReplicationPeer, 4)
 	if err := g.AddC2P(NoisyReplicationPeer, t2[2]); err != nil {
 		return nil, err
 	}
@@ -263,7 +263,7 @@ func runReplicationPeriod(period replicationPeriod, seed uint64) (*PeriodData, e
 	}
 
 	// Beacon schedule.
-	v4Prefixes, v6Prefixes := beacon.DefaultRISPrefixes(RISOriginAS)
+	v4Prefixes, v6Prefixes := beacon.DefaultRISPrefixes()
 	sched := &beacon.RISSchedule{Prefixes4: v4Prefixes, Prefixes6: v6Prefixes, OriginAS: RISOriginAS}
 	start := period.start
 	end := start.Add(time.Duration(period.days) * 24 * time.Hour)

@@ -116,7 +116,7 @@ func runRouteViews(cfg Config) (*Result, error) {
 	sb.WriteString("\nOutbreaks whose only infected vantage points peer with RouteViews are\n")
 	sb.WriteString("invisible to a RIS-only analysis — the omission the paper acknowledges\n")
 	sb.WriteString("and defers to future work (§5, §6).\n")
-	return &Result{ID: "DiscussionRouteViews", Text: sb.String(), Metrics: map[string]float64{
+	return &Result{Text: sb.String(), Metrics: map[string]float64{
 		"ris.outbreaks":      float64(len(risObs)),
 		"combined.outbreaks": float64(len(combinedObs)),
 		"missed.outbreaks":   float64(missedOutbreaks),

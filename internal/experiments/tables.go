@@ -76,7 +76,7 @@ func runTable1(cfg Config) (*Result, error) {
 	tbl.Render(&sb)
 	fmt.Fprintf(&sb, "\nOverall dedup reduction: %s (paper: 21.36%%)\n",
 		analysis.Reduction(totalWith, totalWithout))
-	return &Result{ID: "Table1", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func runTable2(cfg Config) (*Result, error) {
@@ -116,7 +116,7 @@ func runTable2(cfg Config) (*Result, error) {
 		pctChange(studyTotal, withTotal))
 	fmt.Fprintf(&sb, "Revised deduped vs study:                   %+.2f%% (paper: -13%%)\n",
 		pctChange(studyTotal, withoutTotal))
-	return &Result{ID: "Table2", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }
 
 func pctChange(from, to int) float64 {
@@ -163,7 +163,7 @@ func runTable3(cfg Config) (*Result, error) {
 	var sb strings.Builder
 	tbl.Render(&sb)
 	sb.WriteString("\nBoth sides miss detections the other reports, as the paper finds.\n")
-	return &Result{ID: "Table3", Text: sb.String(), Metrics: map[string]float64{
+	return &Result{Text: sb.String(), Metrics: map[string]float64{
 		"study.missRoutes4":   float64(d.RoutesOnlyInA4),
 		"study.missRoutes6":   float64(d.RoutesOnlyInA6),
 		"revised.missRoutes4": float64(d.RoutesOnlyInB4),
@@ -225,5 +225,5 @@ func runTable4(cfg Config) (*Result, error) {
 	tbl.Render(&sb)
 	fmt.Fprintf(&sb, "\nRemaining peers' average IPv6 likelihood: %s (paper: 1.58%%) — AS16347 is an outlier and is excluded.\n",
 		analysis.Pct(rest.Mean()))
-	return &Result{ID: "Table4", Text: sb.String(), Metrics: metrics}, nil
+	return &Result{Text: sb.String(), Metrics: metrics}, nil
 }

@@ -120,7 +120,7 @@ func runTimersAblation(cfg Config) (*Result, error) {
 	sb.WriteString("visibility; route flap damping penalizes the rapidly recycled beacons and\n")
 	sb.WriteString("suppresses some of their announcements — the 'beacons are noisy prefixes'\n")
 	sb.WriteString("effect from a different angle, and a caution for beacon-based measurement.\n")
-	return &Result{ID: "AblationTimers", Text: sb.String(), Metrics: map[string]float64{
+	return &Result{Text: sb.String(), Metrics: map[string]float64{
 		"plain.messages": float64(plain.messages),
 		"mrai.messages":  float64(mrai.messages),
 		"rfd.messages":   float64(rfd.messages),

@@ -35,9 +35,8 @@ type Table[V any] struct {
 
 // Stats is a point-in-time snapshot of a table's lookup counters.
 type Stats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries uint64
+	Hits   uint64
+	Misses uint64
 }
 
 // NewTable returns an empty table.
@@ -91,9 +90,6 @@ func (t *Table[V]) Stats() Stats {
 		s := &t.shards[i]
 		st.Hits += s.hits.Load()
 		st.Misses += s.misses.Load()
-		s.mu.RLock()
-		st.Entries += uint64(len(s.m))
-		s.mu.RUnlock()
 	}
 	return st
 }

@@ -114,7 +114,7 @@ func EventFromRecord(collector string, rec mrt.Record, includeRaw bool) (Event, 
 		ev.Peer = r.PeerIP
 		rawLen += sessionAddrsLen(r.AFI) + len(r.Data)
 		s := scratchPool.Get().(*bgp.Scratch)
-		if u, err := s.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern); err == nil {
+		if u, err := s.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern|r.DecodeFlags()); err == nil {
 			fillUpdate(&ev, u)
 		}
 		scratchPool.Put(s)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 	"time"
 
@@ -21,14 +22,33 @@ type BGP4MPMessage struct {
 	AFI       bgp.AFI // address family of the *session* addresses below
 	PeerIP    netip.Addr
 	LocalIP   netip.Addr
-	Data      []byte
+	// AS2 marks the BGP4MP_MESSAGE subtype: a two-octet-AS session, whose
+	// ASNs above and in Data's AS_PATH and AGGREGATOR are two octets wide.
+	// The zero value is BGP4MP_MESSAGE_AS4.
+	AS2  bool
+	Data []byte
 }
 
 // RecordTime implements Record.
 func (m *BGP4MPMessage) RecordTime() time.Time { return m.Timestamp }
 
-// Update decodes the carried BGP message as an UPDATE.
-func (m *BGP4MPMessage) Update() (*bgp.Update, error) { return bgp.DecodeUpdate(m.Data) }
+// DecodeFlags is bgp.DecodeAS2 for a two-octet session's message and 0
+// otherwise: decoders of Data add it to their own flags.
+func (m *BGP4MPMessage) DecodeFlags() bgp.DecodeFlags {
+	if m.AS2 {
+		return bgp.DecodeAS2
+	}
+	return 0
+}
+
+// Update decodes the carried BGP message as an UPDATE. Every value it
+// returns owns its memory.
+func (m *BGP4MPMessage) Update() (*bgp.Update, error) {
+	if m.AS2 {
+		return new(bgp.Scratch).DecodeUpdate(m.Data, bgp.DecodeAS2)
+	}
+	return bgp.DecodeUpdate(m.Data)
+}
 
 // BGP4MPStateChange is a BGP4MP_STATE_CHANGE(_AS4) record reporting a peer
 // session FSM transition.
@@ -103,8 +123,16 @@ func decodeAddrPair(b []byte, afi bgp.AFI) (peer, local netip.Addr, n int, err e
 
 // appendBody serializes the record body (after the MRT common header).
 func (m *BGP4MPMessage) appendBody(dst []byte) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.PeerAS))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.LocalAS))
+	if m.AS2 {
+		if m.PeerAS > math.MaxUint16 || m.LocalAS > math.MaxUint16 {
+			return dst, fmt.Errorf("%w: ASN %d or %d on a two-octet session", ErrBadRecord, m.PeerAS, m.LocalAS)
+		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(m.PeerAS))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(m.LocalAS))
+	} else {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(m.PeerAS))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(m.LocalAS))
+	}
 	dst = binary.BigEndian.AppendUint16(dst, m.IfIndex)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(m.AFI))
 	dst, err := appendAddrPair(dst, m.AFI, m.PeerIP, m.LocalIP)
@@ -128,6 +156,7 @@ func decodeBGP4MPMessageInto(m *BGP4MPMessage, ts time.Time, b []byte, as4, borr
 		return fmt.Errorf("%w: BGP4MP message header", ErrTruncated)
 	}
 	m.Timestamp = ts
+	m.AS2 = !as4
 	if as4 {
 		m.PeerAS = bgp.ASN(binary.BigEndian.Uint32(b))
 		m.LocalAS = bgp.ASN(binary.BigEndian.Uint32(b[4:]))

@@ -180,6 +180,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"seed-rib-entry-storage": ribStorage,
 		"seed-rfc6396-vector":    readVectors(t, tableDumpVector)["dump"],
 		"seed-bgp4mp-vectors":    bgp4mp,
+		"seed-bgp4mp-as2-vector": readVectors(t, as2Vector)["update-as2"],
 	}
 }
 

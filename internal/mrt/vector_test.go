@@ -286,3 +286,53 @@ func TestRFC4271BGP4MPVectors(t *testing.T) {
 		t.Errorf("ReadAll = %+v, %v; want %+v", recs, err, want)
 	}
 }
+
+const as2Vector = "testdata/rfc6793_bgp4mp_as2.txt"
+
+// TestRFC6793TwoOctetVector checks a BGP4MP_MESSAGE record of a two-octet
+// session, assembled by hand: the record keeps its subtype, and its UPDATE
+// decodes on every path to the four-octet AS path and aggregator that
+// AS4_PATH and AS4_AGGREGATOR restore behind AS_TRANS.
+func TestRFC6793TwoOctetVector(t *testing.T) {
+	raw := readVectors(t, as2Vector)["update-as2"]
+	const session = 16 // two-octet ASNs, ifindex, AFI, two IPv4 addresses
+	want := &BGP4MPMessage{
+		Timestamp: time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC), PeerAS: 3333, LocalAS: 12654, AFI: bgp.AFIIPv4,
+		PeerIP: netip.AddrFrom4([4]byte{192, 0, 2, 1}), LocalIP: netip.AddrFrom4([4]byte{192, 0, 2, 2}),
+		AS2: true, Data: raw[HeaderLen+session:],
+	}
+	wantUpdate := &bgp.Update{
+		Attrs: bgp.PathAttributes{
+			HasOrigin:  true,
+			Origin:     bgp.OriginIGP,
+			ASPath:     bgp.ASPath{Segments: []bgp.PathSegment{{Type: bgp.ASSequence, ASNs: []bgp.ASN{3333, 8298, 210312}}}},
+			NextHop:    netip.AddrFrom4([4]byte{192, 0, 2, 1}),
+			Aggregator: &bgp.Aggregator{ASN: 210312, Addr: netip.AddrFrom4([4]byte{10, 12, 134, 34})},
+		},
+		NLRI: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")},
+	}
+	for _, borrow := range []bool{false, true} {
+		got, err := (&Decoder{Borrow: borrow}).DecodeFramed(raw)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("borrow=%v: decodes to\n%+v, %v\nwant\n%+v", borrow, got, err, want)
+		}
+	}
+	if u, err := want.Update(); err != nil || !reflect.DeepEqual(u, wantUpdate) {
+		t.Errorf("Update = %+v, %v\nwant %+v", u, err, wantUpdate)
+	}
+	var s bgp.Scratch
+	df := bgp.DecodeBorrow | bgp.DecodeIntern | want.DecodeFlags()
+	if u, err := s.DecodeUpdate(want.Data, df); err != nil || !reflect.DeepEqual(u, wantUpdate) {
+		t.Errorf("Scratch.DecodeUpdate = %+v, %v\nwant %+v", u, err, wantUpdate)
+	}
+	all := func(netip.Prefix) bool { return true }
+	if u, err := s.DecodeUpdateIf(want.Data, df, all); err != nil || !reflect.DeepEqual(u, wantUpdate) {
+		t.Errorf("Scratch.DecodeUpdateIf = %+v, %v\nwant %+v", u, err, wantUpdate)
+	}
+	if u, err := s.DecodeUpdateIf(want.Data, df, func(netip.Prefix) bool { return false }); u != nil || err != nil {
+		t.Errorf("Scratch.DecodeUpdateIf wanting nothing = %+v, %v; want nil, nil", u, err)
+	}
+	if got, err := AppendRecord(nil, want); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("AppendRecord = %x, %v\nwant %x", got, err, raw)
+	}
+}

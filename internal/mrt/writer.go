@@ -7,8 +7,9 @@ import (
 	"math"
 )
 
-// Writer encodes MRT records to an io.Writer. It always emits the
-// four-octet-AS BGP4MP subtypes, as modern collectors do.
+// Writer encodes MRT records to an io.Writer. It emits the four-octet-AS
+// BGP4MP subtypes, as modern collectors do, except for a BGP4MPMessage
+// marked AS2.
 type Writer struct {
 	w   io.Writer
 	buf []byte
@@ -30,6 +31,9 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	switch r := rec.(type) {
 	case *BGP4MPMessage:
 		typ, subtype, appendBody = TypeBGP4MP, SubtypeMessageAS4, r.appendBody
+		if r.AS2 {
+			subtype = SubtypeMessage
+		}
 	case *BGP4MPStateChange:
 		typ, subtype, appendBody = TypeBGP4MP, SubtypeStateChangeAS4, r.appendBody
 	case *PeerIndexTable:

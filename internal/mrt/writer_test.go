@@ -82,6 +82,8 @@ func TestAppendRecordErrorKeepsDst(t *testing.T) {
 		"too-big": &BGP4MPMessage{Timestamp: testTime, AFI: bgp.AFIIPv4,
 			PeerIP: netip.MustParseAddr("192.0.2.1"), LocalIP: netip.MustParseAddr("192.0.2.2"),
 			Data: make([]byte, MaxRecordLen)},
+		"four-octet-asn-on-as2": &BGP4MPMessage{Timestamp: testTime, PeerAS: 210312, AFI: bgp.AFIIPv4, AS2: true,
+			PeerIP: netip.MustParseAddr("192.0.2.1"), LocalIP: netip.MustParseAddr("192.0.2.2")},
 	} {
 		dst := append(make([]byte, 0, 64), "kept"...)
 		got, err := AppendRecord(dst, rec)

@@ -23,9 +23,9 @@ func MatchWithin(base netip.Prefix) PrefixMatcher {
 }
 
 // wedge is a window during which a directed link delivers nothing while
-// the session remains nominally Established.
+// the session remains nominally Established. The link is the key it is
+// filed under in FaultSet.
 type wedge struct {
-	from, to   bgp.ASN
 	afi        bgp.AFI // 0 = both families
 	start, end time.Time
 	match      PrefixMatcher
@@ -95,7 +95,7 @@ func newFaultSet(seed uint64) *FaultSet {
 // address family (0 = both), modelling per-family BGP sessions.
 func (f *FaultSet) WedgeLink(from, to bgp.ASN, afi bgp.AFI, start, end time.Time, match PrefixMatcher) {
 	k := [2]bgp.ASN{from, to}
-	f.wedges[k] = append(f.wedges[k], wedge{from: from, to: to, afi: afi, start: start, end: end, match: match})
+	f.wedges[k] = append(f.wedges[k], wedge{afi: afi, start: start, end: end, match: match})
 }
 
 // WedgeCollectorSessions silently drops every message (announcements and

@@ -25,7 +25,7 @@ func testGraph(t *testing.T) *topology.Graph {
 		asn  bgp.ASN
 		tier int
 	}{{1, 1}, {2, 1}, {10, 2}, {11, 2}, {12, 2}, {100, 3}, {200, 3}, {300, 3}} {
-		g.AddAS(a.asn, "", a.tier)
+		g.AddAS(a.asn, a.tier)
 	}
 	must := func(err error) {
 		t.Helper()

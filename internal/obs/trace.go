@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,7 +150,9 @@ type chromeEvent struct {
 
 // WriteChromeTrace exports the completed spans as a Chrome trace-event
 // JSON array. Timestamps are relative to the earliest span so the viewer
-// opens at the start of the run.
+// opens at the start of the run. Each event's args carry its span's id as
+// span_id and, below a root, its parent's as parent_span, so the tree
+// can be rebuilt from the file.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		_, err := w.Write([]byte("[]\n"))
@@ -166,11 +169,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	events := make([]chromeEvent, 0, len(spans))
 	for _, sp := range spans {
-		args := sp.args
+		args := make(map[string]any, len(sp.args)+2)
+		maps.Copy(args, sp.args)
+		args["span_id"] = sp.id
 		if sp.parent != 0 {
-			if args == nil {
-				args = make(map[string]any, 1)
-			}
 			args["parent_span"] = sp.parent
 		}
 		events = append(events, chromeEvent{

@@ -53,6 +53,61 @@ func TestSpanParentChildExport(t *testing.T) {
 	}
 }
 
+// TestTraceParentsResolve exports a three-level tree with two branches
+// and rebuilds it from the file: every parent_span must name the
+// span_id of an exported span, and each span's parent must be the one
+// it was started from.
+func TestTraceParentsResolve(t *testing.T) {
+	tr := NewTracer()
+	root := tr.Start("root")
+	for _, branch := range []string{"a", "b"} {
+		child := root.Start(branch)
+		child.Start(branch + ".leaf").End()
+		child.End()
+	}
+	root.End()
+
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string
+		Args struct {
+			SpanID     *uint64 `json:"span_id"`
+			ParentSpan *uint64 `json:"parent_span"`
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	nameOf := make(map[uint64]string)
+	for _, ev := range events {
+		if ev.Args.SpanID == nil {
+			t.Fatalf("%s has no span_id arg", ev.Name)
+		}
+		nameOf[*ev.Args.SpanID] = ev.Name
+	}
+	want := map[string]string{"root": "", "a": "root", "b": "root", "a.leaf": "a", "b.leaf": "b"}
+	if len(events) != len(want) {
+		t.Fatalf("%d events, want %d", len(events), len(want))
+	}
+	for _, ev := range events {
+		parent := ""
+		if ev.Args.ParentSpan != nil {
+			name, ok := nameOf[*ev.Args.ParentSpan]
+			if !ok {
+				t.Errorf("%s: parent_span %d names no exported span", ev.Name, *ev.Args.ParentSpan)
+				continue
+			}
+			parent = name
+		}
+		if parent != want[ev.Name] {
+			t.Errorf("%s: parent %q, want %q", ev.Name, parent, want[ev.Name])
+		}
+	}
+}
+
 func TestDisabledTracingIsInert(t *testing.T) {
 	SetTracer(nil)
 	sp := StartSpan("anything")

@@ -152,20 +152,20 @@ func Generate(cfg GenerateConfig) (*Graph, error) {
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x5eed))
 	g := New()
 	next := cfg.FirstASN
-	alloc := func(n int, tier int, name string) []bgp.ASN {
+	alloc := func(n int, tier int) []bgp.ASN {
 		out := make([]bgp.ASN, 0, n)
 		for i := 0; i < n; i++ {
 			asn := next
 			next++
-			g.AddAS(asn, fmt.Sprintf("%s-%d", name, i), tier)
+			g.AddAS(asn, tier)
 			out = append(out, asn)
 		}
 		return out
 	}
-	t1 := alloc(cfg.Tier1Count, 1, "tier1")
-	t2 := alloc(cfg.Tier2Count, 2, "tier2")
-	t3 := alloc(cfg.Tier3Count, 3, "tier3")
-	stubs := alloc(cfg.StubCount, 4, "stub")
+	t1 := alloc(cfg.Tier1Count, 1)
+	t2 := alloc(cfg.Tier2Count, 2)
+	t3 := alloc(cfg.Tier3Count, 3)
+	stubs := alloc(cfg.StubCount, 4)
 
 	// Tier-1 clique.
 	for i := 0; i < len(t1); i++ {

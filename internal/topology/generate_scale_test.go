@@ -7,13 +7,19 @@ import (
 	"testing"
 )
 
-// graphHash digests the complete adjacency structure (names, tiers, and
-// sorted link lists) so any change to the generated topology shows up.
+// graphHash digests the complete adjacency structure (tiers and sorted
+// link lists) of a generated graph so any change to it shows up. Each
+// line still carries the name Generate once gave every AS, its tier's
+// label and its rank in that tier ("tier2-7"), which the ascending ASNs
+// determine, so the digests pinned before ASes lost their names hold.
 func graphHash(g *Graph) uint64 {
 	h := fnv.New64a()
+	rank := make(map[int]int)
 	for _, asn := range g.ASNs() {
 		a := g.AS(asn)
-		fmt.Fprintf(h, "%d|%s|%d|%v|%v|%v\n", asn, a.Name, a.Tier, a.Providers(), a.customers, a.peers)
+		name := fmt.Sprintf("%s-%d", [...]string{"tier1", "tier2", "tier3", "stub"}[a.Tier-1], rank[a.Tier])
+		rank[a.Tier]++
+		fmt.Fprintf(h, "%d|%s|%d|%v|%v|%v\n", asn, name, a.Tier, a.Providers(), a.customers, a.peers)
 	}
 	return h.Sum64()
 }

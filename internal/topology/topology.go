@@ -40,9 +40,8 @@ func (r Relationship) String() string {
 }
 
 // AS is one autonomous system in the graph.
+// Its number is the key it is filed under in the Graph.
 type AS struct {
-	ASN  bgp.ASN
-	Name string
 	Tier int // 1 = Tier-1 clique; larger numbers are further down
 
 	providers []bgp.ASN
@@ -74,18 +73,17 @@ func New() *Graph {
 	return &Graph{ases: make(map[bgp.ASN]*AS)}
 }
 
-// AddAS inserts an AS. Adding an existing ASN updates its name/tier and
-// keeps its links.
-func (g *Graph) AddAS(asn bgp.ASN, name string, tier int) *AS {
+// AddAS inserts an AS. Adding an existing ASN updates its tier and keeps
+// its links.
+func (g *Graph) AddAS(asn bgp.ASN, tier int) *AS {
 	if g.ases == nil {
 		g.ases = make(map[bgp.ASN]*AS)
 	}
 	a, ok := g.ases[asn]
 	if !ok {
-		a = &AS{ASN: asn}
+		a = &AS{}
 		g.ases[asn] = a
 	}
-	a.Name = name
 	a.Tier = tier
 	return a
 }

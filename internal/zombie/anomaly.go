@@ -141,7 +141,6 @@ next:
 
 // AnomalyReport is the output of one framework run.
 type AnomalyReport struct {
-	Window Window
 	// Findings across all detectors, in canonical order: detector name,
 	// then (prefix, peer, start, end, kind).
 	Findings []Anomaly
@@ -178,7 +177,7 @@ func RunAnomalyDetectors(h *History, win Window, dets []AnomalyDetector, paralle
 		sortAnomalies(findings)
 		slots[i] = findings
 	})
-	rep := &AnomalyReport{Window: win, ByDetector: make(map[string]int, len(dets))}
+	rep := &AnomalyReport{ByDetector: make(map[string]int, len(dets))}
 	for i, findings := range slots {
 		rep.ByDetector[dets[i].Name()] = len(findings)
 		rep.Findings = append(rep.Findings, findings...)

@@ -386,7 +386,7 @@ func countingSort[T any](dst, src []T, n int, key func(T) uint32) {
 func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, sorted int, err error) {
 	h = &History{}
 	var peerMap, prefixMap, pathMap, aggMap [][]uint32
-	h.peers, peerMap, h.peerIdx = canonTable(builders, func(b *HistoryBuilder) []PeerID { return b.peers }, 0, identity, comparePeers)
+	h.peers, peerMap, _ = canonTable(builders, func(b *HistoryBuilder) []PeerID { return b.peers }, 0, identity, comparePeers)
 	h.prefixes, prefixMap, h.prefixIdx = canonTable(builders, func(b *HistoryBuilder) []netip.Prefix { return b.prefixes.vals }, 0, identity, comparePrefixes)
 	h.paths, pathMap, _ = canonTable(builders, func(b *HistoryBuilder) []bgp.ASPath { return b.paths.vals }, 1,
 		func(p bgp.ASPath) *bgp.PathSegment { return &p.Segments[0] }, comparePaths)

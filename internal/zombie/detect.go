@@ -91,7 +91,7 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 	if !st.Present {
 		if d.RecordPaths && normalLen > 0 {
 			*pathObs = append(*pathObs, PathObservation{
-				Peer: peer, Prefix: iv.Prefix, Interval: iv,
+				Peer: peer, Prefix: iv.Prefix,
 				NormalLen: normalLen,
 			})
 		}
@@ -115,7 +115,7 @@ func (d *Detector) peerDecision(peer PeerID, iv beacon.Interval, st, pre State,
 	})
 	if d.RecordPaths {
 		*pathObs = append(*pathObs, PathObservation{
-			Peer: peer, Prefix: iv.Prefix, Interval: iv,
+			Peer: peer, Prefix: iv.Prefix,
 			NormalLen:   normalLen,
 			ZombieLen:   st.Path.Length(),
 			Zombie:      true,
@@ -229,9 +229,7 @@ type EmergenceRate struct {
 	Prefix netip.Prefix
 	PeerAS bgp.ASN
 	// Rate = zombie routes / intervals of the prefix.
-	Rate      float64
-	Zombies   int
-	Intervals int
+	Rate float64
 }
 
 // EmergenceRates computes the per-pair rates. Pairs that never produced a
@@ -266,13 +264,7 @@ func EmergenceRates(rep *Report, opts FilterOptions) []EmergenceRate {
 	var out []EmergenceRate
 	for p, n := range perPrefix {
 		for as := range peerASes {
-			c := counts[key{p, as}]
-			out = append(out, EmergenceRate{
-				Prefix: p, PeerAS: as,
-				Rate:      float64(c) / float64(n),
-				Zombies:   c,
-				Intervals: n,
-			})
+			out = append(out, EmergenceRate{Prefix: p, PeerAS: as, Rate: float64(counts[key{p, as}]) / float64(n)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

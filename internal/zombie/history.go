@@ -48,7 +48,6 @@ type histEvent struct {
 type History struct {
 	peers      []PeerID
 	prefixes   []netip.Prefix
-	peerIdx    map[PeerID]uint32
 	prefixIdx  map[netip.Prefix]uint32
 	paths      []bgp.ASPath      // what row.path indexes; [0] is the empty path
 	aggs       []*bgp.Aggregator // what row.agg indexes; [0] is nil
@@ -204,9 +203,9 @@ func recordEvents(name string, order int, rec mrt.Record, track *trackIndex, scr
 		case scratch == nil:
 			u, err = r.Update()
 		case track != nil:
-			u, err = scratch.DecodeUpdateIf(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern, track.has)
+			u, err = scratch.DecodeUpdateIf(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern|r.DecodeFlags(), track.has)
 		default:
-			u, err = scratch.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern)
+			u, err = scratch.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern|r.DecodeFlags())
 		}
 		if u == nil {
 			return err // nil: no tracked prefix

@@ -194,10 +194,11 @@ func refStateAt(evs, sess []histEvent, t time.Time) State {
 // messages. An unknown peer or prefix folds nothing.
 func (h *History) cursor(peer PeerID, p netip.Prefix, sessions bool) stateCursor {
 	c := stateCursor{h: h}
-	pi, okPeer := h.peerIdx[peer]
+	i, okPeer := slices.BinarySearchFunc(h.peers, peer, comparePeers)
 	if !okPeer {
 		return c
 	}
+	pi := uint32(i)
 	if xi, ok := h.prefixIdx[p]; ok {
 		if ki, ok := slices.BinarySearch(h.pairKeys, pairKey(pi, xi)); ok {
 			c.evs = h.spanRows(ki)

@@ -97,9 +97,8 @@ func (o *Outbreak) Paths() []bgp.ASPath {
 // PathObservation records a path length seen at detection time, used for
 // the paper's AS-path-length analysis (its Fig. 6).
 type PathObservation struct {
-	Peer     PeerID
-	Prefix   netip.Prefix
-	Interval beacon.Interval
+	Peer   PeerID
+	Prefix netip.Prefix
 	// NormalLen is the AS path length held just before the withdrawal.
 	NormalLen int
 	// ZombieLen is the stuck path length (0 if the peer withdrew).

@@ -296,10 +296,10 @@ func hasMethod(iface *types.Interface, name string) bool {
 
 // TestScansResolveByObject runs both scans over a tree of one package in
 // which two types share a method name and a field name. A scan that
-// matched selectors by name would take B's shipped uses for A's.
+// matched selectors by name would take B's shipped uses for A's. The tree
+// also pins which keyed literals give a setting one value.
 func TestScansResolveByObject(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
+	tr := loadSynthetic(t, map[string]string{
 		"internal/a/a.go": `package a
 
 type A struct{ X int }
@@ -325,6 +325,17 @@ type Sizer interface{ Size() int }
 type T struct{}
 
 func (T) Len() int { return 0 }
+
+// Every literal sets C.One to 1; Two takes two constants, Left one and,
+// where a literal leaves it out, zero.
+type C struct{ One, Two, Left int }
+
+// F's literals set E.On to true or, leaving E out, to false.
+type E struct{ On bool }
+type F struct{ E E }
+
+// P's literals elide their &P.
+type P struct{ N int }
 `,
 		"internal/a/a_test.go": `package a
 
@@ -340,10 +351,33 @@ func main() {
 	b.X = 1
 	var s a.Sizer = b
 	var t a.T
-	println(x.X, b.Get(), s.Size(), t)
+	cs := []a.C{{One: 1, Two: 1, Left: 1}, {One: 1, Two: 2}}
+	fs := []a.F{{E: a.E{On: true}}, {}}
+	ps := []*a.P{{N: 1}, {N: 2}}
+	println(x.X, b.Get(), s.Size(), t, len(cs), len(fs), len(ps))
 }
 `,
+	})
+	var exports, settings []string
+	for _, e := range scanTestOnlyExports(t, tr) {
+		exports = append(exports, e.name)
 	}
+	for _, s := range scanUnsetSettings(tr) {
+		settings = append(settings, s.name)
+	}
+	if want := []string{"internal/a.A.Get", "internal/a.Inner", "internal/a.T.Len"}; !slices.Equal(exports, want) {
+		t.Errorf("test-only exports = %q, want %q", exports, want)
+	}
+	if want := []string{"internal/a.A.X", "internal/a.C.One"}; !slices.Equal(settings, want) {
+		t.Errorf("unset settings = %q, want %q", settings, want)
+	}
+}
+
+// loadSynthetic writes files, keyed by slash-separated path, into a
+// temporary directory and loads it as module zombiescope.
+func loadSynthetic(t *testing.T, files map[string]string) *typedTree {
+	t.Helper()
+	dir := t.TempDir()
 	for name, src := range files {
 		p := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -357,17 +391,5 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var exports, settings []string
-	for _, e := range scanTestOnlyExports(t, tr) {
-		exports = append(exports, e.name)
-	}
-	for _, s := range scanUnsetSettings(tr) {
-		settings = append(settings, s.name)
-	}
-	if want := []string{"internal/a.A.Get", "internal/a.Inner", "internal/a.T.Len"}; !slices.Equal(exports, want) {
-		t.Errorf("test-only exports = %q, want %q", exports, want)
-	}
-	if want := []string{"internal/a.A.X"}; !slices.Equal(settings, want) {
-		t.Errorf("unset settings = %q, want %q", settings, want)
-	}
+	return tr
 }

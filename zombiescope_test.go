@@ -191,10 +191,10 @@ func TestDetectorInvariantsProperty(t *testing.T) {
 // clears it, and the measured duration matches the clearing schedule.
 func TestStuckRouteVisibleUntilCleared(t *testing.T) {
 	g := zombiescope.NewTopology()
-	g.AddAS(1, "t1", 1)
-	g.AddAS(10, "transit", 2)
-	g.AddAS(100, "origin", 3)
-	g.AddAS(200, "peer", 3)
+	g.AddAS(1, 1)
+	g.AddAS(10, 2)
+	g.AddAS(100, 3)
+	g.AddAS(200, 3)
 	for _, l := range [][2]zombiescope.ASN{{10, 1}, {100, 10}, {200, 10}} {
 		if err := g.AddC2P(l[0], l[1]); err != nil {
 			t.Fatal(err)
