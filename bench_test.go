@@ -161,6 +161,7 @@ func BenchmarkBGPUpdateEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkBGPUpdateDecode times an owned decode: a fresh Scratch at flags 0.
 func BenchmarkBGPUpdateDecode(b *testing.B) {
 	u := benchUpdate()
 	wire, err := u.AppendWireFormat(nil)
@@ -169,7 +170,7 @@ func BenchmarkBGPUpdateDecode(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := bgp.DecodeUpdate(wire); err != nil {
+		if _, err := new(bgp.Scratch).DecodeUpdate(wire, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

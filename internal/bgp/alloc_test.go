@@ -1,8 +1,11 @@
 package bgp
 
 import (
-	"bytes"
+	"fmt"
 	"net/netip"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -43,31 +46,85 @@ func allocTestUpdate(t *testing.T) []byte {
 	return wire
 }
 
-// TestScratchDecodeMatchesDecodeUpdate pins the scratch decoder to the
-// allocating one by round-tripping both results back to wire form.
-func TestScratchDecodeMatchesDecodeUpdate(t *testing.T) {
-	wire := allocTestUpdate(t)
-	want, err := DecodeUpdate(wire)
-	if err != nil {
-		t.Fatal(err)
+// TestDecodeUpdateFlagInvariance holds the one UPDATE decoder to its own
+// contract, since no second decoder is left to compare it with: under a
+// base of flags 0 or DecodeAS2, every message decodes to deeply equal
+// values, or fails with the same error, with Borrow, Intern or both added;
+// on a fresh Scratch and on one reused across every message; and through
+// DecodeUpdateIf accepting every prefix (which keeps nil for a message
+// with no prefix at all). An owned decode (a fresh Scratch at the base
+// flags) keeps its values when the input is overwritten.
+func TestDecodeUpdateFlagInvariance(t *testing.T) {
+	msgs := [][]byte{allocTestUpdate(t), as2VectorUpdate(t)}
+	msgs = append(msgs, decodeUpdateSeeds(t)...)
+	seeds := communityCorpusSeeds(t)
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
 	}
-	var s Scratch
-	for _, df := range []DecodeFlags{0, DecodeBorrow, DecodeIntern, DecodeBorrow | DecodeIntern} {
-		got, err := s.DecodeUpdate(wire, df)
-		if err != nil {
-			t.Fatalf("flags %b: %v", df, err)
+	sort.Strings(names)
+	for _, name := range names {
+		msgs = append(msgs, seeds[name].data)
+	}
+	msgs = append(msgs, deferredFaultSeeds()...)
+	all := func(netip.Prefix) bool { return true }
+	var reused, reusedIf Scratch
+	for i, msg := range msgs {
+		for _, base := range []DecodeFlags{0, DecodeAS2} {
+			owned := slices.Clone(msg)
+			want, wantErr := new(Scratch).DecodeUpdate(owned, base)
+			for j := range owned {
+				owned[j] = 0xa5
+			}
+			var wantIf *Update
+			if wantErr == nil && len(want.WithdrawnAll())+len(want.Announced()) > 0 {
+				wantIf = want
+			}
+			for _, df := range []DecodeFlags{base, base | DecodeBorrow, base | DecodeIntern, base | DecodeBorrow | DecodeIntern} {
+				for _, c := range []struct {
+					name   string
+					decode func() (*Update, error)
+					want   *Update
+				}{
+					{"fresh", func() (*Update, error) { return new(Scratch).DecodeUpdate(msg, df) }, want},
+					{"reused", func() (*Update, error) { return reused.DecodeUpdate(msg, df) }, want},
+					{"DecodeUpdateIf", func() (*Update, error) { return reusedIf.DecodeUpdateIf(msg, df, all) }, wantIf},
+				} {
+					got, err := c.decode()
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, c.want) {
+						t.Errorf("message %d, flags %b, %s: %+v, %v\nwant %+v, %v", i, df, c.name, got, err, c.want, wantErr)
+					}
+				}
+			}
 		}
-		wantWire, err := want.AppendWireFormat(nil)
-		if err != nil {
+	}
+}
+
+// TestEmptyCommunitiesDecodeEmpty pins a value no round trip sees: a
+// COMMUNITIES attribute of length 0 decodes to an empty list, not to none,
+// at every flag, on a fresh Scratch and on one whose storage holds an
+// earlier message's communities.
+func TestEmptyCommunitiesDecodeEmpty(t *testing.T) {
+	seeds := communityCorpusSeeds(t)
+	empty, full := seeds["seed-empty-attr"].data, seeds["seed-v4-communities"].data
+	var reused Scratch
+	for _, df := range []DecodeFlags{0, DecodeBorrow, DecodeIntern, DecodeBorrow | DecodeIntern} {
+		if _, err := reused.DecodeUpdate(full, df); err != nil {
 			t.Fatal(err)
 		}
-		gotWire, err := got.AppendWireFormat(nil)
-		if err != nil {
-			t.Fatalf("flags %b: re-encode: %v", df, err)
+		for name, s := range map[string]*Scratch{"fresh": new(Scratch), "reused": &reused} {
+			u, err := s.DecodeUpdate(empty, df)
+			if err != nil || u.Attrs.Communities == nil || len(u.Attrs.Communities) != 0 {
+				t.Errorf("flags %b, %s: communities %#v, %v; want an empty non-nil list", df, name, u.Attrs.Communities, err)
+			}
 		}
-		if !bytes.Equal(gotWire, wantWire) {
-			t.Errorf("flags %b: scratch decode diverges from DecodeUpdate", df)
-		}
+	}
+	if u, err := decodeUpdate(allocTestUpdate(t)); err != nil || u.Attrs.Communities == nil {
+		t.Fatalf("a message with communities: %v, %v", u, err)
+	}
+	var pa PathAttributes
+	if err := new(Scratch).DecodePathAttributes(&pa, &AttrStore{}, empty[HeaderLen+4:], 0); err != nil || pa.Communities == nil {
+		t.Errorf("attribute block: communities %#v, %v; want an empty non-nil list", pa.Communities, err)
 	}
 }
 

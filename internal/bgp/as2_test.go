@@ -1,11 +1,44 @@
 package bgp
 
 import (
+	"encoding/hex"
 	"errors"
 	"net/netip"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// as2VectorUpdate is the UPDATE of the hand-assembled RFC 6793 BGP4MP
+// vector the mrt package checks record by record: the file's hex bytes
+// less the MRT common header and the 16 bytes of two-octet session
+// context. Its AS_PATH and AGGREGATOR stand AS_TRANS for AS210312, which
+// AS4_PATH and AS4_AGGREGATOR restore.
+func as2VectorUpdate(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("../mrt/testdata/rfc6793_bgp4mp_as2.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b []byte
+	for _, line := range strings.Split(string(raw), "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "[") {
+			continue
+		}
+		h, err := hex.DecodeString(strings.Join(strings.Fields(line), ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(b, h...)
+	}
+	const mrtHeader, session = 12, 16
+	if len(b) < mrtHeader+session+HeaderLen {
+		t.Fatalf("RFC 6793 vector holds %d bytes", len(b))
+	}
+	return b[mrtHeader+session:]
+}
 
 // TestDecodeAS2Merge pins RFC 6793 §4.2.3 on attribute blocks of a
 // two-octet session, decoded with and without the intern tables.
@@ -43,7 +76,7 @@ func TestDecodeAS2Merge(t *testing.T) {
 		{"bytes an AS4 path shares", []byte{0x40, AttrASPath, 6, 2, 1, 0, 5, 2, 0}, path(seq(5), PathSegment{Type: ASSequence, ASNs: []ASN{}}), nil},
 	}
 	var s Scratch
-	if pa, err := DecodePathAttributes(cases[len(cases)-1].attrs); err != nil || !reflect.DeepEqual(pa.ASPath, path(seq(328192))) {
+	if pa, err := decodePathAttributes(cases[len(cases)-1].attrs); err != nil || !reflect.DeepEqual(pa.ASPath, path(seq(328192))) {
 		t.Fatalf("four-octet decode = %v, %v", pa.ASPath, err)
 	}
 	var pa PathAttributes

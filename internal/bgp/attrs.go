@@ -184,23 +184,13 @@ func (m *MPUnreachNLRI) appendValue(dst []byte) ([]byte, error) {
 	return AppendPrefixes(dst, m.Withdrawn)
 }
 
-// DecodePathAttributes parses a full path-attributes block of exactly b.
-// Every decoded value owns its memory (retain semantics); hot paths that
-// can live with borrowed buffers decode through Scratch.DecodeUpdate
-// instead.
-func DecodePathAttributes(b []byte) (PathAttributes, error) {
-	var pa PathAttributes
-	err := decodePathAttributesInto(&pa, nil, nil, 0, b)
-	return pa, err
-}
-
-// decodePathAttributesInto is the shared attribute-block walk. s, when
-// non-nil, holds the front caches DecodeIntern looks up through; st, when
-// non-nil, is the storage the communities, unknown attributes and
-// MP_REACH/UNREACH are decoded into; df selects borrow/intern behavior per
-// the DecodeFlags contract, and with decodeDefer the walk leaves the
-// deferred attributes in s.deferred. With DecodeAS2 it sets the AS path
-// and aggregator after the walk, from the four attributes that carry them.
+// decodePathAttributesInto is the one attribute-block walk. s holds the
+// front caches DecodeIntern looks up through; st is the storage the
+// communities, unknown attributes and MP_REACH/UNREACH are decoded into;
+// df selects borrow/intern behavior per the DecodeFlags contract, and with
+// decodeDefer the walk leaves the deferred attributes in s.deferred. With
+// DecodeAS2 it sets the AS path and aggregator after the walk, from the
+// four attributes that carry them.
 func decodePathAttributesInto(pa *PathAttributes, s *Scratch, st *AttrStore, df DecodeFlags, b []byte) error {
 	var as2 [4][]byte // with DecodeAS2: AS_PATH, AGGREGATOR, AS4_PATH, AS4_AGGREGATOR
 	for len(b) > 0 {
@@ -373,48 +363,32 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, st *AttrStore, f
 		if len(val)%4 != 0 {
 			return fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttribute, len(val))
 		}
-		c := pa.Communities[:0]
-		if c == nil && st != nil {
-			c = st.comms[:0]
-		}
-		if c == nil {
+		c := st.comms[:0]
+		if c == nil { // an empty attribute decodes to an empty list, not to none
 			c = make([]Community, 0, len(val)/4)
 		}
 		for i := 0; i+4 <= len(val); i += 4 {
 			c = append(c, Community(binary.BigEndian.Uint32(val[i:])))
 		}
-		pa.Communities = c
-		if st != nil {
-			st.comms = c
-		}
+		pa.Communities, st.comms = c, c
 	case AttrMPReachNLRI:
-		var m *MPReachNLRI
-		if st != nil {
-			m = &st.reach
-			*m = MPReachNLRI{NLRI: m.NLRI[:0]}
-		} else {
-			m = &MPReachNLRI{}
-		}
+		m := &st.reach
+		*m = MPReachNLRI{NLRI: m.NLRI[:0]}
 		if err := decodeMPReachInto(m, val); err != nil {
 			return err
 		}
 		if len(m.NLRI) == 0 {
-			m.NLRI = nil // as the allocating decode leaves it
+			m.NLRI = nil // no prefix decodes to none, on a fresh store or a reused one
 		}
 		pa.MPReach = m
 	case AttrMPUnreachNLRI:
-		var m *MPUnreachNLRI
-		if st != nil {
-			m = &st.unreach
-			*m = MPUnreachNLRI{Withdrawn: m.Withdrawn[:0]}
-		} else {
-			m = &MPUnreachNLRI{}
-		}
+		m := &st.unreach
+		*m = MPUnreachNLRI{Withdrawn: m.Withdrawn[:0]}
 		if err := decodeMPUnreachInto(m, val); err != nil {
 			return err
 		}
 		if len(m.Withdrawn) == 0 {
-			m.Withdrawn = nil // as the allocating decode leaves it
+			m.Withdrawn = nil // as for MP_REACH_NLRI
 		}
 		pa.MPUnreach = m
 	default:
@@ -424,13 +398,11 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, st *AttrStore, f
 			val = slices.Clone(val)
 		}
 		u := pa.Unknown
-		if u == nil && st != nil {
+		if u == nil {
 			u = st.unknown[:0]
 		}
 		pa.Unknown = append(u, RawAttr{Flags: flags, Type: typ, Value: val})
-		if st != nil {
-			st.unknown = pa.Unknown
-		}
+		st.unknown = pa.Unknown
 	}
 	return nil
 }

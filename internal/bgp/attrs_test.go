@@ -36,7 +36,7 @@ func TestPathAttributesRoundTripAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodePathAttributes(wire)
+	got, err := decodePathAttributes(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDecodePathAttributesMalformed(t *testing.T) {
 		"truncated ext length":  {0x90, AttrASPath, 1},
 	}
 	for name, wire := range cases {
-		if _, err := DecodePathAttributes(wire); err == nil {
+		if _, err := decodePathAttributes(wire); err == nil {
 			t.Errorf("%s: malformed attribute accepted", name)
 		}
 	}
@@ -79,7 +79,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 					t.Fatalf("DecodeUpdate panicked on %x: %v", data, r)
 				}
 			}()
-			_, _ = DecodeUpdate(data)
+			_, _ = decodeUpdate(data)
 		}()
 		func() {
 			defer func() {
@@ -87,7 +87,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 					t.Fatalf("DecodePathAttributes panicked on %x: %v", data, r)
 				}
 			}()
-			_, _ = DecodePathAttributes(data)
+			_, _ = decodePathAttributes(data)
 		}()
 		func() {
 			defer func() {
@@ -118,7 +118,7 @@ func TestDecodeValidHeaderRandomBody(t *testing.T) {
 				t.Fatalf("panicked on %x: %v", body, r)
 			}
 		}()
-		_, _ = DecodeUpdate(msg)
+		_, _ = decodeUpdate(msg)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(5))}); err != nil {

@@ -131,9 +131,9 @@ func parseCorpusEntry(t testing.TB, raw []byte) []byte {
 }
 
 // TestFuzzSeedCorpus keeps the committed seed corpus in sync with
-// communityCorpusSeeds and proves each seed's decode outcome — both
-// decoders, allocating and scratch — matches the shape it was built to
-// exercise.
+// communityCorpusSeeds and proves each seed's decode outcome — owned (a
+// fresh Scratch at flags 0) and hot-path (Borrow|Intern) — matches the
+// shape it was built to exercise.
 func TestFuzzSeedCorpus(t *testing.T) {
 	seeds := communityCorpusSeeds(t)
 	if *updateCorpus {
@@ -156,11 +156,11 @@ func TestFuzzSeedCorpus(t *testing.T) {
 				t.Fatal("committed corpus entry diverges from communityCorpusSeeds (run with -update-corpus)")
 			}
 			var scratch Scratch
-			u, err := DecodeUpdate(seed.data)
+			u, err := decodeUpdate(seed.data)
 			su, serr := scratch.DecodeUpdate(seed.data, DecodeBorrow|DecodeIntern)
 			if seed.wantErr {
 				if !errors.Is(err, ErrBadAttribute) || !errors.Is(serr, ErrBadAttribute) {
-					t.Fatalf("want ErrBadAttribute from both decoders, got %v / %v", err, serr)
+					t.Fatalf("want ErrBadAttribute from both decodes, got %v / %v", err, serr)
 				}
 				return
 			}
@@ -168,7 +168,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 				t.Fatalf("seed does not decode: %v / %v", err, serr)
 			}
 			if len(u.Attrs.Communities) != seed.comms || len(su.Attrs.Communities) != seed.comms {
-				t.Fatalf("want %d communities, got %d (alloc) / %d (scratch)",
+				t.Fatalf("want %d communities, got %d (owned) / %d (hot path)",
 					seed.comms, len(u.Attrs.Communities), len(su.Attrs.Communities))
 			}
 		})

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -9,12 +10,14 @@ import (
 	"testing"
 )
 
-// FuzzDeferredDecode holds Scratch.DecodeUpdateIf to DecodeUpdate: the
-// same accept/reject outcome, the same error string, an update kept
-// exactly when the predicate accepts one of its prefixes, and a kept update
-// deeply equal to DecodeUpdate's. sel picks the decode flags (bits 0-1) and
-// the predicate: bit 7 wants every prefix, bit 6 the prefixes of even
-// length, neither none. Run with
+// FuzzDeferredDecode holds Scratch.DecodeUpdateIf to DecodeUpdate at the
+// same flags: the same accept/reject outcome, the same error string, an
+// update kept exactly when the predicate accepts one of its prefixes, and
+// a kept update deeply equal to DecodeUpdate's. sel picks the decode flags
+// (bits 0-2: Borrow, Intern and AS2, so the RFC 6793 merge of a two-octet
+// session's AS_PATH and AGGREGATOR runs under the fuzzer too) and the
+// predicate: bit 7 wants every prefix, bit 6 the prefixes of even length,
+// neither none. Run with
 // `go test ./internal/bgp -run NONE -fuzz FuzzDeferredDecode`.
 func FuzzDeferredDecode(f *testing.F) {
 	var seeds [][]byte
@@ -36,18 +39,22 @@ func FuzzDeferredDecode(f *testing.F) {
 			f.Add(seed, sel)
 		}
 	}
+	as2 := uint8(DecodeAS2)
+	for _, sel := range []uint8{as2, 0x80 | as2 | 3, 0x40 | as2 | 1} {
+		f.Add(as2VectorUpdate(f), sel)
+	}
 	// A scratch held across inputs, as the decode path holds one, against
 	// a reference scratch fed the same inputs: stale state left by an
 	// update that was not kept must not leak into the next. A fresh scratch
-	// per input is held to the allocating DecodeUpdate itself.
+	// per input is held to a fresh scratch's DecodeUpdate.
 	var long, longRef Scratch
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
-		df := DecodeFlags(sel) & (DecodeBorrow | DecodeIntern)
+		df := DecodeFlags(sel) & (DecodeBorrow | DecodeIntern | DecodeAS2)
 		want := func(p netip.Prefix) bool { return sel&0x80 != 0 || sel&0x40 != 0 && p.Bits()%2 == 0 }
-		u, err := DecodeUpdate(data)
+		u, err := new(Scratch).DecodeUpdate(data, df)
 		ref, rerr := longRef.DecodeUpdate(data, df)
-		if (rerr == nil) != (err == nil) {
-			t.Fatalf("scratch and allocating decode disagree: %v vs %v", rerr, err)
+		if fmt.Sprint(rerr) != fmt.Sprint(err) || !reflect.DeepEqual(ref, u) {
+			t.Fatalf("reused and fresh decode disagree:\n%+v, %v\n%+v, %v", ref, rerr, u, err)
 		}
 		keep := false
 		if err == nil {

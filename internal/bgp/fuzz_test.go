@@ -14,7 +14,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := DecodeUpdate(data)
+		u, err := decodeUpdate(data)
 		if err != nil {
 			return
 		}
@@ -28,7 +28,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 			// an error, not a panic.
 			return
 		}
-		u2, err := DecodeUpdate(wire)
+		u2, err := decodeUpdate(wire)
 		if err != nil {
 			t.Fatalf("re-encoded update does not decode: %v", err)
 		}

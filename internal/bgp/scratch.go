@@ -11,8 +11,9 @@ import (
 )
 
 // DecodeFlags tune the allocation behavior of scratch-based decoding.
-// The zero value reproduces the package's default retain semantics: every
-// decoded value owns its memory and may outlive the input buffer.
+// The zero value is retain semantics: no decoded value aliases the input
+// buffer, so a fresh Scratch decoded with flags 0 hands out an Update that
+// owns its memory and may be kept.
 type DecodeFlags uint8
 
 const (
@@ -37,22 +38,24 @@ const (
 	decodeDefer DecodeFlags = 1 << 7
 )
 
-// Scratch is a reusable decode workspace for hot paths that process one
-// message at a time. DecodeUpdate returns a pointer into the Scratch
-// itself: the Update, its prefix slices, and its communities and
-// MP_REACH/UNREACH attributes are all overwritten by the next call, so the
-// caller must extract what it needs before decoding again. Values obtained
-// with DecodeIntern (AS paths, aggregators) are the only parts safe to
-// retain.
+// Scratch is the package's one UPDATE decoder, a reusable workspace for
+// hot paths that process one message at a time. DecodeUpdate returns a
+// pointer into the Scratch itself: the Update, its prefix slices, and its
+// communities and MP_REACH/UNREACH attributes are all overwritten by the
+// next call, so the caller must extract what it needs before decoding
+// again. Values obtained with DecodeIntern (AS paths, aggregators) are the
+// only parts safe to retain. A caller that keeps the whole Update decodes
+// into a fresh Scratch with flags 0: new(Scratch).DecodeUpdate(b, 0).
 //
 // A Scratch must not be shared between goroutines. The zero value is
 // ready to use.
 type Scratch struct {
 	u        Update
-	attrs    AttrStore     // the storage behind u.Attrs
-	front    *scratchFront // see fronts
-	deferred []RawAttr     // the attribute values DecodeUpdateIf has not decoded yet
-	eager    bool          // DecodeUpdateIf kept the last update: decode the next in full
+	wd, nlri []netip.Prefix // the storage behind u.Withdrawn and u.NLRI
+	attrs    AttrStore      // the storage behind u.Attrs
+	front    *scratchFront  // see fronts
+	deferred []RawAttr      // the attribute values DecodeUpdateIf has not decoded yet
+	eager    bool           // DecodeUpdateIf kept the last update: decode the next in full
 }
 
 // AttrStore is the reusable storage behind one decoded attribute block:
@@ -70,7 +73,8 @@ type AttrStore struct {
 
 // DecodeUpdate parses a full UPDATE message (header included) into the
 // scratch workspace. See the Scratch doc for the ownership rules; the
-// decoded values are identical to the allocating DecodeUpdate's.
+// decoded values do not depend on the flags Borrow and Intern, nor on what
+// the Scratch decoded before.
 func (s *Scratch) DecodeUpdate(b []byte, df DecodeFlags) (*Update, error) {
 	length, typ, err := DecodeHeader(b)
 	if err != nil {
@@ -82,12 +86,10 @@ func (s *Scratch) DecodeUpdate(b []byte, df DecodeFlags) (*Update, error) {
 	if len(b) < length {
 		return nil, fmt.Errorf("%w: message declares %d bytes, have %d", ErrShortMessage, length, len(b))
 	}
-	u := &s.u
-	*u = Update{Withdrawn: u.Withdrawn[:0], NLRI: u.NLRI[:0]}
-	if err := decodeUpdateBodyInto(u, s, &s.attrs, df, b[HeaderLen:length]); err != nil {
+	if err := s.decodeBody(b[HeaderLen:length], df); err != nil {
 		return nil, err
 	}
-	return u, nil
+	return &s.u, nil
 }
 
 // DecodeUpdateIf is DecodeUpdate for a caller that keeps an update only
@@ -182,8 +184,8 @@ func anyWanted(ps []netip.Prefix, want func(netip.Prefix) bool) bool {
 // DecodePathAttributes parses the path-attribute block b into pa, which it
 // overwrites, keeping what it can in st: pa's communities, unknown
 // attributes and MP_REACH/UNREACH live in st until st decodes another
-// block. Every field of pa is what the allocating DecodePathAttributes
-// returns for b, nil for an absent attribute included. The flags and the
+// block. Every field of pa is what a fresh AttrStore would decode from b,
+// nil for an absent attribute included. The flags and the
 // retention rules are DecodeUpdate's: with DecodeIntern the AS path and
 // aggregator are safe to retain, and with DecodeBorrow unknown attribute
 // values alias b.

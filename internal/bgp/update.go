@@ -105,36 +105,13 @@ func DecodeHeader(b []byte) (length int, typ MessageType, err error) {
 	return length, typ, nil
 }
 
-// DecodeUpdate parses a full UPDATE message (header included) from b,
-// which must contain exactly one message.
-func DecodeUpdate(b []byte) (*Update, error) {
-	length, typ, err := DecodeHeader(b)
-	if err != nil {
-		return nil, err
-	}
-	if typ != MsgUpdate {
-		return nil, fmt.Errorf("%w: got %s, want UPDATE", ErrUnknownType, typ)
-	}
-	if len(b) < length {
-		return nil, fmt.Errorf("%w: message declares %d bytes, have %d", ErrShortMessage, length, len(b))
-	}
-	return DecodeUpdateBody(b[HeaderLen:length])
-}
-
-// DecodeUpdateBody parses an UPDATE body (after the common header).
-func DecodeUpdateBody(b []byte) (*Update, error) {
-	u := &Update{}
-	if err := decodeUpdateBodyInto(u, nil, nil, 0, b); err != nil {
-		return nil, err
-	}
-	return u, nil
-}
-
-// decodeUpdateBodyInto is the shared UPDATE body parse, filling u in
-// place. s, st and df thread the scratch workspace, the attribute storage
-// and the decode flags down to the attribute walk (nil, nil, 0 for the
-// allocating retain path).
-func decodeUpdateBodyInto(u *Update, s *Scratch, st *AttrStore, df DecodeFlags, b []byte) error {
+// decodeBody is the one UPDATE body parse, into s.u and s.attrs. The
+// top-level prefix lists are decoded into s.wd and s.nlri and handed out
+// only when non-empty, so an empty list is nil on a reused Scratch as on a
+// fresh one, and its backing array survives for the next message.
+func (s *Scratch) decodeBody(b []byte, df DecodeFlags) error {
+	u := &s.u
+	*u = Update{}
 	if len(b) < 2 {
 		return fmt.Errorf("%w: missing withdrawn routes length", ErrShortMessage)
 	}
@@ -143,11 +120,13 @@ func decodeUpdateBodyInto(u *Update, s *Scratch, st *AttrStore, df DecodeFlags, 
 	if len(b) < wdLen {
 		return fmt.Errorf("%w: withdrawn routes need %d bytes, have %d", ErrShortMessage, wdLen, len(b))
 	}
-	wd, err := appendDecodedPrefixes(u.Withdrawn, b[:wdLen], AFIIPv4)
+	wd, err := appendDecodedPrefixes(s.wd[:0], b[:wdLen], AFIIPv4)
 	if err != nil {
 		return err
 	}
-	u.Withdrawn = wd
+	if s.wd = wd; len(wd) > 0 {
+		u.Withdrawn = wd
+	}
 	b = b[wdLen:]
 	if len(b) < 2 {
 		return fmt.Errorf("%w: missing path attributes length", ErrShortMessage)
@@ -157,14 +136,16 @@ func decodeUpdateBodyInto(u *Update, s *Scratch, st *AttrStore, df DecodeFlags, 
 	if len(b) < attrLen {
 		return fmt.Errorf("%w: attributes need %d bytes, have %d", ErrShortMessage, attrLen, len(b))
 	}
-	if err := decodePathAttributesInto(&u.Attrs, s, st, df, b[:attrLen]); err != nil {
+	if err := decodePathAttributesInto(&u.Attrs, s, &s.attrs, df, b[:attrLen]); err != nil {
 		return err
 	}
-	nlri, err := appendDecodedPrefixes(u.NLRI, b[attrLen:], AFIIPv4)
+	nlri, err := appendDecodedPrefixes(s.nlri[:0], b[attrLen:], AFIIPv4)
 	if err != nil {
 		return err
 	}
-	u.NLRI = nlri
+	if s.nlri = nlri; len(nlri) > 0 {
+		u.NLRI = nlri
+	}
 	return nil
 }
 

@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// decodeUpdate is an owned decode of one UPDATE message: a fresh Scratch
+// at flags 0, whose values the caller may keep.
+func decodeUpdate(b []byte) (*Update, error) {
+	return new(Scratch).DecodeUpdate(b, 0)
+}
+
+// decodePathAttributes is an owned decode of one path-attribute block.
+func decodePathAttributes(b []byte) (PathAttributes, error) {
+	var pa PathAttributes
+	err := new(Scratch).DecodePathAttributes(&pa, &AttrStore{}, b, 0)
+	return pa, err
+}
+
 func v6Update(t *testing.T) *Update {
 	t.Helper()
 	return &Update{
@@ -35,7 +48,7 @@ func TestUpdateRoundTripIPv6Announce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeUpdate(b)
+	got, err := decodeUpdate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +89,7 @@ func TestUpdateRoundTripIPv6Withdraw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeUpdate(b)
+	got, err := decodeUpdate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +122,7 @@ func TestUpdateRoundTripIPv4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeUpdate(b)
+	got, err := decodeUpdate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +156,7 @@ func TestUpdateUnknownAttrRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeUpdate(b)
+	got, err := decodeUpdate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +177,7 @@ func TestUpdateExtendedLengthAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeUpdate(b)
+	got, err := decodeUpdate(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +204,7 @@ func TestDecodeHeaderErrors(t *testing.T) {
 }
 
 func TestDecodeUpdateRejectsNonUpdate(t *testing.T) {
-	if _, err := DecodeUpdate(NewKeepalive()); !errors.Is(err, ErrUnknownType) {
+	if _, err := decodeUpdate(NewKeepalive()); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("keepalive accepted as update: %v", err)
 	}
 }
@@ -202,7 +215,7 @@ func TestDecodeUpdateTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeUpdate(b[:len(b)-3]); err == nil {
+	if _, err := decodeUpdate(b[:len(b)-3]); err == nil {
 		t.Error("truncated update accepted")
 	}
 }

@@ -41,13 +41,10 @@ func (m *BGP4MPMessage) DecodeFlags() bgp.DecodeFlags {
 	return 0
 }
 
-// Update decodes the carried BGP message as an UPDATE. Every value it
-// returns owns its memory.
+// Update decodes the carried BGP message as an UPDATE, into a fresh
+// workspace at retain semantics: every value it returns owns its memory.
 func (m *BGP4MPMessage) Update() (*bgp.Update, error) {
-	if m.AS2 {
-		return new(bgp.Scratch).DecodeUpdate(m.Data, bgp.DecodeAS2)
-	}
-	return bgp.DecodeUpdate(m.Data)
+	return new(bgp.Scratch).DecodeUpdate(m.Data, m.DecodeFlags())
 }
 
 // BGP4MPStateChange is a BGP4MP_STATE_CHANGE(_AS4) record reporting a peer
@@ -60,8 +57,12 @@ type BGP4MPStateChange struct {
 	AFI       bgp.AFI
 	PeerIP    netip.Addr
 	LocalIP   netip.Addr
-	OldState  SessionState
-	NewState  SessionState
+	// AS2 marks the BGP4MP_STATE_CHANGE subtype, whose peer and local ASNs
+	// are two octets wide, as BGP4MPMessage.AS2 does for messages. The
+	// zero value is BGP4MP_STATE_CHANGE_AS4.
+	AS2      bool
+	OldState SessionState
+	NewState SessionState
 }
 
 // RecordTime implements Record.
@@ -76,52 +77,43 @@ func (s *BGP4MPStateChange) Down() bool {
 // Up reports whether the transition enters Established.
 func (s *BGP4MPStateChange) Up() bool { return s.NewState == StateEstablished }
 
-func appendAddrPair(dst []byte, afi bgp.AFI, peer, local netip.Addr) ([]byte, error) {
-	switch afi {
-	case bgp.AFIIPv4:
-		if !peer.Is4() || !local.Is4() {
-			return dst, fmt.Errorf("%w: AFI IPv4 with non-IPv4 session address", ErrBadRecord)
-		}
-		p, l := peer.As4(), local.As4()
-		dst = append(dst, p[:]...)
-		dst = append(dst, l[:]...)
-	case bgp.AFIIPv6:
-		if peer.Is4() || local.Is4() {
-			return dst, fmt.Errorf("%w: AFI IPv6 with IPv4 session address", ErrBadRecord)
-		}
-		p, l := peer.As16(), local.As16()
-		dst = append(dst, p[:]...)
-		dst = append(dst, l[:]...)
-	default:
-		return dst, fmt.Errorf("%w: session AFI %d", ErrBadRecord, afi)
+// decodeSession reads the session context BGP4MPMessage.appendBody
+// writes, its ASNs four octets wide with as4, into the fields it is
+// handed, and returns the bytes after it; what names the record in a
+// truncation error. It writes the record's fields in place: returning them
+// in a struct to copy from measurably slowed the message decode.
+func decodeSession(b []byte, as4 bool, what string, peerAS, localAS *bgp.ASN, ifIndex *uint16, afi *bgp.AFI, peer, local *netip.Addr) ([]byte, error) {
+	asLen := 2
+	if as4 {
+		asLen = 4
 	}
-	return dst, nil
-}
-
-func decodeAddrPair(b []byte, afi bgp.AFI) (peer, local netip.Addr, n int, err error) {
-	var size int
-	switch afi {
-	case bgp.AFIIPv4:
-		size = 4
-	case bgp.AFIIPv6:
-		size = 16
-	default:
-		return netip.Addr{}, netip.Addr{}, 0, fmt.Errorf("%w: session AFI %d", ErrBadRecord, afi)
+	if len(b) < 2*asLen+4 {
+		return nil, fmt.Errorf("%w: %s header", ErrTruncated, what)
 	}
-	if len(b) < 2*size {
-		return netip.Addr{}, netip.Addr{}, 0, fmt.Errorf("%w: session addresses", ErrTruncated)
-	}
-	if size == 4 {
-		peer = netip.AddrFrom4([4]byte(b[:4]))
-		local = netip.AddrFrom4([4]byte(b[4:8]))
+	if as4 {
+		*peerAS, *localAS = bgp.ASN(binary.BigEndian.Uint32(b)), bgp.ASN(binary.BigEndian.Uint32(b[4:]))
 	} else {
-		peer = netip.AddrFrom16([16]byte(b[:16]))
-		local = netip.AddrFrom16([16]byte(b[16:32]))
+		*peerAS, *localAS = bgp.ASN(binary.BigEndian.Uint16(b)), bgp.ASN(binary.BigEndian.Uint16(b[2:]))
 	}
-	return peer, local, 2 * size, nil
+	b = b[2*asLen:]
+	*ifIndex, *afi = binary.BigEndian.Uint16(b), bgp.AFI(binary.BigEndian.Uint16(b[2:]))
+	b = b[4:]
+	switch {
+	case *afi != bgp.AFIIPv4 && *afi != bgp.AFIIPv6:
+		return nil, fmt.Errorf("%w: session AFI %d", ErrBadRecord, *afi)
+	case *afi == bgp.AFIIPv4 && len(b) >= 8:
+		*peer, *local = netip.AddrFrom4([4]byte(b[:4])), netip.AddrFrom4([4]byte(b[4:8]))
+		return b[8:], nil
+	case *afi == bgp.AFIIPv6 && len(b) >= 32:
+		*peer, *local = netip.AddrFrom16([16]byte(b[:16])), netip.AddrFrom16([16]byte(b[16:32]))
+		return b[32:], nil
+	}
+	return nil, fmt.Errorf("%w: session addresses", ErrTruncated)
 }
 
-// appendBody serializes the record body (after the MRT common header).
+// appendBody serializes the record body (after the MRT common header): the
+// session context (peer and local AS, two octets wide with AS2, interface
+// index, AFI, the address pair), then Data.
 func (m *BGP4MPMessage) appendBody(dst []byte) ([]byte, error) {
 	if m.AS2 {
 		if m.PeerAS > math.MaxUint16 || m.LocalAS > math.MaxUint16 {
@@ -135,9 +127,21 @@ func (m *BGP4MPMessage) appendBody(dst []byte) ([]byte, error) {
 	}
 	dst = binary.BigEndian.AppendUint16(dst, m.IfIndex)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(m.AFI))
-	dst, err := appendAddrPair(dst, m.AFI, m.PeerIP, m.LocalIP)
-	if err != nil {
-		return dst, err
+	switch m.AFI {
+	case bgp.AFIIPv4:
+		if !m.PeerIP.Is4() || !m.LocalIP.Is4() {
+			return dst, fmt.Errorf("%w: AFI IPv4 with non-IPv4 session address", ErrBadRecord)
+		}
+		p, l := m.PeerIP.As4(), m.LocalIP.As4()
+		dst = append(append(dst, p[:]...), l[:]...)
+	case bgp.AFIIPv6:
+		if m.PeerIP.Is4() || m.LocalIP.Is4() {
+			return dst, fmt.Errorf("%w: AFI IPv6 with IPv4 session address", ErrBadRecord)
+		}
+		p, l := m.PeerIP.As16(), m.LocalIP.As16()
+		dst = append(append(dst, p[:]...), l[:]...)
+	default:
+		return dst, fmt.Errorf("%w: session AFI %d", ErrBadRecord, m.AFI)
 	}
 	return append(dst, m.Data...), nil
 }
@@ -147,83 +151,37 @@ func (m *BGP4MPMessage) appendBody(dst []byte) ([]byte, error) {
 // intact; otherwise it is an owning copy. Every field of m is assigned on
 // success, so scratch structs can be reused across calls.
 func decodeBGP4MPMessageInto(m *BGP4MPMessage, ts time.Time, b []byte, as4, borrow bool) error {
-	asLen := 2
-	if as4 {
-		asLen = 4
-	}
-	need := 2*asLen + 4
-	if len(b) < need {
-		return fmt.Errorf("%w: BGP4MP message header", ErrTruncated)
-	}
-	m.Timestamp = ts
-	m.AS2 = !as4
-	if as4 {
-		m.PeerAS = bgp.ASN(binary.BigEndian.Uint32(b))
-		m.LocalAS = bgp.ASN(binary.BigEndian.Uint32(b[4:]))
-	} else {
-		m.PeerAS = bgp.ASN(binary.BigEndian.Uint16(b))
-		m.LocalAS = bgp.ASN(binary.BigEndian.Uint16(b[2:]))
-	}
-	b = b[2*asLen:]
-	m.IfIndex = binary.BigEndian.Uint16(b)
-	m.AFI = bgp.AFI(binary.BigEndian.Uint16(b[2:]))
-	b = b[4:]
-	peer, local, n, err := decodeAddrPair(b, m.AFI)
+	b, err := decodeSession(b, as4, "BGP4MP message", &m.PeerAS, &m.LocalAS, &m.IfIndex, &m.AFI, &m.PeerIP, &m.LocalIP)
 	if err != nil {
 		return err
 	}
-	m.PeerIP, m.LocalIP = peer, local
+	m.Timestamp, m.AS2 = ts, !as4
 	if borrow {
-		m.Data = b[n:]
+		m.Data = b
 	} else {
-		m.Data = bytes.Clone(b[n:]) // empty, not nil, like the borrowed alias
+		m.Data = bytes.Clone(b) // empty, not nil, like the borrowed alias
 	}
 	return nil
 }
 
+// appendBody serializes the record body: a state change's body is a
+// message body whose data is the old and the new state.
 func (s *BGP4MPStateChange) appendBody(dst []byte) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(s.PeerAS))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(s.LocalAS))
-	dst = binary.BigEndian.AppendUint16(dst, s.IfIndex)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(s.AFI))
-	dst, err := appendAddrPair(dst, s.AFI, s.PeerIP, s.LocalIP)
-	if err != nil {
-		return dst, err
-	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(s.OldState))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(s.NewState))
-	return dst, nil
+	var states [4]byte
+	m := BGP4MPMessage{PeerAS: s.PeerAS, LocalAS: s.LocalAS, IfIndex: s.IfIndex, AFI: s.AFI, PeerIP: s.PeerIP, LocalIP: s.LocalIP, AS2: s.AS2,
+		Data: binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(states[:0], uint16(s.OldState)), uint16(s.NewState))}
+	return m.appendBody(dst)
 }
 
 // decodeBGP4MPStateChangeInto fills s from the record body. State-change
 // records carry no byte slices, so a decoded record never aliases b;
 // every field is assigned on success, allowing scratch reuse.
 func decodeBGP4MPStateChangeInto(s *BGP4MPStateChange, ts time.Time, b []byte, as4 bool) error {
-	asLen := 2
-	if as4 {
-		asLen = 4
-	}
-	if len(b) < 2*asLen+4 {
-		return fmt.Errorf("%w: BGP4MP state change header", ErrTruncated)
-	}
-	s.Timestamp = ts
-	if as4 {
-		s.PeerAS = bgp.ASN(binary.BigEndian.Uint32(b))
-		s.LocalAS = bgp.ASN(binary.BigEndian.Uint32(b[4:]))
-	} else {
-		s.PeerAS = bgp.ASN(binary.BigEndian.Uint16(b))
-		s.LocalAS = bgp.ASN(binary.BigEndian.Uint16(b[2:]))
-	}
-	b = b[2*asLen:]
-	s.IfIndex = binary.BigEndian.Uint16(b)
-	s.AFI = bgp.AFI(binary.BigEndian.Uint16(b[2:]))
-	b = b[4:]
-	peer, local, n, err := decodeAddrPair(b, s.AFI)
+	b, err := decodeSession(b, as4, "BGP4MP state change", &s.PeerAS, &s.LocalAS, &s.IfIndex, &s.AFI, &s.PeerIP, &s.LocalIP)
 	if err != nil {
 		return err
 	}
-	s.PeerIP, s.LocalIP = peer, local
-	b = b[n:]
+	s.Timestamp, s.AS2 = ts, !as4
 	if len(b) < 4 {
 		return fmt.Errorf("%w: state change states", ErrTruncated)
 	}

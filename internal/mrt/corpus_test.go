@@ -172,15 +172,16 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 	bgp4mp := slices.Concat(bgp4mpVec["update-ipv4"], bgp4mpVec["update-ipv6"], bgp4mpVec["state-change"])
 
 	return map[string][]byte{
-		"seed-statechange-as4":   stateChanges,
-		"seed-statechange-as2":   legacy,
-		"seed-bgp4mp-messages":   messages,
-		"seed-tabledumpv2":       tableDump,
-		"seed-mixed-unsupported": mixed,
-		"seed-rib-entry-storage": ribStorage,
-		"seed-rfc6396-vector":    readVectors(t, tableDumpVector)["dump"],
-		"seed-bgp4mp-vectors":    bgp4mp,
-		"seed-bgp4mp-as2-vector": readVectors(t, as2Vector)["update-as2"],
+		"seed-statechange-as4":        stateChanges,
+		"seed-statechange-as2":        legacy,
+		"seed-bgp4mp-messages":        messages,
+		"seed-tabledumpv2":            tableDump,
+		"seed-mixed-unsupported":      mixed,
+		"seed-rib-entry-storage":      ribStorage,
+		"seed-rfc6396-vector":         readVectors(t, tableDumpVector)["dump"],
+		"seed-bgp4mp-vectors":         bgp4mp,
+		"seed-bgp4mp-as2-vector":      readVectors(t, as2Vector)["update-as2"],
+		"seed-statechange-as2-vector": readVectors(t, stateChangeAS2Vector)["state-change-as2"],
 	}
 }
 

@@ -27,7 +27,7 @@ type Decoder struct {
 	Borrow bool
 	msg    BGP4MPMessage
 	state  BGP4MPStateChange
-	rib    *ribScratch // allocated by the first borrowed RIB
+	rib    *ribScratch // the borrowed RIB workspace, allocated by the first borrowed RIB
 }
 
 // Decode decodes a single MRT record body given its header fields.
@@ -68,20 +68,17 @@ func (d *Decoder) Decode(ts time.Time, typ, subtype uint16, body []byte) (Record
 			if subtype == SubtypeRIBIPv6Unicast {
 				afi = bgp.AFIIPv6
 			}
-			var r *RIB
-			var sc *ribScratch
-			if d.Borrow {
-				if d.rib == nil {
-					d.rib = new(ribScratch)
-				}
-				r, sc = &d.rib.rib, d.rib
-			} else {
-				r = &RIB{}
+			sc := d.rib
+			if !d.Borrow {
+				sc = new(ribScratch)
+			} else if sc == nil {
+				sc = &ribScratch{flags: bgp.DecodeBorrow | bgp.DecodeIntern}
+				d.rib = sc
 			}
-			if err := decodeRIBInto(r, sc, ts, body, afi); err != nil {
+			if err := decodeRIBInto(sc, ts, body, afi); err != nil {
 				return nil, err
 			}
-			return r, nil
+			return &sc.rib, nil
 		}
 	}
 	return nil, nil // unsupported; caller loop skips

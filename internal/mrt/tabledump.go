@@ -160,16 +160,13 @@ func appendRIBAttrs(dst []byte, attrs *bgp.PathAttributes) ([]byte, error) {
 	return out, nil
 }
 
-// decodeRIBAttrs decodes a RIB entry attribute block into pa,
-// reconstructing a full MP_REACH_NLRI (with the record's prefix as NLRI)
-// from the abbreviated table-dump form. slot, when non-nil, is the borrowed
-// decode's storage for this entry: the attributes decode into it interned,
-// and unknown attribute values alias its copy of the block.
+// decodeRIBAttrs decodes a RIB entry attribute block into pa at sc's
+// flags, reconstructing a full MP_REACH_NLRI (with the record's prefix as
+// NLRI) from the abbreviated table-dump form. slot is the entry's storage:
+// the attributes decode into it, and with DecodeBorrow unknown attribute
+// values alias its copy of the block.
 func decodeRIBAttrs(pa *bgp.PathAttributes, sc *ribScratch, slot *ribSlot, b []byte, prefix netip.Prefix) error {
-	var rest []byte
-	if slot != nil {
-		rest = slot.raw[:0]
-	}
+	rest := slot.raw[:0]
 	var nextHop netip.Addr
 	sawMPReach := false
 	for len(b) > 0 {
@@ -211,22 +208,11 @@ func decodeRIBAttrs(pa *bgp.PathAttributes, sc *ribScratch, slot *ribSlot, b []b
 		}
 		b = b[off+vlen:]
 	}
-	var err error
-	if slot != nil {
-		slot.raw = rest
-		err = sc.attrs.DecodePathAttributes(pa, &slot.attrs, rest, bgp.DecodeBorrow|bgp.DecodeIntern)
-	} else {
-		*pa, err = bgp.DecodePathAttributes(rest)
-	}
-	if err != nil || !sawMPReach {
+	slot.raw = rest
+	if err := sc.attrs.DecodePathAttributes(pa, &slot.attrs, rest, sc.flags); err != nil || !sawMPReach {
 		return err
 	}
-	var m *bgp.MPReachNLRI
-	if slot != nil {
-		m = &slot.reach
-	} else {
-		m = new(bgp.MPReachNLRI)
-	}
+	m := &slot.reach
 	*m = bgp.MPReachNLRI{
 		AFI:     bgp.PrefixAFI(prefix),
 		SAFI:    bgp.SAFIUnicast,
@@ -265,12 +251,15 @@ func (r *RIB) appendBody(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// ribScratch is a Decoder's borrowed RIB workspace: the record it hands
-// out, whose entries are reused record after record, the attribute decoder
-// whose front caches intern every entry's AS path and aggregator, and one
-// slot of storage per entry position.
+// ribScratch is a RIB decode workspace: the record it hands out, the
+// attribute decoder and its flags, and one slot of storage per entry
+// position. A borrowing Decoder keeps one, at DecodeBorrow|DecodeIntern,
+// and reuses it record after record; the decoder's front caches intern
+// every entry's AS path and aggregator. An owned decode is a fresh one at
+// flags 0, whose record owns everything it holds.
 type ribScratch struct {
 	rib   RIB
+	flags bgp.DecodeFlags
 	attrs bgp.Scratch
 	slots []ribSlot
 }
@@ -283,10 +272,10 @@ type ribSlot struct {
 	raw   []byte          // the attribute block less its abbreviated MP_REACH
 }
 
-// decodeRIBInto fills r from the record body: the one RIB parse, for both
-// decoder modes. sc, when non-nil, is the borrowed decode's workspace and r
-// its record; otherwise r is fresh and every entry owns its memory.
-func decodeRIBInto(r *RIB, sc *ribScratch, ts time.Time, b []byte, afi bgp.AFI) error {
+// decodeRIBInto fills sc.rib from the record body: the one RIB parse, for
+// both decoder modes.
+func decodeRIBInto(sc *ribScratch, ts time.Time, b []byte, afi bgp.AFI) error {
+	r := &sc.rib
 	if len(b) < 4 {
 		return fmt.Errorf("%w: RIB header", ErrTruncated)
 	}
@@ -323,14 +312,10 @@ func decodeRIBInto(r *RIB, sc *ribScratch, ts time.Time, b []byte, afi bgp.AFI) 
 		if len(b) < alen {
 			return fmt.Errorf("%w: RIB entry %d attributes", ErrTruncated, i)
 		}
-		var slot *ribSlot
-		if sc != nil {
-			if i == len(sc.slots) {
-				sc.slots = append(sc.slots, ribSlot{})
-			}
-			slot = &sc.slots[i]
+		if i == len(sc.slots) {
+			sc.slots = append(sc.slots, ribSlot{})
 		}
-		if err := decodeRIBAttrs(&r.Entries[i].Attrs, sc, slot, b[:alen], prefix); err != nil {
+		if err := decodeRIBAttrs(&r.Entries[i].Attrs, sc, &sc.slots[i], b[:alen], prefix); err != nil {
 			return err
 		}
 		b = b[alen:]

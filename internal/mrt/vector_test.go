@@ -3,6 +3,7 @@ package mrt
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"net/netip"
 	"os"
 	"reflect"
@@ -334,5 +335,37 @@ func TestRFC6793TwoOctetVector(t *testing.T) {
 	}
 	if got, err := AppendRecord(nil, want); err != nil || !bytes.Equal(got, raw) {
 		t.Errorf("AppendRecord = %x, %v\nwant %x", got, err, raw)
+	}
+}
+
+const stateChangeAS2Vector = "testdata/rfc6396_bgp4mp_state_change_as2.txt"
+
+// TestRFC6396TwoOctetStateChangeVector checks a BGP4MP_STATE_CHANGE record
+// of a two-octet session, assembled by hand: it decodes, owned and
+// borrowed, to the record written out below, which keeps its subtype and
+// re-encodes byte for byte. A four-octet ASN on such a record is refused.
+func TestRFC6396TwoOctetStateChangeVector(t *testing.T) {
+	raw := readVectors(t, stateChangeAS2Vector)["state-change-as2"]
+	want := &BGP4MPStateChange{
+		Timestamp: time.Date(2024, 6, 10, 12, 1, 0, 0, time.UTC), PeerAS: 3333, LocalAS: 12654, AFI: bgp.AFIIPv4,
+		PeerIP: netip.AddrFrom4([4]byte{192, 0, 2, 1}), LocalIP: netip.AddrFrom4([4]byte{192, 0, 2, 2}),
+		AS2: true, OldState: StateEstablished, NewState: StateIdle,
+	}
+	for _, borrow := range []bool{false, true} {
+		got, err := (&Decoder{Borrow: borrow}).DecodeFramed(raw)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("borrow=%v: decodes to\n%+v, %v\nwant\n%+v", borrow, got, err, want)
+		}
+	}
+	if recs, err := readAll(bytes.NewReader(raw)); err != nil || !reflect.DeepEqual(recs, []Record{want}) {
+		t.Errorf("ReadAll = %+v, %v; want %+v", recs, err, want)
+	}
+	if got, err := AppendRecord(nil, want); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("AppendRecord = %x, %v\nwant %x", got, err, raw)
+	}
+	wide := *want
+	wide.PeerAS = 210312
+	if got, err := AppendRecord(nil, &wide); !errors.Is(err, ErrBadRecord) || got != nil {
+		t.Errorf("AppendRecord with a four-octet peer AS = %x, %v; want ErrBadRecord", got, err)
 	}
 }

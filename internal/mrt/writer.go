@@ -8,8 +8,8 @@ import (
 )
 
 // Writer encodes MRT records to an io.Writer. It emits the four-octet-AS
-// BGP4MP subtypes, as modern collectors do, except for a BGP4MPMessage
-// marked AS2.
+// BGP4MP subtypes, as modern collectors do, except for a BGP4MPMessage or
+// BGP4MPStateChange marked AS2.
 type Writer struct {
 	w   io.Writer
 	buf []byte
@@ -36,6 +36,9 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 		}
 	case *BGP4MPStateChange:
 		typ, subtype, appendBody = TypeBGP4MP, SubtypeStateChangeAS4, r.appendBody
+		if r.AS2 {
+			subtype = SubtypeStateChange
+		}
 	case *PeerIndexTable:
 		typ, subtype, appendBody = TypeTableDumpV2, SubtypePeerIndexTable, r.appendBody
 	case *RIB:

@@ -62,6 +62,14 @@ type posError struct {
 // bodies) and splits the stream into at most `parts` record-aligned
 // chunks. Framing errors are returned with their record position so they
 // can be ranked against decode errors from earlier records.
+//
+// A chunk of a RIB dump is self-contained: once a PEER_INDEX_TABLE has
+// been seen, a chunk closes only just before the next one, so every later
+// chunk starts with the table its RIB records index (RFC 6396 §4.3: RIB
+// entries index the table that precedes them). A dump's chunks are
+// therefore whole snapshots, and a dump of one snapshot is one chunk. An
+// update stream carries no table and is cut after the record that
+// reaches the target size.
 func scanChunks(data []byte, parts int) ([]chunk, *posError) {
 	if parts < 1 {
 		parts = 1
@@ -76,7 +84,13 @@ func scanChunks(data []byte, parts int) ([]chunk, *posError) {
 		pos     int
 		rec     int
 		scanErr *posError
+		tables  bool // a PEER_INDEX_TABLE has been seen
 	)
+	cut := func() { // close cur at pos
+		cur.end = pos
+		chunks = append(chunks, cur)
+		cur = chunk{off: pos, base: rec}
+	}
 	for pos < len(data) {
 		if len(data)-pos < mrt.HeaderLen {
 			scanErr = &posError{record: rec, err: fmt.Errorf("%w: mid-header", mrt.ErrTruncated)}
@@ -92,18 +106,21 @@ func scanChunks(data []byte, parts int) ([]chunk, *posError) {
 			scanErr = &posError{record: rec, err: fmt.Errorf("%w: record body: %v", mrt.ErrTruncated, io.ErrUnexpectedEOF)}
 			break
 		}
+		if binary.BigEndian.Uint16(data[pos+4:]) == mrt.TypeTableDumpV2 && binary.BigEndian.Uint16(data[pos+6:]) == mrt.SubtypePeerIndexTable {
+			if tables && pos-cur.off >= target {
+				cut()
+			}
+			tables = true
+		}
 		pos = end
 		rec++
 		cur.records++
-		if pos-cur.off >= target {
-			cur.end = pos
-			chunks = append(chunks, cur)
-			cur = chunk{off: pos, base: rec}
+		if !tables && pos-cur.off >= target {
+			cut()
 		}
 	}
 	if cur.records > 0 {
-		cur.end = pos
-		chunks = append(chunks, cur)
+		cut()
 	}
 	return chunks, scanErr
 }

@@ -65,7 +65,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		chunksDecoded:      reg.Counter("pipeline_chunks_decoded_total", "Record-aligned chunks decoded."),
 		recordsDecoded:     reg.Counter("pipeline_records_decoded_total", "MRT records decoded."),
 		bytesDecoded:       reg.Counter("pipeline_bytes_decoded_total", "Archive bytes consumed."),
-		decodeErrors:       reg.Counter("pipeline_decode_errors_total", "Malformed records encountered."),
+		decodeErrors:       reg.Counter("pipeline_decode_errors_total", "Malformed records encountered: records that failed to decode or that a fold rejected, such as a tracked RIB record indexing no peer of its dump's table."),
 		eventsSharded:      reg.Counter("pipeline_events_sharded_total", "RIB entries appended to lifespan observation series (the history build does not feed it)."),
 		shardsMerged:       reg.Counter("pipeline_shards_merged_total", "History chunk builders sealed plus lifespan prefixes folded."),
 		intervalsEvaluated: reg.Counter("pipeline_intervals_evaluated_total", "Beacon intervals evaluated."),
@@ -94,7 +94,8 @@ func (m *Metrics) AddDecoded(records, bytes int) {
 // AddFiles accounts fully decoded archive files.
 func (m *Metrics) AddFiles(n int) { m.filesDecoded.Add(int64(n)) }
 
-// AddDecodeError accounts a malformed record.
+// AddDecodeError accounts a malformed record, one that failed to decode
+// or that a fold rejected.
 func (m *Metrics) AddDecodeError() { m.decodeErrors.Inc() }
 
 // AddSharded accounts RIB entries appended to lifespan observation series.

@@ -129,6 +129,105 @@ func TestScanChunksCoversStreamExactly(t *testing.T) {
 	}
 }
 
+// makeDumpArchive writes snapshots RIB dump snapshots, each a
+// PEER_INDEX_TABLE and then ribs RIB records indexing it, and returns the
+// encoded file.
+func makeDumpArchive(t *testing.T, snapshots, ribs int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	wr := mrt.NewWriter(&buf)
+	base := time.Date(2024, 6, 10, 0, 0, 0, 0, time.UTC)
+	table := &mrt.PeerIndexTable{CollectorID: netip.MustParseAddr("193.0.4.28"), ViewName: "rrc00"}
+	for i := 0; i < 4; i++ {
+		table.Peers = append(table.Peers, mrt.PeerEntry{
+			BGPID: netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)}),
+			Addr:  netip.AddrFrom4([4]byte{192, 0, 2, byte(i + 1)}),
+			AS:    bgp.ASN(64500 + i),
+		})
+	}
+	for s := 0; s < snapshots; s++ {
+		at := base.Add(time.Duration(s) * 8 * time.Hour)
+		table.Timestamp = at
+		if err := wr.Write(table); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < ribs; r++ {
+			rib := &mrt.RIB{Timestamp: at, Sequence: uint32(r),
+				Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{93, 175, byte(r), 0}), 24)}
+			for peer := range table.Peers {
+				rib.Entries = append(rib.Entries, mrt.RIBEntry{PeerIndex: uint16(peer), OriginatedTime: at,
+					Attrs: bgp.PathAttributes{HasOrigin: true, ASPath: bgp.NewASPath(bgp.ASN(64500+peer), 3333, 12654)}})
+			}
+			if err := wr.Write(rib); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestScanChunksCutsDumpsAtTables pins the chunk geometry of both stream
+// kinds. An update stream is cut after the record that reaches the target
+// size. Once a dump has shown a PEER_INDEX_TABLE, it is cut only just
+// before the first table at or past the target size, so every chunk after
+// the first begins with the table its RIB records index; a dump of one
+// snapshot is one chunk.
+func TestScanChunksCutsDumpsAtTables(t *testing.T) {
+	isTable := func(data []byte, off int) bool {
+		return binary.BigEndian.Uint16(data[off+4:]) == mrt.TypeTableDumpV2 &&
+			binary.BigEndian.Uint16(data[off+6:]) == mrt.SubtypePeerIndexTable
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		dump bool
+	}{
+		{"updates", makeUpdateArchive(t, 5000, 1), false},
+		{"dump", makeDumpArchive(t, 300, 6), true},
+		{"one snapshot", makeDumpArchive(t, 1, 2000), true},
+	} {
+		for _, parts := range []int{1, 2, 7} {
+			target := max(len(tc.data)/parts, minChunkBytes)
+			chunks, scanErr := scanChunks(tc.data, parts)
+			if scanErr != nil {
+				t.Fatalf("%s, parts=%d: scan error %v", tc.name, parts, scanErr.err)
+			}
+			pos := 0
+			for i, c := range chunks {
+				if c.off != pos {
+					t.Fatalf("%s, parts=%d: chunk %d starts at %d, want %d", tc.name, parts, i, c.off, pos)
+				}
+				pos = c.end
+				if tc.dump && !isTable(tc.data, c.off) {
+					t.Errorf("%s, parts=%d: chunk %d does not begin with a PEER_INDEX_TABLE", tc.name, parts, i)
+				}
+				var last int // the offset of the chunk's last record, or of its last table in a dump
+				for off := c.off; off < c.end; off += mrt.HeaderLen + int(binary.BigEndian.Uint32(tc.data[off+8:])) {
+					if !tc.dump || isTable(tc.data, off) {
+						last = off
+					}
+				}
+				if i == len(chunks)-1 {
+					continue
+				}
+				if c.end-c.off < target || last-c.off >= target {
+					t.Errorf("%s, parts=%d: chunk %d spans [%d,%d), last cut point %d: not the first past %d bytes",
+						tc.name, parts, i, c.off, c.end, last, target)
+				}
+			}
+			if pos != len(tc.data) {
+				t.Fatalf("%s, parts=%d: chunks end at %d, want %d", tc.name, parts, pos, len(tc.data))
+			}
+			if tc.name == "one snapshot" && len(chunks) != 1 {
+				t.Errorf("one snapshot, parts=%d: %d chunks, want 1", parts, len(chunks))
+			}
+			if parts == 7 && tc.name != "one snapshot" && len(chunks) < 4 {
+				t.Errorf("%s, parts=7: %d chunks, want the stream spread", tc.name, len(chunks))
+			}
+		}
+	}
+}
+
 // oneSegment presents whole in-memory archives as one-segment streams.
 func oneSegment(archives map[string][]byte) map[string][][]byte {
 	streams := make(map[string][][]byte, len(archives))

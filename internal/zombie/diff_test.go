@@ -212,7 +212,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 			// Columnar store vs the original map store: the reference
 			// build shares only recordEvents with the production path
-			// (allocating decode, map-of-maps layout), so agreement here
+			// (a fresh scratch per record, map-of-maps layout), so agreement here
 			// pins the columnar layout, the interned decode, and the
 			// borrowed-buffer reader all at once.
 			refHist, err := buildHistoryReference(sc.updates, track)

@@ -176,20 +176,19 @@ func wrapFileError(err error) error {
 
 // recordEvents converts one update-file record into its history events.
 // It is shared by HistoryBuilder.Observe, StreamDetector.Observe and the
-// reference builder so they cannot drift: only the store (and the decode
-// mode) differs, never the per-record semantics. Within one record,
-// withdrawals are emitted before announcements — the tie the stable event
-// sort preserves.
+// reference builder so they cannot drift: only the store differs, never
+// the per-record semantics or the decode. Within one record, withdrawals
+// are emitted before announcements — the tie the stable event sort
+// preserves.
 //
-// With scratch non-nil the BGP message is decoded zero-copy into the
-// scratch workspace with interned AS paths and aggregators; the update is
-// only valid until the next call, so an emitted event's comms alias the
+// The BGP message is decoded zero-copy into the scratch workspace with
+// interned AS paths and aggregators; the update is only valid until the
+// next call on the same scratch, so an emitted event's comms alias the
 // workspace and must be copied by a callback that keeps them (its interned
 // path/agg and prefix values are retention-safe). Under a track set
 // (track non-nil) the decode is deferred: an update carrying no tracked
 // prefix is validated, its attributes are not materialized, and it emits
-// nothing. With scratch nil the original fully-allocating decode runs and
-// an event owns everything.
+// nothing.
 func recordEvents(name string, order int, rec mrt.Record, track *trackIndex, scratch *bgp.Scratch,
 	prefixEv func(peer PeerID, p netip.Prefix, ev histEvent),
 	sessionEv func(peer PeerID, ev histEvent),
@@ -197,15 +196,13 @@ func recordEvents(name string, order int, rec mrt.Record, track *trackIndex, scr
 	switch r := rec.(type) {
 	case *mrt.BGP4MPMessage:
 		peer := PeerID{Collector: name, AS: r.PeerAS, Addr: r.PeerIP}
+		df := bgp.DecodeBorrow | bgp.DecodeIntern | r.DecodeFlags()
 		var u *bgp.Update
 		var err error
-		switch {
-		case scratch == nil:
-			u, err = r.Update()
-		case track != nil:
-			u, err = scratch.DecodeUpdateIf(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern|r.DecodeFlags(), track.has)
-		default:
-			u, err = scratch.DecodeUpdate(r.Data, bgp.DecodeBorrow|bgp.DecodeIntern|r.DecodeFlags())
+		if track != nil {
+			u, err = scratch.DecodeUpdateIf(r.Data, df, track.has)
+		} else {
+			u, err = scratch.DecodeUpdate(r.Data, df)
 		}
 		if u == nil {
 			return err // nil: no tracked prefix

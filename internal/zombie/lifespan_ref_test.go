@@ -24,10 +24,11 @@ type peerPrefix struct {
 
 // trackLifespansReference is the lifespan oracle: the original plain
 // mrt.Reader loop over the dumps in name order, one record at a time, no
-// chunks, one flat series map. It shares only foldSeries and
-// finishLifespans with TrackLifespans, so agreement pins the chunked
-// decode, the table carry across chunk boundaries, the per-prefix fold and
-// the error ranking.
+// chunks, one flat series map, each RIB record resolved against the last
+// table read. It shares only foldSeries and finishLifespans with
+// TrackLifespans, so agreement pins the table-aligned chunking, each
+// chunk's own peer resolution, the peer numbering of the merge, the
+// per-prefix fold and the error ranking.
 func trackLifespansReference(dumps map[string][]byte, intervals []beacon.Interval) (*LifespanReport, error) {
 	track := make(TrackSet)
 	for _, iv := range intervals {
@@ -170,9 +171,10 @@ func (w *dumpWriter) truncated() []byte {
 // differential: on malformed dumps TrackLifespans must return, at every
 // worker count, exactly the error the record-at-a-time oracle returns — the
 // first in (file, record) order, whether the framing, the record decode or
-// the peer-index lookup failed there. The combined rows are the ones a
-// chunked tracker gets wrong if it reports the fold's error before looking
-// at what the fold decoded.
+// the peer-index check failed there. The combined rows are the ones a
+// chunked tracker gets wrong if it ranks a framing or decode error apart
+// from a peer-index error, or cuts a dump between a table and the RIB
+// records that index it.
 func TestLifespanErrorsMatchReference(t *testing.T) {
 	const chunk = 80 << 10 // more than the scan's 64 KiB minimum chunk
 	ivs := []beacon.Interval{{Prefix: pfx4, AnnounceAt: t0, WithdrawAt: t0.Add(2 * time.Hour), End: t0.Add(24 * time.Hour)}}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 
 	"zombiescope/internal/beacon"
@@ -31,11 +30,11 @@ func engine(parallelism int, trace *obs.Span) *pipeline.Engine {
 }
 
 // ribChunk is a per-chunk accumulator for RIB dump streams: the peer index
-// tables of the chunk, and for each tracked RIB record its prefix, time and
-// record index within the file, how many tables preceded it inside the
-// chunk (0 = the table is in an earlier chunk) and the end of its run of
-// entry rows. A row keeps an entry's peer index and interned AS path, all
-// the walk reads of it.
+// tables of the chunk, and for each tracked RIB record its prefix, time,
+// the table its entries index (a position in tables) and the end of its
+// run of entry rows. A row keeps an entry's peer index, which the fold has
+// checked against that table, and its interned AS path: all the walk reads
+// of it.
 type ribChunk struct {
 	tables  []*mrt.PeerIndexTable
 	items   []ribItem
@@ -43,11 +42,10 @@ type ribChunk struct {
 }
 
 type ribItem struct {
-	prefix       netip.Prefix
-	at           time.Time
-	record       int
-	tablesBefore int
-	end          int // the record's rows are entries[previous end:end]
+	prefix netip.Prefix
+	at     time.Time
+	table  int // the record's entries index tables[table]
+	end    int // the record's rows are entries[previous end:end]
 }
 
 type ribEntry struct {
@@ -60,11 +58,14 @@ type ribEntry struct {
 // provide the withdrawal anchors and rule out reappearances explained by
 // real announcements.
 //
-// Chunked decode breaks the "RIB entries follow their PeerIndexTable in the
-// same file" invariant, so one walk visits the chunks of each file in order,
-// carrying the effective table across chunk boundaries. The error returned
-// is the first in (file, record) order, whether the framing, the record
-// decode or the peer-index lookup failed there.
+// The pipeline cuts a dump only just before a PEER_INDEX_TABLE, so each
+// chunk resolves the peers of its own RIB records against the table that
+// precedes them in the chunk. A tracked record with no table before it in
+// its file, or with an entry indexing past its table, is an error at that
+// record, and the error returned is the first in (file, record) order,
+// whether the framing, the record decode or the peer-index check failed
+// there. A dump holding a single snapshot decodes on one worker; lifespans
+// are read from many snapshots, so the chunks stay many.
 func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg LifespanConfig) (*LifespanReport, error) {
 	byPrefix := intervalsByPrefix(intervals)
 	sp := obs.StartSpan("zombie.lifespans")
@@ -76,52 +77,48 @@ func TrackLifespans(dumps map[string][]byte, intervals []beacon.Interval, cfg Li
 	e.Borrow = true
 	sp.SetArg("dumps", len(dumps))
 	sp.SetArg("workers", e.Workers)
-	// On a framing or decode error the fold still hands back what it
-	// decoded before (and, in later chunks, after) the bad record, so a
-	// peer-index error at an earlier record can outrank it below.
-	names, accs, foldErr := pipeline.FoldStreams(e, oneSegmentStreams(dumps),
+	names, accs, err := pipeline.FoldStreams(e, oneSegmentStreams(dumps),
 		func(pipeline.FileChunk) *ribChunk { return &ribChunk{} },
-		func(acc *ribChunk, _ pipeline.FileChunk, idx int, rec mrt.Record) error {
+		func(acc *ribChunk, _ pipeline.FileChunk, _ int, rec mrt.Record) error {
 			switch r := rec.(type) {
 			case *mrt.PeerIndexTable:
 				acc.tables = append(acc.tables, r)
 			case *mrt.RIB:
-				if _, ok := byPrefix[r.Prefix]; ok {
-					for _, entry := range r.Entries {
-						acc.entries = append(acc.entries, ribEntry{peer: entry.PeerIndex, path: entry.Attrs.ASPath})
-					}
-					acc.items = append(acc.items, ribItem{prefix: r.Prefix, at: r.Timestamp, record: idx,
-						tablesBefore: len(acc.tables), end: len(acc.entries)})
+				if _, ok := byPrefix[r.Prefix]; !ok {
+					return nil
 				}
+				// A chunk after a file's first starts with a table, so no
+				// table here means none precedes the record in its file.
+				if len(acc.tables) == 0 {
+					return mrt.ErrNoPeerIndex
+				}
+				peers := len(acc.tables[len(acc.tables)-1].Peers)
+				for _, entry := range r.Entries {
+					if int(entry.PeerIndex) >= peers {
+						return mrt.ErrBadPeerIndex
+					}
+					acc.entries = append(acc.entries, ribEntry{peer: entry.PeerIndex, path: entry.Attrs.ASPath})
+				}
+				acc.items = append(acc.items, ribItem{prefix: r.Prefix, at: r.Timestamp, table: len(acc.tables) - 1, end: len(acc.entries)})
 			}
 			return nil
 		})
+	if err != nil {
+		var fe *pipeline.FileError
+		if errors.As(err, &fe) {
+			return nil, fmt.Errorf("zombie: dumps %s: %w", fe.Name, fe.Err)
+		}
+		return nil, err
+	}
 
 	m := pipeline.Default
 	buildStart := time.Now()
 	// zombie.shard_build times the series walk; trace readers know it by
 	// that name.
 	buildSp := sp.Start("zombie.shard_build")
-	series, walkPos, walkErr := walkRIBs(names, accs)
+	series := walkRIBs(names, accs)
 	buildSp.End()
 	m.ObserveBuild(time.Since(buildStart))
-
-	// The first error in (file, record) order wins, as a reader of the files
-	// in name order would have met it: the fold's framing/decode error
-	// ranked against the walk's first peer-index error.
-	if foldErr != nil {
-		var fe *pipeline.FileError
-		if !errors.As(foldErr, &fe) {
-			return nil, foldErr
-		}
-		pos := [2]int{sort.SearchStrings(names, fe.Name), fe.Record}
-		if walkErr == nil || slices.Compare(pos[:], walkPos[:]) <= 0 {
-			return nil, fmt.Errorf("zombie: dumps %s: %w", fe.Name, fe.Err)
-		}
-	}
-	if walkErr != nil {
-		return nil, walkErr
-	}
 	m.AddSharded(series.n)
 
 	// Fold: each prefix's series into its own lifespan, prefixes spread
@@ -160,19 +157,16 @@ type ribSeries struct {
 	n        int // observations
 }
 
-// walkRIBs is the one ordered walk over the folded chunks: files in name
-// order, chunks in stream order, the peer-index table carried across chunk
-// boundaries. Each table's peers are numbered once, when the walk reaches
-// it (a table listing the same peers as the file's previous one shares its
-// numbers); every tracked entry is appended to its (prefix, peer number)
-// series. It stops at the first peer-index error, which is therefore the
-// first in (file, record) order, and returns its position with it.
-func walkRIBs(names []string, accs [][]*ribChunk) (*ribSeries, [2]int, error) {
+// walkRIBs is the merge of the folded chunks, files in name order and
+// chunks in stream order: it numbers each table's peers once, when it
+// reaches the table (a table listing the same peers as the file's previous
+// one shares its numbers), and appends every tracked entry to its
+// (prefix, peer number) series.
+func walkRIBs(names []string, accs [][]*ribChunk) *ribSeries {
 	s := &ribSeries{byPrefix: make(map[netip.Prefix]map[uint32][]ribObs)}
 	peerIdx := make(map[PeerID]uint32)
 	var last *mrt.PeerIndexTable
 	var lastIDs []uint32
-	// number never returns nil, so a nil table below means none yet.
 	number := func(name string, t *mrt.PeerIndexTable) []uint32 {
 		if last != nil && slices.Equal(t.Peers, last.Peers) {
 			return lastIDs
@@ -193,7 +187,6 @@ func walkRIBs(names []string, accs [][]*ribChunk) (*ribSeries, [2]int, error) {
 	}
 	for i, name := range names {
 		last = nil
-		var carry []uint32
 		for _, acc := range accs[i] {
 			tables := make([][]uint32, len(acc.tables))
 			for k, t := range acc.tables {
@@ -203,18 +196,9 @@ func walkRIBs(names []string, accs [][]*ribChunk) (*ribSeries, [2]int, error) {
 			for _, it := range acc.items {
 				rows := acc.entries[start:it.end]
 				start = it.end
-				table := carry
-				if it.tablesBefore > 0 {
-					table = tables[it.tablesBefore-1]
-				}
-				if table == nil {
-					return nil, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrNoPeerIndex)
-				}
+				table := tables[it.table]
 				bySeries := s.byPrefix[it.prefix]
 				for _, row := range rows {
-					if int(row.peer) >= len(table) {
-						return nil, [2]int{i, it.record}, fmt.Errorf("zombie: dumps %s: %w", name, mrt.ErrBadPeerIndex)
-					}
 					if bySeries == nil { // a prefix gets a lifespan only once observed
 						bySeries = make(map[uint32][]ribObs)
 						s.byPrefix[it.prefix] = bySeries
@@ -224,10 +208,7 @@ func walkRIBs(names []string, accs [][]*ribChunk) (*ribSeries, [2]int, error) {
 					s.n++
 				}
 			}
-			if len(tables) > 0 {
-				carry = tables[len(tables)-1]
-			}
 		}
 	}
-	return s, [2]int{}, nil
+	return s
 }

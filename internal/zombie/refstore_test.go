@@ -21,10 +21,9 @@ import (
 // kept so the harnesses (the 50-seed matrix and the kernel differential in
 // diff_test.go, the seal and fold tests) compare the shipped columnar
 // store, cursor and kernel against an implementation that shares nothing
-// with them beyond recordEvents' track-all, allocating decode and
-// peerDecision, plus the legacy
-// looking-glass loop (LegacyDetector.detectRows) the shipped baseline's
-// kernel run is held to. It is test-only: nothing here is compiled into the
+// with them beyond recordEvents' track-all decode and peerDecision, plus
+// the legacy looking-glass loop (LegacyDetector.detectRows) the shipped
+// baseline's kernel run is held to. It is test-only: nothing here is compiled into the
 // shipped package, including History's random-access state API (cursor,
 // StateAt, SeenAnnounced) that the fold and store tests probe it with.
 
@@ -37,8 +36,11 @@ type referenceHistory struct {
 	peers   []PeerID
 }
 
-// buildHistoryReference is BuildHistory over the original store and the
-// original allocating decode path. Slow but simple.
+// buildHistoryReference is BuildHistory over the original store, from a
+// plain mrt.Reader loop and a track-all decode of every record into a
+// fresh bgp.Scratch: the oracle keeps the events recordEvents hands it, so
+// no kept community list may alias a workspace a later record reuses. Slow
+// but simple.
 func buildHistoryReference(updates map[string][]byte, track TrackSet) (*referenceHistory, error) {
 	r := &referenceHistory{
 		events:  make(map[PeerID]map[netip.Prefix][]histEvent),
@@ -68,7 +70,7 @@ func buildHistoryReference(updates map[string][]byte, track TrackSet) (*referenc
 				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
 			}
 			order++
-			if err := recordEvents(name, order, rec, nil, nil, add, r.addSession); err != nil {
+			if err := recordEvents(name, order, rec, nil, new(bgp.Scratch), add, r.addSession); err != nil {
 				return nil, fmt.Errorf("zombie: collector %s: %w", name, err)
 			}
 		}
