@@ -201,6 +201,16 @@ func TestTraceOutput(t *testing.T) {
 		if args, _ := ev["args"].(map[string]any); ev["name"] == "zombie.merge" && args["events"] != nil {
 			sealArgs = args
 		}
+		// A fold says how many chunks it cut and how many bytes a cut's
+		// walk read ahead of their decode: at most all of them.
+		if args, _ := ev["args"].(map[string]any); ev["name"] == "pipeline.fold" {
+			chunks, _ := args["chunks"].(float64)
+			size, _ := args["bytes"].(float64)
+			walked, ok := args["walked_bytes"].(float64)
+			if chunks < 1 || size <= 0 || !ok || walked > size {
+				t.Errorf("pipeline.fold args %v: want chunks >= 1, bytes > 0 and walked_bytes <= bytes", args)
+			}
+		}
 	}
 	for _, key := range []string{"events", "pairs", "builders", "spans_sorted"} {
 		if n, ok := sealArgs[key].(float64); !ok || (n == 0 && key != "spans_sorted") {

@@ -237,3 +237,79 @@ func TestFrontCacheBounded(t *testing.T) {
 		t.Errorf("re-decode after eviction: %v, same interned path = %v", err, err == nil && &u.Attrs.ASPath.Segments[0] == &path.Segments[0])
 	}
 }
+
+// TestMPPrefixArraysKept: an MP_REACH_NLRI or MP_UNREACH_NLRI of no
+// prefix decodes to a nil list, yet the store keeps the backing array the
+// last non-empty list grew, so a warm Scratch alternating a one-prefix
+// message with an empty one allocates nothing.
+func TestMPPrefixArraysKept(t *testing.T) {
+	mp := func(prefixes []netip.Prefix) []byte {
+		u := &Update{Attrs: PathAttributes{
+			HasOrigin: true,
+			ASPath:    NewASPath(64500, 64501),
+			MPReach:   &MPReachNLRI{AFI: AFIIPv6, SAFI: SAFIUnicast, NextHop: netip.MustParseAddr("2001:db8::1"), NLRI: prefixes},
+			MPUnreach: &MPUnreachNLRI{AFI: AFIIPv6, SAFI: SAFIUnicast, Withdrawn: prefixes},
+		}}
+		wire, err := u.AppendWireFormat(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	one, none := mp([]netip.Prefix{netip.MustParsePrefix("2a0d:3dc1:1200::/48")}), mp(nil)
+	var s Scratch
+	pair := func() {
+		if u, err := s.DecodeUpdate(one, DecodeBorrow|DecodeIntern); err != nil || len(u.Attrs.MPReach.NLRI) != 1 || len(u.Attrs.MPUnreach.Withdrawn) != 1 {
+			t.Fatalf("one prefix: %+v, %v", u, err)
+		}
+		if u, err := s.DecodeUpdate(none, DecodeBorrow|DecodeIntern); err != nil || u.Attrs.MPReach.NLRI != nil || u.Attrs.MPUnreach.Withdrawn != nil {
+			t.Fatalf("no prefix: %+v, %v; want nil lists", u, err)
+		}
+	}
+	pair()
+	if raceEnabled {
+		return
+	}
+	if avg := testing.AllocsPerRun(200, pair); avg != 0 {
+		t.Errorf("a warm Scratch allocates %v per one-prefix/no-prefix pair, want 0", avg)
+	}
+}
+
+// TestInternIDs: an interned decode reports one id per distinct AS path
+// and aggregator, the same id whether the front cache or the table served
+// it, and 0 for an attribute the update does not carry or a decode
+// without DecodeIntern.
+func TestInternIDs(t *testing.T) {
+	var s, other Scratch
+	ids := func(s *Scratch, wire []byte, df DecodeFlags) [2]uint32 {
+		t.Helper()
+		if _, err := s.DecodeUpdate(wire, df); err != nil {
+			t.Fatal(err)
+		}
+		p, a := s.InternIDs()
+		return [2]uint32{p, a}
+	}
+	a, b := pathUpdate(t, 65001), pathUpdate(t, 65002)
+	ida := ids(&s, a, DecodeIntern)
+	idb := ids(&s, b, DecodeIntern)
+	if ida[0] == 0 || ida[1] == 0 || ida[0] == idb[0] || ida[1] == idb[1] {
+		t.Errorf("distinct paths and aggregators: ids %v and %v", ida, idb)
+	}
+	if got := ids(&s, a, DecodeIntern|DecodeBorrow); got != ida {
+		t.Errorf("front-cache repeat: ids %v, want %v", got, ida)
+	}
+	if got := ids(&other, a, DecodeIntern); got != ida {
+		t.Errorf("another Scratch (table hit): ids %v, want %v", got, ida)
+	}
+	if got := ids(&s, a, 0); got != [2]uint32{} {
+		t.Errorf("decode without DecodeIntern: ids %v, want none", got)
+	}
+	withdraw, err := (&Update{Withdrawn: []netip.Prefix{netip.MustParsePrefix("93.175.146.0/24")}}).AppendWireFormat(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids(&s, a, DecodeIntern)
+	if got := ids(&s, withdraw, DecodeIntern); got != [2]uint32{} {
+		t.Errorf("a withdrawal after an announcement: ids %v, want none", got)
+	}
+}

@@ -317,7 +317,7 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, st *AttrStore, f
 		var p ASPath
 		var err error
 		if df&DecodeIntern != 0 {
-			p, err = s.fronts().paths.get(pathTable, val, decodeASPathKey)
+			p, s.pathID, err = s.fronts().paths.get(pathTable, val, decodeASPathKey)
 		} else {
 			p, err = DecodeASPath(val)
 		}
@@ -352,7 +352,7 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, st *AttrStore, f
 			return fmt.Errorf("%w: AGGREGATOR length %d (want 8, four-octet AS)", ErrBadAttribute, len(val))
 		}
 		if df&DecodeIntern != 0 {
-			pa.Aggregator, _ = s.fronts().aggs.get(aggTable, val, decodeAggregatorKey) // cannot fail
+			pa.Aggregator, s.aggID, _ = s.fronts().aggs.get(aggTable, val, decodeAggregatorKey) // cannot fail
 		} else {
 			pa.Aggregator = &Aggregator{
 				ASN:  ASN(binary.BigEndian.Uint32(val)),
@@ -373,21 +373,21 @@ func (pa *PathAttributes) decodeOne(df DecodeFlags, s *Scratch, st *AttrStore, f
 		pa.Communities, st.comms = c, c
 	case AttrMPReachNLRI:
 		m := &st.reach
-		*m = MPReachNLRI{NLRI: m.NLRI[:0]}
+		*m = MPReachNLRI{NLRI: st.reachNLRI[:0]}
 		if err := decodeMPReachInto(m, val); err != nil {
 			return err
 		}
-		if len(m.NLRI) == 0 {
+		if st.reachNLRI = m.NLRI; len(m.NLRI) == 0 {
 			m.NLRI = nil // no prefix decodes to none, on a fresh store or a reused one
 		}
 		pa.MPReach = m
 	case AttrMPUnreachNLRI:
 		m := &st.unreach
-		*m = MPUnreachNLRI{Withdrawn: m.Withdrawn[:0]}
+		*m = MPUnreachNLRI{Withdrawn: st.unreachWd[:0]}
 		if err := decodeMPUnreachInto(m, val); err != nil {
 			return err
 		}
-		if len(m.Withdrawn) == 0 {
+		if st.unreachWd = m.Withdrawn; len(m.Withdrawn) == 0 {
 			m.Withdrawn = nil // as for MP_REACH_NLRI
 		}
 		pa.MPUnreach = m

@@ -56,6 +56,9 @@ type Scratch struct {
 	front    *scratchFront  // see fronts
 	deferred []RawAttr      // the attribute values DecodeUpdateIf has not decoded yet
 	eager    bool           // DecodeUpdateIf kept the last update: decode the next in full
+	// pathID and aggID are the intern ids of u's AS path and aggregator
+	// (see InternIDs).
+	pathID, aggID uint32
 }
 
 // AttrStore is the reusable storage behind one decoded attribute block:
@@ -69,6 +72,9 @@ type AttrStore struct {
 	unknown []RawAttr
 	reach   MPReachNLRI
 	unreach MPUnreachNLRI
+	// The storage behind reach.NLRI and unreach.Withdrawn, kept when a
+	// decoded list is empty and handed out as nil.
+	reachNLRI, unreachWd []netip.Prefix
 }
 
 // DecodeUpdate parses a full UPDATE message (header included) into the
@@ -91,6 +97,14 @@ func (s *Scratch) DecodeUpdate(b []byte, df DecodeFlags) (*Update, error) {
 	}
 	return &s.u, nil
 }
+
+// InternIDs returns the intern ids of the AS path and the aggregator of
+// the update s last decoded with DecodeIntern: dense numbers, one per
+// distinct value the process has interned, so a caller can key per-value
+// state by slice index. An id is 0 when the update carries no such
+// attribute. Ids depend on the order values were first interned, never
+// on the values, so they must not order anything a caller outputs.
+func (s *Scratch) InternIDs() (path, agg uint32) { return s.pathID, s.aggID }
 
 // DecodeUpdateIf is DecodeUpdate for a caller that keeps an update only
 // when want accepts one of its prefixes (withdrawn or announced, top-level
@@ -216,6 +230,7 @@ type frontCache[V any] struct {
 	slots [frontSlots]struct {
 		n   uint8 // key length; 0 marks an empty slot
 		key [frontKeyMax]byte
+		id  uint32
 		v   V
 	}
 	hits *atomic.Uint64
@@ -231,20 +246,20 @@ const (
 var frontSeed = maphash.MakeSeed()
 
 // get is t.GetErr(key, mk) served from the cache when the key repeats.
-func (c *frontCache[V]) get(t *intern.Table[V], key []byte, mk func([]byte) (V, error)) (V, error) {
+func (c *frontCache[V]) get(t *intern.Table[V], key []byte, mk func([]byte) (V, error)) (V, uint32, error) {
 	if len(key) == 0 || len(key) > frontKeyMax {
 		return t.GetErr(key, mk)
 	}
 	e := &c.slots[maphash.Bytes(frontSeed, key)&(frontSlots-1)]
 	if int(e.n) == len(key) && string(e.key[:e.n]) == string(key) {
 		c.hits.Add(1)
-		return e.v, nil
+		return e.v, e.id, nil
 	}
-	v, err := t.GetErr(key, mk)
+	v, id, err := t.GetErr(key, mk)
 	if err == nil {
-		e.n, e.v = uint8(copy(e.key[:], key)), v
+		e.n, e.id, e.v = uint8(copy(e.key[:], key)), id, v
 	}
-	return v, err
+	return v, id, err
 }
 
 // scratchFront is the pair of front caches of one Scratch.

@@ -112,6 +112,7 @@ func DecodeHeader(b []byte) (length int, typ MessageType, err error) {
 func (s *Scratch) decodeBody(b []byte, df DecodeFlags) error {
 	u := &s.u
 	*u = Update{}
+	s.pathID, s.aggID = 0, 0
 	if len(b) < 2 {
 		return fmt.Errorf("%w: missing withdrawn routes length", ErrShortMessage)
 	}

@@ -7,7 +7,9 @@
 // Tables are keyed by raw bytes (typically the attribute's wire encoding)
 // so the hit path performs zero allocations: the map lookup uses the
 // compiler's []byte→string conversion optimization, and the per-shard
-// RWMutex keeps concurrent chunk decoders out of each other's way.
+// RWMutex keeps concurrent chunk decoders out of each other's way. Every
+// entry also gets a dense id, so a consumer can index its own per-value
+// state by slice instead of by map.
 package intern
 
 import (
@@ -20,9 +22,15 @@ import (
 // with every core decoding. Power of two so the shard pick is a mask.
 const shardCount = 32
 
+// entry is one canonical value and its id.
+type entry[V any] struct {
+	v  V
+	id uint32
+}
+
 type shard[V any] struct {
 	mu     sync.RWMutex
-	m      map[string]V
+	m      map[string]entry[V]
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -31,6 +39,7 @@ type shard[V any] struct {
 // values. The zero value is not usable; construct with NewTable.
 type Table[V any] struct {
 	shards [shardCount]shard[V]
+	n      atomic.Uint32 // entries; the last id handed out
 }
 
 // Stats is a point-in-time snapshot of a table's lookup counters.
@@ -43,7 +52,7 @@ type Stats struct {
 func NewTable[V any]() *Table[V] {
 	t := &Table[V]{}
 	for i := range t.shards {
-		t.shards[i].m = make(map[string]V)
+		t.shards[i].m = make(map[string]entry[V])
 	}
 	return t
 }
@@ -52,35 +61,38 @@ func NewTable[V any]() *Table[V] {
 // nanoseconds for an AS path's wire bytes.
 var shardSeed = maphash.MakeSeed()
 
-// GetErr returns the canonical value for key, building it with mk(key) on
-// first sight. mk runs under the shard's write lock, at most once per key
-// it succeeds on: a failed construction is not cached, the error is
-// returned and the key stays absent, so a later lookup retries. mk receives
-// the key so callers can pass a plain function instead of a capturing
-// closure — the lookup itself then allocates nothing on a hit.
-func (t *Table[V]) GetErr(key []byte, mk func(key []byte) (V, error)) (V, error) {
+// GetErr returns the canonical value for key and its id, building the
+// value with mk(key) on first sight. Ids number a table's entries densely
+// from 1 in insertion order; 0 is never an id. mk runs under the shard's
+// write lock, at most once per key it succeeds on: a failed construction
+// is not cached, the error is returned and the key stays absent (and takes
+// no id), so a later lookup retries. mk receives the key so callers can
+// pass a plain function instead of a capturing closure — the lookup itself
+// then allocates nothing on a hit.
+func (t *Table[V]) GetErr(key []byte, mk func(key []byte) (V, error)) (V, uint32, error) {
 	s := &t.shards[maphash.Bytes(shardSeed, key)&(shardCount-1)]
 	s.mu.RLock()
-	v, ok := s.m[string(key)] // no-alloc lookup: compiler-optimized conversion
+	e, ok := s.m[string(key)] // no-alloc lookup: compiler-optimized conversion
 	s.mu.RUnlock()
 	if ok {
 		s.hits.Add(1)
-		return v, nil
+		return e.v, e.id, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v, ok := s.m[string(key)]; ok {
+	if e, ok := s.m[string(key)]; ok {
 		s.hits.Add(1)
-		return v, nil
+		return e.v, e.id, nil
 	}
 	v, err := mk(key)
 	if err != nil {
 		var zero V
-		return zero, err
+		return zero, 0, err
 	}
-	s.m[string(key)] = v
+	e = entry[V]{v: v, id: t.n.Add(1)}
+	s.m[string(key)] = e
 	s.misses.Add(1)
-	return v, nil
+	return v, e.id, nil
 }
 
 // Stats sums the per-shard counters.

@@ -15,12 +15,12 @@ func TestGetCanonicalizes(t *testing.T) {
 		b := append([]byte(nil), key...)
 		return &b, nil
 	}
-	a, _ := tab.GetErr([]byte("path-1"), mk)
-	b, _ := tab.GetErr([]byte("path-1"), mk)
+	a, _, _ := tab.GetErr([]byte("path-1"), mk)
+	b, _, _ := tab.GetErr([]byte("path-1"), mk)
 	if a != b {
 		t.Error("same key returned distinct values")
 	}
-	c, _ := tab.GetErr([]byte("path-2"), mk)
+	c, _, _ := tab.GetErr([]byte("path-2"), mk)
 	if c == a {
 		t.Error("distinct keys returned the same value")
 	}
@@ -46,15 +46,15 @@ func TestKeyDoesNotAliasCallerBuffer(t *testing.T) {
 	tab := NewTable[uint32]()
 	mk := func(key []byte) (uint32, error) { return binary.BigEndian.Uint32(key), nil }
 	buf := []byte{0, 0, 0, 7}
-	if got, _ := tab.GetErr(buf, mk); got != 7 {
+	if got, _, _ := tab.GetErr(buf, mk); got != 7 {
 		t.Fatalf("GetErr = %d, want 7", got)
 	}
 	// Reuse the buffer for a different key, as a pooled decoder would.
 	binary.BigEndian.PutUint32(buf, 9)
-	if got, _ := tab.GetErr(buf, mk); got != 9 {
+	if got, _, _ := tab.GetErr(buf, mk); got != 9 {
 		t.Fatalf("GetErr after reuse = %d, want 9", got)
 	}
-	if got, _ := tab.GetErr([]byte{0, 0, 0, 7}, mk); got != 7 {
+	if got, _, _ := tab.GetErr([]byte{0, 0, 0, 7}, mk); got != 7 {
 		t.Errorf("original key corrupted by buffer reuse: got %d, want 7", got)
 	}
 	if st := tab.Stats(); entries(tab) != 2 || st.Misses != 2 || st.Hits != 1 {
@@ -74,7 +74,7 @@ func TestInternedValuesSurviveOriginals(t *testing.T) {
 	ptrs := make([]*string, 64)
 	for i := range ptrs {
 		key := []byte(fmt.Sprintf("as-path-%d", i)) // dies after this iteration
-		ptrs[i], _ = tab.GetErr(key, mk)
+		ptrs[i], _, _ = tab.GetErr(key, mk)
 	}
 	runtime.GC()
 	runtime.GC()
@@ -83,7 +83,7 @@ func TestInternedValuesSurviveOriginals(t *testing.T) {
 		if *p != want {
 			t.Fatalf("interned value %d = %q, want %q", i, *p, want)
 		}
-		if again, _ := tab.GetErr([]byte(want), mk); again != p {
+		if again, _, _ := tab.GetErr([]byte(want), mk); again != p {
 			t.Fatalf("re-lookup %d returned a different pointer", i)
 		}
 	}
@@ -94,17 +94,17 @@ func TestGetErrDoesNotCacheFailures(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	failing := func(key []byte) (int, error) { calls++; return 0, boom }
-	if _, err := tab.GetErr([]byte("k"), failing); !errors.Is(err, boom) {
+	if _, _, err := tab.GetErr([]byte("k"), failing); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, err := tab.GetErr([]byte("k"), failing); !errors.Is(err, boom) {
+	if _, _, err := tab.GetErr([]byte("k"), failing); !errors.Is(err, boom) {
 		t.Fatalf("second err = %v, want boom", err)
 	}
 	if calls != 2 {
 		t.Errorf("failed construction was cached: %d calls, want 2", calls)
 	}
 	ok := func(key []byte) (int, error) { return len(key), nil }
-	v, err := tab.GetErr([]byte("k"), ok)
+	v, _, err := tab.GetErr([]byte("k"), ok)
 	if err != nil || v != 1 {
 		t.Fatalf("GetErr after failures = (%d, %v), want (1, nil)", v, err)
 	}
@@ -119,7 +119,7 @@ func TestStatsHitRate(t *testing.T) {
 	keys := [][]byte{{1}, {2}, {3}, {4}}
 	for round := 0; round < 5; round++ {
 		for _, k := range keys {
-			if got, _ := tab.GetErr(k, mk); got != int(k[0]) {
+			if got, _, _ := tab.GetErr(k, mk); got != int(k[0]) {
 				t.Fatalf("GetErr(%v) = %d", k, got)
 			}
 		}
@@ -161,7 +161,7 @@ func TestConcurrentGet(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for k := 0; k < keys; k++ {
 					binary.BigEndian.PutUint64(key[:], uint64(k*7919))
-					p, _ := tab.GetErr(key[:], mk)
+					p, _, _ := tab.GetErr(key[:], mk)
 					if got[w][k] == nil {
 						got[w][k] = p
 					} else if got[w][k] != p {
@@ -189,6 +189,58 @@ func TestConcurrentGet(t *testing.T) {
 	}
 }
 
+// TestIDsAreDense: a table numbers its entries 1, 2, … in insertion
+// order, a repeat lookup returns its key's id, and a failed construction
+// takes none; under concurrent first sights the ids are still a
+// permutation of 1..n.
+func TestIDsAreDense(t *testing.T) {
+	tab := NewTable[int]()
+	mk := func(key []byte) (int, error) {
+		if key[0] == 0 {
+			return 0, errors.New("refused")
+		}
+		return int(key[0]), nil
+	}
+	for i, k := range []byte{5, 0, 9, 5, 0, 7, 9} {
+		_, id, err := tab.GetErr([]byte{k}, mk)
+		want := map[byte]uint32{5: 1, 9: 2, 7: 3}[k]
+		if id != want || (err != nil) != (k == 0) {
+			t.Errorf("lookup %d of key %d: id %d, err %v; want id %d", i, k, id, err, want)
+		}
+	}
+
+	tab = NewTable[int]()
+	const workers, keys = 4, 256
+	ids := make([][keys]uint32, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range keys {
+				_, ids[w][(k+w*61)%keys], _ = tab.GetErr([]byte{byte((k + w*61) % keys)}, mk)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make([]bool, keys+1)
+	for k := range keys {
+		id := ids[0][k]
+		for w := 1; w < workers; w++ {
+			if ids[w][k] != id {
+				t.Fatalf("key %d: workers disagree on the id (%d, %d)", k, id, ids[w][k])
+			}
+		}
+		if k == 0 {
+			continue // refused
+		}
+		if id == 0 || id >= keys || seen[id] {
+			t.Fatalf("key %d: id %d is not a fresh id in 1..%d", k, id, keys-1)
+		}
+		seen[id] = true
+	}
+}
+
 // TestHitPathAllocates0 pins the zero-allocation contract of the hit path.
 func TestHitPathAllocates0(t *testing.T) {
 	tab := NewTable[int]()
@@ -196,7 +248,7 @@ func TestHitPathAllocates0(t *testing.T) {
 	key := []byte("steady-state-key")
 	tab.GetErr(key, mk)
 	avg := testing.AllocsPerRun(1000, func() {
-		if v, _ := tab.GetErr(key, mk); v != len(key) {
+		if v, _, _ := tab.GetErr(key, mk); v != len(key) {
 			t.Fatal("wrong value")
 		}
 	})

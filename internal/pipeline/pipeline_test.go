@@ -92,6 +92,21 @@ func TestForInlinePreservesOrder(t *testing.T) {
 	}
 }
 
+// cutSegment cuts data into parts as FoldStreams does, running the parts'
+// walks in order, and returns the chunks that exist.
+func cutSegment(data []byte, parts int) []*chunk {
+	var out []*chunk
+	ps := make([]chunk, parts)
+	linkParts(ps, data, 0)
+	for k := range ps {
+		c := &ps[k]
+		if c.walk(); !c.absent {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func TestScanChunksCoversStreamExactly(t *testing.T) {
 	data := makeUpdateArchive(t, 5000, 1)
 	seq, err := mrttest.ReadAll(bytes.NewReader(data))
@@ -99,32 +114,32 @@ func TestScanChunksCoversStreamExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parts := range []int{1, 2, 7} {
-		chunks, scanErr := scanChunks(data, parts)
-		if scanErr != nil {
-			t.Fatalf("parts=%d: scan error %v", parts, scanErr.err)
-		}
-		pos, records := 0, 0
+		chunks := cutSegment(data, parts)
+		pos, records, walked := 0, 0, 0
 		for i, c := range chunks {
 			if c.off != pos {
 				t.Fatalf("parts=%d: chunk %d starts at %d, want %d", parts, i, c.off, pos)
 			}
-			if c.base != records {
-				t.Fatalf("parts=%d: chunk %d base %d, want %d", parts, i, c.base, records)
-			}
 			// The chunk must itself be a valid record-aligned stream.
-			if _, err := mrttest.ReadAll(bytes.NewReader(data[c.off:c.end])); err != nil {
+			recs, err := mrttest.ReadAll(bytes.NewReader(data[c.off:c.end]))
+			if err != nil {
 				t.Fatalf("parts=%d: chunk %d not record-aligned: %v", parts, i, err)
 			}
 			pos = c.end
-			records += c.records
+			records += len(recs)
+			walked += c.walked
 		}
 		if pos != len(data) {
 			t.Fatalf("parts=%d: chunks end at %d, want %d", parts, pos, len(data))
 		}
-		// The total record count includes unsupported types; here every
-		// record is supported, so it must equal the sequential decode.
+		// Here every record is supported, so the records of the chunks
+		// must be those of the sequential decode.
 		if records != len(seq) {
-			t.Fatalf("parts=%d: %d records counted, sequential decoded %d", parts, records, len(seq))
+			t.Fatalf("parts=%d: %d records in the chunks, sequential decoded %d", parts, records, len(seq))
+		}
+		// The walks stop at the last cut: the last chunk is read once.
+		if last := chunks[len(chunks)-1]; walked != last.off || last.walked != 0 {
+			t.Errorf("parts=%d: walks read %d bytes ahead (the last chunk %d), want the %d before the last cut", parts, walked, last.walked, last.off)
 		}
 	}
 }
@@ -167,9 +182,9 @@ func makeDumpArchive(t *testing.T, snapshots, ribs int) []byte {
 }
 
 // TestScanChunksCutsDumpsAtTables pins the chunk geometry of both stream
-// kinds. An update stream is cut after the record that reaches the target
-// size. Once a dump has shown a PEER_INDEX_TABLE, it is cut only just
-// before the first table at or past the target size, so every chunk after
+// kinds. An update stream is cut at the first record boundary at or past
+// each part's share of the bytes. Once a dump has shown a PEER_INDEX_TABLE,
+// it is cut only just before the first table there, so every chunk after
 // the first begins with the table its RIB records index; a dump of one
 // snapshot is one chunk.
 func TestScanChunksCutsDumpsAtTables(t *testing.T) {
@@ -187,11 +202,7 @@ func TestScanChunksCutsDumpsAtTables(t *testing.T) {
 		{"one snapshot", makeDumpArchive(t, 1, 2000), true},
 	} {
 		for _, parts := range []int{1, 2, 7} {
-			target := max(len(tc.data)/parts, minChunkBytes)
-			chunks, scanErr := scanChunks(tc.data, parts)
-			if scanErr != nil {
-				t.Fatalf("%s, parts=%d: scan error %v", tc.name, parts, scanErr.err)
-			}
+			chunks := cutSegment(tc.data, parts)
 			pos := 0
 			for i, c := range chunks {
 				if c.off != pos {
@@ -201,18 +212,18 @@ func TestScanChunksCutsDumpsAtTables(t *testing.T) {
 				if tc.dump && !isTable(tc.data, c.off) {
 					t.Errorf("%s, parts=%d: chunk %d does not begin with a PEER_INDEX_TABLE", tc.name, parts, i)
 				}
-				var last int // the offset of the chunk's last record, or of its last table in a dump
+				last := c.off // the chunk's last cut point after its start: a record, or a table in a dump
 				for off := c.off; off < c.end; off += mrt.HeaderLen + int(binary.BigEndian.Uint32(tc.data[off+8:])) {
-					if !tc.dump || isTable(tc.data, off) {
+					if off > c.off && (!tc.dump || isTable(tc.data, off)) {
 						last = off
 					}
 				}
 				if i == len(chunks)-1 {
 					continue
 				}
-				if c.end-c.off < target || last-c.off >= target {
-					t.Errorf("%s, parts=%d: chunk %d spans [%d,%d), last cut point %d: not the first past %d bytes",
-						tc.name, parts, i, c.off, c.end, last, target)
+				if c.end < c.cutAt || last > c.off && last >= c.cutAt {
+					t.Errorf("%s, parts=%d: chunk %d spans [%d,%d), last cut point %d: not the first at or past %d",
+						tc.name, parts, i, c.off, c.end, last, c.cutAt)
 				}
 			}
 			if pos != len(tc.data) {
@@ -382,20 +393,24 @@ func TestFoldRecordsErrorMatchesSequential(t *testing.T) {
 func TestFoldRecordsCallbackErrorPosition(t *testing.T) {
 	// A callback error must be ranked like a decode error: smallest
 	// (file, record) wins even when a later chunk fails first in wall time.
+	// Record i of makeUpdateArchive is stamped i seconds in, which names
+	// it while positions are still chunk-relative.
 	archives := map[string][]byte{
 		"rrc00": makeUpdateArchive(t, 2000, 1),
 		"rrc01": makeUpdateArchive(t, 2000, 2),
 	}
+	t0 := time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		e := &Engine{Workers: workers, Metrics: &Metrics{}}
 		_, _, err := FoldStreams(e, oneSegment(archives), newCollector,
-			func(_ *[]mrt.Record, fc FileChunk, idx int, _ mrt.Record) error {
-				if fc.Name == "rrc01" && idx >= 100 {
-					return fmt.Errorf("%w at %d", sentinel, idx)
+			func(_ *[]mrt.Record, fc FileChunk, _ int, rec mrt.Record) error {
+				i := int(rec.RecordTime().Sub(t0) / time.Second)
+				if fc.Name == "rrc01" && i >= 100 {
+					return fmt.Errorf("%w at %d", sentinel, i)
 				}
-				if fc.Name == "rrc00" && idx >= 700 {
-					return fmt.Errorf("%w at %d", sentinel, idx)
+				if fc.Name == "rrc00" && i >= 700 {
+					return fmt.Errorf("%w at %d", sentinel, i)
 				}
 				return nil
 			})

@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
+	"zombiescope/internal/bgp"
 	"zombiescope/internal/mrt"
 )
 
@@ -35,7 +38,7 @@ func splitAtRecords(t *testing.T, data []byte, counts ...int) [][]byte {
 
 type foldedRec struct {
 	FC  FileChunk
-	Idx int
+	Idx int // stream-wide once foldAll returns
 	TS  int64
 }
 
@@ -47,12 +50,17 @@ func foldAll(t *testing.T, e *Engine, streams map[string][][]byte) ([]string, []
 			*acc = append(*acc, foldedRec{FC: fc, Idx: idx, TS: rec.RecordTime().Unix()})
 			return nil
 		})
+	// Positions are bound once the fold has returned: the chunk-relative
+	// index plus the chunk's base is the stream-wide one.
 	out := make([][][]foldedRec, len(accs))
 	for i, chunks := range accs {
 		out[i] = make([][]foldedRec, len(chunks))
 		for j, c := range chunks {
 			if c != nil {
 				out[i][j] = *c
+				for k := range out[i][j] {
+					out[i][j][k].Idx += out[i][j][k].FC.Base()
+				}
 			}
 		}
 	}
@@ -96,7 +104,7 @@ func TestFoldStreamsMatchesConcatenated(t *testing.T) {
 			}
 			for _, c := range gotAccs[i] {
 				for _, r := range c {
-					if r.FC.Name != wantNames[i] || r.FC.File != i {
+					if r.FC.Name != wantNames[i] {
 						t.Fatalf("workers=%d: wrong FileChunk identity %+v", workers, r.FC)
 					}
 					r.FC = FileChunk{}
@@ -110,25 +118,33 @@ func TestFoldStreamsMatchesConcatenated(t *testing.T) {
 	}
 }
 
+// TestFoldStreamsChunkBasesAreStreamWide: fn's chunk-relative index plus
+// the base the chunk is bound to after the fold numbers the records
+// 0…n-1 in stream order, across segments and cuts, at every worker count.
 func TestFoldStreamsChunkBasesAreStreamWide(t *testing.T) {
 	a := makeUpdateArchive(t, 2000, 3)
-	streams := map[string][][]byte{"rrc00": splitAtRecords(t, a, 700, 1400)}
-	e := &Engine{Workers: 2}
-	_, accs, err := foldAll(t, e, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	for _, c := range accs[0] {
-		for _, r := range c {
-			if r.Idx != next {
-				t.Fatalf("record index %d, want %d (stream-wide numbering broken)", r.Idx, next)
-			}
-			next++
+	b := makeUpdateArchive(t, 300, 4)
+	streams := map[string][][]byte{"rrc00": splitAtRecords(t, a, 700, 1400), "rrc01": {b}}
+	for _, workers := range []int{1, 2, 4} {
+		_, accs, err := foldAll(t, &Engine{Workers: workers}, streams)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if next != 2000 {
-		t.Fatalf("folded %d records, want 2000", next)
+		next := 0
+		for _, c := range accs[0] {
+			for _, r := range c {
+				if r.Idx != next {
+					t.Fatalf("workers=%d: record index %d, want %d (stream-wide numbering broken)", workers, r.Idx, next)
+				}
+				next++
+			}
+		}
+		if next != 2000 {
+			t.Fatalf("workers=%d: folded %d records, want 2000", workers, next)
+		}
+		if fc := accs[1][0][0].FC; fc.FileBase() != 2000 || fc.Base() != 0 {
+			t.Errorf("workers=%d: the second file's first chunk is bound to (%d, %d), want file base 2000, base 0", workers, fc.FileBase(), fc.Base())
+		}
 	}
 }
 
@@ -162,6 +178,76 @@ func TestFoldStreamsErrorPositionSpansSegments(t *testing.T) {
 		}
 		if !errors.Is(err, mrt.ErrTruncated) {
 			t.Errorf("workers=%d: %v does not wrap ErrTruncated", workers, err)
+		}
+	}
+}
+
+// corruptUpdate breaks the BGP marker of record rec of an archive from
+// makeUpdateArchive (a BGP4MP message, not a state change), so the record
+// frames and decodes as MRT but its UPDATE fails to decode.
+func corruptUpdate(t *testing.T, data []byte, rec int) []byte {
+	t.Helper()
+	if rec%17 == 16 {
+		t.Fatalf("record %d is a state change", rec)
+	}
+	data = slices.Clone(data)
+	pos := 0
+	for range rec {
+		pos += mrt.HeaderLen + int(binary.BigEndian.Uint32(data[pos+8:]))
+	}
+	body := data[pos+mrt.HeaderLen : pos+mrt.HeaderLen+int(binary.BigEndian.Uint32(data[pos+8:]))]
+	i := bytes.Index(body, bytes.Repeat([]byte{0xff}, bgp.MarkerLen))
+	if i < 0 {
+		t.Fatalf("record %d carries no BGP marker", rec)
+	}
+	body[i] = 0
+	return data
+}
+
+// TestFoldStreamsFirstFaultWins: over a 3-segment file cut into parts (at
+// 2 and 4 workers) or not (at 1), with a framing fault in the tail of
+// segment 1 that no walk reads ahead of its decode, a BGP decode fault
+// earlier in segment 1 and one in segment 2, the fold reports the
+// earliest fault present, at its exact stream-wide record — although
+// positions are bound only after the fold, and later segments decode
+// concurrently.
+func TestFoldStreamsFirstFaultWins(t *testing.T) {
+	seg0, seg1, seg2 := makeUpdateArchive(t, 1000, 1), makeUpdateArchive(t, 3000, 2), makeUpdateArchive(t, 1000, 3)
+	decode1, decode2 := corruptUpdate(t, seg1, 1500), corruptUpdate(t, seg2, 100)
+	truncate := func(seg []byte) []byte { return seg[:len(seg)-5] } // record 2999 loses its tail
+	for _, tc := range []struct {
+		name       string
+		segs       [][]byte
+		record     int
+		decodeFail bool
+	}{
+		{"all three faults", [][]byte{seg0, truncate(decode1), decode2}, 1000 + 1500, true},
+		{"framing in segment 1, decode in segment 2", [][]byte{seg0, truncate(seg1), decode2}, 1000 + 2999, false},
+		{"decode in segment 2", [][]byte{seg0, seg1, decode2}, 1000 + 3000 + 100, true},
+		{"decode and framing in segment 1", [][]byte{seg0, truncate(corruptUpdate(t, seg1, 51)), seg2}, 1000 + 51, true},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			e := &Engine{Workers: workers, Metrics: &Metrics{}}
+			_, accs, err := FoldStreams(e, map[string][][]byte{"rrc00": tc.segs},
+				func(FileChunk) *bgp.Scratch { return new(bgp.Scratch) },
+				func(s *bgp.Scratch, _ FileChunk, _ int, rec mrt.Record) error {
+					if m, ok := rec.(*mrt.BGP4MPMessage); ok {
+						_, err := s.DecodeUpdate(m.Data, m.DecodeFlags())
+						return err
+					}
+					return nil
+				})
+			var fe *FileError
+			if !errors.As(err, &fe) || fe.Name != "rrc00" || fe.Record != tc.record {
+				t.Errorf("%s, workers=%d: %v, want rrc00 record %d", tc.name, workers, err, tc.record)
+				continue
+			}
+			if tc.decodeFail != errors.Is(err, bgp.ErrBadMarker) || !tc.decodeFail && !errors.Is(err, mrt.ErrTruncated) {
+				t.Errorf("%s, workers=%d: error %v is not the fault at record %d", tc.name, workers, err, tc.record)
+			}
+			if workers > 1 && len(accs[0]) < 2 {
+				t.Errorf("%s, workers=%d: %d chunks before the fault, want the segments cut", tc.name, workers, len(accs[0]))
+			}
 		}
 	}
 }

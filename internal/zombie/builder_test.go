@@ -493,4 +493,16 @@ func TestHistoryTooLarge(t *testing.T) {
 	if _, err := BuildHistoryStreams(map[string][][]byte{"rrc00": splitRecords(data, 0)}, nil, 2); !errors.Is(err, ErrHistoryTooLarge) {
 		t.Errorf("BuildHistoryStreams past the position bound: %v, want ErrHistoryTooLarge", err)
 	}
+	// Positions are bound after the fold, yet the first fault still wins:
+	// a broken UPDATE in the first record comes before the bound, one in
+	// the fourth comes after it.
+	for _, bad := range []int{0, 3} {
+		segs := splitRecords(bytes.Clone(data), 0)
+		marker := bytes.Index(segs[bad], bytes.Repeat([]byte{0xff}, bgp.MarkerLen))
+		segs[bad][marker] = 0
+		_, err := BuildHistoryStreams(map[string][][]byte{"rrc00": segs}, nil, 2)
+		if want := bad == 3; err == nil || errors.Is(err, ErrHistoryTooLarge) != want || !want && !errors.Is(err, bgp.ErrBadMarker) {
+			t.Errorf("a broken UPDATE in record %d: %v, want ErrHistoryTooLarge %v", bad, err, want)
+		}
+	}
 }

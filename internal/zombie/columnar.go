@@ -97,23 +97,31 @@ type builderPair struct {
 // number, AS, address words), the pair's on (local peer, prefix words).
 // Each compares the stored values in full, so a zoned address — which
 // hashes as its unzoned form — still resolves to its own peer. The prefix
-// table's map is consulted only when a pair is first seen.
+// table's map is consulted only when a pair is first seen. AS paths and
+// aggregators resolve through slices indexed by their intern ids, which
+// the decode hands over (bgp.Scratch.InternIDs); the seal orders them by
+// value, so no id reaches a History.
 type HistoryBuilder struct {
 	track   *trackIndex
 	scratch bgp.Scratch
 	order   int  // position of the last observed record; Observe numbers the next order+1
 	full    bool // an event was refused: the builder is at maxHistory
+	// A chunk builder of BuildHistoryStreams numbers its records within
+	// its chunk; base is the chunk's position in the archive set, bound
+	// after the fold and added by the seal.
+	chunk pipeline.FileChunk
+	base  uint32
 
 	collectors []string // numbered in first-seen order
 	coll       uint32   // the collector number last resolved
 	peers      []PeerID
 	peerColl   []uint32  // the collector number of peers[i]
 	peerSlots  openSlots // local peer numbers
-	prefixes   table[netip.Prefix, netip.Prefix]
+	prefixes   table[netip.Prefix]
 	pairs      []builderPair
-	pairSlots  openSlots                               // local pair numbers
-	paths      table[*bgp.PathSegment, bgp.ASPath]     // by the interned backing array; row.path is index+1
-	aggs       table[*bgp.Aggregator, *bgp.Aggregator] // row.agg is index+1
+	pairSlots  openSlots                // local pair numbers
+	paths      idTable[bgp.ASPath]      // row.path is index+1
+	aggs       idTable[*bgp.Aggregator] // row.agg is index+1
 	comms      []bgp.Community
 	blocks     [][]row // pair events; every block but the last is full
 	events     int
@@ -169,34 +177,61 @@ func (b *HistoryBuilder) Seal() *History {
 
 // table is a builder's dense numbering of one kind of value, in first-seen
 // order.
-type table[K comparable, V any] struct {
+type table[V comparable] struct {
 	vals []V
-	idx  map[K]uint32
+	idx  map[V]uint32
 }
 
-// intern returns key's index, appending v on first sight.
-func (t *table[K, V]) intern(key K, v V) uint32 {
-	i, ok := t.idx[key]
+// intern returns v's index, appending v on first sight.
+func (t *table[V]) intern(v V) uint32 {
+	i, ok := t.idx[v]
 	if !ok {
 		if t.idx == nil {
-			t.idx = make(map[K]uint32)
+			t.idx = make(map[V]uint32)
 		}
 		i = uint32(len(t.vals))
 		t.vals = append(t.vals, v)
-		t.idx[key] = i
+		t.idx[v] = i
 	}
 	return i
 }
 
+// idTable is a builder's dense numbering of one kind of interned value (AS
+// paths, aggregators) in first-seen order, resolved by the value's intern
+// id through a slice: no map on the per-event path.
+type idTable[V any] struct {
+	vals []V
+	ids  []uint32 // the intern id of vals[i]
+	num  []uint32 // by intern id: 1 + the value's index in vals, 0 when unseen
+}
+
+// number returns 1 + the index of the value of intern id id, appending v
+// on first sight.
+func (t *idTable[V]) number(id uint32, v V) uint32 {
+	if int(id) >= len(t.num) {
+		t.num = append(t.num, make([]uint32, int(id)+1-len(t.num))...)
+	}
+	n := t.num[id]
+	if n == 0 {
+		t.vals, t.ids = append(t.vals, v), append(t.ids, id)
+		n = uint32(len(t.vals))
+		t.num[id] = n
+	}
+	return n
+}
+
 // pack converts a decoded event into the builder's row form, copying its
-// communities into the builder's arena.
+// communities into the builder's arena. The event's path and aggregator
+// are the ones the builder's scratch last decoded, so their intern ids
+// are the scratch's.
 func (b *HistoryBuilder) pack(ev *histEvent, slot uint32) row {
 	r := row{at: ev.at.UnixNano(), order: uint32(ev.order), kind: ev.kind, slot: slot}
+	pathID, aggID := b.scratch.InternIDs()
 	if len(ev.path.Segments) > 0 {
-		r.path = 1 + b.paths.intern(&ev.path.Segments[0], ev.path)
+		r.path = b.paths.number(pathID, ev.path)
 	}
 	if ev.agg != nil {
-		r.agg = 1 + b.aggs.intern(ev.agg, ev.agg)
+		r.agg = b.aggs.number(aggID, ev.agg)
 	}
 	if len(ev.comms) > 0 {
 		r.commOff, r.commN = uint32(len(b.comms)), uint16(len(ev.comms))
@@ -279,7 +314,7 @@ func (b *HistoryBuilder) pairNum(peer uint32, p netip.Prefix) uint32 {
 			return n
 		}
 	}
-	key := pairKey(peer, b.prefixes.intern(p, p))
+	key := pairKey(peer, b.prefixes.intern(p))
 	n := uint32(len(b.pairs))
 	b.pairs = append(b.pairs, builderPair{key: key})
 	b.pairSlots.add(i, h, n, func(k uint32) uint64 {
@@ -309,35 +344,41 @@ func compareAggregators(a, b *bgp.Aggregator) int {
 
 // canonTable unions the builders' copies of one table, sorts the union, and
 // returns it with each builder's local-to-canonical index map and the
-// canonical index of every key. With sentinel 1 both sides of the map are
-// index+1 and the union's entry 0 is the zero value: rows use 0 for "none".
-func canonTable[K comparable, V any](builders []*HistoryBuilder, table func(*HistoryBuilder) []V, sentinel int,
-	key func(V) K, compare func(a, b V) int) ([]V, [][]uint32, map[K]uint32) {
+// canonical index of every key. keys(b)[i] identifies table(b)[i] across
+// builders. With sentinel 1 both sides of the map are index+1 and the
+// union's entry 0 is the zero value: rows use 0 for "none".
+func canonTable[K comparable, V any](builders []*HistoryBuilder, table func(*HistoryBuilder) []V, keys func(*HistoryBuilder) []K,
+	sentinel int, compare func(a, b V) int) ([]V, [][]uint32, map[K]uint32) {
+	type keyed struct {
+		k K
+		v V
+	}
 	idx := make(map[K]uint32)
-	all := make([]V, sentinel)
+	var union []keyed
 	for _, b := range builders {
-		for _, v := range table(b) {
-			if _, ok := idx[key(v)]; !ok {
-				idx[key(v)] = 0 // numbered below
-				all = append(all, v)
+		ks := keys(b)
+		for i, v := range table(b) {
+			if _, ok := idx[ks[i]]; !ok {
+				idx[ks[i]] = 0 // numbered below
+				union = append(union, keyed{ks[i], v})
 			}
 		}
 	}
-	slices.SortFunc(all[sentinel:], compare)
-	for i, v := range all[sentinel:] {
-		idx[key(v)] = uint32(sentinel + i)
+	slices.SortFunc(union, func(a, b keyed) int { return compare(a.v, b.v) })
+	all := make([]V, sentinel, sentinel+len(union))
+	for i, e := range union {
+		idx[e.k] = uint32(sentinel + i)
+		all = append(all, e.v)
 	}
 	remap := make([][]uint32, len(builders))
 	for bi, b := range builders {
 		remap[bi] = make([]uint32, sentinel+len(table(b)))
-		for i, v := range table(b) {
-			remap[bi][sentinel+i] = idx[key(v)]
+		for i, k := range keys(b) {
+			remap[bi][sentinel+i] = idx[k]
 		}
 	}
 	return all, remap, idx
 }
-
-func identity[V any](v V) V { return v }
 
 // sealCursor is a write position in an event arena and the community
 // arena.
@@ -386,11 +427,14 @@ func countingSort[T any](dst, src []T, n int, key func(T) uint32) {
 func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, sorted int, err error) {
 	h = &History{}
 	var peerMap, prefixMap, pathMap, aggMap [][]uint32
-	h.peers, peerMap, _ = canonTable(builders, func(b *HistoryBuilder) []PeerID { return b.peers }, 0, identity, comparePeers)
-	h.prefixes, prefixMap, h.prefixIdx = canonTable(builders, func(b *HistoryBuilder) []netip.Prefix { return b.prefixes.vals }, 0, identity, comparePrefixes)
-	h.paths, pathMap, _ = canonTable(builders, func(b *HistoryBuilder) []bgp.ASPath { return b.paths.vals }, 1,
-		func(p bgp.ASPath) *bgp.PathSegment { return &p.Segments[0] }, comparePaths)
-	h.aggs, aggMap, _ = canonTable(builders, func(b *HistoryBuilder) []*bgp.Aggregator { return b.aggs.vals }, 1, identity, compareAggregators)
+	peers := func(b *HistoryBuilder) []PeerID { return b.peers }
+	prefixes := func(b *HistoryBuilder) []netip.Prefix { return b.prefixes.vals }
+	h.peers, peerMap, _ = canonTable(builders, peers, peers, 0, comparePeers)
+	h.prefixes, prefixMap, h.prefixIdx = canonTable(builders, prefixes, prefixes, 0, comparePrefixes)
+	h.paths, pathMap, _ = canonTable(builders, func(b *HistoryBuilder) []bgp.ASPath { return b.paths.vals },
+		func(b *HistoryBuilder) []uint32 { return b.paths.ids }, 1, comparePaths)
+	h.aggs, aggMap, _ = canonTable(builders, func(b *HistoryBuilder) []*bgp.Aggregator { return b.aggs.vals },
+		func(b *HistoryBuilder) []uint32 { return b.aggs.ids }, 1, compareAggregators)
 
 	// Lay the spans out in ascending key order and hand every builder its
 	// cursors: ordered by (key, builder), the builders' pairs are visited
@@ -464,6 +508,7 @@ func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, so
 				for _, r := range blk {
 					c := &cur[r.slot]
 					r.path, r.agg, r.slot = paths[r.path], aggs[r.agg], 0
+					r.order += b.base
 					if r.commN > 0 {
 						copy(h.comms[c.comm:], b.comms[r.commOff:][:r.commN])
 						r.commOff = c.comm
@@ -502,6 +547,7 @@ func sealHistory(e *pipeline.Engine, builders []*HistoryBuilder) (h *History, so
 	for bi, b := range builders {
 		for _, r := range b.sess {
 			r.slot = peerMap[bi][r.slot]
+			r.order += b.base
 			h.sess = append(h.sess, r)
 		}
 	}

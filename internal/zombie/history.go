@@ -112,9 +112,10 @@ func oneSegmentStreams(updates map[string][]byte) map[string][][]byte {
 // rotated files of archive.OpenMapped) forming one logical stream, never
 // copied together. The pipeline engine decodes the streams concurrently in
 // record-aligned chunks, borrowing the archive bytes; every chunk observes
-// its records into its own HistoryBuilder, and the chunk builders are
-// sealed in (file, chunk) order — sealHistory's seal-order invariant — so
-// the History is identical for any segmentation and any parallelism
+// its records into its own HistoryBuilder, numbering them within the
+// chunk, and once the fold has bound the chunks' positions the builders
+// are sealed in (file, chunk) order — sealHistory's seal-order invariant —
+// so the History is identical for any segmentation and any parallelism
 // (0 or 1: one inline worker).
 func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelism int) (*History, error) {
 	sp := obs.StartSpan("zombie.build_history")
@@ -125,24 +126,24 @@ func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelis
 	sp.SetArg("workers", e.Workers)
 	tracked := track.prepare()
 	_, chunks, err := pipeline.FoldStreams(e, streams,
-		func(pipeline.FileChunk) *HistoryBuilder {
+		func(fc pipeline.FileChunk) *HistoryBuilder {
 			b := newHistoryBuilder(tracked)
-			b.dropOnSeal = true
+			b.dropOnSeal, b.chunk = true, fc
 			return b
 		},
 		func(b *HistoryBuilder, fc pipeline.FileChunk, idx int, rec mrt.Record) error {
-			// The record's position across the whole archive set, so the
-			// same-second tie-break does not depend on where chunks fall
-			// (idx also counts the record types the decoder skips).
-			b.order = fc.FileBase + idx
+			// The record's position within the chunk (idx also counts the
+			// record types the decoder skips); bindPositions adds the
+			// chunk's base once the fold has counted it.
+			b.order = idx
 			return b.Observe(fc.Name, rec)
 		})
-	if err != nil {
-		return nil, wrapFileError(err)
-	}
 	var builders []*HistoryBuilder
 	for _, file := range chunks {
 		builders = append(builders, file...)
+	}
+	if err = bindPositions(builders, err); err != nil {
+		return nil, err
 	}
 	sp.SetArg("builders", len(builders))
 
@@ -164,14 +165,33 @@ func BuildHistoryStreams(streams map[string][][]byte, track TrackSet, parallelis
 	return h, nil
 }
 
-// wrapFileError rewraps a pipeline position error into BuildHistory's
-// error shape.
-func wrapFileError(err error) error {
+// bindPositions gives every chunk builder its chunk's position across the
+// whole archive set, so the same-second tie-break does not depend on where
+// chunks fall, and returns BuildHistory's error: the fold's error, or
+// ErrHistoryTooLarge where a record's position passes maxHistory first.
+// Builders come in (file, chunk) order, so the first whose last position
+// is past the bound holds the first record past it; a fold error wins
+// only in an earlier chunk, since a chunk stops at its own error. Files
+// are in name order.
+func bindPositions(builders []*HistoryBuilder, err error) error {
 	var fe *pipeline.FileError
-	if errors.As(err, &fe) {
+	if err != nil && !errors.As(err, &fe) {
+		return err
+	}
+	for _, b := range builders {
+		base := b.chunk.FileBase() + b.chunk.Base()
+		if uint64(base)+uint64(b.order) > maxHistory {
+			if fe == nil || fe.Name > b.chunk.Name || fe.Name == b.chunk.Name && fe.Record >= b.chunk.Base() {
+				fe = &pipeline.FileError{Name: b.chunk.Name, Err: ErrHistoryTooLarge}
+			}
+			break
+		}
+		b.base = uint32(base)
+	}
+	if fe != nil {
 		return fmt.Errorf("zombie: collector %s: %w", fe.Name, fe.Err)
 	}
-	return err
+	return nil
 }
 
 // recordEvents converts one update-file record into its history events.
