@@ -11,14 +11,17 @@
 //	           [-detect all] \
 //	           [-trace trace.json] [-progress 5s] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -detect runs the pluggable anomaly framework alongside the beacon
-// methodology: "all" or a comma-separated subset of zombie, moas,
-// hyperspecific, community. Findings are reported per detector (and
-// under "anomalies" with -json). With -detect the run builds one
-// track-all history — every prefix in the archive, not just beacon
-// prefixes — and the beacon detection and the anomaly detectors all read
-// it; the report is the one the beacon-only run prints. Expect more
-// memory than the beacon-only run, which keeps the beacon prefixes only.
+// -detect runs the anomaly detectors alongside the beacon methodology:
+// "all" or a comma-separated subset of zombie, moas, hyperspecific,
+// community. Their thresholds are fixed: a MOAS conflict lasts at least
+// 1h, a hyper-specific leak 30m, and a community storm is 8 community
+// changes on one session within 15m; the zombie detector takes
+// -threshold. Findings are reported per detector (and under "anomalies"
+// with -json). With -detect the run builds one track-all history — every
+// prefix in the archive, not just beacon prefixes — and the beacon
+// detection and the anomaly detectors all read it; the report is the one
+// the beacon-only run prints. Expect more memory than the beacon-only
+// run, which keeps the beacon prefixes only.
 //
 // -trace writes the run's span tree as Chrome trace-event JSON (open in
 // chrome://tracing or Perfetto) — decode, merge (the history seal) and
@@ -81,10 +84,6 @@ func run(args []string, w io.Writer) (err error) {
 		dotOut     = fs.String("dot", "", "write the most impactful outbreak's palm-tree graph (Graphviz DOT) to this file")
 		jsonOut    = fs.Bool("json", false, "emit the report as one JSON document on stdout instead of text")
 		detect     = fs.String("detect", "", "run anomaly detectors over the archive: 'all' or a comma-separated subset of "+joinNames())
-		moasMin    = fs.Duration("moas-min", zombie.DefaultMOASMinDuration, "minimum concurrent-origin overlap for a MOAS conflict finding")
-		hyperMin   = fs.Duration("hyper-min", zombie.DefaultHyperMinDuration, "minimum visibility for a hyper-specific prefix finding")
-		stormMin   = fs.Int("storm-events", zombie.DefaultStormMinEvents, "community changes within -storm-window that constitute a noise storm")
-		stormWin   = fs.Duration("storm-window", zombie.DefaultStormWindow, "rate window for community-storm detection")
 		parallel   = fs.Int("parallel", runtime.NumCPU(), "pipeline workers for decode/detection (0 or 1: one inline worker; the report is identical for any value)")
 		traceOut   = fs.String("trace", "", "write the run's spans as Chrome trace-event JSON to this file")
 		progress   = fs.Duration("progress", 0, "log a pipeline progress heartbeat to stderr at this interval (0 disables)")
@@ -164,13 +163,7 @@ func run(args []string, w io.Writer) (err error) {
 			names = splitDetect(*detect)
 		}
 		dets, derr := zombie.BuildAnomalyDetectors(names, zombie.AnomalyConfig{
-			Intervals:        intervals,
-			Threshold:        *threshold,
-			MOASMinDuration:  *moasMin,
-			HyperMinDuration: *hyperMin,
-			StormMinEvents:   *stormMin,
-			StormWindow:      *stormWin,
-			Parallelism:      *parallel,
+			Intervals: intervals, Threshold: *threshold, Parallelism: *parallel,
 		})
 		if derr != nil {
 			return derr

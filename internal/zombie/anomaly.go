@@ -14,10 +14,10 @@ import (
 // The anomaly framework generalizes the zombie detector: long-lived
 // routing state that contradicts ground truth is one instance of a family
 // of pathologies (MOAS conflicts, hyper-specific leaks, community noise
-// storms) that all evaluate against the same columnar History arena. Each
-// detector implements AnomalyDetector; findings are typed Anomaly values
-// with lifespans, sorted canonically so any build mode and worker count
-// yields bit-identical reports.
+// storms) that all evaluate against the same columnar History arena. The
+// detectors are one fixed table of detect functions; findings are typed
+// Anomaly values with lifespans, sorted canonically so any build mode and
+// worker count yields bit-identical reports.
 
 // Window bounds an anomaly evaluation in record time. Findings are
 // clipped to it; state carried in from before From still counts.
@@ -54,60 +54,40 @@ type Anomaly struct {
 // Lifespan is the duration of the anomalous condition.
 func (a *Anomaly) Lifespan() time.Duration { return a.End.Sub(a.Start) }
 
-// AnomalyDetector evaluates one pathology over a shared history.
-// Implementations must be deterministic: the same history and window must
-// produce the same findings regardless of internal parallelism or how the
-// history was built (batch, parallel shards, or streamed).
-type AnomalyDetector interface {
-	Name() string
-	DetectAnomalies(h *History, win Window) []Anomaly
-}
-
-// AnomalyConfig carries the shared knobs detector factories consume.
-// Zero values select each detector's defaults.
+// AnomalyConfig carries what the detectors read from the run. The
+// non-zombie detectors' thresholds are fixed (see anomaly_detectors.go).
 type AnomalyConfig struct {
 	// Intervals drive the zombie detector (it is interval-anchored; the
 	// other detectors are interval-free).
 	Intervals []beacon.Interval
 	// Threshold is the zombie stuck-route threshold.
 	Threshold time.Duration
-	// MOASMinDuration is the minimum concurrent-origin overlap before a
-	// MOAS conflict counts as long-lived. Default 1h.
-	MOASMinDuration time.Duration
-	// HyperMinDuration is the minimum visibility of a hyper-specific
-	// prefix before it counts as a leak. Default 30m.
-	HyperMinDuration time.Duration
-	// StormMinEvents / StormWindow define a community noise storm: at
-	// least StormMinEvents community changes on one (peer, prefix) within
-	// StormWindow. Defaults 8 events / 15m.
-	StormMinEvents int
-	StormWindow    time.Duration
 	// Parallelism fans detector internals (and the zombie detector's
 	// interval evaluation) over pipeline workers; results are identical
 	// for any value.
 	Parallelism int
 }
 
+// AnomalyDetector is one entry of the detector table bound to the config
+// it runs with; BuildAnomalyDetectors makes them. Every detect function
+// must be deterministic: the same history and window must produce the
+// same findings regardless of internal parallelism or how the history
+// was built (batch, parallel shards, or streamed).
+type AnomalyDetector struct {
+	name   string
+	detect func(h *History, win Window, cfg *AnomalyConfig) []Anomaly
+	cfg    *AnomalyConfig
+}
+
+// Name is the detector's table name.
+func (d AnomalyDetector) Name() string { return d.name }
+
 // anomalyDetectors is the fixed detector table, sorted by name.
-var anomalyDetectors = []struct {
-	name  string
-	build func(AnomalyConfig) AnomalyDetector
-}{
-	{"community", func(cfg AnomalyConfig) AnomalyDetector {
-		return &CommunityStormDetector{MinEvents: cfg.StormMinEvents, RateWindow: cfg.StormWindow, Parallelism: cfg.Parallelism}
-	}},
-	{"hyperspecific", func(cfg AnomalyConfig) AnomalyDetector {
-		return &HyperSpecificDetector{MinDuration: cfg.HyperMinDuration, Parallelism: cfg.Parallelism}
-	}},
-	{"moas", func(cfg AnomalyConfig) AnomalyDetector {
-		return &MOASDetector{MinDuration: cfg.MOASMinDuration, Parallelism: cfg.Parallelism}
-	}},
-	{"zombie", func(cfg AnomalyConfig) AnomalyDetector {
-		return &ZombieAnomalyDetector{
-			Det:       Detector{Threshold: cfg.Threshold, Parallelism: cfg.Parallelism},
-			Intervals: cfg.Intervals,
-		}
-	}},
+var anomalyDetectors = []AnomalyDetector{
+	{name: "community", detect: detectCommunityStorms},
+	{name: "hyperspecific", detect: detectHyperSpecifics},
+	{name: "moas", detect: detectMOAS},
+	{name: "zombie", detect: detectZombies},
 }
 
 // AnomalyDetectorNames lists the detector names, sorted.
@@ -130,7 +110,8 @@ next:
 	for _, name := range names {
 		for _, d := range anomalyDetectors {
 			if d.name == name {
-				out = append(out, d.build(cfg))
+				d.cfg = &cfg
+				out = append(out, d)
 				continue next
 			}
 		}
@@ -170,9 +151,10 @@ func RunAnomalyDetectors(h *History, win Window, dets []AnomalyDetector, paralle
 	defer sp.End()
 	slots := make([][]Anomaly, len(dets))
 	engine(parallelism, sp).For(len(dets), func(i int) {
-		findings := dets[i].DetectAnomalies(h, win)
+		d := &dets[i]
+		findings := d.detect(h, win, d.cfg)
 		for j := range findings {
-			findings[j].Detector = dets[i].Name()
+			findings[j].Detector = d.Name()
 		}
 		sortAnomalies(findings)
 		slots[i] = findings

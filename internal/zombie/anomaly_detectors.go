@@ -7,49 +7,40 @@ import (
 	"sort"
 	"time"
 
-	"zombiescope/internal/beacon"
 	"zombiescope/internal/bgp"
 )
 
-// Default thresholds for the non-zombie detectors.
+// Thresholds of the non-zombie detectors.
 const (
-	// DefaultMOASMinDuration: a MOAS conflict shorter than this is churn
-	// (an origin migration in flight), not a long-lived conflict.
-	DefaultMOASMinDuration = time.Hour
-	// DefaultHyperMinDuration: a hyper-specific prefix visible for less
-	// than this is a blip, not a leak past filters.
-	DefaultHyperMinDuration = 30 * time.Minute
-	// DefaultStormMinEvents / DefaultStormWindow: a community noise storm
-	// is at least this many community changes on one (peer, prefix)
-	// within the window.
-	DefaultStormMinEvents = 8
-	DefaultStormWindow    = 15 * time.Minute
+	// moasMinDuration: a MOAS conflict shorter than this is churn (an
+	// origin migration in flight), not a long-lived conflict.
+	moasMinDuration = time.Hour
+	// hyperMinDuration: a hyper-specific prefix visible for less than
+	// this is a blip, not a leak past filters.
+	hyperMinDuration = 30 * time.Minute
+	// stormMinEvents / stormWindow: a community noise storm is at least
+	// this many community changes on one (peer, prefix) within the
+	// window.
+	stormMinEvents = 8
+	stormWindow    = 15 * time.Minute
 )
 
 // Anomaly kinds.
 const (
-	KindZombieOutbreak = "zombie-outbreak"
-	KindMOASConflict   = "moas-conflict"
-	KindHyperSpecific  = "hyper-specific"
-	KindCommunityStorm = "community-storm"
+	kindZombieOutbreak = "zombie-outbreak"
+	kindMOASConflict   = "moas-conflict"
+	kindHyperSpecific  = "hyper-specific"
+	kindCommunityStorm = "community-storm"
 )
 
 // ---------------------------------------------------------------------------
-// Zombie detector, refactored behind the framework.
+// Zombie outbreaks.
 
-// ZombieAnomalyDetector wraps the paper's interval-anchored zombie
-// detector as an AnomalyDetector: each surviving outbreak becomes one
-// finding whose lifespan runs from the beacon withdrawal to the detection
-// instant.
-type ZombieAnomalyDetector struct {
-	Det       Detector
-	Intervals []beacon.Interval
-}
-
-func (d *ZombieAnomalyDetector) Name() string { return "zombie" }
-
-func (d *ZombieAnomalyDetector) DetectAnomalies(h *History, win Window) []Anomaly {
-	rep := d.Det.DetectFromHistory(h, d.Intervals)
+// detectZombies runs the paper's interval-anchored zombie detector: each
+// surviving outbreak becomes one finding whose lifespan runs from the
+// beacon withdrawal to the detection instant.
+func detectZombies(h *History, _ Window, cfg *AnomalyConfig) []Anomaly {
+	rep := (&Detector{Threshold: cfg.Threshold, Parallelism: cfg.Parallelism}).DetectFromHistory(h, cfg.Intervals)
 	var out []Anomaly
 	for _, ob := range rep.Filter(FilterOptions{}) {
 		origins := make(map[bgp.ASN]bool)
@@ -59,11 +50,11 @@ func (d *ZombieAnomalyDetector) DetectAnomalies(h *History, win Window) []Anomal
 			}
 		}
 		out = append(out, Anomaly{
-			Kind:    KindZombieOutbreak,
+			Kind:    kindZombieOutbreak,
 			Prefix:  ob.Prefix,
 			Origins: sortedOrigins(origins),
 			Start:   ob.Interval.WithdrawAt,
-			End:     ob.Interval.WithdrawAt.Add(d.Det.threshold()),
+			End:     ob.Interval.WithdrawAt.Add(rep.Threshold),
 			Count:   len(ob.Routes),
 			Detail:  fmt.Sprintf("%d stuck routes across %d peer ASes", len(ob.Routes), len(ob.PeerASes())),
 		})
@@ -74,29 +65,15 @@ func (d *ZombieAnomalyDetector) DetectAnomalies(h *History, win Window) []Anomal
 // ---------------------------------------------------------------------------
 // Long-lived MOAS conflicts.
 
-// MOASDetector finds prefixes concurrently originated by two or more ASes
-// for longer than MinDuration (Sediqi et al., "Live Long and Prosper").
+// detectMOAS finds prefixes concurrently originated by two or more ASes
+// for at least moasMinDuration (Sediqi et al., "Live Long and Prosper").
 // Per peer it reduces the merged announce/withdraw/session stream to
 // ±1 deltas on a per-origin live-route count; the per-prefix sweep then
 // applies deltas grouped by record timestamp, so the verdict depends only
 // on state at each instant — never on how same-instant records from
 // different peers happened to interleave during the build.
-type MOASDetector struct {
-	MinDuration time.Duration
-	Parallelism int
-}
-
-func (d *MOASDetector) Name() string { return "moas" }
-
-func (d *MOASDetector) minDuration() time.Duration {
-	if d.MinDuration <= 0 {
-		return DefaultMOASMinDuration
-	}
-	return d.MinDuration
-}
-
-func (d *MOASDetector) DetectAnomalies(h *History, win Window) []Anomaly {
-	return sweepPrefixes(h, d.Parallelism, func(xi uint32, p netip.Prefix) []Anomaly {
+func detectMOAS(h *History, win Window, cfg *AnomalyConfig) []Anomaly {
+	return sweepPrefixes(h, cfg.Parallelism, func(xi uint32, p netip.Prefix) []Anomaly {
 		var deltas []originDelta
 		for _, ki := range h.prefixPairs(xi) {
 			deltas = appendOriginDeltas(deltas, h, int(ki))
@@ -115,8 +92,8 @@ func (d *MOASDetector) DetectAnomalies(h *History, win Window) []Anomaly {
 		origins := make(map[bgp.ASN]bool)
 		var out []Anomaly
 		emit := func(end time.Time) {
-			if a, ok := clipWindow(start, end, win, d.minDuration()); ok {
-				a.Kind = KindMOASConflict
+			if a, ok := clipWindow(start, end, win, moasMinDuration); ok {
+				a.Kind = kindMOASConflict
 				a.Prefix = p
 				a.Origins = sortedOrigins(origins)
 				a.Count = len(a.Origins)
@@ -163,36 +140,13 @@ func (d *MOASDetector) DetectAnomalies(h *History, win Window) []Anomaly {
 // ---------------------------------------------------------------------------
 // Hyper-specific prefixes.
 
-// HyperSpecificDetector finds prefixes more specific than what transit
+// detectHyperSpecifics finds prefixes more specific than what transit
 // filters conventionally admit (/25–/32 IPv4, /49–/128 IPv6) that stayed
-// visible beyond MinDuration. Presence is the union across peers, swept
-// with timestamp-grouped deltas like the MOAS sweep.
-type HyperSpecificDetector struct {
-	MinDuration time.Duration
-	Parallelism int
-}
-
-func (d *HyperSpecificDetector) Name() string { return "hyperspecific" }
-
-func (d *HyperSpecificDetector) minDuration() time.Duration {
-	if d.MinDuration <= 0 {
-		return DefaultHyperMinDuration
-	}
-	return d.MinDuration
-}
-
-// HyperSpecific reports whether p is more specific than conventional
-// transit filters admit.
-func HyperSpecific(p netip.Prefix) bool {
-	if p.Addr().Is4() {
-		return p.Bits() >= 25
-	}
-	return p.Bits() >= 49
-}
-
-func (d *HyperSpecificDetector) DetectAnomalies(h *History, win Window) []Anomaly {
-	return sweepPrefixes(h, d.Parallelism, func(xi uint32, p netip.Prefix) []Anomaly {
-		if !HyperSpecific(p) {
+// visible for at least hyperMinDuration. Presence is the union across
+// peers, swept with timestamp-grouped deltas like the MOAS sweep.
+func detectHyperSpecifics(h *History, win Window, cfg *AnomalyConfig) []Anomaly {
+	return sweepPrefixes(h, cfg.Parallelism, func(xi uint32, p netip.Prefix) []Anomaly {
+		if !hyperSpecific(p) {
 			return nil
 		}
 		var deltas []presenceDelta
@@ -210,8 +164,8 @@ func (d *HyperSpecificDetector) DetectAnomalies(h *History, win Window) []Anomal
 		var start time.Time
 		var out []Anomaly
 		emit := func(end time.Time) {
-			if a, ok := clipWindow(start, end, win, d.minDuration()); ok {
-				a.Kind = KindHyperSpecific
+			if a, ok := clipWindow(start, end, win, hyperMinDuration); ok {
+				a.Kind = kindHyperSpecific
 				a.Prefix = p
 				a.Origins = sortedOrigins(origins)
 				a.Count = peak
@@ -249,35 +203,14 @@ func (d *HyperSpecificDetector) DetectAnomalies(h *History, win Window) []Anomal
 // ---------------------------------------------------------------------------
 // Community noise storms.
 
-// CommunityStormDetector finds (peer, prefix) sessions whose community
+// detectCommunityStorms finds (peer, prefix) sessions whose community
 // attribute churns abnormally fast (Krenc et al., "Keep your Communities
-// Clean"): at least MinEvents community *changes* within RateWindow. A
-// change is an announcement whose community set differs from the
-// previous announcement's; re-announcements with identical communities
-// (beacon refreshes) never count.
-type CommunityStormDetector struct {
-	MinEvents   int
-	RateWindow  time.Duration
-	Parallelism int
-}
-
-func (d *CommunityStormDetector) Name() string { return "community" }
-
-func (d *CommunityStormDetector) minEvents() int {
-	if d.MinEvents <= 0 {
-		return DefaultStormMinEvents
-	}
-	return d.MinEvents
-}
-
-func (d *CommunityStormDetector) rateWindow() time.Duration {
-	if d.RateWindow <= 0 {
-		return DefaultStormWindow
-	}
-	return d.RateWindow
-}
-
-func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anomaly {
+// Clean"): at least stormMinEvents community *changes* within
+// stormWindow. A change is an announcement whose community set differs
+// from the previous announcement's; re-announcements with identical
+// communities (beacon refreshes) never count. Storms are not clipped to
+// the window.
+func detectCommunityStorms(h *History, _ Window, cfg *AnomalyConfig) []Anomaly {
 	slots := make([][]Anomaly, len(h.pairKeys))
 	eval := func(ki int) {
 		key := h.pairKeys[ki]
@@ -302,7 +235,6 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 			prev, prevValid = comms, true
 		}
 
-		me, rw := d.minEvents(), d.rateWindow()
 		var out []Anomaly
 		runStart, runEnd := -1, -1
 		flush := func() {
@@ -310,7 +242,7 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 				return
 			}
 			a := Anomaly{
-				Kind:   KindCommunityStorm,
+				Kind:   kindCommunityStorm,
 				Prefix: h.prefixes[xi],
 				Peer:   h.peers[pi],
 				Start:  churn[runStart],
@@ -321,8 +253,8 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 			out = append(out, a)
 			runStart, runEnd = -1, -1
 		}
-		for i := 0; i+me-1 < len(churn); i++ {
-			if churn[i+me-1].Sub(churn[i]) > rw {
+		for i := 0; i+stormMinEvents-1 < len(churn); i++ {
+			if churn[i+stormMinEvents-1].Sub(churn[i]) > stormWindow {
 				continue
 			}
 			if runStart >= 0 && i > runEnd {
@@ -331,12 +263,12 @@ func (d *CommunityStormDetector) DetectAnomalies(h *History, win Window) []Anoma
 			if runStart < 0 {
 				runStart = i
 			}
-			runEnd = i + me - 1
+			runEnd = i + stormMinEvents - 1
 		}
 		flush()
 		slots[ki] = out
 	}
-	engine(d.Parallelism, nil).For(len(h.pairKeys), eval)
+	engine(cfg.Parallelism, nil).For(len(h.pairKeys), eval)
 	var out []Anomaly
 	for _, as := range slots {
 		out = append(out, as...)
@@ -360,6 +292,15 @@ func sweepPrefixes(h *History, parallelism int, eval func(xi uint32, p netip.Pre
 		out = append(out, as...)
 	}
 	return out
+}
+
+// hyperSpecific reports whether p is more specific than conventional
+// transit filters admit.
+func hyperSpecific(p netip.Prefix) bool {
+	if p.Addr().Is4() {
+		return p.Bits() >= 25
+	}
+	return p.Bits() >= 49
 }
 
 // originDelta is one ±1 change of an origin's live-route count at an

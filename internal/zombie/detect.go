@@ -271,7 +271,7 @@ func EmergenceRates(rep *Report, opts FilterOptions) []EmergenceRate {
 		if out[i].PeerAS != out[j].PeerAS {
 			return out[i].PeerAS < out[j].PeerAS
 		}
-		return out[i].Prefix.Addr().Less(out[j].Prefix.Addr())
+		return comparePrefixes(out[i].Prefix, out[j].Prefix) < 0
 	})
 	return out
 }

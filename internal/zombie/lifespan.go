@@ -266,11 +266,8 @@ func (rep *LifespanReport) Resurrections() []Resurrection {
 		if !a.ReappearedAt.Equal(b.ReappearedAt) {
 			return a.ReappearedAt.Before(b.ReappearedAt)
 		}
-		if a.Prefix != b.Prefix {
-			if a.Prefix.Addr() != b.Prefix.Addr() {
-				return a.Prefix.Addr().Less(b.Prefix.Addr())
-			}
-			return a.Prefix.Bits() < b.Prefix.Bits()
+		if c := comparePrefixes(a.Prefix, b.Prefix); c != 0 {
+			return c < 0
 		}
 		return comparePeers(a.Peer, b.Peer) < 0
 	})
