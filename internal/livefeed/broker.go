@@ -135,6 +135,9 @@ type Broker struct {
 	replay []*sharedFrame
 	start  int
 	count  int
+
+	// enc is PublishAt's encode cache.
+	enc encodeCache
 }
 
 // NewBroker builds a broker with the configured metrics sink (its own
@@ -244,7 +247,7 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 	// subscriber rings, and ultimately the server's writev batches —
 	// shares this frame's bytes.
 	encSpan := span.Start("encode")
-	f, encErr := newEventFrame(&ev)
+	f, encErr := newEventFrame(&ev, &b.enc)
 	encSpan.End()
 	if f != nil {
 		f.ingest = ingestNanos
@@ -580,6 +583,7 @@ type backfill struct {
 	batchPos   int
 	ring       []*sharedFrame
 	ringPos    int
+	enc        *encodeCache // the journal range's, made when it is first read
 }
 
 // backfillNext serves the next catch-up frame: the journal range in
@@ -615,7 +619,7 @@ func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool) {
 			// frames (refs=1, owned by the caller): the resume path is the
 			// one place re-encoding still happens, and it is metered.
 			var err error
-			if f, err = newEventFrame(ev); err != nil {
+			if f, err = newEventFrame(ev, bl.enc); err != nil {
 				b.metrics.encodeErrors.Add(1) // skipped, as Publish would
 			} else {
 				b.metrics.encodes.Add(1)
@@ -627,6 +631,9 @@ func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool) {
 			// for an append ends short of the range; the part it lacks
 			// ends the catch-up with an error, not as an empty stretch.
 			j := b.cfg.Journal
+			if bl.enc == nil {
+				bl.enc = new(encodeCache)
+			}
 			to := min(bl.next-1+backfillBatch, bl.journalEnd, j.LastSeq())
 			bl.batch, bl.batchPos = bl.batch[:0], 0
 			err := j.Replay(bl.next-1, to, func(ev Event) error {

@@ -20,6 +20,8 @@ type Conn struct {
 	// what they keep, so one buffer serves the whole connection.
 	hdr [frameHeaderLen]byte
 	buf []byte
+	// dec is the fast decode path's cache of texts seen before.
+	dec decodeCache
 	// Hello is the server's greeting; Ack the subscription confirmation.
 	Hello Hello
 	Ack   Ack
@@ -113,7 +115,7 @@ func (c *Conn) Next() (Event, error) {
 		c.buf = payload
 		switch t {
 		case FrameEvent:
-			if ev, ok := decodeEventFast(payload); ok {
+			if ev, ok := decodeEventFast(payload, &c.dec); ok {
 				return ev, nil
 			}
 			var ev Event

@@ -2,6 +2,8 @@ package livefeed
 
 import (
 	"encoding/base64"
+	"encoding/binary"
+	"math/bits"
 	"net/netip"
 	"strconv"
 	"time"
@@ -15,12 +17,14 @@ import (
 // would escape or reject: a string byte outside printable ASCII or in
 // `"\<>&`; a year outside 0-9999; a zone offset not in whole minutes or
 // not under a day; an announcement with no prefixes; an invalid non-zero
-// prefix. FuzzEventEncode holds it to byte identity.
-func appendEvent(dst []byte, ev *Event) ([]byte, bool) {
+// prefix. Addresses, prefixes and the timestamp go through c, whose hits
+// append the text the plain path would. FuzzEventEncode holds it to byte
+// identity, through a cold cache and a warm one.
+func appendEvent(dst []byte, ev *Event, c *encodeCache) ([]byte, bool) {
 	if ev.Alert != nil {
 		return dst, false
 	}
-	e := fastEncoder{b: dst, ok: true}
+	e := fastEncoder{b: dst, ok: true, c: c}
 	e.b = append(e.b, `{"seq":`...)
 	e.b = strconv.AppendUint(e.b, ev.Seq, 10)
 	e.b = append(e.b, `,"channel":`...)
@@ -94,6 +98,7 @@ func appendEvent(dst []byte, ev *Event) ([]byte, bool) {
 type fastEncoder struct {
 	b  []byte
 	ok bool
+	c  *encodeCache
 }
 
 // str appends s quoted.
@@ -118,24 +123,41 @@ func (e *fastEncoder) plain(start int) {
 
 // time appends t as Time.MarshalJSON does, failing where it fails (year,
 // zone hour) and where decoding the text would not give t's offset back.
+// The memo holds only a time that passed those checks.
 func (e *fastEncoder) time(t time.Time) {
+	m := &e.c.time
+	if m.n > 0 && m.v == t {
+		e.b = append(e.b, m.bytes()...)
+		return
+	}
 	_, off := t.Zone()
 	if y := t.Year(); y < 0 || y > 9999 || off%60 != 0 || off <= -24*3600 || off >= 24*3600 {
 		e.ok = false
 		return
 	}
+	start := len(e.b)
 	e.b = append(e.b, '"')
 	e.b = t.AppendFormat(e.b, time.RFC3339Nano)
 	e.b = append(e.b, '"')
+	m.store(t, e.b[start:])
 }
 
-// addr appends a quoted as Addr.MarshalText does; an IPv6 zone is free
-// text, so it is checked like any string.
+// addr appends a quoted as Addr.MarshalText does. An IPv6 zone is free
+// text, so a zoned address bypasses the table and is checked like any
+// string; no other address text needs the check.
 func (e *fastEncoder) addr(a netip.Addr) {
 	e.b = append(e.b, '"')
-	start := len(e.b)
-	e.b = a.AppendTo(e.b)
-	e.plain(start)
+	if a.Zone() != "" {
+		start := len(e.b)
+		e.b = a.AppendTo(e.b)
+		e.plain(start)
+	} else if s := &e.c.addrs[addrSlot(a)]; s.v == a {
+		e.b = append(e.b, s.bytes()...)
+	} else {
+		start := len(e.b)
+		e.b = a.AppendTo(e.b)
+		s.store(a, e.b[start:])
+	}
 	e.b = append(e.b, '"')
 }
 
@@ -150,14 +172,106 @@ func (e *fastEncoder) prefixes(ps []netip.Prefix) {
 		if i > 0 {
 			e.b = append(e.b, ',')
 		}
-		// Prefix.MarshalText writes "invalid Prefix", which does not
-		// decode back.
-		if !p.IsValid() && p != (netip.Prefix{}) {
+		e.b = append(e.b, '"')
+		if s := &e.c.prefixes[prefixSlot(p)]; s.v == p {
+			e.b = append(e.b, s.bytes()...)
+		} else if p.IsValid() || p == (netip.Prefix{}) {
+			start := len(e.b)
+			e.b = p.AppendTo(e.b)
+			s.store(p, e.b[start:])
+		} else {
+			// Prefix.MarshalText writes "invalid Prefix", which does not
+			// decode back.
 			e.ok = false
 		}
 		e.b = append(e.b, '"')
-		e.b = p.AppendTo(e.b)
-		e.b = append(e.b, '"')
 	}
 	e.b = append(e.b, ']')
+}
+
+// Slot counts of the codec's text caches, as powers of two so a hash
+// picks a slot by its top bits. A feed names a few dozen peer and
+// next-hop addresses, and a few hundred prefixes are in flight at a time.
+const (
+	addrSlotBits   = 9
+	prefixSlotBits = 8
+	addrSlots      = 1 << addrSlotBits
+	prefixSlots    = 1 << prefixSlotBits
+)
+
+// textMax is the longest text a cache slot holds: an IPv6 prefix written
+// in full. Longer text is never stored.
+const textMax = len("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128")
+
+// textSlot is one entry of a bounded cache between a value and its text.
+// The zero slot maps the zero value to the empty text, which is what
+// AppendTo writes for the zero Addr and Prefix and what UnmarshalText
+// reads back from "", so an unused table slot is a correct entry. A memo
+// of a value whose text is never empty (a timestamp) tests n instead.
+type textSlot[T comparable] struct {
+	v    T
+	n    uint8
+	text [textMax]byte
+}
+
+func (s *textSlot[T]) bytes() []byte { return s.text[:s.n] }
+
+// store makes the slot map v to text, if text fits; otherwise the slot
+// keeps its old entry, which is still correct.
+func (s *textSlot[T]) store(v T, text []byte) {
+	if len(text) <= textMax {
+		s.v, s.n = v, uint8(copy(s.text[:], text))
+	}
+}
+
+// encodeCache remembers the text appendEvent wrote for recent addresses,
+// prefixes and the last timestamp. A table lookup compares the whole key
+// with ==, so a hit appends exactly the text a miss would format (for a
+// time.Time, == also compares the Location pointer). It is not safe for
+// concurrent use: the broker keeps one under its lock, and each journal
+// backlog one for its consumer goroutine.
+type encodeCache struct {
+	addrs    [addrSlots]textSlot[netip.Addr]
+	prefixes [prefixSlots]textSlot[netip.Prefix]
+	time     textSlot[time.Time] // text quoted
+}
+
+// mix is the splitmix64 finalizer: every input bit reaches the top bits,
+// which pick a slot.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// addrBits folds a's 128 bits into one word for mix.
+func addrBits(a netip.Addr) uint64 {
+	b := a.As16()
+	return binary.BigEndian.Uint64(b[:8]) ^ bits.RotateLeft64(binary.BigEndian.Uint64(b[8:]), 32)
+}
+
+func addrSlot(a netip.Addr) int { return int(mix(addrBits(a)) >> (64 - addrSlotBits)) }
+
+func prefixSlot(p netip.Prefix) int {
+	return int(mix(addrBits(p.Addr())^uint64(p.Bits())) >> (64 - prefixSlotBits))
+}
+
+// textSlotIndex hashes an address or prefix text to one of 1<<slotBits
+// slots. Text of eight bytes or more is read as three overlapping words,
+// from its start, middle and end, so texts that share a network part
+// still spread.
+func textSlotIndex(s []byte, slotBits int) int {
+	h := uint64(len(s))
+	if len(s) >= 8 {
+		h ^= binary.LittleEndian.Uint64(s) ^
+			bits.RotateLeft64(binary.LittleEndian.Uint64(s[(len(s)-8)/2:]), 21) ^
+			bits.RotateLeft64(binary.LittleEndian.Uint64(s[len(s)-8:]), 42)
+	} else {
+		for _, c := range s {
+			h = h<<8 | uint64(c)
+		}
+	}
+	return int(mix(h) >> (64 - slotBits))
 }

@@ -101,7 +101,8 @@ func fuzzEncodeEvent(in encodeInput) Event {
 // FuzzEventEncode holds appendEvent to json.Encoder: whenever appendEvent
 // accepts an event its bytes equal json.Encoder's, whenever json.Encoder
 // fails appendEvent declines, and an accepted UTC event decodes back
-// through decodeEventFast to itself. Run with
+// through decodeEventFast to itself, through a cold cache and through a
+// warm one filled from the seeds. Run with
 // `go test ./internal/livefeed -run NONE -fuzz FuzzEventEncode`.
 func FuzzEventEncode(f *testing.F) {
 	seeds := eventEncodeSeeds()
@@ -109,20 +110,37 @@ func FuzzEventEncode(f *testing.F) {
 		in := seeds[name].in
 		f.Add(in.shape, in.seq, in.collector, in.sec, in.nsec, in.offset, in.peer, in.zone, in.raw)
 	}
+	warm := warmEncodeCache(seeds)
 	f.Fuzz(func(t *testing.T, shape uint8, seq uint64, collector string, sec, nsec int64, offset int32, peer []byte, zone string, raw []byte) {
-		checkEventEncode(t, fuzzEncodeEvent(encodeInput{shape, seq, collector, sec, nsec, offset, peer, zone, raw}))
+		c := *warm
+		checkEventEncode(t, fuzzEncodeEvent(encodeInput{shape, seq, collector, sec, nsec, offset, peer, zone, raw}), &c)
 	})
+}
+
+// warmEncodeCache returns an encode cache filled by encoding every seed.
+func warmEncodeCache(seeds map[string]encodeSeed) *encodeCache {
+	c := new(encodeCache)
+	for _, name := range sortedNames(seeds) {
+		ev := fuzzEncodeEvent(seeds[name].in)
+		appendEvent(nil, &ev, c)
+	}
+	return c
 }
 
 // checkEventEncode is the fuzz body: it reports whether appendEvent took
 // ev, failing if its bytes differ from json.Encoder's or do not decode
-// back to ev.
-func checkEventEncode(t testing.TB, ev Event) bool {
+// back to ev, through a cold cache or through warm, or if the two caches
+// disagree on taking it.
+func checkEventEncode(t testing.TB, ev Event, warm *encodeCache) bool {
 	t.Helper()
 	prefix := []byte("hdr")
-	got, fast := appendEvent(append([]byte(nil), prefix...), &ev)
+	got, fast := appendEvent(append([]byte(nil), prefix...), &ev, new(encodeCache))
 	if !bytes.HasPrefix(got, prefix) {
 		t.Fatalf("appendEvent overwrote its dst: %q", got)
+	}
+	gotWarm, fastWarm := appendEvent(append([]byte(nil), prefix...), &ev, warm)
+	if fast != fastWarm || !bytes.Equal(got, gotWarm) {
+		t.Fatalf("appendEvent through a warm cache diverges from a cold one:\n cold: %v %q\n warm: %v %q", fast, got, fastWarm, gotWarm)
 	}
 	var want bytes.Buffer
 	err := json.NewEncoder(&want).Encode(&ev)
@@ -147,7 +165,7 @@ func checkEventEncode(t testing.TB, ev Event) bool {
 	if ev.Timestamp.Location() != time.UTC {
 		return true
 	}
-	back, ok := decodeEventFast(got)
+	back, ok := decodeEventFast(got, new(decodeCache))
 	if !ok {
 		t.Fatalf("decodeEventFast declines appendEvent's bytes %q", got)
 	}
@@ -223,6 +241,7 @@ func eventEncodeSeeds() map[string]encodeSeed {
 // appendEvent takes.
 func TestEventEncodeSeedCorpus(t *testing.T) {
 	seeds := eventEncodeSeeds()
+	warm := warmEncodeCache(seeds)
 	if *updateCorpus {
 		if err := os.MkdirAll(eventEncodeCorpusDir, 0o755); err != nil {
 			t.Fatal(err)
@@ -242,9 +261,77 @@ func TestEventEncodeSeedCorpus(t *testing.T) {
 			if !bytes.Equal(raw, s.in.corpusEntry()) {
 				t.Fatal("committed corpus entry diverges from eventEncodeSeeds (run with -update-corpus)")
 			}
-			if got := checkEventEncode(t, fuzzEncodeEvent(s.in)); got != s.fast {
+			c := *warm
+			if got := checkEventEncode(t, fuzzEncodeEvent(s.in), &c); got != s.fast {
 				t.Fatalf("appendEvent took the seed: %v, want %v", got, s.fast)
 			}
 		})
 	}
+}
+
+// TestCodecCacheCollisions cycles three events whose addresses,
+// prefixes, timestamps and collectors share every cache slot, through one
+// encode cache and one decode cache. Each encode must equal json.Encoder's
+// bytes and each decode json.Unmarshal's Event, so a slot may answer only
+// for its own key. The zero Addr and Prefix are among the keys: their text
+// is empty. Two of the timestamps are one instant in two zones, which a
+// memo comparing instants would confuse.
+func TestCodecCacheCollisions(t *testing.T) {
+	addrs := colliding(t, netip.Addr{}, func(i int) netip.Addr {
+		return netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 13: byte(i >> 16), 14: byte(i >> 8), 15: byte(i)})
+	}, addrSlot, addrSlotBits)
+	prefixes := colliding(t, netip.Prefix{}, func(i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom16([16]byte{0x2a, 0x0d, 0x3d, 0xc1, byte(i >> 16), byte(i >> 8), byte(i)}), 64)
+	}, prefixSlot, prefixSlotBits)
+	ts := time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC)
+	times := []time.Time{ts, ts.In(time.FixedZone("", 3600)), ts.Add(time.Nanosecond)}
+	var enc encodeCache
+	var dec decodeCache
+	for i := 0; i < 9; i++ {
+		k := i % 3
+		ev := Event{
+			Seq: uint64(i + 1), Channel: ChannelUpdates, Type: TypeUpdate, Collector: fmt.Sprintf("rrc%02d", k),
+			Timestamp: times[k], PeerAS: 25091, Peer: addrs[k], Path: []bgp.ASN{25091, 8298},
+			Announcements: []Announcement{{NextHop: addrs[k], Prefixes: []netip.Prefix{prefixes[k]}}},
+			Withdrawals:   []netip.Prefix{prefixes[k]}, Raw: []byte{byte(i)},
+		}
+		got, ok := appendEvent(nil, &ev, &enc)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if !ok || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("event %d: encode through a shared slot:\n got:  %q\n want: %q", i, got, want.Bytes())
+		}
+		back, ok := decodeEventFast(got, &dec)
+		var wantEv Event
+		if err := json.Unmarshal(got, &wantEv); err != nil {
+			t.Fatal(err)
+		}
+		if !ok || !reflect.DeepEqual(back, wantEv) {
+			t.Fatalf("event %d: decode through a shared slot:\n got:  %#v\n want: %#v", i, back, wantEv)
+		}
+	}
+}
+
+// colliding returns first and two distinct values of gen that share its
+// encode slot (by slot) and its decode slot (by text, over 1<<textBits
+// slots).
+func colliding[T interface {
+	comparable
+	AppendTo([]byte) []byte
+}](t *testing.T, first T, gen func(int) T, slot func(T) int, textBits int) []T {
+	t.Helper()
+	text := first.AppendTo(nil)
+	vs := []T{first}
+	for i := 0; i < 1<<24 && len(vs) < 3; i++ {
+		v := gen(i)
+		if v != first && slot(v) == slot(first) && textSlotIndex(v.AppendTo(nil), textBits) == textSlotIndex(text, textBits) {
+			vs = append(vs, v)
+		}
+	}
+	if len(vs) < 3 {
+		t.Fatal("no three colliding values")
+	}
+	return vs
 }

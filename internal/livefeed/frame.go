@@ -85,14 +85,14 @@ var encPool = sync.Pool{New: func() any {
 }}
 
 // newEventFrame encodes ev once into a pooled frame: appendEvent writes
-// update and state events straight after the reserved header, and
-// json.Encoder writes everything appendEvent declines. The returned frame
-// holds one reference owned by the caller. Callers account the encode
-// into livefeed_encode_total themselves (broker hot path and backfill
-// both come through here).
-func newEventFrame(ev *Event) (*sharedFrame, error) {
+// update and state events straight after the reserved header, through the
+// caller's cache, and json.Encoder writes everything appendEvent declines.
+// The returned frame holds one reference owned by the caller. Callers
+// account the encode into livefeed_encode_total themselves (broker hot
+// path and backfill both come through here).
+func newEventFrame(ev *Event, c *encodeCache) (*sharedFrame, error) {
 	f := framePool.Get().(*sharedFrame)
-	w, ok := appendEvent(append(f.wire[:0], make([]byte, frameHeaderLen)...), ev)
+	w, ok := appendEvent(append(f.wire[:0], make([]byte, frameHeaderLen)...), ev, c)
 	if !ok {
 		evc := *ev // keeps ev off the heap: only this branch reflects
 		fe := encPool.Get().(*frameEncoder)

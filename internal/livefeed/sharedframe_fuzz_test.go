@@ -95,7 +95,7 @@ func checkSharedFrame(t testing.TB, data []byte) {
 	}
 	ev := fuzzEvent(data)
 
-	fr, err := newEventFrame(&ev)
+	fr, err := newEventFrame(&ev, new(encodeCache))
 	if err != nil {
 		t.Fatalf("event built from fuzz bytes failed to encode: %v", err)
 	}
@@ -142,12 +142,13 @@ func checkSharedFrame(t testing.TB, data []byte) {
 		fr.retain()
 	}
 	fr.release() // the "publisher" is done; holders references remain
+	warm := new(encodeCache)
 	for i := 0; i < holders; i++ {
 		churn := int(s1>>(i%8)&3) + 1
 		for c := 0; c < churn; c++ {
 			evc := fuzzEvent(data)
 			evc.Seq = ev.Seq + uint64(i*churn+c) + 1
-			other, err := newEventFrame(&evc)
+			other, err := newEventFrame(&evc, warm)
 			if err != nil {
 				t.Fatalf("churn encode: %v", err)
 			}
@@ -161,6 +162,17 @@ func checkSharedFrame(t testing.TB, data []byte) {
 		}
 		fr.release()
 	}
+
+	// The churn filled warm with ev's addresses, prefixes and timestamp;
+	// encoding ev through it must still give the oracle's bytes.
+	rewarm, err := newEventFrame(&ev, warm)
+	if err != nil {
+		t.Fatalf("warm encode: %v", err)
+	}
+	if !bytes.Equal(rewarm.wire, oracle.Bytes()) {
+		t.Fatalf("shared frame through a warm cache differs from WriteFrame oracle:\n  frame:  %q\n  oracle: %q", rewarm.wire, oracle.Bytes())
+	}
+	rewarm.release()
 
 	// Invariant 4: the frame is now recycled; releasing again must panic,
 	// not silently corrupt whatever the pool hands out next.
@@ -176,7 +188,7 @@ func checkSharedFrame(t testing.TB, data []byte) {
 		// The panicked release left refs at -1 on a pooled frame;
 		// newEventFrame resets the count on reuse, so the pool stays
 		// coherent — prove it by encoding once more.
-		again, err := newEventFrame(&ev)
+		again, err := newEventFrame(&ev, warm)
 		if err != nil {
 			t.Fatalf("encode after recovered double release: %v", err)
 		}
