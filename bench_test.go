@@ -412,8 +412,8 @@ func BenchmarkPipelineDetect(b *testing.B) {
 	}
 }
 
-// benchFanoutEvent is the typical UPDATE payload the fan-out benchmarks
-// publish; raw bytes are omitted so they isolate fan-out, not MRT
+// benchFanoutEvent is the typical UPDATE payload the oracle benchmark
+// publishes; raw bytes are omitted so it isolates fan-out, not MRT
 // encoding.
 func benchFanoutEvent() livefeed.Event {
 	return livefeed.Event{
@@ -431,6 +431,36 @@ func benchFanoutEvent() livefeed.Event {
 	}
 }
 
+// benchFanoutRecordEvent is the same UPDATE as PublishRecord publishes it,
+// carrying its MRT record, so a subscriber may take it in either frame
+// format.
+func benchFanoutRecordEvent(b *testing.B) livefeed.Event {
+	u := bgp.Update{Attrs: bgp.PathAttributes{
+		HasOrigin: true,
+		ASPath:    bgp.NewASPath(61573, 3356, 8298, 210312),
+		MPReach: &bgp.MPReachNLRI{
+			AFI: bgp.AFIIPv6, SAFI: bgp.SAFIUnicast,
+			NextHop: netip.MustParseAddr("2001:db8::1"),
+			NLRI:    []netip.Prefix{netip.MustParsePrefix("2a0d:3dc1:1851::/48")},
+		},
+	}}
+	data, err := u.AppendWireFormat(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, ok := livefeed.EventFromRecord("rrc00", &mrt.BGP4MPMessage{
+		Timestamp: time.Date(2024, 6, 10, 12, 0, 0, 0, time.UTC),
+		PeerAS:    61573, LocalAS: 12654, AFI: bgp.AFIIPv6,
+		PeerIP:  netip.MustParseAddr("2001:db8:feed::1"),
+		LocalIP: netip.MustParseAddr("2001:db8:feed::2"),
+		Data:    data,
+	}, true)
+	if !ok || len(ev.Raw) == 0 {
+		b.Fatal("benchmark update has no record")
+	}
+	return ev
+}
+
 // benchFanoutSubs are the subscriber populations the fan-out benchmarks
 // sweep — up to RIS-Live order of magnitude.
 var benchFanoutSubs = []int{1, 100, 10000, 100000}
@@ -446,12 +476,12 @@ var benchFanoutSubs = []int{1, 100, 10000, 100000}
 // metrics: ns/op and allocs/op are per published event; deliv/op is the
 // fan-out (== subs, asserted); deliv/s is delivery throughput including
 // drain time.
-func runFanoutBench(b *testing.B, subs int, deliver func(livefeed.Frame)) {
+func runFanoutBench(b *testing.B, subs int, ev livefeed.Event, formats []string, deliver func(livefeed.Frame)) {
 	const ring = 64
 	broker := livefeed.NewBroker(livefeed.Config{RingSize: ring, ReplaySize: -1})
 	list := make([]*livefeed.Subscriber, subs)
 	for i := range list {
-		sub, _, err := broker.Subscribe(livefeed.Filter{}, livefeed.PolicyBlock, 0)
+		sub, _, err := broker.SubscribeFormat(livefeed.Filter{}, livefeed.PolicyBlock, formats[i%len(formats)], 0, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,7 +533,6 @@ func runFanoutBench(b *testing.B, subs int, deliver func(livefeed.Frame)) {
 			runtime.Gosched()
 		}
 	}
-	ev := benchFanoutEvent()
 	// Warm the frame pool with one ring of events first, as a running
 	// broker's is: otherwise the first publishes of every run grow fresh
 	// frames, which a short -benchtime bills as allocs/op.
@@ -534,14 +563,17 @@ func runFanoutBench(b *testing.B, subs int, deliver func(livefeed.Frame)) {
 }
 
 // BenchmarkLivefeedFanout measures the encode-once broadcast path: one
-// publisher, 1 to 100k subscribers sharing each event's single encoded
-// frame. Delivery is the zero-copy dequeue the server's writev loop
-// performs; allocs/op stays flat as subscribers grow because the encode
-// happens once per publish, not once per subscriber.
+// publisher, 1 to 100k subscribers sharing each event's encoded frames,
+// alternately taking Record frames and Event frames (the one subscriber
+// of subs=1 takes Record frames). Delivery is the zero-copy dequeue the
+// server's writev loop performs; allocs/op stays flat as subscribers grow
+// because each format is encoded once per publish, not once per
+// subscriber.
 func BenchmarkLivefeedFanout(b *testing.B) {
+	ev := benchFanoutRecordEvent(b)
 	for _, subs := range benchFanoutSubs {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			runFanoutBench(b, subs, func(fr livefeed.Frame) {
+			runFanoutBench(b, subs, ev, []string{livefeed.FormatMRT, livefeed.FormatJSON}, func(fr livefeed.Frame) {
 				// Touch the shared wire bytes the server's writev loop
 				// would hand to the kernel; the frame release below is
 				// the rest of the per-delivery cost.
@@ -563,7 +595,7 @@ func BenchmarkLivefeedFanoutOracle(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			published := benchFanoutEvent()
-			runFanoutBench(b, subs, func(fr livefeed.Frame) {
+			runFanoutBench(b, subs, published, []string{livefeed.FormatJSON}, func(fr livefeed.Frame) {
 				ev := published // the one event runFanoutBench publishes, as delivered
 				ev.Seq = fr.Seq()
 				if err := livefeed.WriteFrame(io.Discard, livefeed.FrameEvent, &ev); err != nil {

@@ -33,7 +33,13 @@
 // Subscribers connect with livefeed.Client (or any implementation of the
 // frame protocol documented in internal/livefeed), choosing server-side
 // filters and a backpressure policy (drop-oldest, kick-slowest; block
-// only when -policy-block is set). -speed 0 replays as fast as possible;
+// only when -policy-block is set). A subscribe frame with "format": "mrt"
+// receives each update that carries its MRT record as a record frame
+// (sequence number, collector name, the RFC 6396 record) instead of a
+// JSON event frame; alerts and heartbeats stay JSON. The Go client always
+// asks for it; a client that does not ask gets JSON event frames exactly
+// as before, and a server that predates the field ignores it. /statusz
+// names each session's format. -speed 0 replays as fast as possible;
 // -speed 3600 plays one simulated hour per wall second.
 //
 // On SIGINT/SIGTERM the daemon exits gracefully: the broker closes so

@@ -17,10 +17,10 @@
 // journal anyway.
 //
 // The store serves two reads, both through one loop over a sequence
-// range: Scan delivers every event (optionally of one payload kind) with
-// payload slices that alias the mapping, so MRT payloads feed bgp.Scratch
-// and the intern table zero-copy; Replay delivers the events of a
-// (from, to] sequence range with copied payloads.
+// range and both with payload slices that alias the mapping, so MRT
+// payloads feed bgp.Scratch and the intern table zero-copy: Scan delivers
+// every event (optionally of one payload kind), and Replay the events of a
+// (from, to] sequence range.
 //
 // Crash safety is by construction: every frame carries a CRC over its
 // kind and body, so a torn tail write (the process died mid-append) is

@@ -106,12 +106,19 @@ func replayAll(t testing.TB, st *Store) []Event {
 		from-- // Replay's range is (from, to]
 	}
 	if err := st.Replay(from, st.LastSeq(), func(ev Event) error {
-		got = append(got, ev)
+		got = append(got, owned(ev))
 		return nil
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	return got
+}
+
+// owned copies the parts of a delivered event that alias store memory.
+func owned(ev Event) Event {
+	ev.Payload = append([]byte(nil), ev.Payload...)
+	ev.Prefixes = append([]netip.Prefix(nil), ev.Prefixes...)
+	return ev
 }
 
 // scanAll returns the events a Scan of q delivers, copied out of the
@@ -120,9 +127,7 @@ func scanAll(t testing.TB, st *Store, q Query) []Event {
 	t.Helper()
 	var got []Event
 	if err := st.Scan(q, func(ev Event) error {
-		ev.Payload = append([]byte(nil), ev.Payload...)
-		ev.Prefixes = append([]netip.Prefix(nil), ev.Prefixes...)
-		got = append(got, ev)
+		got = append(got, owned(ev))
 		return nil
 	}); err != nil {
 		t.Fatalf("scan: %v", err)
@@ -256,7 +261,7 @@ func TestReplayRange(t *testing.T) {
 	appendAll(t, st, want)
 	var got []Event
 	if err := st.Replay(50, 120, func(ev Event) error {
-		got = append(got, ev)
+		got = append(got, owned(ev))
 		return nil
 	}); err != nil {
 		t.Fatal(err)

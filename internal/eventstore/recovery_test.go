@@ -558,7 +558,7 @@ func TestInconsistentEventRejected(t *testing.T) {
 			// The newest segment is intact.
 			var got []Event
 			if err := st.Replay(24, 40, func(ev Event) error {
-				got = append(got, ev)
+				got = append(got, owned(ev))
 				return nil
 			}); err != nil {
 				t.Fatal(err)

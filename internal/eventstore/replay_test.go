@@ -38,7 +38,7 @@ func TestReplayActiveWindows(t *testing.T) {
 		for to := from; to <= len(evs); to++ {
 			var got []Event
 			if err := st.Replay(uint64(from), uint64(to), func(ev Event) error {
-				got = append(got, ev)
+				got = append(got, owned(ev))
 				return nil
 			}); err != nil {
 				t.Fatalf("replay (%d, %d]: %v", from, to, err)

@@ -71,10 +71,9 @@ func (s *Store) releaseSnapshot(sn snapshot) {
 }
 
 // makeEvent assembles an Event from a decoded frame, or reports false when
-// the frame references an id beyond the dictionaries. With copyOut false
-// the payload (and prefix scratch) alias backing storage valid only until
-// the next event; with copyOut true everything is retention-safe.
-func makeEvent(e *rawEvent, d *segDicts, scratch *[]netip.Prefix, copyOut bool) (Event, bool) {
+// the frame references an id beyond the dictionaries. The payload (and
+// prefix scratch) alias backing storage valid only until the next event.
+func makeEvent(e *rawEvent, d *segDicts, scratch *[]netip.Prefix) (Event, bool) {
 	if !d.resolves(e) {
 		return Event{}, false
 	}
@@ -96,12 +95,6 @@ func makeEvent(e *rawEvent, d *segDicts, scratch *[]netip.Prefix, copyOut bool) 
 		}
 		ev.Prefixes = *scratch
 	}
-	if copyOut {
-		ev.Payload = append([]byte(nil), e.payload...)
-		if len(ev.Prefixes) > 0 {
-			ev.Prefixes = append([]netip.Prefix(nil), ev.Prefixes...)
-		}
-	}
 	return ev, true
 }
 
@@ -112,24 +105,24 @@ func makeEvent(e *rawEvent, d *segDicts, scratch *[]netip.Prefix, copyOut bool) 
 // payloads straight into bgp.Scratch. Returning an error from fn stops the
 // scan and returns that error.
 func (s *Store) Scan(q Query, fn func(Event) error) error {
-	return s.read(0, ^uint64(0), q.Kind, false, fn)
+	return s.read(0, ^uint64(0), q.Kind, fn)
 }
 
 // Replay streams the events with sequence numbers in (fromSeq, toSeq], in
-// order — the half-open range a resume-from-sequence subscriber wants.
-// Unlike Scan, delivered Events own their memory (payload and prefixes
-// are copied) so they can be queued past the callback. A non-empty range
-// that starts below FirstSeq fails with ErrDropped before delivering
-// anything: retention has dropped events the caller asked for, and
-// skipping them would be a silent gap.
+// order — the half-open range a resume-from-sequence subscriber wants —
+// gaps included. As with Scan, the callback's payload and prefixes alias
+// store memory valid only for the call: a caller that keeps an event
+// copies what it keeps. A non-empty range that starts below FirstSeq
+// fails with ErrDropped before delivering anything: retention has dropped
+// events the caller asked for, and skipping them would be a silent gap.
 func (s *Store) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
-	return s.read(fromSeq+1, toSeq, 0, true, fn)
+	return s.read(fromSeq+1, toSeq, 0, fn)
 }
 
 // read is the one read loop behind Scan and Replay: the events with
 // sequence numbers in [lo, hi] and payload kind kind (0: any), sealed
 // segments first, then the pinned range of the active segment.
-func (s *Store) read(lo, hi uint64, kind uint8, copyOut bool, fn func(Event) error) error {
+func (s *Store) read(lo, hi uint64, kind uint8, fn func(Event) error) error {
 	sn, err := s.snapshot(lo, hi)
 	if err != nil {
 		return err
@@ -145,14 +138,14 @@ func (s *Store) read(lo, hi uint64, kind uint8, copyOut bool, fn func(Event) err
 		if seg.idx.firstSeq > hi {
 			return nil
 		}
-		bytes, err := seg.walk(lo, hi, kind, copyOut, &scratch, fn)
+		bytes, err := seg.walk(lo, hi, kind, &scratch, fn)
 		s.metrics.scanBytes.Add(bytes)
 		if err != nil {
 			return err
 		}
 	}
 	if sn.activePath != "" {
-		return s.readActive(sn, kind, copyOut, &scratch, fn)
+		return s.readActive(sn, kind, &scratch, fn)
 	}
 	return nil
 }
@@ -163,7 +156,7 @@ func (s *Store) read(lo, hi uint64, kind uint8, copyOut bool, fn func(Event) err
 // a lifespan analysis make over months of segments. Event ordinal i must
 // hold sequence number firstSeq+i; anything else is ErrCorrupt. It returns
 // the event frame bytes visited.
-func (seg *segment) walk(lo, hi uint64, kind uint8, copyOut bool, scratch *[]netip.Prefix, fn func(Event) error) (int64, error) {
+func (seg *segment) walk(lo, hi uint64, kind uint8, scratch *[]netip.Prefix, fn func(Event) error) (int64, error) {
 	idx := seg.idx
 	if hi < idx.firstSeq || lo > idx.lastSeq {
 		return 0, nil
@@ -198,7 +191,7 @@ func (seg *segment) walk(lo, hi uint64, kind uint8, copyOut bool, scratch *[]net
 		if kind != 0 && (e.kind != kind || len(e.payload) == 0) {
 			continue
 		}
-		ev, ok := makeEvent(&e, &idx.segDicts, scratch, copyOut)
+		ev, ok := makeEvent(&e, &idx.segDicts, scratch)
 		if !ok {
 			return corrupt(ord, "event references a missing dictionary entry")
 		}
@@ -211,7 +204,7 @@ func (seg *segment) walk(lo, hi uint64, kind uint8, copyOut bool, scratch *[]net
 
 // readActive reads the byte range of the live segment file pinned in the
 // snapshot and streams its events of payload kind kind (0: any).
-func (s *Store) readActive(sn snapshot, kind uint8, copyOut bool, scratch *[]netip.Prefix, fn func(Event) error) error {
+func (s *Store) readActive(sn snapshot, kind uint8, scratch *[]netip.Prefix, fn func(Event) error) error {
 	f, err := os.Open(sn.activePath)
 	if err != nil {
 		return fmt.Errorf("eventstore: %w", err)
@@ -239,7 +232,7 @@ func (s *Store) readActive(sn snapshot, kind uint8, copyOut bool, scratch *[]net
 		if kind != 0 && (e.kind != kind || len(e.payload) == 0) {
 			return true
 		}
-		ev, ok := makeEvent(&e, &sn.dicts, scratch, copyOut)
+		ev, ok := makeEvent(&e, &sn.dicts, scratch)
 		if !ok {
 			return false
 		}

@@ -1,6 +1,8 @@
 package livefeed
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -8,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zombiescope/internal/eventstore"
 	"zombiescope/internal/mrt"
 	"zombiescope/internal/obs"
 )
@@ -76,7 +79,9 @@ type Config struct {
 	// resume-from-sequence requests that fall off the in-memory replay
 	// window. Append errors are counted (livefeed_journal_errors_total)
 	// but never stall publishing. Append receives the broker's shared
-	// encoding, so the journal never re-marshals an event.
+	// encoding of an event without a record, so the journal never
+	// re-marshals an event, and an event with a record is journaled as
+	// that record.
 	Journal Journal
 	// StartSeq seeds the broker's sequence counter, so a broker recovered
 	// from a journal continues numbering where the previous run stopped
@@ -106,10 +111,10 @@ func (c Config) replaySize() int {
 	return c.ReplaySize
 }
 
-// Broker assigns sequence numbers to published events, encodes each one
-// exactly once into a shared wire frame, retains a bounded replay window
-// of frames, and broadcasts frame references to every subscriber whose
-// filter matches.
+// Broker assigns sequence numbers to published events, encodes each one at
+// most once per frame format into a shared wire frame, retains a bounded
+// replay window of frames, and broadcasts frame references to every
+// subscriber whose filter matches.
 type Broker struct {
 	cfg     Config
 	metrics *Metrics
@@ -136,7 +141,7 @@ type Broker struct {
 	start  int
 	count  int
 
-	// enc is PublishAt's encode cache.
+	// enc is the encode cache of every Event frame built under mu.
 	enc encodeCache
 }
 
@@ -243,31 +248,39 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 		}
 	}
 
-	// Encode once. Every fan-out target below — journal, replay window,
-	// subscriber rings, and ultimately the server's writev batches —
-	// shares this frame's bytes.
+	// Encode once per format. Every fan-out target below — journal,
+	// replay window, subscriber rings, and ultimately the server's writev
+	// batches — shares this frame's bytes. An event with a record is
+	// journaled as that record and its wire forms are built in the
+	// fan-out, each only if a subscriber takes it; any other event's Event
+	// frame is built now, for the journal and for both formats.
 	encSpan := span.Start("encode")
-	f, encErr := newEventFrame(&ev, &b.enc)
+	f := newFrame()
+	f.ev = ev
+	if !ev.hasRecord() {
+		if f.encodeJSON(&b.enc) != nil {
+			// Only an event JSON cannot carry (a timestamp past year 9999)
+			// gets here; counted and skipped rather than crashing the feed.
+			// The sequence number stays consumed — subscribers tolerate
+			// gaps exactly as they do for filtered events, and the journal
+			// keeps the same gap.
+			b.metrics.encodeErrors.Add(1)
+			f.release()
+			f = nil
+		} else {
+			b.metrics.encodeJSON.Add(1)
+		}
+	}
 	encSpan.End()
 	if f != nil {
 		f.ingest = ingestNanos
 		f.sampled = sampled
 	}
-	if encErr != nil {
-		// Only an event JSON cannot carry (a timestamp past year 9999)
-		// gets here; counted and skipped rather than crashing the feed.
-		// The sequence number stays consumed — subscribers tolerate gaps
-		// exactly as they do for filtered events, and the journal keeps
-		// the same gap.
-		b.metrics.encodeErrors.Add(1)
-	} else {
-		b.metrics.encodes.Add(1)
-	}
 
 	if b.cfg.Journal != nil {
 		jSpan := span.Start("journal")
 		var payload []byte
-		if f != nil {
+		if f != nil && !ev.hasRecord() {
 			payload = f.payload()
 		}
 		jerr := b.cfg.Journal.Append(ev, payload)
@@ -297,7 +310,7 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 	var pushes int64
 	if f != nil {
 		for _, s := range b.subs {
-			if s.catchingUp || !s.filter.Match(&ev) {
+			if s.catchingUp || !s.filter.Match(&ev) || !b.buildLocked(f, s.mrt) {
 				continue
 			}
 			if s.push(f, b.metrics) {
@@ -327,6 +340,28 @@ func (b *Broker) PublishAt(ev Event, ingestNanos int64) uint64 {
 	}
 	b.metrics.publishSeconds.Observe(obs.SinceNanos(start))
 	return seq
+}
+
+// buildLocked makes sure f holds the wire form a subscriber taking Record
+// frames (mrt) or Event frames dequeues, building it on first use; b.mu
+// must be held. false means the event cannot be encoded in that form: the
+// encode error is counted and the subscriber skips the event, as every
+// subscriber skips an event Publish could not encode.
+func (b *Broker) buildLocked(f *sharedFrame, mrt bool) bool {
+	switch {
+	case mrt && f.ev.hasRecord():
+		if len(f.rec) == 0 {
+			f.encodeRecord()
+			b.metrics.encodeMRT.Add(1)
+		}
+	case len(f.wire) == 0:
+		if f.encodeJSON(&b.enc) != nil {
+			b.metrics.encodeErrors.Add(1)
+			return false
+		}
+		b.metrics.encodeJSON.Add(1)
+	}
+	return true
 }
 
 // PublishRecord converts a collector record to an event carrying
@@ -363,13 +398,28 @@ func (b *Broker) Subscribe(f Filter, policy Policy, resumeFrom uint64) (sub *Sub
 // lost its very first connection unable to ask for the events published
 // in between (the chaos harness exposed exactly this gap). fromStart
 // with resumeFrom 0 instead replays every retained event, reporting
-// events no longer retained as lost. A filter naming an unknown channel
-// or event type is refused with an error. The subscriber starts in
-// catch-up, which the first refillLocked call made here sets up; Publish
-// pushes nothing to it until it joins live delivery.
+// events no longer retained as lost. The subscriber takes Event frames.
 func (b *Broker) SubscribeFrom(f Filter, policy Policy, resumeFrom uint64, fromStart bool) (sub *Subscriber, lost uint64, err error) {
+	return b.SubscribeFormat(f, policy, FormatJSON, resumeFrom, fromStart)
+}
+
+// SubscribeFormat is SubscribeFrom for a subscriber taking the given frame
+// format (see Subscribe.Format), the request a Subscribe frame makes. A
+// filter naming an unknown channel or event type, or an unknown format, is
+// refused with an error. The subscriber starts in catch-up, which the
+// first refillLocked call made here sets up; Publish pushes nothing to it
+// until it joins live delivery.
+func (b *Broker) SubscribeFormat(f Filter, policy Policy, format string, resumeFrom uint64, fromStart bool) (sub *Subscriber, lost uint64, err error) {
 	if err := f.validate(); err != nil {
 		return nil, 0, err
+	}
+	var mrt bool
+	switch format {
+	case "", FormatJSON:
+	case FormatMRT:
+		mrt = true
+	default:
+		return nil, 0, fmt.Errorf("livefeed: unknown frame format %q", format)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -377,6 +427,7 @@ func (b *Broker) SubscribeFrom(f Filter, policy Policy, resumeFrom uint64, fromS
 		return nil, 0, ErrBrokerClosed
 	}
 	sub = newSubscriber(b, f, policy, b.cfg.ringSize())
+	sub.mrt = mrt
 	next := b.seq + 1
 	if resumeFrom > 0 && resumeFrom < b.seq {
 		next = resumeFrom + 1
@@ -407,7 +458,8 @@ func (b *Broker) SubscribeFrom(f Filter, policy Policy, resumeFrom uint64, fromS
 //     retention that overtakes the catch-up ends it with ErrJournal.
 //   - Below the window: the journal serves [bl.next, windowStart-1],
 //     read outside every lock, then the backlog refills.
-//   - Inside the window: the matching window frames are retained. Without
+//   - Inside the window: the matching window frames are retained, each
+//     with the wire form s takes built if no one built it yet. Without
 //     a journal the window is their only copy, so s joins live delivery in
 //     this same lock section, and block policy stays lossless; with one, s
 //     stays in catch-up and refills once they are served.
@@ -434,12 +486,12 @@ func (b *Broker) refillLocked(s *Subscriber, subscribing bool) (lost uint64) {
 			return lost
 		}
 		// Slot i holds a sequence <= windowStart+i: the wanted ones start here.
-		bl.ring, bl.ringPos = bl.ring[:0], 0
+		bl.frames, bl.pos = bl.frames[:0], 0
 		for i := int(bl.next - windowStart); i < b.count; i++ {
 			fr := b.replay[(b.start+i)%len(b.replay)]
-			if fr.ev.Seq >= bl.next && s.filter.Match(&fr.ev) {
+			if fr.ev.Seq >= bl.next && s.filter.Match(&fr.ev) && b.buildLocked(fr, s.mrt) {
 				fr.retain()
-				bl.ring = append(bl.ring, fr)
+				bl.frames = append(bl.frames, fr)
 			}
 		}
 		bl.next = head + 1
@@ -536,13 +588,17 @@ type Subscriber struct {
 	// skips. Broker-lock protected.
 	catchingUp bool
 
-	// subscribeHead is the broker head SubscribeFrom subscribed at, which
+	// mrt marks a subscriber taking Record frames for events with a
+	// record. Written once before the subscriber is returned.
+	mrt bool
+
+	// subscribeHead is the broker head SubscribeFormat subscribed at, which
 	// the server acks. Written once before the subscriber is returned.
 	subscribeHead uint64
 
 	// backlog is the catch-up Next serves before live events, refilled
 	// each time it runs dry; nil once served after the join. Touched only
-	// by SubscribeFrom and then the consumer goroutine.
+	// by SubscribeFormat and then the consumer goroutine.
 	backlog *backfill
 
 	// catchUpSeq is the broker head at which the subscriber joined live
@@ -568,22 +624,35 @@ type Subscriber struct {
 // keep memory flat while catching up over a month-scale journal.
 const backfillBatch = 512
 
-// backfill is a catching-up subscriber's backlog: a journal range, else
-// the matching replay-window frames refillLocked retained (one reference
-// each). Consumer-goroutine only; no lock needed. Journal events are
-// re-encoded into private frames on dequeue — the filter applied inside
-// the Replay callback is the post-filter that keeps a resuming
-// subscriber's view correct without the broker walking its filter at
-// publish time.
+// backfill is a catching-up subscriber's backlog: the frames of one
+// journal batch, else the matching replay-window frames refillLocked
+// retained, one reference each. Consumer-goroutine only; no lock needed.
+// Journal events become private frames as each batch is read, in the
+// subscriber's format; the filter applied there is the post-filter that
+// keeps a resuming subscriber's view correct without the broker walking
+// its filter at publish time.
 type backfill struct {
 	next       uint64 // first sequence not yet taken into the backlog
 	journalEnd uint64 // the journal serves [next, journalEnd]
 	live       bool   // s has joined live delivery: nothing more is refilled
-	batch      []Event
-	batchPos   int
-	ring       []*sharedFrame
-	ringPos    int
-	enc        *encodeCache // the journal range's, made when it is first read
+	frames     []*sharedFrame
+	pos        int         // frames[pos:] are not served yet
+	codec      *eventCodec // made when the first record is read into an Event frame
+}
+
+// eventCodec turns journaled records into Event frames: a borrowing
+// decoder (EventFromRecord copies what it keeps) and an encode cache.
+type eventCodec struct {
+	dec mrt.Decoder
+	enc encodeCache
+}
+
+// drop releases the frames not served yet.
+func (bl *backfill) drop() {
+	for _, f := range bl.frames[bl.pos:] {
+		f.release()
+	}
+	bl.frames, bl.pos = bl.frames[:0], 0
 }
 
 // backfillNext serves the next catch-up frame: the journal range in
@@ -603,60 +672,26 @@ func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed { // abandon the catch-up
-		for _, f := range bl.ring[bl.ringPos:] {
-			f.release()
-		}
+		bl.drop()
 		s.backlog = nil
 		return nil, false
 	}
 	b := s.b
 	for f == nil {
 		switch {
-		case bl.batchPos < len(bl.batch):
-			ev := &bl.batch[bl.batchPos]
-			bl.batchPos++
-			// Journal catch-up events are encoded on dequeue into private
-			// frames (refs=1, owned by the caller): the resume path is the
-			// one place re-encoding still happens, and it is metered.
-			var err error
-			if f, err = newEventFrame(ev, bl.enc); err != nil {
-				b.metrics.encodeErrors.Add(1) // skipped, as Publish would
-			} else {
-				b.metrics.encodes.Add(1)
-			}
-			*ev = Event{} // release references
+		case bl.pos < len(bl.frames):
+			f = bl.frames[bl.pos]
+			bl.frames[bl.pos] = nil // reference transfers to the caller
+			bl.pos++
 		case bl.next <= bl.journalEnd:
-			// A failed append is a gap Replay skips, as it skips an
-			// unencodable event. A journal that took no sequence number
-			// for an append ends short of the range; the part it lacks
-			// ends the catch-up with an error, not as an empty stretch.
-			j := b.cfg.Journal
-			if bl.enc == nil {
-				bl.enc = new(encodeCache)
-			}
-			to := min(bl.next-1+backfillBatch, bl.journalEnd, j.LastSeq())
-			bl.batch, bl.batchPos = bl.batch[:0], 0
-			err := j.Replay(bl.next-1, to, func(ev Event) error {
-				if s.filter.Match(&ev) {
-					bl.batch = append(bl.batch, ev)
-				}
-				return nil
-			})
-			if err == nil && to < bl.next {
-				err = fmt.Errorf("journal ends at seq %d", to)
-			}
-			if err != nil {
+			if err := s.readJournal(bl); err != nil {
 				b.metrics.journalErrors.Add(1)
+				bl.drop()
 				s.backlog = nil
 				s.markClosed(fmt.Errorf("%w: %v", ErrJournal, err))
 				b.remove(s)
 				return nil, false
 			}
-			bl.next = to + 1
-		case bl.ringPos < len(bl.ring):
-			f = bl.ring[bl.ringPos]
-			bl.ring[bl.ringPos] = nil // reference transfers to the caller
-			bl.ringPos++
 		case bl.live:
 			// Served and live: a publisher may be waiting on s's full ring
 			// under the broker lock, so the backlog is dropped without it.
@@ -673,6 +708,93 @@ func (s *Subscriber) backfillNext() (f *sharedFrame, ok bool) {
 	b.metrics.eventsOut.Add(1)
 	s.noteDelivered(f)
 	return f, true
+}
+
+// readJournal turns the next batch of the journal range into bl's frames,
+// outside every lock. A failed append is a gap the batch skips, as it
+// skips an unencodable event. A journal that took no sequence number for
+// an append ends short of the range; the part it lacks ends the catch-up
+// with an error, not as an empty stretch.
+func (s *Subscriber) readJournal(bl *backfill) error {
+	j := s.b.cfg.Journal
+	to := min(bl.next-1+backfillBatch, bl.journalEnd, j.LastSeq())
+	bl.frames, bl.pos = bl.frames[:0], 0
+	err := j.Replay(bl.next-1, to, func(se eventstore.Event) error {
+		f, err := s.journalFrame(&se, bl)
+		if f != nil {
+			bl.frames = append(bl.frames, f)
+		}
+		return err
+	})
+	if err == nil && to < bl.next {
+		err = fmt.Errorf("journal ends at seq %d", to)
+	}
+	bl.next = to + 1
+	return err
+}
+
+// journalFrame builds the catch-up frame of one journaled event in s's
+// format, owned by the caller, or returns nil for a gap and for an event
+// s's filter rejects. A record is filtered on its stored columns and its
+// header's subtype; a subscriber taking Record frames gets it copied into
+// one, and only one taking Event frames has it decoded and encoded. Any
+// other event's stored JSON is the Event frame the live stream carried:
+// it is copied into the frame verbatim, and decoded for the frame's Event.
+func (s *Subscriber) journalFrame(se *eventstore.Event, bl *backfill) (*sharedFrame, error) {
+	if len(se.Payload) == 0 {
+		return nil, nil // a gap: unencodable when published, or its append failed
+	}
+	m := s.b.metrics
+	switch se.Kind {
+	case eventstore.KindMRT:
+		typ, err := recordType(se.Seq, se.Payload)
+		if err != nil || !s.filter.matchRecord(se, typ) {
+			return nil, err
+		}
+		if s.mrt {
+			f := newFrame()
+			f.ev.Seq = se.Seq
+			f.rec = appendRecordFrame(f.rec[:0], se.Seq, se.Collector, se.Payload)
+			m.encodeMRT.Add(1)
+			return f, nil
+		}
+		if bl.codec == nil {
+			bl.codec = &eventCodec{dec: mrt.Decoder{Borrow: true}}
+		}
+		rec, err := decodeRecord(&bl.codec.dec, se.Seq, se.Payload)
+		if err != nil {
+			return nil, err
+		}
+		ev, _ := EventFromRecord(se.Collector, rec, false)
+		ev.Seq = se.Seq
+		ev.Raw = bytes.Clone(se.Payload)
+		f, err := newEventFrame(&ev, &bl.codec.enc)
+		if err != nil {
+			m.encodeErrors.Add(1) // skipped, as Publish would
+			return nil, nil
+		}
+		m.encodeJSON.Add(1)
+		return f, nil
+	case eventstore.KindJSON:
+		var ev Event
+		if err := json.Unmarshal(se.Payload, &ev); err != nil {
+			return nil, fmt.Errorf("livefeed: journaled event %d: %w", se.Seq, err)
+		}
+		ev.Seq = se.Seq
+		if !s.filter.Match(&ev) {
+			return nil, nil
+		}
+		f := newFrame()
+		f.ev = ev
+		w := append(f.wire[:0], make([]byte, frameHeaderLen)...)
+		w = append(append(w, se.Payload...), '\n')
+		sealFrame(w, FrameEvent)
+		f.wire = w
+		m.encodeJSON.Add(1)
+		return f, nil
+	default:
+		return nil, fmt.Errorf("livefeed: journaled event %d has unknown kind %d", se.Seq, se.Kind)
+	}
 }
 
 func newSubscriber(b *Broker, f Filter, policy Policy, ringSize int) *Subscriber {
@@ -742,8 +864,13 @@ func (s *Subscriber) Next() (Event, error) {
 		return Event{}, err
 	}
 	ev := f.ev
+	if len(ev.Raw) == 0 && len(f.rec) > 0 {
+		// A journaled record caught up in a Record frame: the frame holds
+		// the event, its ev only the sequence number.
+		ev, err = decodeRecordFrame(f.rec[frameHeaderLen:], &mrt.Decoder{Borrow: true}, nil)
+	}
 	f.release()
-	return ev, nil
+	return ev, err
 }
 
 // errIdle reports an expired NextFrameTimeout wait; the subscriber is
@@ -758,7 +885,7 @@ var errIdle = fmt.Errorf("livefeed: no event within the wait")
 // interleave keepalives into idle streams. d <= 0 waits without bound.
 func (s *Subscriber) NextFrameTimeout(d time.Duration) (Frame, error) {
 	f, err := s.next(d)
-	return Frame{f: f}, err
+	return Frame{f: f, mrt: s.mrt}, err
 }
 
 // TryNextFrame returns the next frame only if one is available without
@@ -769,14 +896,14 @@ func (s *Subscriber) NextFrameTimeout(d time.Duration) (Frame, error) {
 // gathered batch is still written.
 func (s *Subscriber) TryNextFrame() (Frame, bool) {
 	if f, ok := s.backfillNext(); ok {
-		return Frame{f: f}, true
+		return Frame{f: f, mrt: s.mrt}, true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 {
 		return Frame{}, false
 	}
-	return Frame{f: s.popLocked()}, true
+	return Frame{f: s.popLocked(), mrt: s.mrt}, true
 }
 
 // next is the one blocking dequeue: resume catch-up first, then the live
@@ -854,14 +981,17 @@ func (s *Subscriber) Close() {
 }
 
 // SessionInfo is a point-in-time view of one attached subscriber's
-// session — the /statusz row zombietop renders. Lag is sequence distance
-// to the broker head; Bytes counts wire bytes the server flushed to this
-// session's connection (0 for in-process subscribers that never cross a
-// socket); StallSeconds is publish time spent blocked on this
+// session — the /statusz row zombietop renders. Format is the frame
+// format the session takes (FormatJSON or FormatMRT). Lag is sequence
+// distance to the broker head; Bytes counts wire bytes the server flushed
+// to this session's connection (0 for in-process subscribers that never
+// cross a socket), so Bytes over Delivered is the session's wire bytes
+// per event; StallSeconds is publish time spent blocked on this
 // subscriber's full ring (block policy only).
 type SessionInfo struct {
 	ID            uint64  `json:"id"`
 	Policy        string  `json:"policy"`
+	Format        string  `json:"format"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Queue         int     `json:"queue"`
 	Cap           int     `json:"cap"`
@@ -884,9 +1014,14 @@ func (b *Broker) Sessions() []SessionInfo {
 		queued, drops := s.n, s.drops
 		s.mu.Unlock()
 		last := s.lastSeq.Load()
+		format := FormatJSON
+		if s.mrt {
+			format = FormatMRT
+		}
 		out = append(out, SessionInfo{
 			ID:            s.id,
 			Policy:        s.policy.String(),
+			Format:        format,
 			UptimeSeconds: obs.SinceNanos(s.since),
 			Queue:         queued,
 			Cap:           len(s.buf),

@@ -9,19 +9,25 @@ import (
 	"net"
 	"strings"
 	"time"
+
+	"zombiescope/internal/mrt"
 )
 
 // Conn is one established feed connection after a successful handshake.
+// It asks for Record frames and decodes them, like Event frames from a
+// server that predates them, into the same Event.
 type Conn struct {
 	conn net.Conn
+	rd   idleReader
 	br   *bufio.Reader
-	idle time.Duration
-	// hdr and buf hold the frame Next is reading. Both decode paths copy
-	// what they keep, so one buffer serves the whole connection.
+	// hdr and buf hold the frame Next is reading. Every decode path
+	// copies what it keeps, so one buffer serves the whole connection.
 	hdr [frameHeaderLen]byte
 	buf []byte
-	// dec is the fast decode path's cache of texts seen before.
+	// dec is the decode paths' cache of texts seen before, and rec the
+	// Record frames' borrowing record decoder.
 	dec decodeCache
+	rec mrt.Decoder
 	// Hello is the server's greeting; Ack the subscription confirmation.
 	Hello Hello
 	Ack   Ack
@@ -33,8 +39,11 @@ type DialOptions struct {
 	// a server that accepts and then stalls cannot hang DialWith forever.
 	// Default 10s; negative disables.
 	HandshakeTimeout time.Duration
-	// IdleTimeout bounds the wait for each frame after the handshake.
-	// The server interleaves heartbeats into idle streams (at a default
+	// IdleTimeout bounds every wait on the connection after the
+	// handshake: it is armed before each read that reaches the socket, so
+	// frames already buffered are served without a deadline update, and
+	// a connection silent for IdleTimeout fails the next read that needs
+	// it. The server interleaves heartbeats into idle streams (at a default
 	// 10s cadence), so any timeout comfortably above the server's
 	// heartbeat interval only fires on a genuinely stalled connection.
 	// Next surfaces it as ErrIdleTimeout. Default 0 (no deadline).
@@ -70,8 +79,25 @@ func DialWith(addr string, f Filter, policy Policy, resumeFrom uint64, opts Dial
 	return c, nil
 }
 
+// idleReader arms the idle read deadline before every read that reaches
+// the socket, once idle is set after the handshake. Frames served from
+// the bufio buffer cost no clock read and no deadline update, and a read
+// that waits on the socket never waits past the idle timeout.
+type idleReader struct {
+	conn net.Conn
+	idle time.Duration
+}
+
+func (r *idleReader) Read(p []byte) (int, error) {
+	if r.idle > 0 {
+		r.conn.SetReadDeadline(time.Now().Add(r.idle))
+	}
+	return r.conn.Read(p)
+}
+
 func newConn(nc net.Conn, f Filter, policy Policy, resumeFrom uint64, opts DialOptions) (*Conn, error) {
-	c := &Conn{conn: nc, br: bufio.NewReader(nc), idle: opts.IdleTimeout}
+	c := &Conn{conn: nc, rd: idleReader{conn: nc}, rec: mrt.Decoder{Borrow: true}}
+	c.br = bufio.NewReader(&c.rd)
 	if ht := opts.handshakeTimeout(); ht > 0 {
 		nc.SetDeadline(time.Now().Add(ht))
 		defer nc.SetDeadline(time.Time{})
@@ -87,33 +113,38 @@ func newConn(nc net.Conn, f Filter, policy Policy, resumeFrom uint64, opts DialO
 		Policy:     policy.String(),
 		ResumeFrom: resumeFrom,
 		FromStart:  opts.FromStart && resumeFrom == 0,
+		Format:     FormatMRT,
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrHandshake, err)
 	}
 	if err := readFrameInto(c.br, FrameAck, &c.Ack); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrHandshake, err)
 	}
+	c.rd.idle = opts.IdleTimeout
 	return c, nil
 }
 
 // Next returns the next event from the stream. A server-sent error frame
 // (e.g. a kick) is surfaced as an error; heartbeats are consumed
-// silently (each one re-arms the idle deadline). When the connection
-// stays silent past the idle timeout, Next returns ErrIdleTimeout.
+// silently. When a read from the connection waits past the idle timeout,
+// Next returns ErrIdleTimeout.
 func (c *Conn) Next() (Event, error) {
 	for {
-		if c.idle > 0 {
-			c.conn.SetReadDeadline(time.Now().Add(c.idle))
-		}
 		t, payload, err := readFrame(c.br, &c.hdr, c.buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return Event{}, fmt.Errorf("%w after %v", ErrIdleTimeout, c.idle)
+				return Event{}, fmt.Errorf("%w after %v", ErrIdleTimeout, c.rd.idle)
 			}
 			return Event{}, err
 		}
 		c.buf = payload
 		switch t {
+		case FrameRecord:
+			ev, err := decodeRecordFrame(payload, &c.rec, &c.dec)
+			if err != nil {
+				return Event{}, fmt.Errorf("%w: record payload: %v", ErrBadFrame, err)
+			}
+			return ev, nil
 		case FrameEvent:
 			if ev, ok := decodeEventFast(payload, &c.dec); ok {
 				return ev, nil
@@ -124,7 +155,7 @@ func (c *Conn) Next() (Event, error) {
 			}
 			return ev, nil
 		case FrameHeartbeat:
-			continue // liveness only; loop re-arms the deadline
+			continue // liveness only
 		case FrameError:
 			var ef ErrorFrame
 			if json.Unmarshal(payload, &ef) == nil && ef.Message == ErrKicked.Error() {
@@ -159,8 +190,8 @@ type Client struct {
 	// MinBackoff / MaxBackoff bound the reconnect delay. Defaults
 	// 100ms / 10s.
 	MinBackoff, MaxBackoff time.Duration
-	// HandshakeTimeout / IdleTimeout bound the handshake and the wait
-	// for each frame (see DialOptions). A server that accepts and then
+	// HandshakeTimeout / IdleTimeout bound the handshake and each wait
+	// on the connection (see DialOptions). A server that accepts and then
 	// stalls mid-handshake or mid-stream is detected and redialed
 	// through the same backoff/resume path as a dropped connection.
 	// Defaults 10s / 30s; negative disables.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"zombiescope/internal/bgp"
+	"zombiescope/internal/mrt"
 )
 
 // Regenerate the committed seed corpus with:
@@ -83,6 +84,11 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		},
 	})
 	heartbeat := frame(FrameHeartbeat, Heartbeat{Head: 99})
+	raw, err := mrt.AppendRecord(nil, sessionDown(ts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := appendRecordFrame(nil, 11, "rrc00", raw)
 
 	// A whole handshake plus stream on one connection: mutations that
 	// break mid-stream framing start here.
@@ -100,6 +106,7 @@ func corpusSeeds(t testing.TB) map[string][]byte {
 		"seed-event":      update,
 		"seed-alert":      alert,
 		"seed-heartbeat":  heartbeat,
+		"seed-record":     record,
 		"seed-session":    session,
 	}
 }
@@ -162,6 +169,12 @@ func TestFuzzSeedCorpus(t *testing.T) {
 				}
 				var v any
 				switch typ {
+				case FrameRecord:
+					if _, err := decodeRecordFrame(payload, &mrt.Decoder{Borrow: true}, nil); err != nil {
+						t.Fatalf("seed record payload does not decode: %v", err)
+					}
+					frames++
+					continue
 				case FrameHello:
 					v = &Hello{}
 				case FrameSubscribe:

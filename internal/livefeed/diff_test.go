@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"zombiescope/internal/bgp"
+	"zombiescope/internal/eventstore"
 )
 
 // This file is the differential proof of the encode-once broadcast
@@ -155,9 +156,12 @@ func randomDiffEvent(rng *rand.Rand, i int) Event {
 
 // memJournal is a deterministic in-memory Journal for resume scenarios.
 // On every append it verifies that the shared encoding the broker hands
-// over is byte-identical to an independent marshal of the event.
+// over is byte-identical to an independent marshal of the event, and nil
+// for an event with a record. It stores every event as its JSON (the
+// scenario's raw records are not MRT), so a catch-up copies the encoding.
 type memJournal struct {
 	evs      []Event
+	payloads [][]byte
 	mismatch error
 }
 
@@ -166,17 +170,25 @@ func (j *memJournal) Append(ev Event, payload []byte) error {
 	if err := WriteFrame(&buf, FrameEvent, &ev); err != nil {
 		return err
 	}
-	if want := buf.Bytes()[frameHeaderLen:]; !bytes.Equal(payload, want) && j.mismatch == nil {
-		j.mismatch = fmt.Errorf("seq %d: shared payload %q != independent marshal %q", ev.Seq, payload, want)
+	want := buf.Bytes()[frameHeaderLen:]
+	if ev.hasRecord() && payload != nil || !ev.hasRecord() && !bytes.Equal(payload, want) {
+		if j.mismatch == nil {
+			j.mismatch = fmt.Errorf("seq %d: shared payload %q != independent marshal %q", ev.Seq, payload, want)
+		}
 	}
 	j.evs = append(j.evs, ev)
+	j.payloads = append(j.payloads, bytes.TrimSuffix(want, []byte{'\n'}))
 	return nil
 }
 
-func (j *memJournal) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
-	for _, ev := range j.evs {
+func (j *memJournal) Replay(fromSeq, toSeq uint64, fn func(eventstore.Event) error) error {
+	for i, ev := range j.evs {
 		if ev.Seq > fromSeq && ev.Seq <= toSeq {
-			if err := fn(ev); err != nil {
+			if err := fn(eventstore.Event{
+				Seq: ev.Seq, Time: ev.Timestamp, Collector: ev.Collector,
+				PeerAS: uint32(ev.PeerAS), PeerAddr: ev.Peer, Prefixes: ev.Prefixes(),
+				Kind: eventstore.KindJSON, Payload: j.payloads[i],
+			}); err != nil {
 				return err
 			}
 		}

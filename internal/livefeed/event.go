@@ -80,6 +80,13 @@ type Event struct {
 	Alert *Alert `json:"alert,omitempty"`
 }
 
+// hasRecord reports whether ev is an update event carrying its MRT
+// record: the event a journal stores as the record, and a Record frame
+// carries.
+func (ev *Event) hasRecord() bool {
+	return ev.Channel == ChannelUpdates && len(ev.Raw) > 0
+}
+
 // Streamable reports whether EventFromRecord would publish rec: BGP4MP
 // messages and state changes stream, RIB-dump record types do not.
 func Streamable(rec mrt.Record) bool {

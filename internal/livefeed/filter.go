@@ -5,6 +5,7 @@ import (
 	"net/netip"
 
 	"zombiescope/internal/bgp"
+	"zombiescope/internal/eventstore"
 )
 
 // Filter is a server-side subscription filter, evaluated against every
@@ -51,28 +52,35 @@ func (f *Filter) validate() error {
 
 // Match reports whether the event passes the filter.
 func (f *Filter) Match(ev *Event) bool {
-	if len(f.Channels) > 0 && !containsString(f.Channels, ev.Channel) {
+	return f.matchScalars(ev.Channel, ev.Type, ev.Collector, ev.PeerAS) &&
+		(len(f.Prefixes) == 0 || f.matchPrefixes(ev))
+}
+
+// matchRecord is Match over a journaled record's columns, given its event
+// type: a record is an updates-channel event, and the stored prefixes are
+// the event's Prefixes, which Match covers in full.
+func (f *Filter) matchRecord(se *eventstore.Event, typ string) bool {
+	return f.matchScalars(ChannelUpdates, typ, se.Collector, bgp.ASN(se.PeerAS)) &&
+		(len(f.Prefixes) == 0 || f.coversAny(se.Prefixes))
+}
+
+// matchScalars checks every dimension but the prefixes.
+func (f *Filter) matchScalars(channel, typ, collector string, peerAS bgp.ASN) bool {
+	if len(f.Channels) > 0 && !containsString(f.Channels, channel) {
 		return false
 	}
-	if len(f.Types) > 0 && !containsString(f.Types, ev.Type) {
+	if len(f.Types) > 0 && !containsString(f.Types, typ) {
 		return false
 	}
-	if len(f.Collectors) > 0 && !containsString(f.Collectors, ev.Collector) {
+	if len(f.Collectors) > 0 && !containsString(f.Collectors, collector) {
 		return false
 	}
 	if len(f.PeerAS) > 0 {
-		ok := false
 		for _, as := range f.PeerAS {
-			if as == ev.PeerAS {
-				ok = true
-				break
+			if as == peerAS {
+				return true
 			}
 		}
-		if !ok {
-			return false
-		}
-	}
-	if len(f.Prefixes) > 0 && !f.matchPrefixes(ev) {
 		return false
 	}
 	return true

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"zombiescope/internal/mrt"
 )
 
 // FuzzFrame drives the wire codec with mutated byte streams. Run with
@@ -14,7 +16,7 @@ import (
 // is strict: any input either yields a clean error or a frame that is
 // canonical — re-encoding the accepted (type, payload) reproduces the
 // exact bytes consumed, and the payload decodes into the frame type's
-// struct without panicking.
+// struct (a Record frame's into an event) without panicking.
 func FuzzFrame(f *testing.F) {
 	seeds := corpusSeeds(f)
 	for _, name := range sortedNames(seeds) {
@@ -31,7 +33,7 @@ func FuzzFrame(f *testing.F) {
 			if err != nil {
 				return // malformed input must error, never panic or hang
 			}
-			if len(payload) == 0 || payload[len(payload)-1] != '\n' {
+			if len(payload) == 0 || typ != FrameRecord && payload[len(payload)-1] != '\n' {
 				t.Fatalf("accepted frame with non-NDJSON payload %q", payload)
 			}
 			// Canonical re-encoding: the accepted frame's bytes are fully
@@ -60,6 +62,9 @@ func FuzzFrame(f *testing.F) {
 				v = &Event{}
 			case FrameHeartbeat:
 				v = &Heartbeat{}
+			case FrameRecord:
+				decodeRecordFrame(payload, &mrt.Decoder{Borrow: true}, nil)
+				continue
 			default:
 				t.Fatalf("ReadFrame returned unknown type %d", typ)
 			}

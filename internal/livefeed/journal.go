@@ -2,11 +2,8 @@ package livefeed
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 
 	"zombiescope/internal/eventstore"
-	"zombiescope/internal/mrt"
 )
 
 // Journal is the durable log a broker writes published events through.
@@ -16,19 +13,28 @@ import (
 // LastSeq bound what Replay can serve; FirstSeq 0 means the journal is
 // empty.
 type Journal interface {
-	// Append durably records one published event. payload is the event's
-	// shared encoding (json.Marshal(&ev) plus a trailing newline) aliasing
-	// the broker's pooled frame buffer: it is valid only for the call, so
-	// an implementation that retains it must copy it. It is nil when the
-	// event could not be encoded; live subscribers see that sequence
-	// number as a gap, and Replay must too. Called with the broker's
-	// publish lock held: implementations must not call back into the
-	// broker.
+	// Append durably records one published event. An update event
+	// carrying its MRT record (Raw) is journaled as that record, and
+	// payload is nil. For any other event payload is its Event frame's
+	// encoding (json.Marshal(&ev) plus a trailing newline) aliasing the
+	// broker's pooled frame buffer: it is valid only for the call, so an
+	// implementation that retains it must copy it. It is nil as well when
+	// such an event could not be encoded; live subscribers see that
+	// sequence number as a gap, and Replay must too. Called with the
+	// broker's publish lock held: implementations must not call back into
+	// the broker.
 	Append(ev Event, payload []byte) error
-	// Replay invokes fn for every journaled event with sequence number
-	// in (fromSeq, toSeq], in order. The events passed to fn are fully
-	// owned by the callee.
-	Replay(fromSeq, toSeq uint64, fn func(Event) error) error
+	// Replay invokes fn for every journaled sequence number in
+	// (fromSeq, toSeq], in order, with the event as stored: an update
+	// event carrying its record as KindMRT with the raw record as
+	// payload, any other event as KindJSON with its JSON encoding (no
+	// trailing newline), a gap with no payload; Collector, PeerAS,
+	// PeerAddr and Prefixes (Event.Prefixes) as the event had them. The
+	// event's payload and prefixes may alias journal memory valid only
+	// for the call. The broker filters on those columns and copies the
+	// payload into a catch-up frame, so a subscriber taking Record frames
+	// is caught up without decoding a record.
+	Replay(fromSeq, toSeq uint64, fn func(eventstore.Event) error) error
 	// FirstSeq returns the oldest retained sequence number (0 if empty).
 	FirstSeq() uint64
 	// LastSeq returns the newest journaled sequence number (0 if empty),
@@ -37,14 +43,9 @@ type Journal interface {
 	LastSeq() uint64
 }
 
-// StoreJournal adapts an eventstore.Store into a broker Journal.
-//
-// Update-channel events that carry their raw MRT record are stored as
-// KindMRT with the record bytes as the payload — the densest encoding,
-// and the one recovery replays through the detector byte-faithfully.
-// Everything else (alerts, raw-less events published through Publish) is
-// stored as KindJSON with the broker's encoding as payload, or with no
-// payload when the event could not be encoded.
+// StoreJournal adapts an eventstore.Store into a broker Journal: events
+// are stored as Journal.Replay gives them back, so Replay is the store's
+// own Replay.
 type StoreJournal struct {
 	Store *eventstore.Store
 }
@@ -63,66 +64,15 @@ func (j *StoreJournal) Append(ev Event, payload []byte) error {
 		Kind:      eventstore.KindJSON,
 		Payload:   bytes.TrimSuffix(payload, []byte{'\n'}),
 	}
-	if ev.Channel == ChannelUpdates && len(ev.Raw) > 0 {
+	if ev.hasRecord() {
 		se.Kind, se.Payload = eventstore.KindMRT, ev.Raw
 	}
 	return j.Store.Append(se)
 }
 
-// feedEvent converts a stored event back to the feed event that produced
-// it. Stored events handed to Replay callbacks are fully owned, so the
-// reconstruction can alias the payload, and dec may borrow it:
-// EventFromRecord copies what it keeps of the record.
-func feedEvent(dec *mrt.Decoder, se eventstore.Event) (Event, error) {
-	switch se.Kind {
-	case eventstore.KindMRT:
-		rec, err := decodeRecord(dec, se.Seq, se.Payload)
-		if err != nil {
-			return Event{}, err
-		}
-		ev, _ := EventFromRecord(se.Collector, rec, false)
-		ev.Seq = se.Seq
-		ev.Raw = se.Payload
-		return ev, nil
-	case eventstore.KindJSON:
-		var ev Event
-		if err := json.Unmarshal(se.Payload, &ev); err != nil {
-			return Event{}, fmt.Errorf("livefeed: journaled event %d: %w", se.Seq, err)
-		}
-		ev.Seq = se.Seq
-		return ev, nil
-	default:
-		return Event{}, fmt.Errorf("livefeed: journaled event %d has unknown kind %d", se.Seq, se.Kind)
-	}
-}
-
-// decodeRecord decodes the raw MRT record of event seq, a KindMRT
-// payload. It is written only for streamable records, so anything but
-// exactly one BGP4MP message or state change is an error.
-func decodeRecord(dec *mrt.Decoder, seq uint64, raw []byte) (mrt.Record, error) {
-	rec, err := dec.DecodeFramed(raw)
-	if err != nil {
-		return nil, fmt.Errorf("livefeed: event %d raw record: %w", seq, err)
-	}
-	if !Streamable(rec) {
-		return nil, fmt.Errorf("livefeed: event %d raw record is not a BGP4MP message or state change", seq)
-	}
-	return rec, nil
-}
-
 // Replay implements Journal.
-func (j *StoreJournal) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
-	dec := mrt.Decoder{Borrow: true}
-	return j.Store.Replay(fromSeq, toSeq, func(se eventstore.Event) error {
-		if len(se.Payload) == 0 {
-			return nil // a gap: unencodable when published, or its append failed
-		}
-		ev, err := feedEvent(&dec, se)
-		if err != nil {
-			return err
-		}
-		return fn(ev)
-	})
+func (j *StoreJournal) Replay(fromSeq, toSeq uint64, fn func(eventstore.Event) error) error {
+	return j.Store.Replay(fromSeq, toSeq, fn)
 }
 
 // FirstSeq implements Journal.

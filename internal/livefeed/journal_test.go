@@ -443,7 +443,7 @@ func (j *errJournal) Append(ev Event, _ []byte) error {
 	return j.appendErr
 }
 
-func (j *errJournal) Replay(fromSeq, toSeq uint64, fn func(Event) error) error {
+func (j *errJournal) Replay(fromSeq, toSeq uint64, fn func(eventstore.Event) error) error {
 	return j.replayErr
 }
 
@@ -602,8 +602,9 @@ func sessionDown(ts time.Time) *mrt.BGP4MPStateChange {
 	}
 }
 
-// TestStoredRecordRule: the three readers of a KindMRT payload — Recover,
-// StoreJournal.Replay and zombie.BuildHistoryFromStore — apply one rule.
+// TestStoredRecordRule: the readers of a KindMRT payload — Recover, a
+// journal catch-up in either frame format and zombie.BuildHistoryFromStore
+// — apply one rule.
 // The journal only ever writes streamable BGP4MP records, so a payload
 // that is not exactly one BGP4MP message or state change fails every
 // reader with an error naming the event's sequence number.
@@ -647,9 +648,8 @@ func TestStoredRecordRule(t *testing.T) {
 			_, err := NewPipeline(b, nil, 0).Recover(st)
 			return err
 		}},
-		{"StoreJournal.Replay", func(st *eventstore.Store) error {
-			return (&StoreJournal{Store: st}).Replay(0, st.LastSeq(), func(Event) error { return nil })
-		}},
+		{"catch-up, Event frames", func(st *eventstore.Store) error { return catchUpErr(st, FormatJSON) }},
+		{"catch-up, Record frames", func(st *eventstore.Store) error { return catchUpErr(st, FormatMRT) }},
 		{"BuildHistoryFromStore", func(st *eventstore.Store) error {
 			_, err := zombie.BuildHistoryFromStore(st, zombie.NewTrackSet(nil))
 			return err
@@ -682,6 +682,27 @@ func TestStoredRecordRule(t *testing.T) {
 			}
 		})
 	}
+}
+
+// catchUpErr catches a from-start subscriber of the given format up over
+// the journal st holds and returns the error that ended the catch-up, nil
+// when it reached the head.
+func catchUpErr(st *eventstore.Store, format string) error {
+	b := NewBroker(Config{Journal: &StoreJournal{Store: st}, StartSeq: st.LastSeq()})
+	defer b.Close()
+	sub, _, err := b.SubscribeFormat(Filter{}, PolicyDropOldest, format, 0, true)
+	if err != nil {
+		return err
+	}
+	for seq := uint64(0); seq < st.LastSeq(); {
+		fr, err := sub.NextFrameTimeout(time.Second)
+		if err != nil {
+			return err
+		}
+		seq = fr.Seq()
+		fr.Release()
+	}
+	return nil
 }
 
 // TestRecoverCountsRecordGaps: a record whose journal append failed reads

@@ -30,8 +30,9 @@ type Metrics struct {
 	publishSeconds *obs.Histogram
 	journalErrors  *obs.Counter
 
-	// Encode-once broadcast path.
-	encodes      *obs.Counter
+	// Encode-once broadcast path: frames built per format.
+	encodeJSON   *obs.Counter
+	encodeMRT    *obs.Counter
 	encodeErrors *obs.Counter
 	framesShared *obs.Counter
 
@@ -88,8 +89,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		"Broker fan-out latency per published event.", publishBuckets)
 	m.journalErrors = reg.Counter("livefeed_journal_errors_total",
 		"Journal appends or resume reads that failed.")
-	m.encodes = reg.Counter("livefeed_encode_total",
-		"Events JSON-encoded into wire frames (once per publish plus journal-served resume catch-up).")
+	encodes := reg.CounterVec("livefeed_encode_total",
+		"Event wire frames built, per frame format: at most once per published event and format, when a subscriber takes the event in it (JSON always for an event without a record), plus journal-served resume catch-up.",
+		"format")
+	m.encodeJSON = encodes.With(FormatJSON)
+	m.encodeMRT = encodes.With(FormatMRT)
 	m.encodeErrors = reg.Counter("livefeed_encode_errors_total",
 		"Events that failed to encode and were skipped.")
 	m.framesShared = reg.Counter("livefeed_frames_shared_total",

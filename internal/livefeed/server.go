@@ -13,8 +13,10 @@ import (
 
 // Server serves a Broker's feed over TCP using the frame protocol.
 // Each accepted connection performs the hello/subscribe/ack handshake and
-// then receives a stream of Event frames; the subscriber's backpressure
-// policy is chosen by the client (subject to AllowBlock).
+// then receives a stream of Event frames, or of Record frames for update
+// events with a record where the Subscribe frame asks for them; the
+// subscriber's backpressure policy is chosen by the client (subject to
+// AllowBlock).
 //
 // The event path is zero-copy: the write loop dequeues encoded frames
 // (Subscriber.NextFrameTimeout) and hands their shared buffers straight
@@ -237,7 +239,7 @@ func (s *Server) handle(conn net.Conn) {
 		refuse(conn, "block policy not allowed on this server")
 		return
 	}
-	sub, lost, err := s.Broker.SubscribeFrom(req.Filter, policy, req.ResumeFrom, req.FromStart)
+	sub, lost, err := s.Broker.SubscribeFormat(req.Filter, policy, req.Format, req.ResumeFrom, req.FromStart)
 	if err != nil {
 		s.logConn("livefeed subscribe refused", conn, err)
 		refuse(conn, err.Error())
@@ -326,7 +328,7 @@ func (s *Server) handle(conn net.Conn) {
 			// End-to-end latency closes here, at the kernel handoff; only
 			// frames that actually went out and carry an ingest stamp are
 			// observed. Catch-up is excluded twice over: journal backfill
-			// frames are re-encoded without a stamp, and window-snapshot
+			// frames are built without a stamp, and window-snapshot
 			// frames keep their historical stamp but sit at or below the
 			// head the subscriber joined live delivery at.
 			if ing := frames[i].f.ingest; werr == nil && ing > 0 && frames[i].f.ev.Seq > sub.catchUpSeq {

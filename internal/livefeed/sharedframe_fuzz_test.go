@@ -277,11 +277,11 @@ func TestPublishEncodeOnceAllocFence(t *testing.T) {
 		for i := 0; i < 64; i++ { // warm the frame and encoder pools
 			b.Publish(ev)
 		}
-		before := b.metrics.encodes.Value()
+		before := b.metrics.encodeJSON.Value()
 		seqBefore := b.Seq()
 		allocs = testing.AllocsPerRun(200, func() { b.Publish(ev) })
 		published := b.Seq() - seqBefore
-		encodesPerPublish = float64(b.metrics.encodes.Value()-before) / float64(published)
+		encodesPerPublish = float64(b.metrics.encodeJSON.Value()-before) / float64(published)
 		return allocs, encodesPerPublish
 	}
 	for _, row := range []struct {

@@ -2,7 +2,8 @@
 // reproduction: a RIS-Live-style broker that turns collector output into a
 // live, subscribable feed. Records from the collector fleet's archives are
 // framed in a versioned length-prefixed wire protocol over TCP (NDJSON
-// payloads, like RIS Live), and fanned out to any number of concurrent
+// payloads, like RIS Live, or the raw MRT record where the subscriber
+// asks for it), and fanned out to any number of concurrent
 // subscribers, each with server-side filters and a bounded ring buffer
 // whose backpressure policy decides what happens when the subscriber
 // cannot keep up (block, drop-oldest, kick-slowest). A dedicated "zombie"
@@ -16,15 +17,30 @@
 //	length  uint32  payload length, big endian
 //	crc     uint32  CRC-32C (Castagnoli) of the preceding 8 header
 //	                bytes followed by the payload, big endian
-//	payload []byte  one JSON object terminated by '\n' (NDJSON)
+//	payload []byte  one JSON object terminated by '\n' (NDJSON), except
+//	                in a Record frame (below)
 //
 // After connecting, the server sends a Hello frame; the client answers
-// with a Subscribe frame carrying its filter, backpressure policy and
-// resume sequence; the server acknowledges with an Ack frame and then
-// streams Event frames until either side closes the connection. Errors
-// during the handshake are reported in an Error frame before close.
+// with a Subscribe frame carrying its filter, backpressure policy, resume
+// sequence and frame format; the server acknowledges with an Ack frame and
+// then streams Event frames until either side closes the connection.
+// Errors during the handshake are reported in an Error frame before close.
 // Heartbeat frames are interleaved into idle streams so clients can
 // distinguish a quiet feed from a stalled connection.
+//
+// A subscriber that sets Subscribe.Format to "mrt" receives each update
+// event that carries its MRT record as a Record frame instead of an Event
+// frame, and every other event (alerts, records published without their
+// raw bytes) as an Event frame as before. A Record payload is binary:
+//
+//	seq       uint64  the event's sequence number, big endian
+//	collector uvarint length, then that many bytes of collector name
+//	record    []byte  the rest: one RFC 6396 record, common header included
+//
+// The record is the event's Raw field; decoding it gives back every other
+// field of the update event. The opt-in keeps both directions compatible:
+// a server that predates the field ignores it and sends Event frames, and
+// a client that never sets it never sees a Record frame.
 //
 // The checksum exists because TCP's own checksum is too weak to protect
 // detection results: the chaos harness (internal/chaos) demonstrated
@@ -63,6 +79,13 @@ const (
 	FrameError     FrameType = 4 // server -> client, handshake failure
 	FrameEvent     FrameType = 5 // server -> client, one feed event
 	FrameHeartbeat FrameType = 6 // server -> client, keepalive on idle streams
+	FrameRecord    FrameType = 7 // server -> client, one update event as its MRT record
+)
+
+// Frame formats a Subscribe frame can ask for. The empty format is JSON.
+const (
+	FormatJSON = "json" // every event as an Event frame
+	FormatMRT  = "mrt"  // update events carrying a record as Record frames, the rest as Event frames
 )
 
 func (t FrameType) String() string {
@@ -79,6 +102,8 @@ func (t FrameType) String() string {
 		return "event"
 	case FrameHeartbeat:
 		return "heartbeat"
+	case FrameRecord:
+		return "record"
 	default:
 		return fmt.Sprintf("frame(%d)", uint8(t))
 	}
@@ -88,7 +113,7 @@ func (t FrameType) String() string {
 // ReadFrame rejects unknown types before touching the payload: on a
 // corrupted stream the type byte is as suspect as the length field.
 func (t FrameType) valid() bool {
-	return t >= FrameHello && t <= FrameHeartbeat
+	return t >= FrameHello && t <= FrameRecord
 }
 
 // Sentinel errors of the feed layer.
@@ -133,6 +158,10 @@ type Subscribe struct {
 	// first stable connection. Events neither the replay window nor the
 	// server's journal still holds are reported in Ack.Lost.
 	FromStart bool `json:"from_start,omitempty"`
+	// Format selects how update events carrying their MRT record are
+	// framed: FormatMRT as Record frames, FormatJSON (or empty) as Event
+	// frames. Any other value is refused.
+	Format string `json:"format,omitempty"`
 }
 
 // Ack confirms a subscription.
@@ -196,8 +225,9 @@ func sealFrame(frame []byte, t FrameType) {
 	binary.BigEndian.PutUint32(hdr[8:], frameCRC(hdr[:8], frame[frameHeaderLen:]))
 }
 
-// ReadFrame reads one frame and returns its type and raw NDJSON payload
-// (including the trailing newline). Every header field is validated
+// ReadFrame reads one frame and returns its type and raw payload: NDJSON
+// including the trailing newline, or a Record frame's binary body. Every
+// header field is validated
 // before the payload is read, and the payload checksum afterwards, so a
 // corrupted stream surfaces as ErrBadFrame/ErrBadVersion/ErrFrameTooBig
 // rather than as a hang, an over-allocation, or silently altered data.
@@ -238,7 +268,7 @@ func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) (FrameType, [
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
 	}
-	if payload[length-1] != '\n' {
+	if t != FrameRecord && payload[length-1] != '\n' {
 		return 0, nil, fmt.Errorf("%w: payload not newline-terminated", ErrBadFrame)
 	}
 	if got, want := frameCRC(hdr[:8], payload), binary.BigEndian.Uint32(hdr[8:]); got != want {

@@ -100,8 +100,8 @@ subscribers={{.Subscribers}}, goroutines={{.Runtime.Goroutines}}</p>
 {{range $name, $s := .Stages}}<tr><td>{{$name}}</td><td>{{$s.Count}}</td><td>{{secs $s.P50}}</td><td>{{secs $s.P99}}</td><td>{{secs $s.P999}}</td></tr>
 {{end}}</table>
 <h2>Sessions</h2>
-<table><tr><th>id</th><th>policy</th><th>lag</th><th>queue</th><th>delivered</th><th>bytes</th><th>drops</th></tr>
-{{range .Sessions}}<tr><td>{{.ID}}</td><td>{{.Policy}}</td><td>{{.Lag}}</td><td>{{.Queue}}/{{.Cap}}</td><td>{{.Delivered}}</td><td>{{.Bytes}}</td><td>{{.Drops}}</td></tr>
+<table><tr><th>id</th><th>policy</th><th>format</th><th>lag</th><th>queue</th><th>delivered</th><th>bytes</th><th>drops</th></tr>
+{{range .Sessions}}<tr><td>{{.ID}}</td><td>{{.Policy}}</td><td>{{.Format}}</td><td>{{.Lag}}</td><td>{{.Queue}}/{{.Cap}}</td><td>{{.Delivered}}</td><td>{{.Bytes}}</td><td>{{.Drops}}</td></tr>
 {{end}}</table>
 {{with .Store}}<h2>Store</h2>
 <p>{{.Dir}}: seqs {{.FirstSeq}}..{{.LastSeq}}, {{.Segments}} segments, {{.Bytes}} bytes</p>{{end}}
@@ -161,11 +161,11 @@ func Render(w io.Writer, prev, cur *Status, top int) {
 	if top > 0 && len(sessions) > top {
 		sessions = sessions[:top]
 	}
-	fmt.Fprintf(w, "\n%-6s %-13s %8s %9s %10s %10s %7s %8s\n",
-		"SESS", "POLICY", "LAG", "QUEUE", "DELIVERED", "BYTES", "DROPS", "STALL")
+	fmt.Fprintf(w, "\n%-6s %-13s %-6s %8s %9s %10s %10s %7s %8s\n",
+		"SESS", "POLICY", "FORMAT", "LAG", "QUEUE", "DELIVERED", "BYTES", "DROPS", "STALL")
 	for _, s := range sessions {
-		fmt.Fprintf(w, "%-6d %-13s %8d %4d/%-4d %10d %10d %7d %7.1fs\n",
-			s.ID, s.Policy, s.Lag, s.Queue, s.Cap, s.Delivered, s.Bytes, s.Drops, s.StallSeconds)
+		fmt.Fprintf(w, "%-6d %-13s %-6s %8d %4d/%-4d %10d %10d %7d %7.1fs\n",
+			s.ID, s.Policy, s.Format, s.Lag, s.Queue, s.Cap, s.Delivered, s.Bytes, s.Drops, s.StallSeconds)
 	}
 }
 
